@@ -8,13 +8,9 @@ verification of the underlying algebraic identities.
 from .geom import (
     Ball,
     Direction,
-    MinimaxResult,
-    ProjectedDisk,
     Scene,
     SceneError,
     SolverError,
-    disks_common_point,
-    project_to_orthogonal_plane,
     random_disjoint_scene,
     random_scene_with_transversal,
     scene_classification,

@@ -154,11 +154,7 @@ class _UsageError(click.ClickException):
     exit_code = EXIT_USAGE
 
 
-def _emit_report(report: dict, out: str | None, timings: dict | None) -> None:
-    if timings is not None:
-        report = dict(report)
-        report["timings"] = timings
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -166,12 +162,24 @@ def _emit_report(report: dict, out: str | None, timings: dict | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
+def _finish(
+    command: str, config: dict, verdicts: dict, passed: bool, out: str | None,
+    t0: float | None,
+) -> None:
+    """Write the command's JSON report, then exit 0 if its checks held, else 1.
+
+    ``t0`` is the command's start time when --timings was given, else None.
+    """
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
+        "verdicts": verdicts,
     }
+    if t0 is not None:
+        report["timings"] = {"seconds": time.perf_counter() - t0}
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    sys.exit(EXIT_OK if passed else EXIT_VIOLATION)
 
 
 def _parse_order(order: str | None, n: int) -> tuple[int, ...]:
@@ -216,12 +224,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
         raise _UsageError(str(exc))
     doc = scene.to_json_dict()
     doc.update(extra)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 @main.command("check-convexity")
@@ -241,7 +244,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
 @click.option("--timings", is_flag=True, default=False)
 def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantics, out, timings):
     """Geodesic-midpoint convexity certification for one ordered cone."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
     order_t = _parse_order(order, len(scene))
     query = cone_mod.OrderedQuery(scene, order_t)
@@ -249,21 +252,16 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
         query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
         order_semantics=order_semantics,
     )
-    report = _report_skeleton(
-        "check-convexity",
-        {
-            "scene": scene_path,
-            "order": list(order_t),
-            "samples": samples,
-            "pairs": pairs,
-            "seed": seed,
-            "tol": tol,
-            "order_semantics": order_semantics,
-        },
-    )
-    report["verdicts"] = rep.to_json_dict()
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK if rep.passed else EXIT_VIOLATION)
+    config = {
+        "scene": scene_path,
+        "order": list(order_t),
+        "samples": samples,
+        "pairs": pairs,
+        "seed": seed,
+        "tol": tol,
+        "order_semantics": order_semantics,
+    }
+    _finish("check-convexity", config, rep.to_json_dict(), rep.passed, out, t0)
 
 
 @main.command("enumerate-permutations")
@@ -275,16 +273,11 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
 @click.option("--timings", is_flag=True, default=False)
 def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
     """Catalog geometric permutations with witness directions."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
     cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed, tol=tol)
-    report = _report_skeleton(
-        "enumerate-permutations",
-        {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol},
-    )
-    report["verdicts"] = cat.to_json_dict()
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK)
+    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    _finish("enumerate-permutations", config, cat.to_json_dict(), True, out, t0)
 
 
 @main.command("count-components")
@@ -296,7 +289,7 @@ def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
 @click.option("--timings", is_flag=True, default=False)
 def count_components_cmd(scene_path, samples, seed, tol, out, timings):
     """Count transversal components; must equal the permutation count."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
     sset = cone_mod.sample_scene(scene, samples, seed=seed, tol=tol)
     comp = cone_mod.count_components(scene, samples=samples, seed=seed, tol=tol, sample_set=sset)
@@ -304,17 +297,13 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
         scene, samples=samples, seed=seed, tol=tol, sample_set=sset
     )
     agree = comp.count == len(cat)
-    report = _report_skeleton(
-        "count-components",
-        {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol},
-    )
-    report["verdicts"] = {
+    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    verdicts = {
         "components": comp.to_json_dict(),
         "permutations": len(cat),
         "components_equal_permutations": agree,
     }
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK if agree else EXIT_VIOLATION)
+    _finish("count-components", config, verdicts, agree, out, t0)
 
 
 @main.command("probe-flex")
@@ -326,7 +315,7 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
 @click.option("--timings", is_flag=True, default=False)
 def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
     """Flex-freeness certificate over sampled cone boundary directions."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
     if len(scene) != 3:
         raise _UsageError("probe-flex needs a scene of exactly three balls")
@@ -334,19 +323,14 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
     rep = flexprobe.certify_flex_free(
         triple, boundary_samples=boundary_samples, seed=seed, tol=tol
     )
-    report = _report_skeleton(
-        "probe-flex",
-        {
-            "scene": scene_path,
-            "scene_data": scene.to_json_dict(),
-            "boundary_samples": boundary_samples,
-            "seed": seed,
-            "tol": tol,
-        },
-    )
-    report["verdicts"] = rep.to_json_dict()
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK if rep.passed else EXIT_VIOLATION)
+    config = {
+        "scene": scene_path,
+        "scene_data": scene.to_json_dict(),
+        "boundary_samples": boundary_samples,
+        "seed": seed,
+        "tol": tol,
+    }
+    _finish("probe-flex", config, rep.to_json_dict(), rep.passed, out, t0)
 
 
 @main.command("verify-identities")
@@ -357,14 +341,10 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
 @click.option("--timings", is_flag=True, default=False)
 def verify_identities(trials, height, seed, out, timings):
     """Exact rational verification of the six pipeline identities."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     rep = polyid.schwartz_zippel_suite(trials=trials, height=height, seed=seed)
-    report = _report_skeleton(
-        "verify-identities", {"trials": trials, "height": height, "seed": seed}
-    )
-    report["verdicts"] = rep.to_json_dict()
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK if rep.passed else EXIT_VIOLATION)
+    config = {"trials": trials, "height": height, "seed": seed}
+    _finish("verify-identities", config, rep.to_json_dict(), rep.passed, out, t0)
 
 
 @main.command("classify-boundary")
@@ -378,7 +358,7 @@ def verify_identities(trials, height, seed, out, timings):
 @click.option("--timings", is_flag=True, default=False)
 def classify_boundary(scene_path, direction, n_directions, chart, seed, out, timings):
     """Classify sextic directions: cone boundary iff crossing the triangle."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
     if len(scene) != 3:
         raise _UsageError("classify-boundary needs a scene of exactly three balls")
@@ -422,13 +402,9 @@ def classify_boundary(scene_path, direction, n_directions, chart, seed, out, tim
             if not entry["agree"]:
                 disagreements += 1
         results.append(entry)
-    report = _report_skeleton(
-        "classify-boundary",
-        {"scene": scene_path, "chart": chart, "seed": seed, "directions": len(dirs)},
-    )
-    report["verdicts"] = {"classifications": results, "disagreements": disagreements}
-    _emit_report(report, out, {"seconds": time.perf_counter() - t0} if timings else None)
-    sys.exit(EXIT_OK if disagreements == 0 else EXIT_VIOLATION)
+    config = {"scene": scene_path, "chart": chart, "seed": seed, "directions": len(dirs)}
+    verdicts = {"classifications": results, "disagreements": disagreements}
+    _finish("classify-boundary", config, verdicts, disagreements == 0, out, t0)
 
 
 @main.command("trace-curves")
@@ -454,12 +430,7 @@ def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, seed, 
     else:
         feas = _chart_feasible_points(scene, chart, extent, hatch_samples)
         text = render_figure(traces, feasible_points=feas)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    sys.exit(EXIT_OK)
+    _write(text, out)
 
 
 def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) -> np.ndarray:

@@ -22,11 +22,10 @@ from scipy.spatial import cKDTree
 
 from .geom import (
     Direction,
-    ProjectedDisk,
     Scene,
     SceneError,
-    disks_common_point,
-    project_to_orthogonal_plane,
+    SolverError,
+    orthonormal_basis_of_complement,
     transversal_order,
 )
 from .sextic import Triple, tangent_lines_for_direction
@@ -79,13 +78,14 @@ def lattice_spacing(d: int, count: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched minimax slack over directions.
+# The disk-minimax kernel, batched over directions.
 # ---------------------------------------------------------------------------
 
 
 def _solve_batched(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve G x = b for stacks of small SPD-ish systems with singular guard.
+    """Solve G X = B for stacks of small SPD-ish systems with singular guard.
 
+    B holds one or more right-hand sides per system as columns, (m, k, r).
     Returns solutions and a validity mask; singular systems are flagged
     invalid instead of raising.
     """
@@ -95,22 +95,28 @@ def _solve_batched(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     det = np.linalg.det(G)
     ok = np.isfinite(det) & (np.abs(det) > 1e-13 * scale ** k)
     Gs = np.where(ok[:, None, None], G, np.eye(k)[None, :, :])
-    X = np.linalg.solve(Gs, B[..., None])[..., 0]
-    return X, ok
+    return np.linalg.solve(Gs, B), ok
 
 
-def minimax_slack_batch(
-    centers: np.ndarray, radii: np.ndarray, U: np.ndarray
-) -> np.ndarray:
-    """Slack of the projected-disk minimax problem for each direction row.
+def _minimax_candidates(centers: np.ndarray, radii: np.ndarray, U: np.ndarray):
+    """Candidate minimizers of the projected-disk minimax problem per direction.
 
-    For direction u the balls project to disks in u^perp; the returned value
-    is min_x max_i (|x - c_i,proj| - r_i), computed by enumerating candidate
-    support sets on projected Gram matrices (exact up to roundoff).
+    For direction u the balls project to disks in u^perp.  The minimizer of
+    f(x) = max_i (|x - c_i,proj| - r_i) is supported on at most d projected
+    disks, and for a support of size k it is an affine combination of the
+    support centers fixed by k-2 linear equations plus one quadratic.  Yields
+    ``(f, support, weights)`` for every candidate: f (m,) is its value (inf
+    where the support system is singular or has no real root) and weights
+    (m, k) its affine weights over the centers listed in ``support``.  The
+    centers are moved to their centroid first, so that the Gram matrices and
+    the singularity guard do not depend on where the scene sits.
     """
     U = np.asarray(U, dtype=float)
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
+    if not len(centers):
+        raise SolverError("need at least one ball")
+    centers = centers - centers.mean(axis=0)
     m, d = U.shape
     n = centers.shape[0]
     CU = centers @ U.T                       # (n, m)
@@ -118,31 +124,22 @@ def minimax_slack_batch(
     G = G0[None, :, :] - CU.T[:, :, None] * CU.T[:, None, :]   # (m, n, n)
     diag = np.einsum("mii->mi", G)           # (m, n)
 
-    best = np.full(m, np.inf)
-
-    def consider(lam: np.ndarray, valid: Optional[np.ndarray] = None):
-        # lam: (m, n) affine weights of the candidate point over the centers
-        nonlocal best
-        Gl = np.einsum("mab,mb->ma", G, lam)
-        quad = np.einsum("ma,ma->m", lam, Gl)
+    def value(support: list[int], weights: np.ndarray) -> np.ndarray:
+        Gl = G[:, :, support[0]] * weights[:, :1]
+        for j in range(1, len(support)):
+            Gl += G[:, :, support[j]] * weights[:, j:j + 1]
+        quad = np.einsum("ms,ms->m", weights, Gl[:, support])
         dist2 = quad[:, None] - 2.0 * Gl + diag
-        dist = np.sqrt(np.clip(dist2, 0.0, None))
-        f = np.max(dist - radii[None, :], axis=1)
-        if valid is not None:
-            f = np.where(valid, f, np.inf)
-        best = np.minimum(best, f)
+        return np.max(np.sqrt(np.clip(dist2, 0.0, None)) - radii[None, :], axis=1)
 
-    # single-disk candidates
+    one = np.ones((m, 1))
     for i in range(n):
-        lam = np.zeros((m, n))
-        lam[:, i] = 1.0
-        consider(lam)
+        yield value([i], one), [i], one
 
-    max_k = min(n, d)  # optimum supported on at most (d-1)+1 projected disks
-    for k in range(2, max_k + 1):
+    for k in range(2, min(n, d) + 1):
         for subset in itertools.combinations(range(n), k):
-            i = subset[0]
-            rest = list(subset[1:])
+            support = list(subset)
+            i, rest = support[0], support[1:]
             # projected Gram of the edge vectors c_rest - c_i
             Gs = (
                 G[:, rest][:, :, rest]
@@ -151,12 +148,11 @@ def minimax_slack_batch(
                 + G[:, i, i][:, None, None]
             )
             d2 = np.einsum("mll->ml", Gs)
-            r = radii[list(subset)]
+            r = radii[support]
             b0 = 0.5 * (d2 - r[1:] ** 2 + r[0] ** 2)
             b1 = np.broadcast_to(r[1:] - r[0], (m, k - 1))
-            a0, ok0 = _solve_batched(Gs, b0)
-            a1, ok1 = _solve_batched(Gs, b1.copy())
-            ok = ok0 & ok1
+            X, ok = _solve_batched(Gs, np.stack([b0, b1], axis=2))
+            a0, a1 = X[..., 0], X[..., 1]
             qa = np.einsum("ml,mlk,mk->m", a1, Gs, a1) - 1.0
             qb = -2.0 * (np.einsum("ml,mlk,mk->m", a0, Gs, a1) + r[0])
             qc = np.einsum("ml,mlk,mk->m", a0, Gs, a0) - r[0] ** 2
@@ -173,24 +169,51 @@ def minimax_slack_batch(
             for t in roots:
                 valid = has_roots & np.isfinite(t)
                 alpha = a0 - t[:, None] * a1
-                lam = np.zeros((m, n))
-                lam[:, rest] = alpha
-                lam[:, i] = 1.0 - np.sum(alpha, axis=1)
-                lam = np.where(valid[:, None], lam, 0.0)
-                consider(lam, valid)
+                weights = np.column_stack([1.0 - np.sum(alpha, axis=1), alpha])
+                weights = np.where(valid[:, None], weights, 0.0)
+                yield np.where(valid, value(support, weights), np.inf), support, weights
 
+
+def minimax_slack_batch(
+    centers: np.ndarray, radii: np.ndarray, U: np.ndarray
+) -> np.ndarray:
+    """Slack of the projected-disk minimax problem for each direction row.
+
+    For direction u the balls project to disks in u^perp; the returned value
+    is min_x max_i (|x - c_i,proj| - r_i), computed by enumerating candidate
+    support sets on projected Gram matrices (exact up to roundoff).  The
+    disks share a point iff the slack is nonpositive.
+    """
+    best = np.full(len(U), np.inf)
+    for f, _, _ in _minimax_candidates(centers, radii, U):
+        np.minimum(best, f, out=best)
     return best
 
 
-def order_keys_batch(centers: np.ndarray, U: np.ndarray) -> np.ndarray:
-    return U @ centers.T  # (m, n)
+def minimax_weights_batch(
+    centers: np.ndarray, radii: np.ndarray, U: np.ndarray
+) -> np.ndarray:
+    """Affine weights (m, n) over the centers of each row's minimax point.
+
+    The minimizer of the projected-disk problem for direction row u is
+    ``weights[row] @ P`` for any projection P of the centers onto u^perp,
+    expressed in whatever frame of u^perp the caller uses.
+    """
+    best = np.full(len(U), np.inf)
+    W = np.zeros((len(U), len(centers)))
+    for f, support, weights in _minimax_candidates(centers, radii, U):
+        better = f < best
+        best[better] = f[better]
+        W[better] = 0.0
+        W[np.ix_(better, support)] = weights[better]
+    return W
 
 
 def realized_orders_batch(
     centers: np.ndarray, U: np.ndarray, tie_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Argsort orders (m, n) and a tie mask for each direction row."""
-    keys = order_keys_batch(centers, U)
+    keys = U @ centers.T
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
     ties = np.any(np.diff(sorted_keys, axis=1) < tie_tol, axis=1)
@@ -211,11 +234,29 @@ class ConeSampleSet:
 
     @property
     def feasible(self) -> np.ndarray:
-        return (self.slacks <= self.tol) & ~self.ties
+        return _feasible_mask(self.slacks, self.ties, self.tol)
 
     def feasible_for_order(self, order: Sequence[int]) -> np.ndarray:
-        want = np.asarray(order)
-        return self.feasible & np.all(self.orders == want[None, :], axis=1)
+        return _feasible_mask(self.slacks, self.ties, self.tol, self.orders, order)
+
+
+def _feasible_mask(
+    slacks: np.ndarray,
+    ties: np.ndarray,
+    tol: float,
+    orders: Optional[np.ndarray] = None,
+    order: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Center-order feasibility of direction rows from their kernel data.
+
+    A row is feasible when its projected disks share a point (slack <= tol)
+    and its center order has no tie; given ``order``, the realized order
+    must also equal it.  A tie is indeterminate, never feasible.
+    """
+    mask = (slacks <= tol) & ~ties
+    if order is not None:
+        mask &= np.all(orders == np.asarray(order)[None, :], axis=1)
+    return mask
 
 
 def sample_scene(
@@ -244,7 +285,7 @@ def sample_scene(
 
 
 # ---------------------------------------------------------------------------
-# Single-direction feasibility (reference path via the explicit projection).
+# Feasibility of ordered queries.
 # ---------------------------------------------------------------------------
 
 
@@ -270,7 +311,6 @@ class FeasibilityVerdict:
     slack: float
     realized_order: tuple[int, ...]
     tie: bool
-    point: Optional[np.ndarray] = None
 
 
 def direction_feasible(
@@ -287,36 +327,30 @@ def direction_feasible(
     cone_convexity_check for the order_semantics switch; "center" is the
     contract default.
     """
-    disks = project_to_orthogonal_plane(query.scene, u)
-    res = disks_common_point(disks)
+    mask, slacks = feasibility_batch(query, u.components[None, :], tol, order_semantics)
     order_res = transversal_order(query.scene, u)
-    if order_semantics == "entry":
-        order_ok = entry_order_feasible(query.scene, u.components, query.order, tol)
-        tie = False
-    else:
-        order_ok = not order_res.is_tied and order_res.order == query.order
-        tie = order_res.is_tied
-    feasible = res.slack <= tol and order_ok
     return FeasibilityVerdict(
-        feasible=feasible,
-        slack=res.slack,
+        feasible=bool(mask[0]),
+        slack=float(slacks[0]),
         realized_order=order_res.order,
-        tie=tie,
-        point=res.point,
+        tie=order_res.is_tied and order_semantics != "entry",
     )
 
 
 def feasibility_batch(
-    query: OrderedQuery, U: np.ndarray, tol: float = DEFAULT_TOL
+    query: OrderedQuery,
+    U: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    order_semantics: str = "center",
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feasible mask, slacks) for rows of U against the ordered query."""
     scene = query.scene
     U = np.asarray(U, dtype=float)
     slacks = minimax_slack_batch(scene.centers, scene.radii, U)
+    if order_semantics == "entry":
+        return _entry_mask(scene, U, slacks, query.order, tol), slacks
     orders, ties = realized_orders_batch(scene.centers, U, 1e-9 * scene.diameter())
-    want = np.asarray(query.order)
-    mask = (slacks <= tol) & ~ties & np.all(orders == want[None, :], axis=1)
-    return mask, slacks
+    return _feasible_mask(slacks, ties, tol, orders, query.order), slacks
 
 
 # ---------------------------------------------------------------------------
@@ -333,72 +367,98 @@ def feasibility_batch(
 
 
 def _entry_order_margin(
-    scene: Scene, u: np.ndarray, order: Sequence[int], grid: int = 25
-) -> float:
-    """Best margin over transversals of direction u for the entry order.
+    scene: Scene, U: np.ndarray, order: Sequence[int], grid: int = 25
+) -> np.ndarray:
+    """Best margin over transversals of each direction row for the entry order.
 
     Positive: some transversal meets the balls in the given entry order
     (with that much separation between consecutive entry times); negative:
-    no sampled transversal does.  Returns -inf when no transversal exists.
+    no sampled transversal does; -inf when no transversal exists.  Each row
+    samples the minimax point of its projected disks plus a grid over their
+    bounding-box intersection, then polishes the best transversal with a
+    shrinking pattern search.
     """
-    from .geom import orthonormal_basis_of_complement
+    U = np.asarray(U, dtype=float)
+    W = minimax_weights_batch(scene.centers, scene.radii, U)
+    # rows go through in chunks of about 2^15 transversals, which keeps the
+    # (rows, grid^2, n) arrays under 1 MB each
+    chunk = max(1, 2 ** 15 // (grid * grid))
+    parts = [np.empty(0)]
+    for lo in range(0, len(U), chunk):
+        rows = slice(lo, lo + chunk)
+        parts.append(_entry_order_margin_rows(scene, U[rows], W[rows], list(order), grid))
+    return np.concatenate(parts)
 
-    u = np.asarray(u, dtype=float)
-    basis = orthonormal_basis_of_complement(u)
-    C2 = scene.centers @ basis.T
-    radii = scene.radii
-    k = scene.centers @ u
-    lo = np.max(C2 - radii[:, None], axis=0)
-    hi = np.min(C2 + radii[:, None], axis=0)
-    pts = [np.asarray(disks_common_point(
-        [ProjectedDisk(C2[i], radii[i]) for i in range(len(radii))]
-    ).point)]
-    if np.all(lo <= hi):
-        xs = np.linspace(lo[0], hi[0], grid)
-        ys = np.linspace(lo[1], hi[1], grid)
-        X, Y = np.meshgrid(xs, ys)
-        pts.append(np.column_stack([X.ravel(), Y.ravel()]))
-    P = np.vstack([p.reshape(-1, 2) for p in pts])
-    d2 = np.sum((P[:, None, :] - C2[None, :, :]) ** 2, axis=2)
-    inside = np.all(d2 <= radii[None, :] ** 2 + 1e-12, axis=1)
-    if not np.any(inside):
-        return -math.inf
-    P = P[inside]
-    d2 = d2[inside]
-    entry = k[None, :] - np.sqrt(np.clip(radii[None, :] ** 2 - d2, 0.0, None))
-    seq = entry[:, list(order)]
-    margins = np.min(np.diff(seq, axis=1), axis=1)
-    best = int(np.argmax(margins))
-    result = float(margins[best])
 
-    # polish the best transversal with a local pattern search
-    x = P[best].copy()
-    step = 0.25 * float(np.min(radii))
+def _entry_order_margin_rows(
+    scene: Scene, U: np.ndarray, W: np.ndarray, order: list[int], grid: int
+) -> np.ndarray:
+    centers, radii = scene.centers, scene.radii
+    r2 = radii ** 2
+    m = len(U)
+    rows = np.arange(m)
+    basis = np.array([orthonormal_basis_of_complement(u) for u in U])  # (m, 2, 3)
+    C2 = np.einsum("nd,mkd->mnk", centers, basis)                     # (m, n, 2)
+    keys = U @ centers.T                                               # (m, n)
+    lo = np.max(C2 - radii[None, :, None], axis=1)
+    hi = np.min(C2 + radii[None, :, None], axis=1)
+    start = np.einsum("mn,mnk->mk", W, C2)
+    xs = np.linspace(lo[:, 0], hi[:, 0], grid, axis=1)
+    ys = np.linspace(lo[:, 1], hi[:, 1], grid, axis=1)
+    P = np.concatenate([
+        start[:, None, :],
+        np.stack([
+            np.broadcast_to(xs[:, None, :], (m, grid, grid)).reshape(m, -1),
+            np.broadcast_to(ys[:, :, None], (m, grid, grid)).reshape(m, -1),
+        ], axis=2),
+    ], axis=1)
+    box = np.all(lo <= hi, axis=1)
+    d2 = sum((P[:, :, None, k] - C2[:, None, :, k]) ** 2 for k in range(2))
+    inside = np.all(d2 <= r2 + 1e-12, axis=2)
+    inside[:, 1:] &= box[:, None]
+    entry = keys[:, None, :] - np.sqrt(np.clip(r2 - d2, 0.0, None))
+    margins = np.where(inside, np.min(np.diff(entry[:, :, order], axis=2), axis=2), -np.inf)
+    best = np.argmax(margins, axis=1)
+    result = margins[rows, best]
+    x = P[rows, best]
+
+    # polish each row's best transversal with a local pattern search
+    step = np.full(m, 0.25 * float(np.min(radii)))
+    active = np.isfinite(result)
+    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
     for _ in range(40):
-        improved = False
-        for dx in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            cand = x + np.array(dx)
-            cd2 = np.sum((cand[None, :] - C2) ** 2, axis=1)
-            if np.any(cd2 > radii ** 2 + 1e-12):
-                continue
-            centry = k - np.sqrt(np.clip(radii ** 2 - cd2, 0.0, None))
-            m = float(np.min(np.diff(centry[list(order)])))
-            if m > result:
-                result = m
-                x = cand
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-9:
-                break
+        if not np.any(active):
+            break
+        improved = np.zeros(m, dtype=bool)
+        for move in moves:
+            cand = x + step[:, None] * move
+            cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
+            centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
+            cm = np.min(np.diff(centry[:, order], axis=1), axis=1)
+            better = active & np.all(cd2 <= r2 + 1e-12, axis=1) & (cm > result)
+            result = np.where(better, cm, result)
+            x = np.where(better[:, None], cand, x)
+            improved |= better
+        halve = active & ~improved
+        step = np.where(halve, 0.5 * step, step)
+        active &= ~(halve & (step < 1e-9))
     return result
 
 
 def entry_order_feasible(
-    scene: Scene, u, order: Sequence[int], tol: float = DEFAULT_TOL
-) -> bool:
-    """Whether some transversal of direction u meets the balls in this entry order."""
-    return _entry_order_margin(scene, np.asarray(u, dtype=float), order) >= -tol
+    scene: Scene, U: np.ndarray, order: Sequence[int], tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Per direction row: does some transversal meet the balls in this entry order?"""
+    return _entry_order_margin(scene, U, order) >= -tol
+
+
+def _entry_mask(
+    scene: Scene, U: np.ndarray, slacks: np.ndarray, order: Sequence[int], tol: float
+) -> np.ndarray:
+    """Entry-order feasibility of rows whose projected disks share a point."""
+    mask = slacks <= tol
+    mask[mask] = entry_order_feasible(scene, U[mask], order, tol)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +536,7 @@ def cone_convexity_check(
     if order_semantics == "center":
         mask = sset.feasible_for_order(query.order)
     else:
-        candidates = np.nonzero(sset.slacks <= tol)[0]
-        mask = np.zeros(len(sset.directions), dtype=bool)
-        for m in candidates:
-            mask[m] = entry_order_feasible(scene, sset.directions[m], query.order, tol)
+        mask = _entry_mask(scene, sset.directions, sset.slacks, query.order, tol)
     F = sset.directions[mask]
     fslacks = sset.slacks[mask]
     if len(F) < 2:
@@ -522,33 +579,18 @@ def cone_convexity_check(
     mids = mids[good] / norms[good, None]
     u, v = u[good], v[good]
 
-    slacks = minimax_slack_batch(scene.centers, scene.radii, mids)
-    if order_semantics == "center":
-        orders, ties = realized_orders_batch(scene.centers, mids, 1e-9 * scene.diameter())
-        want = np.asarray(query.order)
-        order_ok = ~ties & np.all(orders == want[None, :], axis=1)
-    else:
-        order_ok = np.zeros(len(mids), dtype=bool)
-        for m in np.nonzero(slacks <= tol)[0]:
-            order_ok[m] = entry_order_feasible(scene, mids[m], query.order, tol)
-    ok = (slacks <= tol) & order_ok
-
+    ok, slacks = feasibility_batch(query, mids, tol, order_semantics)
     bad_idx = np.nonzero(~ok)[0]
-    if order_semantics == "entry" and len(bad_idx):
-        # double-check reported violations at higher transversal resolution
-        confirmed = []
-        for m in bad_idx:
-            if slacks[m] > tol:
-                confirmed.append(m)
-            elif _entry_order_margin(scene, mids[m], query.order, grid=60) < -tol:
-                confirmed.append(m)
-        bad_idx = np.array(confirmed, dtype=int)
-        ok = np.ones(len(mids), dtype=bool)
-        ok[bad_idx] = False
+    meet = slacks[bad_idx] <= tol  # the disks share a point: the order failed
+    if order_semantics == "entry" and np.any(meet):
+        # double-check order failures at higher transversal resolution
+        keep = ~meet
+        keep[meet] = _entry_order_margin(scene, mids[bad_idx[meet]], query.order, grid=60) < -tol
+        bad_idx, meet = bad_idx[keep], meet[keep]
 
     violations = [
-        MidpointViolation(u[m], v[m], mids[m], float(slacks[m]), not bool(order_ok[m]))
-        for m in bad_idx
+        MidpointViolation(u[m], v[m], mids[m], float(slacks[m]), bool(order_failed))
+        for m, order_failed in zip(bad_idx, meet)
     ]
     margin = float(np.min(-slacks)) if len(slacks) else None
     return ConvexityReport(
@@ -750,33 +792,21 @@ def boundary_directions_for_triple(
     feas = sset.feasible
     if not np.any(feas):
         return np.zeros((0, 3))
-    order_tuples = [tuple(int(i) for i in o) for o in sset.orders]
-    cones = sorted({order_tuples[m] for m in np.nonzero(feas)[0]})
+    cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
     shares = [count // len(cones)] * len(cones)
     for extra in range(count % len(cones)):
         shares[extra] += 1
     out = []
-    centers = scene.centers
-    radii = scene.radii
-    tie_tol = 1e-9 * scene.diameter()
     for order, n_rays in zip(cones, shares):
         if n_rays == 0:
             continue
-        mask = feas & np.array([o == order for o in order_tuples])
-        idx = np.nonzero(mask)[0]
+        query = OrderedQuery(scene, order)
+        idx = np.nonzero(sset.feasible_for_order(order))[0]
         anchor_i = idx[np.argmin(sset.slacks[idx])]
         anchor = sset.directions[anchor_i]
-        basis = _tangent_basis(anchor)
+        basis = orthonormal_basis_of_complement(anchor)
         phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
         tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
-
-        def feasible_at(theta):
-            pts = _geodesic_point(anchor, tangents, theta)
-            slacks = minimax_slack_batch(centers, radii, pts)
-            orders, ties = realized_orders_batch(centers, pts, tie_tol)
-            want = np.asarray(order)
-            return (slacks <= tol) & ~ties & np.all(orders == want[None, :], axis=1)
-
         lo = np.zeros(n_rays)
         hi = np.full(n_rays, np.nan)
         theta = 0.0
@@ -784,7 +814,8 @@ def boundary_directions_for_triple(
         alive = np.ones(n_rays, dtype=bool)
         while theta < math.pi - 1e-3 and np.any(alive):
             theta_next = theta + step
-            ok = feasible_at(np.full(n_rays, theta_next))
+            pts = _geodesic_point(anchor, tangents, np.full(n_rays, theta_next))
+            ok = feasibility_batch(query, pts, tol)[0]
             newly_out = alive & ~ok
             hi[newly_out] = theta_next
             lo[alive & ok] = theta_next
@@ -795,11 +826,7 @@ def boundary_directions_for_triple(
         tg = tangents[found]
         for _ in range(45):
             mid = 0.5 * (lo_f + hi_f)
-            pts = _geodesic_point(anchor, tg, mid)
-            slacks = minimax_slack_batch(centers, radii, pts)
-            orders, ties = realized_orders_batch(centers, pts, tie_tol)
-            want = np.asarray(order)
-            ok = (slacks <= tol) & ~ties & np.all(orders == want[None, :], axis=1)
+            ok = feasibility_batch(query, _geodesic_point(anchor, tg, mid), tol)[0]
             lo_f = np.where(ok, mid, lo_f)
             hi_f = np.where(ok, hi_f, mid)
         pts = _geodesic_point(anchor, tg, 0.5 * (lo_f + hi_f))
@@ -808,12 +835,6 @@ def boundary_directions_for_triple(
         if len(out) >= count:
             break
     return np.array(out[:count]) if out else np.zeros((0, 3))
-
-
-def _tangent_basis(u: np.ndarray) -> np.ndarray:
-    from .geom import orthonormal_basis_of_complement
-
-    return orthonormal_basis_of_complement(u)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +913,7 @@ def classify_boundary_direction(
             None, crosses_any, line_cls, 0.0, None, tag="order tie at direction"
         )
     query = OrderedQuery(scene, order_res.order)
-    basis = _tangent_basis(u.components)
+    basis = orthonormal_basis_of_complement(u.components)
     phis = 2.0 * math.pi * (np.arange(probes) + 0.5) / probes
     tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
     pts = _geodesic_point(u.components, tangents, np.full(probes, probe_eps))

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import Ball, Direction, ProjectedDisk, SceneError, disks_common_point
+from .cone import boundary_directions_for_triple, minimax_weights_batch
+from .geom import Ball, SceneError
 from .sextic import Triple
 
 STRICTNESS_FLOOR = 1e-12
@@ -456,21 +457,29 @@ def _rotation_to_axis(u: np.ndarray) -> np.ndarray:
     return np.eye(3) + s * K + (1 - c) * (K @ K)
 
 
-def lifted_config_for_direction(triple: Triple, u: Direction) -> LiftedConfig:
-    """Projected configuration of a boundary direction as a LiftedConfig.
+def lifted_config_for_direction(
+    triple: Triple, U: np.ndarray
+) -> list[LiftedConfig | SceneError]:
+    """Projected configurations of boundary direction rows as LiftedConfigs.
 
-    The direction is rotated onto the third axis; projected centers give the
-    triangle, the minimax point of the projected disks gives the interior
-    point, and the rotated center heights give the lifts.  Raises SceneError
-    when the minimax point is not interior to the projected triangle.
+    Each direction is rotated onto the third axis; projected centers give
+    the triangle, the minimax point of the projected disks gives the
+    interior point, and the rotated center heights give the lifts.  A row
+    whose minimax point is not interior to the projected triangle gets the
+    SceneError that rejected it in place of a configuration.
     """
-    R = _rotation_to_axis(u.components)
-    rc = triple.centers @ R.T
-    verts2 = rc[:, :2]
-    lifts = rc[:, 2]
-    disks = [ProjectedDisk(verts2[k], triple.balls[k].radius) for k in range(3)]
-    res = disks_common_point(disks)
-    return LiftedConfig.from_plane_data(verts2, res.point, lifts)
+    U = np.asarray(U, dtype=float)
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    radii = np.array([b.radius for b in triple.balls])
+    weights = minimax_weights_batch(triple.centers, radii, U)
+    out: list[LiftedConfig | SceneError] = []
+    for u, w in zip(U, weights):
+        rc = triple.centers @ _rotation_to_axis(u).T
+        try:
+            out.append(LiftedConfig.from_plane_data(rc[:, :2], w @ rc[:, :2], rc[:, 2]))
+        except SceneError as exc:
+            out.append(exc)
+    return out
 
 
 def certify_flex_free(
@@ -487,20 +496,14 @@ def certify_flex_free(
     interior to the triangle of projected centers (bitangent arcs) are
     skipped with a tag.
     """
-    from . import cone as cone_mod
-
-    dirs = cone_mod.boundary_directions_for_triple(
-        triple, boundary_samples, seed=seed, tol=tol
-    )
+    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed, tol=tol)
     samples: list[FlexSample] = []
     margins = []
     nmargins = []
     skipped = 0
-    for uvec in dirs:
-        try:
-            cfg = lifted_config_for_direction(triple, Direction(uvec))
-        except SceneError as exc:
-            samples.append(FlexSample(uvec, None, None, str(exc), None))
+    for uvec, cfg in zip(dirs, lifted_config_for_direction(triple, dirs)):
+        if isinstance(cfg, SceneError):
+            samples.append(FlexSample(uvec, None, None, str(cfg), None))
             skipped += 1
             continue
         split = lifted_hessian_decomposition(cfg)

@@ -1,8 +1,8 @@
 """Euclidean primitives for ball scenes in R^d.
 
-Balls, ordered scenes, directions on the unit sphere, orthogonal projection
-onto a direction's complement, planar disk feasibility (a convex minimax
-problem) and scene classification / generation used throughout the library.
+Balls, ordered scenes, directions on the unit sphere, an orthonormal basis
+of a direction's complement, meeting orders, and scene classification /
+generation used throughout the library.
 """
 from __future__ import annotations
 
@@ -10,12 +10,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 DISJOINTNESS_MARGIN = 1e-6
-DEFAULT_FEASIBILITY_TOL = 1e-10
 DIRECTION_NORM_TOL = 1e-12
 
 
@@ -137,7 +136,7 @@ class Scene:
                 Ball(np.array(b["center"], dtype=float), float(b["radius"]))
                 for b in data["balls"]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
         return cls(dim, balls, allow_overlap=bool(data.get("allow_overlap", False)))
 
@@ -175,21 +174,6 @@ class Direction:
     def antipode(self) -> "Direction":
         return Direction(-self.components, self.tolerance)
 
-    def angle_to(self, other: "Direction") -> float:
-        c = float(np.clip(np.dot(self.components, other.components), -1.0, 1.0))
-        return math.acos(c)
-
-
-@dataclass(frozen=True)
-class ProjectedDisk:
-    """Disk in the orthogonal complement of a direction; radius is preserved."""
-
-    center2: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center2", _as_vector(self.center2, "center2"))
-
 
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of u^perp, rows are the basis vectors.
@@ -219,109 +203,6 @@ def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
             raise SolverError("basis construction collapsed; direction malformed")
         rows.append(v / nv)
     return np.array(rows)
-
-
-def project_to_orthogonal_plane(scene: Scene, u: Direction) -> list[ProjectedDisk]:
-    """Orthogonal projection of every ball onto u^perp, radii preserved."""
-    basis = orthonormal_basis_of_complement(u.components)
-    return [
-        ProjectedDisk(basis @ b.center, b.radius)
-        for b in scene.balls
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Disk feasibility: minimize f(x) = max_i (|x - c_i| - r_i).
-#
-# The minimizer is supported on at most dim+1 disks, and for a support of size
-# k it lies in the affine hull of the k centers, where the equal-value system
-# reduces to k-2 linear equations plus one quadratic.  Enumerating every
-# candidate support and evaluating f at each algebraic solution therefore
-# yields the exact optimum (up to roundoff), deterministically.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinimaxResult:
-    """Optimal point and value of the disk minimax problem.
-
-    ``slack`` is f(x*) = max_i (|x*-c_i| - r_i): nonpositive means the disks
-    have a common point, and -slack is the depth of the intersection.
-    """
-
-    point: np.ndarray
-    slack: float
-
-    def feasible(self, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
-        return self.slack <= tol
-
-
-def _support_candidates(centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    n, dim = centers.shape
-    cands: list[np.ndarray] = [centers[i] for i in range(n)]
-    max_k = min(n, dim + 1)
-    for k in range(2, max_k + 1):
-        for subset in itertools.combinations(range(n), k):
-            i = subset[0]
-            rest = list(subset[1:])
-            D = centers[rest] - centers[i]          # (k-1, dim)
-            G = D @ D.T
-            d2 = np.diag(G)
-            r = radii[list(subset)]
-            b0 = 0.5 * (d2 - r[1:] ** 2 + r[0] ** 2)
-            b1 = r[1:] - r[0]
-            scale = max(float(np.max(np.abs(G))), 1e-30)
-            try:
-                a0 = np.linalg.solve(G, b0)
-                a1 = np.linalg.solve(G, b1)
-            except np.linalg.LinAlgError:
-                continue
-            if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(a1))):
-                continue
-            # |x - c_i|^2 = (t + r_i)^2 along the affine family x(t)
-            qa = float(a1 @ G @ a1) - 1.0
-            qb = -2.0 * (float(a0 @ G @ a1) + r[0])
-            qc = float(a0 @ G @ a0) - r[0] ** 2
-            ts: list[float] = []
-            if abs(qa) > 1e-14:
-                disc = qb * qb - 4.0 * qa * qc
-                if disc >= 0.0:
-                    sq = math.sqrt(disc)
-                    ts = [(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)]
-            elif abs(qb) > 1e-14 * scale:
-                ts = [-qc / qb]
-            for t in ts:
-                alpha = a0 - t * a1
-                cands.append(centers[i] + alpha @ D)
-    return cands
-
-
-def disks_common_point(
-    disks: Sequence[ProjectedDisk], tol: float = DEFAULT_FEASIBILITY_TOL
-) -> MinimaxResult:
-    """Solve the convex minimax problem min_x max_i (|x - c_i| - r_i).
-
-    Returns the minimizing point and its slack; the disks have a common point
-    iff slack <= tol.  The solve enumerates all candidate support sets (the
-    optimum is supported on at most dim+1 disks) and is exact up to roundoff,
-    so it is deterministic and needs no iteration cap.
-    """
-    if not disks:
-        raise SolverError("need at least one disk")
-    centers = np.array([d.center2 for d in disks], dtype=float)
-    radii = np.array([d.radius for d in disks], dtype=float)
-    if centers.ndim != 2:
-        raise SolverError("disk centers must share a common dimension")
-    best_point = None
-    best_val = math.inf
-    for x in _support_candidates(centers, radii):
-        val = float(np.max(np.linalg.norm(centers - x, axis=1) - radii))
-        if val < best_val:
-            best_val = val
-            best_point = x
-    if best_point is None or not math.isfinite(best_val):
-        raise SolverError("no finite candidate produced by support enumeration")
-    return MinimaxResult(np.asarray(best_point, dtype=float), best_val)
 
 
 # ---------------------------------------------------------------------------

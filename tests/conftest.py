@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,31 @@ def line_entry_parameters(point, direction, scene):
         else:
             out.append(tm - np.sqrt(h2))
     return out
+
+
+def simplex_minimax(centers, radii, starts=8):
+    """Independent high-accuracy oracle for min_x max_i (|x - c_i| - r_i):
+    multi-start downhill simplex."""
+    from scipy.optimize import minimize
+
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+
+    def f(x):
+        return float(np.max(np.linalg.norm(centers - x, axis=1) - radii))
+
+    best = math.inf
+    rng = np.random.default_rng(1234)
+    inits = [centers.mean(axis=0)] + [
+        rng.uniform(centers.min(axis=0), centers.max(axis=0)) for _ in range(starts)
+    ]
+    for x0 in inits:
+        m = minimize(
+            f, x0, method="Nelder-Mead",
+            options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 8000},
+        )
+        best = min(best, float(m.fun))
+    return best
 
 
 @pytest.fixture

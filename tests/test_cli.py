@@ -90,6 +90,33 @@ class TestCheckConvexity:
         assert r.exit_code == 2
         assert "line 1" in r.output and "column" in r.output
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dimension": "x", "balls": [{"center": [0, 0, 0], "radius": 1}]}',
+            '{"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": "a"}]}',
+            '{"dimension": 3, "balls": [{"center": ["a", 0, 0], "radius": 1}]}',
+            '{"dimension": 3, "balls": [{"center": [[0, 0, 0]], "radius": 1}]}',
+            '{"dimension": 3, "balls": [{"center": [0, 0], "radius": 1}]}',
+            '{"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": -1}]}',
+            '{"dimension": 1e400, "balls": [{"center": [0, 0, 0], "radius": 1}]}',
+            '{"dimension": NaN, "balls": [{"center": [0, 0, 0], "radius": 1}]}',
+            '{"dimension": 3, "balls": 5}',
+            '{"dimension": 3, "balls": [7]}',
+            '{"dimension": 3, "balls": []}',
+            '{"balls": [{"center": [0, 0, 0], "radius": 1}]}',
+            "[1, 2]",
+        ],
+    )
+    def test_invalid_scene_document_is_usage_error(self, runner, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        r = runner.invoke(main, ["enumerate-permutations", "--scene", str(bad)])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert "invalid scene" in r.output
+
     def test_unknown_flag_rejected(self, runner):
         r = runner.invoke(main, ["check-convexity", "--scene", "x.json", "--bogus"])
         assert r.exit_code == 2

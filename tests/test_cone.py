@@ -1,9 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linestab.geom import Ball, Direction, Scene, SceneError, random_scene_with_transversal
+from linestab.geom import (
+    Ball,
+    Direction,
+    Scene,
+    SceneError,
+    orthonormal_basis_of_complement,
+    random_scene_with_transversal,
+    transversal_order,
+)
 from linestab.sextic import Triple, eval_sigma
 from linestab.cone import (
     OrderedQuery,
@@ -24,7 +35,7 @@ from linestab.cone import (
     sample_scene,
     scene_from_triple,
 )
-from conftest import collinear_scene, random_triple
+from conftest import collinear_scene, random_triple, simplex_minimax
 
 
 class TestSampling:
@@ -63,16 +74,25 @@ class TestDirectionFeasible:
         with pytest.raises(SceneError):
             OrderedQuery(collinear_scene(), (0, 1, 1))
 
-    def test_batch_matches_single(self, rng):
-        scene, _ = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
-        q = OrderedQuery(scene, (0, 1, 2, 3))
-        U = rng.normal(size=(40, 3))
+    def test_batch_matches_oracle(self, rng):
+        # slack against the scipy simplex oracle on the projected disks, mask
+        # against that slack plus the center order; half the directions lie
+        # near the transversal axis so both verdicts occur
+        scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
+        order = transversal_order(scene, axis).order
+        q = OrderedQuery(scene, order)
+        U = np.vstack([rng.normal(size=(12, 3)), axis.components + 0.2 * rng.normal(size=(12, 3))])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         mask, slacks = feasibility_batch(q, U)
         for m in range(len(U)):
-            v = direction_feasible(q, Direction(U[m]))
-            assert v.feasible == bool(mask[m])
-            assert abs(v.slack - slacks[m]) <= 1e-9
+            c2 = scene.centers @ orthonormal_basis_of_complement(U[m]).T
+            oracle = simplex_minimax(c2, scene.radii)
+            assert abs(slacks[m] - oracle) <= 1e-8
+            realized = transversal_order(scene, Direction(U[m]))
+            if abs(oracle) > 1e-6:
+                want = oracle <= 0 and realized.order == order and not realized.is_tied
+                assert bool(mask[m]) == want
+        assert 0 < np.sum(mask) < len(U)
 
     def test_boundary_nudge(self):
         # a bisected boundary direction is feasible just inside and
@@ -225,7 +245,7 @@ class TestConvexity:
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
             order = tuple(np.argsort(scene.centers @ u))
-            assert entry_order_feasible(scene, u, order, tol=1e-9) == (
+            assert entry_order_feasible(scene, u[None, :], order, tol=1e-9)[0] == (
                 minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0] <= 1e-9
             )
 
@@ -409,3 +429,62 @@ class TestPinning:
 
     def test_collinear_not_pinned(self):
         assert not is_pinned_planar(Triple.from_scene(collinear_scene()))
+
+
+class TestInvariance:
+    """Verdicts are properties of the geometry, not of where the scene sits."""
+
+    def test_translation_repro(self):
+        # centers shifted by up to 10^6 along a generic vector: no feasibility
+        # verdict flips and the convexity theorem still shows no violation
+        scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=3)
+        order = transversal_order(scene, axis).order
+        U = fibonacci_sphere(20000)
+        mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
+        assert np.sum(mask0) > 0
+        for s in (1e3, 1e4, 1e5, 1e6):
+            moved = _moved_scene(scene, np.eye(3), s * np.array([1.0, -0.7, 0.3]))
+            mask, slack = feasibility_batch(OrderedQuery(moved, order), U)
+            assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter()
+            assert np.array_equal(mask, mask0), s
+        rep = cone_convexity_check(OrderedQuery(moved, order))
+        assert rep.passed and rep.violations == []
+
+
+def _moved_scene(scene, Q, offset, perm=None):
+    perm = range(len(scene)) if perm is None else perm
+    return Scene(
+        scene.dimension,
+        tuple(Ball(Q @ scene.balls[p].center + offset, scene.balls[p].radius) for p in perm),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 200),
+    shift=st.floats(-1e6, 1e6, allow_nan=False),
+    angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi, allow_nan=False)] * 3),
+    perm=st.permutations(range(5)),
+)
+def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, perm):
+    scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=seed)
+    order = transversal_order(scene, axis).order
+    rng = np.random.default_rng(seed)
+    U = np.vstack([fibonacci_sphere(300), axis.components + 0.15 * rng.normal(size=(100, 3))])
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
+
+    a, b, c = angles
+    Rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    Rx = np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
+    Ry = np.array([[math.cos(c), 0, math.sin(c)], [0, 1, 0], [-math.sin(c), 0, math.cos(c)]])
+    Q = Rz @ Rx @ Ry
+    moved = _moved_scene(scene, Q, shift * np.array([1.0, -0.7, 0.3]), perm)
+    label = {old: new for new, old in enumerate(perm)}
+    moved_order = tuple(label[i] for i in order)
+    mask, slack = feasibility_batch(OrderedQuery(moved, moved_order), U @ Q.T)
+
+    band = 1e-9 * scene.diameter()
+    assert np.max(np.abs(slack - slack0)) <= band
+    clear = np.abs(slack0 - 1e-9) > band
+    assert np.array_equal(mask[clear], mask0[clear])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linestab.geom import Ball, Direction, SceneError
+from linestab.geom import Ball, SceneError
 from linestab.sextic import Triple, eval_hessian_sigma
 from linestab.flexprobe import (
     CanonicalCoords,
@@ -286,10 +286,8 @@ class TestLiftedConfigForDirection:
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
         hits = 0
-        for uvec in dirs:
-            try:
-                cfg = lifted_config_for_direction(tri, Direction(uvec))
-            except SceneError:
+        for cfg in lifted_config_for_direction(tri, dirs):
+            if isinstance(cfg, SceneError):
                 continue
             derived = np.sort(cfg.radii)
             original = np.sort([b.radius for b in tri.balls])

@@ -6,22 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linestab.cone import minimax_slack_batch, minimax_weights_batch
 from linestab.geom import (
     Ball,
     Direction,
-    ProjectedDisk,
     Scene,
     SceneError,
     SolverError,
-    disks_common_point,
     orthonormal_basis_of_complement,
-    project_to_orthogonal_plane,
     random_disjoint_scene,
     random_scene_with_transversal,
     scene_classification,
     transversal_order,
 )
-from conftest import collinear_scene, line_entry_parameters
+from conftest import collinear_scene, line_entry_parameters, simplex_minimax
+
+
+def project_centers(scene, u):
+    """Centers projected onto u^perp, in the coordinates of its basis."""
+    return scene.centers @ orthonormal_basis_of_complement(u.components).T
+
+
+E3 = np.array([[0.0, 0.0, 1.0]])
+
+
+def planar_minimax(centers2, radii):
+    """Kernel slack and minimax point of planar disks, embedded at z = 0 with u = e3."""
+    centers2 = np.asarray(centers2, dtype=float)
+    centers3 = np.column_stack([centers2, np.zeros(len(centers2))])
+    slack = minimax_slack_batch(centers3, radii, E3)[0]
+    point = minimax_weights_batch(centers3, radii, E3)[0] @ centers2
+    return slack, point
+
+
+def scene_slack(scene, u):
+    return minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0]
 
 
 class TestValidation:
@@ -69,14 +88,11 @@ class TestSceneJson:
 class TestProjection:
     def test_collinear_axis_projection(self):
         # projecting along the line of centers collapses all disks onto one
-        disks = project_to_orthogonal_plane(collinear_scene(), Direction([1, 0, 0]))
-        for d in disks:
-            np.testing.assert_allclose(d.center2, 0.0, atol=1e-12)
-            assert d.radius == 1.0
+        c2 = project_centers(collinear_scene(), Direction([1, 0, 0]))
+        np.testing.assert_allclose(c2, 0.0, atol=1e-12)
 
     def test_z_axis_projection_is_xy(self):
-        disks = project_to_orthogonal_plane(collinear_scene(), Direction([0, 0, 1]))
-        centers = np.array([d.center2 for d in disks])
+        centers = project_centers(collinear_scene(), Direction([0, 0, 1]))
         np.testing.assert_allclose(
             np.sort(np.linalg.norm(centers - centers[0], axis=1)), [0, 4, 8], atol=1e-12
         )
@@ -86,10 +102,8 @@ class TestProjection:
         u = rng.normal(size=3)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in scene.balls))
-        d1 = project_to_orthogonal_plane(scene, Direction(u))
-        d2 = project_to_orthogonal_plane(rotated, Direction(Q @ u))
-        c1 = np.array([d.center2 for d in d1])
-        c2 = np.array([d.center2 for d in d2])
+        c1 = project_centers(scene, Direction(u))
+        c2 = project_centers(rotated, Direction(Q @ u))
         for i in range(len(c1)):
             for j in range(len(c1)):
                 assert np.isclose(
@@ -100,8 +114,7 @@ class TestProjection:
         scene = random_disjoint_scene(5, 4, (0.5, 1.5), seed=11)
         for _ in range(20):
             u = Direction(rng.normal(size=4))
-            disks = project_to_orthogonal_plane(scene, u)
-            c2 = np.array([d.center2 for d in disks])
+            c2 = project_centers(scene, u)
             for i in range(5):
                 for j in range(i + 1, 5):
                     orig = np.linalg.norm(scene.balls[i].center - scene.balls[j].center)
@@ -110,8 +123,8 @@ class TestProjection:
 
     def test_perpendicular_edge_preserves_distance(self):
         scene = Scene(3, (Ball([0, 0, 0], 1.0), Ball([0, 5, 0], 1.0)))
-        disks = project_to_orthogonal_plane(scene, Direction([1, 0, 0]))
-        d = np.linalg.norm(disks[0].center2 - disks[1].center2)
+        c2 = project_centers(scene, Direction([1, 0, 0]))
+        d = np.linalg.norm(c2[0] - c2[1])
         assert np.isclose(d, 5.0, atol=1e-12)
 
     def test_basis_is_orthonormal_and_deterministic(self, rng):
@@ -145,72 +158,47 @@ def brute_force_grid_minimax(centers, radii, resolution=201):
     return float(np.min(vals)), cell
 
 
-def simplex_minimax(centers, radii, starts=8):
-    """Independent high-accuracy oracle: multi-start downhill simplex."""
-    from scipy.optimize import minimize
-
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-
-    def f(x):
-        return float(np.max(np.linalg.norm(centers - x, axis=1) - radii))
-
-    best = math.inf
-    rng = np.random.default_rng(1234)
-    inits = [centers.mean(axis=0)] + [
-        rng.uniform(centers.min(axis=0), centers.max(axis=0)) for _ in range(starts)
-    ]
-    for x0 in inits:
-        m = minimize(
-            f, x0, method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 8000},
-        )
-        best = min(best, float(m.fun))
-    return best
-
-
 class TestDisksCommonPoint:
+    """The minimax kernel on planar disks, fed as z = 0 centers with u = e3."""
+
     def test_two_unit_disks_midpoint(self):
-        res = disks_common_point(
-            [ProjectedDisk([0.0, 0.0], 1.0), ProjectedDisk([1.0, 0.0], 1.0)]
-        )
-        np.testing.assert_allclose(res.point, [0.5, 0.0], atol=1e-9)
-        assert np.isclose(res.slack, -0.5, atol=1e-12)
+        slack, point = planar_minimax([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        np.testing.assert_allclose(point, [0.5, 0.0], atol=1e-9)
+        assert np.isclose(slack, -0.5, atol=1e-12)
 
     def test_equilateral_side3_infeasible(self):
         pts = [(0, 0), (3, 0), (1.5, 1.5 * math.sqrt(3))]
-        res = disks_common_point([ProjectedDisk(p, 1.0) for p in pts])
+        slack, point = planar_minimax(pts, np.ones(3))
         # optimum at circumcenter; slack = circumradius - 1 = sqrt(3) - 1
-        assert res.slack > 0
-        assert np.isclose(res.slack, math.sqrt(3) - 1, atol=1e-9)
+        assert slack > 0
+        assert np.isclose(slack, math.sqrt(3) - 1, atol=1e-9)
+        np.testing.assert_allclose(point, [1.5, 1.5 / math.sqrt(3)], atol=1e-9)
 
     def test_feasibility_flips_at_sqrt3(self):
         # circumradius of an equilateral triangle with side s is s/sqrt(3);
         # three unit disks at its vertices share a point iff s <= sqrt(3)
         for s, feasible in ((math.sqrt(3) - 1e-3, True), (math.sqrt(3) + 1e-3, False)):
             pts = [(0, 0), (s, 0), (s / 2, s * math.sqrt(3) / 2)]
-            res = disks_common_point([ProjectedDisk(p, 1.0) for p in pts])
-            assert (res.slack <= 0) == feasible
+            slack, _ = planar_minimax(pts, np.ones(3))
+            assert (slack <= 0) == feasible
             # analytic: optimum at the circumcenter, slack = s/sqrt(3) - 1
-            assert abs(res.slack - (s / math.sqrt(3) - 1.0)) <= 1e-12
+            assert abs(slack - (s / math.sqrt(3) - 1.0)) <= 1e-12
 
     def test_matches_brute_force_on_random_instances(self, rng):
         for trial in range(12):
             n = int(rng.integers(2, 7))
             centers = rng.uniform(-3, 3, size=(n, 2))
             radii = rng.uniform(0.2, 2.0, size=n)
-            res = disks_common_point(
-                [ProjectedDisk(c, r) for c, r in zip(centers, radii)]
-            )
+            slack, _ = planar_minimax(centers, radii)
             grid_val, cell = brute_force_grid_minimax(centers, radii)
-            assert res.slack <= grid_val + 1e-12  # grid points are upper bounds
-            assert grid_val <= res.slack + cell   # 1-Lipschitz grid error bound
+            assert slack <= grid_val + 1e-12  # grid points are upper bounds
+            assert grid_val <= slack + cell   # 1-Lipschitz grid error bound
             # independent high-accuracy oracle
-            assert abs(res.slack - simplex_minimax(centers, radii)) <= 1e-8
+            assert abs(slack - simplex_minimax(centers, radii)) <= 1e-8
 
     def test_empty_input_rejected(self):
         with pytest.raises(SolverError):
-            disks_common_point([])
+            minimax_slack_batch(np.zeros((0, 3)), np.zeros(0), E3)
 
     def test_optimality_certificate(self, rng):
         # at the optimum, zero lies in the convex hull of the active cone
@@ -219,15 +207,14 @@ class TestDisksCommonPoint:
             n = int(rng.integers(2, 7))
             centers = rng.uniform(-3, 3, size=(n, 2))
             radii = rng.uniform(0.2, 2.0, size=n)
-            res = disks_common_point(
-                [ProjectedDisk(c, r) for c, r in zip(centers, radii)]
-            )
-            g = np.linalg.norm(centers - res.point, axis=1) - radii
-            active = np.nonzero(g >= res.slack - 1e-9)[0]
-            dists = np.linalg.norm(centers[active] - res.point, axis=1)
+            slack, point = planar_minimax(centers, radii)
+            g = np.linalg.norm(centers - point, axis=1) - radii
+            assert abs(np.max(g) - slack) <= 1e-12  # the point attains the slack
+            active = np.nonzero(g >= slack - 1e-9)[0]
+            dists = np.linalg.norm(centers[active] - point, axis=1)
             if np.any(dists < 1e-9):
                 continue  # optimum at a center: the single-disk case
-            grads = (res.point - centers[active]) / dists[:, None]
+            grads = (point - centers[active]) / dists[:, None]
             # least-squares convex combination of gradients closest to zero
             k = len(active)
             A = np.vstack([grads.T, np.ones(k)])
@@ -299,8 +286,7 @@ class TestGenerators:
 
     def test_transversal_constraint(self):
         scene, direction = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=1)
-        disks = project_to_orthogonal_plane(scene, direction)
-        assert disks_common_point(disks).slack <= 0
+        assert scene_slack(scene, direction) <= 0
         # the ordered query along the construction direction is feasible
         from linestab.cone import OrderedQuery, direction_feasible
 
@@ -314,9 +300,7 @@ class TestGenerators:
 
     def test_collinear_center_direction_always_feasible(self):
         scene = collinear_scene()
-        disks = project_to_orthogonal_plane(scene, Direction([1, 0, 0]))
-        res = disks_common_point(disks)
-        assert res.slack <= 0
+        assert scene_slack(scene, Direction([1, 0, 0])) <= 0
         assert transversal_order(scene, Direction([1, 0, 0])).order == (0, 1, 2)
 
     def test_bad_arguments(self):
@@ -338,8 +322,7 @@ class TestGenerators:
 def test_projection_isometry_property(seed, ux, uy, uz):
     scene = random_disjoint_scene(3, 3, (0.5, 1.5), seed=seed % 50)
     u = Direction([ux, uy, uz])
-    disks = project_to_orthogonal_plane(scene, u)
-    c2 = np.array([d.center2 for d in disks])
+    c2 = project_centers(scene, u)
     for i in range(3):
         for j in range(i + 1, 3):
             proj = np.linalg.norm(c2[i] - c2[j])

@@ -223,19 +223,18 @@ class TestPairCone:
 
     def test_half_angle_thirty_degrees(self):
         # unit balls 4 apart: transversal directions make at most 30 degrees
-        # with the center line; the oracle is the two-disk minimax solver
-        from linestab.geom import ProjectedDisk, disks_common_point, orthonormal_basis_of_complement
+        # with the center line; the oracle is the two-disk minimax kernel
+        from linestab.cone import minimax_slack_batch
 
         bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
         form = pair_cone_quadratic(bi, bj)
         for ux in (0.9, 0.88, math.sqrt(3) / 2 + 1e-3):
             u = np.array([ux, math.sqrt(1 - ux ** 2), 0.0])
             val = form.value(u)
-            basis = orthonormal_basis_of_complement(u)
-            res = disks_common_point(
-                [ProjectedDisk(basis @ bi.center, 1.0), ProjectedDisk(basis @ bj.center, 1.0)]
-            )
-            assert (val <= 0) == (res.slack <= 1e-12)
+            slack = minimax_slack_batch(
+                np.array([bi.center, bj.center]), np.ones(2), u[None, :]
+            )[0]
+            assert (val <= 0) == (slack <= 1e-12)
             assert (val <= 0) == (ux ** 2 >= 0.75 - 1e-9)
 
     def test_overlapping_pair_degenerate(self):
