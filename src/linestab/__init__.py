@@ -50,7 +50,6 @@ from .cone import (
     is_pinned_planar,
 )
 from .polyid import (
-    ExactScalar,
     IdentitySpec,
     check_identity,
     identity_catalog,

@@ -353,10 +353,9 @@ def verify_identities(trials, height, seed, out, timings):
 @click.option("--directions", "n_directions", type=int, default=8, show_default=True,
               help="number of traced sextic directions to classify")
 @click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def classify_boundary(scene_path, direction, n_directions, chart, seed, out, timings):
+def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
     """Classify sextic directions: cone boundary iff crossing the triangle."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
@@ -376,8 +375,8 @@ def classify_boundary(scene_path, direction, n_directions, chart, seed, out, tim
         if not pts:
             raise _UsageError("no sextic points traced in this chart; try another chart")
         step = max(1, len(pts) // n_directions)
-        for p in pts[::step][:n_directions]:
-            dirs.append(sextic.chart_point_to_direction(chart, p[0], p[1]))
+        picked = np.array(pts[::step][:n_directions])
+        dirs.extend(sextic.chart_point_to_direction(chart, picked[:, 0], picked[:, 1]))
     results = []
     disagreements = 0
     for vec in dirs:
@@ -402,7 +401,7 @@ def classify_boundary(scene_path, direction, n_directions, chart, seed, out, tim
             if not entry["agree"]:
                 disagreements += 1
         results.append(entry)
-    config = {"scene": scene_path, "chart": chart, "seed": seed, "directions": len(dirs)}
+    config = {"scene": scene_path, "chart": chart, "directions": len(dirs)}
     verdicts = {"classifications": results, "disagreements": disagreements}
     _finish("classify-boundary", config, verdicts, disagreements == 0, out, t0)
 
@@ -415,9 +414,8 @@ def classify_boundary(scene_path, direction, n_directions, chart, seed, out, tim
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv", show_default=True)
 @click.option("--hatch-samples", type=int, default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
-def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, seed, out):
+def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):
     """Trace sextic, Hessian and pair conics in an affine direction chart."""
     scene = _load_scene(scene_path)
     if len(scene) != 3:
@@ -439,7 +437,7 @@ def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) 
     xs = np.linspace(-extent, extent, side)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    dirs = np.array([sextic.chart_point_to_direction(chart, x, y) for x, y in pts])
+    dirs = sextic.chart_point_to_direction(chart, pts[:, 0], pts[:, 1])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     slacks = cone_mod.minimax_slack_batch(scene.centers, scene.radii, dirs)
     return pts[slacks <= 0.0]

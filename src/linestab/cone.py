@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import (
     Direction,
@@ -685,20 +684,54 @@ def enumerate_geometric_permutations(
     return PermutationCatalog(entries, samples, seed)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _close_pairs(points: np.ndarray, chord: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of rows of ``points`` at Euclidean distance <= chord.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
+    A sweep along the coordinate of widest spread: after sorting on it, row
+    k is compared with row k + shift for shift = 1, 2, ... while some pair
+    is still within ``chord`` on that coordinate.  A second coordinate
+    screens the pairs before the full squared distance, summed in
+    coordinate order, is compared with chord^2.
+    """
+    n, d = points.shape
+    w = int(np.argmax(np.ptp(points, axis=0))) if n else 0
+    order = np.argsort(points[:, w], kind="stable")
+    cols = points[order].T.copy()
+    live = np.arange(n)
+    firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for shift in range(1, n):
+        live = live[live < n - shift]
+        live = live[cols[w, live + shift] - cols[w, live] <= chord]
+        if len(live) == 0:
+            break
+        cand = live[np.abs(cols[(w + 1) % d, live + shift] - cols[(w + 1) % d, live]) <= chord]
+        dist_sq = sum((cols[k, cand + shift] - cols[k, cand]) ** 2 for k in range(d))
+        near = cand[dist_sq <= chord * chord]
+        firsts.append(near)
+        seconds.append(near + shift)
+    return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of each of n nodes, equal within each connected component of
+    the graph with edges (a[k], b[k]).
+
+    Each label points to a root.  Every edge between two roots hooks the
+    larger root under the smaller one, then labels jump to their roots;
+    this repeats until no edge joins two roots.
+    """
+    labels = np.arange(n)
+    while True:
+        ra, rb = labels[a], labels[b]
+        joins = ra != rb
+        if not np.any(joins):
+            return labels
+        np.minimum.at(labels, np.maximum(ra, rb)[joins], np.minimum(ra, rb)[joins])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 @dataclass
@@ -747,15 +780,8 @@ def count_components(
             canon_dirs[m] = -canon_dirs[m]
     theta = radius_factor * lattice_spacing(scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
-    tree = cKDTree(canon_dirs)
-    uf = _UnionFind(len(canon_dirs))
-    for a, b in tree.query_pairs(chord):
-        uf.union(a, b)
-    roots: dict[int, int] = {}
-    for m in range(len(canon_dirs)):
-        r = uf.find(m)
-        roots[r] = roots.get(r, 0) + 1
-    sizes = sorted(roots.values(), reverse=True)
+    labels = _component_labels(len(canon_dirs), *_close_pairs(canon_dirs, chord))
+    sizes = sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True)
     return ComponentReport(
         count=len(sizes),
         cluster_sizes=sizes,

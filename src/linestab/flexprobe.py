@@ -85,10 +85,6 @@ class LiftedConfig:
         x = self.lifts
         return np.array([(x[1] - x[2]) ** 2, (x[2] - x[0]) ** 2, (x[0] - x[1]) ** 2])
 
-    def q_triangle_ok(self) -> bool:
-        q = np.sort(self.q_edges)
-        return bool(q[0] + q[1] > q[2])
-
     def lifted_triple(self) -> Triple:
         """The ball triple this configuration parametrizes."""
         tri = self.triangle
@@ -306,31 +302,6 @@ def star_h_canonical(coords: CanonicalCoords, w) -> StarHValue:
         t=t,
         plane_sum=float(np.sum(t)),
     )
-
-
-def w_from_lifts(cfg: LiftedConfig) -> np.ndarray:
-    """Map lift gaps into hyperboloid coordinates: p_i p_j z_k = q_k^2 w_k."""
-    p = cfg.weights
-    z = cfg.z_gaps
-    q2 = cfg.q_edges ** 2
-    return np.array(
-        [p[(k + 1) % 3] * p[(k + 2) % 3] * z[k] / q2[k] for k in range(3)]
-    )
-
-
-def disjointness_thresholds(cfg: LiftedConfig) -> np.ndarray:
-    """Lower bounds on z_k equivalent to pairwise ball disjointness.
-
-    Ill-conditioned when a barycentric weight vanishes (the division by
-    p_i p_j); prefer rebuilt_pair_gaps for numerical checks near edges.
-    """
-    p = cfg.weights
-    q = cfg.q_edges
-    out = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        out.append((q[k] ** 2 - (q[i] - q[j]) ** 2) / (p[i] * p[j]))
-    return np.array(out)
 
 
 def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:

@@ -45,8 +45,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _as_vector(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise SceneError(f"radius must be positive, got {self.radius}")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise SceneError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -80,6 +80,10 @@ class Scene:
                 raise SceneError(
                     f"ball of dimension {b.dimension} in scene of dimension {self.dimension}"
                 )
+        with np.errstate(over="ignore"):
+            diameter = float(self.diameter())
+        if not math.isfinite(diameter * diameter):
+            raise SceneError(f"scene is too large: its squared diameter overflows ({diameter:.3g})")
         if not self.allow_overlap:
             bad = self.overlapping_pairs()
             if bad:

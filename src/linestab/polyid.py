@@ -17,10 +17,6 @@ import numpy as np
 
 from .sextic import DirectionPoly, sigma_from_geometry
 
-#: Exact scalar carrier: stdlib Fraction already keeps the canonical reduced
-#: form with positive denominator that exactness requires.
-ExactScalar = Fraction
-
 Value = Union[Fraction, tuple]
 
 MASTER_PREFACTOR = Fraction(2 ** 12 * 5 ** 2)  # 102400

@@ -69,10 +69,6 @@ class DirectionPoly:
             return 0
         return max(sum(e) for e in self.coeffs)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.coeffs}
-        return len(degs) <= 1
-
     def __add__(self, other: "DirectionPoly") -> "DirectionPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -298,11 +294,6 @@ def eval_sigma(triple: Triple, u) -> float:
     return float(np.linalg.det(cayley_matrix(triple, u)))
 
 
-def eval_sigma_expanded(triple: Triple, u) -> float:
-    u = np.asarray(u, dtype=float)
-    return float(triple.sigma(u[0], u[1], u[2]))
-
-
 def eval_hessian_sigma(triple: Triple, u) -> float:
     """Determinant of the matrix of second partials of the sextic at u.
 
@@ -490,105 +481,82 @@ def pair_cone_quadratic(ball_i: Ball, ball_j: Ball) -> QuadraticFormOnDirections
 CHART_AXES = {"u1": 0, "u2": 1, "u3": 2}
 
 
-def chart_point_to_direction(chart: str, x: float, y: float) -> np.ndarray:
+def chart_point_to_direction(chart: str, x, y) -> np.ndarray:
+    """Directions (x, y) of the chart plane u_k = 1, in a trailing axis of 3.
+
+    Scalars give one direction of shape (3,); arrays give shape (..., 3).
+    """
     axis = CHART_AXES[chart]
-    u = [0.0, 0.0, 0.0]
-    others = [a for a in range(3) if a != axis]
-    u[axis] = 1.0
-    u[others[0]] = x
-    u[others[1]] = y
-    return np.array(u)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    comps = [x, y]
+    comps.insert(axis, np.ones_like(x))
+    return np.stack(comps, axis=-1)
 
 
-def _bisect_edge(f, p_neg, p_pos, refine_tol):
-    """Bisection along the segment from a negative-value to a positive-value
-    endpoint until the bracket is below refine_tol."""
-    a = np.asarray(p_neg, dtype=float)
-    b = np.asarray(p_pos, dtype=float)
+def _bisect_crossings(f, neg, pos, refine_tol):
+    """Bisect every segment from a negative-value point (row of ``neg``) to a
+    positive-value point (row of ``pos``) at once, each until its own bracket
+    is below refine_tol; an exact zero ends that segment's bisection."""
+    a, b = neg.copy(), pos.copy()
     for _ in range(80):
-        if np.linalg.norm(b - a) <= refine_tol:
+        active = np.nonzero(np.linalg.norm(b - a, axis=1) > refine_tol)[0]
+        if len(active) == 0:
             break
-        mid = 0.5 * (a + b)
-        v = f(mid[0], mid[1])
-        if v < 0:
-            a = mid
-        elif v > 0:
-            b = mid
-        else:
-            return mid
+        mid = 0.5 * (a[active] + b[active])
+        v = f(mid[:, 0], mid[:, 1])
+        a[active[v <= 0]] = mid[v <= 0]
+        b[active[v >= 0]] = mid[v >= 0]
     return 0.5 * (a + b)
 
 
 # marching-squares segment table: corner bits (bl, br, tr, tl) -> edge pairs,
-# edges indexed 0=bottom 1=right 2=top 3=left
+# edges indexed 0=bottom 1=right 2=top 3=left; the saddles 5 and 10 are keyed
+# by (code, whether f is positive at the cell centre)
 _MS_CASES = {
     1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
     6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)],
     9: [(0, 2)], 11: [(1, 2)], 12: [(1, 3)],
     13: [(0, 1)], 14: [(3, 0)],
+    (5, True): [(3, 2), (0, 1)], (5, False): [(3, 0), (1, 2)],
+    (10, True): [(3, 2), (0, 1)], (10, False): [(0, 3), (1, 2)],
 }
 
 
-def _trace_zero_set(f, xs, ys, values, refine_tol):
-    """Marching squares over precomputed grid values, returning polylines."""
-    gx, gy = len(xs), len(ys)
-    V = np.where(values == 0.0, 1e-300, values)
-    sign = V > 0
+def _trace_zero_set(f, xs, ys, refine_tol):
+    """Marching squares of the zero set of f(X, Y) on the grid xs x ys.
 
-    h_cross: dict[tuple[int, int], tuple[float, float]] = {}
-    v_cross: dict[tuple[int, int], tuple[float, float]] = {}
-    for iy in range(gy):
-        for ix in range(gx - 1):
-            if sign[ix, iy] != sign[ix + 1, iy]:
-                p1 = (xs[ix], ys[iy])
-                p2 = (xs[ix + 1], ys[iy])
-                if V[ix, iy] > 0:
-                    p1, p2 = p2, p1
-                pt = _bisect_edge(f, p1, p2, refine_tol)
-                h_cross[(ix, iy)] = (float(pt[0]), float(pt[1]))
-    for iy in range(gy - 1):
-        for ix in range(gx):
-            if sign[ix, iy] != sign[ix, iy + 1]:
-                p1 = (xs[ix], ys[iy])
-                p2 = (xs[ix], ys[iy + 1])
-                if V[ix, iy] > 0:
-                    p1, p2 = p2, p1
-                pt = _bisect_edge(f, p1, p2, refine_tol)
-                v_cross[(ix, iy)] = (float(pt[0]), float(pt[1]))
+    f is vectorised: it fills the grid, refines every crossing edge in one
+    batched bisection and decides the saddle cells from their centres.
+    """
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    sign = f(X, Y) >= 0  # an exact zero counts as positive
+
+    # crossing edges: horizontal (ix, iy)-(ix + 1, iy), then vertical (ix, iy)-(ix, iy + 1)
+    hx, hy = np.nonzero(sign[:-1] != sign[1:])
+    vx, vy = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    ex, ey = np.concatenate([hx, vx]), np.concatenate([hy, vy])
+    start = np.column_stack([xs[ex], ys[ey]])
+    end = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
+    flip = sign[ex, ey][:, None]
+    pts = _bisect_crossings(f, np.where(flip, end, start), np.where(flip, start, end), refine_tol)
+    pts = list(map(tuple, pts.tolist()))
+    h_cross = dict(zip(zip(hx.tolist(), hy.tolist()), pts[: len(hx)]))
+    v_cross = dict(zip(zip(vx.tolist(), vy.tolist()), pts[len(hx):]))
+
+    code = sign[:-1, :-1] + 2 * sign[1:, :-1] + 4 * sign[1:, 1:] + 8 * sign[:-1, 1:]
+    cx, cy = np.nonzero((code != 0) & (code != 15))
+    codes = code[cx, cy]
+    saddle = (codes == 5) | (codes == 10)
+    sx, sy = cx[saddle], cy[saddle]
+    centre_pos = f(0.5 * (xs[sx] + xs[sx + 1]), 0.5 * (ys[sy] + ys[sy + 1])) > 0
+    centre = dict(zip(zip(sx.tolist(), sy.tolist()), centre_pos.tolist()))
 
     segments = []
-    for ix in range(gx - 1):
-        for iy in range(gy - 1):
-            code = (
-                (1 if sign[ix, iy] else 0)
-                | (2 if sign[ix + 1, iy] else 0)
-                | (4 if sign[ix + 1, iy + 1] else 0)
-                | (8 if sign[ix, iy + 1] else 0)
-            )
-            if code in (0, 15):
-                continue
-            edge_pt = {
-                0: h_cross.get((ix, iy)),
-                1: v_cross.get((ix + 1, iy)),
-                2: h_cross.get((ix, iy + 1)),
-                3: v_cross.get((ix, iy)),
-            }
-            if code in (5, 10):
-                # saddle: disambiguate with the cell center sign
-                cx = 0.5 * (xs[ix] + xs[ix + 1])
-                cy = 0.5 * (ys[iy] + ys[iy + 1])
-                center_pos = f(cx, cy) > 0
-                if code == 5:
-                    pairs = [(3, 2), (0, 1)] if center_pos else [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 3), (1, 2)] if not center_pos else [(3, 2), (0, 1)]
-            else:
-                pairs = _MS_CASES[code]
-            for e1, e2 in pairs:
-                a, b = edge_pt[e1], edge_pt[e2]
-                if a is not None and b is not None:
-                    segments.append((a, b))
-
+    for ix, iy, c in zip(cx.tolist(), cy.tolist(), codes.tolist()):
+        edge_pt = (h_cross.get((ix, iy)), v_cross.get((ix + 1, iy)),
+                   h_cross.get((ix, iy + 1)), v_cross.get((ix, iy)))
+        for e1, e2 in _MS_CASES[(c, centre[ix, iy]) if c in (5, 10) else c]:
+            segments.append((edge_pt[e1], edge_pt[e2]))
     return _chain_segments(segments)
 
 
@@ -664,40 +632,27 @@ def trace_curves(
     if chart not in CHART_AXES:
         raise SceneError(f"unknown chart {chart!r}; use one of {sorted(CHART_AXES)}")
     xs = np.linspace(-extent, extent, grid)
-    ys = np.linspace(-extent, extent, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    axis = CHART_AXES[chart]
-    others = [a for a in range(3) if a != axis]
-    comps = [None, None, None]
-    comps[axis] = np.ones_like(X)
-    comps[others[0]] = X
-    comps[others[1]] = Y
-    U1, U2, U3 = comps
 
-    curves: dict[str, list[np.ndarray]] = {}
+    def trace(g):
+        """Trace the zero set of g(U1, U2, U3), a function of direction components."""
+        def f(X, Y):
+            return g(*np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
+        return _trace_zero_set(f, xs, xs, refine_tol)
 
     sig = triple.sigma
     sig_scale = triple.sigma_scale
-
-    def sigma_pt(x, y):
-        u = chart_point_to_direction(chart, x, y)
-        return float(sig(u[0], u[1], u[2])) / sig_scale
-
-    sig_grid = sig.eval_grid(U1, U2, U3) / sig_scale
-    curves["sigma"] = _trace_zero_set(sigma_pt, xs, ys, sig_grid, refine_tol)
+    curves = {"sigma": trace(lambda U1, U2, U3: sig.eval_grid(U1, U2, U3) / sig_scale)}
 
     hess = triple.hessian_entries
     h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
 
-    def hessian_pt(x, y):
-        u = chart_point_to_direction(chart, x, y)
-        H = np.array([[hess[a][b](u[0], u[1], u[2]) for b in range(3)] for a in range(3)])
-        return float(np.linalg.det(H)) / h_scale
+    def hessian(U1, U2, U3):
+        H = np.stack(
+            [np.stack([p.eval_grid(U1, U2, U3) for p in row], axis=-1) for row in hess], axis=-2
+        )
+        return np.linalg.det(H) / h_scale
 
-    h_grids = [[hess[a][b].eval_grid(U1, U2, U3) for b in range(3)] for a in range(3)]
-    Hg = np.stack([np.stack(row, axis=-1) for row in h_grids], axis=-2)
-    hess_grid = np.linalg.det(Hg) / h_scale
-    curves["hessian"] = _trace_zero_set(hessian_pt, xs, ys, hess_grid, refine_tol)
+    curves["hessian"] = trace(hessian)
 
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         form = pair_cone_quadratic(triple.balls[i], triple.balls[j])
@@ -708,15 +663,9 @@ def trace_curves(
         M = form.matrix
         scale = max(np.max(np.abs(M)), 1e-30)
 
-        def conic_pt(x, y, M=M, scale=scale):
-            u = chart_point_to_direction(chart, x, y)
-            return float(u @ M @ u) / scale
+        def conic(*U, M=M, scale=scale):
+            return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
 
-        G = np.zeros_like(X)
-        comps_list = [U1, U2, U3]
-        for a in range(3):
-            for b in range(3):
-                G += M[a, b] * comps_list[a] * comps_list[b]
-        curves[name] = _trace_zero_set(conic_pt, xs, ys, G / scale, refine_tol)
+        curves[name] = trace(conic)
 
     return CurveTraces(chart=chart, extent=extent, curves=curves)

@@ -99,6 +99,9 @@ class TestCheckConvexity:
             '{"dimension": 3, "balls": [{"center": [[0, 0, 0]], "radius": 1}]}',
             '{"dimension": 3, "balls": [{"center": [0, 0], "radius": 1}]}',
             '{"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": -1}]}',
+            '{"dimension": 3, "allow_overlap": true, "balls": [{"center": [0, 0, 0], "radius": Infinity}]}',
+            '{"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": 1},'
+            ' {"center": [1e200, 1e200, 0], "radius": 1}, {"center": [-1e200, 1e200, 0], "radius": 1}]}',
             '{"dimension": 1e400, "balls": [{"center": [0, 0, 0], "radius": 1}]}',
             '{"dimension": NaN, "balls": [{"center": [0, 0, 0], "radius": 1}]}',
             '{"dimension": 3, "balls": 5}',

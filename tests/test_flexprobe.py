@@ -10,16 +10,24 @@ from linestab.flexprobe import (
     LiftedConfig,
     certify_flex_free,
     certify_octant_separation,
-    disjointness_thresholds,
     gram_from_barycentrics,
     lifted_config_for_direction,
     lifted_hessian_decomposition,
     q_invariant,
     rebuilt_pair_gaps,
     star_h_canonical,
-    w_from_lifts,
 )
 from conftest import random_triple
+
+
+def w_from_lifts(cfg):
+    """Map lift gaps into hyperboloid coordinates: p_i p_j z_k = q_k^2 w_k."""
+    p = cfg.weights
+    z = cfg.z_gaps
+    q2 = cfg.q_edges ** 2
+    return np.array(
+        [p[(k + 1) % 3] * p[(k + 2) % 3] * z[k] / q2[k] for k in range(3)]
+    )
 
 
 def random_config(seed):
@@ -51,7 +59,7 @@ class TestLiftedConfig:
         # the weighted vectors close a polygon, so their lengths always obey
         # the strict triangle inequality for interior points
         for seed in range(10):
-            assert random_config(seed).q_triangle_ok()
+            assert CanonicalCoords.from_config(random_config(seed)).triangle_ok()
 
     def test_from_plane_data_canonical_frame(self):
         verts = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 0.0]])
@@ -230,9 +238,11 @@ class TestDisjointnessChain:
                 if np.all(rebuilt_pair_gaps(cfg) > 1e-9):
                     break
             assert np.all(rebuilt_pair_gaps(cfg) > 0)
-            z = cfg.z_gaps
-            th = disjointness_thresholds(cfg)
-            assert np.all(z > th)
+            # z_k > (q_k^2 - (q_i - q_j)^2) / (p_i p_j), (i, j) opposite to k
+            p, q = cfg.weights, cfg.q_edges
+            pi, pj = np.roll(p, -1), np.roll(p, -2)
+            qi, qj = np.roll(q, -1), np.roll(q, -2)
+            assert np.all(cfg.z_gaps > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
             # and the w-form of the conditions
             w = w_from_lifts(cfg)
             V = CanonicalCoords.from_config(cfg).octant_vertex()

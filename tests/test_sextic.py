@@ -13,7 +13,6 @@ from linestab.sextic import (
     chart_point_to_direction,
     eval_hessian_sigma,
     eval_sigma,
-    eval_sigma_expanded,
     pair_cone_quadratic,
     sigma_from_geometry,
     tangent_lines_for_direction,
@@ -32,7 +31,7 @@ class TestDirectionPoly:
         assert p(1.0, 1.0, 1.0) == 0.0
         q = DirectionPoly.norm_sq()
         assert q(1.0, 2.0, 2.0) == 9.0
-        assert q.degree == 2 and q.is_homogeneous()
+        assert q.degree == 2 and {sum(e) for e in q.coeffs} == {2}
 
     def test_diff(self):
         q = DirectionPoly.norm_sq()
@@ -97,7 +96,7 @@ class TestSigma:
         for _ in range(8):
             u = rng.normal(size=3)
             a = eval_sigma(tri, u)
-            b = eval_sigma_expanded(tri, u)
+            b = tri.sigma(*u)
             assert abrel(a, b) <= 1e-10
 
     def test_zero_direction_rejected(self):
@@ -306,18 +305,42 @@ class TestTraceCurves:
         # the widest pair (0, 2) gives the narrowest direction cone
         assert len({round(r, 3) for r in radii_seen}) >= 2
 
-    def test_sigma_vertices_are_roots(self):
+    @pytest.mark.parametrize("chart", ["u1", "u2", "u3"])
+    @pytest.mark.parametrize("curve", ["sigma", "hessian", "pair01", "pair02", "pair12"])
+    def test_sigma_vertices_are_roots(self, curve, chart):
+        # every vertex lies within refine_tol (1e-10) of its curve, measured
+        # to first order as |f| / |grad f| through the curve's scalar oracle
         tri = random_triple(17)
-        traces = trace_curves(tri, chart="u1", grid=120, extent=2.0)
+        traces = trace_curves(tri, chart=chart, grid=120, extent=2.0)
+        if curve == "sigma":
+            oracle = lambda u: eval_sigma(tri, u)
+        elif curve == "hessian":
+            oracle = lambda u: eval_hessian_sigma(tri, u)
+        else:
+            oracle = pair_cone_quadratic(tri.balls[int(curve[4])], tri.balls[int(curve[5])]).value
+
+        def f(x, y):
+            return oracle(chart_point_to_direction(chart, x, y))
+
+        h = 1e-5
         checked = 0
-        for poly in traces.curves["sigma"]:
+        for poly in traces.curves[curve]:
             for x, y in poly:
-                u = chart_point_to_direction("u1", x, y)
-                assert abs(eval_sigma(tri, u)) <= 1e-8 * tri.sigma_scale * max(
-                    1.0, float(u @ u) ** 3
-                )
+                grad = np.hypot(f(x + h, y) - f(x - h, y), f(x, y + h) - f(x, y - h)) / (2 * h)
+                assert abs(f(x, y)) <= 1e-10 * grad
                 checked += 1
         assert checked > 10
+
+    def test_chart_map_takes_arrays(self):
+        x = np.array([[0.5, -1.0], [2.0, 0.0]])
+        y = np.array([[0.25, 3.0], [-1.5, 1.0]])
+        for chart, axis in CHART_AXES.items():
+            U = chart_point_to_direction(chart, x, y)
+            assert U.shape == (2, 2, 3)
+            for idx in np.ndindex(x.shape):
+                u = chart_point_to_direction(chart, float(x[idx]), float(y[idx]))
+                assert u.shape == (3,) and u[axis] == 1.0
+                assert np.array_equal(U[idx], u)
 
     def test_unknown_chart_rejected(self):
         with pytest.raises(SceneError):
@@ -339,7 +362,7 @@ class TestTraceCurves:
                 pts = _polyline_crossings(traces.curves["sigma"], traces.curves["hessian"])
                 if not pts:
                     continue
-                dirs = np.array([chart_point_to_direction(chart, p[0], p[1]) for p in pts])
+                dirs = chart_point_to_direction(chart, *np.array(pts).T)
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
                 slacks.extend(minimax_slack_batch(scene.centers, scene.radii, dirs))
             return np.array(slacks)
