@@ -8,7 +8,8 @@ pinning predicate.
 
 The bulk feasibility engine vectorizes the disk minimax solve over batches
 of directions: all candidate support sets are enumerated through projected
-Gram matrices, so no per-direction Python work is needed.
+Gram matrices, so no per-direction Python work is needed.  Sphere samples
+first pass a pair-cone bound, which rules most directions out without it.
 """
 from __future__ import annotations
 
@@ -208,6 +209,25 @@ def minimax_weights_batch(
     return W
 
 
+def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Pair-cone lower bound on the minimax slack of each direction row.
+
+    Any point x of u^perp is at least (|pi_u(c_i - c_j)| - r_i - r_j) / 2
+    outside one of the projected disks i and j, so the slack is at least the
+    largest of these values over pairs i < j: the pair-cone condition of the
+    direction sextic, in any dimension.  Built from centre differences, so it
+    does not depend on where the scene sits; -inf for fewer than two balls.
+    """
+    i, j = np.triu_indices(len(centers), 1)
+    D = centers[i] - centers[j]
+    gap = U @ D.T
+    gap *= -gap
+    gap += np.einsum("pd,pd->p", D, D)
+    np.sqrt(np.clip(gap, 0.0, None, out=gap), out=gap)
+    gap -= radii[i] + radii[j]
+    return 0.5 * np.max(gap, axis=1, initial=-np.inf)
+
+
 def realized_orders_batch(
     centers: np.ndarray, U: np.ndarray, tie_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +241,13 @@ def realized_orders_batch(
 
 @dataclass
 class ConeSampleSet:
-    """Feasibility data of a direction sample for one scene."""
+    """Feasibility data of a direction sample for one scene.
+
+    ``slacks`` are exact (up to roundoff) where they are <= ``tol``; above
+    ``tol`` a row may instead hold the pair-cone lower bound of its slack,
+    which certifies it infeasible.  Read them through the tol mask or on
+    feasible rows only.
+    """
 
     directions: np.ndarray
     slacks: np.ndarray
@@ -266,20 +292,29 @@ def sample_scene(
     extra_directions: Optional[np.ndarray] = None,
     chunk: int = 200_000,
 ) -> ConeSampleSet:
-    """Sample the direction sphere and record slack/order for each direction."""
+    """Sample the direction sphere and record slack/order for each direction.
+
+    Only rows whose pair-cone bound does not already exceed ``tol`` go
+    through the exact kernel; the others keep the bound (see ConeSampleSet).
+    The 1e-12 * diameter margin covers the roundoff between bound and kernel.
+    """
     U, scheme = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, np.asarray(extra_directions, dtype=float)])
     centers = scene.centers
     radii = scene.radii
     tie_tol = 1e-9 * scene.diameter()
+    exact_below = tol + 1e-12 * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
     ties = np.empty(len(U), dtype=bool)
     for lo in range(0, len(U), chunk):
-        hi = min(lo + chunk, len(U))
-        slacks[lo:hi] = minimax_slack_batch(centers, radii, U[lo:hi])
-        orders[lo:hi], ties[lo:hi] = realized_orders_batch(centers, U[lo:hi], tie_tol)
+        rows = U[lo:lo + chunk]
+        bound = _pair_bound(centers, radii, rows)
+        near = bound <= exact_below
+        bound[near] = minimax_slack_batch(centers, radii, rows[near])
+        slacks[lo:lo + chunk] = bound
+        orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(centers, rows, tie_tol)
     return ConeSampleSet(U, slacks, orders, ties, seed, scheme, tol)
 
 
@@ -612,6 +647,18 @@ def canonical_permutation(order: Sequence[int]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
+def _reversed_is_canonical(orders: np.ndarray) -> np.ndarray:
+    """Per order row: is its reverse lexicographically smaller than the row?
+
+    The row-wise form of canonical_permutation: the first position where a
+    row and its reverse differ decides.
+    """
+    rev = orders[:, ::-1]
+    rows = np.arange(len(orders))
+    first = np.argmax(orders != rev, axis=1)
+    return rev[rows, first] < orders[rows, first]
+
+
 @dataclass
 class PermutationEntry:
     permutation: tuple[int, ...]
@@ -664,23 +711,22 @@ def enumerate_geometric_permutations(
     sset = sample_set if sample_set is not None else sample_scene(
         scene, samples, seed=seed, tol=tol
     )
-    feas = sset.feasible
+    idxs = np.nonzero(sset.feasible)[0]
+    orders = sset.orders[idxs]
+    canon = np.where(_reversed_is_canonical(orders)[:, None], orders[:, ::-1], orders)
+    perms, first, group, counts = np.unique(
+        canon, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    # witness: each permutation's first sample of smallest slack (stable sort)
+    by_slack = np.lexsort((sset.slacks[idxs], group.reshape(-1)))
+    witness = idxs[by_slack[np.cumsum(counts) - counts]]
     entries: dict[tuple[int, ...], PermutationEntry] = {}
-    idxs = np.nonzero(feas)[0]
-    for m in idxs:
-        order = tuple(int(i) for i in sset.orders[m])
-        canon = canonical_permutation(order)
-        cur = entries.get(canon)
-        if cur is None:
-            entries[canon] = PermutationEntry(
-                canon, sset.directions[m].copy(), order, float(sset.slacks[m]), 1
-            )
-        else:
-            cur.sample_count += 1
-            if sset.slacks[m] < cur.witness_slack:
-                cur.witness = sset.directions[m].copy()
-                cur.witness_order = order
-                cur.witness_slack = float(sset.slacks[m])
+    for g in np.argsort(first):
+        perm, m = tuple(perms[g].tolist()), witness[g]
+        entries[perm] = PermutationEntry(
+            perm, sset.directions[m].copy(), tuple(sset.orders[m].tolist()),
+            float(sset.slacks[m]), int(counts[g]),
+        )
     return PermutationCatalog(entries, samples, seed)
 
 
@@ -773,11 +819,7 @@ def count_components(
     orders = sset.orders[feas]
     if len(dirs) == 0:
         return ComponentReport(0, [], 0.0, undersampled=False)
-    canon_dirs = dirs.copy()
-    for m in range(len(dirs)):
-        order = tuple(int(i) for i in orders[m])
-        if order != canonical_permutation(order):
-            canon_dirs[m] = -canon_dirs[m]
+    canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
     theta = radius_factor * lattice_spacing(scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
     labels = _component_labels(len(canon_dirs), *_close_pairs(canon_dirs, chord))

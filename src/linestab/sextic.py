@@ -518,7 +518,7 @@ _MS_CASES = {
     9: [(0, 2)], 11: [(1, 2)], 12: [(1, 3)],
     13: [(0, 1)], 14: [(3, 0)],
     (5, True): [(3, 2), (0, 1)], (5, False): [(3, 0), (1, 2)],
-    (10, True): [(3, 2), (0, 1)], (10, False): [(0, 3), (1, 2)],
+    (10, True): [(0, 3), (1, 2)], (10, False): [(3, 2), (0, 1)],
 }
 
 

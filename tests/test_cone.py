@@ -6,18 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linestab import cone
 from linestab.geom import (
     Ball,
     Direction,
     Scene,
     SceneError,
     orthonormal_basis_of_complement,
+    random_disjoint_scene,
     random_scene_with_transversal,
     transversal_order,
 )
 from linestab.sextic import Triple, eval_sigma
 from linestab.cone import (
     OrderedQuery,
+    _feasible_mask,
+    _pair_bound,
+    _reversed_is_canonical,
     boundary_directions_for_triple,
     canonical_permutation,
     classify_boundary_direction,
@@ -51,6 +56,57 @@ class TestSampling:
         np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
         U2, _ = sample_directions(4, 300, seed=5)
         np.testing.assert_array_equal(U, U2)
+
+
+class TestPairPrefilter:
+    """sample_scene rules directions out by the pair-cone bound first."""
+
+    @pytest.mark.parametrize("k, n, d", [(0, 3, 3), (1, 6, 3), (2, 10, 3), (3, 8, 4), (4, 6, 5)])
+    def test_masks_equal_all_exact(self, monkeypatch, k, n, d):
+        scene, _ = random_scene_with_transversal(n, d, (1.0, 2.0), seed=300 + k)
+        exact_rows = []
+
+        def counted(centers, radii, U):
+            exact_rows.append(len(U))
+            return minimax_slack_batch(centers, radii, U)
+
+        monkeypatch.setattr(cone, "minimax_slack_batch", counted)
+        sset = sample_scene(scene, 20000, seed=0)
+        monkeypatch.undo()
+        band = 1e-12 * scene.diameter()
+        exact = minimax_slack_batch(scene.centers, scene.radii, sset.directions)
+        feas = sset.feasible
+        assert np.any(feas)
+        assert np.array_equal(feas, _feasible_mask(exact, sset.ties, sset.tol))
+        assert np.max(np.abs(sset.slacks[feas] - exact[feas])) <= band
+        # only rows the pair bound cannot rule out reach the support enumeration
+        bound = _pair_bound(scene.centers, scene.radii, sset.directions)
+        assert sum(exact_rows) == np.sum(bound <= sset.tol + band) < len(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 8),
+    d=st.integers(2, 5),
+    kind=st.sampled_from(["transversal", "disjoint", "overlap"]),
+)
+def test_pair_bound_below_exact_slack(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(300, d))
+    if kind == "transversal":
+        scene, axis = random_scene_with_transversal(n, d, (0.5, 2.0), seed=seed)
+        U[:150] = axis.components + 0.2 * U[:150]
+    elif kind == "disjoint":
+        scene = random_disjoint_scene(n, d, (0.5, 2.0), seed=seed)
+    else:
+        balls = zip(rng.uniform(-3.0, 3.0, size=(n, d)), rng.uniform(0.5, 2.0, size=n))
+        scene = Scene(d, tuple(Ball(c, r) for c, r in balls), allow_overlap=True)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    bound = _pair_bound(scene.centers, scene.radii, U)
+    exact = minimax_slack_batch(scene.centers, scene.radii, U)
+    assert np.all(bound <= exact + 1e-12 * scene.diameter())
+    assert n > 1 or np.all(bound == -np.inf)
 
 
 class TestDirectionFeasible:
@@ -282,8 +338,13 @@ class TestPermutations:
         from linestab.cli import preset_scene
 
         scene = preset_scene("two-permutations")
-        cat = enumerate_geometric_permutations(scene, samples=20000, seed=0)
+        sset = sample_scene(scene, 20000, seed=0)
+        cat = enumerate_geometric_permutations(scene, sample_set=sset)
         assert len(cat) == 2
+        assert _catalog_by_loop(sset) == [
+            (e.permutation, e.witness_order, e.witness_slack, e.sample_count)
+            for e in cat.entries.values()
+        ]
         for entry in cat.entries.values():
             v = direction_feasible(
                 OrderedQuery(scene, entry.witness_order), Direction(entry.witness)
@@ -293,6 +354,10 @@ class TestPermutations:
     def test_canonicalization(self):
         assert canonical_permutation((2, 1, 0)) == (0, 1, 2)
         assert canonical_permutation((1, 0, 2)) == (1, 0, 2)
+        for n in (1, 2, 4, 5):
+            orders = np.array(list(itertools.permutations(range(n))))
+            want = [canonical_permutation(o) != tuple(o) for o in orders]
+            assert _reversed_is_canonical(orders).tolist() == want
 
 
 class TestComponents:
@@ -324,6 +389,20 @@ class TestComponents:
         )
         rep = count_components(scene, samples=2000, seed=0)
         assert rep.count == 0
+
+
+def _catalog_by_loop(sset):
+    """Reference catalog: first-seen permutations, first smallest-slack witness."""
+    entries = {}
+    for m in np.nonzero(sset.feasible)[0]:
+        order = tuple(int(i) for i in sset.orders[m])
+        canon = canonical_permutation(order)
+        if canon not in entries:
+            entries[canon] = [order, float(sset.slacks[m]), 0]
+        elif sset.slacks[m] < entries[canon][1]:
+            entries[canon][:2] = [order, float(sset.slacks[m])]
+        entries[canon][2] += 1
+    return [(canon, *entry) for canon, entry in entries.items()]
 
 
 class TestHellyConsistency:
@@ -447,6 +526,9 @@ class TestInvariance:
             mask, slack = feasibility_batch(OrderedQuery(moved, order), U)
             assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter()
             assert np.array_equal(mask, mask0), s
+            # the same directions through the pair-cone prefilter
+            sampled = sample_scene(moved, len(U)).feasible_for_order(order)
+            assert np.array_equal(sampled, mask0), s
         rep = cone_convexity_check(OrderedQuery(moved, order))
         assert rep.passed and rep.violations == []
 

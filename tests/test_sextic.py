@@ -14,6 +14,7 @@ from linestab.sextic import (
     eval_hessian_sigma,
     eval_sigma,
     pair_cone_quadratic,
+    _trace_zero_set,
     sigma_from_geometry,
     tangent_lines_for_direction,
     trace_curves,
@@ -341,6 +342,19 @@ class TestTraceCurves:
                 u = chart_point_to_direction(chart, float(x[idx]), float(y[idx]))
                 assert u.shape == (3,) and u[axis] == 1.0
                 assert np.array_equal(U[idx], u)
+
+    @pytest.mark.parametrize("c, s", [(0.1, 1.0), (0.1, -1.0), (-0.1, 1.0), (-0.1, -1.0)])
+    def test_saddle_cell_segments_follow_branches(self, c, s):
+        # on the one-cell grid {-1, 1}^2, every saddle case of f = c + s*xy
+        # has two hyperbola branches in opposite quadrants; a segment that
+        # leaves its quadrant crosses the saddle
+        xs = np.array([-1.0, 1.0])
+        polys = _trace_zero_set(lambda x, y: c + s * x * y, xs, xs, 1e-12)
+        assert len(polys) == 2
+        for poly in polys:
+            assert len(poly) == 2
+            signs = np.sign(poly)
+            assert np.all(signs == signs[0]), poly
 
     def test_unknown_chart_rejected(self):
         with pytest.raises(SceneError):
