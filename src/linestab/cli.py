@@ -205,7 +205,7 @@ def main():
 @click.option("--dim", type=int, default=3, show_default=True)
 @click.option("--rmin", type=float, default=1.0, show_default=True)
 @click.option("--rmax", type=float, default=2.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--with-transversal", is_flag=True, default=False)
 @click.option("--out", type=str, default=None, help="scene JSON path (default stdout)")
 def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
@@ -230,9 +230,9 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
 @main.command("check-convexity")
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--order", type=str, default=None, help="meeting order, e.g. '0,1,2'")
-@click.option("--samples", type=int, default=4096, show_default=True)
-@click.option("--pairs", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=4096, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
 @click.option(
     "--order-semantics",
@@ -266,8 +266,8 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
 
 @main.command("enumerate-permutations")
 @click.option("--scene", "scene_path", required=True, type=str)
-@click.option("--samples", type=int, default=20000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
@@ -282,8 +282,8 @@ def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
 
 @main.command("count-components")
 @click.option("--scene", "scene_path", required=True, type=str)
-@click.option("--samples", type=int, default=20000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
@@ -308,8 +308,8 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
 
 @main.command("probe-flex")
 @click.option("--scene", "scene_path", required=True, type=str)
-@click.option("--boundary-samples", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
@@ -334,9 +334,10 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
 
 
 @main.command("verify-identities")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--height", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+# heights are drawn as numpy int64 numerators and denominators
+@click.option("--height", type=click.IntRange(1, 2**63 - 1), default=1000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def verify_identities(trials, height, seed, out, timings):
@@ -350,8 +351,8 @@ def verify_identities(trials, height, seed, out, timings):
 @main.command("classify-boundary")
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--direction", type=str, default=None, help="explicit 'x,y,z' on the sextic")
-@click.option("--directions", "n_directions", type=int, default=8, show_default=True,
-              help="number of traced sextic directions to classify")
+@click.option("--directions", "n_directions", type=click.IntRange(min=1), default=8,
+              show_default=True, help="number of traced sextic directions to classify")
 @click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
@@ -409,10 +410,10 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
 @main.command("trace-curves")
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
-@click.option("--grid", type=int, default=200, show_default=True)
+@click.option("--grid", type=click.IntRange(min=2), default=200, show_default=True)
 @click.option("--extent", type=float, default=2.0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv", show_default=True)
-@click.option("--hatch-samples", type=int, default=3000, show_default=True,
+@click.option("--hatch-samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
 @click.option("--out", type=str, default=None)
 def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):

@@ -9,13 +9,14 @@ random points certifies them with a quantifiable failure probability
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .sextic import DirectionPoly, sigma_from_geometry
+from .sextic import PoleJet, bordered_matrix, poly_det
 
 Value = Union[Fraction, tuple]
 
@@ -52,32 +53,30 @@ def exact_squared_radii(a, b, c, p) -> tuple[Fraction, Fraction, Fraction]:
     return tuple((px - vx) ** 2 + (py - vy) ** 2 for vx, vy in verts)  # type: ignore[return-value]
 
 
-def exact_lifted_sigma(a, b, c, p, x) -> DirectionPoly:
-    """Exact coefficient expansion of the sextic of the lifted ball triple."""
+def exact_hessian_at_pole(a, b, c, p, x) -> Fraction:
+    """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1).
+
+    With c_ij the coefficient of u1^i u2^j u3^(6-i-j), Euler's relation
+    sum_k u_k d_k d_m sigma = 5 d_m sigma gives the Hessian at the pole as
+    [[2c20, c11, 5c10], [c11, 2c02, 5c01], [5c10, 5c01, 30c00]], so only the
+    2-jet there is expanded, in integers: with L the lcm of the denominators
+    of the centres and squared radii, these scale by L and L^2, the quadratic
+    entries of the bordered matrix by L^2, sigma by L^6 and det H by L^18.
+    """
     a, b, c = as_exact(a), as_exact(b), as_exact(c)
     x = tuple(as_exact(v) for v in x)
     s = exact_squared_radii(a, b, c, p)
-    z = Fraction(0)
-    c0 = (z, z, x[0])
-    c1 = (a, z, x[1])
-    c2 = (b, c, x[2])
-    return sigma_from_geometry(c0, c1, c2, s[0], s[1], s[2])
-
-
-def exact_hessian_at_pole(a, b, c, p, x) -> Fraction:
-    """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1)."""
-    sig = exact_lifted_sigma(a, b, c, p, x)
-    zero, one = Fraction(0), Fraction(1)
-    H = [[None] * 3 for _ in range(3)]
-    for m in range(3):
-        dm = sig.diff(m)
-        for n in range(m, 3):
-            H[m][n] = H[n][m] = dm.diff(n)(zero, zero, one)
-    return (
+    L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
+    ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
+    m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
+    c00, c10, c01, c20, c11, c02 = poly_det([[PoleJet.of(e) for e in row] for row in m]).c
+    H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
+    det = (
         H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
         - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
         + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
     )
+    return Fraction(det, L ** 18)
 
 
 def exact_h2_h4(a, b, c, p, x) -> tuple[Fraction, Fraction]:

@@ -4,7 +4,8 @@ The directions of common tangent lines to three spheres form a degree-6
 projective curve.  It is evaluated here through a bordered 5x5 determinant
 whose entries are quadratic forms in the direction, and expanded once per
 triple into the 28 coefficients of the ternary sextic so that the Hessian
-determinant, curve tracing and exact identity testing all share one source.
+determinant and curve tracing share one source.  The exact identity suite
+expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ RANK_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # Small trivariate polynomial toolkit, generic over the coefficient type
-# (float for numerics, fractions.Fraction for the exact identity suite).
+# (float for numerics, int or fractions.Fraction for exact arithmetic).
 # ---------------------------------------------------------------------------
 
 
@@ -68,6 +69,9 @@ class DirectionPoly:
         if not self.coeffs:
             return 0
         return max(sum(e) for e in self.coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __add__(self, other: "DirectionPoly") -> "DirectionPoly":
         out = dict(self.coeffs)
@@ -133,15 +137,48 @@ class DirectionPoly:
         return f"DirectionPoly({len(self.coeffs)} terms, degree {self.degree})"
 
 
-def poly_det(matrix: Sequence[Sequence[DirectionPoly]]) -> DirectionPoly:
-    """Determinant of a square matrix of polynomials, by cofactor expansion."""
+class PoleJet:
+    """The 2-jet of a form at the pole u = (0, 0, 1): its coefficients of
+    u1^i u2^j u3^(d-i-j) for (i, j) = (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
+    Truncation modulo (u1, u2)^3 is a ring homomorphism, so the determinant
+    of the entries' jets is the jet of the determinant (15 multiplies each)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c=(0, 0, 0, 0, 0, 0)):
+        self.c = tuple(c)
+
+    @classmethod
+    def of(cls, poly: DirectionPoly) -> "PoleJet":
+        ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        return cls(sum(v for e, v in poly.coeffs.items() if e[:2] == k) for k in ij)
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+    def __add__(self, other: "PoleJet") -> "PoleJet":
+        return PoleJet(u + v for u, v in zip(self.c, other.c))
+
+    def __sub__(self, other: "PoleJet") -> "PoleJet":
+        return PoleJet(u - v for u, v in zip(self.c, other.c))
+
+    def __mul__(self, other: "PoleJet") -> "PoleJet":
+        a0, a1, a2, a3, a4, a5 = self.c
+        b0, b1, b2, b3, b4, b5 = other.c
+        return PoleJet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
+                        a0 * b3 + a1 * b1 + a3 * b0, a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
+                        a0 * b5 + a2 * b2 + a5 * b0))
+
+
+def poly_det(matrix: Sequence[Sequence]):
+    """Determinant of a square matrix of DirectionPoly or PoleJet entries, by cofactors."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = DirectionPoly()
+    total = type(matrix[0][0])()
     for col in range(n):
         entry = matrix[0][col]
-        if not entry.coeffs:
+        if not entry:
             continue
         minor = [
             [row[c] for c in range(n) if c != col]
@@ -234,10 +271,15 @@ class Triple:
 
 
 def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
-    """Expand the direction sextic for centers c_k and squared radii s_k.
+    """Expand the direction sextic for centers c_k and squared radii s_k."""
+    return poly_det(bordered_matrix(c0, c1, c2, s0, s1, s2))
 
-    Works for float or exact rational inputs; the scalar type of the centers
-    decides the coefficient type.
+
+def bordered_matrix(c0, c1, c2, s0, s1, s2) -> list[list[DirectionPoly]]:
+    """The bordered 5x5 matrix of forms whose determinant is the sextic.
+
+    Works for float or exact inputs; the scalar type of the centers decides
+    the coefficient type.
     """
     one = c0[0] - c0[0] + 1 if hasattr(c0[0], "denominator") else 1.0
     q = DirectionPoly.norm_sq(one)
@@ -254,14 +296,13 @@ def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
     qs = [q.scale(s0), q.scale(s1), q.scale(s2)]
     one_p = DirectionPoly.constant(one)
     zero_p = DirectionPoly()
-    m = [
+    return [
         [zero_p, one_p, one_p, one_p, one_p],
         [one_p, zero_p, qs[0], qs[1], qs[2]],
         [one_p, qs[0], zero_p, t01, t02],
         [one_p, qs[1], t01, zero_p, t12],
         [one_p, qs[2], t02, t12, zero_p],
     ]
-    return poly_det(m)
 
 
 def cayley_matrix(triple: Triple, u: np.ndarray) -> np.ndarray:

@@ -133,6 +133,38 @@ class TestCheckConvexity:
         assert r.exit_code == 2
 
 
+class TestIntegerOptions:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-identities", "--trials", "0"],
+            ["verify-identities", "--height", "0"],
+            ["verify-identities", "--height", str(2**63)],
+            ["verify-identities", "--seed", "-1"],
+            ["generate-scene", "--seed", "-1"],
+            ["check-convexity", "--scene", "s.json", "--samples", "0"],
+            ["check-convexity", "--scene", "s.json", "--pairs", "0"],
+            ["check-convexity", "--scene", "s.json", "--seed", "-1"],
+            ["enumerate-permutations", "--scene", "s.json", "--samples", "0"],
+            ["count-components", "--scene", "s.json", "--samples", "-1"],
+            ["count-components", "--scene", "s.json", "--seed", "-2"],
+            ["probe-flex", "--scene", "s.json", "--boundary-samples", "-3"],
+            ["probe-flex", "--scene", "s.json", "--seed", "-1"],
+            ["classify-boundary", "--scene", "s.json", "--directions", "0"],
+            ["trace-curves", "--scene", "s.json", "--grid", "-4"],
+            ["trace-curves", "--scene", "s.json", "--grid", "1"],
+            ["trace-curves", "--scene", "s.json", "--hatch-samples", "0"],
+        ],
+        ids=lambda args: " ".join([args[0], *args[-2:]]),
+    )
+    def test_out_of_range_value_is_usage_error(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "Invalid value" in r.output
+        assert "Traceback" not in r.output
+
+
 class TestVerifyIdentities:
     def test_small_run_passes(self, runner):
         r = runner.invoke(main, ["verify-identities", "--trials", "3", "--seed", "42"])

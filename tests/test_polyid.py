@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,14 +11,63 @@ from linestab.polyid import (
     check_identity,
     exact_h2_h4,
     exact_hessian_at_pole,
-    exact_lifted_sigma,
+    exact_squared_radii,
     identity_catalog,
     schwartz_zippel_suite,
 )
+from linestab.sextic import DirectionPoly, PoleJet, bordered_matrix, poly_det, sigma_from_geometry
 
 
 def spec_by_id(identifier):
     return {s.identifier: s for s in identity_catalog()}[identifier]
+
+
+def _lifted_geometry(a, b, c, p, x):
+    """Centres (0, 0, x0), (a, 0, x1), (b, c, x2), then the squared radii, exact."""
+    a, b, c = as_exact(a), as_exact(b), as_exact(c)
+    x = tuple(as_exact(v) for v in x)
+    z = Fraction(0)
+    return ((z, z, x[0]), (a, z, x[1]), (b, c, x[2]), *exact_squared_radii(a, b, c, p))
+
+
+def exact_lifted_sigma(a, b, c, p, x) -> DirectionPoly:
+    """Oracle: the full 28-coefficient Fraction expansion of the lifted sextic."""
+    return sigma_from_geometry(*_lifted_geometry(a, b, c, p, x))
+
+
+def oracle_hessian_at_pole(sig: DirectionPoly) -> Fraction:
+    """Oracle: differentiate the full expansion twice and evaluate at (0, 0, 1)."""
+    zero, one = Fraction(0), Fraction(1)
+    H = [[None] * 3 for _ in range(3)]
+    for m in range(3):
+        dm = sig.diff(m)
+        for n in range(m, 3):
+            H[m][n] = H[n][m] = dm.diff(n)(zero, zero, one)
+    return _det3(H)
+
+
+def _det3(H):
+    return (
+        H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
+        - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
+        + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
+    )
+
+
+def _pole_hessian(asg, euler=5, swap=False, power=18):
+    """The integer 2-jet path of exact_hessian_at_pole, with mutation knobs."""
+    a, b, c = (as_exact(asg[k]) for k in "abc")
+    x = tuple(as_exact(v) for v in asg["x"])
+    s = exact_squared_radii(a, b, c, asg["p"])
+    L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
+    ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
+    m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
+    c00, c10, c01, c20, c11, c02 = poly_det([[PoleJet.of(e) for e in row] for row in m]).c
+    if swap:
+        c20, c02 = c02, c20
+    e = euler
+    H = ((2 * c20, c11, e * c10), (c11, 2 * c02, e * c01), (e * c10, e * c01, 30 * c00))
+    return Fraction(_det3(H), L ** power)
 
 
 class TestExactScalar:
@@ -117,6 +167,20 @@ class TestMutationSensitivity:
         assert not v.equal
         assert v.lhs == Fraction(3, 4) and v.rhs == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "mutant",
+        [dict(euler=4), dict(swap=True), dict(power=17)],
+        ids=["euler-factor-4", "swap-c20-c02", "divide-by-L17"],
+    )
+    def test_master_lhs_mutants_caught(self, mutant):
+        spec = spec_by_id("master-hessian-decomposition")
+        r = np.random.default_rng(11)
+        asgs = [spec.sampler(r, 60) for _ in range(8)]
+        # the unmutated replica is the library's lhs, so each mutant is one of it
+        assert all(_pole_hessian(asg) == spec.lhs(asg) for asg in asgs)
+        mutated = replace(spec, lhs=lambda asg: _pole_hessian(asg, **mutant))
+        assert any(not check_identity(mutated, asg).equal for asg in asgs), mutant
+
 
 def _perturb(value):
     if isinstance(value, tuple):
@@ -171,6 +235,24 @@ class TestCrossModuleConsistency:
             )
             approx = eval_sigma(cfg.lifted_triple(), np.array([float(v) for v in u]))
             assert abs(approx - float(exact_val)) <= 1e-12 * max(abs(float(exact_val)), 1.0)
+
+    @pytest.mark.parametrize("height", [10, 1000, 10**6])
+    def test_pole_jet_hessian_matches_full_expansion(self, height):
+        # the integer 2-jet path against the full Fraction expansion: the six
+        # jet coefficients and the Hessian determinant at the pole, on random
+        # lifts and on the degenerate lifts x0 = x1 = x2
+        spec = spec_by_id("master-hessian-decomposition")
+        r = np.random.default_rng(height)
+        asgs = [spec.sampler(r, height) for _ in range(17)]
+        asgs += [dict(asg, x=(asg["x"][0],) * 3) for asg in asgs[:3]]
+        for asg in asgs:
+            args = (asg["a"], asg["b"], asg["c"], asg["p"], asg["x"])
+            sig = exact_lifted_sigma(*args)
+            m = bordered_matrix(*_lifted_geometry(*args))
+            jet = poly_det([[PoleJet.of(e) for e in row] for row in m])
+            ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+            assert jet.c == tuple(sig.coeffs.get((i, j, 6 - i - j), 0) for i, j in ij)
+            assert exact_hessian_at_pole(*args) == oracle_hessian_at_pole(sig)
 
     def test_exact_hessian_matches_prefactored_split(self):
         a, b, c = Fraction(3, 2), Fraction(1, 4), Fraction(5, 6)
