@@ -4,7 +4,9 @@ Every command emits a schema-versioned JSON report (stdout or --out) whose
 content is byte-identical across runs for the same command, seed and scene;
 wall-clock timings are added only on request so the determinism contract
 holds by default.  Exit code 0 means all checked properties hold, 1 reports
-a property violation with witnesses, 2 a usage error.
+a property violation with witnesses, 2 a usage error, and 3 an inconclusive
+run: too little evidence to decide either way.  The report's ``outcome``
+names which of holds / violation / inconclusive it is, with a reason.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
 
 CURVE_COLORS = {
     "sigma": "#cc0000",
@@ -164,22 +167,32 @@ def _write(text: str, out: str | None) -> None:
 
 def _finish(
     command: str, config: dict, verdicts: dict, passed: bool, out: str | None,
-    t0: float | None,
+    t0: float | None, inconclusive: str | None = None,
 ) -> None:
-    """Write the command's JSON report, then exit 0 if its checks held, else 1.
+    """Write the command's JSON report, then exit with its outcome's code.
 
-    ``t0`` is the command's start time when --timings was given, else None.
+    The outcome is "inconclusive" (exit 3) when ``inconclusive`` gives the
+    reason the run has too little evidence to decide, else "holds" (exit 0)
+    if the checks held and "violation" (exit 1) if not.  ``t0`` is the
+    command's start time when --timings was given, else None.
     """
+    if inconclusive is not None:
+        status, code = "inconclusive", EXIT_INCONCLUSIVE
+    elif passed:
+        status, code = "holds", EXIT_OK
+    else:
+        status, code = "violation", EXIT_VIOLATION
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
         "verdicts": verdicts,
+        "outcome": {"status": status, "reason": inconclusive},
     }
     if t0 is not None:
         report["timings"] = {"seconds": time.perf_counter() - t0}
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
-    sys.exit(EXIT_OK if passed else EXIT_VIOLATION)
+    sys.exit(code)
 
 
 def _parse_order(order: str | None, n: int) -> tuple[int, ...]:
@@ -261,7 +274,9 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
         "tol": tol,
         "order_semantics": order_semantics,
     }
-    _finish("check-convexity", config, rep.to_json_dict(), rep.passed, out, t0)
+    reason = (f"{rep.feasible_samples} feasible direction sample(s): too few for a midpoint pair"
+              if rep.inconclusive else None)
+    _finish("check-convexity", config, rep.to_json_dict(), rep.passed, out, t0, reason)
 
 
 @main.command("enumerate-permutations")
@@ -330,7 +345,9 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
         "seed": seed,
         "tol": tol,
     }
-    _finish("probe-flex", config, rep.to_json_dict(), rep.passed, out, t0)
+    reason = (f"no boundary sample was probed ({rep.skipped} skipped)"
+              if rep.probed == 0 else None)
+    _finish("probe-flex", config, rep.to_json_dict(), rep.passed, out, t0, reason)
 
 
 @main.command("verify-identities")
@@ -371,7 +388,7 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
             raise _UsageError(f"cannot parse direction {direction!r}")
         dirs.append(vec)
     else:
-        traces = sextic.trace_curves(triple, chart=chart, grid=160, extent=2.5)
+        traces = sextic.trace_curves(triple, chart=chart, grid=160, extent=2.5, names=("sigma",))
         pts = [p for poly in traces.curves["sigma"] for p in poly]
         if not pts:
             raise _UsageError("no sextic points traced in this chart; try another chart")

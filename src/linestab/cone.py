@@ -852,8 +852,9 @@ def boundary_directions_for_triple(
     """Directions on the cone boundaries of a triple, located by bisection.
 
     Every discovered cone gets an even share of geodesic rays from an
-    interior anchor; each ray is marched to the first infeasible point and
-    the crossing is bisected until the bracket is below 1e-12 radians.
+    interior anchor; each ray is marched in 0.02 rad steps to its first
+    infeasible point, and the crossing is bisected a fixed 45 times, down to
+    a bracket of 0.02 * 2**-45, about 6e-16 rad; its midpoint is returned.
     """
     scene = scene_from_triple(triple)
     sset = sample_scene(scene, lattice, seed=seed, tol=tol)

@@ -122,10 +122,11 @@ class DirectionPoly:
             total = total + c * u1 ** i * u2 ** j * u3 ** k
         return total
 
-    def eval_grid(self, U1: np.ndarray, U2: np.ndarray, U3: np.ndarray) -> np.ndarray:
-        total = np.zeros(np.broadcast(U1, U2, U3).shape)
-        for (i, j, k), c in self.coeffs.items():
-            total += float(c) * U1 ** i * U2 ** j * U3 ** k
+    def eval_grid(self, powers: "GridPowers") -> np.ndarray:
+        """Values on a grid of directions, summed term by term in key order."""
+        total = np.zeros(powers.shape)
+        for e, c in self.coeffs.items():
+            total += powers.term(float(c), e)
         return total
 
     def max_abs_coeff(self) -> float:
@@ -135,6 +136,36 @@ class DirectionPoly:
 
     def __repr__(self) -> str:
         return f"DirectionPoly({len(self.coeffs)} terms, degree {self.degree})"
+
+
+class GridPowers:
+    """The powers U_a ** i of one grid of directions, each computed once and
+    shared by every term of every polynomial evaluated on that grid.
+
+    A component may be the scalar 1.0, as the chart axis is: its factors are
+    skipped, as are the factors U_a ** 0, which is exact because multiplying
+    by 1.0 changes no float.
+    """
+
+    __slots__ = ("U", "is_one", "shape", "cache")
+
+    def __init__(self, U1, U2, U3):
+        self.U = (U1, U2, U3)
+        self.is_one = tuple(np.ndim(u) == 0 and u == 1.0 for u in self.U)
+        self.shape = np.broadcast(U1, U2, U3).shape
+        self.cache: dict = {}
+
+    def term(self, c: float, exps):
+        """c * U1**i * U2**j * U3**k for exps = (i, j, k), multiplied left to right."""
+        t = c
+        for a, i in enumerate(exps):
+            if i == 0 or self.is_one[a]:
+                continue
+            p = self.cache.get((a, i))
+            if p is None:
+                p = self.cache[(a, i)] = self.U[a] ** i
+            t = t * p
+        return t
 
 
 class PoleJet:
@@ -602,40 +633,38 @@ def _trace_zero_set(f, xs, ys, refine_tol):
 
 
 def _chain_segments(segments):
-    """Link shared-endpoint segments into ordered polylines."""
+    """Link shared-endpoint segments into ordered polylines.
+
+    Endpoints match when their coordinates agree to 12 decimals; each
+    endpoint's key is rounded once.
+    """
     def key(p):
         return (round(p[0], 12), round(p[1], 12))
 
+    ends = [(a, b, key(a), key(b)) for a, b in segments]
     adj: dict[tuple, list] = {}
-    for a, b in segments:
-        adj.setdefault(key(a), []).append((a, b))
-        adj.setdefault(key(b), []).append((b, a))
+    for a, b, ka, kb in ends:
+        adj.setdefault(ka, []).append((b, kb))
+        adj.setdefault(kb, []).append((a, ka))
 
     used = set()
     polylines = []
-    for a, b in segments:
-        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+    for a, b, ka, kb in ends:
+        if (ka, kb) in used or (kb, ka) in used:
             continue
-        chain = [a, b]
-        used.add((key(a), key(b)))
-        # extend forward then backward
-        for forward in (True, False):
+        used.add((ka, kb))
+        # extend forward from b, then backward from a
+        fwd, back = [], []
+        for tip, pts in ((kb, fwd), (ka, back)):
             while True:
-                tip = chain[-1] if forward else chain[0]
-                ext = None
-                for s, t in adj.get(key(tip), []):
-                    if (key(s), key(t)) in used or (key(t), key(s)) in used:
-                        continue
-                    ext = (s, t)
+                nxt = next(((t, kt) for t, kt in adj[tip]
+                            if (tip, kt) not in used and (kt, tip) not in used), None)
+                if nxt is None:
                     break
-                if ext is None:
-                    break
-                used.add((key(ext[0]), key(ext[1])))
-                if forward:
-                    chain.append(ext[1])
-                else:
-                    chain.insert(0, ext[1])
-        polylines.append(np.array(chain))
+                used.add((tip, nxt[1]))
+                pts.append(nxt[0])
+                tip = nxt[1]
+        polylines.append(np.array(back[::-1] + [a, b] + fwd))
     return polylines
 
 
@@ -657,56 +686,78 @@ class CurveTraces:
         return rows
 
 
+CURVE_NAMES = ("sigma", "hessian", "pair01", "pair02", "pair12")
+
+
+def _curve_function(triple: Triple, name: str):
+    """The function of a GridPowers whose zero set is the named curve, or None
+    for the conic of an overlapping or tangent pair, which bounds nothing."""
+    if name == "sigma":
+        sig, sig_scale = triple.sigma, triple.sigma_scale
+        return lambda P: sig.eval_grid(P) / sig_scale
+    if name == "hessian":
+        hess = triple.hessian_entries
+        h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
+
+        def hessian(P):
+            H = np.empty(P.shape + (3, 3))
+            for a in range(3):
+                for b in range(a, 3):
+                    H[..., a, b] = H[..., b, a] = hess[a][b].eval_grid(P)
+            return np.linalg.det(H) / h_scale
+
+        return hessian
+    form = pair_cone_quadratic(triple.balls[int(name[4])], triple.balls[int(name[5])])
+    if form.degenerate:
+        return None
+    M = form.matrix
+    scale = max(np.max(np.abs(M)), 1e-30)
+
+    def conic(P):
+        U = P.U
+        return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
+
+    return conic
+
+
 def trace_curves(
     triple: Triple,
     chart: str = "u3",
     grid: int = 200,
     extent: float = 2.0,
     refine_tol: float = 1e-10,
+    names: Sequence[str] = CURVE_NAMES,
 ) -> CurveTraces:
-    """Trace sextic, Hessian and the three pair conics in an affine chart.
+    """Trace the named curves in an affine chart.
 
-    The chart "uk" is the plane u_k = 1.  Vertices are refined by bisection
-    along grid edges; components smaller than the grid resolution may be
-    missed, which is a documented limitation rather than an error.
+    The curves are "sigma" (the direction sextic), "hessian" (the
+    determinant of its second partials) and the pair conics "pair01",
+    "pair02" and "pair12" (empty for an overlapping or tangent pair).  Only
+    the curves in ``names`` are evaluated; the result lists them in that
+    order of CURVE_NAMES.  The chart "uk" is the plane u_k = 1.  Vertices
+    are refined by bisection along grid edges; components smaller than the
+    grid resolution may be missed, which is a documented limitation rather
+    than an error.
     """
     if chart not in CHART_AXES:
         raise SceneError(f"unknown chart {chart!r}; use one of {sorted(CHART_AXES)}")
+    unknown = [n for n in names if n not in CURVE_NAMES]
+    if unknown:
+        raise SceneError(f"unknown curve {unknown[0]!r}; use some of {list(CURVE_NAMES)}")
+    axis = CHART_AXES[chart]
     xs = np.linspace(-extent, extent, grid)
 
     def trace(g):
-        """Trace the zero set of g(U1, U2, U3), a function of direction components."""
+        """Trace the zero set of g, a function of one grid's GridPowers."""
         def f(X, Y):
-            return g(*np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
+            U = list(np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
+            U[axis] = 1.0  # the chart plane u_axis = 1, as a scalar whose factors are skipped
+            return g(GridPowers(*U))
         return _trace_zero_set(f, xs, xs, refine_tol)
 
-    sig = triple.sigma
-    sig_scale = triple.sigma_scale
-    curves = {"sigma": trace(lambda U1, U2, U3: sig.eval_grid(U1, U2, U3) / sig_scale)}
-
-    hess = triple.hessian_entries
-    h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
-
-    def hessian(U1, U2, U3):
-        H = np.stack(
-            [np.stack([p.eval_grid(U1, U2, U3) for p in row], axis=-1) for row in hess], axis=-2
-        )
-        return np.linalg.det(H) / h_scale
-
-    curves["hessian"] = trace(hessian)
-
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        form = pair_cone_quadratic(triple.balls[i], triple.balls[j])
-        name = f"pair{i}{j}"
-        if form.degenerate:
-            curves[name] = []
-            continue
-        M = form.matrix
-        scale = max(np.max(np.abs(M)), 1e-30)
-
-        def conic(*U, M=M, scale=scale):
-            return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
-
-        curves[name] = trace(conic)
-
+    curves = {}
+    for name in CURVE_NAMES:
+        if name in names:
+            g = _curve_function(triple, name)
+            curves[name] = [] if g is None else trace(g)
     return CurveTraces(chart=chart, extent=extent, curves=curves)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from linestab.cli import main, preset_scene, render_figure
+from linestab.cli import _finish, main, preset_scene, render_figure
 from linestab.sextic import Triple, trace_curves
 
 
@@ -133,6 +133,20 @@ class TestCheckConvexity:
         assert r.exit_code == 2
 
 
+    def test_too_few_feasible_samples_is_inconclusive(self, runner, tmp_path):
+        scene = tmp_path / "s4.json"
+        invoke(runner, ["generate-scene", "--n", "4", "--seed", "0", "--out", str(scene)])
+        r = runner.invoke(
+            main, ["check-convexity", "--scene", str(scene), "--samples", "1", "--pairs", "1"]
+        )
+        assert r.exit_code == 3
+        doc = json.loads(r.output)
+        assert doc["verdicts"]["inconclusive"] is True
+        assert doc["verdicts"]["violation_count"] == 0
+        assert doc["outcome"]["status"] == "inconclusive"
+        assert "feasible direction sample" in doc["outcome"]["reason"]
+
+
 class TestIntegerOptions:
     @pytest.mark.parametrize(
         "args",
@@ -253,6 +267,18 @@ class TestProbeFlex:
         r = runner.invoke(main, ["probe-flex", "--scene", str(scene)])
         assert r.exit_code == 2
 
+    def test_nothing_probed_is_inconclusive(self, runner, tmp_path):
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+        r = runner.invoke(main, ["probe-flex", "--scene", str(scene), "--boundary-samples", "1"])
+        assert r.exit_code == 3
+        doc = json.loads(r.output)
+        assert doc["verdicts"]["probed"] == 0
+        assert doc["outcome"] == {
+            "status": "inconclusive",
+            "reason": "no boundary sample was probed (1 skipped)",
+        }
+
 
 class TestClassifyBoundary:
     def test_demo_scene_agrees(self, runner, tmp_path):
@@ -301,6 +327,18 @@ class TestReportSchema:
             assert isinstance(doc["config"], dict)
             assert isinstance(doc["verdicts"], dict)
             assert "timings" not in doc  # deterministic by default
+
+    @pytest.mark.parametrize("passed, reason, status, code", [
+        (True, None, "holds", 0),
+        (False, None, "violation", 1),
+        (False, "no evidence", "inconclusive", 3),
+    ])
+    def test_outcome_names_the_exit_code(self, capsys, passed, reason, status, code):
+        with pytest.raises(SystemExit) as exc:
+            _finish("verify-identities", {}, {}, passed, None, None, reason)
+        assert exc.value.code == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["outcome"] == {"status": status, "reason": reason}
 
     def test_timings_flag_adds_block(self, runner):
         r = runner.invoke(main, ["verify-identities", "--trials", "1", "--timings"])

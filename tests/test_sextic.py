@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from linestab import sextic as sextic_mod
+from linestab.cli import PRESET_NAMES, preset_scene
 from linestab.geom import Ball, Direction, Scene, SceneError
 from linestab.sextic import (
     CHART_AXES,
+    CURVE_NAMES,
     CircleFamily,
     DirectionPoly,
     Triple,
@@ -360,6 +363,10 @@ class TestTraceCurves:
         with pytest.raises(SceneError):
             trace_curves(collinear_triple(), chart="u9")
 
+    def test_unknown_curve_rejected(self):
+        with pytest.raises(SceneError, match="unknown curve"):
+            trace_curves(collinear_triple(), names=("sigma", "hessain"))
+
     def test_hessian_crossings_enter_boundary_on_overlap(self):
         # compact transition family: all sextic-Hessian intersections stay
         # strictly interior while the balls are disjoint; once two balls
@@ -388,3 +395,120 @@ class TestTraceCurves:
         overlap = crossing_slacks("overlapping")
         assert len(overlap) > 0
         assert np.min(np.abs(overlap)) <= 1e-3  # a crossing reached the boundary
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the tracer against the term-by-term evaluation it replaced:
+# every power recomputed per term, the Hessian's nine entries evaluated
+# separately, endpoint keys rounded on every lookup.
+# ---------------------------------------------------------------------------
+
+
+def _termwise_eval_grid(poly, U1, U2, U3):
+    total = np.zeros(np.broadcast(U1, U2, U3).shape)
+    for (i, j, k), c in poly.coeffs.items():
+        total += float(c) * U1 ** i * U2 ** j * U3 ** k
+    return total
+
+
+def _relookup_chain_segments(segments):
+    def key(p):
+        return (round(p[0], 12), round(p[1], 12))
+
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(key(a), []).append((a, b))
+        adj.setdefault(key(b), []).append((b, a))
+    used = set()
+    polylines = []
+    for a, b in segments:
+        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+            continue
+        chain = [a, b]
+        used.add((key(a), key(b)))
+        for forward in (True, False):
+            while True:
+                tip = chain[-1] if forward else chain[0]
+                ext = None
+                for s, t in adj.get(key(tip), []):
+                    if (key(s), key(t)) in used or (key(t), key(s)) in used:
+                        continue
+                    ext = (s, t)
+                    break
+                if ext is None:
+                    break
+                used.add((key(ext[0]), key(ext[1])))
+                if forward:
+                    chain.append(ext[1])
+                else:
+                    chain.insert(0, ext[1])
+        polylines.append(np.array(chain))
+    return polylines
+
+
+def _termwise_functions(tri):
+    """Each curve's function of (U1, U2, U3), or None for a degenerate conic."""
+    sig, sig_scale = tri.sigma, tri.sigma_scale
+    hess = tri.hessian_entries
+    h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
+
+    def hessian(*U):
+        H = np.stack(
+            [np.stack([_termwise_eval_grid(p, *U) for p in row], axis=-1) for row in hess],
+            axis=-2,
+        )
+        return np.linalg.det(H) / h_scale
+
+    funcs = {"sigma": lambda *U: _termwise_eval_grid(sig, *U) / sig_scale, "hessian": hessian}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        form = pair_cone_quadratic(tri.balls[i], tri.balls[j])
+        M = form.matrix
+        scale = max(np.max(np.abs(M)), 1e-30)
+
+        def conic(*U, M=M, scale=scale):
+            return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
+
+        funcs[f"pair{i}{j}"] = None if form.degenerate else conic
+    return funcs
+
+
+def _termwise_trace(tri, chart, grid, extent, refine_tol=1e-10):
+    xs = np.linspace(-extent, extent, grid)
+
+    def trace(g):
+        def f(X, Y):
+            return g(*np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
+        return sextic_mod._trace_zero_set(f, xs, xs, refine_tol)
+
+    return {name: [] if g is None else trace(g) for name, g in _termwise_functions(tri).items()}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
+    tri = Triple.from_scene(preset_scene(preset))
+    oracle = _termwise_functions(tri)
+    for chart, axis in CHART_AXES.items():
+        # the curve functions themselves, on a grid where every float counts
+        # (a vertex moves only when a roundoff change flips a bisection sign)
+        X, Y = np.meshgrid(*2 * [np.linspace(-2.5, 2.5, 40)], indexing="ij")
+        U = list(np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
+        P = sextic_mod.GridPowers(*U[:axis], 1.0, *U[axis + 1:])
+        for name, g in oracle.items():
+            if g is not None:
+                got = sextic_mod._curve_function(tri, name)(P)
+                assert np.array_equal(got, g(*U)), (chart, name)
+        for grid, extent in ((100, 2.0), (160, 2.5)):
+            with monkeypatch.context() as m:
+                m.setattr(sextic_mod, "_chain_segments", _relookup_chain_segments)
+                want = _termwise_trace(tri, chart, grid, extent)
+            got = trace_curves(tri, chart=chart, grid=grid, extent=extent).curves
+            assert list(got) == list(CURVE_NAMES) == list(want)
+            for name in CURVE_NAMES:
+                assert len(got[name]) == len(want[name]), (chart, grid, name)
+                for g, w in zip(got[name], want[name]):
+                    assert np.array_equal(g, w), (chart, grid, name)
+            only = trace_curves(tri, chart=chart, grid=grid, extent=extent, names=("sigma",))
+            assert list(only.curves) == ["sigma"]
+            assert len(only.curves["sigma"]) == len(got["sigma"])
+            for g, w in zip(only.curves["sigma"], got["sigma"]):
+                assert np.array_equal(g, w)
