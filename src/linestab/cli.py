@@ -246,7 +246,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
 @click.option("--samples", type=click.IntRange(min=1), default=4096, show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
+@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option(
     "--order-semantics",
     type=click.Choice(["center", "entry"]),
@@ -283,7 +283,7 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
+@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
@@ -299,7 +299,7 @@ def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
+@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def count_components_cmd(scene_path, samples, seed, tol, out, timings):
@@ -325,7 +325,7 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, envvar="LINESTAB_TOL")
+@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):

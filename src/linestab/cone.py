@@ -33,10 +33,6 @@ from .sextic import Triple, tangent_lines_for_direction
 DEFAULT_TOL = 1e-9
 
 
-def scene_from_triple(triple: Triple) -> Scene:
-    return Scene(3, triple.balls, allow_overlap=triple.allow_overlap)
-
-
 # ---------------------------------------------------------------------------
 # Sphere sampling.
 # ---------------------------------------------------------------------------
@@ -856,7 +852,7 @@ def boundary_directions_for_triple(
     infeasible point, and the crossing is bisected a fixed 45 times, down to
     a bracket of 0.02 * 2**-45, about 6e-16 rad; its midpoint is returned.
     """
-    scene = scene_from_triple(triple)
+    scene = triple.scene
     sset = sample_scene(scene, lattice, seed=seed, tol=tol)
     feas = sset.feasible
     if not np.any(feas):
@@ -975,7 +971,7 @@ def classify_boundary_direction(
         crosses_any = any(determinate)
 
     # empirical probe: feasibility of nearby directions for the realized order
-    scene = scene_from_triple(triple)
+    scene = triple.scene
     order_res = transversal_order(scene, u)
     if order_res.is_tied:
         return BoundaryClassification(
@@ -1026,7 +1022,7 @@ def is_pinned_planar(triple: Triple, tol: float = 1e-9) -> bool:
     if triple.collinear_centers:
         return False
     centers = triple.centers
-    radii = np.array([b.radius for b in triple.balls])
+    radii = triple.scene.radii
     e1 = centers[1] - centers[0]
     e2 = centers[2] - centers[0]
     normal = np.cross(e1, e2)

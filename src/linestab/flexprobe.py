@@ -7,11 +7,19 @@ probe direction splits into a nonpositive quadratic part H2 and a nonnegative
 quartic part H4 in the lift heights.  Pairwise disjointness of the balls
 forces H2 + H4 > 0, i.e. no flex or singularity on the boundary arc, and the
 split admits a closed-form separation certificate on a canonical hyperboloid.
+
+The closed forms are written once for two scalar types: a configuration built
+from floats holds float64 arrays, one built from ``fractions.Fraction`` holds
+object arrays, and the exact identity suite (``linestab.polyid``) evaluates
+these same forms in rational arithmetic.  Only construction chooses the type;
+forms that need a square root (``radii``, ``q_edges``) are float-only, and the
+exact side works with their squares.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -24,14 +32,19 @@ from .sextic import Triple
 STRICTNESS_FLOOR = 1e-12
 
 
+def _scalar_dtype(*values) -> type:
+    """object (exact arithmetic) when any value is a Fraction, float otherwise."""
+    return object if any(isinstance(v, Fraction) for v in values) else float
+
+
 @dataclass(frozen=True)
 class LiftedConfig:
     """Planar triangle + interior point + lift heights.
 
-    Triangle vertices are (0,0,0), (a,0,0), (b,c,0); the interior point has
-    barycentric weights p (normalized to sum 1 on construction); lifting the
-    vertices by x_k along the third axis produces ball centers whose radii are
-    the distances from the interior point to the vertices.
+    Triangle vertices are (0,0), (a,0), (b,c) in the plane; the interior point
+    has barycentric weights p (normalized to sum 1 on construction); lifting
+    the vertices by x_k along a third axis produces ball centers whose radii
+    are the distances from the interior point to the vertices.
     """
 
     a: float
@@ -41,8 +54,9 @@ class LiftedConfig:
     lifts: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        x = np.asarray(self.lifts, dtype=float)
+        w, x = np.asarray(self.weights), np.asarray(self.lifts)
+        dtype = _scalar_dtype(self.a, self.b, self.c, *w.ravel(), *x.ravel())
+        w, x = w.astype(dtype), x.astype(dtype)
         if w.shape != (3,) or x.shape != (3,):
             raise SceneError("weights and lifts must have length 3")
         if not (self.a > 0 and self.c > 0):
@@ -54,18 +68,25 @@ class LiftedConfig:
 
     @property
     def triangle(self) -> np.ndarray:
-        return np.array([[0.0, 0.0, 0.0], [self.a, 0.0, 0.0], [self.b, self.c, 0.0]])
+        return np.array([[0, 0], [self.a, 0], [self.b, self.c]], dtype=self.weights.dtype)
 
     @property
+    def centers(self) -> np.ndarray:
+        """Centers of the lifted balls: vertex k raised to height x_k."""
+        return np.column_stack((self.triangle, self.lifts))
+
+    @cached_property
     def interior_point(self) -> np.ndarray:
-        return self.weights @ self.triangle
+        # vertex 0 is the origin: its term is an exact zero, so dropping it
+        # changes no bit and saves exact arithmetic
+        return self.weights[1:] @ self.triangle[1:]
 
-    @property
+    @cached_property
     def v_vectors(self) -> np.ndarray:
         """v_k = interior point minus vertex k."""
         return self.interior_point[None, :] - self.triangle
 
-    @property
+    @cached_property
     def squared_radii(self) -> np.ndarray:
         v = self.v_vectors
         return np.einsum("ij,ij->i", v, v)
@@ -80,6 +101,11 @@ class LiftedConfig:
         return self.weights * self.radii
 
     @property
+    def q_squared(self) -> np.ndarray:
+        """q_k^2 = p_k^2 s_k, free of square roots."""
+        return self.weights ** 2 * self.squared_radii
+
+    @property
     def z_gaps(self) -> np.ndarray:
         """z_k = (x_i - x_j)^2 cyclically."""
         x = self.lifts
@@ -87,12 +113,9 @@ class LiftedConfig:
 
     def lifted_triple(self) -> Triple:
         """The ball triple this configuration parametrizes."""
-        tri = self.triangle
+        c = self.centers
         r = self.radii
-        balls = tuple(
-            Ball(tri[k] + np.array([0.0, 0.0, self.lifts[k]]), r[k]) for k in range(3)
-        )
-        return Triple(balls, allow_overlap=True)
+        return Triple(tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True)
 
     @classmethod
     def from_plane_data(cls, vertices2, point2, lifts) -> "LiftedConfig":
@@ -139,15 +162,17 @@ def gram_from_barycentrics(cfg: LiftedConfig) -> np.ndarray:
     and is positive semidefinite of rank <= 2.
     """
     p = cfg.weights
-    q2 = cfg.q_edges ** 2
-    s = cfg.squared_radii
-    G = np.zeros((3, 3))
-    for k in range(3):
-        G[k, k] = s[k]
+    q2 = cfg.q_squared
+    G = np.diag(cfg.squared_radii)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        G[i, j] = G[j, i] = (q2[k] - q2[i] - q2[j]) / (2.0 * p[i] * p[j])
+        G[i, j] = G[j, i] = (q2[k] - q2[i] - q2[j]) / (2 * p[i] * p[j])
     return G
+
+
+def _q_from_squares(q2):
+    """Q = sum(2 q_i^2 q_j^2 - q_k^4), from the squares q_k^2."""
+    return 2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - np.sum(q2 ** 2)
 
 
 @dataclass(frozen=True)
@@ -164,13 +189,9 @@ def q_invariant(cfg: LiftedConfig) -> QInvariant:
     area; Q factors Heron-style, so it is positive exactly when the q_k obey
     the strict triangle inequality.
     """
-    q2 = cfg.q_edges ** 2
-    Q = float(
-        2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - np.sum(q2 ** 2)
-    )
-    p = cfg.weights
-    Delta = Q / (4.0 * float(np.prod(p) ** 2))
-    return QInvariant(Q=Q, Delta=Delta, degenerate=Q <= 0)
+    Q = _q_from_squares(cfg.q_squared)
+    Delta = Q / (4 * np.prod(cfg.weights) ** 2)
+    return QInvariant(Q=Q, Delta=Delta, degenerate=bool(Q <= 0))
 
 
 @dataclass(frozen=True)
@@ -207,15 +228,14 @@ def lifted_hessian_decomposition(cfg: LiftedConfig) -> HessianSplit:
     s = cfg.squared_radii
     x = cfg.lifts
     a2c2 = cfg.a ** 2 * cfg.c ** 2
-    h2 = 0.0
-    h4 = 0.0
+    h2 = h4 = 0
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         h2 += p[i] * p[j] * (x[i] - x[j]) ** 2
         h4 += p[k] ** 3 * s[k] * (x[i] - x[k]) ** 2 * (x[j] - x[k]) ** 2
-    H2 = -a2c2 * float(np.prod(p)) * h2
+    H2 = -a2c2 * np.prod(p) * h2
     prefactor = (2 ** 12) * (5 ** 2) * cfg.a ** 6 * cfg.c ** 6
-    return HessianSplit(H2=H2, H4=float(h4), prefactor=prefactor)
+    return HessianSplit(H2=H2, H4=h4, prefactor=prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +249,16 @@ class CanonicalCoords:
     """Canonical q-parameters of a configuration.
 
     Houses the linear coefficients a_k = Q / (4 q_i^2 q_j^2), the center
-    offsets beta_k = (a_i + a_j - a_k)/2 and the hyperboloid constant
-    Q^3 / (4^3 prod q_k^4).
+    offsets beta_k = (a_i + a_j - a_k)/2, the hyperboloid constant
+    Q^3 / (4^3 prod q_k^4), the disjointness octant's vertex and the closed
+    forms of *H there and of the center plane's threshold.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.asarray(self.q)
+        q = q.astype(_scalar_dtype(*q.ravel()))
         if q.shape != (3,):
             raise SceneError("need three q values")
         if not np.all(q > 0):
@@ -249,22 +271,21 @@ class CanonicalCoords:
 
     @cached_property
     def Q(self) -> float:
-        q2 = self.q ** 2
-        return float(2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - np.sum(q2 ** 2))
+        return _q_from_squares(self.q ** 2)
 
     @cached_property
     def linear_coeffs(self) -> np.ndarray:
         q2 = self.q ** 2
-        return np.array([self.Q / (4.0 * q2[(k + 1) % 3] * q2[(k + 2) % 3]) for k in range(3)])
+        return np.array([self.Q / (4 * q2[(k + 1) % 3] * q2[(k + 2) % 3]) for k in range(3)])
 
     @cached_property
     def beta(self) -> np.ndarray:
         a = self.linear_coeffs
-        return np.array([(a[(k + 1) % 3] + a[(k + 2) % 3] - a[k]) / 2.0 for k in range(3)])
+        return np.array([(a[(k + 1) % 3] + a[(k + 2) % 3] - a[k]) / 2 for k in range(3)])
 
     @cached_property
     def hyperboloid_constant(self) -> float:
-        return self.Q ** 3 / (64.0 * float(np.prod(self.q ** 4)))
+        return self.Q ** 3 / (64 * np.prod(self.q ** 4))
 
     def triangle_ok(self) -> bool:
         q = np.sort(self.q)
@@ -274,34 +295,61 @@ class CanonicalCoords:
         """Vertex of the disjointness octant: V_k = 1 - ((q_i - q_j)/q_k)^2."""
         q = self.q
         return np.array(
-            [1.0 - ((q[(k + 1) % 3] - q[(k + 2) % 3]) / q[k]) ** 2 for k in range(3)]
+            [1 - ((q[(k + 1) % 3] - q[(k + 2) % 3]) / q[k]) ** 2 for k in range(3)]
         )
+
+    @cached_property
+    def vertex_value(self) -> float:
+        """*H at the octant vertex, factored: 3 prod(q_i + q_j - q_k)^2 / (4 prod q_k^2)."""
+        q = self.q
+        factors = [(q[(k + 1) % 3] + q[(k + 2) % 3] - q[k]) ** 2 for k in range(3)]
+        return 3 * np.prod(factors) / (4 * np.prod(q ** 2))
+
+    @cached_property
+    def plane_threshold(self) -> float:
+        """sum beta_k = Q sum q_k^2 / (8 prod q_k^2); the octant side of the
+        center plane is where sum w_k exceeds it."""
+        q2 = self.q ** 2
+        return self.Q * np.sum(q2) / (8 * np.prod(q2))
 
 
 @dataclass(frozen=True)
 class StarHValue:
-    value: float
-    asymptotic: float  # sum t_i t_j of the translated coordinates
-    constant: float    # hyperboloid constant
-    t: np.ndarray
-    plane_sum: float   # sum t_k, positive on the octant side
+    """*H at w and its translated form, each evaluated when first read."""
+
+    coords: CanonicalCoords
+    w: np.ndarray
+
+    @cached_property
+    def value(self) -> float:
+        w = self.w
+        return w[0] * w[1] + w[0] * w[2] + w[1] * w[2] - np.dot(self.coords.linear_coeffs, w)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Translated coordinates w - beta."""
+        return self.w - self.coords.beta
+
+    @property
+    def asymptotic(self) -> float:
+        """sum t_i t_j of the translated coordinates."""
+        t = self.t
+        return t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
+
+    @property
+    def constant(self) -> float:
+        return self.coords.hyperboloid_constant
+
+    @property
+    def plane_sum(self) -> float:
+        """sum t_k, positive on the octant side."""
+        return np.sum(self.t)
 
 
 def star_h_canonical(coords: CanonicalCoords, w) -> StarHValue:
-    """Evaluate *H(w) = sum w_i w_j - sum a_k w_k and its translated form."""
-    w = np.asarray(w, dtype=float)
-    a = coords.linear_coeffs
-    sym = float(w[0] * w[1] + w[0] * w[2] + w[1] * w[2])
-    value = sym - float(np.dot(a, w))
-    t = w - coords.beta
-    asym = float(t[0] * t[1] + t[0] * t[2] + t[1] * t[2])
-    return StarHValue(
-        value=value,
-        asymptotic=asym,
-        constant=coords.hyperboloid_constant,
-        t=t,
-        plane_sum=float(np.sum(t)),
-    )
+    """*H(w) = sum w_i w_j - sum a_k w_k and its translated form
+    sum t_i t_j - Q^3 / (4^3 prod q_k^4), t = w - beta."""
+    return StarHValue(coords, np.asarray(w))
 
 
 def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
@@ -342,19 +390,14 @@ def certify_octant_separation(coords: CanonicalCoords, rel_tol: float = 1e-10) -
     A tight triangle inequality (tangent balls) is reported as a boundary
     case, not a failure of the identity.
     """
-    q = coords.q
     V = coords.octant_vertex()
     direct = star_h_canonical(coords, V).value
-    prod_factor = 1.0
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        prod_factor *= (q[i] + q[j] - q[k]) ** 2
-    factored = 3.0 * prod_factor / (4.0 * float(np.prod(q ** 2)))
+    factored = coords.vertex_value
     scale = max(abs(direct), abs(factored), 1e-300)
     identity_ok = abs(direct - factored) <= rel_tol * scale
 
     plane_lhs = float(np.sum(V))
-    plane_rhs = coords.Q * float(np.sum(q ** 2)) / (8.0 * float(np.prod(q ** 2)))
+    plane_rhs = coords.plane_threshold
     boundary = not coords.triangle_ok() or factored <= STRICTNESS_FLOOR * max(1.0, abs(plane_rhs))
     passed = identity_ok and direct > 0 and plane_lhs > plane_rhs and not boundary
     return OctantCertificate(
@@ -441,8 +484,7 @@ def lifted_config_for_direction(
     """
     U = np.asarray(U, dtype=float)
     U = U / np.linalg.norm(U, axis=1, keepdims=True)
-    radii = np.array([b.radius for b in triple.balls])
-    weights = minimax_weights_batch(triple.centers, radii, U)
+    weights = minimax_weights_batch(triple.centers, triple.scene.radii, U)
     out: list[LiftedConfig | SceneError] = []
     for u, w in zip(U, weights):
         rc = triple.centers @ _rotation_to_axis(u).T

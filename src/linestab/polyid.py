@@ -1,26 +1,37 @@
 """Exact rational verification of the symbolic identities behind the probe.
 
 Every closed-form identity used by the flex certification is replayed here
-in arbitrary-precision rational arithmetic: both sides are evaluated from
-first principles at random rational parameter points and compared exactly.
-Since all identities are polynomial of bounded degree, repeated agreement at
-random points certifies them with a quantifiable failure probability
-(Schwartz-Zippel style) without implementing symbolic normal forms.
+in arbitrary-precision rational arithmetic at random rational parameter
+points and compared exactly.  The closed forms are flexprobe's own: the
+suite builds ``LiftedConfig`` and ``CanonicalCoords`` from Fractions and
+evaluates the same code that runs on floats, the H2 + H4 split that
+``probe-flex`` reads among it.  The master identity's other side, the
+sextic's Hessian at the pole, is expanded independently from the bordered
+matrix.  Since all identities are
+polynomial of bounded degree, repeated agreement at random points certifies
+them with a quantifiable failure probability (Schwartz-Zippel style)
+without implementing symbolic normal forms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .flexprobe import (
+    CanonicalCoords,
+    LiftedConfig,
+    gram_from_barycentrics,
+    lifted_hessian_decomposition,
+    q_invariant,
+    star_h_canonical,
+)
 from .sextic import PoleJet, bordered_matrix, poly_det
 
 Value = Union[Fraction, tuple]
-
-MASTER_PREFACTOR = Fraction(2 ** 12 * 5 ** 2)  # 102400
 
 
 def as_exact(x) -> Fraction:
@@ -30,45 +41,20 @@ def as_exact(x) -> Fraction:
     return Fraction(x)
 
 
-# ---------------------------------------------------------------------------
-# Exact evaluators for the lifted configuration.
-# ---------------------------------------------------------------------------
-
-
-def normalized_weights(p: Sequence) -> tuple[Fraction, Fraction, Fraction]:
-    p = tuple(as_exact(v) for v in p)
-    if any(v <= 0 for v in p):
-        raise ValueError("weights must be positive")
-    total = sum(p)
-    return tuple(v / total for v in p)  # type: ignore[return-value]
-
-
-def exact_squared_radii(a, b, c, p) -> tuple[Fraction, Fraction, Fraction]:
-    """Squared distances from the weighted interior point to the vertices."""
-    a, b, c = as_exact(a), as_exact(b), as_exact(c)
-    p0, p1, p2 = normalized_weights(p)
-    px = p1 * a + p2 * b
-    py = p2 * c
-    verts = ((Fraction(0), Fraction(0)), (a, Fraction(0)), (b, c))
-    return tuple((px - vx) ** 2 + (py - vy) ** 2 for vx, vy in verts)  # type: ignore[return-value]
-
-
-def exact_hessian_at_pole(a, b, c, p, x) -> Fraction:
+def exact_hessian_at_pole(cfg: LiftedConfig) -> Fraction:
     """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1).
 
     With c_ij the coefficient of u1^i u2^j u3^(6-i-j), Euler's relation
     sum_k u_k d_k d_m sigma = 5 d_m sigma gives the Hessian at the pole as
     [[2c20, c11, 5c10], [c11, 2c02, 5c01], [5c10, 5c01, 30c00]], so only the
     2-jet there is expanded, in integers: with L the lcm of the denominators
-    of the centres and squared radii, these scale by L and L^2, the quadratic
-    entries of the bordered matrix by L^2, sigma by L^6 and det H by L^18.
+    of the centres and squared radii of the exact configuration ``cfg``,
+    these scale by L and L^2, the quadratic entries of the bordered matrix
+    by L^2, sigma by L^6 and det H by L^18.
     """
-    a, b, c = as_exact(a), as_exact(b), as_exact(c)
-    x = tuple(as_exact(v) for v in x)
-    s = exact_squared_radii(a, b, c, p)
-    L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
-    ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
-    m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
+    centers, s = cfg.centers, cfg.squared_radii
+    L = math.lcm(*(v.denominator for v in (*centers.ravel(), *s)))
+    m = bordered_matrix(*([int(v * L) for v in c] for c in centers), *(int(v * L * L) for v in s))
     c00, c10, c01, c20, c11, c02 = poly_det([[PoleJet.of(e) for e in row] for row in m]).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
     det = (
@@ -79,46 +65,6 @@ def exact_hessian_at_pole(a, b, c, p, x) -> Fraction:
     return Fraction(det, L ** 18)
 
 
-def exact_h2_h4(a, b, c, p, x) -> tuple[Fraction, Fraction]:
-    """Exact quadratic/quartic split of the probe Hessian, weights normalized."""
-    a, b, c = as_exact(a), as_exact(b), as_exact(c)
-    pn = normalized_weights(p)
-    x = tuple(as_exact(v) for v in x)
-    s = exact_squared_radii(a, b, c, p)
-    h2 = Fraction(0)
-    h4 = Fraction(0)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        h2 += pn[i] * pn[j] * (x[i] - x[j]) ** 2
-        h4 += pn[k] ** 3 * s[k] * (x[i] - x[k]) ** 2 * (x[j] - x[k]) ** 2
-    H2 = -(a ** 2) * c ** 2 * pn[0] * pn[1] * pn[2] * h2
-    return H2, h4
-
-
-def exact_q_value(q: Sequence[Fraction]) -> Fraction:
-    q2 = [v * v for v in q]
-    return 2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - (
-        q2[0] ** 2 + q2[1] ** 2 + q2[2] ** 2
-    )
-
-
-def exact_linear_coeffs(q: Sequence[Fraction]) -> list[Fraction]:
-    Q = exact_q_value(q)
-    return [Q / (4 * q[(k + 1) % 3] ** 2 * q[(k + 2) % 3] ** 2) for k in range(3)]
-
-
-def exact_octant_vertex(q: Sequence[Fraction]) -> list[Fraction]:
-    return [
-        1 - ((q[(k + 1) % 3] - q[(k + 2) % 3]) / q[k]) ** 2 for k in range(3)
-    ]
-
-
-def exact_star_h(q: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-    a = exact_linear_coeffs(q)
-    sym = w[0] * w[1] + w[0] * w[2] + w[1] * w[2]
-    return sym - (a[0] * w[0] + a[1] * w[1] + a[2] * w[2])
-
-
 # ---------------------------------------------------------------------------
 # Identity catalog.
 # ---------------------------------------------------------------------------
@@ -126,13 +72,19 @@ def exact_star_h(q: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One exactly-checkable identity: evaluators and sampling domain."""
+    """One exactly-checkable identity: evaluators and sampling domain.
+
+    ``prepare`` builds the exact object that both sides read (a
+    ``LiftedConfig`` or ``CanonicalCoords`` in Fractions) from an assignment,
+    once per check.
+    """
 
     identifier: str
     description: str
     variables: tuple[str, ...]
-    lhs: Callable[[dict], Value]
-    rhs: Callable[[dict], Value]
+    prepare: Callable[[dict], object]
+    lhs: Callable[[object], Value]
+    rhs: Callable[[object], Value]
     sampler: Callable[[np.random.Generator, int], dict]
     domain_ok: Callable[[dict], bool]
     degree_bound: int
@@ -185,6 +137,44 @@ def _q_domain(asg: dict) -> bool:
     return qs[0] + qs[1] > qs[2]
 
 
+def _config(asg: dict) -> LiftedConfig:
+    """The assignment's lifted configuration in Fractions (lifts 0 when absent)."""
+    return LiftedConfig(
+        a=as_exact(asg["a"]),
+        b=as_exact(asg["b"]),
+        c=as_exact(asg["c"]),
+        weights=[as_exact(v) for v in asg["p"]],
+        lifts=[as_exact(v) for v in asg.get("x", (0, 0, 0))],
+    )
+
+
+def _coords(asg: dict) -> CanonicalCoords:
+    return CanonicalCoords([as_exact(v) for v in asg["q"]])
+
+
+def _symmetric_coords(asg: dict) -> CanonicalCoords:
+    return CanonicalCoords([as_exact(asg["q"])] * 3)
+
+
+# the pair (i, j) opposite to each vertex k
+_PAIRS = ((1, 2), (2, 0), (0, 1))
+
+
+def _coordinate_gram(cfg: LiftedConfig) -> tuple:
+    v = cfg.v_vectors
+    return tuple(np.dot(v[i], v[j]) for i, j in _PAIRS)
+
+
+def _closed_form_gram(cfg: LiftedConfig) -> tuple:
+    G = gram_from_barycentrics(cfg)
+    return tuple(G[i, j] for i, j in _PAIRS)
+
+
+def _beta_product_sum(cc: CanonicalCoords):
+    b = cc.beta
+    return b[0] * b[1] + b[0] * b[2] + b[1] * b[2]
+
+
 def identity_catalog() -> list[IdentitySpec]:
     """The six identities verified exactly, in pipeline order.
 
@@ -194,93 +184,17 @@ def identity_catalog() -> list[IdentitySpec]:
     4. sum of beta products equals the hyperboloid constant;
     5. factorization of *H at the octant vertex;
     6. the symmetric plane-side evaluation, a constant 15/8.
+
+    Every side but the master identity's left is a flexprobe form.
     """
-
-    def master_lhs(asg):
-        return exact_hessian_at_pole(asg["a"], asg["b"], asg["c"], asg["p"], asg["x"])
-
-    def master_rhs(asg):
-        a, c = as_exact(asg["a"]), as_exact(asg["c"])
-        H2, H4 = exact_h2_h4(asg["a"], asg["b"], asg["c"], asg["p"], asg["x"])
-        return MASTER_PREFACTOR * a ** 6 * c ** 6 * (H2 + H4)
-
-    def area_lhs(asg):
-        return as_exact(asg["a"]) ** 2 * as_exact(asg["c"]) ** 2
-
-    def _q_edges_sq(asg):
-        pn = normalized_weights(asg["p"])
-        s = exact_squared_radii(asg["a"], asg["b"], asg["c"], asg["p"])
-        return [pn[k] ** 2 * s[k] for k in range(3)], pn
-
-    def area_rhs(asg):
-        q2, pn = _q_edges_sq(asg)
-        Q = 2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - (
-            q2[0] ** 2 + q2[1] ** 2 + q2[2] ** 2
-        )
-        return Q / (4 * (pn[0] * pn[1] * pn[2]) ** 2)
-
-    def gram_lhs(asg):
-        a, b, c = as_exact(asg["a"]), as_exact(asg["b"]), as_exact(asg["c"])
-        pn = normalized_weights(asg["p"])
-        px = pn[1] * a + pn[2] * b
-        py = pn[2] * c
-        verts = ((Fraction(0), Fraction(0)), (a, Fraction(0)), (b, c))
-        v = [(px - vx, py - vy) for vx, vy in verts]
-        out = []
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            out.append(v[i][0] * v[j][0] + v[i][1] * v[j][1])
-        return tuple(out)
-
-    def gram_rhs(asg):
-        q2, pn = _q_edges_sq(asg)
-        out = []
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            out.append((q2[k] - q2[i] - q2[j]) / (2 * pn[i] * pn[j]))
-        return tuple(out)
-
-    def beta_lhs(asg):
-        q = [as_exact(v) for v in asg["q"]]
-        a = exact_linear_coeffs(q)
-        beta = [(a[(k + 1) % 3] + a[(k + 2) % 3] - a[k]) / 2 for k in range(3)]
-        return beta[0] * beta[1] + beta[0] * beta[2] + beta[1] * beta[2]
-
-    def beta_rhs(asg):
-        q = [as_exact(v) for v in asg["q"]]
-        Q = exact_q_value(q)
-        return Q ** 3 / (64 * (q[0] * q[1] * q[2]) ** 4)
-
-    def vertex_lhs(asg):
-        q = [as_exact(v) for v in asg["q"]]
-        return exact_star_h(q, exact_octant_vertex(q))
-
-    def vertex_rhs(asg):
-        q = [as_exact(v) for v in asg["q"]]
-        prod = Fraction(1)
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            prod *= (q[i] + q[j] - q[k]) ** 2
-        return 3 * prod / (4 * (q[0] * q[1] * q[2]) ** 2)
-
-    def plane_lhs(asg):
-        qv = as_exact(asg["q"])
-        q = [qv, qv, qv]
-        V = exact_octant_vertex(q)
-        Q = exact_q_value(q)
-        qq = q[0] ** 2 + q[1] ** 2 + q[2] ** 2
-        return sum(V) - Q * qq / (8 * (q[0] * q[1] * q[2]) ** 2)
-
-    def plane_rhs(asg):
-        return Fraction(15, 8)
-
     return [
         IdentitySpec(
             "master-hessian-decomposition",
             "probe Hessian equals 102400 a^6 c^6 (H2 + H4) at normalized weights",
             ("a", "b", "c", "p", "x"),
-            master_lhs,
-            master_rhs,
+            _config,
+            exact_hessian_at_pole,
+            lambda cfg: lifted_hessian_decomposition(cfg).H_total,
             _sample_full,
             _triangle_domain,
             12,
@@ -289,8 +203,9 @@ def identity_catalog() -> list[IdentitySpec]:
             "area-q-lemma",
             "a^2 c^2 = Q / (4 prod p_k^2)",
             ("a", "b", "c", "p"),
-            area_lhs,
-            area_rhs,
+            _config,
+            lambda cfg: cfg.a ** 2 * cfg.c ** 2,
+            lambda cfg: q_invariant(cfg).Delta,
             _sample_triangle_weights,
             _triangle_domain,
             8,
@@ -299,8 +214,9 @@ def identity_catalog() -> list[IdentitySpec]:
             "gram-solution",
             "<v_i, v_j> = (q_k^2 - q_i^2 - q_j^2) / (2 p_i p_j)",
             ("a", "b", "c", "p"),
-            gram_lhs,
-            gram_rhs,
+            _config,
+            _coordinate_gram,
+            _closed_form_gram,
             _sample_triangle_weights,
             _triangle_domain,
             6,
@@ -309,8 +225,9 @@ def identity_catalog() -> list[IdentitySpec]:
             "beta-product-sum",
             "sum beta_i beta_j = Q^3 / (4^3 prod q_k^4)",
             ("q",),
-            beta_lhs,
-            beta_rhs,
+            _coords,
+            _beta_product_sum,
+            lambda cc: cc.hyperboloid_constant,
             _sample_q_triangle,
             _q_domain,
             12,
@@ -319,8 +236,9 @@ def identity_catalog() -> list[IdentitySpec]:
             "vertex-factorization",
             "*H(V) = 3 prod (q_i + q_j - q_k)^2 / (4 prod q_k^2)",
             ("q",),
-            vertex_lhs,
-            vertex_rhs,
+            _coords,
+            lambda cc: star_h_canonical(cc, cc.octant_vertex()).value,
+            lambda cc: cc.vertex_value,
             _sample_q_triangle,
             _q_domain,
             8,
@@ -329,8 +247,9 @@ def identity_catalog() -> list[IdentitySpec]:
             "symmetric-plane-value",
             "plane-side expression at q0 = q1 = q2 equals 15/8",
             ("q",),
-            plane_lhs,
-            plane_rhs,
+            _symmetric_coords,
+            lambda cc: np.sum(cc.octant_vertex()) - cc.plane_threshold,
+            lambda cc: Fraction(15, 8),
             _sample_single_q,
             lambda asg: asg["q"] > 0,
             4,
@@ -370,11 +289,19 @@ class IdentityVerdict:
 
 
 def check_identity(spec: IdentitySpec, assignment: dict) -> IdentityVerdict:
-    """Exact comparison of both evaluators; domain violations are rejected."""
+    """Exact comparison of both evaluators; domain violations are rejected.
+
+    A side holding a float means a form left exact arithmetic, which would
+    make the comparison meaningless, so it raises TypeError.
+    """
     if not spec.domain_ok(assignment):
         raise ValueError(f"assignment violates the domain of {spec.identifier}")
-    lhs = spec.lhs(assignment)
-    rhs = spec.rhs(assignment)
+    prepared = spec.prepare(assignment)
+    lhs = spec.lhs(prepared)
+    rhs = spec.rhs(prepared)
+    for side in (lhs, rhs):
+        if any(isinstance(v, float) for v in (side if isinstance(side, tuple) else (side,))):
+            raise TypeError(f"{spec.identifier} evaluated to a float, not an exact rational")
     return IdentityVerdict(spec.identifier, lhs == rhs, lhs, rhs, assignment)
 
 

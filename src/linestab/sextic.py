@@ -9,9 +9,8 @@ expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``).
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -203,6 +202,10 @@ class PoleJet:
 
 def poly_det(matrix: Sequence[Sequence]):
     """Determinant of a square matrix of DirectionPoly or PoleJet entries, by cofactors."""
+    return _det(matrix)
+
+
+def _det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -215,7 +218,7 @@ def poly_det(matrix: Sequence[Sequence]):
             [row[c] for c in range(n) if c != col]
             for row in matrix[1:]
         ]
-        term = entry * poly_det(minor)
+        term = entry * _det(minor)
         total = total + term if col % 2 == 0 else total - term
     return total
 
@@ -227,27 +230,23 @@ def poly_det(matrix: Sequence[Sequence]):
 
 @dataclass
 class Triple:
-    """Three balls in R^3 with cached sextic data.
+    """Three balls in R^3 with cached sextic data: a view of a 3-ball Scene.
 
     ``allow_overlap`` admits tangent/intersecting configurations for the
     transition demonstrations; everything algebraic still applies to them.
+    The Scene built on construction checks dimension, finiteness and
+    disjointness.
     """
 
     balls: tuple[Ball, Ball, Ball]
     allow_overlap: bool = False
+    scene: Scene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.balls = tuple(self.balls)
         if len(self.balls) != 3:
             raise SceneError("a Triple holds exactly three balls")
-        for b in self.balls:
-            if b.dimension != 3:
-                raise SceneError("Triple balls must live in R^3")
-        if not self.allow_overlap:
-            for i, j in itertools.combinations(range(3), 2):
-                bi, bj = self.balls[i], self.balls[j]
-                if np.linalg.norm(bi.center - bj.center) <= bi.radius + bj.radius:
-                    raise SceneError(f"balls {i},{j} are not disjoint")
+        self.scene = Scene(3, self.balls, allow_overlap=self.allow_overlap)
 
     @classmethod
     def from_scene(cls, scene: Scene, indices=(0, 1, 2)) -> "Triple":
@@ -256,11 +255,12 @@ class Triple:
 
     @property
     def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls])
+        return self.scene.centers
 
     @property
     def squared_radii(self) -> np.ndarray:
-        return np.array([b.squared_radius for b in self.balls])
+        r = self.scene.radii
+        return r * r
 
     def edge(self, i: int, j: int) -> np.ndarray:
         return self.balls[j].center - self.balls[i].center

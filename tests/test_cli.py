@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,31 @@ class TestVerifyIdentities:
             )
             assert r.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestEnvironment:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; the CLI, polyid and its import of
+        # flexprobe and cone included, must start without it
+        import linestab
+
+        src = str(Path(linestab.__file__).resolve().parents[1])
+        code = "import sys, linestab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_tol_not_read_from_environment(self, runner, tmp_path):
+        scene = tmp_path / "c.json"
+        invoke(runner, ["generate-scene", "--preset", "collinear", "--out", str(scene)])
+        r = runner.invoke(
+            main,
+            ["enumerate-permutations", "--scene", str(scene), "--samples", "200"],
+            env={"LINESTAB_TOL": "0.5"},
+        )
+        assert r.exit_code == 0
+        assert json.loads(r.output)["config"]["tol"] == 1e-9
 
 
 class TestComponentsAndPermutations:

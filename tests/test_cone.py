@@ -38,7 +38,6 @@ from linestab.cone import (
     realized_orders_batch,
     sample_directions,
     sample_scene,
-    scene_from_triple,
 )
 from conftest import collinear_scene, random_triple, simplex_minimax
 
@@ -154,7 +153,7 @@ class TestDirectionFeasible:
         # a bisected boundary direction is feasible just inside and
         # infeasible just outside along its great circle
         tri = random_triple(11)
-        scene = scene_from_triple(tri)
+        scene = tri.scene
         sset = sample_scene(scene, 2048, seed=0)
         feas = sset.feasible
         assert np.any(feas)
@@ -186,7 +185,7 @@ class TestDirectionFeasible:
         from linestab.sextic import eval_sigma
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
-        scene = scene_from_triple(tri)
+        scene = tri.scene
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
         checked = 0
         for uvec in dirs:
@@ -459,7 +458,7 @@ class TestBoundaryClassification:
         from linestab.sextic import chart_point_to_direction, trace_curves
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
-        scene = scene_from_triple(tri)
+        scene = tri.scene
         traces = trace_curves(tri, chart="u2", grid=160, extent=2.5)
         checked = 0
         for poly in traces.curves["sigma"]:
@@ -495,7 +494,7 @@ class TestPinning:
 
     def test_pinned_cone_is_a_single_direction(self):
         tri = self.pinned_triple()
-        scene = scene_from_triple(tri)
+        scene = tri.scene
         axis = np.array([1.0, 0.0, 0.0])
         sset = sample_scene(scene, 20000, seed=0, extra_directions=axis[None, :])
         feas_dirs = sset.directions[sset.slacks <= 1e-9]

@@ -5,13 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linestab.flexprobe import (
+    CanonicalCoords,
+    HessianSplit,
+    LiftedConfig,
+    lifted_hessian_decomposition,
+)
 from linestab.polyid import (
     IdentitySpec,
     as_exact,
     check_identity,
-    exact_h2_h4,
     exact_hessian_at_pole,
-    exact_squared_radii,
     identity_catalog,
     schwartz_zippel_suite,
 )
@@ -22,12 +26,15 @@ def spec_by_id(identifier):
     return {s.identifier: s for s in identity_catalog()}[identifier]
 
 
+def exact_config(a, b, c, p, x) -> LiftedConfig:
+    return LiftedConfig(a=as_exact(a), b=as_exact(b), c=as_exact(c),
+                        weights=[as_exact(v) for v in p], lifts=[as_exact(v) for v in x])
+
+
 def _lifted_geometry(a, b, c, p, x):
     """Centres (0, 0, x0), (a, 0, x1), (b, c, x2), then the squared radii, exact."""
-    a, b, c = as_exact(a), as_exact(b), as_exact(c)
-    x = tuple(as_exact(v) for v in x)
-    z = Fraction(0)
-    return ((z, z, x[0]), (a, z, x[1]), (b, c, x[2]), *exact_squared_radii(a, b, c, p))
+    cfg = exact_config(a, b, c, p, x)
+    return (*cfg.centers, *cfg.squared_radii)
 
 
 def exact_lifted_sigma(a, b, c, p, x) -> DirectionPoly:
@@ -54,11 +61,10 @@ def _det3(H):
     )
 
 
-def _pole_hessian(asg, euler=5, swap=False, power=18):
+def _pole_hessian(cfg, euler=5, swap=False, power=18):
     """The integer 2-jet path of exact_hessian_at_pole, with mutation knobs."""
-    a, b, c = (as_exact(asg[k]) for k in "abc")
-    x = tuple(as_exact(v) for v in asg["x"])
-    s = exact_squared_radii(a, b, c, asg["p"])
+    a, b, c, x = cfg.a, cfg.b, cfg.c, cfg.lifts
+    s = cfg.squared_radii
     L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
     ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
     m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
@@ -128,6 +134,21 @@ class TestCatalog:
             v = check_identity(spec, asg)
             assert v.equal, v
 
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_float_side_rejected(self, side):
+        spec = spec_by_id("area-q-lemma")
+        floated = replace(spec, **{side: lambda asg, f=getattr(spec, side): float(f(asg))})
+        asg = spec.sampler(np.random.default_rng(0), 50)
+        assert check_identity(spec, asg).equal
+        with pytest.raises(TypeError, match="float"):
+            check_identity(floated, asg)
+
+    def test_float_in_tuple_side_rejected(self):
+        spec = spec_by_id("gram-solution")
+        floated = replace(spec, rhs=lambda asg: tuple(float(v) for v in spec.rhs(asg)))
+        with pytest.raises(TypeError, match="float"):
+            check_identity(floated, spec.sampler(np.random.default_rng(0), 50))
+
     def test_domain_violation_rejected(self):
         with pytest.raises(ValueError, match="domain"):
             check_identity(
@@ -154,8 +175,8 @@ class TestMutationSensitivity:
     def test_vertex_coefficient_three_to_two(self):
         spec = spec_by_id("vertex-factorization")
 
-        def bad_rhs(asg):
-            q = [as_exact(v) for v in asg["q"]]
+        def bad_rhs(cc):
+            q = cc.q
             prod = Fraction(1)
             for k in range(3):
                 i, j = (k + 1) % 3, (k + 2) % 3
@@ -177,9 +198,40 @@ class TestMutationSensitivity:
         r = np.random.default_rng(11)
         asgs = [spec.sampler(r, 60) for _ in range(8)]
         # the unmutated replica is the library's lhs, so each mutant is one of it
-        assert all(_pole_hessian(asg) == spec.lhs(asg) for asg in asgs)
-        mutated = replace(spec, lhs=lambda asg: _pole_hessian(asg, **mutant))
+        cfgs = [spec.prepare(asg) for asg in asgs]
+        assert all(_pole_hessian(cfg) == spec.lhs(cfg) for cfg in cfgs)
+        mutated = replace(spec, lhs=lambda cfg: _pole_hessian(cfg, **mutant))
         assert any(not check_identity(mutated, asg).equal for asg in asgs), mutant
+
+
+def _scaled_member(cls, name):
+    """Class member ``name`` of ``cls`` with its value scaled by 101/100."""
+    orig = vars(cls)[name]
+    get = orig.fget if isinstance(orig, property) else getattr(orig, "func", None)
+    if get is not None:  # property or cached_property
+        return property(lambda self: _perturb(get(self)))
+    return lambda self: _perturb(orig(self))
+
+
+FORM_MUTANTS = [
+    (HessianSplit, "H_total", {"master-hessian-decomposition"}),
+    (LiftedConfig, "q_squared", {"area-q-lemma", "gram-solution"}),
+    (CanonicalCoords, "hyperboloid_constant", {"beta-product-sum"}),
+    (CanonicalCoords, "octant_vertex", {"vertex-factorization", "symmetric-plane-value"}),
+    (CanonicalCoords, "vertex_value", {"vertex-factorization"}),
+    (CanonicalCoords, "plane_threshold", {"symmetric-plane-value"}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, caught", FORM_MUTANTS, ids=[f"{c.__name__}.{n}" for c, n, _ in FORM_MUTANTS]
+)
+def test_suite_checks_flexprobe_forms(monkeypatch, cls, name, caught):
+    # the suite evaluates flexprobe's own closed forms, so a mutated form
+    # fails exactly the identities that read it
+    monkeypatch.setattr(cls, name, _scaled_member(cls, name))
+    rep = schwartz_zippel_suite(trials=8, height=60)
+    assert {r.identifier for r in rep.identities if not r.passed} == caught
 
 
 def _perturb(value):
@@ -252,12 +304,13 @@ class TestCrossModuleConsistency:
             jet = poly_det([[PoleJet.of(e) for e in row] for row in m])
             ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
             assert jet.c == tuple(sig.coeffs.get((i, j, 6 - i - j), 0) for i, j in ij)
-            assert exact_hessian_at_pole(*args) == oracle_hessian_at_pole(sig)
+            assert exact_hessian_at_pole(exact_config(*args)) == oracle_hessian_at_pole(sig)
 
     def test_exact_hessian_matches_prefactored_split(self):
         a, b, c = Fraction(3, 2), Fraction(1, 4), Fraction(5, 6)
         p = (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
         x = (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))
-        H = exact_hessian_at_pole(a, b, c, p, x)
-        H2, H4 = exact_h2_h4(a, b, c, p, x)
-        assert H == Fraction(102400) * a ** 6 * c ** 6 * (H2 + H4)
+        cfg = exact_config(a, b, c, p, x)
+        H = exact_hessian_at_pole(cfg)
+        split = lifted_hessian_decomposition(cfg)
+        assert H == Fraction(102400) * a ** 6 * c ** 6 * (split.H2 + split.H4)

@@ -108,6 +108,28 @@ class TestSigma:
             eval_sigma(collinear_triple(), np.zeros(3))
 
 
+class TestTriple:
+    def test_is_a_view_of_its_scene(self):
+        tri = collinear_triple()
+        assert len(tri.scene) == 3 and not tri.scene.allow_overlap
+        np.testing.assert_array_equal(tri.centers, tri.scene.centers)
+        np.testing.assert_array_equal(tri.squared_radii, tri.scene.radii ** 2)
+
+    @pytest.mark.parametrize(
+        "balls, match",
+        [
+            (((0, 0, 0), 1.0, (1.5, 0, 0), 1.0, (0, 5, 0), 1.0), "disjoint"),
+            (((0, 0, 0), 1.0, (1e200, 0, 0), 1.0, (0, 1e200, 0), 1.0), "too large"),
+            (((0, 0), 1.0, (4, 0), 1.0, (8, 0), 1.0), "dimension"),
+        ],
+        ids=["overlap", "overflow", "planar"],
+    )
+    def test_direct_construction_gets_scene_checks(self, balls, match):
+        it = iter(balls)
+        with pytest.raises(SceneError, match=match):
+            Triple(tuple(Ball(c, r) for c, r in zip(it, it)))
+
+
 def abrel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
