@@ -14,7 +14,6 @@ from .geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
     scene_classification,
-    transversal_order,
 )
 from .sextic import (
     CircleFamily,
@@ -32,7 +31,6 @@ from .flexprobe import (
     CanonicalCoords,
     LiftedConfig,
     certify_flex_free,
-    certify_octant_separation,
     gram_from_barycentrics,
     lifted_hessian_decomposition,
     q_invariant,
@@ -45,8 +43,8 @@ from .cone import (
     classify_boundary_direction,
     cone_convexity_check,
     count_components,
-    direction_feasible,
     enumerate_geometric_permutations,
+    feasibility_batch,
     is_pinned_planar,
 )
 from .polyid import (

@@ -153,8 +153,32 @@ def _load_scene(path: str) -> Scene:
         raise _UsageError(f"invalid scene {path}: {exc}")
 
 
+def _load_triple(path: str, command: str) -> sextic.Triple:
+    """The scene at ``path`` as a Triple; exit 2 unless it is three balls in R^3."""
+    scene = _load_scene(path)
+    if len(scene) != 3 or scene.dimension != 3:
+        raise _UsageError(f"{command} needs a scene of exactly three balls in R^3")
+    return sextic.Triple.from_scene(scene)
+
+
 class _UsageError(click.ClickException):
     exit_code = EXIT_USAGE
+
+
+def _finite_and(ok, what: str):
+    """Click callback: a float option must be finite and satisfy ``ok`` (else exit 2)."""
+    def check(ctx, param, value):
+        if not (math.isfinite(value) and ok(value)):
+            raise click.BadParameter(f"must be finite and {what}, got {value}")
+        return value
+    return check
+
+
+_positive = _finite_and(lambda v: v > 0, "> 0")
+_tol_option = click.option(
+    "--tol", type=float, default=1e-9, show_default=True,
+    callback=_finite_and(lambda v: v >= 0, ">= 0"),
+)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -216,18 +240,18 @@ def main():
 @click.option("--preset", type=click.Choice(PRESET_NAMES), default=None)
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--rmin", type=float, default=1.0, show_default=True)
-@click.option("--rmax", type=float, default=2.0, show_default=True)
+@click.option("--rmin", type=float, default=1.0, show_default=True, callback=_positive)
+@click.option("--rmax", type=float, default=2.0, show_default=True, callback=_positive)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--with-transversal", is_flag=True, default=False)
+@click.option("--with-transversal", "transversal", is_flag=True, default=False)
 @click.option("--out", type=str, default=None, help="scene JSON path (default stdout)")
-def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
+def generate_scene(preset, n, dim, rmin, rmax, seed, transversal, out):
     """Write a scene JSON: a preset or a random disjoint family."""
     try:
         if preset:
             scene = preset_scene(preset)
             extra = {"preset": preset}
-        elif with_transversal:
+        elif transversal:
             scene, direction = random_scene_with_transversal(n, dim, (rmin, rmax), seed)
             extra = {"transversal_direction": [float(x) for x in direction.components]}
         else:
@@ -246,7 +270,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, with_transversal, out):
 @click.option("--samples", type=click.IntRange(min=1), default=4096, show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_tol_option
 @click.option(
     "--order-semantics",
     type=click.Choice(["center", "entry"]),
@@ -283,7 +307,7 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
@@ -299,7 +323,7 @@ def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def count_components_cmd(scene_path, samples, seed, tol, out, timings):
@@ -325,22 +349,19 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
 def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
     """Flex-freeness certificate over sampled cone boundary directions."""
     t0 = time.perf_counter() if timings else None
-    scene = _load_scene(scene_path)
-    if len(scene) != 3:
-        raise _UsageError("probe-flex needs a scene of exactly three balls")
-    triple = sextic.Triple.from_scene(scene)
+    triple = _load_triple(scene_path, "probe-flex")
     rep = flexprobe.certify_flex_free(
         triple, boundary_samples=boundary_samples, seed=seed, tol=tol
     )
     config = {
         "scene": scene_path,
-        "scene_data": scene.to_json_dict(),
+        "scene_data": triple.scene.to_json_dict(),
         "boundary_samples": boundary_samples,
         "seed": seed,
         "tol": tol,
@@ -376,16 +397,15 @@ def verify_identities(trials, height, seed, out, timings):
 def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
     """Classify sextic directions: cone boundary iff crossing the triangle."""
     t0 = time.perf_counter() if timings else None
-    scene = _load_scene(scene_path)
-    if len(scene) != 3:
-        raise _UsageError("classify-boundary needs a scene of exactly three balls")
-    triple = sextic.Triple.from_scene(scene)
+    triple = _load_triple(scene_path, "classify-boundary")
     dirs: list[np.ndarray] = []
     if direction is not None:
         try:
             vec = np.array([float(x) for x in direction.replace(",", " ").split()])
         except ValueError:
             raise _UsageError(f"cannot parse direction {direction!r}")
+        if vec.shape != (3,):
+            raise _UsageError(f"direction {direction!r} does not have 3 components")
         dirs.append(vec)
     else:
         traces = sextic.trace_curves(triple, chart=chart, grid=160, extent=2.5, names=("sigma",))
@@ -428,23 +448,20 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
 @click.option("--grid", type=click.IntRange(min=2), default=200, show_default=True)
-@click.option("--extent", type=float, default=2.0, show_default=True)
+@click.option("--extent", type=float, default=2.0, show_default=True, callback=_positive)
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv", show_default=True)
 @click.option("--hatch-samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
 @click.option("--out", type=str, default=None)
 def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):
     """Trace sextic, Hessian and pair conics in an affine direction chart."""
-    scene = _load_scene(scene_path)
-    if len(scene) != 3:
-        raise _UsageError("trace-curves needs a scene of exactly three balls")
-    triple = sextic.Triple.from_scene(scene)
+    triple = _load_triple(scene_path, "trace-curves")
     traces = sextic.trace_curves(triple, chart=chart, grid=grid, extent=extent)
     if fmt == "csv":
         rows = traces.to_csv_rows()
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
     else:
-        feas = _chart_feasible_points(scene, chart, extent, hatch_samples)
+        feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
         text = render_figure(traces, feasible_points=feas)
     _write(text, out)
 

@@ -26,7 +26,6 @@ from .geom import (
     SceneError,
     SolverError,
     orthonormal_basis_of_complement,
-    transversal_order,
 )
 from .sextic import Triple, tangent_lines_for_direction
 
@@ -224,14 +223,18 @@ def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.nda
     return 0.5 * np.max(gap, axis=1, initial=-np.inf)
 
 
-def realized_orders_batch(
-    centers: np.ndarray, U: np.ndarray, tie_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Argsort orders (m, n) and a tie mask for each direction row."""
-    keys = U @ centers.T
+def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Meeting orders (m, n) of the balls along each direction row, and ties.
+
+    For disjoint balls a transversal of direction u meets them in the order
+    of the center projections <c_i, u>.  Two of them closer than 1e-9 times
+    the scene's diameter make the row's order a tie: indeterminate, never
+    feasible.
+    """
+    keys = U @ scene.centers.T
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
-    ties = np.any(np.diff(sorted_keys, axis=1) < tie_tol, axis=1)
+    ties = np.any(np.diff(sorted_keys, axis=1) < 1e-9 * scene.diameter(), axis=1)
     return orders, ties
 
 
@@ -299,7 +302,6 @@ def sample_scene(
         U = np.vstack([U, np.asarray(extra_directions, dtype=float)])
     centers = scene.centers
     radii = scene.radii
-    tie_tol = 1e-9 * scene.diameter()
     exact_below = tol + 1e-12 * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
@@ -310,7 +312,7 @@ def sample_scene(
         near = bound <= exact_below
         bound[near] = minimax_slack_batch(centers, radii, rows[near])
         slacks[lo:lo + chunk] = bound
-        orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(centers, rows, tie_tol)
+        orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(scene, rows)
     return ConeSampleSet(U, slacks, orders, ties, seed, scheme, tol)
 
 
@@ -335,51 +337,25 @@ class OrderedQuery:
         return OrderedQuery(self.scene, tuple(reversed(self.order)))
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    slack: float
-    realized_order: tuple[int, ...]
-    tie: bool
-
-
-def direction_feasible(
-    query: OrderedQuery,
-    u: Direction,
-    tol: float = DEFAULT_TOL,
-    order_semantics: str = "center",
-) -> FeasibilityVerdict:
-    """Order-respecting transversal existence along u.
-
-    Feasible iff the projected disks share a point (minimax slack <= tol)
-    and the realized meeting order equals the queried order.  A tie in the
-    order keys is reported as indeterminate, never as feasible.  See
-    cone_convexity_check for the order_semantics switch; "center" is the
-    contract default.
-    """
-    mask, slacks = feasibility_batch(query, u.components[None, :], tol, order_semantics)
-    order_res = transversal_order(query.scene, u)
-    return FeasibilityVerdict(
-        feasible=bool(mask[0]),
-        slack=float(slacks[0]),
-        realized_order=order_res.order,
-        tie=order_res.is_tied and order_semantics != "entry",
-    )
-
-
 def feasibility_batch(
     query: OrderedQuery,
     U: np.ndarray,
     tol: float = DEFAULT_TOL,
     order_semantics: str = "center",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(feasible mask, slacks) for rows of U against the ordered query."""
+    """(feasible mask, slacks) for rows of U against the ordered query.
+
+    A row is feasible when its projected disks share a point (minimax slack
+    <= tol) and its meeting order is the queried one.  ``order_semantics``
+    is "center" (realized_orders_batch; the default) or "entry"; see
+    cone_convexity_check.
+    """
     scene = query.scene
     U = np.asarray(U, dtype=float)
     slacks = minimax_slack_batch(scene.centers, scene.radii, U)
     if order_semantics == "entry":
         return _entry_mask(scene, U, slacks, query.order, tol), slacks
-    orders, ties = realized_orders_batch(scene.centers, U, 1e-9 * scene.diameter())
+    orders, ties = realized_orders_batch(scene, U)
     return _feasible_mask(slacks, ties, tol, orders, query.order), slacks
 
 
@@ -972,12 +948,12 @@ def classify_boundary_direction(
 
     # empirical probe: feasibility of nearby directions for the realized order
     scene = triple.scene
-    order_res = transversal_order(scene, u)
-    if order_res.is_tied:
+    orders, ties = realized_orders_batch(scene, u.components[None, :])
+    if ties[0]:
         return BoundaryClassification(
             None, crosses_any, line_cls, 0.0, None, tag="order tie at direction"
         )
-    query = OrderedQuery(scene, order_res.order)
+    query = OrderedQuery(scene, orders[0])
     basis = orthonormal_basis_of_complement(u.components)
     phis = 2.0 * math.pi * (np.arange(probes) + 0.5) / probes
     tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]

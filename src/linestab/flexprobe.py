@@ -5,8 +5,9 @@ balls along it: the projected centers form a triangle with the projected
 tangent as an interior point, and the Hessian of the direction sextic at the
 probe direction splits into a nonpositive quadratic part H2 and a nonnegative
 quartic part H4 in the lift heights.  Pairwise disjointness of the balls
-forces H2 + H4 > 0, i.e. no flex or singularity on the boundary arc, and the
-split admits a closed-form separation certificate on a canonical hyperboloid.
+forces H2 + H4 > 0, i.e. no flex or singularity on the boundary arc; in
+canonical hyperboloid coordinates the disjointness octant misses the flex
+hyperboloid, by closed forms that ``linestab.polyid`` checks exactly.
 
 The closed forms are written once for two scalar types: a configuration built
 from floats holds float64 arrays, one built from ``fractions.Fraction`` holds
@@ -28,8 +29,6 @@ import numpy as np
 from .cone import boundary_directions_for_triple, minimax_weights_batch
 from .geom import Ball, SceneError
 from .sextic import Triple
-
-STRICTNESS_FLOOR = 1e-12
 
 
 def _scalar_dtype(*values) -> type:
@@ -265,10 +264,6 @@ class CanonicalCoords:
             raise SceneError("q values must be positive")
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def from_config(cls, cfg: LiftedConfig) -> "CanonicalCoords":
-        return cls(cfg.q_edges)
-
     @cached_property
     def Q(self) -> float:
         return _q_from_squares(self.q ** 2)
@@ -286,10 +281,6 @@ class CanonicalCoords:
     @cached_property
     def hyperboloid_constant(self) -> float:
         return self.Q ** 3 / (64 * np.prod(self.q ** 4))
-
-    def triangle_ok(self) -> bool:
-        q = np.sort(self.q)
-        return bool(q[0] + q[1] > q[2])
 
     def octant_vertex(self) -> np.ndarray:
         """Vertex of the disjointness octant: V_k = 1 - ((q_i - q_j)/q_k)^2."""
@@ -313,43 +304,11 @@ class CanonicalCoords:
         return self.Q * np.sum(q2) / (8 * np.prod(q2))
 
 
-@dataclass(frozen=True)
-class StarHValue:
-    """*H at w and its translated form, each evaluated when first read."""
-
-    coords: CanonicalCoords
-    w: np.ndarray
-
-    @cached_property
-    def value(self) -> float:
-        w = self.w
-        return w[0] * w[1] + w[0] * w[2] + w[1] * w[2] - np.dot(self.coords.linear_coeffs, w)
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        """Translated coordinates w - beta."""
-        return self.w - self.coords.beta
-
-    @property
-    def asymptotic(self) -> float:
-        """sum t_i t_j of the translated coordinates."""
-        t = self.t
-        return t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
-
-    @property
-    def constant(self) -> float:
-        return self.coords.hyperboloid_constant
-
-    @property
-    def plane_sum(self) -> float:
-        """sum t_k, positive on the octant side."""
-        return np.sum(self.t)
-
-
-def star_h_canonical(coords: CanonicalCoords, w) -> StarHValue:
-    """*H(w) = sum w_i w_j - sum a_k w_k and its translated form
-    sum t_i t_j - Q^3 / (4^3 prod q_k^4), t = w - beta."""
-    return StarHValue(coords, np.asarray(w))
+def star_h_canonical(coords: CanonicalCoords, w):
+    """*H(w) = sum w_i w_j - sum a_k w_k; with t = w - beta it equals
+    sum t_i t_j - Q^3 / (4^3 prod q_k^4)."""
+    w = np.asarray(w)
+    return w[0] * w[1] + w[0] * w[2] + w[1] * w[2] - np.dot(coords.linear_coeffs, w)
 
 
 def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
@@ -368,47 +327,6 @@ def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
         d2 = float(np.dot(tri[i] - tri[j], tri[i] - tri[j])) + (x[i] - x[j]) ** 2
         out.append(math.sqrt(d2) - (r[i] + r[j]))
     return np.array(out)
-
-
-@dataclass(frozen=True)
-class OctantCertificate:
-    vertex: np.ndarray
-    star_h_at_vertex: float
-    factored_value: float
-    plane_lhs: float
-    plane_rhs: float
-    passed: bool
-    boundary_case: bool
-
-
-def certify_octant_separation(coords: CanonicalCoords, rel_tol: float = 1e-10) -> OctantCertificate:
-    """Certificate that the disjointness octant misses the flex hyperboloid.
-
-    Checks that *H at the octant vertex matches its closed-form factorization
-    3 prod(q_i + q_j - q_k)^2 / (4 prod q_k^2), that it is strictly positive,
-    and that the vertex lies strictly on the octant side of the center plane.
-    A tight triangle inequality (tangent balls) is reported as a boundary
-    case, not a failure of the identity.
-    """
-    V = coords.octant_vertex()
-    direct = star_h_canonical(coords, V).value
-    factored = coords.vertex_value
-    scale = max(abs(direct), abs(factored), 1e-300)
-    identity_ok = abs(direct - factored) <= rel_tol * scale
-
-    plane_lhs = float(np.sum(V))
-    plane_rhs = coords.plane_threshold
-    boundary = not coords.triangle_ok() or factored <= STRICTNESS_FLOOR * max(1.0, abs(plane_rhs))
-    passed = identity_ok and direct > 0 and plane_lhs > plane_rhs and not boundary
-    return OctantCertificate(
-        vertex=V,
-        star_h_at_vertex=direct,
-        factored_value=factored,
-        plane_lhs=plane_lhs,
-        plane_rhs=plane_rhs,
-        passed=passed,
-        boundary_case=boundary,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """Euclidean primitives for ball scenes in R^d.
 
 Balls, ordered scenes, directions on the unit sphere, an orthonormal basis
-of a direction's complement, meeting orders, and scene classification /
-generation used throughout the library.
+of a direction's complement, and scene classification / generation used
+throughout the library.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,6 +31,19 @@ def _as_vector(x, name="vector"):
     if not np.all(np.isfinite(v)):
         raise SceneError(f"{name} has non-finite entries")
     return v
+
+
+def _nonzero_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v, |v|) for a nonzero vector; v is first divided by max |v_i| when
+    |v| overflows, so that huge finite vectors still normalize."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if n == 0.0:
+        raise SceneError("cannot normalize the zero vector")
+    if math.isinf(n):
+        v = v / np.max(np.abs(v))
+        n = np.linalg.norm(v)
+    return v, n
 
 
 @dataclass(frozen=True)
@@ -144,16 +155,6 @@ class Scene:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
         return cls(dim, balls, allow_overlap=bool(data.get("allow_overlap", False)))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Scene":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -163,10 +164,7 @@ class Direction:
     tolerance: float = DIRECTION_NORM_TOL
 
     def __post_init__(self):
-        v = _as_vector(self.components, "direction")
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise SceneError("cannot normalize the zero vector")
+        v, n = _nonzero_norm(_as_vector(self.components, "direction"))
         if abs(n - 1.0) > self.tolerance:
             v = v / n
         object.__setattr__(self, "components", v)
@@ -186,10 +184,7 @@ def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
     remaining axes are Gram-Schmidt orthogonalized against u in index order,
     which pins the basis uniquely for reproducibility.
     """
-    u = _as_vector(u, "direction")
-    n = np.linalg.norm(u)
-    if n == 0.0:
-        raise SceneError("cannot normalize the zero vector")
+    u, n = _nonzero_norm(_as_vector(u, "direction"))
     u = u / n
     d = u.shape[0]
     drop = int(np.argmax(np.abs(u)))
@@ -207,41 +202,6 @@ def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
             raise SolverError("basis construction collapsed; direction malformed")
         rows.append(v / nv)
     return np.array(rows)
-
-
-# ---------------------------------------------------------------------------
-# Meeting order along a direction.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderResult:
-    """Indices sorted by <c_i, u> plus any near-ties at the given tolerance."""
-
-    order: tuple[int, ...]
-    ties: tuple[tuple[int, int], ...]
-
-    @property
-    def is_tied(self) -> bool:
-        return bool(self.ties)
-
-
-def transversal_order(scene: Scene, u: Direction, tie_tol: Optional[float] = None) -> OrderResult:
-    """Meeting order of the balls along direction u.
-
-    For disjoint balls the order in which a transversal of direction u meets
-    them equals the order of the center projections <c_i, u>; chord midpoints
-    are the projections of the centers onto the line.
-    """
-    if tie_tol is None:
-        tie_tol = 1e-9 * scene.diameter()
-    keys = scene.centers @ u.components
-    order = tuple(int(i) for i in np.argsort(keys, kind="stable"))
-    ties = []
-    for a, b in zip(order, order[1:]):
-        if abs(keys[a] - keys[b]) < tie_tol:
-            ties.append((a, b))
-    return OrderResult(order, tuple(ties))
 
 
 @dataclass(frozen=True)
@@ -298,16 +258,8 @@ def random_disjoint_scene(
     seed: int,
     margin: float = DISJOINTNESS_MARGIN,
     max_rejects: int = 10000,
-    with_transversal: bool = False,
 ) -> Scene:
-    """Reproducible random scene of n pairwise disjoint balls in R^d.
-
-    ``with_transversal`` constrains the construction so a common transversal
-    exists (see random_scene_with_transversal for the witness direction).
-    """
-    if with_transversal:
-        scene, _ = random_scene_with_transversal(n, d, radius_range, seed, margin)
-        return scene
+    """Reproducible random scene of n pairwise disjoint balls in R^d."""
     r_min, r_max = radius_range
     if n < 1 or d < 2 or not (0 < r_min <= r_max):
         raise SceneError("bad generator arguments")

@@ -237,7 +237,7 @@ def identity_catalog() -> list[IdentitySpec]:
             "*H(V) = 3 prod (q_i + q_j - q_k)^2 / (4 prod q_k^2)",
             ("q",),
             _coords,
-            lambda cc: star_h_canonical(cc, cc.octant_vertex()).value,
+            lambda cc: star_h_canonical(cc, cc.octant_vertex()),
             lambda cc: cc.vertex_value,
             _sample_q_triangle,
             _q_domain,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linestab.cone import realized_orders_batch
 from linestab.geom import Ball, Scene, random_scene_with_transversal
 from linestab.sextic import Triple
 
@@ -14,6 +15,12 @@ def collinear_scene() -> Scene:
 def random_triple(seed: int, radius_range=(0.8, 1.6)) -> Triple:
     scene, _ = random_scene_with_transversal(3, 3, radius_range, seed=seed)
     return Triple.from_scene(scene)
+
+
+def center_order(scene: Scene, u) -> tuple[tuple[int, ...], bool]:
+    """Meeting order of the balls along one direction, and whether it is tied."""
+    orders, ties = realized_orders_batch(scene, np.asarray(u, dtype=float)[None, :])
+    return tuple(orders[0].tolist()), bool(ties[0])
 
 
 def line_entry_parameters(point, direction, scene):

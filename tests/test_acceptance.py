@@ -28,7 +28,6 @@ from linestab.geom import (
     Direction,
     Scene,
     random_scene_with_transversal,
-    transversal_order,
 )
 from linestab.sextic import (
     Triple,
@@ -37,6 +36,7 @@ from linestab.sextic import (
     tangent_lines_for_direction,
     trace_curves,
 )
+from conftest import center_order
 
 
 def _ok(name):
@@ -87,7 +87,7 @@ def test_criterion_3_convexity_theorem():
     total_pairs = 0
     for seed in range(50):
         scene, axis = random_scene_with_transversal(3, 3, (0.6, 1.6), seed=seed)
-        order = transversal_order(scene, axis).order
+        order, _ = center_order(scene, axis.components)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=1000, tol=1e-9, seed=seed, lattice=2048
         )
@@ -96,7 +96,7 @@ def test_criterion_3_convexity_theorem():
         total_pairs += rep.tested_pairs
     for seed in range(10):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=100 + seed)
-        order = transversal_order(scene, axis).order
+        order, _ = center_order(scene, axis.components)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=1000, tol=1e-9, seed=seed, lattice=4096
         )
@@ -262,6 +262,6 @@ def test_criterion_9_pinning_point_cone():
     assert len(feasible) == 1, f"{len(feasible)} feasible directions found"
     cos = abs(float(feasible[0] @ axis))
     assert cos >= np.cos(1e-3)
-    order, _ = realized_orders_batch(scene.centers, feasible, 1e-9 * scene.diameter())
+    order, _ = realized_orders_batch(scene, feasible)
     assert tuple(order[0]) == (0, 1, 2)
     _ok("9 pinning-point-cone (1 feasible direction among 1e6+1 samples)")

@@ -183,6 +183,57 @@ class TestIntegerOptions:
         assert "Traceback" not in r.output
 
 
+class TestFloatOptions:
+    """Float options and the explicit direction are checked before any work."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check-convexity", "--tol", "inf"],
+            ["check-convexity", "--tol", "nan"],
+            ["check-convexity", "--tol", "-1e-9"],
+            ["trace-curves", "--extent", "nan"],
+            ["trace-curves", "--extent", "inf"],
+            ["trace-curves", "--extent", "0"],
+            ["trace-curves", "--extent", "-1"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_bad_value_is_usage_error(self, runner, tmp_path, args):
+        scene = tmp_path / "c.json"
+        invoke(runner, ["generate-scene", "--preset", "collinear", "--out", str(scene)])
+        r = runner.invoke(main, [args[0], "--scene", str(scene), *args[1:]])
+        assert r.exit_code == 2, r.output
+        assert "Invalid value" in r.output
+
+    @pytest.mark.parametrize("args", [["--rmax", "inf"], ["--rmin", "inf", "--rmax", "inf"]])
+    def test_infinite_radius_is_usage_error(self, runner, args):
+        r = runner.invoke(main, ["generate-scene", *args])
+        assert r.exit_code == 2, r.output
+        assert "Invalid value" in r.output
+
+    @pytest.mark.parametrize("direction", ["1,0,0,0", "1,0"])
+    def test_direction_needs_three_components(self, runner, tmp_path, direction):
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+        r = runner.invoke(
+            main, ["classify-boundary", "--scene", str(scene), "--direction", direction]
+        )
+        assert r.exit_code == 2, r.output
+        assert "3 components" in r.output
+
+
+@pytest.mark.parametrize("command", ["probe-flex", "classify-boundary", "trace-curves"])
+@pytest.mark.parametrize("dim", ["2", "4"])
+def test_triple_commands_need_r3(runner, tmp_path, command, dim):
+    scene = tmp_path / "s.json"
+    invoke(runner, ["generate-scene", "--n", "3", "--dim", dim, "--seed", "1", "--out", str(scene)])
+    r = runner.invoke(main, [command, "--scene", str(scene)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "three balls in R^3" in r.output
+
+
 class TestVerifyIdentities:
     def test_small_run_passes(self, runner):
         r = runner.invoke(main, ["verify-identities", "--trials", "3", "--seed", "42"])

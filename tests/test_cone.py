@@ -15,7 +15,6 @@ from linestab.geom import (
     orthonormal_basis_of_complement,
     random_disjoint_scene,
     random_scene_with_transversal,
-    transversal_order,
 )
 from linestab.sextic import Triple, eval_sigma
 from linestab.cone import (
@@ -28,7 +27,6 @@ from linestab.cone import (
     classify_boundary_direction,
     cone_convexity_check,
     count_components,
-    direction_feasible,
     entry_order_feasible,
     enumerate_geometric_permutations,
     feasibility_batch,
@@ -39,7 +37,7 @@ from linestab.cone import (
     sample_directions,
     sample_scene,
 )
-from conftest import collinear_scene, random_triple, simplex_minimax
+from conftest import center_order, collinear_scene, random_triple, simplex_minimax
 
 
 class TestSampling:
@@ -108,22 +106,48 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
     assert n > 1 or np.all(bound == -np.inf)
 
 
+X_AXIS = np.array([[1.0, 0.0, 0.0]])
+
+
 class TestDirectionFeasible:
     def test_collinear_axis_feasible(self):
         q = OrderedQuery(collinear_scene(), (0, 1, 2))
-        v = direction_feasible(q, Direction([1, 0, 0]))
-        assert v.feasible
-        assert v.slack <= -1.0 + 1e-9
-        assert v.realized_order == (0, 1, 2)
+        mask, slacks = feasibility_batch(q, X_AXIS)
+        assert mask[0]
+        assert slacks[0] <= -1.0 + 1e-9
+        assert realized_orders_batch(collinear_scene(), X_AXIS)[0][0].tolist() == [0, 1, 2]
 
     def test_wrong_order_infeasible(self):
         q = OrderedQuery(collinear_scene(), (0, 2, 1))
-        assert not direction_feasible(q, Direction([1, 0, 0])).feasible
+        assert not feasibility_batch(q, X_AXIS)[0][0]
 
     def test_tie_is_indeterminate(self):
         q = OrderedQuery(collinear_scene(), (0, 1, 2))
-        v = direction_feasible(q, Direction([0, 0, 1]))
-        assert v.tie and not v.feasible
+        z = np.array([[0.0, 0.0, 1.0]])
+        assert realized_orders_batch(collinear_scene(), z)[1][0]
+        assert not feasibility_batch(q, z)[0][0]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_single_tie_rule(self, factor):
+        # balls 0 and 1 overlap, so every projected disk shares a point and
+        # only the tie decides; their center projections along u differ by
+        # factor times the tie tolerance
+        scene = Scene(
+            3,
+            (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
+            allow_overlap=True,
+        )
+        a = factor * 1e-9 * scene.diameter()
+        u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
+        orders, ties = realized_orders_batch(scene, u)
+        assert orders[0].tolist() == [0, 1, 2]
+        assert ties[0] == (factor < 1)
+        mask, slacks = feasibility_batch(OrderedQuery(scene, (0, 1, 2)), u)
+        assert slacks[0] < 0
+        assert mask[0] == (not ties[0])
+        sset = sample_scene(scene, 64, extra_directions=u)
+        assert sset.ties[-1] == ties[0]
+        assert sset.feasible_for_order((0, 1, 2))[-1] == mask[0]
 
     def test_order_must_be_permutation(self):
         with pytest.raises(SceneError):
@@ -134,7 +158,7 @@ class TestDirectionFeasible:
         # against that slack plus the center order; half the directions lie
         # near the transversal axis so both verdicts occur
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
-        order = transversal_order(scene, axis).order
+        order, _ = center_order(scene, axis.components)
         q = OrderedQuery(scene, order)
         U = np.vstack([rng.normal(size=(12, 3)), axis.components + 0.2 * rng.normal(size=(12, 3))])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -143,9 +167,9 @@ class TestDirectionFeasible:
             c2 = scene.centers @ orthonormal_basis_of_complement(U[m]).T
             oracle = simplex_minimax(c2, scene.radii)
             assert abs(slacks[m] - oracle) <= 1e-8
-            realized = transversal_order(scene, Direction(U[m]))
+            realized, tied = center_order(scene, U[m])
             if abs(oracle) > 1e-6:
-                want = oracle <= 0 and realized.order == order and not realized.is_tied
+                want = oracle <= 0 and realized == order and not tied
                 assert bool(mask[m]) == want
         assert 0 < np.sum(mask) < len(U)
 
@@ -172,11 +196,11 @@ class TestDirectionFeasible:
             eps = 1e-4
             inside = np.cos(theta - eps) * anchor + np.sin(theta - eps) * w
             outside = np.cos(theta + eps) * anchor + np.sin(theta + eps) * w
-            vi = direction_feasible(q, Direction(inside))
-            vo = direction_feasible(q, Direction(outside))
-            if vi.realized_order == order and vo.realized_order == order:
-                assert vi.feasible
-                assert not vo.feasible
+            pair = np.array([inside, outside])
+            feasible = feasibility_batch(q, pair)[0]
+            if all(center_order(scene, v)[0] == order for v in pair):
+                assert feasible[0]
+                assert not feasible[1]
 
     def test_sigma_gradient_nudge(self):
         # at a sextic-arc boundary direction, nudging along the sextic
@@ -219,20 +243,16 @@ class TestDirectionFeasible:
         scene, _ = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=7)
         q = OrderedQuery(scene, (0, 1, 2, 3))
         qr = q.reversed()
-        for _ in range(30):
-            u = Direction(rng.normal(size=3))
-            a = direction_feasible(q, u)
-            b = direction_feasible(qr, u.antipode())
-            assert a.feasible == b.feasible
+        U = rng.normal(size=(30, 3))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        np.testing.assert_array_equal(feasibility_batch(q, U)[0], feasibility_batch(qr, -U)[0])
 
 
 class TestConvexity:
     def test_random_triples_have_convex_cones(self):
         for seed in (1, 4, 8):
             scene, axis = random_scene_with_transversal(3, 3, (0.7, 1.4), seed=seed)
-            from linestab.geom import transversal_order
-
-            order = transversal_order(scene, axis).order
+            order, _ = center_order(scene, axis.components)
             rep = cone_convexity_check(
                 OrderedQuery(scene, order), pairs=400, seed=2, lattice=2048
             )
@@ -242,9 +262,7 @@ class TestConvexity:
 
     def test_r4_scene_convex(self):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=3)
-        from linestab.geom import transversal_order
-
-        order = transversal_order(scene, axis).order
+        order, _ = center_order(scene, axis.components)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=300, seed=0, lattice=4096
         )
@@ -345,10 +363,8 @@ class TestPermutations:
             for e in cat.entries.values()
         ]
         for entry in cat.entries.values():
-            v = direction_feasible(
-                OrderedQuery(scene, entry.witness_order), Direction(entry.witness)
-            )
-            assert v.feasible
+            q = OrderedQuery(scene, entry.witness_order)
+            assert feasibility_batch(q, entry.witness[None, :])[0][0]
 
     def test_canonicalization(self):
         assert canonical_permutation((2, 1, 0)) == (0, 1, 2)
@@ -418,9 +434,6 @@ class TestHellyConsistency:
             extra.append(v / np.linalg.norm(v))
         U = np.vstack([U, extra])
         scene_slacks = minimax_slack_batch(scene.centers, scene.radii, U)
-        scene_orders, scene_ties = realized_orders_batch(
-            scene.centers, U, 1e-9 * scene.diameter()
-        )
         feas_scene = scene_slacks <= 1e-9
         conj = np.ones(len(U), dtype=bool)
         for sub in itertools.combinations(range(6), 3):
@@ -516,7 +529,7 @@ class TestInvariance:
         # centers shifted by up to 10^6 along a generic vector: no feasibility
         # verdict flips and the convexity theorem still shows no violation
         scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=3)
-        order = transversal_order(scene, axis).order
+        order, _ = center_order(scene, axis.components)
         U = fibonacci_sphere(20000)
         mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
         assert np.sum(mask0) > 0
@@ -549,7 +562,7 @@ def _moved_scene(scene, Q, offset, perm=None):
 )
 def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, perm):
     scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=seed)
-    order = transversal_order(scene, axis).order
+    order, _ = center_order(scene, axis.components)
     rng = np.random.default_rng(seed)
     U = np.vstack([fibonacci_sphere(300), axis.components + 0.15 * rng.normal(size=(100, 3))])
     U /= np.linalg.norm(U, axis=1, keepdims=True)

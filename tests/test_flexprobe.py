@@ -9,7 +9,6 @@ from linestab.flexprobe import (
     CanonicalCoords,
     LiftedConfig,
     certify_flex_free,
-    certify_octant_separation,
     gram_from_barycentrics,
     lifted_config_for_direction,
     lifted_hessian_decomposition,
@@ -59,7 +58,8 @@ class TestLiftedConfig:
         # the weighted vectors close a polygon, so their lengths always obey
         # the strict triangle inequality for interior points
         for seed in range(10):
-            assert CanonicalCoords.from_config(random_config(seed)).triangle_ok()
+            q = np.sort(random_config(seed).q_edges)
+            assert q[0] + q[1] > q[2]
 
     def test_from_plane_data_canonical_frame(self):
         verts = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 0.0]])
@@ -124,7 +124,6 @@ class TestQInvariant:
         # inequality makes the Heron-type product nonpositive
         cc = CanonicalCoords(np.array([1.0, 1.0, 2.5]))
         assert cc.Q <= 0
-        assert not cc.triangle_ok()
 
 
 class TestHessianSplit:
@@ -158,32 +157,33 @@ class TestStarH:
 
     def test_center_value(self):
         cc = CanonicalCoords(np.array([0.7, 1.1, 0.9]))
-        out = star_h_canonical(cc, cc.beta)
-        assert np.isclose(out.value, -cc.hyperboloid_constant, rtol=1e-12)
-        np.testing.assert_allclose(out.t, 0.0, atol=1e-14)
+        assert np.isclose(star_h_canonical(cc, cc.beta), -cc.hyperboloid_constant, rtol=1e-12)
 
     def test_sign_matches_hessian_split(self):
         for seed in range(10):
             cfg = random_config(seed)
             split = lifted_hessian_decomposition(cfg)
-            out = star_h_canonical(CanonicalCoords.from_config(cfg), w_from_lifts(cfg))
-            assert np.sign(out.value) == np.sign(split.margin)
+            out = star_h_canonical(CanonicalCoords(cfg.q_edges), w_from_lifts(cfg))
+            assert np.sign(out) == np.sign(split.margin)
 
     def test_translated_form_consistent(self):
         cc = CanonicalCoords(np.array([0.9, 1.3, 1.0]))
         w = np.array([1.7, 0.4, 2.2])
-        out = star_h_canonical(cc, w)
-        assert np.isclose(out.value, out.asymptotic - out.constant, rtol=1e-10)
+        t = w - cc.beta
+        asymptotic = t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
+        assert np.isclose(star_h_canonical(cc, w), asymptotic - cc.hyperboloid_constant, rtol=1e-10)
 
 
 class TestOctantCertificate:
+    """*H at the octant vertex: its factored form, its sign and the center plane."""
+
     def test_symmetric_case(self):
-        cert = certify_octant_separation(CanonicalCoords(np.array([1.0, 1.0, 1.0])))
-        np.testing.assert_allclose(cert.vertex, 1.0)
-        assert np.isclose(cert.star_h_at_vertex, 0.75)
-        assert np.isclose(cert.factored_value, 0.75)
-        assert cert.plane_lhs > cert.plane_rhs
-        assert cert.passed and not cert.boundary_case
+        cc = CanonicalCoords(np.array([1.0, 1.0, 1.0]))
+        V = cc.octant_vertex()
+        np.testing.assert_allclose(V, 1.0)
+        assert np.isclose(star_h_canonical(cc, V), 0.75)
+        assert np.isclose(cc.vertex_value, 0.75)
+        assert np.sum(V) > cc.plane_threshold
 
     def test_factorization_identity_random(self, rng):
         for _ in range(20):
@@ -192,16 +192,17 @@ class TestOctantCertificate:
                 qs = np.sort(q)
                 if qs[0] + qs[1] > qs[2] * 1.001:
                     break
-            cert = certify_octant_separation(CanonicalCoords(q))
-            scale = max(abs(cert.star_h_at_vertex), abs(cert.factored_value))
-            assert abs(cert.star_h_at_vertex - cert.factored_value) <= 1e-12 * scale
-            assert cert.passed
+            cc = CanonicalCoords(q)
+            V = cc.octant_vertex()
+            direct = star_h_canonical(cc, V)
+            assert abs(direct - cc.vertex_value) <= 1e-12 * max(abs(direct), abs(cc.vertex_value))
+            assert direct > 0
+            assert np.sum(V) > cc.plane_threshold
 
     def test_tight_triangle_is_boundary_case(self):
-        cert = certify_octant_separation(CanonicalCoords(np.array([1.0, 1.0, 2.0])))
-        assert abs(cert.star_h_at_vertex) <= 1e-12
-        assert cert.boundary_case
-        assert not cert.passed
+        cc = CanonicalCoords(np.array([1.0, 1.0, 2.0]))
+        assert abs(star_h_canonical(cc, cc.octant_vertex())) <= 1e-12
+        assert abs(cc.vertex_value) <= 1e-12
 
     def test_octant_interior_on_positive_side(self, rng):
         # points in the open disjointness octant stay on the positive side of
@@ -217,10 +218,9 @@ class TestOctantCertificate:
             cc = CanonicalCoords(q)
             V = cc.octant_vertex()
             for _ in range(50):
-                offs = 10.0 ** r2.uniform(-6, 2, size=3)
-                out = star_h_canonical(cc, V + offs)
-                assert out.value > 0.0
-                assert out.plane_sum > 0.0
+                w = V + 10.0 ** r2.uniform(-6, 2, size=3)
+                assert star_h_canonical(cc, w) > 0.0
+                assert np.sum(w) > cc.plane_threshold
 
 
 class TestDisjointnessChain:
@@ -245,7 +245,7 @@ class TestDisjointnessChain:
             assert np.all(cfg.z_gaps > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
             # and the w-form of the conditions
             w = w_from_lifts(cfg)
-            V = CanonicalCoords.from_config(cfg).octant_vertex()
+            V = CanonicalCoords(cfg.q_edges).octant_vertex()
             assert np.all(w > V)
 
 
