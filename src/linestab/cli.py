@@ -6,7 +6,10 @@ wall-clock timings are added only on request so the determinism contract
 holds by default.  Exit code 0 means all checked properties hold, 1 reports
 a property violation with witnesses, 2 a usage error, and 3 an inconclusive
 run: too little evidence to decide either way.  The report's ``outcome``
-names which of holds / violation / inconclusive it is, with a reason.
+names which of holds / violation / inconclusive it is, with a reason.  A
+classify-boundary run with no traced sextic point holds (exit 0) and gives
+its reason among the verdicts; entry order semantics outside R^3 is a usage
+error.
 """
 from __future__ import annotations
 
@@ -285,10 +288,13 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
     scene = _load_scene(scene_path)
     order_t = _parse_order(order, len(scene))
     query = cone_mod.OrderedQuery(scene, order_t)
-    rep = cone_mod.cone_convexity_check(
-        query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
-        order_semantics=order_semantics,
-    )
+    try:
+        rep = cone_mod.cone_convexity_check(
+            query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
+            order_semantics=order_semantics,
+        )
+    except SceneError as exc:
+        raise _UsageError(str(exc))
     config = {
         "scene": scene_path,
         "order": list(order_t),
@@ -366,8 +372,11 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
         "seed": seed,
         "tol": tol,
     }
-    reason = (f"no boundary sample was probed ({rep.skipped} skipped)"
-              if rep.probed == 0 else None)
+    reason = None
+    if rep.probed == 0:
+        reason = f"no boundary sample was probed ({rep.skipped} skipped)"
+        if len(rep.samples) < rep.requested:
+            reason += f"; {len(rep.samples)} of {rep.requested} boundary points located"
     _finish("probe-flex", config, rep.to_json_dict(), rep.passed, out, t0, reason)
 
 
@@ -391,14 +400,17 @@ def verify_identities(trials, height, seed, out, timings):
 @click.option("--direction", type=str, default=None, help="explicit 'x,y,z' on the sextic")
 @click.option("--directions", "n_directions", type=click.IntRange(min=1), default=8,
               show_default=True, help="number of traced sextic directions to classify")
-@click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
-    """Classify sextic directions: cone boundary iff crossing the triangle."""
+def classify_boundary(scene_path, direction, n_directions, out, timings):
+    """Classify sextic directions: cone boundary iff crossing the triangle.
+
+    Without --direction, directions come evenly from sigma traced in the
+    charts u1, u2 and u3 at extent 1, which tile RP^2.
+    """
     t0 = time.perf_counter() if timings else None
     triple = _load_triple(scene_path, "classify-boundary")
-    dirs: list[np.ndarray] = []
+    verdicts: dict = {"boundary_band": cone_mod.REL_TOL * triple.scene.diameter()}
     if direction is not None:
         try:
             vec = np.array([float(x) for x in direction.replace(",", " ").split()])
@@ -406,15 +418,21 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
             raise _UsageError(f"cannot parse direction {direction!r}")
         if vec.shape != (3,):
             raise _UsageError(f"direction {direction!r} does not have 3 components")
-        dirs.append(vec)
+        dirs = [vec]
+        verdicts["sextic_points"] = None
     else:
-        traces = sextic.trace_curves(triple, chart=chart, grid=160, extent=2.5, names=("sigma",))
-        pts = [p for poly in traces.curves["sigma"] for p in poly]
-        if not pts:
-            raise _UsageError("no sextic points traced in this chart; try another chart")
-        step = max(1, len(pts) // n_directions)
-        picked = np.array(pts[::step][:n_directions])
-        dirs.extend(sextic.chart_point_to_direction(chart, picked[:, 0], picked[:, 1]))
+        traced = [
+            sextic.chart_point_to_direction(chart, *np.array(poly).T)
+            for chart in sextic.CHART_AXES
+            for poly in sextic.trace_curves(
+                triple, chart=chart, grid=65, extent=1.0, names=("sigma",)
+            ).curves["sigma"]
+        ]
+        pts = np.concatenate(traced) if traced else np.zeros((0, 3))
+        verdicts["sextic_points"] = len(pts)
+        if not len(pts):
+            verdicts["reason"] = "sigma has no sign change on the three charts"
+        dirs = list(pts[::max(1, len(pts) // n_directions)][:n_directions])
     results = []
     disagreements = 0
     for vec in dirs:
@@ -431,7 +449,7 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
             "direction": [float(x) for x in vec / np.linalg.norm(vec)],
             "on_boundary": cls.on_boundary,
             "crosses_triangle": cls.crosses_triangle,
-            "probe_feasible_fraction": cls.feasible_probe_fraction,
+            "slack": cls.slack,
             "tag": cls.tag,
         }
         if cls.on_boundary is not None and cls.crosses_triangle is not None:
@@ -439,8 +457,8 @@ def classify_boundary(scene_path, direction, n_directions, chart, out, timings):
             if not entry["agree"]:
                 disagreements += 1
         results.append(entry)
-    config = {"scene": scene_path, "chart": chart, "directions": len(dirs)}
-    verdicts = {"classifications": results, "disagreements": disagreements}
+    config = {"scene": scene_path, "directions": len(dirs)}
+    verdicts.update(classifications=results, disagreements=disagreements)
     _finish("classify-boundary", config, verdicts, disagreements == 0, out, t0)
 
 

@@ -27,9 +27,12 @@ from .geom import (
     SolverError,
     orthonormal_basis_of_complement,
 )
-from .sextic import Triple, tangent_lines_for_direction
+from .sextic import TRACE_TOL, Triple, tangent_lines_for_direction
 
 DEFAULT_TOL = 1e-9
+# tolerance relative to the scene's diameter: centre projections closer than
+# this tie, and a sextic direction whose slack is within it is on the boundary
+REL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +52,13 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 def sample_directions(d: int, count: int, seed: int = 0) -> tuple[np.ndarray, str]:
     """Quasi-uniform direction sample of S^{d-1} plus the scheme label.
 
-    d = 3 uses the Fibonacci lattice; higher dimensions fall back to seeded
-    normalized Gaussians, which are equally deterministic under the seed.
+    d = 2 uses evenly spaced angles and d = 3 the Fibonacci lattice; higher
+    dimensions fall back to seeded normalized Gaussians, which are equally
+    deterministic under the seed.
     """
+    if d == 2:
+        phi = 2.0 * math.pi * (np.arange(count) + 0.5) / count
+        return np.column_stack([np.cos(phi), np.sin(phi)]), "circle"
     if d == 3:
         return fibonacci_sphere(count), "fibonacci"
     rng = np.random.default_rng(seed)
@@ -227,14 +234,14 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
     """Meeting orders (m, n) of the balls along each direction row, and ties.
 
     For disjoint balls a transversal of direction u meets them in the order
-    of the center projections <c_i, u>.  Two of them closer than 1e-9 times
-    the scene's diameter make the row's order a tie: indeterminate, never
-    feasible.
+    of the center projections <c_i, u>.  Two of them closer than REL_TOL
+    times the scene's diameter make the row's order a tie: indeterminate,
+    never feasible.
     """
     keys = U @ scene.centers.T
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
-    ties = np.any(np.diff(sorted_keys, axis=1) < 1e-9 * scene.diameter(), axis=1)
+    ties = np.any(np.diff(sorted_keys, axis=1) < REL_TOL * scene.diameter(), axis=1)
     return orders, ties
 
 
@@ -347,16 +354,26 @@ def feasibility_batch(
 
     A row is feasible when its projected disks share a point (minimax slack
     <= tol) and its meeting order is the queried one.  ``order_semantics``
-    is "center" (realized_orders_batch; the default) or "entry"; see
-    cone_convexity_check.
+    is "center" (realized_orders_batch; the default) or "entry", which
+    needs a scene in R^3; see cone_convexity_check.
     """
     scene = query.scene
+    _check_order_semantics(scene, order_semantics)
     U = np.asarray(U, dtype=float)
     slacks = minimax_slack_batch(scene.centers, scene.radii, U)
     if order_semantics == "entry":
         return _entry_mask(scene, U, slacks, query.order, tol), slacks
     orders, ties = realized_orders_batch(scene, U)
     return _feasible_mask(slacks, ties, tol, orders, query.order), slacks
+
+
+def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
+    """Raise SceneError unless the order semantics is known and fits the scene;
+    the entry order searches transversals over a plane, so it needs R^3."""
+    if order_semantics not in ("center", "entry"):
+        raise SceneError(f"unknown order semantics {order_semantics!r}")
+    if order_semantics == "entry" and scene.dimension != 3:
+        raise SceneError(f"entry order semantics needs a scene in R^3, not R^{scene.dimension}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +440,9 @@ def _entry_order_margin_rows(
     inside = np.all(d2 <= r2 + 1e-12, axis=2)
     inside[:, 1:] &= box[:, None]
     entry = keys[:, None, :] - np.sqrt(np.clip(r2 - d2, 0.0, None))
-    margins = np.where(inside, np.min(np.diff(entry[:, :, order], axis=2), axis=2), -np.inf)
+    # a single ball has no consecutive entries to separate: margin +inf
+    gaps = np.min(np.diff(entry[:, :, order], axis=2), axis=2, initial=np.inf)
+    margins = np.where(inside, gaps, -np.inf)
     best = np.argmax(margins, axis=1)
     result = margins[rows, best]
     x = P[rows, best]
@@ -440,7 +459,7 @@ def _entry_order_margin_rows(
             cand = x + step[:, None] * move
             cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
             centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
-            cm = np.min(np.diff(centry[:, order], axis=1), axis=1)
+            cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
             better = active & np.all(cd2 <= r2 + 1e-12, axis=1) & (cm > result)
             result = np.where(better, cm, result)
             x = np.where(better[:, None], cand, x)
@@ -533,11 +552,10 @@ def cone_convexity_check(
     decided: "center" (projections of centers; the library default) or
     "entry" (first boundary crossing of some transversal).  The two agree
     on disjoint scenes; only entry-order cones lose convexity when balls
-    overlap.
+    overlap.  Entry semantics needs a scene in R^3 (SceneError otherwise).
     """
-    if order_semantics not in ("center", "entry"):
-        raise SceneError(f"unknown order semantics {order_semantics!r}")
     scene = query.scene
+    _check_order_semantics(scene, order_semantics)
     sset = sample_scene(scene, lattice, seed=seed, tol=tol)
     if order_semantics == "center":
         mask = sset.feasible_for_order(query.order)
@@ -884,92 +902,50 @@ def boundary_directions_for_triple(
 
 
 @dataclass
-class LineClassification:
-    crosses_triangle: Optional[bool]
-    barycentrics: Optional[np.ndarray]
-    tag: Optional[str]
-
-
-@dataclass
 class BoundaryClassification:
     on_boundary: Optional[bool]
     crosses_triangle: Optional[bool]
-    lines: list[LineClassification]
-    feasible_probe_fraction: float
-    interior_witness: Optional[np.ndarray]
+    slack: Optional[float]
     tag: Optional[str]
 
 
-def classify_boundary_direction(
-    triple: Triple,
-    u: Direction,
-    tol: float = DEFAULT_TOL,
-    probe_eps: float = 1e-4,
-    probes: int = 16,
-) -> BoundaryClassification:
+def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassification:
     """Classify a sextic direction: cone boundary vs interior.
 
-    ``crosses_triangle`` intersects each recovered tangent line with the
-    plane of centers and tests barycentric containment in the triangle of
-    centers; ``on_boundary`` comes from an independent empirical probe of
-    perturbed directions (feasible on one side only).  The two must agree
-    for generic configurations.
+    ``on_boundary`` reads the disk-minimax slack.  The three circles of a
+    sextic direction share a point, which all three closed disks contain, so
+    its slack is <= 0 in exact arithmetic; the direction is on the cone
+    boundary iff |slack| <= REL_TOL times the scene's diameter.
+    ``crosses_triangle`` independently intersects each recovered tangent
+    line with the plane of centers and tests barycentric containment in the
+    triangle of centers.  The two must agree on disjoint balls.  When no
+    tangent line decides ``crosses_triangle``, ``tag`` says why.
     """
     if triple.collinear_centers:
-        return BoundaryClassification(
-            None, None, [], 0.0, None, tag="collinear centers: no triangle"
-        )
+        return BoundaryClassification(None, None, None, tag="collinear centers: no triangle")
     rec = tangent_lines_for_direction(triple, u)
     centers = triple.centers
     normal = np.cross(centers[1] - centers[0], centers[2] - centers[0])
     normal /= np.linalg.norm(normal)
-    line_cls: list[LineClassification] = []
+    crossings = []
+    tag = "no real tangent line"
     for line in rec.lines:
         denom = float(np.dot(line.direction, normal))
         off = float(np.dot(centers[0] - line.point, normal))
-        if abs(denom) < 1e-12:
-            tag = (
-                "tangent inside plane of centers"
-                if abs(off) < 1e-9
-                else "tangent parallel to plane of centers"
-            )
-            line_cls.append(LineClassification(None, None, tag))
+        # a traced direction is known to TRACE_TOL, so a tangent that close
+        # to parallel may lie in the plane
+        if abs(denom) <= TRACE_TOL:
+            tag = ("tangent inside plane of centers" if abs(off) < 1e-9
+                   else "tangent parallel to plane of centers")
             continue
-        tstar = off / denom
-        X = line.point + tstar * line.direction
-        lam = _barycentrics_in_plane(centers, X)
-        crosses = bool(np.all(lam >= -1e-9))
-        line_cls.append(LineClassification(crosses, lam, None))
-
-    crosses_any = None
-    determinate = [lc.crosses_triangle for lc in line_cls if lc.crosses_triangle is not None]
-    if determinate:
-        crosses_any = any(determinate)
-
-    # empirical probe: feasibility of nearby directions for the realized order
+        lam = _barycentrics_in_plane(centers, line.point + (off / denom) * line.direction)
+        crossings.append(bool(np.all(lam >= -1e-9)))
     scene = triple.scene
-    orders, ties = realized_orders_batch(scene, u.components[None, :])
-    if ties[0]:
-        return BoundaryClassification(
-            None, crosses_any, line_cls, 0.0, None, tag="order tie at direction"
-        )
-    query = OrderedQuery(scene, orders[0])
-    basis = orthonormal_basis_of_complement(u.components)
-    phis = 2.0 * math.pi * (np.arange(probes) + 0.5) / probes
-    tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
-    pts = _geodesic_point(u.components, tangents, np.full(probes, probe_eps))
-    mask, _ = feasibility_batch(query, pts, tol=tol)
-    frac = float(np.mean(mask))
-    witness = pts[np.nonzero(mask)[0][0]] if np.any(mask) else None
-    if frac >= 1.0:
-        on_boundary = False  # interior: every perturbation stays feasible
-    elif frac > 0.0:
-        on_boundary = True
-    else:
-        on_boundary = None  # isolated or outside at this resolution
-    return BoundaryClassification(
-        on_boundary, crosses_any, line_cls, frac, witness, tag=None
-    )
+    slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
+    on_boundary = bool(abs(slack) <= REL_TOL * scene.diameter())
+    if crossings:
+        return BoundaryClassification(on_boundary, any(crossings), slack, tag=None)
+    return BoundaryClassification(on_boundary, None, slack, tag)
 
 
 def _barycentrics_in_plane(centers: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -351,9 +351,12 @@ class FlexFreeReport:
     probed: int
     skipped: int
     passed: bool
+    requested: int  # boundary points; one sample per point located
 
     def to_json_dict(self) -> dict:
         return {
+            "requested": self.requested,
+            "located": len(self.samples),
             "probed": self.probed,
             "skipped": self.skipped,
             "min_margin": self.min_margin,
@@ -422,10 +425,11 @@ def certify_flex_free(
     """Certify that sampled cone boundary directions admit no flex.
 
     Boundary directions of every direction cone of the triple are located by
-    bisection; at each one the projected configuration is built and the probe
-    Hessian split is evaluated.  Directions whose projection point is not
-    interior to the triangle of projected centers (bitangent arcs) are
-    skipped with a tag.
+    bisection (fewer than ``boundary_samples`` when rays never leave their
+    cone, none when the lattice has no feasible direction); at each one the
+    projected configuration is built and the probe Hessian split is
+    evaluated.  Directions whose projection point is not interior to the
+    triangle of projected centers (bitangent arcs) are skipped with a tag.
     """
     dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed, tol=tol)
     samples: list[FlexSample] = []
@@ -465,4 +469,5 @@ def certify_flex_free(
         probed=probed,
         skipped=skipped,
         passed=passed,
+        requested=boundary_samples,
     )

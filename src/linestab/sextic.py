@@ -20,6 +20,8 @@ from .geom import Ball, Direction, Scene, SceneError
 
 SIGMA_TOL = 1e-8
 RANK_TOL = 1e-10
+# chart-coordinate precision of traced vertices: bisection stops below it
+TRACE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +431,7 @@ class TangentRecovery:
         return self.family is not None
 
 
-def tangent_lines_for_direction(
-    triple: Triple,
-    u: Direction,
-    sigma_tol: float = SIGMA_TOL,
-    rank_tol: float = RANK_TOL,
-) -> TangentRecovery:
+def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery:
     """Recover the affine common tangent line(s) with direction u.
 
     Requires sigma(u) ~ 0.  Centers are translated so the first sits at the
@@ -444,7 +441,7 @@ def tangent_lines_for_direction(
     or, for the axial collinear case, a full circle family.
     """
     uv = u.components
-    if not sigma_on_curve(triple, uv, sigma_tol):
+    if not sigma_on_curve(triple, uv):
         val = eval_sigma(triple, uv) / triple.sigma_scale
         raise SceneError(
             f"direction is not on the sextic: normalized sigma value {val:.3e}"
@@ -464,7 +461,7 @@ def tangent_lines_for_direction(
     rhs = np.array([a_i(c1, s[1]) / (2 * q), a_i(c2, s[2]) / (2 * q), 0.0])
     U, sv, Vt = np.linalg.svd(A)
     scale = sv[0] if sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > rank_tol * scale))
+    rank = int(np.sum(sv > RANK_TOL * scale))
 
     if rank >= 3:
         p = Vt.T @ ((U.T @ rhs) / sv)
@@ -479,7 +476,7 @@ def tangent_lines_for_direction(
 
     if rank == 2:
         # particular solution + nullspace direction, then the sphere condition
-        inv = np.where(sv > rank_tol * scale, 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
+        inv = np.where(sv > RANK_TOL * scale, 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
         p0 = Vt.T @ (inv * (U.T @ rhs))
         w = Vt[2]
         resid = float(np.linalg.norm(A @ p0 - rhs))
@@ -725,7 +722,6 @@ def trace_curves(
     chart: str = "u3",
     grid: int = 200,
     extent: float = 2.0,
-    refine_tol: float = 1e-10,
     names: Sequence[str] = CURVE_NAMES,
 ) -> CurveTraces:
     """Trace the named curves in an affine chart.
@@ -735,7 +731,8 @@ def trace_curves(
     "pair02" and "pair12" (empty for an overlapping or tangent pair).  Only
     the curves in ``names`` are evaluated; the result lists them in that
     order of CURVE_NAMES.  The chart "uk" is the plane u_k = 1.  Vertices
-    are refined by bisection along grid edges; components smaller than the
+    are refined by bisection along grid edges to TRACE_TOL, which
+    classify_boundary_direction relies on; components smaller than the
     grid resolution may be missed, which is a documented limitation rather
     than an error.
     """
@@ -753,7 +750,7 @@ def trace_curves(
             U = list(np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
             U[axis] = 1.0  # the chart plane u_axis = 1, as a scalar whose factors are skipped
             return g(GridPowers(*U))
-        return _trace_zero_set(f, xs, xs, refine_tol)
+        return _trace_zero_set(f, xs, xs, TRACE_TOL)
 
     curves = {}
     for name in CURVE_NAMES:

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from linestab.cli import _finish, main, preset_scene, render_figure
+from linestab.cli import PRESET_NAMES, _finish, main, preset_scene, render_figure
 from linestab.sextic import Triple, trace_curves
 
 
@@ -86,6 +87,17 @@ class TestCheckConvexity:
         assert r.exit_code == 1
         doc = json.loads(r.output)
         assert doc["verdicts"]["violation_count"] >= 1
+
+    @pytest.mark.parametrize("dim", ["2", "4"])
+    def test_entry_semantics_outside_r3_is_usage_error(self, runner, tmp_path, dim):
+        scene = tmp_path / "s.json"
+        invoke(runner, ["generate-scene", "--n", "3", "--dim", dim, "--seed", "1",
+                        "--with-transversal", "--out", str(scene)])
+        r = runner.invoke(main, ["check-convexity", "--scene", str(scene),
+                                 "--order-semantics", "entry", "--samples", "512"])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "needs a scene in R^3" in r.output
 
     def test_malformed_scene_is_usage_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -359,19 +371,48 @@ class TestProbeFlex:
             "reason": "no boundary sample was probed (1 skipped)",
         }
 
+    def test_boundary_shortfall_is_reported(self, runner, tmp_path):
+        # the pinned cone is one direction, which no lattice direction hits
+        scene = tmp_path / "p.json"
+        invoke(runner, ["generate-scene", "--preset", "pinned", "--out", str(scene)])
+        r = runner.invoke(main, ["probe-flex", "--scene", str(scene)])
+        assert r.exit_code == 3
+        doc = json.loads(r.output)
+        assert (doc["verdicts"]["requested"], doc["verdicts"]["located"]) == (200, 0)
+        assert doc["outcome"]["reason"] == (
+            "no boundary sample was probed (0 skipped); 0 of 200 boundary points located"
+        )
+
 
 class TestClassifyBoundary:
     def test_demo_scene_agrees(self, runner, tmp_path):
         scene = tmp_path / "f.json"
         invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
-        r = runner.invoke(
-            main,
-            ["classify-boundary", "--scene", str(scene), "--chart", "u2", "--directions", "6"],
-        )
+        r = runner.invoke(main, ["classify-boundary", "--scene", str(scene), "--directions", "6"])
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["verdicts"]["disagreements"] == 0
         assert len(doc["verdicts"]["classifications"]) >= 1
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("budget", [[], ["--directions", "32"]])
+    def test_every_preset_agrees(self, runner, tmp_path, preset, budget):
+        # the three charts tile RP^2, so no preset needs a chart guessed; a
+        # preset without real sextic points is an answer, not a usage error
+        scene = tmp_path / "p.json"
+        invoke(runner, ["generate-scene", "--preset", preset, "--out", str(scene)])
+        r = runner.invoke(main, ["classify-boundary", "--scene", str(scene), *budget])
+        assert r.exit_code == 0, r.output
+        v = json.loads(r.output)["verdicts"]
+        assert v["disagreements"] == 0
+        assert v["boundary_band"] == pytest.approx(1e-9 * preset_scene(preset).diameter())
+        if v["sextic_points"] == 0:
+            assert preset.startswith("transition-")
+            assert v["reason"] == "sigma has no sign change on the three charts"
+            assert v["classifications"] == []
+        for entry in v["classifications"]:
+            if entry.get("on_boundary") is not None:
+                assert entry["on_boundary"] == (abs(entry["slack"]) <= v["boundary_band"])
 
     def test_explicit_off_curve_direction_is_usage_error(self, runner, tmp_path):
         scene = tmp_path / "f.json"
@@ -382,6 +423,18 @@ class TestClassifyBoundary:
         )
         assert r.exit_code == 2
         assert "not on the sextic" in r.output
+
+
+_SMOKE_SCENES = {
+    "one-ball": {"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": 1.0}]},
+    "two-disks-r2": {
+        "dimension": 2,
+        "balls": [{"center": [0, 0], "radius": 1.0}, {"center": [5, 0], "radius": 1.0}],
+    },
+    "flexdemo-disjoint": ["--preset", "flexdemo-disjoint"],
+    "transition-overlapping": ["--preset", "transition-overlapping"],
+    "r4": ["--n", "4", "--dim", "4", "--seed", "0", "--with-transversal"],
+}
 
 
 class TestReportSchema:
@@ -396,7 +449,7 @@ class TestReportSchema:
             ["count-components", "--scene", str(scene), "--samples", "1000"],
             ["probe-flex", "--scene", str(demo), "--boundary-samples", "20"],
             ["verify-identities", "--trials", "1"],
-            ["classify-boundary", "--scene", str(demo), "--chart", "u2", "--directions", "2"],
+            ["classify-boundary", "--scene", str(demo), "--directions", "2"],
         ]
         for args in commands:
             r = runner.invoke(main, args)
@@ -407,6 +460,39 @@ class TestReportSchema:
             assert isinstance(doc["config"], dict)
             assert isinstance(doc["verdicts"], dict)
             assert "timings" not in doc  # deterministic by default
+
+    @pytest.mark.parametrize("scene_name", list(_SMOKE_SCENES))
+    def test_contract_smoke_matrix(self, runner, tmp_path, scene_name):
+        # every reporting command at small budgets on scenes of every shape:
+        # a documented exit code, a report on 0/1/3, never a traceback
+        scene = tmp_path / "s.json"
+        make = _SMOKE_SCENES[scene_name]
+        if isinstance(make, dict):
+            scene.write_text(json.dumps(make))
+        else:
+            invoke(runner, ["generate-scene", *make, "--out", str(scene)])
+        s = ["--scene", str(scene)]
+        commands = [
+            ["check-convexity", *s, "--samples", "512", "--pairs", "16"],
+            ["check-convexity", *s, "--samples", "512", "--pairs", "16",
+             "--order-semantics", "entry"],
+            ["enumerate-permutations", *s, "--samples", "512"],
+            ["count-components", *s, "--samples", "512"],
+            ["probe-flex", *s, "--boundary-samples", "4"],
+            ["classify-boundary", *s, "--directions", "2"],
+            ["verify-identities", "--trials", "1"],
+        ]
+        for k, args in enumerate(commands):
+            out = tmp_path / f"r{k}.json"
+            r = runner.invoke(main, [*args, "--out", str(out)])
+            printed = r.output
+            if r.exception is not None and not isinstance(r.exception, SystemExit):
+                printed += "".join(traceback.format_exception(*r.exc_info))
+            assert "Traceback" not in printed, (args, printed)
+            assert r.exit_code in (0, 1, 2, 3), (args, printed)
+            if r.exit_code != 2:
+                doc = json.loads(out.read_text())
+                assert doc["outcome"]["status"] in ("holds", "violation", "inconclusive"), args
 
     @pytest.mark.parametrize("passed, reason, status, code", [
         (True, None, "holds", 0),

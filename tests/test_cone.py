@@ -312,6 +312,15 @@ class TestConvexity:
         rep = cone_convexity_check(OrderedQuery(scene, (0, 1, 2)), pairs=50, lattice=512)
         assert rep.inconclusive
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_entry_semantics_needs_r3(self, d):
+        scene, _ = random_scene_with_transversal(3, d, (0.8, 1.4), seed=1)
+        query = OrderedQuery(scene, (0, 1, 2))
+        with pytest.raises(SceneError, match=r"needs a scene in R\^3"):
+            cone_convexity_check(query, pairs=10, lattice=256, order_semantics="entry")
+        with pytest.raises(SceneError, match=r"needs a scene in R\^3"):
+            feasibility_batch(query, np.eye(d), order_semantics="entry")
+
     def test_entry_semantics_matches_center_on_disjoint(self, rng):
         scene, _ = random_scene_with_transversal(3, 3, (0.8, 1.4), seed=5)
         for _ in range(20):
@@ -396,6 +405,18 @@ class TestComponents:
             rep = count_components(scene, sample_set=sset)
             assert rep.count == len(cat)
 
+    def test_plane_scenes_form_one_component(self):
+        # in R^2 the sample is evenly spaced angles: seeded Gaussian rows left
+        # gaps wider than the clustering radius and split one cone into many
+        pair = Scene(2, (Ball([0, 0], 1.0), Ball([5, 0], 1.0)))
+        five, _ = random_scene_with_transversal(5, 2, (1.0, 2.0), seed=3)
+        for scene in (pair, five):
+            for samples in (500, 2000, 20000):
+                sset = sample_scene(scene, samples, seed=0)
+                rep = count_components(scene, sample_set=sset)
+                cat = enumerate_geometric_permutations(scene, sample_set=sset)
+                assert rep.count == len(cat) == 1
+
     def test_empty_scene_reports_zero(self):
         s = 100.0
         scene = Scene(
@@ -445,6 +466,35 @@ class TestHellyConsistency:
         assert np.sum(feas_scene) > 0  # non-vacuous
 
 
+def _probe_feasible_fraction(triple, u, eps=1e-4, probes=16):
+    """Share of ``probes`` directions at angle ``eps`` around u that are
+    feasible for u's meeting order: 1 inside the cone, between 0 and 1 on
+    its boundary, as long as eps is small against the distance to it."""
+    scene = triple.scene
+    order, tie = center_order(scene, u)
+    assert not tie
+    basis = orthonormal_basis_of_complement(u)
+    phis = 2.0 * math.pi * (np.arange(probes) + 0.5) / probes
+    tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
+    pts = math.cos(eps) * u + math.sin(eps) * tangents
+    return float(np.mean(feasibility_batch(OrderedQuery(scene, order), pts)[0]))
+
+
+def _traced_sextic_directions(triple):
+    """Unit directions of the sextic traced in the three charts that tile RP^2."""
+    from linestab.sextic import CHART_AXES, chart_point_to_direction, trace_curves
+
+    dirs = [
+        chart_point_to_direction(chart, *np.asarray(poly).T)
+        for chart in CHART_AXES
+        for poly in trace_curves(
+            triple, chart=chart, grid=65, extent=1.0, names=("sigma",)
+        ).curves["sigma"]
+    ]
+    U = np.concatenate(dirs)
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
 class TestBoundaryClassification:
     def test_crossing_directions_classified(self):
         from linestab.cli import preset_scene
@@ -465,8 +515,8 @@ class TestBoundaryClassification:
 
     def test_interior_sigma_direction_not_boundary(self):
         # the disjoint demo triple has sextic-Hessian crossings strictly
-        # inside the feasible set; those directions are interior, with a
-        # feasible perturbation witness in every probed direction
+        # inside the feasible set; those directions are interior, and every
+        # perturbation around them stays feasible
         from linestab.cli import preset_scene
         from linestab.sextic import chart_point_to_direction, trace_curves
 
@@ -485,9 +535,33 @@ class TestBoundaryClassification:
                         continue
                     assert cls.on_boundary is False
                     assert cls.crosses_triangle is False
-                    assert cls.interior_witness is not None
+                    assert _probe_feasible_fraction(tri, u) == 1.0
                     checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("name", ["flexdemo-disjoint", "two-permutations", 300, 301])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_similarity_invariant(self, name, scale):
+        # moved, rotated, scaled and relabelled, with the directions rotated
+        # to match: every traced sextic direction keeps both verdicts
+        from linestab.cli import preset_scene
+
+        tri = (Triple.from_scene(preset_scene(name)) if isinstance(name, str)
+               else random_triple(name, (0.7, 1.5)))
+        a, b = 0.7, 2.1
+        Q = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+        Q = Q @ np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
+        moved = Triple.from_scene(
+            _moved_scene(tri.scene, Q, scale * np.array([30.0, -21.0, 9.0]), (2, 0, 1), scale)
+        )
+        U = _traced_sextic_directions(tri)[::3]
+        assert len(U) > 0
+        for u in U:
+            before = classify_boundary_direction(tri, Direction(u))
+            after = classify_boundary_direction(moved, Direction(Q @ u))
+            assert (after.on_boundary, after.crosses_triangle) == (
+                before.on_boundary, before.crosses_triangle
+            ), u
 
     def test_collinear_tagged(self):
         tri = Triple.from_scene(collinear_scene())
@@ -545,11 +619,12 @@ class TestInvariance:
         assert rep.passed and rep.violations == []
 
 
-def _moved_scene(scene, Q, offset, perm=None):
+def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
     perm = range(len(scene)) if perm is None else perm
     return Scene(
         scene.dimension,
-        tuple(Ball(Q @ scene.balls[p].center + offset, scene.balls[p].radius) for p in perm),
+        tuple(Ball(scale * (Q @ scene.balls[p].center) + offset, scale * scene.balls[p].radius)
+              for p in perm),
     )
 
 
