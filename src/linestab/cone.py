@@ -6,16 +6,17 @@ enumeration, connected component counting on the direction sphere,
 boundary classification against the triangle of centers, and the planar
 pinning predicate.
 
-The bulk feasibility engine vectorizes the disk minimax solve over batches
-of directions: all candidate support sets are enumerated through projected
-Gram matrices, so no per-direction Python work is needed.  Sphere samples
+The bulk feasibility engine solves the projected-disk minimax problem for a
+batch of directions at once, with no per-direction Python work: each row
+starts from its best pair of disks, and a violator loop over supports of at
+most d disks finishes the few rows the pair does not solve.  Sphere samples
 first pass a pair-cone bound, which rules most directions out without it.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,10 @@ DEFAULT_TOL = 1e-9
 # tolerance relative to the scene's diameter: centre projections closer than
 # this tie, and a sextic direction whose slack is within it is on the boundary
 REL_TOL = 1e-9
+# roundoff margin of the disk-minimax kernel relative to the scene's
+# diameter: a row is solved once no disk is violated by more than this at its
+# point, and the pair bound rules a row out only above tol plus this
+KERNEL_REL_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -84,131 +89,155 @@ def lattice_spacing(d: int, count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _solve_batched(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve G X = B for stacks of small SPD-ish systems with singular guard.
-
-    B holds one or more right-hand sides per system as columns, (m, k, r).
-    Returns solutions and a validity mask; singular systems are flagged
-    invalid instead of raising.
-    """
-    m, k, _ = G.shape
-    scale = np.max(np.abs(G), axis=(1, 2))
-    scale = np.where(scale == 0, 1.0, scale)
-    det = np.linalg.det(G)
-    ok = np.isfinite(det) & (np.abs(det) > 1e-13 * scale ** k)
-    Gs = np.where(ok[:, None, None], G, np.eye(k)[None, :, :])
-    return np.linalg.solve(Gs, B), ok
-
-
-def _minimax_candidates(centers: np.ndarray, radii: np.ndarray, U: np.ndarray):
-    """Candidate minimizers of the projected-disk minimax problem per direction.
-
-    For direction u the balls project to disks in u^perp.  The minimizer of
-    f(x) = max_i (|x - c_i,proj| - r_i) is supported on at most d projected
-    disks, and for a support of size k it is an affine combination of the
-    support centers fixed by k-2 linear equations plus one quadratic.  Yields
-    ``(f, support, weights)`` for every candidate: f (m,) is its value (inf
-    where the support system is singular or has no real root) and weights
-    (m, k) its affine weights over the centers listed in ``support``.  The
-    centers are moved to their centroid first, so that the Gram matrices and
-    the singularity guard do not depend on where the scene sits.
-    """
+def _unit_rows(U) -> np.ndarray:
+    """Direction rows at unit length; SolverError on a zero or non-finite row.
+    Each row is divided by its largest entry first, so huge rows normalize."""
     U = np.asarray(U, dtype=float)
+    big = np.max(np.abs(U), axis=1, keepdims=True, initial=0.0)
+    if not np.all(np.isfinite(big) & (big > 0.0)):
+        raise SolverError("direction rows must be finite and non-zero")
+    U = U / big
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+def _pair_distances(centers: np.ndarray, U: np.ndarray):
+    """Index pairs i < j and |pi_u(c_i - c_j)| per direction row, (m, pairs),
+    as |D|^2 - (u.D)^2 on the centre differences D."""
+    i, j = np.triu_indices(len(centers), 1)
+    D = centers[i] - centers[j]
+    dist = U @ D.T
+    dist *= -dist
+    dist += np.einsum("pd,pd->p", D, D)
+    np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
+    return i, j, dist
+
+
+def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarray):
+    """Per row, the smallest max over the columns ``over`` (g, k) of
+    |x - p_i| - r_i at a point x of the affine hull of its support B (g, b)
+    where these agree over B, and the affine weights of that x over B.  With
+    edges E = p_i - p_0 and x = p_0 + alpha E, they agree at t where
+    G alpha = b0 - t b1 (G = E E^T) and |x - p_0| = r_0 + t: two roots of a
+    quadratic.  A row whose G is singular or has no real root keeps inf."""
+    g, b = B.shape
+    rows = np.arange(g)[:, None]
+    PB, rB = P[rows, B], radii[B]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidates = np.ones((1, g, 1))
+        if b > 1:
+            E = PB[:, 1:] - PB[:, :1]
+            G = np.einsum("gid,gjd->gij", E, E)
+            d2 = np.einsum("gii->gi", G)
+            r0, dr = rB[:, 0], rB[:, 1:] - rB[:, :1]
+            # det G <= prod diag G, with equality for orthogonal edges
+            ok = np.linalg.det(G) > 1e-15 * np.prod(d2, axis=1)
+            rhs = np.stack([0.5 * (d2 - dr * (rB[:, 1:] + rB[:, :1])), dr], axis=2)
+            A = np.linalg.solve(np.where(ok[:, None, None], G, np.eye(b - 1)), rhs)
+            A[~ok] = np.nan
+            y0, y1 = np.einsum("gjd,gjc->cgd", E, A)
+            qa = np.einsum("gd,gd->g", y1, y1) - 1.0
+            hb = -np.einsum("gd,gd->g", y0, y1) - r0
+            qc = np.einsum("gd,gd->g", y0, y0) - r0 * r0
+            # both roots of qa t^2 + 2 hb t + qc without cancellation; NaN if not real
+            q = -(hb + np.copysign(np.sqrt(hb * hb - qa * qc), hb))
+            alpha = A[:, :, 0] - np.stack([q / qa, qc / q])[:, :, None] * A[:, :, 1]
+            candidates = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
+        x = np.einsum("cgb,gbd->cgd", candidates, PB)
+        val = np.max(np.linalg.norm(x[:, :, None, :] - P[rows, over], axis=3) - radii[over], axis=2)
+    val[np.isnan(val)] = np.inf
+    pick = np.argmin(val, axis=0)
+    return val[pick, rows[:, 0]], candidates[pick, rows[:, 0]]
+
+
+def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slack (m,) and affine weights (m, n) of the projected-disk minimax
+    problem of each direction row; see minimax_slack_batch.
+
+    The problem is LP-type with bases of at most d disks (Welzl 1991;
+    Matousek, Sharir and Welzl 1996).  Each row starts from its best pair of
+    projected disks that are not nested, else its smallest disk.  While a
+    disk v is violated at the row's point by more than KERNEL_REL_EPS times
+    the diameter, the support S becomes the best support in S + {v} that
+    holds v, by the max t over S + {v}.  t rises strictly, so each basis is
+    met at most once; a row still open after that many rounds raises
+    SolverError.  Points live in explicit projected coordinates
+    P = c - (c.u)u, and the slack is the max over all disks at weights @ P:
+    attained, never below the minimum."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if not len(centers):
         raise SolverError("need at least one ball")
+    U = _unit_rows(U)
     centers = centers - centers.mean(axis=0)
-    m, d = U.shape
-    n = centers.shape[0]
-    CU = centers @ U.T                       # (n, m)
-    G0 = centers @ centers.T                 # (n, n)
-    G = G0[None, :, :] - CU.T[:, :, None] * CU.T[:, None, :]   # (m, n, n)
-    diag = np.einsum("mii->mi", G)           # (m, n)
+    m, n, cap = len(U), len(centers), min(len(centers), U.shape[1])
+    rows = np.arange(m)
+    P = centers[None, :, :] - (U @ centers.T)[:, :, None] * U[:, None, :]
+    i, j, dist = _pair_distances(centers, U)
+    diameter = np.linalg.norm(centers[i] - centers[j], axis=1) + radii[i] + radii[j]
+    eps = KERNEL_REL_EPS * np.max(diameter, initial=2.0 * np.max(radii))
 
-    def value(support: list[int], weights: np.ndarray) -> np.ndarray:
-        Gl = G[:, :, support[0]] * weights[:, :1]
-        for j in range(1, len(support)):
-            Gl += G[:, :, support[j]] * weights[:, j:j + 1]
-        quad = np.einsum("ms,ms->m", weights, Gl[:, support])
-        dist2 = quad[:, None] - 2.0 * Gl + diag
-        return np.max(np.sqrt(np.clip(dist2, 0.0, None)) - radii[None, :], axis=1)
+    support, weights = np.zeros((m, cap), dtype=np.int64), np.zeros((m, cap))
+    support[:, 0], weights[:, 0] = np.argmin(radii), 1.0
+    t, size = np.full(m, -np.min(radii)), np.ones(m, dtype=np.int64)
+    if n > 1:
+        valid = (dist > 0.0) & (dist >= np.abs(radii[i] - radii[j]))
+        pair = np.argmax(np.where(valid, dist - radii[i] - radii[j], -np.inf), axis=1)
+        paired = valid[rows, pair]
+        B = np.column_stack([i[pair[paired]], j[pair[paired]]])
+        support[paired, :2], size[paired] = B, 2
+        t[paired], weights[paired, :2] = _best_point(P[paired], radii, B, B)
 
-    one = np.ones((m, 1))
-    for i in range(n):
-        yield value([i], one), [i], one
-
-    for k in range(2, min(n, d) + 1):
-        for subset in itertools.combinations(range(n), k):
-            support = list(subset)
-            i, rest = support[0], support[1:]
-            # projected Gram of the edge vectors c_rest - c_i
-            Gs = (
-                G[:, rest][:, :, rest]
-                - G[:, rest][:, :, [i] * (k - 1)]
-                - G[:, [i] * (k - 1)][:, :, rest]
-                + G[:, i, i][:, None, None]
-            )
-            d2 = np.einsum("mll->ml", Gs)
-            r = radii[support]
-            b0 = 0.5 * (d2 - r[1:] ** 2 + r[0] ** 2)
-            b1 = np.broadcast_to(r[1:] - r[0], (m, k - 1))
-            X, ok = _solve_batched(Gs, np.stack([b0, b1], axis=2))
-            a0, a1 = X[..., 0], X[..., 1]
-            qa = np.einsum("ml,mlk,mk->m", a1, Gs, a1) - 1.0
-            qb = -2.0 * (np.einsum("ml,mlk,mk->m", a0, Gs, a1) + r[0])
-            qc = np.einsum("ml,mlk,mk->m", a0, Gs, a0) - r[0] ** 2
-            disc = qb * qb - 4.0 * qa * qc
-            has_roots = ok & (disc >= 0.0)
-            sq = np.sqrt(np.clip(disc, 0.0, None))
-            lin = np.abs(qa) <= 1e-14
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_lin = np.where(np.abs(qb) > 0, -qc / qb, np.nan)
-                roots = [
-                    np.where(lin, t_lin, (-qb + sq) / (2.0 * qa)),
-                    np.where(lin, t_lin, (-qb - sq) / (2.0 * qa)),
-                ]
-            for t in roots:
-                valid = has_roots & np.isfinite(t)
-                alpha = a0 - t[:, None] * a1
-                weights = np.column_stack([1.0 - np.sum(alpha, axis=1), alpha])
-                weights = np.where(valid[:, None], weights, 0.0)
-                yield np.where(valid, value(support, weights), np.inf), support, weights
+    worst, slack, open_ = np.zeros(m, dtype=np.int64), np.empty(m), rows
+    for _ in range(sum(math.comb(n, k) for k in range(1, cap + 1)) + 1):
+        x = np.einsum("mk,mkd->md", weights[open_], P[open_[:, None], support[open_]])
+        g = np.linalg.norm(x[:, None, :] - P[open_], axis=2) - radii
+        worst[open_] = np.argmax(g, axis=1)
+        slack[open_] = g[np.arange(len(open_)), worst[open_]]
+        open_ = open_[slack[open_] - t[open_] > eps]
+        if not len(open_):
+            break
+        for k in set(size[open_].tolist()):  # np.unique would import numpy.ma
+            r = open_[size[open_] == k]
+            over = np.column_stack([worst[r], support[r, :k]])
+            t[r] = np.inf
+            for s in range(min(k, cap - 1) + 1):
+                for T in itertools.combinations(range(1, k + 1), s):
+                    B = over[:, (0,) + T]
+                    val, w = _best_point(P[r], radii, B, over)
+                    better = val < t[r]
+                    b = r[better]
+                    t[b], size[b] = val[better], s + 1
+                    support[b], weights[b] = 0, 0.0
+                    support[b, :s + 1], weights[b, :s + 1] = B[better], w[better]
+    else:
+        raise SolverError(f"disk minimax did not converge on {len(open_)} direction rows")
+    W = np.zeros((m, n))
+    for c in range(cap):  # padding adds 0.0 to column 0
+        W[rows, support[:, c]] += weights[:, c]
+    return slack, W
 
 
-def minimax_slack_batch(
-    centers: np.ndarray, radii: np.ndarray, U: np.ndarray
-) -> np.ndarray:
+def minimax_slack_batch(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Slack of the projected-disk minimax problem for each direction row.
 
     For direction u the balls project to disks in u^perp; the returned value
-    is min_x max_i (|x - c_i,proj| - r_i), computed by enumerating candidate
-    support sets on projected Gram matrices (exact up to roundoff).  The
-    disks share a point iff the slack is nonpositive.
+    is min_x max_i (|x - c_i,proj| - r_i), attained at the row's minimax
+    point and exact up to KERNEL_REL_EPS times the scene's diameter.  Rows
+    need not be unit vectors; a zero or non-finite row raises SolverError.
+    The disks share a point iff the slack is nonpositive.
     """
-    best = np.full(len(U), np.inf)
-    for f, _, _ in _minimax_candidates(centers, radii, U):
-        np.minimum(best, f, out=best)
-    return best
+    return _minimax(centers, radii, U)[0]
 
 
-def minimax_weights_batch(
-    centers: np.ndarray, radii: np.ndarray, U: np.ndarray
-) -> np.ndarray:
+def minimax_weights_batch(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Affine weights (m, n) over the centers of each row's minimax point.
 
     The minimizer of the projected-disk problem for direction row u is
     ``weights[row] @ P`` for any projection P of the centers onto u^perp,
-    expressed in whatever frame of u^perp the caller uses.
+    expressed in whatever frame of u^perp the caller uses.  Weights are
+    exactly zero off the row's support of at most d disks.
     """
-    best = np.full(len(U), np.inf)
-    W = np.zeros((len(U), len(centers)))
-    for f, support, weights in _minimax_candidates(centers, radii, U):
-        better = f < best
-        best[better] = f[better]
-        W[better] = 0.0
-        W[np.ix_(better, support)] = weights[better]
-    return W
+    return _minimax(centers, radii, U)[1]
 
 
 def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -220,12 +249,7 @@ def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.nda
     direction sextic, in any dimension.  Built from centre differences, so it
     does not depend on where the scene sits; -inf for fewer than two balls.
     """
-    i, j = np.triu_indices(len(centers), 1)
-    D = centers[i] - centers[j]
-    gap = U @ D.T
-    gap *= -gap
-    gap += np.einsum("pd,pd->p", D, D)
-    np.sqrt(np.clip(gap, 0.0, None, out=gap), out=gap)
+    i, j, gap = _pair_distances(centers, U)
     gap -= radii[i] + radii[j]
     return 0.5 * np.max(gap, axis=1, initial=-np.inf)
 
@@ -271,13 +295,9 @@ class ConeSampleSet:
         return _feasible_mask(self.slacks, self.ties, self.tol, self.orders, order)
 
 
-def _feasible_mask(
-    slacks: np.ndarray,
-    ties: np.ndarray,
-    tol: float,
-    orders: Optional[np.ndarray] = None,
-    order: Optional[Sequence[int]] = None,
-) -> np.ndarray:
+def _feasible_mask(slacks: np.ndarray, ties: np.ndarray, tol: float,
+                   orders: Optional[np.ndarray] = None,
+                   order: Optional[Sequence[int]] = None) -> np.ndarray:
     """Center-order feasibility of direction rows from their kernel data.
 
     A row is feasible when its projected disks share a point (slack <= tol)
@@ -302,22 +322,21 @@ def sample_scene(
 
     Only rows whose pair-cone bound does not already exceed ``tol`` go
     through the exact kernel; the others keep the bound (see ConeSampleSet).
-    The 1e-12 * diameter margin covers the roundoff between bound and kernel.
+    The KERNEL_REL_EPS * diameter margin covers the roundoff between bound
+    and kernel.
     """
     U, scheme = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, np.asarray(extra_directions, dtype=float)])
-    centers = scene.centers
-    radii = scene.radii
-    exact_below = tol + 1e-12 * scene.diameter()
+    exact_below = tol + KERNEL_REL_EPS * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
     ties = np.empty(len(U), dtype=bool)
     for lo in range(0, len(U), chunk):
         rows = U[lo:lo + chunk]
-        bound = _pair_bound(centers, radii, rows)
+        bound = _pair_bound(scene.centers, scene.radii, rows)
         near = bound <= exact_below
-        bound[near] = minimax_slack_batch(centers, radii, rows[near])
+        bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
         slacks[lo:lo + chunk] = bound
         orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(scene, rows)
     return ConeSampleSet(U, slacks, orders, ties, seed, scheme, tol)
@@ -353,13 +372,14 @@ def feasibility_batch(
     """(feasible mask, slacks) for rows of U against the ordered query.
 
     A row is feasible when its projected disks share a point (minimax slack
-    <= tol) and its meeting order is the queried one.  ``order_semantics``
+    <= tol) and its meeting order is the queried one.  Rows are scaled to
+    unit length; a zero or non-finite row raises SolverError.  ``order_semantics``
     is "center" (realized_orders_batch; the default) or "entry", which
     needs a scene in R^3; see cone_convexity_check.
     """
     scene = query.scene
     _check_order_semantics(scene, order_semantics)
-    U = np.asarray(U, dtype=float)
+    U = _unit_rows(U)
     slacks = minimax_slack_batch(scene.centers, scene.radii, U)
     if order_semantics == "entry":
         return _entry_mask(scene, U, slacks, query.order, tol), slacks
@@ -569,8 +589,6 @@ def cone_convexity_check(
     rng = np.random.default_rng(seed + 1)
     ii = rng.integers(0, len(F), size=pairs)
     jj = rng.integers(0, len(F), size=pairs)
-    same = ii == jj
-    jj = np.where(same, (jj + 1) % len(F), jj)
 
     # bias one third of the pairs toward the boundary (largest slack) to
     # exercise strictness where it is tightest, and one third toward LOCAL
@@ -617,13 +635,7 @@ def cone_convexity_check(
         for m, order_failed in zip(bad_idx, meet)
     ]
     margin = float(np.min(-slacks)) if len(slacks) else None
-    return ConvexityReport(
-        tested_pairs=int(len(mids)),
-        violations=violations,
-        min_midpoint_margin=margin,
-        feasible_samples=int(len(F)),
-        inconclusive=False,
-    )
+    return ConvexityReport(int(len(mids)), violations, margin, int(len(F)), inconclusive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +643,12 @@ def cone_convexity_check(
 # ---------------------------------------------------------------------------
 
 
-def canonical_permutation(order: Sequence[int]) -> tuple[int, ...]:
-    fwd = tuple(int(i) for i in order)
-    rev = tuple(reversed(fwd))
-    return min(fwd, rev)
-
-
 def _reversed_is_canonical(orders: np.ndarray) -> np.ndarray:
     """Per order row: is its reverse lexicographically smaller than the row?
 
-    The row-wise form of canonical_permutation: the first position where a
-    row and its reverse differ decides.
+    An ordering is identified with its reversal, and the lexicographically
+    smaller of the two is canonical: the first position where a row and its
+    reverse differ decides.
     """
     rev = orders[:, ::-1]
     rows = np.arange(len(orders))
@@ -778,12 +785,7 @@ class ComponentReport:
     undersampled: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "cluster_sizes": self.cluster_sizes,
-            "angular_radius": self.angular_radius,
-            "undersampled": self.undersampled,
-        }
+        return asdict(self)
 
 
 def count_components(
@@ -852,9 +854,7 @@ def boundary_directions_for_triple(
     if not np.any(feas):
         return np.zeros((0, 3))
     cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
-    shares = [count // len(cones)] * len(cones)
-    for extra in range(count % len(cones)):
-        shares[extra] += 1
+    shares = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
     out = []
     for order, n_rays in zip(cones, shares):
         if n_rays == 0:
@@ -866,20 +866,14 @@ def boundary_directions_for_triple(
         basis = orthonormal_basis_of_complement(anchor)
         phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
         tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
-        lo = np.zeros(n_rays)
-        hi = np.full(n_rays, np.nan)
+        lo, hi, alive = np.zeros(n_rays), np.full(n_rays, np.nan), np.ones(n_rays, dtype=bool)
         theta = 0.0
-        step = 0.02
-        alive = np.ones(n_rays, dtype=bool)
         while theta < math.pi - 1e-3 and np.any(alive):
-            theta_next = theta + step
-            pts = _geodesic_point(anchor, tangents, np.full(n_rays, theta_next))
-            ok = feasibility_batch(query, pts, tol)[0]
-            newly_out = alive & ~ok
-            hi[newly_out] = theta_next
-            lo[alive & ok] = theta_next
+            theta += 0.02
+            ok = feasibility_batch(query, _geodesic_point(anchor, tangents, np.full(n_rays, theta)), tol)[0]
+            hi[alive & ~ok] = theta
+            lo[alive & ok] = theta
             alive &= ok
-            theta = theta_next
         found = ~np.isnan(hi)
         lo_f, hi_f = lo[found], hi[found]
         tg = tangents[found]

@@ -435,10 +435,12 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
     """Recover the affine common tangent line(s) with direction u.
 
     Requires sigma(u) ~ 0.  Centers are translated so the first sits at the
-    origin; the tangent's foot point p then solves two center equations plus
-    <p, u> = 0, and must satisfy <p, p> = s_0.  Rank-deficient systems yield
-    a line of candidate feet (0, 1 or 2 solutions after the sphere condition)
-    or, for the axial collinear case, a full circle family.
+    origin and scaled to unit scene diameter, so that the rank cut and the
+    residual tests do not depend on the scene's scale; the tangent's foot
+    point p then solves two center equations plus <p, u> = 0, and must
+    satisfy <p, p> = s_0.  Rank-deficient systems yield a line of candidate
+    feet (0, 1 or 2 solutions after the sphere condition) or, for the axial
+    collinear case, a full circle family.  ``residual`` is at unit diameter.
     """
     uv = u.components
     if not sigma_on_curve(triple, uv):
@@ -446,10 +448,11 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
         raise SceneError(
             f"direction is not on the sextic: normalized sigma value {val:.3e}"
         )
+    length = triple.scene.diameter()
     c0 = triple.balls[0].center
-    c1 = triple.balls[1].center - c0
-    c2 = triple.balls[2].center - c0
-    s = triple.squared_radii
+    c1 = (triple.balls[1].center - c0) / length
+    c2 = (triple.balls[2].center - c0) / length
+    s = triple.squared_radii / length ** 2
     q = float(np.dot(uv, uv))
 
     def a_i(ci, si):
@@ -466,11 +469,11 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
     if rank >= 3:
         p = Vt.T @ ((U.T @ rhs) / sv)
         resid = abs(float(np.dot(p, p)) - s[0])
-        if resid > 1e-5 * max(s[0], 1.0):
+        if resid > 1e-5:
             # the linear system's unique foot misses the sphere: no real
             # tangent with this direction at the working tolerance
             return TangentRecovery((), None, resid)
-        base = p + c0
+        base = length * p + c0
         foot = base - np.dot(base, uv) * uv
         return TangentRecovery((Line3(point=foot, direction=uv),), None, resid)
 
@@ -489,13 +492,13 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
             for sign in (1.0, -1.0) if disc > 0 else (1.0,):
                 t = (-bq + sign * math.sqrt(disc)) / (2 * aq)
                 p = p0 + t * w
-                base = p + c0
+                base = length * p + c0
                 foot = base - np.dot(base, uv) * uv
                 lines.append(Line3(point=foot, direction=uv))
         return TangentRecovery(tuple(lines), None, resid)
 
     # rank <= 1: axial symmetry, a full circle of tangent feet
-    family = CircleFamily(center=c0.copy(), axis=uv.copy(), radius=math.sqrt(s[0]))
+    family = CircleFamily(center=c0.copy(), axis=uv.copy(), radius=length * math.sqrt(s[0]))
     return TangentRecovery((), family, 0.0)
 
 

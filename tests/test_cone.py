@@ -23,7 +23,6 @@ from linestab.cone import (
     _pair_bound,
     _reversed_is_canonical,
     boundary_directions_for_triple,
-    canonical_permutation,
     classify_boundary_direction,
     cone_convexity_check,
     count_components,
@@ -37,7 +36,9 @@ from linestab.cone import (
     sample_directions,
     sample_scene,
 )
-from conftest import center_order, collinear_scene, random_triple, simplex_minimax
+from conftest import (
+    canonical_permutation, center_order, collinear_scene, random_triple, simplex_minimax,
+)
 
 
 class TestSampling:
@@ -76,7 +77,7 @@ class TestPairPrefilter:
         assert np.any(feas)
         assert np.array_equal(feas, _feasible_mask(exact, sset.ties, sset.tol))
         assert np.max(np.abs(sset.slacks[feas] - exact[feas])) <= band
-        # only rows the pair bound cannot rule out reach the support enumeration
+        # only rows the pair bound cannot rule out reach the kernel
         bound = _pair_bound(scene.centers, scene.radii, sset.directions)
         assert sum(exact_rows) == np.sum(bound <= sset.tol + band) < len(bound)
 
@@ -562,6 +563,22 @@ class TestBoundaryClassification:
             assert (after.on_boundary, after.crosses_triangle) == (
                 before.on_boundary, before.crosses_triangle
             ), u
+
+    @pytest.mark.parametrize("z", [-7.991595998085517e-09, 7.991595998085517e-09])
+    def test_tangent_lines_are_scale_free(self, z):
+        # two traced sextic directions of the tangent demo triple, 8e-9 off
+        # the plane of centres, where the tangent-line solve is rank-marginal
+        from linestab.cli import preset_scene
+
+        scene = preset_scene("flexdemo-tangent")
+        u = Direction([0.4472135954999579, 0.8944271909999159, z])
+        verdicts = set()
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
+            tri = Triple.from_scene(Scene(3, balls, allow_overlap=True))
+            cls = classify_boundary_direction(tri, u)
+            verdicts.add((cls.crosses_triangle, cls.tag))
+        assert len(verdicts) == 1, verdicts
 
     def test_collinear_tagged(self):
         tri = Triple.from_scene(collinear_scene())
