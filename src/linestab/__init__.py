@@ -45,7 +45,6 @@ from .cone import (
     count_components,
     enumerate_geometric_permutations,
     feasibility_batch,
-    is_pinned_planar,
 )
 from .polyid import (
     IdentitySpec,

@@ -2,9 +2,10 @@
 
 Feasibility of a direction (order-respecting transversal existence),
 geodesic-midpoint convexity certification, geometric permutation
-enumeration, connected component counting on the direction sphere,
-boundary classification against the triangle of centers, and the planar
-pinning predicate.
+enumeration, connected component counting on the direction sphere, the
+boundary directions of a triple's cones (each ray's exit is a root of the
+sextic, a pair-cone conic or a tie-band edge along it), and boundary
+classification against the triangle of centers.
 
 The bulk feasibility engine solves the projected-disk minimax problem for a
 batch of directions at once, with no per-direction Python work: each row
@@ -28,7 +29,7 @@ from .geom import (
     SolverError,
     orthonormal_basis_of_complement,
 )
-from .sextic import TRACE_TOL, Triple, tangent_lines_for_direction
+from .sextic import TRACE_TOL, Triple, sigma_roots_on_rays, tangent_lines_for_direction
 
 DEFAULT_TOL = 1e-9
 # tolerance relative to the scene's diameter: centre projections closer than
@@ -93,11 +94,14 @@ def _unit_rows(U) -> np.ndarray:
     """Direction rows at unit length; SolverError on a zero or non-finite row.
     Each row is divided by its largest entry first, so huge rows normalize."""
     U = np.asarray(U, dtype=float)
-    big = np.max(np.abs(U), axis=1, keepdims=True, initial=0.0)
+    # both reductions run over the leading axis of a contiguous transposed
+    # copy, several times faster than over the short trailing axis; the sum
+    # adds the same terms in the same order for d < 8
+    big = np.max(np.ascontiguousarray(np.abs(U).T), axis=0, initial=0.0)[:, None]
     if not np.all(np.isfinite(big) & (big > 0.0)):
         raise SolverError("direction rows must be finite and non-zero")
     U = U / big
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
+    return U / np.sqrt(np.sum(np.ascontiguousarray((U * U).T), axis=0))[:, None]
 
 
 def _pair_distances(centers: np.ndarray, U: np.ndarray):
@@ -258,11 +262,11 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
     """Meeting orders (m, n) of the balls along each direction row, and ties.
 
     For disjoint balls a transversal of direction u meets them in the order
-    of the center projections <c_i, u>.  Two of them closer than REL_TOL
-    times the scene's diameter make the row's order a tie: indeterminate,
-    never feasible.
+    of the center projections <c_i, u>.  Rows are scaled to unit length, and
+    two projections closer than REL_TOL times the scene's diameter make the
+    row's order a tie: indeterminate, never feasible.
     """
-    keys = U @ scene.centers.T
+    keys = _unit_rows(U) @ scene.centers.T
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
     ties = np.any(np.diff(sorted_keys, axis=1) < REL_TOL * scene.diameter(), axis=1)
@@ -412,7 +416,8 @@ def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
 def _entry_order_margin(
     scene: Scene, U: np.ndarray, order: Sequence[int], grid: int = 25
 ) -> np.ndarray:
-    """Best margin over transversals of each direction row for the entry order.
+    """Best margin over transversals of each direction row (scaled to unit
+    length) for the entry order.
 
     Positive: some transversal meets the balls in the given entry order
     (with that much separation between consecutive entry times); negative:
@@ -421,7 +426,7 @@ def _entry_order_margin(
     bounding-box intersection, then polishes the best transversal with a
     shrinking pattern search.
     """
-    U = np.asarray(U, dtype=float)
+    U = _unit_rows(U)
     W = minimax_weights_batch(scene.centers, scene.radii, U)
     # rows go through in chunks of about 2^15 transversals, which keeps the
     # (rows, grid^2, n) arrays under 1 MB each
@@ -829,65 +834,95 @@ def count_components(
 # ---------------------------------------------------------------------------
 
 
-def _geodesic_point(anchor: np.ndarray, tangent: np.ndarray, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.cos(theta)[..., None] * anchor[None, :] + np.sin(theta)[..., None] * tangent
+# the curve of each column of a ray's candidate exits: six sextic roots, then
+# two roots per pair-cone conic and two per pair of tie-band edges
+_EXIT_CURVES = np.array(["sextic"] * 6 + [f"{kind} {pair}" for kind in ("conic", "tie")
+                                          for pair in ("01", "01", "02", "02", "12", "12")])
 
 
-def boundary_directions_for_triple(
-    triple: Triple,
-    count: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    lattice: int = 4096,
-) -> np.ndarray:
-    """Directions on the cone boundaries of a triple, located by bisection.
+def _geodesic_point(anchor: np.ndarray, tangent: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return np.cos(theta)[..., None] * anchor + np.sin(theta)[..., None] * tangent
 
-    Every discovered cone gets an even share of geodesic rays from an
-    interior anchor; each ray is marched in 0.02 rad steps to its first
-    infeasible point, and the crossing is bisected a fixed 45 times, down to
-    a bracket of 0.02 * 2**-45, about 6e-16 rad; its midpoint is returned.
-    """
+
+def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
+    """The two theta in [0, pi) per column where (u . D)^2 = level_sq on each
+    ray, for u . D = rho cos(theta - phi) and sine_sq = rho^2 - level_sq; NaN
+    where either is negative, as u . D never reaches the level there."""
+    with np.errstate(invalid="ignore"):
+        alpha = np.arctan2(np.sqrt(sine_sq), np.sqrt(level_sq))
+    return np.mod(np.stack([phi - alpha, phi + alpha], axis=-1), math.pi).reshape(len(phi), -1)
+
+
+def _boundary_exits(triple: Triple, count: int, seed: int = 0, tol: float = DEFAULT_TOL,
+                    lattice: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary directions (k, 3) of boundary_directions_for_triple and the
+    curve each lies on: "sextic", "conic ij" or "tie ij"."""
     scene = triple.scene
     sset = sample_scene(scene, lattice, seed=seed, tol=tol)
-    feas = sset.feasible
-    if not np.any(feas):
-        return np.zeros((0, 3))
-    cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
+    # slack <= tol is slack <= 0 at radii r + tol, so the inflated curves
+    # hold the exits of the feasibility predicate itself
+    R = scene.radii + tol
+    i, j = np.triu_indices(3, 1)
+    D = scene.centers[j] - scene.centers[i]
+    DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
+    band = REL_TOL * scene.diameter()
+    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
+    points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
     shares = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
-    out = []
     for order, n_rays in zip(cones, shares):
         if n_rays == 0:
             continue
         query = OrderedQuery(scene, order)
         idx = np.nonzero(sset.feasible_for_order(order))[0]
-        anchor_i = idx[np.argmin(sset.slacks[idx])]
-        anchor = sset.directions[anchor_i]
+        anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
         basis = orthonormal_basis_of_complement(anchor)
         phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
         tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
-        lo, hi, alive = np.zeros(n_rays), np.full(n_rays, np.nan), np.ones(n_rays, dtype=bool)
-        theta = 0.0
-        while theta < math.pi - 1e-3 and np.any(alive):
-            theta += 0.02
-            ok = feasibility_batch(query, _geodesic_point(anchor, tangents, np.full(n_rays, theta)), tol)[0]
-            hi[alive & ~ok] = theta
-            lo[alive & ok] = theta
-            alive &= ok
-        found = ~np.isnan(hi)
-        lo_f, hi_f = lo[found], hi[found]
-        tg = tangents[found]
-        for _ in range(45):
-            mid = 0.5 * (lo_f + hi_f)
-            ok = feasibility_batch(query, _geodesic_point(anchor, tg, mid), tol)[0]
-            lo_f = np.where(ok, mid, lo_f)
-            hi_f = np.where(ok, hi_f, mid)
-        pts = _geodesic_point(anchor, tg, 0.5 * (lo_f + hi_f))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        out.extend(pts)
-        if len(out) >= count:
-            break
-    return np.array(out[:count]) if out else np.zeros((0, 3))
+        aD, tD, nD = D @ anchor, tangents @ D.T, np.cross(anchor, tangents) @ D.T
+        phi = np.arctan2(tD, aD)
+        cand = np.concatenate([
+            sigma_roots_on_rays(triple, R * R, anchor, tangents),
+            _level_roots(phi, DD - S * S, S * S - nD * nD),
+            _level_roots(phi, band * band, aD * aD + tD * tD - band * band),
+        ], axis=1)
+        by = np.argsort(cand, axis=1)  # NaN last
+        cand = np.take_along_axis(cand, by, axis=1)
+        edges = np.column_stack([np.zeros(n_rays), np.where(np.isnan(cand), math.pi, cand),
+                                 np.full(n_rays, math.pi)])
+        # feasibility is constant between consecutive candidates: one kernel
+        # call decides the midpoints of every ray's non-empty intervals
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        ok = np.ones(lo.shape, dtype=bool)
+        span = hi > lo
+        mids = _geodesic_point(anchor, tangents[np.nonzero(span)[0]], 0.5 * (lo + hi)[span])
+        ok[span] = feasibility_batch(query, mids, tol)[0]
+        first = np.argmax(~ok, axis=1)
+        if np.any(first == 0):
+            raise SolverError(f"boundary ray {int(np.argmin(first))} of cone {order} "
+                              "has no exit from a feasible interval in (0, pi)")
+        rays = np.arange(n_rays)
+        pts = _geodesic_point(anchor, tangents, lo[rays, first])
+        points.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        curves.append(_EXIT_CURVES[by[rays, first - 1]])
+    return np.concatenate(points), np.concatenate(curves)
+
+
+def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0,
+                                   tol: float = DEFAULT_TOL, lattice: int = 4096) -> np.ndarray:
+    """``count`` directions (count, 3) on the cone boundaries of a triple.
+
+    Every cone the lattice finds gets an even share of geodesic rays
+    cos(theta) a + sin(theta) t from its deepest lattice direction a.  The
+    cone is strictly convex, and -a has the reversed order, so each ray
+    leaves it exactly once in (0, pi), at a root of the sextic, of a
+    pair-cone conic or of a tie-band edge, all at radii r + tol.  The
+    conic and tie roots are closed forms and the sextic's come from its
+    companion matrix; one kernel call per cone decides a midpoint of every
+    interval between consecutive roots, and a ray's exit is the left end of
+    its first infeasible interval.  A ray without one raises SolverError;
+    no feasible lattice direction gives an empty array.
+    """
+    return _boundary_exits(triple, count, seed, tol, lattice)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -950,44 +985,3 @@ def _barycentrics_in_plane(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     b = np.array([rel @ e1, rel @ e2])
     lam12 = np.linalg.solve(A, b)
     return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-
-
-# ---------------------------------------------------------------------------
-# Planar pinning predicate.
-# ---------------------------------------------------------------------------
-
-
-def is_pinned_planar(triple: Triple, tol: float = 1e-9) -> bool:
-    """Whether the cone of directions degenerates to a single point.
-
-    True iff some line in the plane of centers is tangent to all three traced
-    discs with the middle ball on the opposite side from the outer two.  The
-    sign-patterned tangency conditions determine the line normal by a 2x2
-    solve; pinning holds exactly when that normal has unit length.
-    """
-    if triple.collinear_centers:
-        return False
-    centers = triple.centers
-    radii = triple.scene.radii
-    e1 = centers[1] - centers[0]
-    e2 = centers[2] - centers[0]
-    normal = np.cross(e1, e2)
-    normal /= np.linalg.norm(normal)
-    b1 = e1 - np.dot(e1, normal) * normal
-    # orthonormal frame of the plane of centers
-    f1 = b1 / np.linalg.norm(b1)
-    f2 = np.cross(normal, f1)
-    P = np.array([[0.0, 0.0], [e1 @ f1, e1 @ f2], [e2 @ f1, e2 @ f2]])
-    for signs in ((1.0, -1.0, 1.0), (-1.0, 1.0, -1.0)):
-        rhs = np.array(
-            [signs[1] * radii[1] - signs[0] * radii[0],
-             signs[2] * radii[2] - signs[0] * radii[0]]
-        )
-        A = np.array([P[1] - P[0], P[2] - P[0]])
-        det = np.linalg.det(A)
-        if abs(det) < 1e-12 * max(np.abs(A).max() ** 2, 1e-30):
-            continue
-        n2 = np.linalg.solve(A, rhs)
-        if abs(np.linalg.norm(n2) - 1.0) <= tol:
-            return True
-    return False

@@ -424,12 +424,14 @@ def certify_flex_free(
 ) -> FlexFreeReport:
     """Certify that sampled cone boundary directions admit no flex.
 
-    Boundary directions of every direction cone of the triple are located by
-    bisection (fewer than ``boundary_samples`` when rays never leave their
-    cone, none when the lattice has no feasible direction); at each one the
-    projected configuration is built and the probe Hessian split is
-    evaluated.  Directions whose projection point is not interior to the
-    triangle of projected centers (bitangent arcs) are skipped with a tag.
+    ``boundary_samples`` boundary directions, shared among the direction
+    cones of the triple, are the exits of geodesic rays from each cone's
+    deepest lattice direction, found as roots of the sextic, pair-cone conic
+    and tie-band curves along each ray (none when the lattice has no
+    feasible direction); at each one the projected configuration is built
+    and the probe Hessian split is evaluated.  Directions whose projection
+    point is not interior to the triangle of projected centers (bitangent
+    arcs) are skipped with a tag.
     """
     dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed, tol=tol)
     samples: list[FlexSample] = []

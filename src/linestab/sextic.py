@@ -338,26 +338,56 @@ def bordered_matrix(c0, c1, c2, s0, s1, s2) -> list[list[DirectionPoly]]:
     ]
 
 
-def cayley_matrix(triple: Triple, u: np.ndarray) -> np.ndarray:
-    """Numeric 5x5 bordered matrix whose determinant is sigma(u)."""
-    u = np.asarray(u, dtype=float)
-    q = float(np.dot(u, u))
-    s = triple.squared_radii
-
-    def t(i, j):
+def cayley_matrix(triple: Triple, U: np.ndarray, squared_radii: np.ndarray) -> np.ndarray:
+    """Numeric bordered 5x5 matrices (m, 5, 5) whose determinants are the
+    sextic at the direction rows of U (m, 3), for the given squared radii."""
+    U = np.asarray(U, dtype=float)
+    q = np.einsum("md,md->m", U, U)
+    M = np.zeros((len(U), 5, 5))
+    M[:, 0, 1:] = M[:, 1:, 0] = 1.0
+    M[:, 1, 2:] = M[:, 2:, 1] = q[:, None] * np.asarray(squared_radii, dtype=float)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
         e = triple.edge(i, j)
-        return triple.edge_norm_sq(i, j) * q - float(np.dot(e, u)) ** 2
+        M[:, i + 2, j + 2] = M[:, j + 2, i + 2] = triple.edge_norm_sq(i, j) * q - (U @ e) ** 2
+    return M
 
-    t01, t02, t12 = t(0, 1), t(0, 2), t(1, 2)
-    return np.array(
-        [
-            [0.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0, 0.0, q * s[0], q * s[1], q * s[2]],
-            [1.0, q * s[0], 0.0, t01, t02],
-            [1.0, q * s[1], t01, 0.0, t12],
-            [1.0, q * s[2], t02, t12, 0.0],
-        ]
-    )
+
+# inverse 7-point DFT: row m + 3 is the coefficient of e^{2im theta}, |m| <= 3,
+# of a form of degree 6 along a ray, from its values at theta = k pi / 7
+_DFT7 = np.exp(-2j * math.pi * np.outer(np.arange(-3, 4), np.arange(7)) / 7) / 7
+
+
+def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.ndarray,
+                        tangents: np.ndarray) -> np.ndarray:
+    """Real roots theta in [0, pi) of the sextic, at the given squared radii,
+    along each ray cos(theta) anchor + sin(theta) tangent: (m, 6), NaN-padded.
+
+    On a ray a form of degree 6 has the harmonics 0, +-2, +-4 and +-6 only,
+    so its values at theta = k pi / 7 give its coefficients exactly, and
+    z^3 sigma is a polynomial of degree 6 in z = e^{2i theta}.  Its roots
+    are the eigenvalues of the companion matrix (Boyd, SIAM Review 55(2),
+    2013); those within 1e-6 of the unit circle are polished by Newton steps
+    on the trigonometric polynomial.  A leading coefficient below 1e-13 of
+    the largest is raised to that size, which only sends the roots it adds
+    far off the unit circle.
+    """
+    m = len(tangents)
+    theta = np.arange(7) * math.pi / 7
+    U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents[:, None, :]
+    C = np.linalg.det(cayley_matrix(triple, U.reshape(-1, 3), squared_radii)).reshape(m, 7) @ _DFT7.T
+    floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
+    lead = np.where(np.abs(C[:, 6]) < floor, floor, C[:, 6])
+    companion = np.zeros((m, 6, 6), dtype=complex)
+    companion[:, 0] = -C[:, 5::-1] / lead[:, None]
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    z = np.linalg.eigvals(companion)
+    theta = np.where(np.abs(np.abs(z) - 1.0) < 1e-6, 0.5 * np.angle(z), np.nan)
+    harmonics = 2j * np.arange(-3, 4)
+    for _ in range(3):
+        terms = C[:, None, :] * np.exp(theta[:, :, None] * harmonics)
+        value, slope = terms.sum(axis=2).real, (terms @ harmonics).real
+        theta -= np.divide(value, slope, out=np.zeros_like(value), where=slope != 0.0)
+    return np.mod(theta, math.pi)
 
 
 def eval_sigma(triple: Triple, u) -> float:
@@ -365,7 +395,7 @@ def eval_sigma(triple: Triple, u) -> float:
     u = np.asarray(u, dtype=float)
     if float(np.dot(u, u)) == 0.0:
         raise SceneError("sigma is undefined at the zero vector")
-    return float(np.linalg.det(cayley_matrix(triple, u)))
+    return float(np.linalg.det(cayley_matrix(triple, u[None, :], triple.squared_radii))[0])
 
 
 def eval_hessian_sigma(triple: Triple, u) -> float:

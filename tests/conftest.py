@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from linestab.cone import realized_orders_batch
-from linestab.geom import Ball, Scene, random_scene_with_transversal
+from linestab.cone import OrderedQuery, feasibility_batch, realized_orders_batch, sample_scene
+from linestab.geom import Ball, Scene, orthonormal_basis_of_complement, random_scene_with_transversal
 from linestab.sextic import Triple
 
 
@@ -120,6 +120,89 @@ def enumerate_minimax(centers, radii, U):
                     x = p0 + y0 - np.where(ok, t, 0.0)[:, None] * y1
                     best = np.where(ok, np.minimum(best, value(x)), best)
     return best
+
+
+def bisected_boundary_directions(triple, count, seed=0, tol=1e-9, lattice=4096):
+    """Bisection oracle for cone.boundary_directions_for_triple.
+
+    The same lattice, anchors and rays; each ray is marched in 0.02 rad
+    steps to its first infeasible point, and the crossing is bisected a
+    fixed 45 times, down to a bracket of 0.02 * 2**-45, about 6e-16 rad,
+    whose midpoint is returned.  Rays that never leave their cone are
+    dropped.
+    """
+    scene = triple.scene
+    sset = sample_scene(scene, lattice, seed=seed, tol=tol)
+    feas = sset.feasible
+    cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
+    out = [np.zeros((0, 3))]
+    for k, order in enumerate(cones):
+        n_rays = count // len(cones) + (k < count % len(cones))
+        query = OrderedQuery(scene, order)
+        idx = np.nonzero(sset.feasible_for_order(order))[0]
+        anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
+        basis = orthonormal_basis_of_complement(anchor)
+        phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
+        tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
+
+        def feasible(tg, theta):
+            U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tg
+            return feasibility_batch(query, U, tol)[0]
+
+        lo, hi, alive = np.zeros(n_rays), np.full(n_rays, np.nan), np.ones(n_rays, dtype=bool)
+        theta = 0.0
+        while theta < math.pi - 1e-3 and np.any(alive):
+            theta += 0.02
+            ok = feasible(tangents, np.full(n_rays, theta))
+            hi[alive & ~ok] = theta
+            lo[alive & ok] = theta
+            alive &= ok
+        found = ~np.isnan(hi)
+        lo, hi, tangents = lo[found], hi[found], tangents[found]
+        for _ in range(45):
+            mid = 0.5 * (lo + hi)
+            ok = feasible(tangents, mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        theta = 0.5 * (lo + hi)
+        out.append(np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents)
+    pts = np.concatenate(out)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def is_pinned_planar(triple, tol=1e-9) -> bool:
+    """Whether the cone of directions degenerates to a single point.
+
+    True iff some line in the plane of centers is tangent to all three traced
+    discs with the middle ball on the opposite side from the outer two.  The
+    sign-patterned tangency conditions determine the line normal by a 2x2
+    solve; pinning holds exactly when that normal has unit length.
+    """
+    if triple.collinear_centers:
+        return False
+    centers = triple.centers
+    radii = triple.scene.radii
+    e1 = centers[1] - centers[0]
+    e2 = centers[2] - centers[0]
+    normal = np.cross(e1, e2)
+    normal /= np.linalg.norm(normal)
+    b1 = e1 - np.dot(e1, normal) * normal
+    # orthonormal frame of the plane of centers
+    f1 = b1 / np.linalg.norm(b1)
+    f2 = np.cross(normal, f1)
+    P = np.array([[0.0, 0.0], [e1 @ f1, e1 @ f2], [e2 @ f1, e2 @ f2]])
+    for signs in ((1.0, -1.0, 1.0), (-1.0, 1.0, -1.0)):
+        rhs = np.array(
+            [signs[1] * radii[1] - signs[0] * radii[0],
+             signs[2] * radii[2] - signs[0] * radii[0]]
+        )
+        A = np.array([P[1] - P[0], P[2] - P[0]])
+        det = np.linalg.det(A)
+        if abs(det) < 1e-12 * max(np.abs(A).max() ** 2, 1e-30):
+            continue
+        n2 = np.linalg.solve(A, rhs)
+        if abs(np.linalg.norm(n2) - 1.0) <= tol:
+            return True
+    return False
 
 
 @pytest.fixture

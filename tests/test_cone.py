@@ -12,6 +12,7 @@ from linestab.geom import (
     Direction,
     Scene,
     SceneError,
+    SolverError,
     orthonormal_basis_of_complement,
     random_disjoint_scene,
     random_scene_with_transversal,
@@ -30,14 +31,14 @@ from linestab.cone import (
     enumerate_geometric_permutations,
     feasibility_batch,
     fibonacci_sphere,
-    is_pinned_planar,
     minimax_slack_batch,
     realized_orders_batch,
     sample_directions,
     sample_scene,
 )
 from conftest import (
-    canonical_permutation, center_order, collinear_scene, random_triple, simplex_minimax,
+    bisected_boundary_directions, canonical_permutation, center_order, collinear_scene,
+    is_pinned_planar, random_triple, simplex_minimax,
 )
 
 
@@ -149,6 +150,23 @@ class TestDirectionFeasible:
         sset = sample_scene(scene, 64, extra_directions=u)
         assert sset.ties[-1] == ties[0]
         assert sset.feasible_for_order((0, 1, 2))[-1] == mask[0]
+
+    @pytest.mark.parametrize("length", [1e-6, 0.4, 2.5, 1e6])
+    def test_tie_rule_is_row_scale_free(self, length):
+        # test_single_tie_rule's scene at factor 2: no tie at any row length,
+        # and the entry-order margin does not read the length either
+        scene = Scene(
+            3,
+            (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
+            allow_overlap=True,
+        )
+        a = 2e-9 * scene.diameter()
+        u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
+        orders, ties = realized_orders_batch(scene, length * u)
+        assert orders[0].tolist() == [0, 1, 2]
+        assert not ties[0]
+        margins = [cone._entry_order_margin(scene, v, (0, 1, 2)) for v in (u, length * u)]
+        assert abs(margins[1][0] - margins[0][0]) <= 1e-12 * scene.diameter()
 
     def test_order_must_be_permutation(self):
         with pytest.raises(SceneError):
@@ -494,6 +512,112 @@ def _traced_sextic_directions(triple):
     ]
     U = np.concatenate(dirs)
     return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+def _criterion_5_triples():
+    """The 20 random triples and the 5-gap sweep of acceptance criterion 5."""
+    for seed in range(300, 320):
+        yield random_triple(seed, (0.7, 1.5))
+    for g in (0.2, 0.1, 0.05, 0.02, 0.008):
+        yield Triple((Ball([0, 0, 0], 1.0), Ball([2.0 + g, 0, 0], 1.0), Ball([1.1, 2.2, 0], 1.0)))
+
+
+def _assert_exits_match_bisection(tri, count):
+    dirs = boundary_directions_for_triple(tri, count, seed=0)
+    assert dirs.shape == (count, 3)
+    gap = np.max(np.linalg.norm(dirs - bisected_boundary_directions(tri, count), axis=1))
+    assert gap <= 1e-12, gap
+
+
+class TestBoundaryExits:
+    """Each ray leaves its cone at a root of the sextic, a pair-cone conic or
+    a tie-band edge; one kernel call per cone decides between the roots."""
+
+    @pytest.mark.parametrize("name", ["flexdemo-disjoint", "transition-disjoint", "two-permutations"])
+    def test_presets_match_bisection(self, name):
+        from linestab.cli import preset_scene
+
+        _assert_exits_match_bisection(Triple.from_scene(preset_scene(name)), 200)
+
+    def test_criterion_5_triples_match_bisection(self):
+        for tri in _criterion_5_triples():
+            _assert_exits_match_bisection(tri, 200)
+
+    @pytest.mark.parametrize("name", ["flexdemo-disjoint", "two-permutations", "flexdemo-tangent"])
+    def test_exits_lie_on_their_curves(self, name):
+        from linestab.cli import preset_scene
+
+        tol = 1e-9
+        tri = Triple.from_scene(preset_scene(name))
+        scene = tri.scene
+        dirs, curves = cone._boundary_exits(tri, 200, tol=tol)
+        eps = 1e-12 * scene.diameter()
+        slacks = minimax_slack_batch(scene.centers, scene.radii, dirs)
+        for u, slack, curve in zip(dirs, slacks, curves):
+            kind, pair = (curve + " ").split(" ")[:2]
+            if kind != "tie":  # the disks just share a point
+                assert abs(slack - tol) <= eps, (curve, slack)
+            if kind == "sextic":
+                continue
+            i, j = int(pair[0]), int(pair[1])
+            D = scene.centers[j] - scene.centers[i]
+            if kind == "conic":
+                gap = math.sqrt(D @ D - (u @ D) ** 2) - scene.radii[i] - scene.radii[j] - 2 * tol
+            else:
+                gap = abs(u @ D) - 1e-9 * scene.diameter()
+            assert abs(gap) <= eps, (curve, gap)
+        # the cones of disjoint balls end before any tie
+        assert not any(c.startswith("tie") for c in curves) or scene.allow_overlap
+
+    def test_kernel_calls_do_not_grow_with_count(self, monkeypatch):
+        from linestab.cli import preset_scene
+
+        calls = []
+        kernel = cone.minimax_slack_batch
+        monkeypatch.setattr(cone, "minimax_slack_batch", lambda *a: calls.append(1) or kernel(*a))
+        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        per_count = []
+        for count in (20, 400):
+            calls.clear()
+            assert len(boundary_directions_for_triple(tri, count)) == count
+            per_count.append(len(calls))
+        assert per_count == [5, 5]  # the lattice sample, then one per cone
+
+    def test_ray_without_exit_raises(self, monkeypatch):
+        monkeypatch.setattr(cone, "feasibility_batch", lambda q, U, tol: (np.ones(len(U), bool), None))
+        with pytest.raises(SolverError, match="boundary ray 0 of cone"):
+            boundary_directions_for_triple(random_triple(300, (0.7, 1.5)), 10)
+
+    @pytest.mark.parametrize("name", [
+        "collinear", "pinned", "two-permutations", "transition-disjoint", "transition-tangent",
+        "transition-overlapping", "flexdemo-disjoint", "flexdemo-tangent",
+    ])
+    def test_every_requested_point_is_delivered(self, name):
+        from linestab.cli import preset_scene
+        from linestab.flexprobe import certify_flex_free
+
+        tri = Triple.from_scene(preset_scene(name))
+        rep = certify_flex_free(tri, boundary_samples=37)
+        lattice_feasible = np.any(sample_scene(tri.scene, 4096).feasible)
+        assert len(rep.samples) == (37 if lattice_feasible else 0)
+        assert lattice_feasible or name == "pinned"
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 500),
+    shift=st.floats(-100.0, 100.0, allow_nan=False),
+    angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi, allow_nan=False)] * 2),
+    log_scale=st.floats(-3.0, 3.0, allow_nan=False),
+)
+def test_exits_match_bisection_under_similarity(seed, shift, angles, log_scale):
+    a, b = angles
+    Rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    Rx = np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
+    scale = 10.0 ** log_scale
+    scene, _ = random_scene_with_transversal(3, 3, (0.7, 1.5), seed=seed)
+    moved = _moved_scene(scene, Rz @ Rx, scale * shift * np.array([1.0, -0.7, 0.3]), scale=scale)
+    _assert_exits_match_bisection(Triple.from_scene(moved), 24)
 
 
 class TestBoundaryClassification:

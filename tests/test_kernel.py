@@ -187,3 +187,15 @@ def test_unconverged_row_raises(monkeypatch):
     monkeypatch.setattr(cone, "_best_point", stuck)
     with pytest.raises(SolverError, match="did not converge"):
         minimax_slack_batch(scene.centers, scene.radii, U)
+
+
+@pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.25])
+def test_inflated_radii_shift_the_slack(tau):
+    # slack <= tol is slack <= 0 at radii r + tol: boundary exits rest on it
+    scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
+    rng = np.random.default_rng(1)
+    U = np.vstack([fibonacci_sphere(400), axis.components + 0.3 * rng.normal(size=(400, 3))])
+    base = minimax_slack_batch(scene.centers, scene.radii, U)
+    inflated = minimax_slack_batch(scene.centers, scene.radii + tau, U)
+    eps = KERNEL_REL_EPS * diameter(scene.centers, scene.radii + tau)
+    assert np.max(np.abs(inflated - (base - tau))) <= eps

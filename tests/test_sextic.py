@@ -6,7 +6,7 @@ import pytest
 
 from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, preset_scene
-from linestab.geom import Ball, Direction, Scene, SceneError
+from linestab.geom import Ball, Direction, Scene, SceneError, orthonormal_basis_of_complement
 from linestab.sextic import (
     CHART_AXES,
     CURVE_NAMES,
@@ -102,6 +102,41 @@ class TestSigma:
             a = eval_sigma(tri, u)
             b = tri.sigma(*u)
             assert abrel(a, b) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["flexdemo-disjoint", "two-permutations", "edge-normal"])
+    def test_roots_on_rays_are_its_sign_changes(self, case, rng):
+        # each sign change of sigma on a fine grid of a ray brackets a returned
+        # root, and sigma vanishes at each root; "edge-normal" rays span the
+        # plane normal to an edge, where sigma's e^{6i theta} harmonic is zero,
+        # and the circles of the overlapping balls 0 and 1 meet
+        if case == "edge-normal":
+            tri = Triple((Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0.3, 0.4, 3], 1.0)),
+                         allow_overlap=True)
+            anchor, t = orthonormal_basis_of_complement(tri.edge(0, 1))
+            tangents = np.array([t, -t])
+        else:
+            tri = Triple.from_scene(preset_scene(case))
+            anchor = rng.normal(size=3)
+            anchor /= np.linalg.norm(anchor)
+            tangents = rng.normal(size=(12, 3))
+            tangents -= np.outer(tangents @ anchor, anchor)
+            tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        roots = sextic_mod.sigma_roots_on_rays(tri, tri.squared_radii, anchor, tangents)
+        grid = np.linspace(0.0, math.pi, 4001)
+
+        def sigma(t, theta):
+            U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * t
+            return np.linalg.det(sextic_mod.cayley_matrix(tri, U, tri.squared_radii))
+
+        brackets = 0
+        for t, row in zip(tangents, roots):
+            found = row[~np.isnan(row)]
+            values = sigma(t, grid)
+            assert np.all(np.abs(sigma(t, found)) <= 1e-9 * np.max(np.abs(values)))
+            for k in np.nonzero(np.sign(values[1:]) != np.sign(values[:-1]))[0]:
+                assert np.any((found >= grid[k]) & (found <= grid[k + 1])), grid[k]
+                brackets += 1
+        assert brackets > 0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
