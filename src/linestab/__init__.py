@@ -13,7 +13,6 @@ from .geom import (
     SolverError,
     random_disjoint_scene,
     random_scene_with_transversal,
-    scene_classification,
 )
 from .sextic import (
     CircleFamily,

@@ -9,7 +9,8 @@ run: too little evidence to decide either way.  The report's ``outcome``
 names which of holds / violation / inconclusive it is, with a reason.  A
 classify-boundary run with no traced sextic point holds (exit 0) and gives
 its reason among the verdicts; entry order semantics outside R^3 is a usage
-error.
+error.  A numerical solver that cannot finish (SolverError) makes the run
+inconclusive, with the solver's message as the reason.
 """
 from __future__ import annotations
 
@@ -168,6 +169,10 @@ class _UsageError(click.ClickException):
     exit_code = EXIT_USAGE
 
 
+class _InconclusiveError(click.ClickException):
+    exit_code = EXIT_INCONCLUSIVE
+
+
 def _finite_and(ok, what: str):
     """Click callback: a float option must be finite and satisfy ``ok`` (else exit 2)."""
     def check(ctx, param, value):
@@ -220,6 +225,12 @@ def _finish(
         report["timings"] = {"seconds": time.perf_counter() - t0}
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     sys.exit(code)
+
+
+def _solver_failed(command: str, config: dict, out: str | None, t0: float | None,
+                   exc: SolverError) -> None:
+    """Report a run the numerical solvers could not finish as inconclusive (exit 3)."""
+    _finish(command, config, {}, False, out, t0, inconclusive=f"solver error: {exc}")
 
 
 def _parse_order(order: str | None, n: int) -> tuple[int, ...]:
@@ -288,13 +299,6 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
     scene = _load_scene(scene_path)
     order_t = _parse_order(order, len(scene))
     query = cone_mod.OrderedQuery(scene, order_t)
-    try:
-        rep = cone_mod.cone_convexity_check(
-            query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
-            order_semantics=order_semantics,
-        )
-    except SceneError as exc:
-        raise _UsageError(str(exc))
     config = {
         "scene": scene_path,
         "order": list(order_t),
@@ -304,6 +308,15 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
         "tol": tol,
         "order_semantics": order_semantics,
     }
+    try:
+        rep = cone_mod.cone_convexity_check(
+            query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
+            order_semantics=order_semantics,
+        )
+    except SceneError as exc:
+        raise _UsageError(str(exc))
+    except SolverError as exc:
+        _solver_failed("check-convexity", config, out, t0, exc)
     reason = (f"{rep.feasible_samples} feasible direction sample(s): too few for a midpoint pair"
               if rep.inconclusive else None)
     _finish("check-convexity", config, rep.to_json_dict(), rep.passed, out, t0, reason)
@@ -320,8 +333,11 @@ def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
     """Catalog geometric permutations with witness directions."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
-    cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed, tol=tol)
     config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    try:
+        cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed, tol=tol)
+    except SolverError as exc:
+        _solver_failed("enumerate-permutations", config, out, t0, exc)
     _finish("enumerate-permutations", config, cat.to_json_dict(), True, out, t0)
 
 
@@ -336,13 +352,16 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
     """Count transversal components; must equal the permutation count."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
-    sset = cone_mod.sample_scene(scene, samples, seed=seed, tol=tol)
+    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    try:
+        sset = cone_mod.sample_scene(scene, samples, seed=seed, tol=tol)
+    except SolverError as exc:
+        _solver_failed("count-components", config, out, t0, exc)
     comp = cone_mod.count_components(scene, samples=samples, seed=seed, tol=tol, sample_set=sset)
     cat = cone_mod.enumerate_geometric_permutations(
         scene, samples=samples, seed=seed, tol=tol, sample_set=sset
     )
     agree = comp.count == len(cat)
-    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
     verdicts = {
         "components": comp.to_json_dict(),
         "permutations": len(cat),
@@ -362,9 +381,6 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
     """Flex-freeness certificate over sampled cone boundary directions."""
     t0 = time.perf_counter() if timings else None
     triple = _load_triple(scene_path, "probe-flex")
-    rep = flexprobe.certify_flex_free(
-        triple, boundary_samples=boundary_samples, seed=seed, tol=tol
-    )
     config = {
         "scene": scene_path,
         "scene_data": triple.scene.to_json_dict(),
@@ -372,6 +388,12 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
         "seed": seed,
         "tol": tol,
     }
+    try:
+        rep = flexprobe.certify_flex_free(
+            triple, boundary_samples=boundary_samples, seed=seed, tol=tol
+        )
+    except SolverError as exc:
+        _solver_failed("probe-flex", config, out, t0, exc)
     reason = None
     if rep.probed == 0:
         reason = f"no boundary sample was probed ({rep.skipped} skipped)"
@@ -433,11 +455,14 @@ def classify_boundary(scene_path, direction, n_directions, out, timings):
         if not len(pts):
             verdicts["reason"] = "sigma has no sign change on the three charts"
         dirs = list(pts[::max(1, len(pts) // n_directions)][:n_directions])
+    config = {"scene": scene_path, "directions": len(dirs)}
     results = []
     disagreements = 0
     for vec in dirs:
         try:
             cls = cone_mod.classify_boundary_direction(triple, Direction(vec))
+        except SolverError as exc:
+            _solver_failed("classify-boundary", config, out, t0, exc)
         except SceneError as exc:
             if direction is not None:
                 # an explicitly supplied direction must satisfy the
@@ -457,7 +482,6 @@ def classify_boundary(scene_path, direction, n_directions, out, timings):
             if not entry["agree"]:
                 disagreements += 1
         results.append(entry)
-    config = {"scene": scene_path, "directions": len(dirs)}
     verdicts.update(classifications=results, disagreements=disagreements)
     _finish("classify-boundary", config, verdicts, disagreements == 0, out, t0)
 
@@ -479,7 +503,10 @@ def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):
         rows = traces.to_csv_rows()
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
     else:
-        feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
+        try:
+            feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
+        except SolverError as exc:
+            raise _InconclusiveError(f"solver error: {exc}")
         text = render_figure(traces, feasible_points=feas)
     _write(text, out)
 

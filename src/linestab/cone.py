@@ -2,10 +2,11 @@
 
 Feasibility of a direction (order-respecting transversal existence),
 geodesic-midpoint convexity certification, geometric permutation
-enumeration, connected component counting on the direction sphere, the
-boundary directions of a triple's cones (each ray's exit is a root of the
-sextic, a pair-cone conic or a tie-band edge along it), and boundary
-classification against the triangle of centers.
+enumeration, connected component counting on the direction sphere (its
+neighbour pairs come from a fixed-radius cell grid), the boundary directions
+of a triple's cones (each ray's exit is a root of the sextic, a pair-cone
+conic or a tie-band edge along it), and boundary classification against the
+triangle of centers.
 
 The bulk feasibility engine solves the projected-disk minimax problem for a
 batch of directions at once, with no per-direction Python work: each row
@@ -39,6 +40,9 @@ REL_TOL = 1e-9
 # diameter: a row is solved once no disk is violated by more than this at its
 # point, and the pair bound rules a row out only above tol plus this
 KERNEL_REL_EPS = 1e-12
+# a direction row whose squared length is within this of 1 counts as unit: a
+# few ulps, far inside KERNEL_REL_EPS
+UNIT_SQ_TOL = 2.0 ** -48
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +96,14 @@ def lattice_spacing(d: int, count: int) -> float:
 
 def _unit_rows(U) -> np.ndarray:
     """Direction rows at unit length; SolverError on a zero or non-finite row.
-    Each row is divided by its largest entry first, so huge rows normalize."""
+
+    Rows whose squared lengths are all within UNIT_SQ_TOL of 1 come back as
+    they are, so rows normalized once (or unit by construction) cost one
+    reduction on every later call.  Otherwise each row is divided by its
+    largest entry first, so huge rows normalize."""
     U = np.asarray(U, dtype=float)
+    if np.all(np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL):
+        return U
     # both reductions run over the leading axis of a contiguous transposed
     # copy, several times faster than over the short trailing axis; the sum
     # adds the same terms in the same order for d < 8
@@ -324,14 +334,15 @@ def sample_scene(
 ) -> ConeSampleSet:
     """Sample the direction sphere and record slack/order for each direction.
 
-    Only rows whose pair-cone bound does not already exceed ``tol`` go
-    through the exact kernel; the others keep the bound (see ConeSampleSet).
-    The KERNEL_REL_EPS * diameter margin covers the roundoff between bound
-    and kernel.
+    The lattice rows are unit by construction; ``extra_directions`` are
+    scaled to unit length before they join them.  Only rows whose pair-cone
+    bound does not already exceed ``tol`` go through the exact kernel; the
+    others keep the bound (see ConeSampleSet).  The KERNEL_REL_EPS * diameter
+    margin covers the roundoff between bound and kernel.
     """
     U, scheme = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
-        U = np.vstack([U, np.asarray(extra_directions, dtype=float)])
+        U = np.vstack([U, _unit_rows(extra_directions)])
     exact_below = tol + KERNEL_REL_EPS * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
@@ -732,32 +743,95 @@ def enumerate_geometric_permutations(
     return PermutationCatalog(entries, samples, seed)
 
 
-def _close_pairs(points: np.ndarray, chord: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of rows of ``points`` at Euclidean distance <= chord.
+# candidate pairs _close_pairs tests at a time (plus at most one cell's rows),
+# which bounds its memory however crowded a cell is
+_PAIR_BATCH = 1 << 16
 
-    A sweep along the coordinate of widest spread: after sorting on it, row
-    k is compared with row k + shift for shift = 1, 2, ... while some pair
-    is still within ``chord`` on that coordinate.  A second coordinate
-    screens the pairs before the full squared distance, summed in
-    coordinate order, is compared with chord^2.
+
+def _close_pairs(points: np.ndarray, chord: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of rows of ``points`` at Euclidean distance <= chord,
+    each unordered pair once.
+
+    A pair is close when its squared differences, summed in coordinate
+    order, are at most chord^2 and its differences on the coordinate w of
+    widest spread and on w + 1 are at most chord.  A fixed-radius cell grid
+    (Bentley, Stanat and Williams 1977) finds them: rows are bucketed into
+    cubes of side h >= chord over the k coordinates of widest spread,
+    k = clip(floor(log3 n), 1, min(d, 5)), so the (3^k + 1) / 2 half-neighbour
+    offsets never outnumber the rows, and every pair in one cell or in two
+    cells one offset apart is tested.  h is at least 2^-30 times the widest
+    spread, so roundoff moves a row by under 2^-21 of a cell and close rows
+    are at most one cell apart on each axis.
     """
     n, d = points.shape
-    w = int(np.argmax(np.ptp(points, axis=0))) if n else 0
-    order = np.argsort(points[:, w], kind="stable")
+    none = np.zeros(0, dtype=np.int64)
+    if n < 2:
+        return none, none
+    spread = np.ptp(points, axis=0)
+    w = int(np.argmax(spread))
+    k = 1
+    while k < min(d, 5) and 3 ** (k + 1) <= n:
+        k += 1
+    # 2^-490 keeps a cell wider than any difference whose square underflows
+    h = max(chord * (1.0 + 2.0 ** -20), float(spread[w]) * 2.0 ** -30, 2.0 ** -490)
+    key, strides = _cell_keys(points, h, np.argsort(-spread, kind="stable")[:k])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     cols = points[order].T.copy()
-    live = np.arange(n)
-    firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for shift in range(1, n):
-        live = live[live < n - shift]
-        live = live[cols[w, live + shift] - cols[w, live] <= chord]
-        if len(live) == 0:
-            break
-        cand = live[np.abs(cols[(w + 1) % d, live + shift] - cols[(w + 1) % d, live]) <= chord]
-        dist_sq = sum((cols[k, cand + shift] - cols[k, cand]) ** 2 for k in range(d))
-        near = cand[dist_sq <= chord * chord]
-        firsts.append(near)
-        seconds.append(near + shift)
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    cells, count = key[first], np.diff(np.append(first, n))
+    cell_of = np.repeat(np.arange(len(cells)), count)
+    firsts, seconds = [none], [none]
+    for digits in itertools.product((-1, 0, 1), repeat=len(strides)):
+        if next((x for x in digits if x), 1) < 0:
+            continue  # the opposite offset visits these cell pairs
+        target = cells + sum(x * s for x, s in zip(digits, strides))
+        pos = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        # each row i of a cell with a partner cell meets its rows [lo, lo + m)
+        i = np.flatnonzero((cells[pos] == target)[cell_of])
+        partner = pos[cell_of[i]]
+        lo = first[partner] if any(digits) else i + 1  # in one cell, each pair once
+        m = first[partner] + count[partner] - lo
+        for a, b in _row_ranges(i, lo, m):
+            dist_sq = sum((cols[c, b] - cols[c, a]) ** 2 for c in range(d))
+            keep = dist_sq <= chord * chord
+            for c in (w, (w + 1) % d):
+                a, b = a[keep], b[keep]
+                keep = np.abs(cols[c, b] - cols[c, a]) <= chord
+            firsts.append(a[keep])
+            seconds.append(b[keep])
     return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
+
+
+def _cell_keys(points: np.ndarray, h: float, axes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Mixed-radix key of the cube of side h holding each row, over the given
+    axes in turn, and each used axis' stride.  Cell indices start at 1 and
+    the radix leaves one spare cell on each side, so offsets of -1 and +1
+    never wrap; an axis joins only while the keys fit in int64."""
+    key, stride, strides = np.zeros(len(points), dtype=np.int64), 1, []
+    for a in axes:
+        cell = np.floor((points[:, a] - points[:, a].min()) / h).astype(np.int64) + 1
+        extent = int(cell.max()) + 2
+        if stride * extent > 2 ** 62:
+            break
+        key += stride * cell
+        strides.append(stride)
+        stride *= extent
+    return key, strides
+
+
+def _row_ranges(rows: np.ndarray, lo: np.ndarray, m: np.ndarray):
+    """Yield index pairs (a, b), b over [lo[k], lo[k] + m[k]) for a = rows[k],
+    in batches of at most _PAIR_BATCH pairs or one row."""
+    ends = np.cumsum(m)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BATCH, total, _PAIR_BATCH), side="right")
+    for r0, r1 in zip([0, *cuts], [*cuts, len(rows)]):
+        mm = m[r0:r1]
+        size = int(mm.sum())
+        if size:
+            b = np.repeat(lo[r0:r1] - (np.cumsum(mm) - mm), mm) + np.arange(size)
+            yield np.repeat(rows[r0:r1], mm), b
 
 
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -788,6 +862,8 @@ class ComponentReport:
     cluster_sizes: list[int]
     angular_radius: float
     undersampled: bool
+    feasible_samples: int
+    neighbour_pairs: int
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -805,8 +881,11 @@ def count_components(
 
     Each feasible sample is canonicalized (antipodal identification of the
     reversed-order witness), then clustered with a neighborhood graph whose
-    angular radius is radius_factor times the lattice spacing.  For disjoint
-    scenes the count must equal the number of geometric permutations.
+    angular radius is radius_factor times the lattice spacing.  Its edges,
+    the pairs of samples at most the matching chord apart, come from a
+    fixed-radius cell grid (_close_pairs); ``neighbour_pairs`` counts them.
+    For disjoint scenes the count must equal the number of geometric
+    permutations.
     """
     sset = sample_set if sample_set is not None else sample_scene(
         scene, samples, seed=seed, tol=tol
@@ -815,17 +894,21 @@ def count_components(
     dirs = sset.directions[feas]
     orders = sset.orders[feas]
     if len(dirs) == 0:
-        return ComponentReport(0, [], 0.0, undersampled=False)
+        return ComponentReport(0, [], 0.0, undersampled=False, feasible_samples=0,
+                               neighbour_pairs=0)
     canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
     theta = radius_factor * lattice_spacing(scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
-    labels = _component_labels(len(canon_dirs), *_close_pairs(canon_dirs, chord))
+    a, b = _close_pairs(canon_dirs, chord)
+    labels = _component_labels(len(canon_dirs), a, b)
     sizes = sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True)
     return ComponentReport(
         count=len(sizes),
         cluster_sizes=sizes,
         angular_radius=theta,
         undersampled=any(s < 10 for s in sizes),
+        feasible_samples=len(dirs),
+        neighbour_pairs=len(a),
     )
 
 

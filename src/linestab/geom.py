@@ -1,8 +1,8 @@
 """Euclidean primitives for ball scenes in R^d.
 
 Balls, ordered scenes, directions on the unit sphere, an orthonormal basis
-of a direction's complement, and scene classification / generation used
-throughout the library.
+of a direction's complement, and the scene generators used throughout the
+library.
 """
 from __future__ import annotations
 
@@ -202,40 +202,6 @@ def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
             raise SolverError("basis construction collapsed; direction malformed")
         rows.append(v / nv)
     return np.array(rows)
-
-
-@dataclass(frozen=True)
-class SceneFlags:
-    thinly_distributed: bool
-    pairwise_inflatable: bool
-    collinear_centers: bool
-
-
-def scene_classification(scene: Scene, rank_tol: float = 1e-9) -> SceneFlags:
-    """Classify a scene: thin distribution, pairwise inflatability, collinearity.
-
-    Thinly distributed: every center distance is at least twice the sum of the
-    two radii.  Pairwise inflatable: every squared center distance is at least
-    twice the sum of the two squared radii.
-    """
-    thin = True
-    inflatable = True
-    for i, j in itertools.combinations(range(len(scene.balls)), 2):
-        bi, bj = scene.balls[i], scene.balls[j]
-        d2 = float(np.dot(bi.center - bj.center, bi.center - bj.center))
-        if math.sqrt(d2) < 2.0 * (bi.radius + bj.radius):
-            thin = False
-        if d2 < 2.0 * (bi.radius ** 2 + bj.radius ** 2):
-            inflatable = False
-    centers = scene.centers
-    rel = centers - centers[0]
-    if len(scene.balls) <= 2:
-        collinear = True
-    else:
-        sv = np.linalg.svd(rel, compute_uv=False)
-        scale = sv[0] if sv[0] > 0 else 1.0
-        collinear = bool(np.sum(sv > rank_tol * scale) <= 1)
-    return SceneFlags(thin, inflatable, collinear)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -203,6 +204,62 @@ def is_pinned_planar(triple, tol=1e-9) -> bool:
         if abs(np.linalg.norm(n2) - 1.0) <= tol:
             return True
     return False
+
+
+@dataclass(frozen=True)
+class SceneFlags:
+    thinly_distributed: bool
+    pairwise_inflatable: bool
+    collinear_centers: bool
+
+
+def scene_classification(scene: Scene, rank_tol: float = 1e-9) -> SceneFlags:
+    """Classify a scene: thin distribution, pairwise inflatability, collinearity.
+
+    Thinly distributed: every center distance is at least twice the sum of the
+    two radii.  Pairwise inflatable: every squared center distance is at least
+    twice the sum of the two squared radii.
+    """
+    thin = True
+    inflatable = True
+    for i, j in itertools.combinations(range(len(scene.balls)), 2):
+        bi, bj = scene.balls[i], scene.balls[j]
+        d2 = float(np.dot(bi.center - bj.center, bi.center - bj.center))
+        if math.sqrt(d2) < 2.0 * (bi.radius + bj.radius):
+            thin = False
+        if d2 < 2.0 * (bi.radius ** 2 + bj.radius ** 2):
+            inflatable = False
+    centers = scene.centers
+    rel = centers - centers[0]
+    if len(scene.balls) <= 2:
+        collinear = True
+    else:
+        sv = np.linalg.svd(rel, compute_uv=False)
+        scale = sv[0] if sv[0] > 0 else 1.0
+        collinear = bool(np.sum(sv > rank_tol * scale) <= 1)
+    return SceneFlags(thin, inflatable, collinear)
+
+
+def close_pairs(points, chord) -> set[tuple[int, int]]:
+    """Brute-force oracle for cone._close_pairs: every pair i < j of rows
+    whose squared differences, summed in coordinate order, are at most
+    chord^2 and whose differences on the coordinate w of widest spread (the
+    first, on a tie) and on w + 1 are at most chord."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    if n < 2:
+        return set()
+    w = int(np.argmax(np.ptp(points, axis=0)))
+    pairs = set()
+    for i in range(n):
+        diff = points[i + 1:] - points[i]
+        dist_sq = np.zeros(len(diff))
+        for c in range(d):
+            dist_sq += diff[:, c] ** 2
+        near = ((dist_sq <= chord * chord) & (np.abs(diff[:, w]) <= chord)
+                & (np.abs(diff[:, (w + 1) % d]) <= chord))
+        pairs.update((i, i + 1 + int(j)) for j in np.flatnonzero(near))
+    return pairs
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from linestab import cone as cone_mod
 from linestab.cli import PRESET_NAMES, _finish, main, preset_scene, render_figure
 from linestab.sextic import Triple, trace_curves
 
@@ -382,6 +383,48 @@ class TestProbeFlex:
         assert doc["outcome"]["reason"] == (
             "no boundary sample was probed (0 skipped); 0 of 200 boundary points located"
         )
+
+
+class TestSolverErrors:
+    """A SolverError from the library is an inconclusive run (exit 3) with
+    the solver's message as the reason, never a traceback."""
+
+    @staticmethod
+    def demo(runner, tmp_path):
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+        return str(scene)
+
+    def test_boundary_ray_without_exit(self, runner, tmp_path, monkeypatch):
+        # every direction feasible: no boundary ray leaves its cone
+        monkeypatch.setattr(
+            cone_mod, "feasibility_batch",
+            lambda q, U, tol: (np.ones(len(U), dtype=bool), np.zeros(len(U))),
+        )
+        r = invoke(runner, ["probe-flex", "--scene", self.demo(runner, tmp_path)])
+        assert r.exit_code == 3
+        doc = json.loads(r.output)
+        assert doc["verdicts"] == {}
+        assert doc["outcome"]["status"] == "inconclusive"
+        assert doc["outcome"]["reason"].startswith(
+            "solver error: boundary ray 0 of cone (0, 1, 2) has no exit")
+
+    def test_kernel_that_never_converges(self, runner, tmp_path, monkeypatch):
+        # a support solve that never improves: the kernel gives up and raises
+        monkeypatch.setattr(cone_mod, "_best_point",
+                            lambda P, radii, B, over: (np.full(len(B), -np.inf), np.zeros(B.shape)))
+        s = ["--scene", self.demo(runner, tmp_path)]
+        for args in (["check-convexity", *s], ["enumerate-permutations", *s],
+                     ["count-components", *s], ["probe-flex", *s], ["classify-boundary", *s]):
+            r = invoke(runner, args)
+            assert r.exit_code == 3, args
+            reason = json.loads(r.output)["outcome"]["reason"]
+            assert reason.startswith("solver error: disk minimax did not converge"), args
+        out = tmp_path / "f.svg"
+        r = runner.invoke(main, ["trace-curves", *s, "--format", "svg", "--out", str(out)])
+        assert r.exit_code == 3 and r.exc_info[0] is SystemExit
+        assert "solver error: disk minimax did not converge" in r.output
+        assert not out.exists()
 
 
 class TestClassifyBoundary:

@@ -37,8 +37,8 @@ from linestab.cone import (
     sample_scene,
 )
 from conftest import (
-    bisected_boundary_directions, canonical_permutation, center_order, collinear_scene,
-    is_pinned_planar, random_triple, simplex_minimax,
+    bisected_boundary_directions, canonical_permutation, center_order, close_pairs,
+    collinear_scene, is_pinned_planar, random_triple, scene_classification, simplex_minimax,
 )
 
 
@@ -55,6 +55,9 @@ class TestSampling:
         np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
         U2, _ = sample_directions(4, 300, seed=5)
         np.testing.assert_array_equal(U, U2)
+
+
+X_AXIS = np.array([[1.0, 0.0, 0.0]])
 
 
 class TestPairPrefilter:
@@ -82,6 +85,35 @@ class TestPairPrefilter:
         bound = _pair_bound(scene.centers, scene.radii, sset.directions)
         assert sum(exact_rows) == np.sum(bound <= sset.tol + band) < len(bound)
 
+    @pytest.mark.parametrize("length", [1e-3, 0.5, 2.0, 1e3])
+    def test_extra_directions_are_scaled_before_the_bound(self, length):
+        # the bound reads |D|^2 - (u.D)^2, so a short extra row must not be
+        # ruled out: the pinned cone's one direction stays feasible
+        from linestab.cli import preset_scene
+
+        scene = preset_scene("pinned")
+        sset = sample_scene(scene, 100, extra_directions=length * X_AXIS)
+        np.testing.assert_array_equal(sset.directions[-1], X_AXIS[0])
+        assert sset.feasible_for_order((0, 1, 2))[-1]
+
+
+class TestUnitRows:
+    def test_unit_rows_come_back_as_they_are(self):
+        U = fibonacci_sphere(1000)
+        assert cone._unit_rows(U) is U
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-9, 1.0 + 1e-14, 3.0, 1e200])
+    def test_other_rows_are_scaled(self, scale):
+        U = scale * fibonacci_sphere(1000)
+        unit = cone._unit_rows(U)
+        assert np.max(np.abs(np.linalg.norm(unit, axis=1) - 1.0)) <= 4e-16
+        assert cone._unit_rows(unit) is unit
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
+    def test_zero_or_non_finite_row_raises(self, row):
+        with pytest.raises(SolverError, match="finite and non-zero"):
+            cone._unit_rows(np.vstack([fibonacci_sphere(10), row]))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -107,8 +139,6 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
     assert np.all(bound <= exact + 1e-12 * scene.diameter())
     assert n > 1 or np.all(bound == -np.inf)
 
-
-X_AXIS = np.array([[1.0, 0.0, 0.0]])
 
 
 class TestDirectionFeasible:
@@ -360,8 +390,6 @@ class TestPermutations:
     def test_thinly_distributed_catalog_matches_components(self):
         # tiny balls spaced along a line: genuinely thinly distributed
         # (every center distance at least twice the sum of the two radii)
-        from linestab.geom import scene_classification
-
         rng = np.random.default_rng(9)
         balls = []
         t = 0.0
@@ -444,6 +472,74 @@ class TestComponents:
         )
         rep = count_components(scene, samples=2000, seed=0)
         assert rep.count == 0
+        assert rep.feasible_samples == rep.neighbour_pairs == 0
+
+    def test_two_permutations_at_acceptance_budget(self):
+        # the clusters and neighbour pairs the one-axis sweep found at 1e5
+        # samples, to the sample
+        from linestab.cli import preset_scene
+
+        scene = preset_scene("two-permutations")
+        sset = sample_scene(scene, 100_000, seed=0)
+        rep = count_components(scene, sample_set=sset)
+        assert rep.count == 2
+        assert rep.cluster_sizes == [7713, 2399]
+        assert rep.feasible_samples == int(np.sum(sset.feasible)) == 10112
+        assert rep.neighbour_pairs == 185181
+
+
+def _close_pair_set(points, chord) -> set[tuple[int, int]]:
+    a, b = cone._close_pairs(np.asarray(points, dtype=float), chord)
+    pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    assert len(pairs) == len(a) and not np.any(a == b)  # each pair once
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 400),
+    d=st.integers(2, 6),
+    kind=st.sampled_from(["unit", "antipodal", "duplicates", "lattice"]),
+    log_chord=st.floats(-9.0, 0.3),
+)
+def test_close_pairs_match_the_oracle(seed, n, d, kind, log_chord):
+    rng = np.random.default_rng(seed)
+    chord = 10.0 ** log_chord
+    if kind == "lattice":
+        # integer multiples of the chord: many pairs at exactly chord
+        X = chord * rng.integers(-3, 4, size=(n, d))
+    else:
+        X = rng.normal(size=(n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        if kind == "antipodal":
+            # canonicalised as count_components does it: a row and its
+            # antipode, one of them flipped by a reversed-canonical order
+            orders = rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1)
+            X[: n // 2] = -X[n - n // 2:]
+            X = np.where(_reversed_is_canonical(orders)[:, None], -X, X)
+        elif kind == "duplicates":
+            X = X[rng.integers(0, max(1, n // 4), size=n)]
+    assert _close_pair_set(X, chord) == close_pairs(X, chord)
+
+
+def test_close_pairs_batches_a_crowded_cell(monkeypatch):
+    # every row in one cell: the pairs still come out whole across batches
+    monkeypatch.setattr(cone, "_PAIR_BATCH", 97)
+    X = np.random.default_rng(3).normal(size=(300, 5)) * 1e-3
+    every = set(itertools.combinations(range(300), 2))
+    assert _close_pair_set(X, 1.0) == close_pairs(X, 1.0) == every
+
+
+def test_close_pair_cell_keys_fit_int64():
+    # at chord 1e-9 over a spread of 2 each axis has about 2^30 cells, so
+    # only two of the five axes fit a key
+    X = np.random.default_rng(4).normal(size=(300, 5))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X[1] = X[0] + 1e-10
+    key, strides = cone._cell_keys(X, 1e-9, np.arange(5))
+    assert len(strides) == 2 and np.all(key > 0)
+    assert _close_pair_set(X, 1e-9) == close_pairs(X, 1e-9) == {(0, 1)}
 
 
 def _catalog_by_loop(sset):

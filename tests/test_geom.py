@@ -16,9 +16,10 @@ from linestab.geom import (
     orthonormal_basis_of_complement,
     random_disjoint_scene,
     random_scene_with_transversal,
-    scene_classification,
 )
-from conftest import center_order, collinear_scene, line_entry_parameters, simplex_minimax
+from conftest import (
+    center_order, collinear_scene, line_entry_parameters, scene_classification, simplex_minimax,
+)
 
 
 def project_centers(scene, u):
