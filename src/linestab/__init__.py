@@ -20,7 +20,6 @@ from .sextic import (
     Line3,
     QuadraticFormOnDirections,
     Triple,
-    eval_hessian_sigma,
     eval_sigma,
     pair_cone_quadratic,
     tangent_lines_for_direction,

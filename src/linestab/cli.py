@@ -11,6 +11,11 @@ classify-boundary run with no traced sextic point holds (exit 0) and gives
 its reason among the verdicts; entry order semantics outside R^3 is a usage
 error.  A numerical solver that cannot finish (SolverError) makes the run
 inconclusive, with the solver's message as the reason.
+
+No option sets a tolerance and none is read from the environment: every
+length decision reads the scene's band, REL_TOL times its diameter, and each
+report that decides feasibility states the ``band`` it used among its
+verdicts.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from .geom import (
     random_scene_with_transversal,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -173,20 +178,11 @@ class _InconclusiveError(click.ClickException):
     exit_code = EXIT_INCONCLUSIVE
 
 
-def _finite_and(ok, what: str):
-    """Click callback: a float option must be finite and satisfy ``ok`` (else exit 2)."""
-    def check(ctx, param, value):
-        if not (math.isfinite(value) and ok(value)):
-            raise click.BadParameter(f"must be finite and {what}, got {value}")
-        return value
-    return check
-
-
-_positive = _finite_and(lambda v: v > 0, "> 0")
-_tol_option = click.option(
-    "--tol", type=float, default=1e-9, show_default=True,
-    callback=_finite_and(lambda v: v >= 0, ">= 0"),
-)
+def _positive(ctx, param, value):
+    """Click callback: a float option must be finite and > 0 (else exit 2)."""
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and > 0, got {value}")
+    return value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -284,7 +280,6 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, transversal, out):
 @click.option("--samples", type=click.IntRange(min=1), default=4096, show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_tol_option
 @click.option(
     "--order-semantics",
     type=click.Choice(["center", "entry"]),
@@ -293,7 +288,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, transversal, out):
 )
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantics, out, timings):
+def check_convexity(scene_path, order, samples, pairs, seed, order_semantics, out, timings):
     """Geodesic-midpoint convexity certification for one ordered cone."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
@@ -305,13 +300,11 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
         "samples": samples,
         "pairs": pairs,
         "seed": seed,
-        "tol": tol,
         "order_semantics": order_semantics,
     }
     try:
         rep = cone_mod.cone_convexity_check(
-            query, pairs=pairs, tol=tol, seed=seed, lattice=samples,
-            order_semantics=order_semantics,
+            query, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
         )
     except SceneError as exc:
         raise _UsageError(str(exc))
@@ -319,50 +312,51 @@ def check_convexity(scene_path, order, samples, pairs, seed, tol, order_semantic
         _solver_failed("check-convexity", config, out, t0, exc)
     reason = (f"{rep.feasible_samples} feasible direction sample(s): too few for a midpoint pair"
               if rep.inconclusive else None)
-    _finish("check-convexity", config, rep.to_json_dict(), rep.passed, out, t0, reason)
+    verdicts = dict(rep.to_json_dict(), band=scene.band)
+    _finish("check-convexity", config, verdicts, rep.passed, out, t0, reason)
 
 
 @main.command("enumerate-permutations")
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def enumerate_permutations(scene_path, samples, seed, tol, out, timings):
+def enumerate_permutations(scene_path, samples, seed, out, timings):
     """Catalog geometric permutations with witness directions."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
-    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    config = {"scene": scene_path, "samples": samples, "seed": seed}
     try:
-        cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed, tol=tol)
+        cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed)
     except SolverError as exc:
         _solver_failed("enumerate-permutations", config, out, t0, exc)
-    _finish("enumerate-permutations", config, cat.to_json_dict(), True, out, t0)
+    verdicts = dict(cat.to_json_dict(), band=scene.band)
+    _finish("enumerate-permutations", config, verdicts, True, out, t0)
 
 
 @main.command("count-components")
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def count_components_cmd(scene_path, samples, seed, tol, out, timings):
+def count_components_cmd(scene_path, samples, seed, out, timings):
     """Count transversal components; must equal the permutation count."""
     t0 = time.perf_counter() if timings else None
     scene = _load_scene(scene_path)
-    config = {"scene": scene_path, "samples": samples, "seed": seed, "tol": tol}
+    config = {"scene": scene_path, "samples": samples, "seed": seed}
     try:
-        sset = cone_mod.sample_scene(scene, samples, seed=seed, tol=tol)
+        sset = cone_mod.sample_scene(scene, samples, seed=seed)
     except SolverError as exc:
         _solver_failed("count-components", config, out, t0, exc)
-    comp = cone_mod.count_components(scene, samples=samples, seed=seed, tol=tol, sample_set=sset)
+    comp = cone_mod.count_components(scene, samples=samples, seed=seed, sample_set=sset)
     cat = cone_mod.enumerate_geometric_permutations(
-        scene, samples=samples, seed=seed, tol=tol, sample_set=sset
+        scene, samples=samples, seed=seed, sample_set=sset
     )
     agree = comp.count == len(cat)
     verdicts = {
+        "band": scene.band,
         "components": comp.to_json_dict(),
         "permutations": len(cat),
         "components_equal_permutations": agree,
@@ -374,10 +368,9 @@ def count_components_cmd(scene_path, samples, seed, tol, out, timings):
 @click.option("--scene", "scene_path", required=True, type=str)
 @click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_tol_option
 @click.option("--out", type=str, default=None)
 @click.option("--timings", is_flag=True, default=False)
-def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
+def probe_flex(scene_path, boundary_samples, seed, out, timings):
     """Flex-freeness certificate over sampled cone boundary directions."""
     t0 = time.perf_counter() if timings else None
     triple = _load_triple(scene_path, "probe-flex")
@@ -386,12 +379,9 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
         "scene_data": triple.scene.to_json_dict(),
         "boundary_samples": boundary_samples,
         "seed": seed,
-        "tol": tol,
     }
     try:
-        rep = flexprobe.certify_flex_free(
-            triple, boundary_samples=boundary_samples, seed=seed, tol=tol
-        )
+        rep = flexprobe.certify_flex_free(triple, boundary_samples=boundary_samples, seed=seed)
     except SolverError as exc:
         _solver_failed("probe-flex", config, out, t0, exc)
     reason = None
@@ -399,7 +389,8 @@ def probe_flex(scene_path, boundary_samples, seed, tol, out, timings):
         reason = f"no boundary sample was probed ({rep.skipped} skipped)"
         if len(rep.samples) < rep.requested:
             reason += f"; {len(rep.samples)} of {rep.requested} boundary points located"
-    _finish("probe-flex", config, rep.to_json_dict(), rep.passed, out, t0, reason)
+    verdicts = dict(rep.to_json_dict(), band=triple.scene.band)
+    _finish("probe-flex", config, verdicts, rep.passed, out, t0, reason)
 
 
 @main.command("verify-identities")
@@ -432,7 +423,7 @@ def classify_boundary(scene_path, direction, n_directions, out, timings):
     """
     t0 = time.perf_counter() if timings else None
     triple = _load_triple(scene_path, "classify-boundary")
-    verdicts: dict = {"boundary_band": cone_mod.REL_TOL * triple.scene.diameter()}
+    verdicts: dict = {"band": triple.scene.band}
     if direction is not None:
         try:
             vec = np.array([float(x) for x in direction.replace(",", " ").split()])
@@ -512,7 +503,8 @@ def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):
 
 
 def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) -> np.ndarray:
-    """Feasible directions of the scene mapped into the chart plane."""
+    """Directions of the chart plane whose projected disks share a point, up
+    to the scene's band."""
     side = max(8, int(math.sqrt(count)))
     xs = np.linspace(-extent, extent, side)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -520,7 +512,7 @@ def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) 
     dirs = sextic.chart_point_to_direction(chart, pts[:, 0], pts[:, 1])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     slacks = cone_mod.minimax_slack_batch(scene.centers, scene.radii, dirs)
-    return pts[slacks <= 0.0]
+    return pts[slacks <= scene.band]
 
 
 def render_figure(

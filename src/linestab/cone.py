@@ -8,6 +8,13 @@ of a triple's cones (each ray's exit is a root of the sextic, a pair-cone
 conic or a tie-band edge along it), and boundary classification against the
 triangle of centers.
 
+Every length decision reads one tolerance, the scene's ``band``: geom.REL_TOL
+times its diameter.  A direction is feasible when its projected disks share
+a point up to the band (slack <= band) and its order has no tie (two center
+projections closer than the band); the entry-order margin, the boundary
+curves (radii r + band) and the boundary classification read the same band,
+so no verdict changes when the scene is scaled.
+
 The bulk feasibility engine solves the projected-disk minimax problem for a
 batch of directions at once, with no per-direction Python work: each row
 starts from its best pair of disks, and a violator loop over supports of at
@@ -32,13 +39,9 @@ from .geom import (
 )
 from .sextic import TRACE_TOL, Triple, sigma_roots_on_rays, tangent_lines_for_direction
 
-DEFAULT_TOL = 1e-9
-# tolerance relative to the scene's diameter: centre projections closer than
-# this tie, and a sextic direction whose slack is within it is on the boundary
-REL_TOL = 1e-9
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
-# point, and the pair bound rules a row out only above tol plus this
+# point, and the pair bound rules a row out only above the band plus this
 KERNEL_REL_EPS = 1e-12
 # a direction row whose squared length is within this of 1 counts as unit: a
 # few ulps, far inside KERNEL_REL_EPS
@@ -273,13 +276,13 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
 
     For disjoint balls a transversal of direction u meets them in the order
     of the center projections <c_i, u>.  Rows are scaled to unit length, and
-    two projections closer than REL_TOL times the scene's diameter make the
-    row's order a tie: indeterminate, never feasible.
+    two projections closer than the scene's band make the row's order a tie:
+    indeterminate, never feasible.
     """
     keys = _unit_rows(U) @ scene.centers.T
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
-    ties = np.any(np.diff(sorted_keys, axis=1) < REL_TOL * scene.diameter(), axis=1)
+    ties = np.any(np.diff(sorted_keys, axis=1) < scene.band, axis=1)
     return orders, ties
 
 
@@ -287,38 +290,39 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
 class ConeSampleSet:
     """Feasibility data of a direction sample for one scene.
 
-    ``slacks`` are exact (up to roundoff) where they are <= ``tol``; above
-    ``tol`` a row may instead hold the pair-cone lower bound of its slack,
-    which certifies it infeasible.  Read them through the tol mask or on
-    feasible rows only.
+    ``slacks`` are exact (up to roundoff) where they are <= the scene's
+    band; above it a row may instead hold the pair-cone lower bound of its
+    slack, which certifies it infeasible.  Read them through the feasibility
+    masks or on feasible rows only.
     """
 
+    scene: Scene
     directions: np.ndarray
     slacks: np.ndarray
     orders: np.ndarray
     ties: np.ndarray
     seed: int
     scheme: str
-    tol: float
 
     @property
     def feasible(self) -> np.ndarray:
-        return _feasible_mask(self.slacks, self.ties, self.tol)
+        return _feasible_mask(self.slacks, self.ties, self.scene.band)
 
     def feasible_for_order(self, order: Sequence[int]) -> np.ndarray:
-        return _feasible_mask(self.slacks, self.ties, self.tol, self.orders, order)
+        return _feasible_mask(self.slacks, self.ties, self.scene.band, self.orders, order)
 
 
-def _feasible_mask(slacks: np.ndarray, ties: np.ndarray, tol: float,
+def _feasible_mask(slacks: np.ndarray, ties: np.ndarray, band: float,
                    orders: Optional[np.ndarray] = None,
                    order: Optional[Sequence[int]] = None) -> np.ndarray:
     """Center-order feasibility of direction rows from their kernel data.
 
-    A row is feasible when its projected disks share a point (slack <= tol)
-    and its center order has no tie; given ``order``, the realized order
-    must also equal it.  A tie is indeterminate, never feasible.
+    A row is feasible when its projected disks share a point (slack <= the
+    scene's band) and its center order has no tie; given ``order``, the
+    realized order must also equal it.  A tie is indeterminate, never
+    feasible.
     """
-    mask = (slacks <= tol) & ~ties
+    mask = (slacks <= band) & ~ties
     if order is not None:
         mask &= np.all(orders == np.asarray(order)[None, :], axis=1)
     return mask
@@ -328,7 +332,6 @@ def sample_scene(
     scene: Scene,
     samples: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     extra_directions: Optional[np.ndarray] = None,
     chunk: int = 200_000,
 ) -> ConeSampleSet:
@@ -336,14 +339,15 @@ def sample_scene(
 
     The lattice rows are unit by construction; ``extra_directions`` are
     scaled to unit length before they join them.  Only rows whose pair-cone
-    bound does not already exceed ``tol`` go through the exact kernel; the
-    others keep the bound (see ConeSampleSet).  The KERNEL_REL_EPS * diameter
-    margin covers the roundoff between bound and kernel.
+    bound does not already exceed the scene's band go through the exact
+    kernel; the others keep the bound (see ConeSampleSet).  The
+    KERNEL_REL_EPS * diameter margin covers the roundoff between bound and
+    kernel.
     """
     U, scheme = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, _unit_rows(extra_directions)])
-    exact_below = tol + KERNEL_REL_EPS * scene.diameter()
+    exact_below = scene.band + KERNEL_REL_EPS * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
     ties = np.empty(len(U), dtype=bool)
@@ -354,7 +358,7 @@ def sample_scene(
         bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
         slacks[lo:lo + chunk] = bound
         orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(scene, rows)
-    return ConeSampleSet(U, slacks, orders, ties, seed, scheme, tol)
+    return ConeSampleSet(scene, U, slacks, orders, ties, seed, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +385,12 @@ class OrderedQuery:
 def feasibility_batch(
     query: OrderedQuery,
     U: np.ndarray,
-    tol: float = DEFAULT_TOL,
     order_semantics: str = "center",
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feasible mask, slacks) for rows of U against the ordered query.
 
     A row is feasible when its projected disks share a point (minimax slack
-    <= tol) and its meeting order is the queried one.  Rows are scaled to
+    <= the scene's band) and its meeting order is the queried one.  Rows are scaled to
     unit length; a zero or non-finite row raises SolverError.  ``order_semantics``
     is "center" (realized_orders_batch; the default) or "entry", which
     needs a scene in R^3; see cone_convexity_check.
@@ -397,9 +400,9 @@ def feasibility_batch(
     U = _unit_rows(U)
     slacks = minimax_slack_batch(scene.centers, scene.radii, U)
     if order_semantics == "entry":
-        return _entry_mask(scene, U, slacks, query.order, tol), slacks
+        return _entry_mask(scene, U, slacks, query.order), slacks
     orders, ties = realized_orders_batch(scene, U)
-    return _feasible_mask(slacks, ties, tol, orders, query.order), slacks
+    return _feasible_mask(slacks, ties, scene.band, orders, query.order), slacks
 
 
 def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
@@ -454,6 +457,8 @@ def _entry_order_margin_rows(
 ) -> np.ndarray:
     centers, radii = scene.centers, scene.radii
     r2 = radii ** 2
+    # a transversal point inside a disk up to roundoff, 1e-12 diameter^2
+    r2_in = r2 + 1e-12 * scene.diameter() ** 2
     m = len(U)
     rows = np.arange(m)
     basis = np.array([orthonormal_basis_of_complement(u) for u in U])  # (m, 2, 3)
@@ -473,7 +478,7 @@ def _entry_order_margin_rows(
     ], axis=1)
     box = np.all(lo <= hi, axis=1)
     d2 = sum((P[:, :, None, k] - C2[:, None, :, k]) ** 2 for k in range(2))
-    inside = np.all(d2 <= r2 + 1e-12, axis=2)
+    inside = np.all(d2 <= r2_in, axis=2)
     inside[:, 1:] &= box[:, None]
     entry = keys[:, None, :] - np.sqrt(np.clip(r2 - d2, 0.0, None))
     # a single ball has no consecutive entries to separate: margin +inf
@@ -496,29 +501,26 @@ def _entry_order_margin_rows(
             cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
             centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
             cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
-            better = active & np.all(cd2 <= r2 + 1e-12, axis=1) & (cm > result)
+            better = active & np.all(cd2 <= r2_in, axis=1) & (cm > result)
             result = np.where(better, cm, result)
             x = np.where(better[:, None], cand, x)
             improved |= better
         halve = active & ~improved
         step = np.where(halve, 0.5 * step, step)
-        active &= ~(halve & (step < 1e-9))
+        active &= ~(halve & (step < scene.band))
     return result
 
 
-def entry_order_feasible(
-    scene: Scene, U: np.ndarray, order: Sequence[int], tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Per direction row: does some transversal meet the balls in this entry order?"""
-    return _entry_order_margin(scene, U, order) >= -tol
+def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Per direction row: does some transversal meet the balls in this entry
+    order, up to the scene's band?"""
+    return _entry_order_margin(scene, U, order) >= -scene.band
 
 
-def _entry_mask(
-    scene: Scene, U: np.ndarray, slacks: np.ndarray, order: Sequence[int], tol: float
-) -> np.ndarray:
+def _entry_mask(scene: Scene, U: np.ndarray, slacks: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Entry-order feasibility of rows whose projected disks share a point."""
-    mask = slacks <= tol
-    mask[mask] = entry_order_feasible(scene, U[mask], order, tol)
+    mask = slacks <= scene.band
+    mask[mask] = entry_order_feasible(scene, U[mask], order)
     return mask
 
 
@@ -572,7 +574,6 @@ class ConvexityReport:
 def cone_convexity_check(
     query: OrderedQuery,
     pairs: int = 1000,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     lattice: int = 4096,
     order_semantics: str = "center",
@@ -592,11 +593,11 @@ def cone_convexity_check(
     """
     scene = query.scene
     _check_order_semantics(scene, order_semantics)
-    sset = sample_scene(scene, lattice, seed=seed, tol=tol)
+    sset = sample_scene(scene, lattice, seed=seed)
     if order_semantics == "center":
         mask = sset.feasible_for_order(query.order)
     else:
-        mask = _entry_mask(scene, sset.directions, sset.slacks, query.order, tol)
+        mask = _entry_mask(scene, sset.directions, sset.slacks, query.order)
     F = sset.directions[mask]
     fslacks = sset.slacks[mask]
     if len(F) < 2:
@@ -637,13 +638,14 @@ def cone_convexity_check(
     mids = mids[good] / norms[good, None]
     u, v = u[good], v[good]
 
-    ok, slacks = feasibility_batch(query, mids, tol, order_semantics)
+    ok, slacks = feasibility_batch(query, mids, order_semantics)
     bad_idx = np.nonzero(~ok)[0]
-    meet = slacks[bad_idx] <= tol  # the disks share a point: the order failed
+    meet = slacks[bad_idx] <= scene.band  # the disks share a point: the order failed
     if order_semantics == "entry" and np.any(meet):
         # double-check order failures at higher transversal resolution
         keep = ~meet
-        keep[meet] = _entry_order_margin(scene, mids[bad_idx[meet]], query.order, grid=60) < -tol
+        margin = _entry_order_margin(scene, mids[bad_idx[meet]], query.order, grid=60)
+        keep[meet] = margin < -scene.band
         bad_idx, meet = bad_idx[keep], meet[keep]
 
     violations = [
@@ -712,7 +714,6 @@ def enumerate_geometric_permutations(
     scene: Scene,
     samples: int = 20000,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     sample_set: Optional[ConeSampleSet] = None,
 ) -> PermutationCatalog:
     """Catalog of geometric permutations discovered by direction sampling.
@@ -721,9 +722,7 @@ def enumerate_geometric_permutations(
     deepest-slack witness direction.  Cones thinner than the sampling
     density can be missed, which is reported through the sample counts.
     """
-    sset = sample_set if sample_set is not None else sample_scene(
-        scene, samples, seed=seed, tol=tol
-    )
+    sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     idxs = np.nonzero(sset.feasible)[0]
     orders = sset.orders[idxs]
     canon = np.where(_reversed_is_canonical(orders)[:, None], orders[:, ::-1], orders)
@@ -873,7 +872,6 @@ def count_components(
     scene: Scene,
     samples: int = 20000,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     radius_factor: float = 2.5,
     sample_set: Optional[ConeSampleSet] = None,
 ) -> ComponentReport:
@@ -887,9 +885,7 @@ def count_components(
     For disjoint scenes the count must equal the number of geometric
     permutations.
     """
-    sset = sample_set if sample_set is not None else sample_scene(
-        scene, samples, seed=seed, tol=tol
-    )
+    sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     feas = sset.feasible
     dirs = sset.directions[feas]
     orders = sset.orders[feas]
@@ -936,19 +932,19 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
     return np.mod(np.stack([phi - alpha, phi + alpha], axis=-1), math.pi).reshape(len(phi), -1)
 
 
-def _boundary_exits(triple: Triple, count: int, seed: int = 0, tol: float = DEFAULT_TOL,
+def _boundary_exits(triple: Triple, count: int, seed: int = 0,
                     lattice: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Boundary directions (k, 3) of boundary_directions_for_triple and the
     curve each lies on: "sextic", "conic ij" or "tie ij"."""
     scene = triple.scene
-    sset = sample_scene(scene, lattice, seed=seed, tol=tol)
-    # slack <= tol is slack <= 0 at radii r + tol, so the inflated curves
+    band = scene.band
+    sset = sample_scene(scene, lattice, seed=seed)
+    # slack <= band is slack <= 0 at radii r + band, so the inflated curves
     # hold the exits of the feasibility predicate itself
-    R = scene.radii + tol
+    R = scene.radii + band
     i, j = np.triu_indices(3, 1)
     D = scene.centers[j] - scene.centers[i]
     DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
-    band = REL_TOL * scene.diameter()
     cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
     points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
     shares = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
@@ -978,7 +974,7 @@ def _boundary_exits(triple: Triple, count: int, seed: int = 0, tol: float = DEFA
         ok = np.ones(lo.shape, dtype=bool)
         span = hi > lo
         mids = _geodesic_point(anchor, tangents[np.nonzero(span)[0]], 0.5 * (lo + hi)[span])
-        ok[span] = feasibility_batch(query, mids, tol)[0]
+        ok[span] = feasibility_batch(query, mids)[0]
         first = np.argmax(~ok, axis=1)
         if np.any(first == 0):
             raise SolverError(f"boundary ray {int(np.argmin(first))} of cone {order} "
@@ -991,21 +987,21 @@ def _boundary_exits(triple: Triple, count: int, seed: int = 0, tol: float = DEFA
 
 
 def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0,
-                                   tol: float = DEFAULT_TOL, lattice: int = 4096) -> np.ndarray:
+                                   lattice: int = 4096) -> np.ndarray:
     """``count`` directions (count, 3) on the cone boundaries of a triple.
 
     Every cone the lattice finds gets an even share of geodesic rays
     cos(theta) a + sin(theta) t from its deepest lattice direction a.  The
     cone is strictly convex, and -a has the reversed order, so each ray
     leaves it exactly once in (0, pi), at a root of the sextic, of a
-    pair-cone conic or of a tie-band edge, all at radii r + tol.  The
+    pair-cone conic or of a tie-band edge, all at radii r + band.  The
     conic and tie roots are closed forms and the sextic's come from its
     companion matrix; one kernel call per cone decides a midpoint of every
     interval between consecutive roots, and a ray's exit is the left end of
     its first infeasible interval.  A ray without one raises SolverError;
     no feasible lattice direction gives an empty array.
     """
-    return _boundary_exits(triple, count, seed, tol, lattice)[0]
+    return _boundary_exits(triple, count, seed, lattice)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +1023,7 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
     ``on_boundary`` reads the disk-minimax slack.  The three circles of a
     sextic direction share a point, which all three closed disks contain, so
     its slack is <= 0 in exact arithmetic; the direction is on the cone
-    boundary iff |slack| <= REL_TOL times the scene's diameter.
+    boundary iff |slack| <= the scene's band.
     ``crosses_triangle`` independently intersects each recovered tangent
     line with the plane of centers and tests barycentric containment in the
     triangle of centers.  The two must agree on disjoint balls.  When no
@@ -1035,6 +1031,7 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
     """
     if triple.collinear_centers:
         return BoundaryClassification(None, None, None, tag="collinear centers: no triangle")
+    scene = triple.scene
     rec = tangent_lines_for_direction(triple, u)
     centers = triple.centers
     normal = np.cross(centers[1] - centers[0], centers[2] - centers[0])
@@ -1047,14 +1044,13 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
         # a traced direction is known to TRACE_TOL, so a tangent that close
         # to parallel may lie in the plane
         if abs(denom) <= TRACE_TOL:
-            tag = ("tangent inside plane of centers" if abs(off) < 1e-9
+            tag = ("tangent inside plane of centers" if abs(off) < scene.band
                    else "tangent parallel to plane of centers")
             continue
         lam = _barycentrics_in_plane(centers, line.point + (off / denom) * line.direction)
         crossings.append(bool(np.all(lam >= -1e-9)))
-    scene = triple.scene
     slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
-    on_boundary = bool(abs(slack) <= REL_TOL * scene.diameter())
+    on_boundary = bool(abs(slack) <= scene.band)
     if crossings:
         return BoundaryClassification(on_boundary, any(crossings), slack, tag=None)
     return BoundaryClassification(on_boundary, None, slack, tag)

@@ -104,12 +104,6 @@ class LiftedConfig:
         """q_k^2 = p_k^2 s_k, free of square roots."""
         return self.weights ** 2 * self.squared_radii
 
-    @property
-    def z_gaps(self) -> np.ndarray:
-        """z_k = (x_i - x_j)^2 cyclically."""
-        x = self.lifts
-        return np.array([(x[1] - x[2]) ** 2, (x[2] - x[0]) ** 2, (x[0] - x[1]) ** 2])
-
     def lifted_triple(self) -> Triple:
         """The ball triple this configuration parametrizes."""
         c = self.centers
@@ -420,7 +414,6 @@ def certify_flex_free(
     triple: Triple,
     boundary_samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> FlexFreeReport:
     """Certify that sampled cone boundary directions admit no flex.
 
@@ -431,9 +424,11 @@ def certify_flex_free(
     feasible direction); at each one the projected configuration is built
     and the probe Hessian split is evaluated.  Directions whose projection
     point is not interior to the triangle of projected centers (bitangent
-    arcs) are skipped with a tag.
+    arcs) are skipped with a tag.  A rebuilt pair gap counts as disjoint
+    down to -1e-6 times the scene's diameter.
     """
-    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed, tol=tol)
+    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
+    gap_floor = -1e-6 * triple.scene.diameter()
     samples: list[FlexSample] = []
     margins = []
     nmargins = []
@@ -444,9 +439,7 @@ def certify_flex_free(
             skipped += 1
             continue
         split = lifted_hessian_decomposition(cfg)
-        gaps = rebuilt_pair_gaps(cfg)
-        scale = max(float(np.max(cfg.radii)), 1.0)
-        z_ok = bool(np.all(gaps >= -1e-6 * scale))
+        z_ok = bool(np.all(rebuilt_pair_gaps(cfg) >= gap_floor))
         samples.append(
             FlexSample(
                 uvec, float(split.margin), float(split.normalized_margin), None, z_ok

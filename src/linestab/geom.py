@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 DISJOINTNESS_MARGIN = 1e-6
 DIRECTION_NORM_TOL = 1e-12
+# the one length tolerance, relative to a scene's diameter (Scene.band):
+# feasibility, tie, boundary and entry-order decisions all read the band
+REL_TOL = 1e-9
 
 
 class SceneError(ValueError):
@@ -74,11 +77,20 @@ class Scene:
 
     Pairwise strict disjointness is enforced unless ``allow_overlap`` is set,
     which exists only for tangent/overlapping demonstration scenes.
+
+    Construction builds the read-only ``centers`` (n, d) and ``radii`` (n,)
+    once, the diameter of the union of the balls, and ``band``: REL_TOL
+    times the diameter, the one tolerance every length decision reads, so
+    that verdicts do not change when the scene is scaled.
     """
 
     dimension: int
     balls: tuple[Ball, ...]
     allow_overlap: bool = False
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    band: float = field(init=False, repr=False, compare=False)
+    _diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "balls", tuple(self.balls))
@@ -91,10 +103,19 @@ class Scene:
                 raise SceneError(
                     f"ball of dimension {b.dimension} in scene of dimension {self.dimension}"
                 )
+        centers = np.array([b.center for b in self.balls])
+        radii = np.array([b.radius for b in self.balls])
+        centers.flags.writeable = radii.flags.writeable = False
+        i, j = np.triu_indices(len(radii), 1)
         with np.errstate(over="ignore"):
-            diameter = float(self.diameter())
+            reach = np.linalg.norm(centers[i] - centers[j], axis=1) + radii[i] + radii[j]
+            diameter = float(np.max(reach, initial=2.0 * np.max(radii)))
         if not math.isfinite(diameter * diameter):
             raise SceneError(f"scene is too large: its squared diameter overflows ({diameter:.3g})")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "band", REL_TOL * diameter)
         if not self.allow_overlap:
             bad = self.overlapping_pairs()
             if bad:
@@ -111,24 +132,9 @@ class Scene:
     def __len__(self) -> int:
         return len(self.balls)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls])
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
-
     def diameter(self) -> float:
-        """Diameter of the union of the balls (used for tolerance scaling)."""
-        if len(self.balls) == 1:
-            return 2.0 * self.balls[0].radius
-        best = 0.0
-        for i, j in itertools.combinations(range(len(self.balls)), 2):
-            bi, bj = self.balls[i], self.balls[j]
-            d = np.linalg.norm(bi.center - bj.center) + bi.radius + bj.radius
-            best = max(best, d)
-        return best
+        """Diameter of the union of the balls, computed once on construction."""
+        return self._diameter
 
     def to_json_dict(self) -> dict:
         out = {
@@ -172,9 +178,6 @@ class Direction:
     @property
     def dimension(self) -> int:
         return self.components.shape[0]
-
-    def antipode(self) -> "Direction":
-        return Direction(-self.components, self.tolerance)
 
 
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:

@@ -398,30 +398,6 @@ def eval_sigma(triple: Triple, u) -> float:
     return float(np.linalg.det(cayley_matrix(triple, u[None, :], triple.squared_radii))[0])
 
 
-def eval_hessian_sigma(triple: Triple, u) -> float:
-    """Determinant of the matrix of second partials of the sextic at u.
-
-    Computed from the exact coefficient expansion of the sextic followed by
-    coefficientwise differentiation, never by finite differences.
-    """
-    u = np.asarray(u, dtype=float)
-    H = np.array(
-        [[triple.hessian_entries[a][b](u[0], u[1], u[2]) for b in range(3)] for a in range(3)],
-        dtype=float,
-    )
-    return float(np.linalg.det(H))
-
-
-def sigma_on_curve(triple: Triple, u, tol: float = SIGMA_TOL) -> bool:
-    """Whether u lies on the sextic, scaled by the coefficient norm."""
-    u = np.asarray(u, dtype=float)
-    n = np.linalg.norm(u)
-    if n == 0:
-        return False
-    un = u / n
-    return abs(eval_sigma(triple, un)) <= tol * triple.sigma_scale
-
-
 # ---------------------------------------------------------------------------
 # Tangent line recovery for a direction on the sextic.
 # ---------------------------------------------------------------------------
@@ -464,17 +440,19 @@ class TangentRecovery:
 def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery:
     """Recover the affine common tangent line(s) with direction u.
 
-    Requires sigma(u) ~ 0.  Centers are translated so the first sits at the
-    origin and scaled to unit scene diameter, so that the rank cut and the
-    residual tests do not depend on the scene's scale; the tangent's foot
-    point p then solves two center equations plus <p, u> = 0, and must
-    satisfy <p, p> = s_0.  Rank-deficient systems yield a line of candidate
-    feet (0, 1 or 2 solutions after the sphere condition) or, for the axial
-    collinear case, a full circle family.  ``residual`` is at unit diameter.
+    Requires sigma(u) ~ 0: |sigma| at unit u at most SIGMA_TOL times the
+    largest coefficient, else SceneError.  Centers are translated so the
+    first sits at the origin and scaled to unit scene diameter, so that the
+    rank cut and the residual tests do not depend on the scene's scale; the
+    tangent's foot point p then solves two center equations plus <p, u> = 0,
+    and must satisfy <p, p> = s_0.  Rank-deficient systems yield a line of
+    candidate feet (0, 1 or 2 solutions after the sphere condition) or, for
+    the axial collinear case, a full circle family.  ``residual`` is at unit
+    diameter.
     """
     uv = u.components
-    if not sigma_on_curve(triple, uv):
-        val = eval_sigma(triple, uv) / triple.sigma_scale
+    val = eval_sigma(triple, uv / np.linalg.norm(uv)) / triple.sigma_scale
+    if not abs(val) <= SIGMA_TOL:  # a NaN is off the curve too
         raise SceneError(
             f"direction is not on the sextic: normalized sigma value {val:.3e}"
         )
@@ -547,18 +525,6 @@ class QuadraticFormOnDirections:
 
     matrix: np.ndarray
     degenerate: bool = False
-
-    def value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(u @ self.matrix @ u)
-
-    @property
-    def signature(self) -> tuple[int, int, int]:
-        ev = np.linalg.eigvalsh(self.matrix)
-        scale = max(np.max(np.abs(ev)), 1e-30)
-        pos = int(np.sum(ev > 1e-12 * scale))
-        neg = int(np.sum(ev < -1e-12 * scale))
-        return (pos, neg, 3 - pos - neg)
 
 
 def pair_cone_quadratic(ball_i: Ball, ball_j: Ball) -> QuadraticFormOnDirections:

@@ -123,7 +123,7 @@ def enumerate_minimax(centers, radii, U):
     return best
 
 
-def bisected_boundary_directions(triple, count, seed=0, tol=1e-9, lattice=4096):
+def bisected_boundary_directions(triple, count, seed=0, lattice=4096):
     """Bisection oracle for cone.boundary_directions_for_triple.
 
     The same lattice, anchors and rays; each ray is marched in 0.02 rad
@@ -133,7 +133,7 @@ def bisected_boundary_directions(triple, count, seed=0, tol=1e-9, lattice=4096):
     dropped.
     """
     scene = triple.scene
-    sset = sample_scene(scene, lattice, seed=seed, tol=tol)
+    sset = sample_scene(scene, lattice, seed=seed)
     feas = sset.feasible
     cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
     out = [np.zeros((0, 3))]
@@ -148,7 +148,7 @@ def bisected_boundary_directions(triple, count, seed=0, tol=1e-9, lattice=4096):
 
         def feasible(tg, theta):
             U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tg
-            return feasibility_batch(query, U, tol)[0]
+            return feasibility_batch(query, U)[0]
 
         lo, hi, alive = np.zeros(n_rays), np.full(n_rays, np.nan), np.ones(n_rays, dtype=bool)
         theta = 0.0
@@ -168,6 +168,26 @@ def bisected_boundary_directions(triple, count, seed=0, tol=1e-9, lattice=4096):
         out.append(np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents)
     pts = np.concatenate(out)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def eval_hessian_sigma(triple, u) -> float:
+    """Determinant of the matrix of second partials of the sextic at u,
+    from its coefficient expansion differentiated coefficientwise."""
+    u = np.asarray(u, dtype=float)
+    H = [[triple.hessian_entries[a][b](u[0], u[1], u[2]) for b in range(3)] for a in range(3)]
+    return float(np.linalg.det(np.array(H, dtype=float)))
+
+
+def form_value(form, u) -> float:
+    """u^T M u for a QuadraticFormOnDirections."""
+    u = np.asarray(u, dtype=float)
+    return float(u @ form.matrix @ u)
+
+
+def z_gaps(cfg) -> np.ndarray:
+    """Squared lift gaps z_k = (x_i - x_j)^2 of a LiftedConfig, cyclically."""
+    x = cfg.lifts
+    return np.array([(x[1] - x[2]) ** 2, (x[2] - x[0]) ** 2, (x[0] - x[1]) ** 2])
 
 
 def is_pinned_planar(triple, tol=1e-9) -> bool:

@@ -32,11 +32,10 @@ from linestab.geom import (
 from linestab.sextic import (
     Triple,
     chart_point_to_direction,
-    eval_hessian_sigma,
     tangent_lines_for_direction,
     trace_curves,
 )
-from conftest import center_order
+from conftest import center_order, eval_hessian_sigma
 
 
 def _ok(name):
@@ -89,7 +88,7 @@ def test_criterion_3_convexity_theorem():
         scene, axis = random_scene_with_transversal(3, 3, (0.6, 1.6), seed=seed)
         order, _ = center_order(scene, axis.components)
         rep = cone_convexity_check(
-            OrderedQuery(scene, order), pairs=1000, tol=1e-9, seed=seed, lattice=2048
+            OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=2048
         )
         assert not rep.inconclusive, f"R3 seed {seed} inconclusive"
         assert rep.violations == [], f"R3 seed {seed}: {len(rep.violations)} violations"
@@ -98,7 +97,7 @@ def test_criterion_3_convexity_theorem():
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=100 + seed)
         order, _ = center_order(scene, axis.components)
         rep = cone_convexity_check(
-            OrderedQuery(scene, order), pairs=1000, tol=1e-9, seed=seed, lattice=4096
+            OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=4096
         )
         assert not rep.inconclusive, f"R4 seed {seed} inconclusive"
         assert rep.violations == [], f"R4 seed {seed}: {len(rep.violations)} violations"
@@ -149,7 +148,7 @@ def test_criterion_5_flex_free_boundary():
     for seed in range(20):
         scene, _ = random_scene_with_transversal(3, 3, (0.7, 1.5), seed=300 + seed)
         tri = Triple.from_scene(scene)
-        rep = certify_flex_free(tri, boundary_samples=200, seed=0, tol=1e-9)
+        rep = certify_flex_free(tri, boundary_samples=200, seed=0)
         for s in rep.samples:
             if s.margin is not None:
                 assert s.margin > 0.0, f"seed {seed}: nonpositive margin"
@@ -166,7 +165,7 @@ def test_criterion_5_flex_free_boundary():
                 Ball([1.1, 2.2, 0], 1.0),
             )
         )
-        rep = certify_flex_free(tri, boundary_samples=200, seed=0, tol=1e-9)
+        rep = certify_flex_free(tri, boundary_samples=200, seed=0)
         assert rep.probed > 0 and rep.min_margin > 0
         margins.append(rep.min_margin)
     assert all(b < a for a, b in zip(margins, margins[1:])), margins
@@ -187,7 +186,7 @@ def test_criterion_6_permutations_equal_components():
         cases.append((n, d, 500 + k))
     for n, d, seed in cases:
         scene, _ = random_scene_with_transversal(n, d, (0.8, 2.0), seed=seed)
-        sset = sample_scene(scene, 100_000, seed=0, tol=1e-9)
+        sset = sample_scene(scene, 100_000, seed=0)
         cat = enumerate_geometric_permutations(scene, sample_set=sset)
         comp = count_components(scene, samples=100_000, sample_set=sset)
         assert comp.count == len(cat), (n, d, seed, comp.count, len(cat))
@@ -257,7 +256,7 @@ def test_criterion_9_pinning_point_cone():
     """The pinned configuration admits exactly one feasible direction."""
     scene = preset_scene("pinned")
     axis = np.array([1.0, 0.0, 0.0])
-    sset = sample_scene(scene, 1_000_000, seed=0, tol=1e-9, extra_directions=axis[None, :])
+    sset = sample_scene(scene, 1_000_000, seed=0, extra_directions=axis[None, :])
     feasible = sset.directions[sset.slacks <= 1e-9]
     assert len(feasible) == 1, f"{len(feasible)} feasible directions found"
     cos = abs(float(feasible[0] @ axis))

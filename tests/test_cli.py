@@ -68,7 +68,7 @@ class TestCheckConvexity:
         doc = json.loads(r.output)
         assert doc["verdicts"]["pass"] is True
         assert doc["verdicts"]["violation_count"] == 0
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["config"]["seed"] == 1
 
     def test_overlap_panel_fails_entry_semantics(self, runner, tmp_path):
@@ -202,9 +202,6 @@ class TestFloatOptions:
     @pytest.mark.parametrize(
         "args",
         [
-            ["check-convexity", "--tol", "inf"],
-            ["check-convexity", "--tol", "nan"],
-            ["check-convexity", "--tol", "-1e-9"],
             ["trace-curves", "--extent", "nan"],
             ["trace-curves", "--extent", "inf"],
             ["trace-curves", "--extent", "0"],
@@ -279,16 +276,15 @@ class TestEnvironment:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
-    def test_tol_not_read_from_environment(self, runner, tmp_path):
-        scene = tmp_path / "c.json"
-        invoke(runner, ["generate-scene", "--preset", "collinear", "--out", str(scene)])
-        r = runner.invoke(
-            main,
-            ["enumerate-permutations", "--scene", str(scene), "--samples", "200"],
-            env={"LINESTAB_TOL": "0.5"},
-        )
-        assert r.exit_code == 0
-        assert json.loads(r.output)["config"]["tol"] == 1e-9
+    def test_no_option_sets_a_tolerance(self, runner):
+        # the band is the scene's: no option reads the environment, and
+        # --tol is gone from every command
+        for name, command in main.commands.items():
+            for param in command.params:
+                assert param.envvar is None, (name, param.name)
+                assert "--tol" not in param.opts, name
+            r = runner.invoke(main, [name, "--tol", "1e-9"])
+            assert r.exit_code == 2 and "No such option" in r.output, name
 
 
 class TestComponentsAndPermutations:
@@ -399,7 +395,7 @@ class TestSolverErrors:
         # every direction feasible: no boundary ray leaves its cone
         monkeypatch.setattr(
             cone_mod, "feasibility_batch",
-            lambda q, U, tol: (np.ones(len(U), dtype=bool), np.zeros(len(U))),
+            lambda q, U: (np.ones(len(U), dtype=bool), np.zeros(len(U))),
         )
         r = invoke(runner, ["probe-flex", "--scene", self.demo(runner, tmp_path)])
         assert r.exit_code == 3
@@ -448,14 +444,14 @@ class TestClassifyBoundary:
         assert r.exit_code == 0, r.output
         v = json.loads(r.output)["verdicts"]
         assert v["disagreements"] == 0
-        assert v["boundary_band"] == pytest.approx(1e-9 * preset_scene(preset).diameter())
+        assert v["band"] == pytest.approx(1e-9 * preset_scene(preset).diameter())
         if v["sextic_points"] == 0:
             assert preset.startswith("transition-")
             assert v["reason"] == "sigma has no sign change on the three charts"
             assert v["classifications"] == []
         for entry in v["classifications"]:
             if entry.get("on_boundary") is not None:
-                assert entry["on_boundary"] == (abs(entry["slack"]) <= v["boundary_band"])
+                assert entry["on_boundary"] == (abs(entry["slack"]) <= v["band"])
 
     def test_explicit_off_curve_direction_is_usage_error(self, runner, tmp_path):
         scene = tmp_path / "f.json"
@@ -498,9 +494,12 @@ class TestReportSchema:
             r = runner.invoke(main, args)
             assert r.exit_code in (0, 1), (args, r.output)
             doc = json.loads(r.output)
-            assert doc["schema_version"] == 1
+            assert doc["schema_version"] == 2
             assert doc["command"] == args[0]
             assert isinstance(doc["config"], dict)
+            assert "tol" not in doc["config"]
+            # every report that decides feasibility states its band
+            assert ("band" in doc["verdicts"]) == (args[0] != "verify-identities")
             assert isinstance(doc["verdicts"], dict)
             assert "timings" not in doc  # deterministic by default
 
@@ -611,3 +610,80 @@ class TestTraceCurves:
             assert r.exit_code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _scaled_preset(tmp_path, name, factor):
+    doc = preset_scene(name).to_json_dict()
+    for ball in doc["balls"]:
+        ball["center"] = [factor * x for x in ball["center"]]
+        ball["radius"] *= factor
+    path = tmp_path / f"{name}-{factor!r}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestScaleFree:
+    """A scaled scene gets the verdicts of the scene: the band scales with it.
+
+    With an absolute 1e-9 tolerance, the three scaled repros below gave a
+    wrong count, a false flex and 5 of 66 violations."""
+
+    @staticmethod
+    def run(runner, args):
+        r = runner.invoke(main, args)
+        return r.exit_code, json.loads(r.output)["verdicts"]
+
+    def test_components_of_a_tiny_scene(self, runner, tmp_path):
+        runs = [self.run(runner, ["count-components", "--scene",
+                                  _scaled_preset(tmp_path, "two-permutations", f)])
+                for f in (1.0, 1e-9)]
+        for code, v in runs:
+            assert code == 0
+            assert v["components"]["count"] == v["permutations"] == 2
+        assert runs[1][1]["components"]["feasible_samples"] == \
+            runs[0][1]["components"]["feasible_samples"] < 20000
+
+    def test_no_false_flex_on_a_tiny_scene(self, runner, tmp_path):
+        runs = [self.run(runner, ["probe-flex", "--scene",
+                                  _scaled_preset(tmp_path, "flexdemo-disjoint", f)])
+                for f in (1.0, 1e-9)]
+        assert [code for code, _ in runs] == [0, 0]
+        margins = [v["min_normalized_margin"] for _, v in runs]
+        assert margins[0] > 0.5
+        assert abs(margins[1] - margins[0]) <= 1e-6
+
+    def test_entry_order_violations_of_a_small_scene(self, runner, tmp_path):
+        budget = ["--order-semantics", "entry", "--samples", "1024", "--pairs", "200"]
+        runs = [self.run(runner, ["check-convexity", "--scene",
+                                  _scaled_preset(tmp_path, "transition-overlapping", f), *budget])
+                for f in (1.0, 1e-6)]
+        assert [code for code, _ in runs] == [1, 1]
+        assert runs[0][1]["violation_count"] > 0
+        for key in ("violation_count", "feasible_samples", "tested_pairs"):
+            assert runs[1][1][key] == runs[0][1][key], key
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_power_of_two_scales_every_length_exactly(self, runner, tmp_path, name):
+        # scaling by 2^k is exact, so the reports equal scale 1's with each
+        # length field multiplied by the factor and every other field equal
+        lengths = {"band", "min_midpoint_margin", "slack", "witness_slack"}
+
+        def unscaled(value, factor, key=None):
+            if isinstance(value, dict):
+                return {k: unscaled(v, factor, k) for k, v in value.items()}
+            if isinstance(value, list):
+                return [unscaled(v, factor, key) for v in value]
+            return value / factor if key in lengths and value is not None else value
+
+        commands = [
+            ["check-convexity", "--samples", "2048", "--pairs", "300"],
+            ["enumerate-permutations", "--samples", "4000"],
+            ["count-components", "--samples", "4000"],
+        ]
+        for args in commands:
+            reports = []
+            for factor in (1.0, 2.0 ** -30, 2.0 ** 30):
+                r = runner.invoke(main, [*args, "--scene", _scaled_preset(tmp_path, name, factor)])
+                doc = json.loads(r.output)
+                reports.append((r.exit_code, unscaled(doc["verdicts"], factor), doc["outcome"]))
+            assert reports[1] == reports[0] == reports[2], args

@@ -79,11 +79,11 @@ class TestPairPrefilter:
         exact = minimax_slack_batch(scene.centers, scene.radii, sset.directions)
         feas = sset.feasible
         assert np.any(feas)
-        assert np.array_equal(feas, _feasible_mask(exact, sset.ties, sset.tol))
+        assert np.array_equal(feas, _feasible_mask(exact, sset.ties, scene.band))
         assert np.max(np.abs(sset.slacks[feas] - exact[feas])) <= band
         # only rows the pair bound cannot rule out reach the kernel
         bound = _pair_bound(scene.centers, scene.radii, sset.directions)
-        assert sum(exact_rows) == np.sum(bound <= sset.tol + band) < len(bound)
+        assert sum(exact_rows) == np.sum(bound <= scene.band + band) < len(bound)
 
     @pytest.mark.parametrize("length", [1e-3, 0.5, 2.0, 1e3])
     def test_extra_directions_are_scaled_before_the_bound(self, length):
@@ -376,8 +376,8 @@ class TestConvexity:
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
             order = tuple(np.argsort(scene.centers @ u))
-            assert entry_order_feasible(scene, u[None, :], order, tol=1e-9)[0] == (
-                minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0] <= 1e-9
+            assert entry_order_feasible(scene, u[None, :], order)[0] == (
+                minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0] <= scene.band
             )
 
 
@@ -643,24 +643,24 @@ class TestBoundaryExits:
     def test_exits_lie_on_their_curves(self, name):
         from linestab.cli import preset_scene
 
-        tol = 1e-9
         tri = Triple.from_scene(preset_scene(name))
         scene = tri.scene
-        dirs, curves = cone._boundary_exits(tri, 200, tol=tol)
+        band = scene.band
+        dirs, curves = cone._boundary_exits(tri, 200)
         eps = 1e-12 * scene.diameter()
         slacks = minimax_slack_batch(scene.centers, scene.radii, dirs)
         for u, slack, curve in zip(dirs, slacks, curves):
             kind, pair = (curve + " ").split(" ")[:2]
             if kind != "tie":  # the disks just share a point
-                assert abs(slack - tol) <= eps, (curve, slack)
+                assert abs(slack - band) <= eps, (curve, slack)
             if kind == "sextic":
                 continue
             i, j = int(pair[0]), int(pair[1])
             D = scene.centers[j] - scene.centers[i]
             if kind == "conic":
-                gap = math.sqrt(D @ D - (u @ D) ** 2) - scene.radii[i] - scene.radii[j] - 2 * tol
+                gap = math.sqrt(D @ D - (u @ D) ** 2) - scene.radii[i] - scene.radii[j] - 2 * band
             else:
-                gap = abs(u @ D) - 1e-9 * scene.diameter()
+                gap = abs(u @ D) - band
             assert abs(gap) <= eps, (curve, gap)
         # the cones of disjoint balls end before any tie
         assert not any(c.startswith("tie") for c in curves) or scene.allow_overlap
@@ -680,7 +680,7 @@ class TestBoundaryExits:
         assert per_count == [5, 5]  # the lattice sample, then one per cone
 
     def test_ray_without_exit_raises(self, monkeypatch):
-        monkeypatch.setattr(cone, "feasibility_batch", lambda q, U, tol: (np.ones(len(U), bool), None))
+        monkeypatch.setattr(cone, "feasibility_batch", lambda q, U: (np.ones(len(U), bool), None))
         with pytest.raises(SolverError, match="boundary ray 0 of cone"):
             boundary_directions_for_triple(random_triple(300, (0.7, 1.5)), 10)
 
@@ -722,6 +722,8 @@ class TestBoundaryClassification:
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
+        # the exits lie on the curves of the balls inflated by the band
+        tri = Triple(tuple(Ball(b.center, b.radius + tri.scene.band) for b in tri.balls))
         agree = 0
         for uvec in dirs:
             if abs(eval_sigma(tri, uvec)) > 1e-7 * tri.sigma_scale:
@@ -855,6 +857,20 @@ class TestInvariance:
         rep = cone_convexity_check(OrderedQuery(moved, order))
         assert rep.passed and rep.violations == []
 
+    def test_scale_repro(self):
+        # the feasibility mask of 2 * 10^4 rows around the scene's axis flipped
+        # 5147 rows at scale 10^-9 while the tolerance was an absolute 1e-9
+        scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
+        order, _ = center_order(scene, axis.components)
+        U = axis.components + 0.3 * np.random.default_rng(0).normal(size=(20000, 3))
+        mask0 = feasibility_batch(OrderedQuery(scene, order), U)[0]
+        assert 0 < np.sum(mask0) < len(U)
+        for s in (1e-9, 1e-6, 1e6, 1e9, 2.0 ** -30, 2.0 ** 30):
+            scaled = _moved_scene(scene, np.eye(3), 0.0, scale=s)
+            mask = feasibility_batch(OrderedQuery(scaled, order), U)[0]
+            assert np.array_equal(mask, mask0), (s, int(np.sum(mask != mask0)))
+            assert scaled.band == pytest.approx(s * scene.band, rel=1e-15)
+
 
 def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
     perm = range(len(scene)) if perm is None else perm
@@ -892,5 +908,30 @@ def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, pe
 
     band = 1e-9 * scene.diameter()
     assert np.max(np.abs(slack - slack0)) <= band
-    clear = np.abs(slack0 - 1e-9) > band
+    clear = np.abs(slack0 - band) > band
     assert np.array_equal(mask[clear], mask0[clear])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 300),
+    shape=st.sampled_from([(3, 3), (5, 3), (10, 3), (8, 4)]),
+    exponent=st.integers(-30, 30),
+    decimal=st.integers(-9, 9),
+)
+def test_sample_scene_is_scale_free(seed, shape, exponent, decimal):
+    # scaling by a power of two is exact in floating point, so every slack
+    # scales exactly and every mask and order stays; a power of ten rounds
+    # the scene, which may move slacks by ulps but no verdict
+    n, d = shape
+    scene, _ = random_scene_with_transversal(n, d, (0.5, 2.0), seed=seed)
+    base = sample_scene(scene, 2000, seed=seed)
+    factor = 2.0 ** exponent
+    sset = sample_scene(_moved_scene(scene, np.eye(d), 0.0, scale=factor), 2000, seed=seed)
+    feas = base.feasible
+    assert np.array_equal(sset.feasible, feas)
+    assert np.array_equal(sset.ties, base.ties)
+    assert np.array_equal(sset.orders, base.orders)
+    assert np.array_equal(sset.slacks[feas], factor * base.slacks[feas])
+    sset = sample_scene(_moved_scene(scene, np.eye(d), 0.0, scale=10.0 ** decimal), 2000, seed=seed)
+    assert np.array_equal(sset.feasible, feas)

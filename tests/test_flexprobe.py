@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linestab.geom import Ball, SceneError
-from linestab.sextic import Triple, eval_hessian_sigma
+from linestab.sextic import Triple
 from linestab.flexprobe import (
     CanonicalCoords,
     LiftedConfig,
@@ -16,13 +16,13 @@ from linestab.flexprobe import (
     rebuilt_pair_gaps,
     star_h_canonical,
 )
-from conftest import random_triple
+from conftest import eval_hessian_sigma, random_triple, z_gaps
 
 
 def w_from_lifts(cfg):
     """Map lift gaps into hyperboloid coordinates: p_i p_j z_k = q_k^2 w_k."""
     p = cfg.weights
-    z = cfg.z_gaps
+    z = z_gaps(cfg)
     q2 = cfg.q_edges ** 2
     return np.array(
         [p[(k + 1) % 3] * p[(k + 2) % 3] * z[k] / q2[k] for k in range(3)]
@@ -242,7 +242,7 @@ class TestDisjointnessChain:
             p, q = cfg.weights, cfg.q_edges
             pi, pj = np.roll(p, -1), np.roll(p, -2)
             qi, qj = np.roll(q, -1), np.roll(q, -2)
-            assert np.all(cfg.z_gaps > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
+            assert np.all(z_gaps(cfg) > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
             # and the w-form of the conditions
             w = w_from_lifts(cfg)
             V = CanonicalCoords(cfg.q_edges).octant_vertex()

@@ -120,11 +120,11 @@ def test_sampled_masks_equal_the_oracle(k, n, d):
     scene, _ = random_scene_with_transversal(n, d, (1.0, 2.0), seed=300 + k)
     sset = sample_scene(scene, 20000, seed=0)
     band = KERNEL_REL_EPS * scene.diameter()
-    near = _pair_bound(scene.centers, scene.radii, sset.directions) <= sset.tol + band
+    near = _pair_bound(scene.centers, scene.radii, sset.directions) <= scene.band + band
     oracle = enumerate_minimax(scene.centers, scene.radii, sset.directions[near])
     assert np.max(np.abs(sset.slacks[near] - oracle)) <= band
     feasible = np.zeros(len(near), dtype=bool)
-    feasible[near] = oracle <= sset.tol
+    feasible[near] = oracle <= scene.band
     assert np.array_equal(sset.feasible, feasible & ~sset.ties)
 
 

@@ -14,7 +14,6 @@ from linestab.sextic import (
     DirectionPoly,
     Triple,
     chart_point_to_direction,
-    eval_hessian_sigma,
     eval_sigma,
     pair_cone_quadratic,
     _trace_zero_set,
@@ -22,7 +21,7 @@ from linestab.sextic import (
     tangent_lines_for_direction,
     trace_curves,
 )
-from conftest import collinear_scene, random_triple
+from conftest import collinear_scene, eval_hessian_sigma, form_value, random_triple
 
 
 def collinear_triple():
@@ -273,13 +272,13 @@ class TestPairCone:
                 e = bj.center - bi.center
                 u = e / np.linalg.norm(e)
                 expected = -((bi.radius + bj.radius) ** 2)
-                assert np.isclose(form.value(u), expected, rtol=1e-12)
+                assert np.isclose(form_value(form, u), expected, rtol=1e-12)
 
     def test_perpendicular_never_feasible(self):
         bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
         form = pair_cone_quadratic(bi, bj)
-        assert form.value([0, 1, 0]) > 0
-        assert np.isclose(form.value([0, 1, 0]), 16 - 4)
+        assert form_value(form, [0, 1, 0]) > 0
+        assert np.isclose(form_value(form, [0, 1, 0]), 16 - 4)
 
     def test_half_angle_thirty_degrees(self):
         # unit balls 4 apart: transversal directions make at most 30 degrees
@@ -290,7 +289,7 @@ class TestPairCone:
         form = pair_cone_quadratic(bi, bj)
         for ux in (0.9, 0.88, math.sqrt(3) / 2 + 1e-3):
             u = np.array([ux, math.sqrt(1 - ux ** 2), 0.0])
-            val = form.value(u)
+            val = form_value(form, u)
             slack = minimax_slack_batch(
                 np.array([bi.center, bj.center]), np.ones(2), u[None, :]
             )[0]
@@ -302,11 +301,12 @@ class TestPairCone:
         assert form.degenerate
         # feasibility covers every direction
         for u in ([1, 0, 0], [0, 1, 0], [0.3, -0.2, 0.9]):
-            assert form.value(np.asarray(u) / np.linalg.norm(u)) < 0
+            assert form_value(form, np.asarray(u) / np.linalg.norm(u)) < 0
 
     def test_signature_recorded(self):
         form = pair_cone_quadratic(Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0))
-        assert form.signature == (2, 1, 0)
+        # two positive eigenvalues and one negative: a real cone of directions
+        assert np.array_equal(np.sign(np.linalg.eigvalsh(form.matrix)), [-1, 1, 1])
 
 
 from hypothesis import given, settings
@@ -378,7 +378,8 @@ class TestTraceCurves:
         elif curve == "hessian":
             oracle = lambda u: eval_hessian_sigma(tri, u)
         else:
-            oracle = pair_cone_quadratic(tri.balls[int(curve[4])], tri.balls[int(curve[5])]).value
+            form = pair_cone_quadratic(tri.balls[int(curve[4])], tri.balls[int(curve[5])])
+            oracle = lambda u: form_value(form, u)
 
         def f(x, y):
             return oracle(chart_point_to_direction(chart, x, y))
