@@ -1023,7 +1023,9 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
     ``on_boundary`` reads the disk-minimax slack.  The three circles of a
     sextic direction share a point, which all three closed disks contain, so
     its slack is <= 0 in exact arithmetic; the direction is on the cone
-    boundary iff |slack| <= the scene's band.
+    boundary iff |slack| <= 2 * the scene's band.  The factor 2 keeps the
+    boundary exits, which sit at slack = band (radii r + band), strictly
+    inside the test rather than on its edge.
     ``crosses_triangle`` independently intersects each recovered tangent
     line with the plane of centers and tests barycentric containment in the
     triangle of centers.  The two must agree on disjoint balls.  When no
@@ -1050,7 +1052,7 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
         lam = _barycentrics_in_plane(centers, line.point + (off / denom) * line.direction)
         crossings.append(bool(np.all(lam >= -1e-9)))
     slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
-    on_boundary = bool(abs(slack) <= scene.band)
+    on_boundary = bool(abs(slack) <= 2.0 * scene.band)
     if crossings:
         return BoundaryClassification(on_boundary, any(crossings), slack, tag=None)
     return BoundaryClassification(on_boundary, None, slack, tag)

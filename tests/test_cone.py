@@ -722,8 +722,6 @@ class TestBoundaryClassification:
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
-        # the exits lie on the curves of the balls inflated by the band
-        tri = Triple(tuple(Ball(b.center, b.radius + tri.scene.band) for b in tri.balls))
         agree = 0
         for uvec in dirs:
             if abs(eval_sigma(tri, uvec)) > 1e-7 * tri.sigma_scale:
