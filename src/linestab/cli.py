@@ -1,24 +1,34 @@
 """Command-line surface: scene generation, experiments, certificates, figures.
 
-Every command emits a schema-versioned JSON report (stdout or --out) whose
-content is byte-identical across runs for the same command, seed and scene;
-wall-clock timings are added only on request so the determinism contract
-holds by default.  Exit code 0 means all checked properties hold, 1 reports
-a property violation with witnesses, 2 a usage error, and 3 an inconclusive
-run: too little evidence to decide either way.  The report's ``outcome``
-names which of holds / violation / inconclusive it is, with a reason.  A
-classify-boundary run with no traced sextic point holds (exit 0) and gives
-its reason among the verdicts; entry order semantics outside R^3 is a usage
-error.  A numerical solver that cannot finish (SolverError) makes the run
-inconclusive, with the solver's message as the reason.
+Every command is registered through ``_command``, the one place where a
+command's result or failure becomes output and an exit code.  A report
+command emits a schema-versioned JSON report (stdout or --out) whose content
+is byte-identical across runs for the same command, seed and scene;
+wall-clock timings are added only under --timings, so the determinism
+contract holds by default.  Exit code 0 means all checked properties hold,
+1 reports a property violation with witnesses, 2 a usage error, and 3 an
+inconclusive run: too little evidence to decide either way.  The report's
+``outcome`` names which of holds / violation / inconclusive it is, with a
+reason.  A classify-boundary run with no traced sextic point holds (exit 0)
+and gives its reason among the verdicts.
+
+A usage error exits 2 with a message on stderr and no report: among others a
+--scene file that is missing, a directory, unreadable, not UTF-8, not JSON
+or not a valid scene; a scene that is not three balls in R^3 for
+probe-flex, classify-boundary and trace-curves, or not in R^3 for entry
+order semantics; and an --out path that cannot be written.  A numerical
+solver that cannot finish (SolverError) makes the run inconclusive, with
+the solver's message as the reason; trace-curves and generate-scene, which
+write no report, print that reason.
 
 No option sets a tolerance and none is read from the environment: every
-length decision reads the scene's band, REL_TOL times its diameter, and each
-report that decides feasibility states the ``band`` it used among its
+length decision reads the scene's band, REL_TOL times its diameter, and the
+report of every command that reads a scene states that ``band`` among its
 verdicts.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -52,6 +62,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+FIGURE_PX = 600  # side of the square SVG figure
 CURVE_COLORS = {
     "sigma": "#cc0000",
     "hessian": "#000000",
@@ -146,36 +157,40 @@ PRESET_NAMES = (
 )
 
 
-def _load_scene(path: str) -> Scene:
+def _load_scene(path: str, triple_for: str | None = None) -> Scene:
+    """The scene in the file at ``path``.
+
+    SceneError when the file cannot be read as UTF-8 JSON, does not hold a
+    valid scene or, when ``triple_for`` names the command, is not three
+    balls in R^3.  --scene's click.Path has already turned away a missing
+    path and a directory.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise click.ClickException(f"scene file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise _UsageError(
+        raise SceneError(
             f"malformed scene JSON at {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise SceneError(f"malformed scene JSON at {path}: nested too deeply")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SceneError(f"cannot read scene file {path}: {exc}")
     try:
-        return Scene.from_json_dict(data)
+        scene = Scene.from_json_dict(data)
     except SceneError as exc:
-        raise _UsageError(f"invalid scene {path}: {exc}")
+        raise SceneError(f"invalid scene {path}: {exc}")
+    if triple_for is not None and (len(scene) != 3 or scene.dimension != 3):
+        raise SceneError(f"{triple_for} needs a scene of exactly three balls in R^3")
+    return scene
 
 
-def _load_triple(path: str, command: str) -> sextic.Triple:
-    """The scene at ``path`` as a Triple; exit 2 unless it is three balls in R^3."""
-    scene = _load_scene(path)
-    if len(scene) != 3 or scene.dimension != 3:
-        raise _UsageError(f"{command} needs a scene of exactly three balls in R^3")
-    return sextic.Triple.from_scene(scene)
+class _Exit(click.ClickException):
+    """Ends a command with a one-line message and the given exit code."""
 
-
-class _UsageError(click.ClickException):
-    exit_code = EXIT_USAGE
-
-
-class _InconclusiveError(click.ClickException):
-    exit_code = EXIT_INCONCLUSIVE
+    def __init__(self, message: str, exit_code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.exit_code = exit_code
 
 
 def _positive(ctx, param, value):
@@ -185,12 +200,33 @@ def _positive(ctx, param, value):
     return value
 
 
+def _numbers(convert, count: int | None = None):
+    """Click callback for a list like '0,1,2': a tuple of ``count`` (when
+    given) numbers, or exit 2."""
+
+    def callback(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            parts = tuple(convert(x) for x in value.replace(",", " ").split())
+        except ValueError:
+            raise click.BadParameter(f"cannot parse {value!r}")
+        if count is not None and len(parts) != count:
+            raise click.BadParameter(f"{value!r} does not have {count} components")
+        return parts
+
+    return callback
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _Exit(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _finish(
@@ -223,30 +259,66 @@ def _finish(
     sys.exit(code)
 
 
-def _solver_failed(command: str, config: dict, out: str | None, t0: float | None,
-                   exc: SolverError) -> None:
-    """Report a run the numerical solvers could not finish as inconclusive (exit 3)."""
-    _finish(command, config, {}, False, out, t0, inconclusive=f"solver error: {exc}")
-
-
-def _parse_order(order: str | None, n: int) -> tuple[int, ...]:
-    if order is None:
-        return tuple(range(n))
-    try:
-        parts = tuple(int(x) for x in order.replace(",", " ").split())
-    except ValueError:
-        raise _UsageError(f"cannot parse order {order!r}")
-    if sorted(parts) != list(range(n)):
-        raise _UsageError(f"order {order!r} is not a permutation of 0..{n - 1}")
-    return parts
-
-
 @click.group()
 def main():
     """Line transversals to disjoint balls: sextics, cones, certificates."""
 
 
-@main.command("generate-scene")
+# shared by every command that takes them
+_SCENE = click.Option(["--scene", "scene_path"], required=True,
+                      type=click.Path(exists=True, dir_okay=False), help="scene JSON file")
+_OUT = click.Option(["--out"], type=str, default=None, help="output path (default stdout)")
+_TIMINGS = click.Option(["--timings"], is_flag=True, default=False,
+                        help="add the run's wall-clock seconds to the report")
+
+
+def _command(name: str, reads: str | None = None, report: bool = True):
+    """Register the decorated body as command ``name``: the one path from a
+    command's result or failure to its output and exit code.
+
+    ``reads`` is "scene" for a command that takes --scene, or "triple" for
+    one that needs three balls in R^3; the body gets the loaded scene (as a
+    Triple for "triple") under that keyword.  A report body fills
+    ``config`` and returns (verdicts, passed, inconclusive reason); the
+    scene's band joins the verdicts and _finish writes the report to --out
+    and exits.  A text body returns the text for --out.  A SceneError exits
+    2 with its message.  A SolverError makes the run inconclusive (exit 3),
+    with "solver error: <message>" as the reason: a report command reports
+    it with the config built so far, a text command prints it.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(out, timings=False, scene_path=None, **options):
+            t0 = time.perf_counter()
+            config: dict = {}
+            try:
+                if reads:
+                    scene = _load_scene(scene_path, name if reads == "triple" else None)
+                    config["scene"] = scene_path
+                    options[reads] = sextic.Triple.from_scene(scene) if reads == "triple" else scene
+                if not report:
+                    return _write(body(**options), out)
+                verdicts, passed, reason = body(config=config, **options)
+                if reads:
+                    verdicts["band"] = scene.band
+            except SceneError as exc:
+                raise _Exit(str(exc))
+            except SolverError as exc:
+                if not report:
+                    raise _Exit(f"solver error: {exc}", EXIT_INCONCLUSIVE)
+                verdicts, passed, reason = {}, False, f"solver error: {exc}"
+            _finish(name, config, verdicts, passed, out, t0 if timings else None, reason)
+
+        command = main.command(name)(run)
+        command.params = ([_SCENE] if reads else []) + command.params + (
+            [_OUT, _TIMINGS] if report else [_OUT])
+        return command
+
+    return register
+
+
+@_command("generate-scene", report=False)
 @click.option("--preset", type=click.Choice(PRESET_NAMES), default=None)
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--dim", type=int, default=3, show_default=True)
@@ -254,29 +326,24 @@ def main():
 @click.option("--rmax", type=float, default=2.0, show_default=True, callback=_positive)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--with-transversal", "transversal", is_flag=True, default=False)
-@click.option("--out", type=str, default=None, help="scene JSON path (default stdout)")
-def generate_scene(preset, n, dim, rmin, rmax, seed, transversal, out):
+def generate_scene(preset, n, dim, rmin, rmax, seed, transversal):
     """Write a scene JSON: a preset or a random disjoint family."""
-    try:
-        if preset:
-            scene = preset_scene(preset)
-            extra = {"preset": preset}
-        elif transversal:
-            scene, direction = random_scene_with_transversal(n, dim, (rmin, rmax), seed)
-            extra = {"transversal_direction": [float(x) for x in direction.components]}
-        else:
-            scene = random_disjoint_scene(n, dim, (rmin, rmax), seed)
-            extra = {}
-    except (SceneError, SolverError) as exc:
-        raise _UsageError(str(exc))
+    if preset:
+        scene = preset_scene(preset)
+        extra = {"preset": preset}
+    elif transversal:
+        scene, direction = random_scene_with_transversal(n, dim, (rmin, rmax), seed)
+        extra = {"transversal_direction": [float(x) for x in direction.components]}
+    else:
+        scene = random_disjoint_scene(n, dim, (rmin, rmax), seed)
+        extra = {}
     doc = scene.to_json_dict()
     doc.update(extra)
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@main.command("check-convexity")
-@click.option("--scene", "scene_path", required=True, type=str)
-@click.option("--order", type=str, default=None, help="meeting order, e.g. '0,1,2'")
+@_command("check-convexity", reads="scene")
+@click.option("--order", callback=_numbers(int), default=None, help="meeting order, e.g. '0,1,2'")
 @click.option("--samples", type=click.IntRange(min=1), default=4096, show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -286,152 +353,91 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, transversal, out):
     default="center",
     show_default=True,
 )
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def check_convexity(scene_path, order, samples, pairs, seed, order_semantics, out, timings):
+def check_convexity(config, scene, order, samples, pairs, seed, order_semantics):
     """Geodesic-midpoint convexity certification for one ordered cone."""
-    t0 = time.perf_counter() if timings else None
-    scene = _load_scene(scene_path)
-    order_t = _parse_order(order, len(scene))
-    query = cone_mod.OrderedQuery(scene, order_t)
-    config = {
-        "scene": scene_path,
-        "order": list(order_t),
-        "samples": samples,
-        "pairs": pairs,
-        "seed": seed,
-        "order_semantics": order_semantics,
-    }
-    try:
-        rep = cone_mod.cone_convexity_check(
-            query, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
-        )
-    except SceneError as exc:
-        raise _UsageError(str(exc))
-    except SolverError as exc:
-        _solver_failed("check-convexity", config, out, t0, exc)
+    query = cone_mod.OrderedQuery(scene, tuple(range(len(scene))) if order is None else order)
+    config.update(order=list(query.order), samples=samples, pairs=pairs, seed=seed,
+                  order_semantics=order_semantics)
+    rep = cone_mod.cone_convexity_check(
+        query, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
+    )
     reason = (f"{rep.feasible_samples} feasible direction sample(s): too few for a midpoint pair"
               if rep.inconclusive else None)
-    verdicts = dict(rep.to_json_dict(), band=scene.band)
-    _finish("check-convexity", config, verdicts, rep.passed, out, t0, reason)
+    return rep.to_json_dict(), rep.passed, reason
 
 
-@main.command("enumerate-permutations")
-@click.option("--scene", "scene_path", required=True, type=str)
+@_command("enumerate-permutations", reads="scene")
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def enumerate_permutations(scene_path, samples, seed, out, timings):
+def enumerate_permutations(config, scene, samples, seed):
     """Catalog geometric permutations with witness directions."""
-    t0 = time.perf_counter() if timings else None
-    scene = _load_scene(scene_path)
-    config = {"scene": scene_path, "samples": samples, "seed": seed}
-    try:
-        cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed)
-    except SolverError as exc:
-        _solver_failed("enumerate-permutations", config, out, t0, exc)
-    verdicts = dict(cat.to_json_dict(), band=scene.band)
-    _finish("enumerate-permutations", config, verdicts, True, out, t0)
+    config.update(samples=samples, seed=seed)
+    cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed)
+    return cat.to_json_dict(), True, None
 
 
-@main.command("count-components")
-@click.option("--scene", "scene_path", required=True, type=str)
+@_command("count-components", reads="scene")
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def count_components_cmd(scene_path, samples, seed, out, timings):
+def count_components_cmd(config, scene, samples, seed):
     """Count transversal components; must equal the permutation count."""
-    t0 = time.perf_counter() if timings else None
-    scene = _load_scene(scene_path)
-    config = {"scene": scene_path, "samples": samples, "seed": seed}
-    try:
-        sset = cone_mod.sample_scene(scene, samples, seed=seed)
-    except SolverError as exc:
-        _solver_failed("count-components", config, out, t0, exc)
+    config.update(samples=samples, seed=seed)
+    sset = cone_mod.sample_scene(scene, samples, seed=seed)
     comp = cone_mod.count_components(scene, samples=samples, seed=seed, sample_set=sset)
     cat = cone_mod.enumerate_geometric_permutations(
         scene, samples=samples, seed=seed, sample_set=sset
     )
     agree = comp.count == len(cat)
     verdicts = {
-        "band": scene.band,
         "components": comp.to_json_dict(),
         "permutations": len(cat),
         "components_equal_permutations": agree,
     }
-    _finish("count-components", config, verdicts, agree, out, t0)
+    return verdicts, agree, None
 
 
-@main.command("probe-flex")
-@click.option("--scene", "scene_path", required=True, type=str)
+@_command("probe-flex", reads="triple")
 @click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def probe_flex(scene_path, boundary_samples, seed, out, timings):
+def probe_flex(config, triple, boundary_samples, seed):
     """Flex-freeness certificate over sampled cone boundary directions."""
-    t0 = time.perf_counter() if timings else None
-    triple = _load_triple(scene_path, "probe-flex")
-    config = {
-        "scene": scene_path,
-        "scene_data": triple.scene.to_json_dict(),
-        "boundary_samples": boundary_samples,
-        "seed": seed,
-    }
-    try:
-        rep = flexprobe.certify_flex_free(triple, boundary_samples=boundary_samples, seed=seed)
-    except SolverError as exc:
-        _solver_failed("probe-flex", config, out, t0, exc)
+    config.update(scene_data=triple.scene.to_json_dict(), boundary_samples=boundary_samples,
+                  seed=seed)
+    rep = flexprobe.certify_flex_free(triple, boundary_samples=boundary_samples, seed=seed)
     reason = None
     if rep.probed == 0:
         reason = f"no boundary sample was probed ({rep.skipped} skipped)"
         if len(rep.samples) < rep.requested:
             reason += f"; {len(rep.samples)} of {rep.requested} boundary points located"
-    verdicts = dict(rep.to_json_dict(), band=triple.scene.band)
-    _finish("probe-flex", config, verdicts, rep.passed, out, t0, reason)
+    return rep.to_json_dict(), rep.passed, reason
 
 
-@main.command("verify-identities")
+@_command("verify-identities")
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 # heights are drawn as numpy int64 numerators and denominators
 @click.option("--height", type=click.IntRange(1, 2**63 - 1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def verify_identities(trials, height, seed, out, timings):
+def verify_identities(config, trials, height, seed):
     """Exact rational verification of the six pipeline identities."""
-    t0 = time.perf_counter() if timings else None
+    config.update(trials=trials, height=height, seed=seed)
     rep = polyid.schwartz_zippel_suite(trials=trials, height=height, seed=seed)
-    config = {"trials": trials, "height": height, "seed": seed}
-    _finish("verify-identities", config, rep.to_json_dict(), rep.passed, out, t0)
+    return rep.to_json_dict(), rep.passed, None
 
 
-@main.command("classify-boundary")
-@click.option("--scene", "scene_path", required=True, type=str)
-@click.option("--direction", type=str, default=None, help="explicit 'x,y,z' on the sextic")
+@_command("classify-boundary", reads="triple")
+@click.option("--direction", callback=_numbers(float, 3), default=None,
+              help="explicit 'x,y,z' on the sextic")
 @click.option("--directions", "n_directions", type=click.IntRange(min=1), default=8,
               show_default=True, help="number of traced sextic directions to classify")
-@click.option("--out", type=str, default=None)
-@click.option("--timings", is_flag=True, default=False)
-def classify_boundary(scene_path, direction, n_directions, out, timings):
+def classify_boundary(config, triple, direction, n_directions):
     """Classify sextic directions: cone boundary iff crossing the triangle.
 
     Without --direction, directions come evenly from sigma traced in the
     charts u1, u2 and u3 at extent 1, which tile RP^2.
     """
-    t0 = time.perf_counter() if timings else None
-    triple = _load_triple(scene_path, "classify-boundary")
-    verdicts: dict = {"band": triple.scene.band}
+    verdicts: dict = {}
     if direction is not None:
-        try:
-            vec = np.array([float(x) for x in direction.replace(",", " ").split()])
-        except ValueError:
-            raise _UsageError(f"cannot parse direction {direction!r}")
-        if vec.shape != (3,):
-            raise _UsageError(f"direction {direction!r} does not have 3 components")
-        dirs = [vec]
+        dirs = [np.array(direction)]
         verdicts["sextic_points"] = None
     else:
         traced = [
@@ -446,19 +452,17 @@ def classify_boundary(scene_path, direction, n_directions, out, timings):
         if not len(pts):
             verdicts["reason"] = "sigma has no sign change on the three charts"
         dirs = list(pts[::max(1, len(pts) // n_directions)][:n_directions])
-    config = {"scene": scene_path, "directions": len(dirs)}
+    config["directions"] = len(dirs)
     results = []
     disagreements = 0
     for vec in dirs:
         try:
             cls = cone_mod.classify_boundary_direction(triple, Direction(vec))
-        except SolverError as exc:
-            _solver_failed("classify-boundary", config, out, t0, exc)
         except SceneError as exc:
             if direction is not None:
                 # an explicitly supplied direction must satisfy the
                 # precondition; traced directions may straddle the tolerance
-                raise _UsageError(str(exc))
+                raise
             results.append({"direction": [float(x) for x in vec], "error": str(exc)})
             continue
         entry = {
@@ -474,32 +478,23 @@ def classify_boundary(scene_path, direction, n_directions, out, timings):
                 disagreements += 1
         results.append(entry)
     verdicts.update(classifications=results, disagreements=disagreements)
-    _finish("classify-boundary", config, verdicts, disagreements == 0, out, t0)
+    return verdicts, disagreements == 0, None
 
 
-@main.command("trace-curves")
-@click.option("--scene", "scene_path", required=True, type=str)
+@_command("trace-curves", reads="triple", report=False)
 @click.option("--chart", type=click.Choice(["u1", "u2", "u3"]), default="u3", show_default=True)
 @click.option("--grid", type=click.IntRange(min=2), default=200, show_default=True)
 @click.option("--extent", type=float, default=2.0, show_default=True, callback=_positive)
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv", show_default=True)
 @click.option("--hatch-samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
-@click.option("--out", type=str, default=None)
-def trace_curves_cmd(scene_path, chart, grid, extent, fmt, hatch_samples, out):
+def trace_curves_cmd(triple, chart, grid, extent, fmt, hatch_samples):
     """Trace sextic, Hessian and pair conics in an affine direction chart."""
-    triple = _load_triple(scene_path, "trace-curves")
     traces = sextic.trace_curves(triple, chart=chart, grid=grid, extent=extent)
     if fmt == "csv":
-        rows = traces.to_csv_rows()
-        text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    else:
-        try:
-            feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
-        except SolverError as exc:
-            raise _InconclusiveError(f"solver error: {exc}")
-        text = render_figure(traces, feasible_points=feas)
-    _write(text, out)
+        return "\n".join(",".join(str(c) for c in row) for row in traces.to_csv_rows()) + "\n"
+    feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
+    return render_figure(traces, feasible_points=feas)
 
 
 def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) -> np.ndarray:
@@ -515,11 +510,7 @@ def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) 
     return pts[slacks <= scene.band]
 
 
-def render_figure(
-    traces: sextic.CurveTraces,
-    feasible_points: np.ndarray | None = None,
-    size: int = 600,
-) -> str:
+def render_figure(traces: sextic.CurveTraces, feasible_points: np.ndarray | None = None) -> str:
     """Render curve traces as a standalone SVG with the fixed color scheme.
 
     Colors: sextic red, Hessian black, pair conics blue/green/gray; the
@@ -527,6 +518,7 @@ def render_figure(
     empty trace set still yields a valid SVG skeleton.
     """
     ext = traces.extent
+    size = FIGURE_PX
 
     def to_px(x, y):
         return (

@@ -46,6 +46,11 @@ KERNEL_REL_EPS = 1e-12
 # a direction row whose squared length is within this of 1 counts as unit: a
 # few ulps, far inside KERNEL_REL_EPS
 UNIT_SQ_TOL = 2.0 ** -48
+# sample_scene sends the lattice through the kernel this many rows at a time
+SAMPLE_CHUNK = 200_000
+# count_components joins feasible samples at most this many lattice
+# spacings apart
+NEIGHBOUR_SPACINGS = 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +67,8 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def sample_directions(d: int, count: int, seed: int = 0) -> tuple[np.ndarray, str]:
-    """Quasi-uniform direction sample of S^{d-1} plus the scheme label.
+def sample_directions(d: int, count: int, seed: int = 0) -> np.ndarray:
+    """Quasi-uniform direction sample of S^{d-1}.
 
     d = 2 uses evenly spaced angles and d = 3 the Fibonacci lattice; higher
     dimensions fall back to seeded normalized Gaussians, which are equally
@@ -71,14 +76,14 @@ def sample_directions(d: int, count: int, seed: int = 0) -> tuple[np.ndarray, st
     """
     if d == 2:
         phi = 2.0 * math.pi * (np.arange(count) + 0.5) / count
-        return np.column_stack([np.cos(phi), np.sin(phi)]), "circle"
+        return np.column_stack([np.cos(phi), np.sin(phi)])
     if d == 3:
-        return fibonacci_sphere(count), "fibonacci"
+        return fibonacci_sphere(count)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(count, d))
     n = np.linalg.norm(v, axis=1, keepdims=True)
     n[n == 0] = 1.0
-    return v / n, "gaussian"
+    return v / n
 
 
 def lattice_spacing(d: int, count: int) -> float:
@@ -301,8 +306,6 @@ class ConeSampleSet:
     slacks: np.ndarray
     orders: np.ndarray
     ties: np.ndarray
-    seed: int
-    scheme: str
 
     @property
     def feasible(self) -> np.ndarray:
@@ -333,7 +336,6 @@ def sample_scene(
     samples: int,
     seed: int = 0,
     extra_directions: Optional[np.ndarray] = None,
-    chunk: int = 200_000,
 ) -> ConeSampleSet:
     """Sample the direction sphere and record slack/order for each direction.
 
@@ -344,21 +346,22 @@ def sample_scene(
     KERNEL_REL_EPS * diameter margin covers the roundoff between bound and
     kernel.
     """
-    U, scheme = sample_directions(scene.dimension, samples, seed)
+    U = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, _unit_rows(extra_directions)])
     exact_below = scene.band + KERNEL_REL_EPS * scene.diameter()
     slacks = np.empty(len(U))
     orders = np.empty((len(U), len(scene)), dtype=np.int64)
     ties = np.empty(len(U), dtype=bool)
-    for lo in range(0, len(U), chunk):
-        rows = U[lo:lo + chunk]
+    for lo in range(0, len(U), SAMPLE_CHUNK):
+        chunk = slice(lo, lo + SAMPLE_CHUNK)
+        rows = U[chunk]
         bound = _pair_bound(scene.centers, scene.radii, rows)
         near = bound <= exact_below
         bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
-        slacks[lo:lo + chunk] = bound
-        orders[lo:lo + chunk], ties[lo:lo + chunk] = realized_orders_batch(scene, rows)
-    return ConeSampleSet(scene, U, slacks, orders, ties, seed, scheme)
+        slacks[chunk] = bound
+        orders[chunk], ties[chunk] = realized_orders_batch(scene, rows)
+    return ConeSampleSet(scene, U, slacks, orders, ties)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +380,6 @@ class OrderedQuery:
         object.__setattr__(self, "order", tuple(int(i) for i in self.order))
         if sorted(self.order) != list(range(len(self.scene))):
             raise SceneError(f"order {self.order} is not a permutation of the balls")
-
-    def reversed(self) -> "OrderedQuery":
-        return OrderedQuery(self.scene, tuple(reversed(self.order)))
 
 
 def feasibility_batch(
@@ -872,14 +872,13 @@ def count_components(
     scene: Scene,
     samples: int = 20000,
     seed: int = 0,
-    radius_factor: float = 2.5,
     sample_set: Optional[ConeSampleSet] = None,
 ) -> ComponentReport:
     """Count connected clusters of feasible directions on the sphere.
 
     Each feasible sample is canonicalized (antipodal identification of the
     reversed-order witness), then clustered with a neighborhood graph whose
-    angular radius is radius_factor times the lattice spacing.  Its edges,
+    angular radius is NEIGHBOUR_SPACINGS times the lattice spacing.  Its edges,
     the pairs of samples at most the matching chord apart, come from a
     fixed-radius cell grid (_close_pairs); ``neighbour_pairs`` counts them.
     For disjoint scenes the count must equal the number of geometric
@@ -893,7 +892,7 @@ def count_components(
         return ComponentReport(0, [], 0.0, undersampled=False, feasible_samples=0,
                                neighbour_pairs=0)
     canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
-    theta = radius_factor * lattice_spacing(scene.dimension, len(sset.directions))
+    theta = NEIGHBOUR_SPACINGS * lattice_spacing(scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
     a, b = _close_pairs(canon_dirs, chord)
     labels = _component_labels(len(canon_dirs), a, b)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import boundary_directions_for_triple, minimax_weights_batch
-from .geom import Ball, SceneError
+from .geom import SceneError
 from .sextic import Triple
 
 
@@ -103,12 +103,6 @@ class LiftedConfig:
     def q_squared(self) -> np.ndarray:
         """q_k^2 = p_k^2 s_k, free of square roots."""
         return self.weights ** 2 * self.squared_radii
-
-    def lifted_triple(self) -> Triple:
-        """The ball triple this configuration parametrizes."""
-        c = self.centers
-        r = self.radii
-        return Triple(tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True)
 
     @classmethod
     def from_plane_data(cls, vertices2, point2, lifts) -> "LiftedConfig":

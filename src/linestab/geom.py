@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DISJOINTNESS_MARGIN = 1e-6
+MAX_REJECTS = 10000  # placement attempts of random_disjoint_scene
 DIRECTION_NORM_TOL = 1e-12
 # the one length tolerance, relative to a scene's diameter (Scene.band):
 # feasibility, tie, boundary and entry-order decisions all read the band
@@ -49,9 +50,10 @@ def _nonzero_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
-    """Closed ball given by its center and (positive) radius."""
+    """Closed ball given by its center and (positive) radius; compared and
+    hashed by identity."""
 
     center: np.ndarray
     radius: float
@@ -66,12 +68,8 @@ class Ball:
     def dimension(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def squared_radius(self) -> float:
-        return self.radius * self.radius
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Ordered family of balls; the list order is the prescribed meeting order.
 
@@ -81,16 +79,17 @@ class Scene:
     Construction builds the read-only ``centers`` (n, d) and ``radii`` (n,)
     once, the diameter of the union of the balls, and ``band``: REL_TOL
     times the diameter, the one tolerance every length decision reads, so
-    that verdicts do not change when the scene is scaled.
+    that verdicts do not change when the scene is scaled.  Scenes are
+    compared and hashed by identity.
     """
 
     dimension: int
     balls: tuple[Ball, ...]
     allow_overlap: bool = False
-    centers: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
-    band: float = field(init=False, repr=False, compare=False)
-    _diameter: float = field(init=False, repr=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
+    band: float = field(init=False, repr=False)
+    _diameter: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "balls", tuple(self.balls))
@@ -167,11 +166,10 @@ class Direction:
     """Unit vector on S^{d-1}.  Antipodal identification is always explicit."""
 
     components: np.ndarray
-    tolerance: float = DIRECTION_NORM_TOL
 
     def __post_init__(self):
         v, n = _nonzero_norm(_as_vector(self.components, "direction"))
-        if abs(n - 1.0) > self.tolerance:
+        if abs(n - 1.0) > DIRECTION_NORM_TOL:
             v = v / n
         object.__setattr__(self, "components", v)
 
@@ -225,8 +223,6 @@ def random_disjoint_scene(
     d: int,
     radius_range: tuple[float, float],
     seed: int,
-    margin: float = DISJOINTNESS_MARGIN,
-    max_rejects: int = 10000,
 ) -> Scene:
     """Reproducible random scene of n pairwise disjoint balls in R^d."""
     r_min, r_max = radius_range
@@ -234,18 +230,18 @@ def random_disjoint_scene(
         raise SceneError("bad generator arguments")
     rng = np.random.default_rng(seed)
     box = 2.5 * r_max * max(n, 2)
-    for _ in range(max_rejects):
+    for _ in range(MAX_REJECTS):
         radii = rng.uniform(r_min, r_max, size=n)
         centers = rng.uniform(-box / 2, box / 2, size=(n, d))
         ok = True
         for i, j in itertools.combinations(range(n), 2):
-            if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j] + margin:
+            if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j] + DISJOINTNESS_MARGIN:
                 ok = False
                 break
         if ok:
             return Scene(d, tuple(Ball(centers[i], radii[i]) for i in range(n)))
     raise SolverError(
-        f"could not place {n} disjoint balls in {max_rejects} attempts "
+        f"could not place {n} disjoint balls in {MAX_REJECTS} attempts "
         f"(box {box:.3g}, radii in {radius_range})"
     )
 
@@ -255,7 +251,6 @@ def random_scene_with_transversal(
     d: int,
     radius_range: tuple[float, float],
     seed: int,
-    margin: float = DISJOINTNESS_MARGIN,
 ) -> tuple[Scene, Direction]:
     """Random disjoint scene guaranteed to admit a transversal, plus a witness.
 
@@ -275,7 +270,7 @@ def random_scene_with_transversal(
     prev_r = None
     for i in range(n):
         if prev_r is not None:
-            t += prev_r + radii[i] + margin + rng.uniform(0.1, 1.0) * r_max
+            t += prev_r + radii[i] + DISJOINTNESS_MARGIN + rng.uniform(0.1, 1.0) * r_max
         off = rng.uniform(-0.4, 0.4) * radii[i]
         perp = rng.normal(size=d - 1)
         pn = np.linalg.norm(perp)

@@ -80,8 +80,6 @@ class IdentitySpec:
     """
 
     identifier: str
-    description: str
-    variables: tuple[str, ...]
     prepare: Callable[[dict], object]
     lhs: Callable[[object], Value]
     rhs: Callable[[object], Value]
@@ -178,20 +176,22 @@ def _beta_product_sum(cc: CanonicalCoords):
 def identity_catalog() -> list[IdentitySpec]:
     """The six identities verified exactly, in pipeline order.
 
-    1. master split of the probe Hessian into prefactor times H2 + H4;
-    2. the squared-area identity a^2 c^2 = Q / (4 prod p_k^2);
-    3. closed-form Gram solution for <v_i, v_j>;
-    4. sum of beta products equals the hyperboloid constant;
-    5. factorization of *H at the octant vertex;
-    6. the symmetric plane-side evaluation, a constant 15/8.
+    1. master-hessian-decomposition: the probe Hessian equals
+       102400 a^6 c^6 (H2 + H4) at normalized weights;
+    2. area-q-lemma: a^2 c^2 = Q / (4 prod p_k^2);
+    3. gram-solution: <v_i, v_j> = (q_k^2 - q_i^2 - q_j^2) / (2 p_i p_j);
+    4. beta-product-sum: sum beta_i beta_j = Q^3 / (4^3 prod q_k^4), the
+       hyperboloid constant;
+    5. vertex-factorization: *H(V) = 3 prod (q_i + q_j - q_k)^2 / (4 prod q_k^2)
+       at the octant vertex V;
+    6. symmetric-plane-value: the plane-side expression at q0 = q1 = q2
+       equals 15/8.
 
     Every side but the master identity's left is a flexprobe form.
     """
     return [
         IdentitySpec(
             "master-hessian-decomposition",
-            "probe Hessian equals 102400 a^6 c^6 (H2 + H4) at normalized weights",
-            ("a", "b", "c", "p", "x"),
             _config,
             exact_hessian_at_pole,
             lambda cfg: lifted_hessian_decomposition(cfg).H_total,
@@ -201,8 +201,6 @@ def identity_catalog() -> list[IdentitySpec]:
         ),
         IdentitySpec(
             "area-q-lemma",
-            "a^2 c^2 = Q / (4 prod p_k^2)",
-            ("a", "b", "c", "p"),
             _config,
             lambda cfg: cfg.a ** 2 * cfg.c ** 2,
             lambda cfg: q_invariant(cfg).Delta,
@@ -212,8 +210,6 @@ def identity_catalog() -> list[IdentitySpec]:
         ),
         IdentitySpec(
             "gram-solution",
-            "<v_i, v_j> = (q_k^2 - q_i^2 - q_j^2) / (2 p_i p_j)",
-            ("a", "b", "c", "p"),
             _config,
             _coordinate_gram,
             _closed_form_gram,
@@ -223,8 +219,6 @@ def identity_catalog() -> list[IdentitySpec]:
         ),
         IdentitySpec(
             "beta-product-sum",
-            "sum beta_i beta_j = Q^3 / (4^3 prod q_k^4)",
-            ("q",),
             _coords,
             _beta_product_sum,
             lambda cc: cc.hyperboloid_constant,
@@ -234,8 +228,6 @@ def identity_catalog() -> list[IdentitySpec]:
         ),
         IdentitySpec(
             "vertex-factorization",
-            "*H(V) = 3 prod (q_i + q_j - q_k)^2 / (4 prod q_k^2)",
-            ("q",),
             _coords,
             lambda cc: star_h_canonical(cc, cc.octant_vertex()),
             lambda cc: cc.vertex_value,
@@ -245,8 +237,6 @@ def identity_catalog() -> list[IdentitySpec]:
         ),
         IdentitySpec(
             "symmetric-plane-value",
-            "plane-side expression at q0 = q1 = q2 equals 15/8",
-            ("q",),
             _symmetric_coords,
             lambda cc: np.sum(cc.octant_vertex()) - cc.plane_threshold,
             lambda cc: Fraction(15, 8),

@@ -9,6 +9,7 @@ expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -203,26 +204,29 @@ class PoleJet:
 
 
 def poly_det(matrix: Sequence[Sequence]):
-    """Determinant of a square matrix of DirectionPoly or PoleJet entries, by cofactors."""
-    return _det(matrix)
+    """Determinant of a square matrix of DirectionPoly or PoleJet entries.
 
-
-def _det(matrix):
+    Cofactor expansion along the first row, each minor computed once: the
+    minors on the last k rows, keyed by their columns, are expanded along
+    their own first row from those on the last k - 1.  Zero entries are
+    skipped.
+    """
     n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = type(matrix[0][0])()
-    for col in range(n):
-        entry = matrix[0][col]
-        if not entry:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != col]
-            for row in matrix[1:]
-        ]
-        term = entry * _det(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return total
+    zero = type(matrix[0][0])()
+    minors = {(c,): matrix[n - 1][c] for c in range(n)}
+    for r in range(n - 2, -1, -1):
+        expanded = {}
+        for cols in itertools.combinations(range(n), n - r):
+            total = zero
+            for k, c in enumerate(cols):
+                entry = matrix[r][c]
+                if not entry:
+                    continue
+                term = entry * minors[cols[:k] + cols[k + 1:]]
+                total = total + term if k % 2 == 0 else total - term
+            expanded[cols] = total
+        minors = expanded
+    return minors[tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +234,19 @@ def _det(matrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Triple:
     """Three balls in R^3 with cached sextic data: a view of a 3-ball Scene.
 
     ``allow_overlap`` admits tangent/intersecting configurations for the
     transition demonstrations; everything algebraic still applies to them.
     The Scene built on construction checks dimension, finiteness and
-    disjointness.
+    disjointness.  Triples are compared and hashed by identity.
     """
 
     balls: tuple[Ball, Ball, Ball]
     allow_overlap: bool = False
-    scene: Scene = field(init=False, repr=False, compare=False)
+    scene: Scene = field(init=False, repr=False)
 
     def __post_init__(self):
         self.balls = tuple(self.balls)
@@ -251,9 +255,8 @@ class Triple:
         self.scene = Scene(3, self.balls, allow_overlap=self.allow_overlap)
 
     @classmethod
-    def from_scene(cls, scene: Scene, indices=(0, 1, 2)) -> "Triple":
-        balls = tuple(scene.balls[i] for i in indices)
-        return cls(balls, allow_overlap=scene.allow_overlap)
+    def from_scene(cls, scene: Scene) -> "Triple":
+        return cls(scene.balls, allow_overlap=scene.allow_overlap)
 
     @property
     def centers(self) -> np.ndarray:
@@ -410,11 +413,6 @@ class Line3:
     point: np.ndarray
     direction: np.ndarray
 
-    def distance_to(self, x) -> float:
-        w = np.asarray(x, dtype=float) - self.point
-        proj = np.dot(w, self.direction) * self.direction
-        return float(np.linalg.norm(w - proj))
-
 
 @dataclass(frozen=True)
 class CircleFamily:
@@ -431,10 +429,6 @@ class TangentRecovery:
     lines: tuple[Line3, ...]
     family: Optional[CircleFamily]
     residual: float
-
-    @property
-    def is_family(self) -> bool:
-        return self.family is not None
 
 
 def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery:

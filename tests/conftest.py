@@ -44,7 +44,7 @@ def line_entry_parameters(point, direction, scene):
     for b in scene.balls:
         w = b.center - p
         tm = float(np.dot(w, d))
-        h2 = b.squared_radius - (float(np.dot(w, w)) - tm * tm)
+        h2 = b.radius * b.radius - (float(np.dot(w, w)) - tm * tm)
         if h2 < 0:
             out.append(None)
         else:
@@ -176,6 +176,19 @@ def eval_hessian_sigma(triple, u) -> float:
     u = np.asarray(u, dtype=float)
     H = [[triple.hessian_entries[a][b](u[0], u[1], u[2]) for b in range(3)] for a in range(3)]
     return float(np.linalg.det(np.array(H, dtype=float)))
+
+
+def lifted_triple(cfg) -> Triple:
+    """The ball triple a LiftedConfig parametrizes: vertex k raised to its
+    lift, with radius |v_k|."""
+    c, r = cfg.centers, cfg.radii
+    return Triple(tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True)
+
+
+def line_distance(line, x) -> float:
+    """Distance from the point x to a recovered tangent Line3."""
+    w = np.asarray(x, dtype=float) - line.point
+    return float(np.linalg.norm(w - np.dot(w, line.direction) * line.direction))
 
 
 def form_value(form, u) -> float:

@@ -35,7 +35,7 @@ from linestab.sextic import (
     tangent_lines_for_direction,
     trace_curves,
 )
-from conftest import center_order, eval_hessian_sigma
+from conftest import center_order, eval_hessian_sigma, lifted_triple, line_distance
 
 
 def _ok(name):
@@ -73,7 +73,7 @@ def test_criterion_2_cross_oracle_hessian():
             lifts=rng.uniform(-2.5, 2.5, size=3),
         )
         split = lifted_hessian_decomposition(cfg)
-        H = eval_hessian_sigma(cfg.lifted_triple(), np.array([0.0, 0.0, 1.0]))
+        H = eval_hessian_sigma(lifted_triple(cfg), np.array([0.0, 0.0, 1.0]))
         rel = abs(H - split.H_total) / max(abs(H), abs(split.H_total), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-8, (cfg, rel)
@@ -204,7 +204,7 @@ def test_criterion_7_helly_consistency():
         U = []
         from linestab.cone import sample_directions
 
-        lattice, _ = sample_directions(3, 400, seed=seed)
+        lattice = sample_directions(3, 400, seed=seed)
         U.append(lattice)
         jitter = axis.components[None, :] + 0.2 * rng.normal(size=(100, 3))
         U.append(jitter / np.linalg.norm(jitter, axis=1, keepdims=True))
@@ -242,7 +242,7 @@ def test_criterion_8_tangent_recovery():
                     rec = tangent_lines_for_direction(tri, u)
                     for line in rec.lines:
                         for b in tri.balls:
-                            err = abs(line.distance_to(b.center) - b.radius)
+                            err = abs(line_distance(line, b.center) - b.radius)
                             assert err <= 1e-8, err
                         total_lines += 1
                         collected += 1

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from linestab import cli as cli_mod
 from linestab import cone as cone_mod
 from linestab.cli import PRESET_NAMES, _finish, main, preset_scene, render_figure
+from linestab.geom import SolverError
 from linestab.sextic import Triple, trace_curves
 
 
@@ -421,6 +423,96 @@ class TestSolverErrors:
         assert r.exit_code == 3 and r.exc_info[0] is SystemExit
         assert "solver error: disk minimax did not converge" in r.output
         assert not out.exists()
+
+
+    def test_generator_that_gives_up(self, runner, monkeypatch):
+        def give_up(*args):
+            raise SolverError("could not place 4 disjoint balls in 10000 attempts")
+
+        monkeypatch.setattr(cli_mod, "random_disjoint_scene", give_up)
+        r = runner.invoke(main, ["generate-scene", "--n", "4"])
+        assert r.exit_code == 3 and r.exc_info[0] is SystemExit
+        assert r.output == "Error: solver error: could not place 4 disjoint balls in 10000 attempts\n"
+
+
+REPORT_COMMANDS = {"check-convexity", "enumerate-permutations", "count-components", "probe-flex",
+                   "verify-identities", "classify-boundary"}
+TEXT_COMMANDS = {"generate-scene", "trace-curves"}
+SCENE_COMMANDS = sorted(name for name, command in main.commands.items()
+                        if any("--scene" in p.opts for p in command.params))
+# small budgets, so that each command finishes its work before writing
+SMALL_BUDGETS = {
+    "check-convexity": ["--samples", "256", "--pairs", "8"],
+    "enumerate-permutations": ["--samples", "256"],
+    "count-components": ["--samples", "256"],
+    "probe-flex": ["--boundary-samples", "4"],
+    "verify-identities": ["--trials", "1"],
+    "classify-boundary": ["--directions", "2"],
+    "trace-curves": ["--grid", "20"],
+}
+
+
+def test_every_command_goes_through_the_shared_path():
+    # a new command must be registered through cli._command, which owns
+    # --scene, --out and (for a report) --timings
+    assert set(main.commands) == REPORT_COMMANDS | TEXT_COMMANDS
+    for name, command in main.commands.items():
+        def shared(flag):
+            return [p for p in command.params if flag in p.opts]
+
+        assert shared("--out") == [cli_mod._OUT], name
+        assert shared("--timings") == ([cli_mod._TIMINGS] if name in REPORT_COMMANDS else []), name
+        assert shared("--scene") in ([], [cli_mod._SCENE]), name
+
+
+class TestFileErrors:
+    """A bad --scene file or an unwritable --out is a usage error: exit 2
+    with a message, no traceback and no report."""
+
+    @staticmethod
+    def printed(r):
+        text = r.output
+        if r.exception is not None and not isinstance(r.exception, SystemExit):
+            text += "".join(traceback.format_exception(*r.exc_info))
+        return text
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "does not exist"),
+        ("directory", "is a directory"),
+        ("not-utf8", "cannot read scene file"),
+        ("deeply-nested", "nested too deeply"),
+    ])
+    @pytest.mark.parametrize("command", SCENE_COMMANDS)
+    def test_bad_scene_file(self, runner, tmp_path, command, case, message):
+        scene = tmp_path / "scene.json"
+        if case == "directory":
+            scene.mkdir()
+        elif case == "not-utf8":
+            scene.write_bytes(b"\xff\xfe")
+        elif case == "deeply-nested":
+            scene.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "report.json"
+        r = runner.invoke(main, [command, "--scene", str(scene), "--out", str(out)])
+        printed = self.printed(r)
+        assert r.exit_code == 2, printed
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in printed
+        assert message in printed and "Error:" in printed
+        assert not out.exists() and '"schema_version"' not in printed
+
+    @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS | TEXT_COMMANDS))
+    def test_out_in_missing_directory(self, runner, tmp_path, command):
+        args = [command, *SMALL_BUDGETS.get(command, [])]
+        if command in SCENE_COMMANDS:
+            scene = tmp_path / "f.json"
+            invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+            args += ["--scene", str(scene)]
+        out = tmp_path / "missing" / "report.out"
+        r = runner.invoke(main, [*args, "--out", str(out)])
+        assert r.exit_code == 2, self.printed(r)
+        assert isinstance(r.exception, SystemExit)
+        # one line on stderr and nothing else: no traceback, no report
+        assert r.output == f"Error: cannot write {out}: No such file or directory\n"
 
 
 class TestClassifyBoundary:

@@ -16,7 +16,7 @@ from linestab.flexprobe import (
     rebuilt_pair_gaps,
     star_h_canonical,
 )
-from conftest import eval_hessian_sigma, random_triple, z_gaps
+from conftest import eval_hessian_sigma, lifted_triple, random_triple, z_gaps
 
 
 def w_from_lifts(cfg):
@@ -142,7 +142,7 @@ class TestHessianSplit:
         for seed in range(10):
             cfg = random_config(seed)
             split = lifted_hessian_decomposition(cfg)
-            H = eval_hessian_sigma(cfg.lifted_triple(), np.array([0.0, 0.0, 1.0]))
+            H = eval_hessian_sigma(lifted_triple(cfg), np.array([0.0, 0.0, 1.0]))
             assert abs(H - split.H_total) <= 1e-8 * max(abs(H), abs(split.H_total))
 
 

@@ -17,6 +17,7 @@ from linestab.geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
 )
+from linestab.sextic import Triple
 from conftest import (
     center_order, collinear_scene, line_entry_parameters, scene_classification, simplex_minimax,
 )
@@ -80,6 +81,19 @@ class TestValidation:
     def test_finite_norm_keeps_its_bits(self):
         v = np.array([3.0, -4.0, 12.0])
         np.testing.assert_array_equal(Direction(v).components, v / 13.0)
+
+
+def test_scene_objects_compare_and_hash_by_identity():
+    # the generated __eq__ compared numpy centres with ==, which raised
+    # "truth value of an array ... is ambiguous"; a set needed a hash
+    def make():
+        a, b, c = (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([8, 0, 0], 1.0))
+        return [a, b, Scene(3, (a, b, c)), Triple((a, b, c))]
+
+    first, second = make(), make()
+    for x, y in zip(first, second):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 class TestSceneJson:

@@ -20,6 +20,7 @@ from linestab.polyid import (
     schwartz_zippel_suite,
 )
 from linestab.sextic import DirectionPoly, PoleJet, bordered_matrix, poly_det, sigma_from_geometry
+from conftest import lifted_triple
 
 
 def spec_by_id(identifier):
@@ -285,7 +286,7 @@ class TestCrossModuleConsistency:
                 weights=np.array([float(v) for v in p]),
                 lifts=np.array([float(v) for v in x]),
             )
-            approx = eval_sigma(cfg.lifted_triple(), np.array([float(v) for v in u]))
+            approx = eval_sigma(lifted_triple(cfg), np.array([float(v) for v in u]))
             assert abs(approx - float(exact_val)) <= 1e-12 * max(abs(float(exact_val)), 1.0)
 
     @pytest.mark.parametrize("height", [10, 1000, 10**6])
