@@ -438,27 +438,58 @@ def _entry_order_margin(
     no sampled transversal does; -inf when no transversal exists.  Each row
     samples the minimax point of its projected disks plus a grid over their
     bounding-box intersection, then polishes the best transversal with a
-    shrinking pattern search.
+    shrinking pattern search, run once per call over all rows.
     """
     U = _unit_rows(U)
     W = minimax_weights_batch(scene.centers, scene.radii, U)
-    # rows go through in chunks of about 2^15 transversals, which keeps the
-    # (rows, grid^2, n) arrays under 1 MB each
-    chunk = max(1, 2 ** 15 // (grid * grid))
-    parts = [np.empty(0)]
-    for lo in range(0, len(U), chunk):
-        rows = slice(lo, lo + chunk)
-        parts.append(_entry_order_margin_rows(scene, U[rows], W[rows], list(order), grid))
-    return np.concatenate(parts)
-
-
-def _entry_order_margin_rows(
-    scene: Scene, U: np.ndarray, W: np.ndarray, order: list[int], grid: int
-) -> np.ndarray:
-    centers, radii = scene.centers, scene.radii
-    r2 = radii ** 2
+    order = list(order)
+    r2 = scene.radii ** 2
     # a transversal point inside a disk up to roundoff, 1e-12 diameter^2
     r2_in = r2 + 1e-12 * scene.diameter() ** 2
+    # the grid search takes rows in chunks of about 2^15 transversals, which
+    # keeps the (rows, grid^2, n) arrays under 1 MB each; the pattern search
+    # then polishes every row at once with each chunk's own C2 and keys (a
+    # matmul over other rows may round differently)
+    chunk = max(1, 2 ** 15 // (grid * grid))
+    n = len(scene)
+    parts = [(np.empty(0), np.empty((0, 2)), np.empty((0, n, 2)), np.empty((0, n)))]
+    for lo in range(0, len(U), chunk):
+        rows = slice(lo, lo + chunk)
+        parts.append(_entry_grid_search(scene, U[rows], W[rows], order, grid, r2_in))
+    result, x, C2, keys = (np.concatenate(p) for p in zip(*parts))
+
+    # polish each row's best transversal with a local pattern search
+    m = len(result)
+    step = np.full(m, 0.25 * float(np.min(scene.radii)))
+    active = np.isfinite(result)
+    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    for _ in range(40):
+        if not np.any(active):
+            break
+        improved = np.zeros(m, dtype=bool)
+        for move in moves:
+            cand = x + step[:, None] * move
+            cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
+            centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
+            cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
+            better = active & np.all(cd2 <= r2_in, axis=1) & (cm > result)
+            result = np.where(better, cm, result)
+            x = np.where(better[:, None], cand, x)
+            improved |= better
+        halve = active & ~improved
+        step = np.where(halve, 0.5 * step, step)
+        active &= ~(halve & (step < scene.band))
+    return result
+
+
+def _entry_grid_search(
+    scene: Scene, U: np.ndarray, W: np.ndarray, order: list[int], grid: int, r2_in: np.ndarray
+):
+    """(best margin, best point, projected centres C2, keys) of each row's
+    grid search: its minimax point plus a grid over the disks' bounding-box
+    intersection."""
+    centers, radii = scene.centers, scene.radii
+    r2 = radii ** 2
     m = len(U)
     rows = np.arange(m)
     basis = np.array([orthonormal_basis_of_complement(u) for u in U])  # (m, 2, 3)
@@ -485,30 +516,7 @@ def _entry_order_margin_rows(
     gaps = np.min(np.diff(entry[:, :, order], axis=2), axis=2, initial=np.inf)
     margins = np.where(inside, gaps, -np.inf)
     best = np.argmax(margins, axis=1)
-    result = margins[rows, best]
-    x = P[rows, best]
-
-    # polish each row's best transversal with a local pattern search
-    step = np.full(m, 0.25 * float(np.min(radii)))
-    active = np.isfinite(result)
-    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-    for _ in range(40):
-        if not np.any(active):
-            break
-        improved = np.zeros(m, dtype=bool)
-        for move in moves:
-            cand = x + step[:, None] * move
-            cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
-            centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
-            cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
-            better = active & np.all(cd2 <= r2_in, axis=1) & (cm > result)
-            result = np.where(better, cm, result)
-            x = np.where(better[:, None], cand, x)
-            improved |= better
-        halve = active & ~improved
-        step = np.where(halve, 0.5 * step, step)
-        active &= ~(halve & (step < scene.band))
-    return result
+    return margins[rows, best], P[rows, best], C2, keys
 
 
 def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> np.ndarray:

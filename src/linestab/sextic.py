@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Ball, Direction, Scene, SceneError
+from .geom import Ball, Direction, Scene, SceneError, SolverError
 
 SIGMA_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -144,9 +144,12 @@ class GridPowers:
     """The powers U_a ** i of one grid of directions, each computed once and
     shared by every term of every polynomial evaluated on that grid.
 
-    A component may be the scalar 1.0, as the chart axis is: its factors are
-    skipped, as are the factors U_a ** 0, which is exact because multiplying
-    by 1.0 changes no float.
+    The components broadcast against each other, so a chart grid passes its
+    two axes as a column and a row: each power is taken once per axis value,
+    and a term reaches the full grid only in its last multiply.  A component
+    may be the scalar 1.0, as the chart axis is: its factors are skipped, as
+    are the factors U_a ** 0, which is exact because multiplying by 1.0
+    changes no float.
     """
 
     __slots__ = ("U", "is_one", "shape", "cache")
@@ -584,14 +587,18 @@ _MS_CASES = {
 }
 
 
-def _trace_zero_set(f, xs, ys, refine_tol):
+def _trace_zero_set(f, xs, ys, refine_tol, label="f"):
     """Marching squares of the zero set of f(X, Y) on the grid xs x ys.
 
-    f is vectorised: it fills the grid, refines every crossing edge in one
-    batched bisection and decides the saddle cells from their centres.
+    f is vectorised and broadcasts its arguments: it fills the grid from the
+    column xs[:, None] and the row ys[None, :], refines every crossing edge
+    in one batched bisection and decides the saddle cells from their centres.
+    A grid value that is not finite has no sign: SolverError, naming label.
     """
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    sign = f(X, Y) >= 0  # an exact zero counts as positive
+    values = f(xs[:, None], ys[None, :])
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"{label} has non-finite values on the grid")
+    sign = values >= 0  # an exact zero counts as positive
 
     # crossing edges: horizontal (ix, iy)-(ix + 1, iy), then vertical (ix, iy)-(ix, iy + 1)
     hx, hy = np.nonzero(sign[:-1] != sign[1:])
@@ -737,17 +744,17 @@ def trace_curves(
     axis = CHART_AXES[chart]
     xs = np.linspace(-extent, extent, grid)
 
-    def trace(g):
+    def trace(name, g):
         """Trace the zero set of g, a function of one grid's GridPowers."""
         def f(X, Y):
-            U = list(np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
-            U[axis] = 1.0  # the chart plane u_axis = 1, as a scalar whose factors are skipped
+            U = [X, Y]
+            U.insert(axis, 1.0)  # the chart plane u_axis = 1, as a scalar whose factors are skipped
             return g(GridPowers(*U))
-        return _trace_zero_set(f, xs, xs, TRACE_TOL)
+        return _trace_zero_set(f, xs, xs, TRACE_TOL, f"{name} in chart {chart} at extent {extent!r}")
 
     curves = {}
     for name in CURVE_NAMES:
         if name in names:
             g = _curve_function(triple, name)
-            curves[name] = [] if g is None else trace(g)
+            curves[name] = [] if g is None else trace(name, g)
     return CurveTraces(chart=chart, extent=extent, curves=curves)

@@ -434,6 +434,18 @@ class TestSolverErrors:
         assert r.exit_code == 3 and r.exc_info[0] is SystemExit
         assert r.output == "Error: solver error: could not place 4 disjoint balls in 10000 attempts\n"
 
+    def test_trace_with_non_finite_grid_values(self, runner, tmp_path):
+        # sextic powers of 1e150 overflow: the grid has no signs to march,
+        # so no curve may come out silently empty
+        out = tmp_path / "t.csv"
+        args = ["trace-curves", "--scene", self.demo(runner, tmp_path),
+                "--extent", "1e150", "--grid", "20", "--out", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = invoke(runner, args)
+        assert r.exit_code == 3
+        assert "solver error: sigma in chart u3 at extent 1e+150 has non-finite values" in r.output
+        assert not out.exists()
+
 
 REPORT_COMMANDS = {"check-convexity", "enumerate-permutations", "count-components", "probe-flex",
                    "verify-identities", "classify-boundary"}

@@ -32,6 +32,7 @@ from linestab.cone import (
     feasibility_batch,
     fibonacci_sphere,
     minimax_slack_batch,
+    minimax_weights_batch,
     realized_orders_batch,
     sample_directions,
     sample_scene,
@@ -378,6 +379,58 @@ class TestConvexity:
             assert entry_order_feasible(scene, u[None, :], order)[0] == (
                 minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0] <= scene.band
             )
+
+
+def _entry_split_scene(name):
+    """(scene, entry order) of the row-split test: the two transition presets,
+    one ball, and four disjoint balls with a transversal."""
+    from linestab.cli import preset_scene
+
+    if name == "one-ball":
+        return Scene(3, (Ball([0, 0, 0], 1.0),)), (0,)
+    if name == "four-balls":
+        scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
+        return scene, center_order(scene, axis.components)[0]
+    return preset_scene(name), (0, 1, 2)
+
+
+@pytest.mark.parametrize("grid", [25, 60])
+@pytest.mark.parametrize("name", ["transition-overlapping", "transition-disjoint",
+                                  "one-ball", "four-balls"])
+def test_entry_margin_does_not_depend_on_the_row_split(name, grid, monkeypatch):
+    # the grid search takes rows in chunks and the pattern search takes them
+    # all at once; neither may let a row's margin depend on the rows beside
+    # it.  A row's BLAS products (the kernel's U @ centers.T, the grid
+    # search's keys) may round differently in a batch of another size, so
+    # the weights and the grid search see one row at a time here.
+    weights, grid_search = cone.minimax_weights_batch, cone._entry_grid_search
+
+    def weights_by_row(centers, radii, U):
+        return np.concatenate([np.empty((0, len(centers)))]
+                              + [weights(centers, radii, u[None, :]) for u in U])
+
+    def grid_search_by_row(scene, U, W, *rest):
+        rows = [grid_search(scene, U[k:k + 1], W[k:k + 1], *rest) for k in range(len(U))]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+
+    monkeypatch.setattr(cone, "minimax_weights_batch", weights_by_row)
+    monkeypatch.setattr(cone, "_entry_grid_search", grid_search_by_row)
+    scene, order = _entry_split_scene(name)
+    chunk = max(1, 2 ** 15 // (grid * grid))
+    n_max = 3 * chunk + 5
+    # rows from deep inside the cone out past its rim, about two thirds
+    # inside, in shuffled order so that every chunk holds both kinds
+    U = fibonacci_sphere(20000)
+    slack = minimax_slack_batch(scene.centers, scene.radii, U)
+    stride = max(1, 3 * int(np.sum(slack <= scene.band)) // (2 * n_max))
+    U = U[np.random.default_rng(0).permutation(np.argsort(slack)[::stride][:n_max])]
+    single = [cone._entry_order_margin(scene, u[None, :], order, grid) for u in U]
+    for N in (0, 1, chunk, chunk + 1, n_max):
+        got = cone._entry_order_margin(scene, U[:N], order, grid)
+        want = np.concatenate([np.empty(0)] + single[:N])
+        assert np.array_equal(got, want, equal_nan=True), N
+    if len(scene) > 1:
+        assert np.any(np.isfinite(got)) and np.any(np.isneginf(got))
 
 
 class TestPermutations:

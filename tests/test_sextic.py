@@ -1,12 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, preset_scene
-from linestab.geom import Ball, Direction, Scene, SceneError, orthonormal_basis_of_complement
+from linestab.geom import (
+    Ball, Direction, Scene, SceneError, SolverError, orthonormal_basis_of_complement,
+)
 from linestab.sextic import (
     CHART_AXES,
     CURVE_NAMES,
@@ -571,3 +574,29 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
             assert len(only.curves["sigma"]) == len(got["sigma"])
             for g, w in zip(only.curves["sigma"], got["sigma"]):
                 assert np.array_equal(g, w)
+
+
+def test_trace_memory_stays_per_axis():
+    # the powers are taken on the grid's two axes, so a 400 x 400 trace
+    # holds a few full-grid arrays at a time (the Hessian's 3 x 3 stack is
+    # 11.5 MB) and no meshgrid of every power: 32 MB with one, 14 MB without
+    tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+    tracemalloc.start()
+    try:
+        trace_curves(tri, grid=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_non_finite_grid_values_name_the_curve():
+    # powers of 1e150 overflow, so the grid has no signs to march; every
+    # preset's curves are finite in every chart at the figures' extent
+    tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match=r"^sigma in chart u1 at extent 1e\+150 has non-finite"):
+            trace_curves(tri, chart="u1", grid=20, extent=1e150)
+    for preset in PRESET_NAMES:
+        for chart in CHART_AXES:
+            trace_curves(Triple.from_scene(preset_scene(preset)), chart=chart, grid=20, extent=2.5)
