@@ -9,12 +9,18 @@ forces H2 + H4 > 0, i.e. no flex or singularity on the boundary arc; in
 canonical hyperboloid coordinates the disjointness octant misses the flex
 hyperboloid, by closed forms that ``linestab.polyid`` checks exactly.
 
-The closed forms are written once for two scalar types: a configuration built
-from floats holds float64 arrays, one built from ``fractions.Fraction`` holds
-object arrays, and the exact identity suite (``linestab.polyid``) evaluates
-these same forms in rational arithmetic.  Only construction chooses the type;
-forms that need a square root (``radii``, ``q_edges``) are float-only, and the
-exact side works with their squares.
+The closed forms are written once for two scalar types and any number of
+samples: a configuration built from floats holds float64 arrays, one built
+from ``fractions.Fraction`` holds object arrays, and a batch of m samples
+carries a leading sample axis, so ``a``, ``b`` and ``c`` have shape (m,) and
+the weights, lifts and q values (m, 3); a single configuration has none.
+Forms read vertex k of a per-vertex array ``v`` as ``v.T[k]`` and reduce over
+``axis=-1``, and a float batch gives each sample the bits it gets alone.  The
+exact identity suite (``linestab.polyid``) evaluates these same forms in
+rational arithmetic, once over all trials of an identity.  Only construction
+chooses the type; forms that need a square root (``radii``, ``q_edges``,
+``rebuilt_pair_gaps``) are float-only and take one sample, and the exact
+side works with their squares.
 """
 from __future__ import annotations
 
@@ -32,18 +38,38 @@ from .sextic import Triple
 
 
 def _scalar_dtype(*values) -> type:
-    """object (exact arithmetic) when any value is a Fraction, float otherwise."""
-    return object if any(isinstance(v, Fraction) for v in values) else float
+    """object (exact arithmetic) when any value or array entry is a Fraction, float otherwise."""
+    entries = (e for v in values for e in (v.flat if isinstance(v, np.ndarray) else (v,)))
+    return object if any(isinstance(e, Fraction) for e in entries) else float
+
+
+_LIBM_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _pow(x, k: int):
+    """x ** k for a per-sample value, rounded as for one sample alone.
+
+    A float64 scalar's ``**`` is the C library's pow, while numpy's array
+    power may take a SIMD kernel that rounds differently, so a float batch
+    calls pow entry by entry; scalars and exact values use ``**``.
+    """
+    if isinstance(x, np.ndarray) and x.dtype == float:
+        return _LIBM_POW(x, k).astype(float)
+    return x ** k
 
 
 @dataclass(frozen=True)
 class LiftedConfig:
-    """Planar triangle + interior point + lift heights.
+    """Planar triangle + interior point + lift heights, for m samples at once.
 
     Triangle vertices are (0,0), (a,0), (b,c) in the plane; the interior point
     has barycentric weights p (normalized to sum 1 on construction); lifting
     the vertices by x_k along a third axis produces ball centers whose radii
-    are the distances from the interior point to the vertices.
+    are the distances from the interior point to the vertices.  One sample
+    has scalar ``a``, ``b``, ``c`` and weights and lifts of shape (3,); a
+    batch of m has shape (m,) and (m, 3).  A form reads vertex k of a
+    per-vertex array ``v`` as ``v.T[k]``: a scalar for one sample, the (m,)
+    column for a batch.
     """
 
     a: float
@@ -54,41 +80,53 @@ class LiftedConfig:
 
     def __post_init__(self):
         w, x = np.asarray(self.weights), np.asarray(self.lifts)
-        dtype = _scalar_dtype(self.a, self.b, self.c, *w.ravel(), *x.ravel())
+        dtype = _scalar_dtype(self.a, self.b, self.c, w, x)
         w, x = w.astype(dtype), x.astype(dtype)
-        if w.shape != (3,) or x.shape != (3,):
-            raise SceneError("weights and lifts must have length 3")
-        if not (self.a > 0 and self.c > 0):
+        if w.shape[-1:] != (3,) or w.ndim > 2 or x.shape != w.shape:
+            raise SceneError("weights and lifts must have length 3 per sample")
+        if w.ndim == 2:  # a batch; one sample keeps its scalars as given
+            for name in "abc":
+                v = np.asarray(getattr(self, name), dtype=dtype)
+                if v.shape != w.shape[:-1]:
+                    raise SceneError("a, b and c need one value per sample")
+                object.__setattr__(self, name, v)
+        if not np.logical_and(self.a > 0, self.c > 0).all():
             raise SceneError("triangle must be nondegenerate: a > 0 and c > 0")
-        if not np.all(w > 0):
+        if not (w > 0).all():
             raise SceneError("barycentric weights must be positive")
-        object.__setattr__(self, "weights", w / w.sum())
+        object.__setattr__(self, "weights", w / w.sum(axis=-1, keepdims=True))
         object.__setattr__(self, "lifts", x)
 
-    @property
+    @cached_property
     def triangle(self) -> np.ndarray:
-        return np.array([[0, 0], [self.a, 0], [self.b, self.c]], dtype=self.weights.dtype)
+        T = np.zeros(np.shape(self.a) + (3, 2), dtype=self.weights.dtype)
+        T[..., 1, 0] = self.a
+        T[..., 2, 0] = self.b
+        T[..., 2, 1] = self.c
+        return T
 
     @property
     def centers(self) -> np.ndarray:
         """Centers of the lifted balls: vertex k raised to height x_k."""
-        return np.column_stack((self.triangle, self.lifts))
+        return np.concatenate((self.triangle, self.lifts[..., None]), axis=-1)
 
     @cached_property
     def interior_point(self) -> np.ndarray:
         # vertex 0 is the origin: its term is an exact zero, so dropping it
-        # changes no bit and saves exact arithmetic
-        return self.weights[1:] @ self.triangle[1:]
+        # changes no bit and saves exact arithmetic; a (1, 2) row times a
+        # (2, 2) matrix is the same vector-matrix product with or without
+        # a sample axis
+        return (self.weights[..., None, 1:] @ self.triangle[..., 1:, :])[..., 0, :]
 
     @cached_property
     def v_vectors(self) -> np.ndarray:
         """v_k = interior point minus vertex k."""
-        return self.interior_point[None, :] - self.triangle
+        return self.interior_point[..., None, :] - self.triangle
 
     @cached_property
     def squared_radii(self) -> np.ndarray:
         v = self.v_vectors
-        return np.einsum("ij,ij->i", v, v)
+        return np.einsum("...ij,...ij->...i", v, v)
 
     @property
     def radii(self) -> np.ndarray:
@@ -148,18 +186,21 @@ def gram_from_barycentrics(cfg: LiftedConfig) -> np.ndarray:
     entries are the squared radii.  The result annihilates the weight vector
     and is positive semidefinite of rank <= 2.
     """
-    p = cfg.weights
-    q2 = cfg.q_squared
-    G = np.diag(cfg.squared_radii)
+    p = cfg.weights.T
+    q2 = cfg.q_squared.T
+    s = cfg.squared_radii
+    G = np.zeros(s.shape + (3,), dtype=s.dtype)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        G[i, j] = G[j, i] = (q2[k] - q2[i] - q2[j]) / (2 * p[i] * p[j])
+        G[..., k, k] = s.T[k]
+        G[..., i, j] = G[..., j, i] = (q2[k] - q2[i] - q2[j]) / (2 * p[i] * p[j])
     return G
 
 
 def _q_from_squares(q2):
     """Q = sum(2 q_i^2 q_j^2 - q_k^4), from the squares q_k^2."""
-    return 2 * (q2[0] * q2[1] + q2[0] * q2[2] + q2[1] * q2[2]) - np.sum(q2 ** 2)
+    q = q2.T
+    return 2 * (q[0] * q[1] + q[0] * q[2] + q[1] * q[2]) - np.sum(q2 ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,8 +218,8 @@ def q_invariant(cfg: LiftedConfig) -> QInvariant:
     the strict triangle inequality.
     """
     Q = _q_from_squares(cfg.q_squared)
-    Delta = Q / (4 * np.prod(cfg.weights) ** 2)
-    return QInvariant(Q=Q, Delta=Delta, degenerate=bool(Q <= 0))
+    Delta = Q / (4 * _pow(np.prod(cfg.weights, axis=-1), 2))
+    return QInvariant(Q=Q, Delta=Delta, degenerate=Q <= 0)
 
 
 @dataclass(frozen=True)
@@ -211,17 +252,17 @@ class HessianSplit:
 
 def lifted_hessian_decomposition(cfg: LiftedConfig) -> HessianSplit:
     """Split the probe Hessian into its quadratic and quartic lift parts."""
-    p = cfg.weights
-    s = cfg.squared_radii
-    x = cfg.lifts
-    a2c2 = cfg.a ** 2 * cfg.c ** 2
+    p = cfg.weights.T
+    s = cfg.squared_radii.T
+    x = cfg.lifts.T
+    a2c2 = _pow(cfg.a, 2) * _pow(cfg.c, 2)
     h2 = h4 = 0
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        h2 += p[i] * p[j] * (x[i] - x[j]) ** 2
-        h4 += p[k] ** 3 * s[k] * (x[i] - x[k]) ** 2 * (x[j] - x[k]) ** 2
-    H2 = -a2c2 * np.prod(p) * h2
-    prefactor = (2 ** 12) * (5 ** 2) * cfg.a ** 6 * cfg.c ** 6
+        h2 += p[i] * p[j] * _pow(x[i] - x[j], 2)
+        h4 += _pow(p[k], 3) * s[k] * _pow(x[i] - x[k], 2) * _pow(x[j] - x[k], 2)
+    H2 = -a2c2 * np.prod(cfg.weights, axis=-1) * h2
+    prefactor = (2 ** 12) * (5 ** 2) * _pow(cfg.a, 6) * _pow(cfg.c, 6)
     return HessianSplit(H2=H2, H4=h4, prefactor=prefactor)
 
 
@@ -233,7 +274,8 @@ def lifted_hessian_decomposition(cfg: LiftedConfig) -> HessianSplit:
 
 @dataclass(frozen=True)
 class CanonicalCoords:
-    """Canonical q-parameters of a configuration.
+    """Canonical q-parameters of a configuration, or of m at once: q has
+    shape (3,) or (m, 3), and forms read q_k as ``q.T[k]``.
 
     Houses the linear coefficients a_k = Q / (4 q_i^2 q_j^2), the center
     offsets beta_k = (a_i + a_j - a_k)/2, the hyperboloid constant
@@ -245,9 +287,9 @@ class CanonicalCoords:
 
     def __post_init__(self):
         q = np.asarray(self.q)
-        q = q.astype(_scalar_dtype(*q.ravel()))
-        if q.shape != (3,):
-            raise SceneError("need three q values")
+        q = q.astype(_scalar_dtype(q))
+        if q.shape[-1:] != (3,) or q.ndim > 2:
+            raise SceneError("need three q values per sample")
         if not np.all(q > 0):
             raise SceneError("q values must be positive")
         object.__setattr__(self, "q", q)
@@ -258,45 +300,47 @@ class CanonicalCoords:
 
     @cached_property
     def linear_coeffs(self) -> np.ndarray:
-        q2 = self.q ** 2
-        return np.array([self.Q / (4 * q2[(k + 1) % 3] * q2[(k + 2) % 3]) for k in range(3)])
+        q2 = (self.q ** 2).T
+        return np.stack([self.Q / (4 * q2[(k + 1) % 3] * q2[(k + 2) % 3]) for k in range(3)], -1)
 
     @cached_property
     def beta(self) -> np.ndarray:
-        a = self.linear_coeffs
-        return np.array([(a[(k + 1) % 3] + a[(k + 2) % 3] - a[k]) / 2 for k in range(3)])
+        a = self.linear_coeffs.T
+        return np.stack([(a[(k + 1) % 3] + a[(k + 2) % 3] - a[k]) / 2 for k in range(3)], -1)
 
     @cached_property
     def hyperboloid_constant(self) -> float:
-        return self.Q ** 3 / (64 * np.prod(self.q ** 4))
+        return _pow(self.Q, 3) / (64 * np.prod(self.q ** 4, axis=-1))
 
     def octant_vertex(self) -> np.ndarray:
         """Vertex of the disjointness octant: V_k = 1 - ((q_i - q_j)/q_k)^2."""
-        q = self.q
-        return np.array(
-            [1 - ((q[(k + 1) % 3] - q[(k + 2) % 3]) / q[k]) ** 2 for k in range(3)]
+        q = self.q.T
+        return np.stack(
+            [1 - _pow((q[(k + 1) % 3] - q[(k + 2) % 3]) / q[k], 2) for k in range(3)], -1
         )
 
     @cached_property
     def vertex_value(self) -> float:
         """*H at the octant vertex, factored: 3 prod(q_i + q_j - q_k)^2 / (4 prod q_k^2)."""
-        q = self.q
-        factors = [(q[(k + 1) % 3] + q[(k + 2) % 3] - q[k]) ** 2 for k in range(3)]
-        return 3 * np.prod(factors) / (4 * np.prod(q ** 2))
+        q = self.q.T
+        factors = [_pow(q[(k + 1) % 3] + q[(k + 2) % 3] - q[k], 2) for k in range(3)]
+        return 3 * np.prod(factors, axis=0) / (4 * np.prod(self.q ** 2, axis=-1))
 
     @cached_property
     def plane_threshold(self) -> float:
         """sum beta_k = Q sum q_k^2 / (8 prod q_k^2); the octant side of the
         center plane is where sum w_k exceeds it."""
         q2 = self.q ** 2
-        return self.Q * np.sum(q2) / (8 * np.prod(q2))
+        return self.Q * np.sum(q2, axis=-1) / (8 * np.prod(q2, axis=-1))
 
 
 def star_h_canonical(coords: CanonicalCoords, w):
     """*H(w) = sum w_i w_j - sum a_k w_k; with t = w - beta it equals
     sum t_i t_j - Q^3 / (4^3 prod q_k^4)."""
     w = np.asarray(w)
-    return w[0] * w[1] + w[0] * w[2] + w[1] * w[2] - np.dot(coords.linear_coeffs, w)
+    linear = (coords.linear_coeffs[..., None, :] @ w[..., :, None])[..., 0, 0]
+    w = w.T
+    return w[0] * w[1] + w[0] * w[2] + w[1] * w[2] - linear
 
 
 def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:

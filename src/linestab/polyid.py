@@ -5,9 +5,11 @@ in arbitrary-precision rational arithmetic at random rational parameter
 points and compared exactly.  The closed forms are flexprobe's own: the
 suite builds ``LiftedConfig`` and ``CanonicalCoords`` from Fractions and
 evaluates the same code that runs on floats, the H2 + H4 split that
-``probe-flex`` reads among it.  The master identity's other side, the
-sextic's Hessian at the pole, is expanded independently from the bordered
-matrix.  Since all identities are
+``probe-flex`` reads among it.  The forms take a leading sample axis, so all
+trials of one identity are one batch of object arrays and each side is
+evaluated once over it.  The master identity's other side, the sextic's
+Hessian at the pole, is expanded independently from each trial's bordered
+matrix, in one jet determinant for the batch.  Since all identities are
 polynomial of bounded degree, repeated agreement at random points certifies
 them with a quantifiable failure probability (Schwartz-Zippel style)
 without implementing symbolic normal forms.
@@ -41,28 +43,36 @@ def as_exact(x) -> Fraction:
     return Fraction(x)
 
 
-def exact_hessian_at_pole(cfg: LiftedConfig) -> Fraction:
-    """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1).
+def exact_hessian_at_pole(cfg: LiftedConfig):
+    """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1), per sample.
 
     With c_ij the coefficient of u1^i u2^j u3^(6-i-j), Euler's relation
     sum_k u_k d_k d_m sigma = 5 d_m sigma gives the Hessian at the pole as
     [[2c20, c11, 5c10], [c11, 2c02, 5c01], [5c10, 5c01, 30c00]], so only the
     2-jet there is expanded, in integers: with L the lcm of the denominators
-    of the centres and squared radii of the exact configuration ``cfg``,
-    these scale by L and L^2, the quadratic entries of the bordered matrix
-    by L^2, sigma by L^6 and det H by L^18.
+    of one sample's centres and squared radii, these scale by L and L^2, the
+    quadratic entries of the bordered matrix by L^2, sigma by L^6 and det H
+    by L^18.  Each sample keeps its own L and integer bordered matrix; one
+    jet determinant serves them all.  A single configuration gives one
+    Fraction, a batch an object array of them.
     """
-    centers, s = cfg.centers, cfg.squared_radii
-    L = math.lcm(*(v.denominator for v in (*centers.ravel(), *s)))
-    m = bordered_matrix(*([int(v * L) for v in c] for c in centers), *(int(v * L * L) for v in s))
-    c00, c10, c01, c20, c11, c02 = poly_det([[PoleJet.of(e) for e in row] for row in m]).c
+    shape = np.shape(cfg.a)
+    Ls, matrices = [], []
+    for centers, s in zip(cfg.centers.reshape(-1, 3, 3), cfg.squared_radii.reshape(-1, 3)):
+        L = math.lcm(*(v.denominator for v in (*centers.ravel(), *s)))
+        Ls.append(L)
+        matrices.append(bordered_matrix(*([int(v * L) for v in c] for c in centers),
+                                        *(int(v * L * L) for v in s)))
+    jets = [[PoleJet.of([m[r][k] for m in matrices]) for k in range(5)] for r in range(5)]
+    c00, c10, c01, c20, c11, c02 = poly_det(jets).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
     det = (
         H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
         - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
         + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
     )
-    return Fraction(det, L ** 18)
+    out = np.array([Fraction(d, L ** 18) for d, L in zip(det, Ls)], dtype=object)
+    return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +85,16 @@ class IdentitySpec:
     """One exactly-checkable identity: evaluators and sampling domain.
 
     ``prepare`` builds the exact object that both sides read (a
-    ``LiftedConfig`` or ``CanonicalCoords`` in Fractions) from an assignment,
-    once per check.
+    ``LiftedConfig`` or ``CanonicalCoords`` in Fractions) from a list of m
+    assignments, one sample each.  Each side is evaluated once over that
+    batch, to an (m,) object array, a tuple of them, or one value that holds
+    for every sample.
     """
 
     identifier: str
-    prepare: Callable[[dict], object]
-    lhs: Callable[[object], Value]
-    rhs: Callable[[object], Value]
+    prepare: Callable[[list[dict]], object]
+    lhs: Callable[[object], object]
+    rhs: Callable[[object], object]
     sampler: Callable[[np.random.Generator, int], dict]
     domain_ok: Callable[[dict], bool]
     degree_bound: int
@@ -135,23 +147,33 @@ def _q_domain(asg: dict) -> bool:
     return qs[0] + qs[1] > qs[2]
 
 
-def _config(asg: dict) -> LiftedConfig:
-    """The assignment's lifted configuration in Fractions (lifts 0 when absent)."""
-    return LiftedConfig(
-        a=as_exact(asg["a"]),
-        b=as_exact(asg["b"]),
-        c=as_exact(asg["c"]),
-        weights=[as_exact(v) for v in asg["p"]],
-        lifts=[as_exact(v) for v in asg.get("x", (0, 0, 0))],
+def _column(asgs: list[dict], key: str, default=None) -> np.ndarray:
+    """The value of ``key`` in each assignment, exact: shape (m,), or (m, 3)
+    for tuple values."""
+    values = (asg.get(key, default) for asg in asgs)
+    return np.array(
+        [[as_exact(x) for x in v] if isinstance(v, tuple) else as_exact(v) for v in values],
+        dtype=object,
     )
 
 
-def _coords(asg: dict) -> CanonicalCoords:
-    return CanonicalCoords([as_exact(v) for v in asg["q"]])
+def _config(asgs: list[dict]) -> LiftedConfig:
+    """The assignments' lifted configurations in Fractions (lifts 0 when absent)."""
+    return LiftedConfig(
+        a=_column(asgs, "a"),
+        b=_column(asgs, "b"),
+        c=_column(asgs, "c"),
+        weights=_column(asgs, "p"),
+        lifts=_column(asgs, "x", (0, 0, 0)),
+    )
 
 
-def _symmetric_coords(asg: dict) -> CanonicalCoords:
-    return CanonicalCoords([as_exact(asg["q"])] * 3)
+def _coords(asgs: list[dict]) -> CanonicalCoords:
+    return CanonicalCoords(_column(asgs, "q"))
+
+
+def _symmetric_coords(asgs: list[dict]) -> CanonicalCoords:
+    return CanonicalCoords(np.repeat(_column(asgs, "q")[:, None], 3, axis=1))
 
 
 # the pair (i, j) opposite to each vertex k
@@ -160,16 +182,16 @@ _PAIRS = ((1, 2), (2, 0), (0, 1))
 
 def _coordinate_gram(cfg: LiftedConfig) -> tuple:
     v = cfg.v_vectors
-    return tuple(np.dot(v[i], v[j]) for i, j in _PAIRS)
+    return tuple(np.einsum("...d,...d->...", v[..., i, :], v[..., j, :]) for i, j in _PAIRS)
 
 
 def _closed_form_gram(cfg: LiftedConfig) -> tuple:
     G = gram_from_barycentrics(cfg)
-    return tuple(G[i, j] for i, j in _PAIRS)
+    return tuple(G[..., i, j] for i, j in _PAIRS)
 
 
 def _beta_product_sum(cc: CanonicalCoords):
-    b = cc.beta
+    b = cc.beta.T
     return b[0] * b[1] + b[0] * b[2] + b[1] * b[2]
 
 
@@ -238,7 +260,7 @@ def identity_catalog() -> list[IdentitySpec]:
         IdentitySpec(
             "symmetric-plane-value",
             _symmetric_coords,
-            lambda cc: np.sum(cc.octant_vertex()) - cc.plane_threshold,
+            lambda cc: np.sum(cc.octant_vertex(), axis=-1) - cc.plane_threshold,
             lambda cc: Fraction(15, 8),
             _sample_single_q,
             lambda asg: asg["q"] > 0,
@@ -278,21 +300,38 @@ class IdentityVerdict:
         }
 
 
-def check_identity(spec: IdentitySpec, assignment: dict) -> IdentityVerdict:
-    """Exact comparison of both evaluators; domain violations are rejected.
+def check_identities(spec: IdentitySpec, assignments: list[dict]) -> list[IdentityVerdict]:
+    """Exact comparison of both evaluators at each assignment, each side
+    evaluated once over all of them; domain violations are rejected.
 
     A side holding a float means a form left exact arithmetic, which would
     make the comparison meaningless, so it raises TypeError.
     """
-    if not spec.domain_ok(assignment):
-        raise ValueError(f"assignment violates the domain of {spec.identifier}")
-    prepared = spec.prepare(assignment)
-    lhs = spec.lhs(prepared)
-    rhs = spec.rhs(prepared)
-    for side in (lhs, rhs):
-        if any(isinstance(v, float) for v in (side if isinstance(side, tuple) else (side,))):
+    for asg in assignments:
+        if not spec.domain_ok(asg):
+            raise ValueError(f"assignment violates the domain of {spec.identifier}")
+    prepared = spec.prepare(assignments)
+    m = len(assignments)
+    lhs = _per_sample(spec, spec.lhs(prepared), m)
+    rhs = _per_sample(spec, spec.rhs(prepared), m)
+    return [IdentityVerdict(spec.identifier, u == v, u, v, asg)
+            for u, v, asg in zip(lhs, rhs, assignments)]
+
+
+def _per_sample(spec: IdentitySpec, side, m: int) -> list:
+    """A side's value at each of the m samples, a tuple for a tuple side."""
+    columns = []
+    for part in side if isinstance(side, tuple) else (side,):
+        part = np.asarray(part)
+        if part.dtype.kind == "f" or any(isinstance(v, float) for v in part.flat):
             raise TypeError(f"{spec.identifier} evaluated to a float, not an exact rational")
-    return IdentityVerdict(spec.identifier, lhs == rhs, lhs, rhs, assignment)
+        columns.append(np.broadcast_to(part, (m,)).tolist())
+    return list(zip(*columns)) if isinstance(side, tuple) else columns[0]
+
+
+def check_identity(spec: IdentitySpec, assignment: dict) -> IdentityVerdict:
+    """:func:`check_identities` at one assignment."""
+    return check_identities(spec, [assignment])[0]
 
 
 @dataclass
@@ -344,25 +383,21 @@ class SuiteReport:
 def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42) -> SuiteReport:
     """Run every catalog identity at random rational points, exactly.
 
-    Any single inequality is a hard failure and carries the witness
-    assignment.  ``failure_bound`` is the standard degree-over-sample-space
-    estimate (deg/height)^trials for a nonzero polynomial surviving all
-    trials under the random-evaluation model.
+    All trials of an identity are drawn first, from a generator seeded
+    afresh per identity, and checked as one batch.  Any single inequality is
+    a hard failure and carries the first failing trial as witness.
+    ``failure_bound`` is the standard degree-over-sample-space estimate
+    (deg/height)^trials for a nonzero polynomial surviving all trials under
+    the random-evaluation model.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     reports = []
     for spec in identity_catalog():
         rng = np.random.default_rng(seed)
-        passes = 0
-        witness = None
-        for _ in range(trials):
-            asg = spec.sampler(rng, height)
-            verdict = check_identity(spec, asg)
-            if verdict.equal:
-                passes += 1
-            elif witness is None:
-                witness = verdict
+        verdicts = check_identities(spec, [spec.sampler(rng, height) for _ in range(trials)])
+        passes = sum(v.equal for v in verdicts)
+        witness = next((v for v in verdicts if not v.equal), None)
         bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
         reports.append(
             IdentityReport(spec.identifier, trials, passes, spec.degree_bound, bound, witness)

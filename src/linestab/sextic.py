@@ -5,7 +5,8 @@ projective curve.  It is evaluated here through a bordered 5x5 determinant
 whose entries are quadratic forms in the direction, and expanded once per
 triple into the 28 coefficients of the ternary sextic so that the Hessian
 determinant and curve tracing share one source.  The exact identity suite
-expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``).
+expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``),
+for a batch of trials at once.
 """
 from __future__ import annotations
 
@@ -118,12 +119,6 @@ class DirectionPoly:
             out[tuple(ne)] = c * e[axis]
         return DirectionPoly(out)
 
-    def __call__(self, u1, u2, u3):
-        total = 0
-        for (i, j, k), c in self.coeffs.items():
-            total = total + c * u1 ** i * u2 ** j * u3 ** k
-        return total
-
     def eval_grid(self, powers: "GridPowers") -> np.ndarray:
         """Values on a grid of directions, summed term by term in key order."""
         total = np.zeros(powers.shape)
@@ -174,29 +169,40 @@ class GridPowers:
 
 
 class PoleJet:
-    """The 2-jet of a form at the pole u = (0, 0, 1): its coefficients of
-    u1^i u2^j u3^(d-i-j) for (i, j) = (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
-    Truncation modulo (u1, u2)^3 is a ring homomorphism, so the determinant
-    of the entries' jets is the jet of the determinant (15 multiplies each)."""
+    """The 2-jets of m forms at the pole u = (0, 0, 1): their coefficients of
+    u1^i u2^j u3^(d-i-j) for (i, j) = (0,0), (1,0), (0,1), (2,0), (1,1), (0,2),
+    each an (m,) object array of ints.  Truncation modulo (u1, u2)^3 is a
+    ring homomorphism, so the determinant of the entries' jets is the jet of
+    the determinant (15 multiplies each), for all m forms at once."""
 
     __slots__ = ("c",)
 
     def __init__(self, c=(0, 0, 0, 0, 0, 0)):
-        self.c = tuple(c)
+        self.c = c
 
     @classmethod
-    def of(cls, poly: DirectionPoly) -> "PoleJet":
-        ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-        return cls(sum(v for e, v in poly.coeffs.items() if e[:2] == k) for k in ij)
+    def of(cls, polys: Sequence[DirectionPoly]) -> "PoleJet":
+        """The jets of m forms, each form's coefficients summed in one pass."""
+        c = [[0] * len(polys) for _ in range(6)]
+        for t, poly in enumerate(polys):
+            for (i, j, _), v in poly.coeffs.items():
+                slot = _JET_SLOTS.get((i, j))
+                if slot is not None:
+                    c[slot][t] += v
+        return cls(tuple(np.array(row, dtype=object) for row in c))
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(np.any(v) for v in self.c)
 
     def __add__(self, other: "PoleJet") -> "PoleJet":
-        return PoleJet(u + v for u, v in zip(self.c, other.c))
+        a, b = self.c, other.c
+        return PoleJet((a[0] + b[0], a[1] + b[1], a[2] + b[2],
+                        a[3] + b[3], a[4] + b[4], a[5] + b[5]))
 
     def __sub__(self, other: "PoleJet") -> "PoleJet":
-        return PoleJet(u - v for u, v in zip(self.c, other.c))
+        a, b = self.c, other.c
+        return PoleJet((a[0] - b[0], a[1] - b[1], a[2] - b[2],
+                        a[3] - b[3], a[4] - b[4], a[5] - b[5]))
 
     def __mul__(self, other: "PoleJet") -> "PoleJet":
         a0, a1, a2, a3, a4, a5 = self.c
@@ -206,13 +212,17 @@ class PoleJet:
                         a0 * b5 + a2 * b2 + a5 * b0))
 
 
+# the coefficient slot of u1^i u2^j in a PoleJet
+_JET_SLOTS = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
+
+
 def poly_det(matrix: Sequence[Sequence]):
     """Determinant of a square matrix of DirectionPoly or PoleJet entries.
 
     Cofactor expansion along the first row, each minor computed once: the
     minors on the last k rows, keyed by their columns, are expanded along
     their own first row from those on the last k - 1.  Zero entries are
-    skipped.
+    skipped: a PoleJet entry is zero when it is zero in every form.
     """
     n = len(matrix)
     zero = type(matrix[0][0])()

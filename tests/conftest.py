@@ -170,11 +170,20 @@ def bisected_boundary_directions(triple, count, seed=0, lattice=4096):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def poly_value(poly, u1, u2, u3):
+    """Oracle: a DirectionPoly's value at (u1, u2, u3), summed term by term
+    in the scalar type of its coefficients and of u."""
+    total = 0
+    for (i, j, k), c in poly.coeffs.items():
+        total = total + c * u1 ** i * u2 ** j * u3 ** k
+    return total
+
+
 def eval_hessian_sigma(triple, u) -> float:
     """Determinant of the matrix of second partials of the sextic at u,
     from its coefficient expansion differentiated coefficientwise."""
     u = np.asarray(u, dtype=float)
-    H = [[triple.hessian_entries[a][b](u[0], u[1], u[2]) for b in range(3)] for a in range(3)]
+    H = [[poly_value(triple.hessian_entries[a][b], *u) for b in range(3)] for a in range(3)]
     return float(np.linalg.det(np.array(H, dtype=float)))
 
 

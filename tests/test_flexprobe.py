@@ -40,6 +40,45 @@ def random_config(seed):
     )
 
 
+def random_batch(seed, m):
+    """m random float configurations as one batch and one by one."""
+    r = np.random.default_rng(seed)
+    a, b, c = r.uniform(0.5, 2.0, m), r.uniform(-1.0, 1.0, m), r.uniform(0.3, 2.0, m)
+    w, x = r.uniform(0.2, 1.0, (m, 3)), r.uniform(-2.0, 2.0, (m, 3))
+    batch = LiftedConfig(a=a, b=b, c=c, weights=w, lifts=x)
+    singles = [LiftedConfig(a=float(a[k]), b=float(b[k]), c=float(c[k]), weights=w[k], lifts=x[k])
+               for k in range(m)]
+    return batch, singles
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 300])
+def test_float_batch_matches_singles_bitwise(m):
+    # a sample axis changes no bit: each sample of a batch rounds as it
+    # does alone, the powers included
+    batch, singles = random_batch(m, m)
+    split = lifted_hessian_decomposition(batch)
+    parts = [lifted_hessian_decomposition(s) for s in singles]
+    for name in ("H2", "H4", "prefactor"):
+        assert np.array_equal(getattr(split, name), [getattr(p, name) for p in parts]), name
+    inv = q_invariant(batch)
+    for name in ("Q", "Delta", "degenerate"):
+        assert np.array_equal(getattr(inv, name), [getattr(q_invariant(s), name) for s in singles])
+    assert np.array_equal(gram_from_barycentrics(batch),
+                          [gram_from_barycentrics(s) for s in singles])
+
+
+def test_batch_shapes_checked():
+    with pytest.raises(SceneError, match="per sample"):
+        LiftedConfig(a=np.ones(2), b=np.zeros(2), c=np.ones(2), weights=np.ones((2, 2)),
+                     lifts=np.zeros((2, 2)))
+    with pytest.raises(SceneError, match="per sample"):
+        LiftedConfig(a=np.ones(2), b=np.zeros(3), c=np.ones(2), weights=np.ones((2, 3)),
+                     lifts=np.zeros((2, 3)))
+    with pytest.raises(SceneError, match="nondegenerate"):
+        LiftedConfig(a=np.array([1.0, -1.0]), b=np.zeros(2), c=np.ones(2),
+                     weights=np.ones((2, 3)), lifts=np.zeros((2, 3)))
+
+
 class TestLiftedConfig:
     def test_weights_normalized(self):
         cfg = LiftedConfig(a=1, b=0, c=1, weights=[2, 3, 5], lifts=[0, 0, 0])

@@ -11,16 +11,20 @@ from linestab.flexprobe import (
     LiftedConfig,
     lifted_hessian_decomposition,
 )
+from linestab import polyid
 from linestab.polyid import (
+    IdentityReport,
     IdentitySpec,
+    SuiteReport,
     as_exact,
+    check_identities,
     check_identity,
     exact_hessian_at_pole,
     identity_catalog,
     schwartz_zippel_suite,
 )
 from linestab.sextic import DirectionPoly, PoleJet, bordered_matrix, poly_det, sigma_from_geometry
-from conftest import lifted_triple
+from conftest import lifted_triple, poly_value
 
 
 def spec_by_id(identifier):
@@ -50,7 +54,7 @@ def oracle_hessian_at_pole(sig: DirectionPoly) -> Fraction:
     for m in range(3):
         dm = sig.diff(m)
         for n in range(m, 3):
-            H[m][n] = H[n][m] = dm.diff(n)(zero, zero, one)
+            H[m][n] = H[n][m] = poly_value(dm.diff(n), zero, zero, one)
     return _det3(H)
 
 
@@ -63,18 +67,21 @@ def _det3(H):
 
 
 def _pole_hessian(cfg, euler=5, swap=False, power=18):
-    """The integer 2-jet path of exact_hessian_at_pole, with mutation knobs."""
-    a, b, c, x = cfg.a, cfg.b, cfg.c, cfg.lifts
-    s = cfg.squared_radii
-    L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
-    ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
-    m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
-    c00, c10, c01, c20, c11, c02 = poly_det([[PoleJet.of(e) for e in row] for row in m]).c
-    if swap:
-        c20, c02 = c02, c20
-    e = euler
-    H = ((2 * c20, c11, e * c10), (c11, 2 * c02, e * c01), (e * c10, e * c01, 30 * c00))
-    return Fraction(_det3(H), L ** power)
+    """The integer 2-jet path of exact_hessian_at_pole, with mutation knobs,
+    one sample of a batched configuration at a time."""
+    out = []
+    for a, b, c, x, s in zip(cfg.a, cfg.b, cfg.c, cfg.lifts, cfg.squared_radii):
+        L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
+        ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
+        m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
+        jet = poly_det([[PoleJet.of([e]) for e in row] for row in m])
+        c00, c10, c01, c20, c11, c02 = (v[0] for v in jet.c)
+        if swap:
+            c20, c02 = c02, c20
+        e = euler
+        H = ((2 * c20, c11, e * c10), (c11, 2 * c02, e * c01), (e * c10, e * c01, 30 * c00))
+        out.append(Fraction(_det3(H), L ** power))
+    return np.array(out, dtype=object)
 
 
 class TestExactScalar:
@@ -138,17 +145,38 @@ class TestCatalog:
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     def test_float_side_rejected(self, side):
         spec = spec_by_id("area-q-lemma")
-        floated = replace(spec, **{side: lambda asg, f=getattr(spec, side): float(f(asg))})
+        floated = replace(spec, **{side: lambda cfg, f=getattr(spec, side): float(f(cfg)[0])})
         asg = spec.sampler(np.random.default_rng(0), 50)
         assert check_identity(spec, asg).equal
         with pytest.raises(TypeError, match="float"):
             check_identity(floated, asg)
 
-    def test_float_in_tuple_side_rejected(self):
-        spec = spec_by_id("gram-solution")
-        floated = replace(spec, rhs=lambda asg: tuple(float(v) for v in spec.rhs(asg)))
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_float64_array_side_rejected(self, side):
+        spec = spec_by_id("area-q-lemma")
+        floated = replace(spec, **{side: lambda cfg, f=getattr(spec, side): f(cfg).astype(float)})
         with pytest.raises(TypeError, match="float"):
             check_identity(floated, spec.sampler(np.random.default_rng(0), 50))
+
+    def test_float_in_tuple_side_rejected(self):
+        spec = spec_by_id("gram-solution")
+        floated = replace(spec, rhs=lambda cfg: tuple(float(v[0]) for v in spec.rhs(cfg)))
+        with pytest.raises(TypeError, match="float"):
+            check_identity(floated, spec.sampler(np.random.default_rng(0), 50))
+
+    def test_float_array_in_batch_rejected(self):
+        # one float64 entry among exact ones is enough
+        spec = spec_by_id("beta-product-sum")
+        r = np.random.default_rng(0)
+        asgs = [spec.sampler(r, 50) for _ in range(4)]
+
+        def lhs(cc):
+            out = spec.lhs(cc).copy()
+            out[2] = np.float64(out[2])
+            return out
+
+        with pytest.raises(TypeError, match="float"):
+            check_identities(replace(spec, lhs=lhs), asgs)
 
     def test_domain_violation_rejected(self):
         with pytest.raises(ValueError, match="domain"):
@@ -181,8 +209,8 @@ class TestMutationSensitivity:
             prod = Fraction(1)
             for k in range(3):
                 i, j = (k + 1) % 3, (k + 2) % 3
-                prod *= (q[i] + q[j] - q[k]) ** 2
-            return 2 * prod / (4 * (q[0] * q[1] * q[2]) ** 2)  # 3 -> 2
+                prod *= (q[..., i] + q[..., j] - q[..., k]) ** 2
+            return 2 * prod / (4 * (q[..., 0] * q[..., 1] * q[..., 2]) ** 2)  # 3 -> 2
 
         mutated = replace(spec, rhs=bad_rhs)
         v = check_identity(mutated, {"q": (Fraction(1), Fraction(1), Fraction(1))})
@@ -199,8 +227,8 @@ class TestMutationSensitivity:
         r = np.random.default_rng(11)
         asgs = [spec.sampler(r, 60) for _ in range(8)]
         # the unmutated replica is the library's lhs, so each mutant is one of it
-        cfgs = [spec.prepare(asg) for asg in asgs]
-        assert all(_pole_hessian(cfg) == spec.lhs(cfg) for cfg in cfgs)
+        cfg = spec.prepare(asgs)
+        assert np.all(_pole_hessian(cfg) == spec.lhs(cfg))
         mutated = replace(spec, lhs=lambda cfg: _pole_hessian(cfg, **mutant))
         assert any(not check_identity(mutated, asg).equal for asg in asgs), mutant
 
@@ -264,6 +292,91 @@ class TestSuite:
             schwartz_zippel_suite(trials=0)
 
 
+def _two_call_fraction(rng, height, signed=False):
+    """Reference draw: numerator, then denominator, each in its own call,
+    then the sign."""
+    num = int(rng.integers(1, height + 1))
+    den = int(rng.integers(1, height + 1))
+    if signed and rng.integers(0, 2):
+        num = -num
+    return Fraction(num, den)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("height", [1, 1000, 10**6, 2**63 - 1])
+def test_sampler_draws_pinned(monkeypatch, seed, height):
+    # the first five assignments of every identity are those of the
+    # two-call reference draw, so reports stay comparable across versions
+    drawn = {}
+    for draw in (polyid._rand_fraction, _two_call_fraction):
+        monkeypatch.setattr(polyid, "_rand_fraction", draw)
+        for spec in identity_catalog():
+            r = np.random.default_rng(seed)
+            drawn.setdefault(spec.identifier, []).append(
+                [spec.sampler(r, height) for _ in range(5)])
+    for identifier, (library, reference) in drawn.items():
+        assert library == reference, identifier
+
+
+def _verdict_fields(v):
+    return v.identifier, v.equal, v.lhs, v.rhs, v.assignment
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("height", [10, 10**3, 10**6])
+@pytest.mark.parametrize("identifier", [s.identifier for s in identity_catalog()])
+def test_batched_check_equals_per_trial(identifier, height, m):
+    # one batch of m assignments gives, trial by trial, the verdicts of m
+    # one-assignment checks: exact ==, elementwise for tuple sides
+    spec = spec_by_id(identifier)
+    r = np.random.default_rng(height + m)
+    asgs = [spec.sampler(r, height) for _ in range(m)]
+    batched = check_identities(spec, asgs)
+    single = [check_identity(spec, asg) for asg in asgs]
+    assert len(batched) == m
+    for b, s in zip(batched, single):
+        assert _verdict_fields(b) == _verdict_fields(s)
+        assert b.equal is True
+        for side in (b.lhs, b.rhs):
+            assert all(isinstance(v, (int, Fraction)) for v in
+                       (side if isinstance(side, tuple) else (side,)))
+
+
+def _per_trial_suite(trials, height, seed):
+    """Reference: the suite with one check per trial."""
+    reports = []
+    for spec in identity_catalog():
+        rng = np.random.default_rng(seed)
+        passes = 0
+        witness = None
+        for _ in range(trials):
+            verdict = check_identity(spec, spec.sampler(rng, height))
+            if verdict.equal:
+                passes += 1
+            elif witness is None:
+                witness = verdict
+        bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
+        reports.append(
+            IdentityReport(spec.identifier, trials, passes, spec.degree_bound, bound, witness)
+        )
+    return SuiteReport(trials, height, seed, reports)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1000])
+def test_suite_equals_per_trial_loop(seed):
+    batched = schwartz_zippel_suite(trials=25, height=1000, seed=seed)
+    assert batched.to_json_dict() == _per_trial_suite(25, 1000, seed).to_json_dict()
+
+
+def test_suite_witness_is_first_failing_trial(monkeypatch):
+    # a mutated side fails some trials: the batched suite reports the same
+    # pass count and witness as the per-trial loop
+    monkeypatch.setattr(LiftedConfig, "q_squared", _scaled_member(LiftedConfig, "q_squared"))
+    batched = schwartz_zippel_suite(trials=6, height=60, seed=3).to_json_dict()
+    assert not batched["pass"]
+    assert batched == _per_trial_suite(6, 60, 3).to_json_dict()
+
+
 class TestCrossModuleConsistency:
     def test_exact_sigma_matches_float_evaluation(self):
         # the exact coefficient expansion at rational parameters agrees with
@@ -280,7 +393,7 @@ class TestCrossModuleConsistency:
             x = tuple(Fraction(int(r.integers(-15, 15)), int(r.integers(1, 15))) for _ in range(3))
             sig = exact_lifted_sigma(a, b, c, p, x)
             u = (Fraction(1, 3), Fraction(-2, 5), Fraction(1))
-            exact_val = sig(*u)
+            exact_val = poly_value(sig, *u)
             cfg = LiftedConfig(
                 a=float(a), b=float(b), c=float(c),
                 weights=np.array([float(v) for v in p]),
@@ -294,18 +407,25 @@ class TestCrossModuleConsistency:
         # the integer 2-jet path against the full Fraction expansion: the six
         # jet coefficients and the Hessian determinant at the pole, on random
         # lifts and on the degenerate lifts x0 = x1 = x2
+        # lifts x0 = x1 = x2; the jets of all samples come from one
+        # determinant, and each sample's Hessian from the batched config
         spec = spec_by_id("master-hessian-decomposition")
         r = np.random.default_rng(height)
         asgs = [spec.sampler(r, height) for _ in range(17)]
         asgs += [dict(asg, x=(asg["x"][0],) * 3) for asg in asgs[:3]]
-        for asg in asgs:
-            args = (asg["a"], asg["b"], asg["c"], asg["p"], asg["x"])
-            sig = exact_lifted_sigma(*args)
-            m = bordered_matrix(*_lifted_geometry(*args))
-            jet = poly_det([[PoleJet.of(e) for e in row] for row in m])
-            ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-            assert jet.c == tuple(sig.coeffs.get((i, j, 6 - i - j), 0) for i, j in ij)
-            assert exact_hessian_at_pole(exact_config(*args)) == oracle_hessian_at_pole(sig)
+        args = [(asg["a"], asg["b"], asg["c"], asg["p"], asg["x"]) for asg in asgs]
+        sigmas = [exact_lifted_sigma(*arg) for arg in args]
+        matrices = [bordered_matrix(*_lifted_geometry(*arg)) for arg in args]
+        jet = poly_det([[PoleJet.of([m[row][col] for m in matrices]) for col in range(5)]
+                        for row in range(5)])
+        batched = exact_hessian_at_pole(spec.prepare(asgs))
+        ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        for t, (arg, sig) in enumerate(zip(args, sigmas)):
+            assert tuple(v[t] for v in jet.c) == tuple(
+                sig.coeffs.get((i, j, 6 - i - j), 0) for i, j in ij)
+            H = oracle_hessian_at_pole(sig)
+            assert exact_hessian_at_pole(exact_config(*arg)) == H
+            assert batched[t] == H
 
     def test_exact_hessian_matches_prefactored_split(self):
         a, b, c = Fraction(3, 2), Fraction(1, 4), Fraction(5, 6)
