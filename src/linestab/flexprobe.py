@@ -19,8 +19,12 @@ Forms read vertex k of a per-vertex array ``v`` as ``v.T[k]`` and reduce over
 exact identity suite (``linestab.polyid``) evaluates these same forms in
 rational arithmetic, once over all trials of an identity.  Only construction
 chooses the type; forms that need a square root (``radii``, ``q_edges``,
-``rebuilt_pair_gaps``) are float-only and take one sample, and the exact
-side works with their squares.
+``rebuilt_pair_gaps``) are float-only, and the exact side works with their
+squares.
+
+``certify_flex_free`` probes all boundary samples of a triple as one float
+batch, each with the bits it gets alone: per-row dot products go through
+stacked ``@`` (``_dot``) and powers through ``_pow``.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import boundary_directions_for_triple, minimax_weights_batch
-from .geom import SceneError
+from .geom import Ball, SceneError
 from .sextic import Triple
 
 
@@ -46,6 +50,15 @@ def _scalar_dtype(*values) -> type:
 _LIBM_POW = np.frompyfunc(pow, 2, 1)
 
 
+def _dot(x, y):
+    """Dot products over the last axis, rounded as ``np.dot`` rounds one row.
+
+    A stacked (1, n) @ (n, 1) product takes the same dot kernel per row;
+    ``einsum`` and ``(x * y).sum(-1)`` may round a row differently.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _pow(x, k: int):
     """x ** k for a per-sample value, rounded as for one sample alone.
 
@@ -56,6 +69,11 @@ def _pow(x, k: int):
     if isinstance(x, np.ndarray) and x.dtype == float:
         return _LIBM_POW(x, k).astype(float)
     return x ** k
+
+
+# skip reasons of LiftedConfig.from_plane_data, by code, in the order tested
+_PLANE_SKIPS = (None, "degenerate triangle edge", "collinear triangle vertices",
+                "point is not interior to the triangle")
 
 
 @dataclass(frozen=True)
@@ -143,40 +161,53 @@ class LiftedConfig:
         return self.weights ** 2 * self.squared_radii
 
     @classmethod
-    def from_plane_data(cls, vertices2, point2, lifts) -> "LiftedConfig":
-        """Build from an arbitrary planar triangle and interior point.
+    def from_plane_data(cls, vertices2, point2, lifts):
+        """Build from arbitrary planar triangles and interior points.
 
         The input frame is canonicalized: vertex 0 moves to the origin,
         vertex 1 onto the positive first axis, and the triangle is reflected
-        if needed so the third vertex has positive second coordinate.
+        if needed so the third vertex has positive second coordinate.  One
+        sample (vertices (3, 2), point (2,), lifts (3,)) gives its
+        configuration or raises SceneError with the reason it is unusable.
+        With a leading sample axis of m, returns the batch of the usable
+        samples, in order, and each sample's reason (None when usable): a
+        degenerate edge, then collinear vertices, then a point that is not
+        interior, the first test a sample fails.
         """
         P = np.asarray(vertices2, dtype=float)
         pt = np.asarray(point2, dtype=float)
-        if P.shape != (3, 2) or pt.shape != (2,):
+        x = np.asarray(lifts, dtype=float)
+        single = P.ndim == 2
+        if single:
+            P, pt, x = P[None], pt[None], x[None]
+        if P.shape[1:] != (3, 2) or pt.shape != (len(P), 2):
             raise SceneError("need three 2-d vertices and one 2-d point")
-        d1 = P[1] - P[0]
-        a = float(np.linalg.norm(d1))
-        if a <= 0:
-            raise SceneError("degenerate triangle edge")
-        e1 = d1 / a
-        e2 = np.array([-e1[1], e1[0]])
-        d2 = P[2] - P[0]
-        b = float(np.dot(d2, e1))
-        c = float(np.dot(d2, e2))
-        if c < 0:
-            c = -c
-            e2 = -e2
-        if c <= 0:
-            raise SceneError("collinear triangle vertices")
-        rel = pt - P[0]
-        px, py = float(np.dot(rel, e1)), float(np.dot(rel, e2))
-        # barycentric weights of (px, py) w.r.t. (0,0), (a,0), (b,c)
-        w2 = py / c
-        w1 = (px - b * w2) / a
-        w0 = 1.0 - w1 - w2
-        if min(w0, w1, w2) <= 0:
-            raise SceneError("point is not interior to the triangle")
-        return cls(a=a, b=b, c=c, weights=np.array([w0, w1, w2]), lifts=np.asarray(lifts, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = P[:, 1] - P[:, 0]
+            a = np.sqrt(_dot(d1, d1))
+            e1 = d1 / a[:, None]
+            e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
+            d2 = P[:, 2] - P[:, 0]
+            b = _dot(d2, e1)
+            c = _dot(d2, e2)
+            flip = c < 0
+            c = np.where(flip, -c, c)
+            e2 = np.where(flip[:, None], -e2, e2)
+            rel = pt - P[:, 0]
+            px, py = _dot(rel, e1), _dot(rel, e2)
+            # barycentric weights of (px, py) w.r.t. (0,0), (a,0), (b,c)
+            w2 = py / c
+            w1 = (px - b * w2) / a
+            w = np.stack([1.0 - w1 - w2, w1, w2], axis=1)
+        # a NaN fails its test, so it is skipped, never built
+        code = np.select([~(a > 0), ~(c > 0), ~np.all(w > 0, axis=1)], [1, 2, 3], 0)
+        reasons = [_PLANE_SKIPS[k] for k in code]
+        if single:
+            if reasons[0] is not None:
+                raise SceneError(reasons[0])
+            return cls(a=float(a[0]), b=float(b[0]), c=float(c[0]), weights=w[0], lifts=x[0])
+        ok = code == 0
+        return cls(a=a[ok], b=b[ok], c=c[ok], weights=w[ok], lifts=x[ok]), reasons
 
 
 def gram_from_barycentrics(cfg: LiftedConfig) -> np.ndarray:
@@ -244,10 +275,10 @@ class HessianSplit:
 
     @property
     def normalized_margin(self) -> float:
+        """(H2 + H4) / (|H2| + |H4|) per sample, 0 where both parts vanish."""
         scale = abs(self.H2) + abs(self.H4)
-        if scale == 0.0:
-            return 0.0
-        return (self.H4 + self.H2) / scale
+        zero = scale == 0
+        return np.where(zero, 0.0, (self.H4 + self.H2) / np.where(zero, 1.0, scale))[()]
 
 
 def lifted_hessian_decomposition(cfg: LiftedConfig) -> HessianSplit:
@@ -344,21 +375,23 @@ def star_h_canonical(coords: CanonicalCoords, w):
 
 
 def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
-    """Pairwise gaps |c_i - c_j| - (r_i + r_j) of the rebuilt ball triple.
+    """Pairwise gaps |c_i - c_j| - (r_i + r_j) of the rebuilt ball triples.
 
     Equivalent to the z-threshold inequalities but evaluated directly from
     ball coordinates, which stays well conditioned at edge configurations.
-    Component k is the gap of the pair (i, j) opposite to k.
+    Component k is the gap of the pair (i, j) opposite to k: shape (3,) for
+    one sample, (m, 3) for a batch.
     """
     tri = cfg.triangle
-    x = cfg.lifts
-    r = cfg.radii
+    x = cfg.lifts.T
+    r = cfg.radii.T
     out = []
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        d2 = float(np.dot(tri[i] - tri[j], tri[i] - tri[j])) + (x[i] - x[j]) ** 2
-        out.append(math.sqrt(d2) - (r[i] + r[j]))
-    return np.array(out)
+        e = tri[..., i, :] - tri[..., j, :]
+        d2 = _dot(e, e) + _pow(x[i] - x[j], 2)
+        out.append(np.sqrt(d2) - (r[i] + r[j]))
+    return np.stack(out, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +400,20 @@ def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FlexSample:
-    direction: np.ndarray
-    margin: Optional[float]
-    normalized_margin: Optional[float]
-    skipped: Optional[str]
-    disjointness_ok: Optional[bool]
-
-
-@dataclass(frozen=True)
 class FlexFreeReport:
-    samples: tuple[FlexSample, ...]
+    """``samples`` holds one report row per located boundary direction."""
+
+    samples: tuple[dict, ...]
     min_margin: Optional[float]
     min_normalized_margin: Optional[float]
     probed: int
     skipped: int
     passed: bool
     requested: int  # boundary points; one sample per point located
+    reason: Optional[str] = None  # why some margins are null
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "requested": self.requested,
             "located": len(self.samples),
             "probed": self.probed,
@@ -394,58 +421,56 @@ class FlexFreeReport:
             "min_margin": self.min_margin,
             "min_normalized_margin": self.min_normalized_margin,
             "pass": self.passed,
-            "samples": [
-                {
-                    "direction": [float(x) for x in s.direction],
-                    "margin": s.margin,
-                    "normalized_margin": s.normalized_margin,
-                    "skipped": s.skipped,
-                    "disjointness_ok": s.disjointness_ok,
-                }
-                for s in self.samples
-            ],
+            "samples": list(self.samples),
         }
-
-
-def _rotation_to_axis(u: np.ndarray) -> np.ndarray:
-    """Deterministic rotation sending unit u to (0, 0, 1)."""
-    e3 = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(u, e3))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(u, e3)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
 
 
 def lifted_config_for_direction(
     triple: Triple, U: np.ndarray
-) -> list[LiftedConfig | SceneError]:
-    """Projected configurations of boundary direction rows as LiftedConfigs.
+) -> tuple[LiftedConfig, list[Optional[str]]]:
+    """Projected configurations of boundary direction rows, as one batch.
 
-    Each direction is rotated onto the third axis; projected centers give
-    the triangle, the minimax point of the projected disks gives the
-    interior point, and the rotated center heights give the lifts.  A row
-    whose minimax point is not interior to the projected triangle gets the
-    SceneError that rejected it in place of a configuration.
+    Each row u is rotated onto the third axis by the rotation about u x e3
+    (the identity within 1e-14 of e3, the half turn about e1 within 1e-14
+    of -e3); projected centers give the triangle, the minimax point of the
+    projected disks gives the interior point, and the rotated center
+    heights give the lifts.  Returns the batch of the usable rows, in
+    order, and each row's skip reason from ``LiftedConfig.from_plane_data``
+    (None for a usable row).
     """
     U = np.asarray(U, dtype=float)
     U = U / np.linalg.norm(U, axis=1, keepdims=True)
     weights = minimax_weights_batch(triple.centers, triple.scene.radii, U)
-    out: list[LiftedConfig | SceneError] = []
-    for u, w in zip(U, weights):
-        rc = triple.centers @ _rotation_to_axis(u).T
-        try:
-            out.append(LiftedConfig.from_plane_data(rc[:, :2], w @ rc[:, :2], rc[:, 2]))
-        except SceneError as exc:
-            out.append(exc)
-    return out
+    c = U[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        axis = np.cross(U, [0.0, 0.0, 1.0])
+        s = np.sqrt(_dot(axis, axis))
+        axis = axis / s[:, None]
+    K = np.zeros((len(U), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -axis[:, 2], axis[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = axis[:, 2], -axis[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    R = np.eye(3) + s[:, None, None] * K + (1 - c)[:, None, None] * (K @ K)
+    R[c > 1.0 - 1e-14] = np.eye(3)
+    R[c < -1.0 + 1e-14] = np.diag([1.0, -1.0, -1.0])
+    rc = triple.centers @ R.transpose(0, 2, 1)
+    point = (weights[:, None, :] @ rc[:, :, :2])[:, 0]
+    return LiftedConfig.from_plane_data(rc[:, :, :2], point, rc[:, :, 2])
+
+
+def _unscaled(value: Optional[float], shift: int) -> Optional[float]:
+    """A margin of the scene scaled by 2**shift, at the scene's own scale
+    (margins scale as length^6), or None when no float holds it exactly."""
+    if value is None or not shift:
+        return value
+    try:
+        out = math.ldexp(value, -6 * shift)
+    except OverflowError:
+        return None
+    return out if math.ldexp(out, 6 * shift) == value else None
 
 
 def certify_flex_free(
@@ -460,47 +485,48 @@ def certify_flex_free(
     deepest lattice direction, found as roots of the sextic, pair-cone conic
     and tie-band curves along each ray (none when the lattice has no
     feasible direction); at each one the projected configuration is built
-    and the probe Hessian split is evaluated.  Directions whose projection
-    point is not interior to the triangle of projected centers (bitangent
-    arcs) are skipped with a tag.  A rebuilt pair gap counts as disjoint
-    down to -1e-6 times the scene's diameter.
+    and the probe Hessian split is evaluated, all samples in one batch.
+    Directions whose projection point is not interior to the triangle of
+    projected centers (bitangent arcs) are skipped with a tag.  A rebuilt
+    pair gap counts as disjoint down to -1e-6 times the scene's diameter.
+
+    A triple whose diameter lies outside [2^-64, 2^64) is probed at an
+    exact power-of-two rescale to a diameter in [1, 2), where the sextic
+    and the margins (sixth powers of length) fit the float range; each
+    margin is scaled back, or null with the report's ``reason`` where no
+    float holds it.  Inside that range the triple is probed as given: the
+    sextic's determinants pivot on entries of mixed degree, so a rescale
+    would move the last bits of its roots.
     """
+    d = triple.scene.diameter()
+    shift = 0 if 2.0 ** -64 <= d < 2.0 ** 64 else 1 - math.frexp(d)[1]
+    if shift:
+        triple = Triple(tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
+                              for b in triple.balls), allow_overlap=triple.allow_overlap)
     dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
-    gap_floor = -1e-6 * triple.scene.diameter()
-    samples: list[FlexSample] = []
-    margins = []
-    nmargins = []
-    skipped = 0
-    for uvec, cfg in zip(dirs, lifted_config_for_direction(triple, dirs)):
-        if isinstance(cfg, SceneError):
-            samples.append(FlexSample(uvec, None, None, str(cfg), None))
-            skipped += 1
-            continue
-        split = lifted_hessian_decomposition(cfg)
-        z_ok = bool(np.all(rebuilt_pair_gaps(cfg) >= gap_floor))
-        samples.append(
-            FlexSample(
-                uvec, float(split.margin), float(split.normalized_margin), None, z_ok
-            )
-        )
-        margins.append(float(split.margin))
-        nmargins.append(float(split.normalized_margin))
-    probed = len(margins)
+    cfg, reasons = lifted_config_for_direction(triple, dirs)
+    split = lifted_hessian_decomposition(cfg)
+    margins = split.margin.tolist()
+    nmargins = split.normalized_margin.tolist()
+    disjoint = np.all(rebuilt_pair_gaps(cfg) >= -1e-6 * triple.scene.diameter(), axis=-1)
+    reported = [_unscaled(m, shift) for m in margins]
+    probed = iter(zip(reported, nmargins, disjoint.tolist()))
+    samples = []
+    for u, skip in zip(dirs.tolist(), reasons):
+        m, nm, ok = (None, None, None) if skip is not None else next(probed)
+        samples.append({"direction": u, "margin": m, "normalized_margin": nm,
+                        "skipped": skip, "disjointness_ok": ok})
     min_margin = min(margins) if margins else None
-    min_nmargin = min(nmargins) if nmargins else None
-    all_disjoint_ok = all(s.disjointness_ok for s in samples if s.disjointness_ok is not None)
-    passed = bool(
-        probed > 0
-        and min_margin is not None
-        and min_margin > 0.0
-        and all_disjoint_ok
-    )
+    lost = reported.count(None)
     return FlexFreeReport(
         samples=tuple(samples),
-        min_margin=min_margin,
-        min_normalized_margin=min_nmargin,
-        probed=probed,
-        skipped=skipped,
-        passed=passed,
+        min_margin=_unscaled(min_margin, shift),
+        min_normalized_margin=min(nmargins) if nmargins else None,
+        probed=len(margins),
+        skipped=len(samples) - len(margins),
+        passed=bool(margins and min_margin > 0.0 and disjoint.all()),
         requested=boundary_samples,
+        reason=(f"{lost} margin(s) outside the float range at the scene's scale are null; "
+                f"margins scale as length^6 and were taken at the scene scaled by 2^{shift}"
+                if lost else None),
     )

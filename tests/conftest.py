@@ -5,8 +5,22 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from linestab.cone import OrderedQuery, feasibility_batch, realized_orders_batch, sample_scene
-from linestab.geom import Ball, Scene, orthonormal_basis_of_complement, random_scene_with_transversal
+from linestab.cone import (
+    OrderedQuery,
+    boundary_directions_for_triple,
+    feasibility_batch,
+    minimax_weights_batch,
+    realized_orders_batch,
+    sample_scene,
+)
+from linestab.flexprobe import LiftedConfig, lifted_hessian_decomposition
+from linestab.geom import (
+    Ball,
+    Scene,
+    SceneError,
+    orthonormal_basis_of_complement,
+    random_scene_with_transversal,
+)
 from linestab.sextic import Triple
 
 
@@ -192,6 +206,114 @@ def lifted_triple(cfg) -> Triple:
     lift, with radius |v_k|."""
     c, r = cfg.centers, cfg.radii
     return Triple(tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True)
+
+
+def rotation_to_axis(u) -> np.ndarray:
+    """Oracle: the rotation sending one unit direction u to (0, 0, 1), built
+    with one-sample numpy calls (the identity within 1e-14 of e3, the half
+    turn about e1 within 1e-14 of -e3)."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(u, e3))
+    if c > 1.0 - 1e-14:
+        return np.eye(3)
+    if c < -1.0 + 1e-14:
+        return np.diag([1.0, -1.0, -1.0])
+    axis = np.cross(u, e3)
+    s = np.linalg.norm(axis)
+    axis = axis / s
+    K = np.array(
+        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
+    )
+    return np.eye(3) + s * K + (1 - c) * (K @ K)
+
+
+def plane_config(vertices2, point2, lifts) -> LiftedConfig:
+    """Oracle for LiftedConfig.from_plane_data on one sample: the frame
+    canonicalised with one-sample numpy calls and Python floats."""
+    P = np.asarray(vertices2, dtype=float)
+    pt = np.asarray(point2, dtype=float)
+    d1 = P[1] - P[0]
+    a = float(np.linalg.norm(d1))
+    if a <= 0:
+        raise SceneError("degenerate triangle edge")
+    e1 = d1 / a
+    e2 = np.array([-e1[1], e1[0]])
+    d2 = P[2] - P[0]
+    b = float(np.dot(d2, e1))
+    c = float(np.dot(d2, e2))
+    if c < 0:
+        c = -c
+        e2 = -e2
+    if c <= 0:
+        raise SceneError("collinear triangle vertices")
+    rel = pt - P[0]
+    px, py = float(np.dot(rel, e1)), float(np.dot(rel, e2))
+    w2 = py / c
+    w1 = (px - b * w2) / a
+    w0 = 1.0 - w1 - w2
+    if min(w0, w1, w2) <= 0:
+        raise SceneError("point is not interior to the triangle")
+    return LiftedConfig(a=a, b=b, c=c, weights=np.array([w0, w1, w2]),
+                        lifts=np.asarray(lifts, dtype=float))
+
+
+def lifted_configs_one_by_one(triple, U) -> list:
+    """Oracle for flexprobe.lifted_config_for_direction: one rotation and one
+    plane_config per row; an unusable row gets the SceneError it raised."""
+    U = np.asarray(U, dtype=float)
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    weights = minimax_weights_batch(triple.centers, triple.scene.radii, U)
+    out = []
+    for u, w in zip(U, weights):
+        rc = triple.centers @ rotation_to_axis(u).T
+        try:
+            out.append(plane_config(rc[:, :2], w @ rc[:, :2], rc[:, 2]))
+        except SceneError as exc:
+            out.append(exc)
+    return out
+
+
+def pair_gaps_one(cfg) -> np.ndarray:
+    """Oracle for flexprobe.rebuilt_pair_gaps on one sample."""
+    tri, x, r = cfg.triangle, cfg.lifts, cfg.radii
+    out = []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        d2 = float(np.dot(tri[i] - tri[j], tri[i] - tri[j])) + (x[i] - x[j]) ** 2
+        out.append(math.sqrt(d2) - (r[i] + r[j]))
+    return np.array(out)
+
+
+def flex_report_one_by_one(triple, boundary_samples, seed=0) -> dict:
+    """Oracle for certify_flex_free(...).to_json_dict() on a triple of
+    moderate size: the Hessian split and the gap check one sample at a time."""
+    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
+    gap_floor = -1e-6 * triple.scene.diameter()
+    rows, margins, nmargins = [], [], []
+    for u, cfg in zip(dirs, lifted_configs_one_by_one(triple, dirs)):
+        if isinstance(cfg, SceneError):
+            rows.append({"direction": [float(x) for x in u], "margin": None,
+                         "normalized_margin": None, "skipped": str(cfg), "disjointness_ok": None})
+            continue
+        split = lifted_hessian_decomposition(cfg)
+        scale = abs(split.H2) + abs(split.H4)
+        nm = 0.0 if scale == 0.0 else float((split.H4 + split.H2) / scale)
+        ok = bool(np.all(pair_gaps_one(cfg) >= gap_floor))
+        rows.append({"direction": [float(x) for x in u], "margin": float(split.margin),
+                     "normalized_margin": nm, "skipped": None, "disjointness_ok": ok})
+        margins.append(float(split.margin))
+        nmargins.append(nm)
+    disjoint = all(r["disjointness_ok"] for r in rows if r["disjointness_ok"] is not None)
+    return {
+        "requested": boundary_samples,
+        "located": len(rows),
+        "probed": len(margins),
+        "skipped": len(rows) - len(margins),
+        "min_margin": min(margins) if margins else None,
+        "min_normalized_margin": min(nmargins) if nmargins else None,
+        "pass": bool(margins and min(margins) > 0.0 and disjoint),
+        "samples": rows,
+    }
 
 
 def line_distance(line, x) -> float:

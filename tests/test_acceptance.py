@@ -150,8 +150,8 @@ def test_criterion_5_flex_free_boundary():
         tri = Triple.from_scene(scene)
         rep = certify_flex_free(tri, boundary_samples=200, seed=0)
         for s in rep.samples:
-            if s.margin is not None:
-                assert s.margin > 0.0, f"seed {seed}: nonpositive margin"
+            if s["margin"] is not None:
+                assert s["margin"] > 0.0, f"seed {seed}: nonpositive margin"
                 probed_total += 1
     assert probed_total > 100, "flex probes were vacuous"
 

@@ -756,6 +756,29 @@ class TestScaleFree:
         assert margins[0] > 0.5
         assert abs(margins[1] - margins[0]) <= 1e-6
 
+    @pytest.mark.parametrize("k", [-300, -200, 170, 200, 300])
+    def test_probe_flex_at_extreme_scales(self, runner, tmp_path, k):
+        # 2^k scales exactly, so the verdict and the counts are scale 1's;
+        # margins the float range cannot hold at 2^k are null, with a reason
+        reports = []
+        for factor in (1.0, 2.0 ** k):
+            r = runner.invoke(main, ["probe-flex", "--scene",
+                                     _scaled_preset(tmp_path, "flexdemo-disjoint", factor)])
+            assert r.exc_info is None or r.exc_info[0] is SystemExit
+            assert r.stderr == ""
+            reports.append((r.exit_code, json.loads(r.stdout)))
+        (code1, doc1), (code, doc) = reports
+        assert code1 == 0
+        assert code in (0, 3)
+        if code == 3:
+            assert doc["outcome"]["reason"]
+            return
+        for key in ("probed", "skipped", "located", "pass"):
+            assert doc["verdicts"][key] == doc1["verdicts"][key], key
+        lost = [s for s in doc["verdicts"]["samples"]
+                if s["skipped"] is None and s["margin"] is None]
+        assert bool(lost) == ("reason" in doc["verdicts"])
+
     def test_entry_order_violations_of_a_small_scene(self, runner, tmp_path):
         budget = ["--order-semantics", "entry", "--samples", "1024", "--pairs", "200"]
         runs = [self.run(runner, ["check-convexity", "--scene",

@@ -16,7 +16,15 @@ from linestab.flexprobe import (
     rebuilt_pair_gaps,
     star_h_canonical,
 )
-from conftest import eval_hessian_sigma, lifted_triple, random_triple, z_gaps
+from conftest import (
+    eval_hessian_sigma,
+    flex_report_one_by_one,
+    lifted_configs_one_by_one,
+    lifted_triple,
+    pair_gaps_one,
+    random_triple,
+    z_gaps,
+)
 
 
 def w_from_lifts(cfg):
@@ -305,7 +313,7 @@ class TestCertifyFlexFree:
         bad = [
             s
             for s in rep.samples
-            if s.disjointness_ok is False or (s.margin is not None and s.margin <= 0)
+            if s["disjointness_ok"] is False or (s["margin"] is not None and s["margin"] <= 0)
         ]
         assert bad, "expected a disjointness violation or nonpositive margin"
         assert not rep.passed
@@ -314,7 +322,7 @@ class TestCertifyFlexFree:
         tri = random_triple(3)
         rep = certify_flex_free(tri, boundary_samples=60, seed=0)
         for s in rep.samples:
-            assert (s.skipped is None) == (s.margin is not None)
+            assert (s["skipped"] is None) == (s["margin"] is not None)
 
     def test_report_serializes(self):
         tri = random_triple(0)
@@ -334,12 +342,133 @@ class TestLiftedConfigForDirection:
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
-        hits = 0
-        for cfg in lifted_config_for_direction(tri, dirs):
-            if isinstance(cfg, SceneError):
-                continue
-            derived = np.sort(cfg.radii)
-            original = np.sort([b.radius for b in tri.balls])
-            if np.allclose(derived, original, atol=1e-6):
-                hits += 1
+        cfg, _ = lifted_config_for_direction(tri, dirs)
+        derived = np.sort(cfg.radii, axis=1)
+        original = np.sort([b.radius for b in tri.balls])
+        hits = int(np.sum(np.all(np.isclose(derived, original, rtol=0, atol=1e-6), axis=1)))
         assert hits >= 4  # the sextic arcs of the boundary produce exact matches
+
+
+def _same(batch, rows) -> bool:
+    """Bitwise equality of a batch array with the stacked one-sample values."""
+    return np.array_equal(batch, np.reshape(rows, np.shape(batch)), equal_nan=True)
+
+
+def _assert_batch_matches_one_by_one(tri, U):
+    """lifted_config_for_direction and the forms the probe reads, on a batch
+    of rows, against one-sample calls: every bit, every skip reason."""
+    cfg, reasons = lifted_config_for_direction(tri, U)
+    singles = lifted_configs_one_by_one(tri, U)
+    assert reasons == [str(s) if isinstance(s, SceneError) else None for s in singles]
+    assert [r is None for r in reasons] == [not isinstance(s, SceneError) for s in singles]
+    good = [s for s in singles if not isinstance(s, SceneError)]
+    assert len(cfg.a) == len(good)
+    for name in ("a", "b", "c", "weights", "lifts"):
+        assert _same(getattr(cfg, name), [getattr(s, name) for s in good]), name
+    split = lifted_hessian_decomposition(cfg)
+    parts = [lifted_hessian_decomposition(s) for s in good]
+    assert _same(split.margin, [p.margin for p in parts])
+    assert _same(split.normalized_margin, [p.normalized_margin for p in parts])
+    assert _same(rebuilt_pair_gaps(cfg), [pair_gaps_one(s) for s in good])
+    return reasons
+
+
+class TestBatchMatchesOneRow:
+    """One batched flex probe against the one-sample path, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
+    def test_boundary_rows(self, n):
+        from linestab.cone import boundary_directions_for_triple
+
+        for tri in (random_triple(3), random_triple(300, (0.7, 1.5))):
+            dirs = boundary_directions_for_triple(tri, 200, seed=0)[:n]
+            assert len(dirs) == n
+            _assert_batch_matches_one_by_one(tri, dirs)
+
+    def test_rows_at_and_near_the_axis(self):
+        from linestab.cli import preset_scene
+
+        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        rows = []
+        for sign in (1.0, -1.0):
+            for off in (0.0, 1e-15, 5e-15, 9e-15, 1.1e-14, 2e-14, 1e-13):
+                c = sign * (1.0 - off)
+                s = math.sqrt(max(1.0 - c * c, 0.0))
+                rows += [[0.0, 0.0, c] if off == 0 else [s, 0.0, c], [s * 0.6, -s * 0.8, c]]
+        rng = np.random.default_rng(7)
+        rows += list(rng.normal(size=(40, 3)))
+        _assert_batch_matches_one_by_one(tri, np.array(rows))
+
+    def test_every_skip_reason(self):
+        from linestab.cli import preset_scene
+
+        seen = set()
+        collinear = Triple.from_scene(preset_scene("collinear"))
+        # along the centres' line every projected centre is one point; along
+        # e3 they stay on a line; off it the minimax point sits on an edge
+        U = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.3, 0.0, 1.0]])
+        seen.update(_assert_batch_matches_one_by_one(collinear, U))
+        tri = random_triple(3)
+        from linestab.cone import boundary_directions_for_triple
+
+        seen.update(_assert_batch_matches_one_by_one(tri, boundary_directions_for_triple(tri, 60)))
+        assert seen >= {None, "degenerate triangle edge", "collinear triangle vertices",
+                        "point is not interior to the triangle"}
+
+    def test_plane_data_batch_and_one_sample(self):
+        # each skip reason in the order a sample meets them, and one sample
+        # raising the reason its row gets in a batch
+        P = np.array([
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],    # degenerate edge
+            [[0.0, 0.0], [2.0, 0.0], [5.0, 0.0]],    # collinear
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],    # exterior point
+            [[2.0, 1.0], [0.5, 3.0], [-1.0, 0.0]],   # usable
+            [[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]],   # usable after reflection
+        ])
+        pts = np.array([[0.5, 0.5], [1.0, 0.0], [2.0, 2.0], P[3].mean(axis=0), [0.2, -0.2]])
+        x = np.arange(15.0).reshape(5, 3)
+        cfg, reasons = LiftedConfig.from_plane_data(P, pts, x)
+        assert reasons == ["degenerate triangle edge", "collinear triangle vertices",
+                           "point is not interior to the triangle", None, None]
+        for k in range(5):
+            if reasons[k] is None:
+                continue
+            with pytest.raises(SceneError, match=reasons[k]):
+                LiftedConfig.from_plane_data(P[k], pts[k], x[k])
+        one = [LiftedConfig.from_plane_data(P[k], pts[k], x[k]) for k in (3, 4)]
+        for name in ("a", "b", "c", "weights", "lifts"):
+            assert _same(getattr(cfg, name), [getattr(s, name) for s in one]), name
+
+    @pytest.mark.parametrize("name", [
+        "collinear", "pinned", "two-permutations", "transition-disjoint", "transition-tangent",
+        "transition-overlapping", "flexdemo-disjoint", "flexdemo-tangent", "flexdemo-overlapping",
+    ])
+    def test_certify_matches_one_by_one(self, name):
+        import json
+
+        from linestab.cli import preset_scene
+
+        tri = Triple.from_scene(preset_scene(name))
+        rep = certify_flex_free(tri, boundary_samples=60, seed=0)
+        assert json.dumps(rep.to_json_dict()) == json.dumps(flex_report_one_by_one(tri, 60))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_normalized_margin_elementwise(m):
+    # a sample whose lifts are equal has H2 = H4 = 0 and reads 0
+    r = np.random.default_rng(100 + m)
+    a, b, c = r.uniform(0.5, 2.0, m), r.uniform(-1.0, 1.0, m), r.uniform(0.3, 2.0, m)
+    w, x = r.uniform(0.2, 1.0, (m, 3)), r.uniform(-2.0, 2.0, (m, 3))
+    x[m // 2] = 0.7
+    got = lifted_hessian_decomposition(LiftedConfig(a=a, b=b, c=c, weights=w, lifts=x)).normalized_margin
+    assert got.shape == (m,)
+    expected = []
+    for k in range(m):
+        split = lifted_hessian_decomposition(
+            LiftedConfig(a=float(a[k]), b=float(b[k]), c=float(c[k]), weights=w[k], lifts=x[k]))
+        scale = abs(split.H2) + abs(split.H4)
+        expected.append(0.0 if scale == 0.0 else (split.H4 + split.H2) / scale)
+        assert split.normalized_margin == expected[-1]
+        assert np.ndim(split.normalized_margin) == 0
+    assert _same(got, expected)
+    assert got[m // 2] == 0.0 and not np.signbit(got[m // 2])
