@@ -37,7 +37,6 @@ from .flexprobe import (
 from .cone import (
     ConeSampleSet,
     OrderedQuery,
-    PermutationCatalog,
     classify_boundary_direction,
     cone_convexity_check,
     count_components,
@@ -46,7 +45,6 @@ from .cone import (
 )
 from .polyid import (
     IdentitySpec,
-    check_identity,
     identity_catalog,
     schwartz_zippel_suite,
 )

@@ -361,9 +361,9 @@ def check_convexity(config, scene, order, samples, pairs, seed, order_semantics)
     rep = cone_mod.cone_convexity_check(
         query, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
     )
-    reason = (f"{rep.feasible_samples} feasible direction sample(s): too few for a midpoint pair"
-              if rep.inconclusive else None)
-    return rep.to_json_dict(), rep.passed, reason
+    reason = (f"{rep['feasible_samples']} feasible direction sample(s): too few for a midpoint pair"
+              if rep["inconclusive"] else None)
+    return rep, rep["pass"], reason
 
 
 @_command("enumerate-permutations", reads="scene")
@@ -372,8 +372,7 @@ def check_convexity(config, scene, order, samples, pairs, seed, order_semantics)
 def enumerate_permutations(config, scene, samples, seed):
     """Catalog geometric permutations with witness directions."""
     config.update(samples=samples, seed=seed)
-    cat = cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed)
-    return cat.to_json_dict(), True, None
+    return cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed), True, None
 
 
 @_command("count-components", reads="scene")
@@ -387,10 +386,10 @@ def count_components_cmd(config, scene, samples, seed):
     cat = cone_mod.enumerate_geometric_permutations(
         scene, samples=samples, seed=seed, sample_set=sset
     )
-    agree = comp.count == len(cat)
+    agree = comp["count"] == cat["count"]
     verdicts = {
-        "components": comp.to_json_dict(),
-        "permutations": len(cat),
+        "components": comp,
+        "permutations": cat["count"],
         "components_equal_permutations": agree,
     }
     return verdicts, agree, None
@@ -421,7 +420,7 @@ def verify_identities(config, trials, height, seed):
     """Exact rational verification of the six pipeline identities."""
     config.update(trials=trials, height=height, seed=seed)
     rep = polyid.schwartz_zippel_suite(trials=trials, height=height, seed=seed)
-    return rep.to_json_dict(), rep.passed, None
+    return rep, rep["pass"], None
 
 
 @_command("classify-boundary", reads="triple")
@@ -465,15 +464,9 @@ def classify_boundary(config, triple, direction, n_directions):
                 raise
             results.append({"direction": [float(x) for x in vec], "error": str(exc)})
             continue
-        entry = {
-            "direction": [float(x) for x in vec / np.linalg.norm(vec)],
-            "on_boundary": cls.on_boundary,
-            "crosses_triangle": cls.crosses_triangle,
-            "slack": cls.slack,
-            "tag": cls.tag,
-        }
-        if cls.on_boundary is not None and cls.crosses_triangle is not None:
-            entry["agree"] = cls.on_boundary == cls.crosses_triangle
+        entry = {"direction": [float(x) for x in vec / np.linalg.norm(vec)], **cls}
+        if cls["on_boundary"] is not None and cls["crosses_triangle"] is not None:
+            entry["agree"] = cls["on_boundary"] == cls["crosses_triangle"]
             if not entry["agree"]:
                 disagreements += 1
         results.append(entry)

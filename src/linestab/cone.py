@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,8 @@ SAMPLE_CHUNK = 200_000
 # count_components joins feasible samples at most this many lattice
 # spacings apart
 NEIGHBOUR_SPACINGS = 2.5
+# a convexity report lists this many of its midpoint violations
+REPORTED_VIOLATIONS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,10 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
         raise SolverError("need at least one ball")
     U = _unit_rows(U)
     centers = centers - centers.mean(axis=0)
+    # an exact power-of-two rescale to unit size keeps every product of
+    # lengths, det(G) in _best_point among them, inside the float range
+    scale = math.frexp(max(np.max(np.abs(centers)), np.max(radii)))[1]
+    centers, radii = np.ldexp(centers, -scale), np.ldexp(radii, -scale)
     m, n, cap = len(U), len(centers), min(len(centers), U.shape[1])
     rows = np.arange(m)
     P = centers[None, :, :] - (U @ centers.T)[:, :, None] * U[:, None, :]
@@ -236,7 +242,7 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     W = np.zeros((m, n))
     for c in range(cap):  # padding adds 0.0 to column 0
         W[rows, support[:, c]] += weights[:, c]
-    return slack, W
+    return np.ldexp(slack, scale), W
 
 
 def minimax_slack_batch(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -537,61 +543,24 @@ def _entry_mask(scene: Scene, U: np.ndarray, slacks: np.ndarray, order: Sequence
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MidpointViolation:
-    u: np.ndarray
-    v: np.ndarray
-    midpoint: np.ndarray
-    slack: float
-    order_mismatch: bool
-
-
-@dataclass
-class ConvexityReport:
-    tested_pairs: int
-    violations: list[MidpointViolation]
-    min_midpoint_margin: Optional[float]
-    feasible_samples: int
-    inconclusive: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.inconclusive and not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tested_pairs": self.tested_pairs,
-            "violations": [
-                {
-                    "u": [float(x) for x in v.u],
-                    "v": [float(x) for x in v.v],
-                    "midpoint": [float(x) for x in v.midpoint],
-                    "slack": v.slack,
-                    "order_mismatch": v.order_mismatch,
-                }
-                for v in self.violations[:32]
-            ],
-            "violation_count": len(self.violations),
-            "min_midpoint_margin": self.min_midpoint_margin,
-            "feasible_samples": self.feasible_samples,
-            "inconclusive": self.inconclusive,
-            "pass": self.passed,
-        }
-
-
 def cone_convexity_check(
     query: OrderedQuery,
     pairs: int = 1000,
     seed: int = 0,
     lattice: int = 4096,
     order_semantics: str = "center",
-) -> ConvexityReport:
+) -> dict:
     """Sample feasible direction pairs and test their geodesic midpoints.
 
     For a strictly convex cone every midpoint of feasible directions is
     feasible; near-boundary pairs additionally get strictly interior
     midpoints, which the min midpoint margin tracks.  Fewer than two
     feasible samples make the check inconclusive.
+
+    Returns the report's verdicts: ``tested_pairs``, ``violation_count``
+    and the first REPORTED_VIOLATIONS ``violations`` (u, v, midpoint, slack,
+    order_mismatch), ``min_midpoint_margin``, ``feasible_samples``,
+    ``inconclusive``, and ``pass`` when conclusive without a violation.
 
     ``order_semantics`` chooses how the meeting order of a direction is
     decided: "center" (projections of centers; the library default) or
@@ -609,7 +578,9 @@ def cone_convexity_check(
     F = sset.directions[mask]
     fslacks = sset.slacks[mask]
     if len(F) < 2:
-        return ConvexityReport(0, [], None, len(F), inconclusive=True)
+        return {"tested_pairs": 0, "violations": [], "violation_count": 0,
+                "min_midpoint_margin": None, "feasible_samples": len(F),
+                "inconclusive": True, "pass": False}
 
     rng = np.random.default_rng(seed + 1)
     ii = rng.integers(0, len(F), size=pairs)
@@ -657,11 +628,14 @@ def cone_convexity_check(
         bad_idx, meet = bad_idx[keep], meet[keep]
 
     violations = [
-        MidpointViolation(u[m], v[m], mids[m], float(slacks[m]), bool(order_failed))
-        for m, order_failed in zip(bad_idx, meet)
+        {"u": u[m].tolist(), "v": v[m].tolist(), "midpoint": mids[m].tolist(),
+         "slack": float(slacks[m]), "order_mismatch": bool(order_failed)}
+        for m, order_failed in zip(bad_idx[:REPORTED_VIOLATIONS], meet)
     ]
-    margin = float(np.min(-slacks)) if len(slacks) else None
-    return ConvexityReport(int(len(mids)), violations, margin, int(len(F)), inconclusive=False)
+    return {"tested_pairs": len(mids), "violations": violations,
+            "violation_count": len(bad_idx),
+            "min_midpoint_margin": float(np.min(-slacks)) if len(slacks) else None,
+            "feasible_samples": len(F), "inconclusive": False, "pass": not len(bad_idx)}
 
 
 # ---------------------------------------------------------------------------
@@ -682,53 +656,21 @@ def _reversed_is_canonical(orders: np.ndarray) -> np.ndarray:
     return rev[rows, first] < orders[rows, first]
 
 
-@dataclass
-class PermutationEntry:
-    permutation: tuple[int, ...]
-    witness: np.ndarray
-    witness_order: tuple[int, ...]
-    witness_slack: float
-    sample_count: int
-
-
-@dataclass
-class PermutationCatalog:
-    entries: dict[tuple[int, ...], PermutationEntry]
-    samples: int
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": len(self.entries),
-            "samples": self.samples,
-            "seed": self.seed,
-            "permutations": [
-                {
-                    "permutation": list(e.permutation),
-                    "witness": [float(x) for x in e.witness],
-                    "witness_order": list(e.witness_order),
-                    "witness_slack": e.witness_slack,
-                    "sample_count": e.sample_count,
-                }
-                for e in self.entries.values()
-            ],
-        }
-
-
 def enumerate_geometric_permutations(
     scene: Scene,
     samples: int = 20000,
     seed: int = 0,
     sample_set: Optional[ConeSampleSet] = None,
-) -> PermutationCatalog:
+) -> dict:
     """Catalog of geometric permutations discovered by direction sampling.
 
     Orderings are identified with their reversals; each entry keeps the
     deepest-slack witness direction.  Cones thinner than the sampling
     density can be missed, which is reported through the sample counts.
+    Returns the report's verdicts: the ``count``, ``samples`` and ``seed``,
+    and the ``permutations`` in order of discovery, each with its
+    ``witness`` direction, ``witness_order``, ``witness_slack`` and
+    ``sample_count``.
     """
     sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     idxs = np.nonzero(sset.feasible)[0]
@@ -740,14 +682,15 @@ def enumerate_geometric_permutations(
     # witness: each permutation's first sample of smallest slack (stable sort)
     by_slack = np.lexsort((sset.slacks[idxs], group.reshape(-1)))
     witness = idxs[by_slack[np.cumsum(counts) - counts]]
-    entries: dict[tuple[int, ...], PermutationEntry] = {}
-    for g in np.argsort(first):
-        perm, m = tuple(perms[g].tolist()), witness[g]
-        entries[perm] = PermutationEntry(
-            perm, sset.directions[m].copy(), tuple(sset.orders[m].tolist()),
-            float(sset.slacks[m]), int(counts[g]),
-        )
-    return PermutationCatalog(entries, samples, seed)
+    found = np.argsort(first)
+    permutations = [
+        {"permutation": perms[g].tolist(), "witness": sset.directions[m].tolist(),
+         "witness_order": sset.orders[m].tolist(), "witness_slack": float(sset.slacks[m]),
+         "sample_count": int(counts[g])}
+        for g, m in zip(found, witness[found])
+    ]
+    return {"count": len(permutations), "samples": samples, "seed": seed,
+            "permutations": permutations}
 
 
 # candidate pairs _close_pairs tests at a time (plus at most one cell's rows),
@@ -863,25 +806,12 @@ def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
-@dataclass
-class ComponentReport:
-    count: int
-    cluster_sizes: list[int]
-    angular_radius: float
-    undersampled: bool
-    feasible_samples: int
-    neighbour_pairs: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def count_components(
     scene: Scene,
     samples: int = 20000,
     seed: int = 0,
     sample_set: Optional[ConeSampleSet] = None,
-) -> ComponentReport:
+) -> dict:
     """Count connected clusters of feasible directions on the sphere.
 
     Each feasible sample is canonicalized (antipodal identification of the
@@ -890,29 +820,27 @@ def count_components(
     the pairs of samples at most the matching chord apart, come from a
     fixed-radius cell grid (_close_pairs); ``neighbour_pairs`` counts them.
     For disjoint scenes the count must equal the number of geometric
-    permutations.
+    permutations.  Returns the report's verdicts: the ``count``, the
+    ``cluster_sizes`` in decreasing order, the ``angular_radius``,
+    ``undersampled`` (a cluster of fewer than 10 samples),
+    ``feasible_samples`` and ``neighbour_pairs``.
     """
     sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     feas = sset.feasible
     dirs = sset.directions[feas]
     orders = sset.orders[feas]
     if len(dirs) == 0:
-        return ComponentReport(0, [], 0.0, undersampled=False, feasible_samples=0,
-                               neighbour_pairs=0)
+        return {"count": 0, "cluster_sizes": [], "angular_radius": 0.0, "undersampled": False,
+                "feasible_samples": 0, "neighbour_pairs": 0}
     canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
     theta = NEIGHBOUR_SPACINGS * lattice_spacing(scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
     a, b = _close_pairs(canon_dirs, chord)
     labels = _component_labels(len(canon_dirs), a, b)
     sizes = sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True)
-    return ComponentReport(
-        count=len(sizes),
-        cluster_sizes=sizes,
-        angular_radius=theta,
-        undersampled=any(s < 10 for s in sizes),
-        feasible_samples=len(dirs),
-        neighbour_pairs=len(a),
-    )
+    return {"count": len(sizes), "cluster_sizes": sizes, "angular_radius": theta,
+            "undersampled": any(s < 10 for s in sizes), "feasible_samples": len(dirs),
+            "neighbour_pairs": len(a)}
 
 
 # ---------------------------------------------------------------------------
@@ -1016,15 +944,7 @@ def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BoundaryClassification:
-    on_boundary: Optional[bool]
-    crosses_triangle: Optional[bool]
-    slack: Optional[float]
-    tag: Optional[str]
-
-
-def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassification:
+def classify_boundary_direction(triple: Triple, u: Direction) -> dict:
     """Classify a sextic direction: cone boundary vs interior.
 
     ``on_boundary`` reads the disk-minimax slack.  The three circles of a
@@ -1036,10 +956,13 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
     ``crosses_triangle`` independently intersects each recovered tangent
     line with the plane of centers and tests barycentric containment in the
     triangle of centers.  The two must agree on disjoint balls.  When no
-    tangent line decides ``crosses_triangle``, ``tag`` says why.
+    tangent line decides ``crosses_triangle``, ``tag`` says why.  Returns
+    the dict of ``on_boundary``, ``crosses_triangle``, ``slack`` and
+    ``tag``; collinear centers decide none of them.
     """
     if triple.collinear_centers:
-        return BoundaryClassification(None, None, None, tag="collinear centers: no triangle")
+        return {"on_boundary": None, "crosses_triangle": None, "slack": None,
+                "tag": "collinear centers: no triangle"}
     scene = triple.scene
     rec = tangent_lines_for_direction(triple, u)
     centers = triple.centers
@@ -1059,10 +982,9 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> BoundaryClassif
         lam = _barycentrics_in_plane(centers, line.point + (off / denom) * line.direction)
         crossings.append(bool(np.all(lam >= -1e-9)))
     slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
-    on_boundary = bool(abs(slack) <= 2.0 * scene.band)
-    if crossings:
-        return BoundaryClassification(on_boundary, any(crossings), slack, tag=None)
-    return BoundaryClassification(on_boundary, None, slack, tag)
+    return {"on_boundary": bool(abs(slack) <= 2.0 * scene.band),
+            "crosses_triangle": any(crossings) if crossings else None, "slack": slack,
+            "tag": None if crossings else tag}
 
 
 def _barycentrics_in_plane(centers: np.ndarray, X: np.ndarray) -> np.ndarray:

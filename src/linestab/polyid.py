@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -329,58 +329,7 @@ def _per_sample(spec: IdentitySpec, side, m: int) -> list:
     return list(zip(*columns)) if isinstance(side, tuple) else columns[0]
 
 
-def check_identity(spec: IdentitySpec, assignment: dict) -> IdentityVerdict:
-    """:func:`check_identities` at one assignment."""
-    return check_identities(spec, [assignment])[0]
-
-
-@dataclass
-class IdentityReport:
-    identifier: str
-    trials: int
-    passes: int
-    degree_bound: int
-    failure_bound: float
-    witness: Optional[IdentityVerdict]
-
-    @property
-    def passed(self) -> bool:
-        return self.passes == self.trials and self.witness is None
-
-
-@dataclass
-class SuiteReport:
-    trials: int
-    height: int
-    seed: int
-    identities: list[IdentityReport]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.identities)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "height": self.height,
-            "seed": self.seed,
-            "pass": self.passed,
-            "identities": [
-                {
-                    "identifier": r.identifier,
-                    "trials": r.trials,
-                    "passes": r.passes,
-                    "degree_bound": r.degree_bound,
-                    "failure_bound": r.failure_bound,
-                    "pass": r.passed,
-                    "witness": r.witness.to_json_dict() if r.witness else None,
-                }
-                for r in self.identities
-            ],
-        }
-
-
-def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42) -> SuiteReport:
+def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42) -> dict:
     """Run every catalog identity at random rational points, exactly.
 
     All trials of an identity are drawn first, from a generator seeded
@@ -388,18 +337,27 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
     a hard failure and carries the first failing trial as witness.
     ``failure_bound`` is the standard degree-over-sample-space estimate
     (deg/height)^trials for a nonzero polynomial surviving all trials under
-    the random-evaluation model.
+    the random-evaluation model.  Returns the report's verdicts: the
+    ``trials``, ``height`` and ``seed``, ``pass``, and per identity its
+    ``identifier``, ``trials``, ``passes``, ``degree_bound``,
+    ``failure_bound``, ``pass`` and ``witness`` (in strings, or None).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    reports = []
+    identities = []
     for spec in identity_catalog():
         rng = np.random.default_rng(seed)
         verdicts = check_identities(spec, [spec.sampler(rng, height) for _ in range(trials)])
-        passes = sum(v.equal for v in verdicts)
         witness = next((v for v in verdicts if not v.equal), None)
         bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
-        reports.append(
-            IdentityReport(spec.identifier, trials, passes, spec.degree_bound, bound, witness)
-        )
-    return SuiteReport(trials, height, seed, reports)
+        identities.append({
+            "identifier": spec.identifier,
+            "trials": trials,
+            "passes": sum(v.equal for v in verdicts),
+            "degree_bound": spec.degree_bound,
+            "failure_bound": bound,
+            "pass": witness is None,
+            "witness": witness.to_json_dict() if witness else None,
+        })
+    return {"trials": trials, "height": height, "seed": seed,
+            "pass": all(r["pass"] for r in identities), "identities": identities}

@@ -305,9 +305,9 @@ class TestConvexity:
             rep = cone_convexity_check(
                 OrderedQuery(scene, order), pairs=400, seed=2, lattice=2048
             )
-            assert not rep.inconclusive
-            assert rep.violations == []
-            assert rep.min_midpoint_margin > 0
+            assert not rep["inconclusive"]
+            assert rep["violations"] == []
+            assert rep["min_midpoint_margin"] > 0
 
     def test_r4_scene_convex(self):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=3)
@@ -315,8 +315,8 @@ class TestConvexity:
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=300, seed=0, lattice=4096
         )
-        assert not rep.inconclusive
-        assert rep.violations == []
+        assert not rep["inconclusive"]
+        assert rep["violations"] == []
 
     def test_overlap_breaks_entry_order_convexity(self):
         from linestab.cli import preset_scene
@@ -329,14 +329,14 @@ class TestConvexity:
             lattice=4096,
             order_semantics="entry",
         )
-        assert len(rep.violations) >= 1
+        assert rep["violation_count"] >= 1
 
     def test_disjoint_panel_clean_under_both_semantics(self):
         from linestab.cli import preset_scene
 
         scene = preset_scene("transition-disjoint")
         cat = enumerate_geometric_permutations(scene, samples=2048, seed=0)
-        order = next(iter(cat.entries.values())).witness_order
+        order = cat["permutations"][0]["witness_order"]
         for semantics in ("center", "entry"):
             rep = cone_convexity_check(
                 OrderedQuery(scene, order),
@@ -345,7 +345,7 @@ class TestConvexity:
                 lattice=2048,
                 order_semantics=semantics,
             )
-            assert rep.violations == []
+            assert rep["violations"] == []
 
     def test_inconclusive_without_transversals(self):
         # far-apart small balls at a fat triangle admit no common transversal
@@ -359,7 +359,7 @@ class TestConvexity:
             ),
         )
         rep = cone_convexity_check(OrderedQuery(scene, (0, 1, 2)), pairs=50, lattice=512)
-        assert rep.inconclusive
+        assert rep["inconclusive"]
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_entry_semantics_needs_r3(self, d):
@@ -436,8 +436,8 @@ def test_entry_margin_does_not_depend_on_the_row_split(name, grid, monkeypatch):
 class TestPermutations:
     def test_collinear_has_one_permutation(self):
         cat = enumerate_geometric_permutations(collinear_scene(), samples=2000, seed=0)
-        assert len(cat) == 1
-        assert list(cat.entries) == [(0, 1, 2)]
+        assert cat["count"] == 1
+        assert [e["permutation"] for e in cat["permutations"]] == [[0, 1, 2]]
 
     def test_thinly_distributed_catalog_matches_components(self):
         # tiny balls spaced along a line: genuinely thinly distributed
@@ -456,8 +456,8 @@ class TestPermutations:
         sset = sample_scene(scene, 20000, seed=0)
         cat = enumerate_geometric_permutations(scene, sample_set=sset)
         comp = count_components(scene, sample_set=sset)
-        assert len(cat) >= 1
-        assert comp.count == len(cat)
+        assert cat["count"] >= 1
+        assert comp["count"] == cat["count"]
 
     def test_two_permutation_scene(self):
         from linestab.cli import preset_scene
@@ -465,14 +465,15 @@ class TestPermutations:
         scene = preset_scene("two-permutations")
         sset = sample_scene(scene, 20000, seed=0)
         cat = enumerate_geometric_permutations(scene, sample_set=sset)
-        assert len(cat) == 2
+        assert cat["count"] == 2
         assert _catalog_by_loop(sset) == [
-            (e.permutation, e.witness_order, e.witness_slack, e.sample_count)
-            for e in cat.entries.values()
+            (tuple(e["permutation"]), tuple(e["witness_order"]), e["witness_slack"],
+             e["sample_count"])
+            for e in cat["permutations"]
         ]
-        for entry in cat.entries.values():
-            q = OrderedQuery(scene, entry.witness_order)
-            assert feasibility_batch(q, entry.witness[None, :])[0][0]
+        for entry in cat["permutations"]:
+            q = OrderedQuery(scene, entry["witness_order"])
+            assert feasibility_batch(q, np.array(entry["witness"])[None, :])[0][0]
 
     def test_canonicalization(self):
         assert canonical_permutation((2, 1, 0)) == (0, 1, 2)
@@ -486,15 +487,15 @@ class TestPermutations:
 class TestComponents:
     def test_collinear_single_component(self):
         rep = count_components(collinear_scene(), samples=4000, seed=0)
-        assert rep.count == 1
-        assert not rep.undersampled
+        assert rep["count"] == 1
+        assert not rep["undersampled"]
 
     def test_two_corridor_scene(self):
         from linestab.cli import preset_scene
 
         scene = preset_scene("two-permutations")
         rep = count_components(scene, samples=20000, seed=0)
-        assert rep.count == 2
+        assert rep["count"] == 2
 
     def test_components_equal_permutations_random(self):
         for seed in (2, 6):
@@ -502,7 +503,7 @@ class TestComponents:
             sset = sample_scene(scene, 20000, seed=0)
             cat = enumerate_geometric_permutations(scene, sample_set=sset)
             rep = count_components(scene, sample_set=sset)
-            assert rep.count == len(cat)
+            assert rep["count"] == cat["count"]
 
     def test_plane_scenes_form_one_component(self):
         # in R^2 the sample is evenly spaced angles: seeded Gaussian rows left
@@ -514,7 +515,7 @@ class TestComponents:
                 sset = sample_scene(scene, samples, seed=0)
                 rep = count_components(scene, sample_set=sset)
                 cat = enumerate_geometric_permutations(scene, sample_set=sset)
-                assert rep.count == len(cat) == 1
+                assert rep["count"] == cat["count"] == 1
 
     def test_empty_scene_reports_zero(self):
         s = 100.0
@@ -523,8 +524,8 @@ class TestComponents:
             (Ball([0, 0, 0], 1.0), Ball([s, 0, 0], 1.0), Ball([s / 2, s, 0], 1.0)),
         )
         rep = count_components(scene, samples=2000, seed=0)
-        assert rep.count == 0
-        assert rep.feasible_samples == rep.neighbour_pairs == 0
+        assert rep["count"] == 0
+        assert rep["feasible_samples"] == rep["neighbour_pairs"] == 0
 
     def test_two_permutations_at_acceptance_budget(self):
         # the clusters and neighbour pairs the one-axis sweep found at 1e5
@@ -534,10 +535,10 @@ class TestComponents:
         scene = preset_scene("two-permutations")
         sset = sample_scene(scene, 100_000, seed=0)
         rep = count_components(scene, sample_set=sset)
-        assert rep.count == 2
-        assert rep.cluster_sizes == [7713, 2399]
-        assert rep.feasible_samples == int(np.sum(sset.feasible)) == 10112
-        assert rep.neighbour_pairs == 185181
+        assert rep["count"] == 2
+        assert rep["cluster_sizes"] == [7713, 2399]
+        assert rep["feasible_samples"] == int(np.sum(sset.feasible)) == 10112
+        assert rep["neighbour_pairs"] == 185181
 
 
 def _close_pair_set(points, chord) -> set[tuple[int, int]]:
@@ -779,10 +780,10 @@ class TestBoundaryClassification:
             if abs(eval_sigma(tri, uvec)) > 1e-7 * tri.sigma_scale:
                 continue  # bitangent-arc boundary direction, not on the sextic
             cls = classify_boundary_direction(tri, Direction(uvec))
-            if cls.on_boundary is None or cls.crosses_triangle is None:
+            if cls["on_boundary"] is None or cls["crosses_triangle"] is None:
                 continue
-            assert cls.on_boundary == cls.crosses_triangle
-            assert cls.on_boundary  # boundary directions cross the triangle
+            assert cls["on_boundary"] == cls["crosses_triangle"]
+            assert cls["on_boundary"]  # boundary directions cross the triangle
             agree += 1
         assert agree >= 3
 
@@ -804,10 +805,10 @@ class TestBoundaryClassification:
                 slack = minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0]
                 if slack < -5e-3:  # strictly interior sextic point
                     cls = classify_boundary_direction(tri, Direction(u))
-                    if cls.crosses_triangle is None:
+                    if cls["crosses_triangle"] is None:
                         continue
-                    assert cls.on_boundary is False
-                    assert cls.crosses_triangle is False
+                    assert cls["on_boundary"] is False
+                    assert cls["crosses_triangle"] is False
                     assert _probe_feasible_fraction(tri, u) == 1.0
                     checked += 1
         assert checked >= 2
@@ -832,8 +833,8 @@ class TestBoundaryClassification:
         for u in U:
             before = classify_boundary_direction(tri, Direction(u))
             after = classify_boundary_direction(moved, Direction(Q @ u))
-            assert (after.on_boundary, after.crosses_triangle) == (
-                before.on_boundary, before.crosses_triangle
+            assert (after["on_boundary"], after["crosses_triangle"]) == (
+                before["on_boundary"], before["crosses_triangle"]
             ), u
 
     @pytest.mark.parametrize("z", [-7.991595998085517e-09, 7.991595998085517e-09])
@@ -849,14 +850,14 @@ class TestBoundaryClassification:
             balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
             tri = Triple.from_scene(Scene(3, balls, allow_overlap=True))
             cls = classify_boundary_direction(tri, u)
-            verdicts.add((cls.crosses_triangle, cls.tag))
+            verdicts.add((cls["crosses_triangle"], cls["tag"]))
         assert len(verdicts) == 1, verdicts
 
     def test_collinear_tagged(self):
         tri = Triple.from_scene(collinear_scene())
         cls = classify_boundary_direction(tri, Direction([1, 0, 0]))
-        assert cls.tag is not None
-        assert cls.on_boundary is None
+        assert cls["tag"] is not None
+        assert cls["on_boundary"] is None
 
 
 class TestPinning:
@@ -905,7 +906,7 @@ class TestInvariance:
             sampled = sample_scene(moved, len(U)).feasible_for_order(order)
             assert np.array_equal(sampled, mask0), s
         rep = cone_convexity_check(OrderedQuery(moved, order))
-        assert rep.passed and rep.violations == []
+        assert rep["pass"] and rep["violations"] == []
 
     def test_scale_repro(self):
         # the feasibility mask of 2 * 10^4 rows around the scene's axis flipped

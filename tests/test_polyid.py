@@ -13,12 +13,9 @@ from linestab.flexprobe import (
 )
 from linestab import polyid
 from linestab.polyid import (
-    IdentityReport,
     IdentitySpec,
-    SuiteReport,
     as_exact,
     check_identities,
-    check_identity,
     exact_hessian_at_pole,
     identity_catalog,
     schwartz_zippel_suite,
@@ -102,24 +99,24 @@ class TestCatalog:
         assert len({s.identifier for s in cat}) == 6
 
     def test_beta_sum_symmetric_point(self):
-        v = check_identity(
+        v = check_identities(
             spec_by_id("beta-product-sum"),
-            {"q": (Fraction(1), Fraction(1), Fraction(1))},
-        )
+            [{"q": (Fraction(1), Fraction(1), Fraction(1))}],
+        )[0]
         assert v.equal
         assert v.lhs == Fraction(27, 64)
 
     def test_vertex_factorization_symmetric_point(self):
-        v = check_identity(
+        v = check_identities(
             spec_by_id("vertex-factorization"),
-            {"q": (Fraction(1), Fraction(1), Fraction(1))},
-        )
+            [{"q": (Fraction(1), Fraction(1), Fraction(1))}],
+        )[0]
         assert v.equal
         assert v.lhs == Fraction(3, 4)
 
     def test_symmetric_plane_value(self):
         for q in (Fraction(1), Fraction(2, 3), Fraction(17, 5)):
-            v = check_identity(spec_by_id("symmetric-plane-value"), {"q": q})
+            v = check_identities(spec_by_id("symmetric-plane-value"), [{"q": q}])[0]
             assert v.equal
             assert v.rhs == Fraction(15, 8)
 
@@ -130,7 +127,7 @@ class TestCatalog:
             "c": Fraction(1),  # rational stand-in; identity holds for any c
             "p": (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
         }
-        v = check_identity(spec_by_id("area-q-lemma"), asg)
+        v = check_identities(spec_by_id("area-q-lemma"), [asg])[0]
         assert v.equal
         assert v.lhs == Fraction(1)
 
@@ -139,7 +136,7 @@ class TestCatalog:
         r = np.random.default_rng(7)
         for _ in range(5):
             asg = spec.sampler(r, 100)
-            v = check_identity(spec, asg)
+            v = check_identities(spec, [asg])[0]
             assert v.equal, v
 
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
@@ -147,22 +144,22 @@ class TestCatalog:
         spec = spec_by_id("area-q-lemma")
         floated = replace(spec, **{side: lambda cfg, f=getattr(spec, side): float(f(cfg)[0])})
         asg = spec.sampler(np.random.default_rng(0), 50)
-        assert check_identity(spec, asg).equal
+        assert check_identities(spec, [asg])[0].equal
         with pytest.raises(TypeError, match="float"):
-            check_identity(floated, asg)
+            check_identities(floated, [asg])[0]
 
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     def test_float64_array_side_rejected(self, side):
         spec = spec_by_id("area-q-lemma")
         floated = replace(spec, **{side: lambda cfg, f=getattr(spec, side): f(cfg).astype(float)})
         with pytest.raises(TypeError, match="float"):
-            check_identity(floated, spec.sampler(np.random.default_rng(0), 50))
+            check_identities(floated, [spec.sampler(np.random.default_rng(0), 50)])[0]
 
     def test_float_in_tuple_side_rejected(self):
         spec = spec_by_id("gram-solution")
         floated = replace(spec, rhs=lambda cfg: tuple(float(v[0]) for v in spec.rhs(cfg)))
         with pytest.raises(TypeError, match="float"):
-            check_identity(floated, spec.sampler(np.random.default_rng(0), 50))
+            check_identities(floated, [spec.sampler(np.random.default_rng(0), 50)])[0]
 
     def test_float_array_in_batch_rejected(self):
         # one float64 entry among exact ones is enough
@@ -180,10 +177,10 @@ class TestCatalog:
 
     def test_domain_violation_rejected(self):
         with pytest.raises(ValueError, match="domain"):
-            check_identity(
+            check_identities(
                 spec_by_id("beta-product-sum"),
-                {"q": (Fraction(1), Fraction(1), Fraction(5))},
-            )
+                [{"q": (Fraction(1), Fraction(1), Fraction(5))}],
+            )[0]
 
 
 class TestMutationSensitivity:
@@ -196,7 +193,7 @@ class TestMutationSensitivity:
             caught = False
             for _ in range(8):
                 asg = spec.sampler(r, 60)
-                if not check_identity(mutated, asg).equal:
+                if not check_identities(mutated, [asg])[0].equal:
                     caught = True
                     break
             assert caught, spec.identifier
@@ -213,7 +210,7 @@ class TestMutationSensitivity:
             return 2 * prod / (4 * (q[..., 0] * q[..., 1] * q[..., 2]) ** 2)  # 3 -> 2
 
         mutated = replace(spec, rhs=bad_rhs)
-        v = check_identity(mutated, {"q": (Fraction(1), Fraction(1), Fraction(1))})
+        v = check_identities(mutated, [{"q": (Fraction(1), Fraction(1), Fraction(1))}])[0]
         assert not v.equal
         assert v.lhs == Fraction(3, 4) and v.rhs == Fraction(1, 2)
 
@@ -230,7 +227,7 @@ class TestMutationSensitivity:
         cfg = spec.prepare(asgs)
         assert np.all(_pole_hessian(cfg) == spec.lhs(cfg))
         mutated = replace(spec, lhs=lambda cfg: _pole_hessian(cfg, **mutant))
-        assert any(not check_identity(mutated, asg).equal for asg in asgs), mutant
+        assert any(not check_identities(mutated, [asg])[0].equal for asg in asgs), mutant
 
 
 def _scaled_member(cls, name):
@@ -260,7 +257,7 @@ def test_suite_checks_flexprobe_forms(monkeypatch, cls, name, caught):
     # fails exactly the identities that read it
     monkeypatch.setattr(cls, name, _scaled_member(cls, name))
     rep = schwartz_zippel_suite(trials=8, height=60)
-    assert {r.identifier for r in rep.identities if not r.passed} == caught
+    assert {r["identifier"] for r in rep["identities"] if not r["pass"]} == caught
 
 
 def _perturb(value):
@@ -272,20 +269,20 @@ def _perturb(value):
 class TestSuite:
     def test_small_suite_passes(self):
         rep = schwartz_zippel_suite(trials=5, height=200, seed=42)
-        assert rep.passed
-        for r in rep.identities:
-            assert r.passes == 5
-            assert r.witness is None
-            assert 0 < r.failure_bound < 1
+        assert rep["pass"]
+        for r in rep["identities"]:
+            assert r["passes"] == 5
+            assert r["witness"] is None
+            assert 0 < r["failure_bound"] < 1
 
     def test_single_trial_smoke(self):
         rep = schwartz_zippel_suite(trials=1, height=50, seed=0)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_deterministic_reports(self):
         a = schwartz_zippel_suite(trials=3, height=100, seed=9)
         b = schwartz_zippel_suite(trials=3, height=100, seed=9)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert a == b
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -332,7 +329,7 @@ def test_batched_check_equals_per_trial(identifier, height, m):
     r = np.random.default_rng(height + m)
     asgs = [spec.sampler(r, height) for _ in range(m)]
     batched = check_identities(spec, asgs)
-    single = [check_identity(spec, asg) for asg in asgs]
+    single = [check_identities(spec, [asg])[0] for asg in asgs]
     assert len(batched) == m
     for b, s in zip(batched, single):
         assert _verdict_fields(b) == _verdict_fields(s)
@@ -350,31 +347,38 @@ def _per_trial_suite(trials, height, seed):
         passes = 0
         witness = None
         for _ in range(trials):
-            verdict = check_identity(spec, spec.sampler(rng, height))
+            verdict = check_identities(spec, [spec.sampler(rng, height)])[0]
             if verdict.equal:
                 passes += 1
             elif witness is None:
                 witness = verdict
         bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
-        reports.append(
-            IdentityReport(spec.identifier, trials, passes, spec.degree_bound, bound, witness)
-        )
-    return SuiteReport(trials, height, seed, reports)
+        reports.append({
+            "identifier": spec.identifier,
+            "trials": trials,
+            "passes": passes,
+            "degree_bound": spec.degree_bound,
+            "failure_bound": bound,
+            "pass": passes == trials and witness is None,
+            "witness": witness.to_json_dict() if witness else None,
+        })
+    return {"trials": trials, "height": height, "seed": seed,
+            "pass": all(r["pass"] for r in reports), "identities": reports}
 
 
 @pytest.mark.parametrize("seed", [0, 42, 1000])
 def test_suite_equals_per_trial_loop(seed):
     batched = schwartz_zippel_suite(trials=25, height=1000, seed=seed)
-    assert batched.to_json_dict() == _per_trial_suite(25, 1000, seed).to_json_dict()
+    assert batched == _per_trial_suite(25, 1000, seed)
 
 
 def test_suite_witness_is_first_failing_trial(monkeypatch):
     # a mutated side fails some trials: the batched suite reports the same
     # pass count and witness as the per-trial loop
     monkeypatch.setattr(LiftedConfig, "q_squared", _scaled_member(LiftedConfig, "q_squared"))
-    batched = schwartz_zippel_suite(trials=6, height=60, seed=3).to_json_dict()
+    batched = schwartz_zippel_suite(trials=6, height=60, seed=3)
     assert not batched["pass"]
-    assert batched == _per_trial_suite(6, 60, 3).to_json_dict()
+    assert batched == _per_trial_suite(6, 60, 3)
 
 
 class TestCrossModuleConsistency:
