@@ -15,9 +15,7 @@ from .geom import (
     random_scene_with_transversal,
 )
 from .sextic import (
-    CircleFamily,
     DirectionPoly,
-    Line3,
     QuadraticFormOnDirections,
     Triple,
     eval_sigma,

@@ -432,8 +432,11 @@ def classify_boundary(config, triple, direction, n_directions):
     """Classify sextic directions: cone boundary iff crossing the triangle.
 
     Without --direction, directions come evenly from sigma traced in the
-    charts u1, u2 and u3 at extent 1, which tile RP^2.
+    charts u1, u2 and u3 at extent 1, which tile RP^2.  Tracing and
+    classification run on sextic.float_safe_triple's rescale of the triple,
+    and each slack is scaled back to the scene's own scale.
     """
+    triple, shift = sextic.float_safe_triple(triple)
     verdicts: dict = {}
     if direction is not None:
         dirs = [np.array(direction)]
@@ -464,6 +467,8 @@ def classify_boundary(config, triple, direction, n_directions):
                 raise
             results.append({"direction": [float(x) for x in vec], "error": str(exc)})
             continue
+        if cls["slack"] is not None:
+            cls["slack"] = math.ldexp(cls["slack"], -shift)
         entry = {"direction": [float(x) for x in vec / np.linalg.norm(vec)], **cls}
         if cls["on_boundary"] is not None and cls["crosses_triangle"] is not None:
             entry["agree"] = cls["on_boundary"] == cls["crosses_triangle"]
@@ -482,7 +487,9 @@ def classify_boundary(config, triple, direction, n_directions):
 @click.option("--hatch-samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
 def trace_curves_cmd(triple, chart, grid, extent, fmt, hatch_samples):
-    """Trace sextic, Hessian and pair conics in an affine direction chart."""
+    """Trace sextic, Hessian and pair conics in an affine direction chart, on
+    sextic.float_safe_triple's rescale of the triple."""
+    triple = sextic.float_safe_triple(triple)[0]
     traces = sextic.trace_curves(triple, chart=chart, grid=grid, extent=extent)
     if fmt == "csv":
         return "\n".join(",".join(str(c) for c in row) for row in traces.to_csv_rows()) + "\n"
@@ -498,9 +505,7 @@ def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) 
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     dirs = sextic.chart_point_to_direction(chart, pts[:, 0], pts[:, 1])
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    slacks = cone_mod.minimax_slack_batch(scene.centers, scene.radii, dirs)
-    return pts[slacks <= scene.band]
+    return pts[cone_mod._evaluate(scene, dirs).meets]
 
 
 def render_figure(traces: sextic.CurveTraces, feasible_points: np.ndarray | None = None) -> str:

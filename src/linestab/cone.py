@@ -9,11 +9,12 @@ conic or a tie-band edge along it), and boundary classification against the
 triangle of centers.
 
 Every length decision reads one tolerance, the scene's ``band``: geom.REL_TOL
-times its diameter.  A direction is feasible when its projected disks share
-a point up to the band (slack <= band) and its order has no tie (two center
-projections closer than the band); the entry-order margin, the boundary
-curves (radii r + band) and the boundary classification read the same band,
-so no verdict changes when the scene is scaled.
+times its diameter.  ConeSampleSet.feasible_for_order alone decides which
+directions are feasible: their projected disks share a point up to the band
+(slack <= band) and their order has no tie (two center projections closer
+than the band); the entry-order margin, the boundary curves (radii r + band)
+and the boundary classification read the same band, so no verdict changes
+when the scene is scaled.
 
 The bulk feasibility engine solves the projected-disk minimax problem for a
 batch of directions at once, with no per-direction Python work: each row
@@ -48,6 +49,8 @@ KERNEL_REL_EPS = 1e-12
 UNIT_SQ_TOL = 2.0 ** -48
 # sample_scene sends the lattice through the kernel this many rows at a time
 SAMPLE_CHUNK = 200_000
+# boundary_directions_for_triple anchors its rays on a lattice of this size
+BOUNDARY_LATTICE = 4096
 # count_components joins feasible samples at most this many lattice
 # spacings apart
 NEIGHBOUR_SPACINGS = 2.5
@@ -299,12 +302,13 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass
 class ConeSampleSet:
-    """Feasibility data of a direction sample for one scene.
+    """Kernel data of direction rows for one scene, and the one decision of
+    which rows are feasible (``meets`` and ``feasible_for_order``).
 
     ``slacks`` are exact (up to roundoff) where they are <= the scene's
     band; above it a row may instead hold the pair-cone lower bound of its
-    slack, which certifies it infeasible.  Read them through the feasibility
-    masks or on feasible rows only.
+    slack, which certifies it infeasible.  Read them through the two
+    predicates or on feasible rows only.
     """
 
     scene: Scene
@@ -314,27 +318,53 @@ class ConeSampleSet:
     ties: np.ndarray
 
     @property
+    def meets(self) -> np.ndarray:
+        """Rows whose projected disks share a point: slack <= the scene's band."""
+        return self.slacks <= self.scene.band
+
+    @property
     def feasible(self) -> np.ndarray:
-        return _feasible_mask(self.slacks, self.ties, self.scene.band)
+        return self.feasible_for_order()
 
-    def feasible_for_order(self, order: Sequence[int]) -> np.ndarray:
-        return _feasible_mask(self.slacks, self.ties, self.scene.band, self.orders, order)
+    def feasible_for_order(self, order: Optional[Sequence[int]] = None,
+                           order_semantics: str = "center") -> np.ndarray:
+        """Rows with a transversal that meets the balls in ``order``.
+
+        Center semantics: the row meets, its center order has no tie (a tie
+        is indeterminate, never feasible) and, given ``order``, equals it.
+        Entry semantics, which needs ``order``: the row meets and
+        entry_order_feasible finds a transversal with that entry order.
+        """
+        mask = self.meets
+        if order_semantics == "entry":
+            mask[mask] = entry_order_feasible(self.scene, self.directions[mask], order)
+            return mask
+        mask &= ~self.ties
+        if order is not None:
+            mask &= np.all(self.orders == np.asarray(order)[None, :], axis=1)
+        return mask
 
 
-def _feasible_mask(slacks: np.ndarray, ties: np.ndarray, band: float,
-                   orders: Optional[np.ndarray] = None,
-                   order: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Center-order feasibility of direction rows from their kernel data.
-
-    A row is feasible when its projected disks share a point (slack <= the
-    scene's band) and its center order has no tie; given ``order``, the
-    realized order must also equal it.  A tie is indeterminate, never
-    feasible.
-    """
-    mask = (slacks <= band) & ~ties
-    if order is not None:
-        mask &= np.all(orders == np.asarray(order)[None, :], axis=1)
-    return mask
+def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
+    """Kernel data of direction rows, scaled to unit length, SAMPLE_CHUNK rows
+    at a time: each row keeps its pair-cone bound unless the bound is at
+    most ``exact_below`` (or NaN, where its squares overflow), and then the
+    kernel's slack; at the default every slack is exact and no bound is
+    taken."""
+    U = _unit_rows(U)
+    slacks = np.empty(len(U))
+    orders = np.empty((len(U), len(scene)), dtype=np.int64)
+    ties = np.empty(len(U), dtype=bool)
+    for lo in range(0, len(U), SAMPLE_CHUNK):
+        chunk = slice(lo, lo + SAMPLE_CHUNK)
+        rows = U[chunk]
+        bound = (_pair_bound(scene.centers, scene.radii, rows) if exact_below < math.inf
+                 else np.full(len(rows), -np.inf))
+        near = ~(bound > exact_below)
+        bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
+        slacks[chunk] = bound
+        orders[chunk], ties[chunk] = realized_orders_batch(scene, rows)
+    return ConeSampleSet(scene, U, slacks, orders, ties)
 
 
 def sample_scene(
@@ -346,28 +376,16 @@ def sample_scene(
     """Sample the direction sphere and record slack/order for each direction.
 
     The lattice rows are unit by construction; ``extra_directions`` are
-    scaled to unit length before they join them.  Only rows whose pair-cone
-    bound does not already exceed the scene's band go through the exact
-    kernel; the others keep the bound (see ConeSampleSet).  The
-    KERNEL_REL_EPS * diameter margin covers the roundoff between bound and
-    kernel.
+    scaled to unit length before they join them, so the lattice rows keep
+    their bits.  Only rows whose pair-cone bound does not already exceed the
+    scene's band go through the exact kernel; the others keep the bound (see
+    ConeSampleSet).  The KERNEL_REL_EPS * diameter margin covers the
+    roundoff between bound and kernel.
     """
     U = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, _unit_rows(extra_directions)])
-    exact_below = scene.band + KERNEL_REL_EPS * scene.diameter()
-    slacks = np.empty(len(U))
-    orders = np.empty((len(U), len(scene)), dtype=np.int64)
-    ties = np.empty(len(U), dtype=bool)
-    for lo in range(0, len(U), SAMPLE_CHUNK):
-        chunk = slice(lo, lo + SAMPLE_CHUNK)
-        rows = U[chunk]
-        bound = _pair_bound(scene.centers, scene.radii, rows)
-        near = bound <= exact_below
-        bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
-        slacks[chunk] = bound
-        orders[chunk], ties[chunk] = realized_orders_batch(scene, rows)
-    return ConeSampleSet(scene, U, slacks, orders, ties)
+    return _evaluate(scene, U, scene.band + KERNEL_REL_EPS * scene.diameter())
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +413,15 @@ def feasibility_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feasible mask, slacks) for rows of U against the ordered query.
 
-    A row is feasible when its projected disks share a point (minimax slack
-    <= the scene's band) and its meeting order is the queried one.  Rows are scaled to
-    unit length; a zero or non-finite row raises SolverError.  ``order_semantics``
-    is "center" (realized_orders_batch; the default) or "entry", which
-    needs a scene in R^3; see cone_convexity_check.
+    A row is feasible when ConeSampleSet.feasible_for_order says so, with
+    every slack exact.  Rows are scaled to unit length; a zero or non-finite
+    row raises SolverError.  ``order_semantics`` is "center"
+    (realized_orders_batch; the default) or "entry", which needs a scene in
+    R^3; see cone_convexity_check.
     """
-    scene = query.scene
-    _check_order_semantics(scene, order_semantics)
-    U = _unit_rows(U)
-    slacks = minimax_slack_batch(scene.centers, scene.radii, U)
-    if order_semantics == "entry":
-        return _entry_mask(scene, U, slacks, query.order), slacks
-    orders, ties = realized_orders_batch(scene, U)
-    return _feasible_mask(slacks, ties, scene.band, orders, query.order), slacks
+    _check_order_semantics(query.scene, order_semantics)
+    sset = _evaluate(query.scene, U)
+    return sset.feasible_for_order(query.order, order_semantics), sset.slacks
 
 
 def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
@@ -531,13 +544,6 @@ def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> n
     return _entry_order_margin(scene, U, order) >= -scene.band
 
 
-def _entry_mask(scene: Scene, U: np.ndarray, slacks: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Entry-order feasibility of rows whose projected disks share a point."""
-    mask = slacks <= scene.band
-    mask[mask] = entry_order_feasible(scene, U[mask], order)
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Convexity certification by geodesic midpoints.
 # ---------------------------------------------------------------------------
@@ -571,10 +577,7 @@ def cone_convexity_check(
     scene = query.scene
     _check_order_semantics(scene, order_semantics)
     sset = sample_scene(scene, lattice, seed=seed)
-    if order_semantics == "center":
-        mask = sset.feasible_for_order(query.order)
-    else:
-        mask = _entry_mask(scene, sset.directions, sset.slacks, query.order)
+    mask = sset.feasible_for_order(query.order, order_semantics)
     F = sset.directions[mask]
     fslacks = sset.slacks[mask]
     if len(F) < 2:
@@ -617,9 +620,10 @@ def cone_convexity_check(
     mids = mids[good] / norms[good, None]
     u, v = u[good], v[good]
 
-    ok, slacks = feasibility_batch(query, mids, order_semantics)
-    bad_idx = np.nonzero(~ok)[0]
-    meet = slacks[bad_idx] <= scene.band  # the disks share a point: the order failed
+    mset = _evaluate(scene, mids)
+    slacks = mset.slacks
+    bad_idx = np.nonzero(~mset.feasible_for_order(query.order, order_semantics))[0]
+    meet = mset.meets[bad_idx]  # the disks share a point: the order failed
     if order_semantics == "entry" and np.any(meet):
         # double-check order failures at higher transversal resolution
         keep = ~meet
@@ -867,13 +871,12 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
     return np.mod(np.stack([phi - alpha, phi + alpha], axis=-1), math.pi).reshape(len(phi), -1)
 
 
-def _boundary_exits(triple: Triple, count: int, seed: int = 0,
-                    lattice: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_exits(triple: Triple, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Boundary directions (k, 3) of boundary_directions_for_triple and the
     curve each lies on: "sextic", "conic ij" or "tie ij"."""
     scene = triple.scene
     band = scene.band
-    sset = sample_scene(scene, lattice, seed=seed)
+    sset = sample_scene(scene, BOUNDARY_LATTICE, seed=seed)
     # slack <= band is slack <= 0 at radii r + band, so the inflated curves
     # hold the exits of the feasibility predicate itself
     R = scene.radii + band
@@ -921,11 +924,10 @@ def _boundary_exits(triple: Triple, count: int, seed: int = 0,
     return np.concatenate(points), np.concatenate(curves)
 
 
-def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0,
-                                   lattice: int = 4096) -> np.ndarray:
+def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0) -> np.ndarray:
     """``count`` directions (count, 3) on the cone boundaries of a triple.
 
-    Every cone the lattice finds gets an even share of geodesic rays
+    Every cone the BOUNDARY_LATTICE lattice finds gets an even share of geodesic rays
     cos(theta) a + sin(theta) t from its deepest lattice direction a.  The
     cone is strictly convex, and -a has the reversed order, so each ray
     leaves it exactly once in (0, pi), at a root of the sextic, of a
@@ -936,7 +938,7 @@ def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0,
     its first infeasible interval.  A ray without one raises SolverError;
     no feasible lattice direction gives an empty array.
     """
-    return _boundary_exits(triple, count, seed, lattice)[0]
+    return _boundary_exits(triple, count, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +956,9 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> dict:
     boundary exits, which sit at slack = band (radii r + band), strictly
     inside the test rather than on its edge.
     ``crosses_triangle`` independently intersects each recovered tangent
-    line with the plane of centers and tests barycentric containment in the
-    triangle of centers.  The two must agree on disjoint balls.  When no
+    line, through its foot point along u, with the plane of centers and
+    tests barycentric containment in the triangle of centers.  The two must
+    agree on disjoint balls.  When no
     tangent line decides ``crosses_triangle``, ``tag`` says why.  Returns
     the dict of ``on_boundary``, ``crosses_triangle``, ``slack`` and
     ``tag``; collinear centers decide none of them.
@@ -964,22 +967,21 @@ def classify_boundary_direction(triple: Triple, u: Direction) -> dict:
         return {"on_boundary": None, "crosses_triangle": None, "slack": None,
                 "tag": "collinear centers: no triangle"}
     scene = triple.scene
-    rec = tangent_lines_for_direction(triple, u)
     centers = triple.centers
     normal = np.cross(centers[1] - centers[0], centers[2] - centers[0])
     normal /= np.linalg.norm(normal)
+    denom = float(np.dot(u.components, normal))
     crossings = []
     tag = "no real tangent line"
-    for line in rec.lines:
-        denom = float(np.dot(line.direction, normal))
-        off = float(np.dot(centers[0] - line.point, normal))
+    for foot in tangent_lines_for_direction(triple, u):
+        off = float(np.dot(centers[0] - foot, normal))
         # a traced direction is known to TRACE_TOL, so a tangent that close
         # to parallel may lie in the plane
         if abs(denom) <= TRACE_TOL:
             tag = ("tangent inside plane of centers" if abs(off) < scene.band
                    else "tangent parallel to plane of centers")
             continue
-        lam = _barycentrics_in_plane(centers, line.point + (off / denom) * line.direction)
+        lam = _barycentrics_in_plane(centers, foot + (off / denom) * u.components)
         crossings.append(bool(np.all(lam >= -1e-9)))
     slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
     return {"on_boundary": bool(abs(slack) <= 2.0 * scene.band),

@@ -37,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .cone import boundary_directions_for_triple, minimax_weights_batch
-from .geom import Ball, SceneError
-from .sextic import Triple
+from .geom import SceneError
+from .sextic import Triple, float_safe_triple
 
 
 def _scalar_dtype(*values) -> type:
@@ -490,19 +490,12 @@ def certify_flex_free(
     projected centers (bitangent arcs) are skipped with a tag.  A rebuilt
     pair gap counts as disjoint down to -1e-6 times the scene's diameter.
 
-    A triple whose diameter lies outside [2^-64, 2^64) is probed at an
-    exact power-of-two rescale to a diameter in [1, 2), where the sextic
-    and the margins (sixth powers of length) fit the float range; each
-    margin is scaled back, or null with the report's ``reason`` where no
-    float holds it.  Inside that range the triple is probed as given: the
-    sextic's determinants pivot on entries of mixed degree, so a rescale
-    would move the last bits of its roots.
+    The triple is probed at sextic.float_safe_triple's scale, where the
+    sextic and the margins (sixth powers of length) fit the float range;
+    each margin is scaled back, or null with the report's ``reason`` where
+    no float holds it.
     """
-    d = triple.scene.diameter()
-    shift = 0 if 2.0 ** -64 <= d < 2.0 ** 64 else 1 - math.frexp(d)[1]
-    if shift:
-        triple = Triple(tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
-                              for b in triple.balls), allow_overlap=triple.allow_overlap)
+    triple, shift = float_safe_triple(triple)
     dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
     cfg, reasons = lifted_config_for_direction(triple, dirs)
     split = lifted_hessian_decomposition(cfg)

@@ -319,6 +319,26 @@ class Triple:
         return rows
 
 
+def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
+    """The triple at a scale where its sextic fits the float range, and the
+    power of two ``shift`` it was scaled by.
+
+    A triple whose diameter lies outside [2^-64, 2^64) is scaled by exactly
+    2^shift to a diameter in [1, 2), where the sextic and its Hessian (of
+    high degree in the lengths) neither overflow nor underflow; a length
+    taken there is the scene's times 2^shift.  Inside that range the triple
+    comes back as given, with shift 0: the sextic's determinants pivot on
+    entries of mixed degree, so a rescale would move the last bits of its
+    roots.
+    """
+    d = triple.scene.diameter()
+    shift = 0 if 2.0 ** -64 <= d < 2.0 ** 64 else 1 - math.frexp(d)[1]
+    if shift:
+        triple = Triple(tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
+                              for b in triple.balls), allow_overlap=triple.allow_overlap)
+    return triple, shift
+
+
 def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
     """Expand the direction sextic for centers c_k and squared radii s_k."""
     return poly_det(bordered_matrix(c0, c1, c2, s0, s1, s2))
@@ -419,43 +439,19 @@ def eval_sigma(triple: Triple, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Line3:
-    """Line {point + t*direction} with point chosen orthogonal to direction."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-
-@dataclass(frozen=True)
-class CircleFamily:
-    """One-parameter family of tangent lines: all lines of direction `axis`
-    at distance `radius` from the point `center` (rotational symmetry)."""
-
-    center: np.ndarray
-    axis: np.ndarray
-    radius: float
-
-
-@dataclass(frozen=True)
-class TangentRecovery:
-    lines: tuple[Line3, ...]
-    family: Optional[CircleFamily]
-    residual: float
-
-
-def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery:
-    """Recover the affine common tangent line(s) with direction u.
+def tangent_lines_for_direction(triple: Triple, u: Direction) -> np.ndarray:
+    """Foot points (k, 3), k <= 2, of the affine common tangent lines with
+    direction u: each line is {foot + t u}, its foot orthogonal to u.
 
     Requires sigma(u) ~ 0: |sigma| at unit u at most SIGMA_TOL times the
     largest coefficient, else SceneError.  Centers are translated so the
     first sits at the origin and scaled to unit scene diameter, so that the
     rank cut and the residual tests do not depend on the scene's scale; the
     tangent's foot point p then solves two center equations plus <p, u> = 0,
-    and must satisfy <p, p> = s_0.  Rank-deficient systems yield a line of
-    candidate feet (0, 1 or 2 solutions after the sphere condition) or, for
-    the axial collinear case, a full circle family.  ``residual`` is at unit
-    diameter.
+    and must satisfy <p, p> = s_0.  A rank-deficient system yields a line of
+    candidate feet (0, 1 or 2 solutions after the sphere condition).  A
+    direction along collinear centers, whose tangents form a circle family,
+    yields none.
     """
     uv = u.components
     val = eval_sigma(triple, uv / np.linalg.norm(uv)) / triple.sigma_scale
@@ -481,18 +477,14 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
     scale = sv[0] if sv[0] > 0 else 1.0
     rank = int(np.sum(sv > RANK_TOL * scale))
 
+    feet = []
     if rank >= 3:
         p = Vt.T @ ((U.T @ rhs) / sv)
-        resid = abs(float(np.dot(p, p)) - s[0])
-        if resid > 1e-5:
-            # the linear system's unique foot misses the sphere: no real
-            # tangent with this direction at the working tolerance
-            return TangentRecovery((), None, resid)
-        base = length * p + c0
-        foot = base - np.dot(base, uv) * uv
-        return TangentRecovery((Line3(point=foot, direction=uv),), None, resid)
-
-    if rank == 2:
+        # the linear system's unique foot must lie on the sphere, else no
+        # real tangent has this direction at the working tolerance
+        if not abs(float(np.dot(p, p)) - s[0]) > 1e-5:
+            feet.append(p)
+    elif rank == 2:
         # particular solution + nullspace direction, then the sphere condition
         inv = np.where(sv > RANK_TOL * scale, 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
         p0 = Vt.T @ (inv * (U.T @ rhs))
@@ -502,19 +494,11 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> TangentRecovery
         bq = 2.0 * float(np.dot(p0, w))
         cq = float(np.dot(p0, p0)) - s[0]
         disc = bq * bq - 4 * aq * cq
-        lines = []
         if resid <= 1e-6 * max(1.0, float(np.linalg.norm(rhs))) and disc >= 0:
             for sign in (1.0, -1.0) if disc > 0 else (1.0,):
-                t = (-bq + sign * math.sqrt(disc)) / (2 * aq)
-                p = p0 + t * w
-                base = length * p + c0
-                foot = base - np.dot(base, uv) * uv
-                lines.append(Line3(point=foot, direction=uv))
-        return TangentRecovery(tuple(lines), None, resid)
-
-    # rank <= 1: axial symmetry, a full circle of tangent feet
-    family = CircleFamily(center=c0.copy(), axis=uv.copy(), radius=length * math.sqrt(s[0]))
-    return TangentRecovery((), family, 0.0)
+                feet.append(p0 + (-bq + sign * math.sqrt(disc)) / (2 * aq) * w)
+    bases = [length * p + c0 for p in feet]
+    return np.array([base - np.dot(base, uv) * uv for base in bases]).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,10 @@ def flex_report_one_by_one(triple, boundary_samples, seed=0) -> dict:
     }
 
 
-def line_distance(line, x) -> float:
-    """Distance from the point x to a recovered tangent Line3."""
-    w = np.asarray(x, dtype=float) - line.point
-    return float(np.linalg.norm(w - np.dot(w, line.direction) * line.direction))
+def line_distance(foot, u, x) -> float:
+    """Distance from the point x to the line through ``foot`` along unit u."""
+    w = np.asarray(x, dtype=float) - foot
+    return float(np.linalg.norm(w - np.dot(w, u) * u))
 
 
 def form_value(form, u) -> float:

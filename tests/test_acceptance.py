@@ -239,10 +239,9 @@ def test_criterion_8_tangent_recovery():
                     if collected >= 20:
                         break
                     u = Direction(chart_point_to_direction(chart, x, y))
-                    rec = tangent_lines_for_direction(tri, u)
-                    for line in rec.lines:
+                    for foot in tangent_lines_for_direction(tri, u):
                         for b in tri.balls:
-                            err = abs(line_distance(line, b.center) - b.radius)
+                            err = abs(line_distance(foot, u.components, b.center) - b.radius)
                             assert err <= 1e-8, err
                         total_lines += 1
                         collected += 1

@@ -832,6 +832,8 @@ class TestScaleFree:
         # length field multiplied by the factor and every other field equal;
         # at 2^-330 and 2^300 a product of two squared lengths leaves the
         # float range, so this also holds only if the kernel never forms one
+        # and the sextic is traced at a safe scale; trace-curves writes chart
+        # coordinates, which do not scale
         lengths = {"band", "min_midpoint_margin", "slack", "witness_slack"}
 
         def unscaled(value, factor, key=None):
@@ -845,6 +847,7 @@ class TestScaleFree:
             ["check-convexity", "--samples", "2048", "--pairs", "300"],
             ["enumerate-permutations", "--samples", "4000"],
             ["count-components", "--samples", "4000"],
+            ["classify-boundary"],
         ]
         factors = (2.0 ** -30, 2.0 ** 30, 2.0 ** -330, 2.0 ** 300)
         for args in commands:
@@ -855,3 +858,9 @@ class TestScaleFree:
                 reports.append((r.exit_code, unscaled(doc["verdicts"], factor), doc["outcome"]))
             for factor, report in zip(factors, reports[1:]):
                 assert report == reports[0], (args, factor)
+        traces = [runner.invoke(main, ["trace-curves", "--scene",
+                                       _scaled_preset(tmp_path, name, factor)])
+                  for factor in (1.0, *factors)]
+        assert traces[0].exit_code == 0
+        for factor, r in zip(factors, traces[1:]):
+            assert (r.exit_code, r.output) == (0, traces[0].output), factor

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linestab import cone
+from linestab.cli import PRESET_NAMES, preset_scene
 from linestab.geom import (
     Ball,
     Direction,
@@ -20,7 +21,6 @@ from linestab.geom import (
 from linestab.sextic import Triple, eval_sigma
 from linestab.cone import (
     OrderedQuery,
-    _feasible_mask,
     _pair_bound,
     _reversed_is_canonical,
     boundary_directions_for_triple,
@@ -76,10 +76,11 @@ class TestPairPrefilter:
         sset = sample_scene(scene, 20000, seed=0)
         monkeypatch.undo()
         band = 1e-12 * scene.diameter()
-        exact = minimax_slack_batch(scene.centers, scene.radii, sset.directions)
+        full = cone._evaluate(scene, sset.directions)
+        exact = full.slacks
         feas = sset.feasible
         assert np.any(feas)
-        assert np.array_equal(feas, _feasible_mask(exact, sset.ties, scene.band))
+        assert np.array_equal(feas, full.feasible)
         assert np.max(np.abs(sset.slacks[feas] - exact[feas])) <= band
         # only rows the pair bound cannot rule out reach the kernel
         bound = _pair_bound(scene.centers, scene.radii, sset.directions)
@@ -295,6 +296,34 @@ class TestDirectionFeasible:
         U = rng.normal(size=(30, 3))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         np.testing.assert_array_equal(feasibility_batch(q, U)[0], feasibility_batch(qr, -U)[0])
+
+
+ONE_DECISION_SCENES = [
+    *PRESET_NAMES, *((n, d, seed) for n, d in ((8, 4), (10, 3), (6, 5)) for seed in range(3)),
+]
+
+
+@pytest.mark.parametrize("key", ONE_DECISION_SCENES, ids=str)
+def test_feasibility_batch_is_the_sample_set_decision(key):
+    # feasibility_batch takes every slack exactly and sample_scene keeps the
+    # pair bound above the band, yet both decide through feasible_for_order,
+    # so they agree on every row, for each realized order and semantics; a
+    # known transversal direction (the pinned cone's axis) joins the lattice
+    if isinstance(key, str):
+        scene, extra = preset_scene(key), X_AXIS
+    else:
+        scene, u = random_scene_with_transversal(key[0], key[1], (1.0, 2.0), seed=key[2])
+        extra = u.components[None, :]
+    sset = sample_scene(scene, 2048, seed=0, extra_directions=extra)
+    orders = {tuple(o) for o in sset.orders[sset.feasible].tolist()}
+    semantics = ("center", "entry") if scene.dimension == 3 else ("center",)
+    checked = 0
+    for order in sorted(orders | {tuple(range(len(scene)))}):
+        for sem in semantics:
+            mask = feasibility_batch(OrderedQuery(scene, order), sset.directions, sem)[0]
+            assert np.array_equal(mask, sset.feasible_for_order(order, sem)), (order, sem)
+            checked += int(np.sum(mask))
+    assert checked > 0
 
 
 class TestConvexity:
