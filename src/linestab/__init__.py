@@ -16,10 +16,8 @@ from .geom import (
 )
 from .sextic import (
     DirectionPoly,
-    QuadraticFormOnDirections,
     Triple,
     eval_sigma,
-    pair_cone_quadratic,
     tangent_lines_for_direction,
     trace_curves,
 )

@@ -8,11 +8,11 @@ evaluates the same code that runs on floats, the H2 + H4 split that
 ``probe-flex`` reads among it.  The forms take a leading sample axis, so all
 trials of one identity are one batch of object arrays and each side is
 evaluated once over it.  The master identity's other side, the sextic's
-Hessian at the pole, is expanded independently from each trial's bordered
-matrix, in one jet determinant for the batch.  Since all identities are
-polynomial of bounded degree, repeated agreement at random points certifies
-them with a quantifiable failure probability (Schwartz-Zippel style)
-without implementing symbolic normal forms.
+Hessian at the pole, is expanded independently from the sextic's bordered
+matrix over integer jets, in one determinant for the batch.  Since all
+identities are polynomial of bounded degree, repeated agreement at random
+points certifies them with a quantifiable failure probability
+(Schwartz-Zippel style) without implementing symbolic normal forms.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .flexprobe import (
     q_invariant,
     star_h_canonical,
 )
-from .sextic import PoleJet, bordered_matrix, poly_det
+from .sextic import sigma_pole_jet
 
 Value = Union[Fraction, tuple]
 
@@ -52,19 +52,17 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
     2-jet there is expanded, in integers: with L the lcm of the denominators
     of one sample's centres and squared radii, these scale by L and L^2, the
     quadratic entries of the bordered matrix by L^2, sigma by L^6 and det H
-    by L^18.  Each sample keeps its own L and integer bordered matrix; one
-    jet determinant serves them all.  A single configuration gives one
-    Fraction, a batch an object array of them.
+    by L^18.  Each sample keeps its own L; the jets of all samples come from
+    one determinant over (m,) integer arrays.  A single configuration gives
+    one Fraction, a batch an object array of them.
     """
     shape = np.shape(cfg.a)
-    Ls, matrices = [], []
-    for centers, s in zip(cfg.centers.reshape(-1, 3, 3), cfg.squared_radii.reshape(-1, 3)):
-        L = math.lcm(*(v.denominator for v in (*centers.ravel(), *s)))
-        Ls.append(L)
-        matrices.append(bordered_matrix(*([int(v * L) for v in c] for c in centers),
-                                        *(int(v * L * L) for v in s)))
-    jets = [[PoleJet.of([m[r][k] for m in matrices]) for k in range(5)] for r in range(5)]
-    c00, c10, c01, c20, c11, c02 = poly_det(jets).c
+    centers, s = cfg.centers.reshape(-1, 3, 3), cfg.squared_radii.reshape(-1, 3)
+    Ls = [math.lcm(*(v.denominator for v in (*c.ravel(), *r))) for c, r in zip(centers, s)]
+    int_c = np.array([[[int(v * L) for v in row] for row in c] for c, L in zip(centers, Ls)],
+                     dtype=object)
+    int_s = np.array([[int(v * L * L) for v in r] for r, L in zip(s, Ls)], dtype=object)
+    c00, c10, c01, c20, c11, c02 = sigma_pole_jet(int_c.transpose(1, 2, 0), int_s.T).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
     det = (
         H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])

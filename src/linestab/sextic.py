@@ -1,12 +1,15 @@
 """Direction sextic of three balls in R^3.
 
 The directions of common tangent lines to three spheres form a degree-6
-projective curve.  It is evaluated here through a bordered 5x5 determinant
-whose entries are quadratic forms in the direction, and expanded once per
-triple into the 28 coefficients of the ternary sextic so that the Hessian
-determinant and curve tracing share one source.  The exact identity suite
-expands the same matrix over 2-jets at the pole u = (0, 0, 1) (``PoleJet``),
-for a batch of trials at once.
+projective curve: the zero set of the bordered Cayley-Menger determinant of
+the circles' common point and the projected centres, whose entries are
+quadratic forms in the direction.  ``bordered_matrix`` is the one builder of
+that matrix, over any ring of forms: expanded in ``DirectionPoly`` into the
+28 coefficients of the ternary sextic, which the Hessian determinant and
+curve tracing share; over 2-jets at the pole u = (0, 0, 1) (``PoleJet``) for
+the exact identity suite, a batch of trials at once; and in floats at
+direction rows, for point values and the roots along rays.  Its t_ij entries
+also give the pair-cone conics.
 """
 from __future__ import annotations
 
@@ -46,21 +49,9 @@ class DirectionPoly:
         self.coeffs = dict(coeffs) if coeffs else {}
 
     @classmethod
-    def constant(cls, value) -> "DirectionPoly":
-        if value == 0:
-            return cls()
-        return cls({(0, 0, 0): value})
-
-    @classmethod
     def linear(cls, vec) -> "DirectionPoly":
         """The linear form <vec, u>."""
-        c = {}
-        for axis, v in enumerate(vec):
-            if v != 0:
-                ex = [0, 0, 0]
-                ex[axis] = 1
-                c[tuple(ex)] = v
-        return cls(c)
+        return cls({e: v for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), vec) if v != 0})
 
     @classmethod
     def norm_sq(cls, one=1.0) -> "DirectionPoly":
@@ -92,7 +83,11 @@ class DirectionPoly:
     def __neg__(self) -> "DirectionPoly":
         return DirectionPoly({e: -c for e, c in self.coeffs.items()})
 
-    def __mul__(self, other: "DirectionPoly") -> "DirectionPoly":
+    def __mul__(self, other) -> "DirectionPoly":
+        """The product with a DirectionPoly, or with a scalar (zero gives
+        the zero polynomial)."""
+        if not isinstance(other, DirectionPoly):
+            return DirectionPoly({e: c * other for e, c in self.coeffs.items() if other != 0})
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -103,11 +98,6 @@ class DirectionPoly:
                 else:
                     out[e] = s
         return DirectionPoly(out)
-
-    def scale(self, factor) -> "DirectionPoly":
-        if factor == 0:
-            return DirectionPoly()
-        return DirectionPoly({e: c * factor for e, c in self.coeffs.items()})
 
     def diff(self, axis: int) -> "DirectionPoly":
         out = {}
@@ -171,9 +161,10 @@ class GridPowers:
 class PoleJet:
     """The 2-jets of m forms at the pole u = (0, 0, 1): their coefficients of
     u1^i u2^j u3^(d-i-j) for (i, j) = (0,0), (1,0), (0,1), (2,0), (1,1), (0,2),
-    each an (m,) object array of ints.  Truncation modulo (u1, u2)^3 is a
-    ring homomorphism, so the determinant of the entries' jets is the jet of
-    the determinant (15 multiplies each), for all m forms at once."""
+    each an exact scalar or an (m,) object array of them.  Truncation modulo
+    (u1, u2)^3 is a ring homomorphism, so the determinant of the entries'
+    jets is the jet of the determinant (15 multiplies each), for all m forms
+    at once."""
 
     __slots__ = ("c",)
 
@@ -181,15 +172,14 @@ class PoleJet:
         self.c = c
 
     @classmethod
-    def of(cls, polys: Sequence[DirectionPoly]) -> "PoleJet":
-        """The jets of m forms, each form's coefficients summed in one pass."""
-        c = [[0] * len(polys) for _ in range(6)]
-        for t, poly in enumerate(polys):
-            for (i, j, _), v in poly.coeffs.items():
-                slot = _JET_SLOTS.get((i, j))
-                if slot is not None:
-                    c[slot][t] += v
-        return cls(tuple(np.array(row, dtype=object) for row in c))
+    def norm_sq(cls) -> "PoleJet":
+        """The jet of q(u) = <u, u>."""
+        return cls((1, 0, 0, 1, 0, 1))
+
+    @classmethod
+    def linear(cls, vec) -> "PoleJet":
+        """The jet of the linear form <vec, u>."""
+        return cls((vec[2], vec[0], vec[1], 0, 0, 0))
 
     def __bool__(self) -> bool:
         return any(np.any(v) for v in self.c)
@@ -204,16 +194,15 @@ class PoleJet:
         return PoleJet((a[0] - b[0], a[1] - b[1], a[2] - b[2],
                         a[3] - b[3], a[4] - b[4], a[5] - b[5]))
 
-    def __mul__(self, other: "PoleJet") -> "PoleJet":
+    def __mul__(self, other) -> "PoleJet":
+        """The product with a PoleJet, or with a scalar per form."""
+        if not isinstance(other, PoleJet):
+            return PoleJet(tuple(v * other for v in self.c))
         a0, a1, a2, a3, a4, a5 = self.c
         b0, b1, b2, b3, b4, b5 = other.c
         return PoleJet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
                         a0 * b3 + a1 * b1 + a3 * b0, a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
                         a0 * b5 + a2 * b2 + a5 * b0))
-
-
-# the coefficient slot of u1^i u2^j in a PoleJet
-_JET_SLOTS = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
 
 
 def poly_det(matrix: Sequence[Sequence]):
@@ -283,10 +272,6 @@ class Triple:
     def edge(self, i: int, j: int) -> np.ndarray:
         return self.balls[j].center - self.balls[i].center
 
-    def edge_norm_sq(self, i: int, j: int) -> float:
-        e = self.edge(i, j)
-        return float(np.dot(e, e))
-
     @cached_property
     def collinear_centers(self) -> bool:
         e1 = self.edge(0, 1)
@@ -298,9 +283,17 @@ class Triple:
     @cached_property
     def sigma(self) -> DirectionPoly:
         """The 28-coefficient expansion of the direction sextic."""
-        c = self.centers
-        s = self.squared_radii
+        c, s = self.centers, self.squared_radii
         return sigma_from_geometry(c[0], c[1], c[2], s[0], s[1], s[2])
+
+    def pair_conic(self, i: int, j: int) -> DirectionPoly:
+        """t_ij - (r_i + r_j)^2 q, negative exactly on the directions of the
+        transversals to balls i and j: their projected centres are within
+        r_i + r_j.  It bounds nothing for an overlapping or tangent pair
+        (``Scene.overlapping_pairs``), which every direction admits."""
+        r = self.scene.radii
+        t = _direction_forms(self.centers, self.squared_radii)[i + 2][j + 2]
+        return t - DirectionPoly.norm_sq() * (r[i] + r[j]) ** 2
 
     @cached_property
     def sigma_scale(self) -> float:
@@ -310,82 +303,83 @@ class Triple:
     def hessian_entries(self) -> list[list[DirectionPoly]]:
         """Second partials of the sextic: a symmetric 3x3 matrix of quartics."""
         firsts = [self.sigma.diff(a) for a in range(3)]
-        rows = []
-        for a in range(3):
-            row = []
-            for b in range(3):
-                row.append(firsts[a].diff(b) if b >= a else rows[b][a])
-            rows.append(row)
-        return rows
+        return [[firsts[min(a, b)].diff(max(a, b)) for b in range(3)] for a in range(3)]
 
 
 def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
-    """The triple at a scale where its sextic fits the float range, and the
-    power of two ``shift`` it was scaled by.
+    """The triple scaled by the power of two 2^shift that brings its diameter
+    into [1, 2), and shift.
 
-    A triple whose diameter lies outside [2^-64, 2^64) is scaled by exactly
-    2^shift to a diameter in [1, 2), where the sextic and its Hessian (of
-    high degree in the lengths) neither overflow nor underflow; a length
-    taken there is the scene's times 2^shift.  Inside that range the triple
-    comes back as given, with shift 0: the sextic's determinants pivot on
-    entries of mixed degree, so a rescale would move the last bits of its
-    roots.
+    There the sextic and its Hessian (of high degree in the lengths) neither
+    overflow nor underflow, and every 2^k copy of a scene maps to the same
+    triple bit for bit, so whatever is computed there is exactly
+    equivariant; a length taken there is the scene's times 2^shift.
     """
-    d = triple.scene.diameter()
-    shift = 0 if 2.0 ** -64 <= d < 2.0 ** 64 else 1 - math.frexp(d)[1]
+    shift = 1 - math.frexp(triple.scene.diameter())[1]
     if shift:
         triple = Triple(tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
                               for b in triple.balls), allow_overlap=triple.allow_overlap)
     return triple, shift
 
 
+def bordered_matrix(centers, squared_radii, one, q, lin) -> list[list]:
+    """The bordered Cayley-Menger matrix of the circles' common point and the
+    k projected centres, (k + 2) x (k + 2), over a ring of forms in u.
+
+    ``one`` is the border, ``q`` the form <u, u> and ``lin(e)`` the form
+    <e, u>; a form times a scalar must be defined, and one - one is zero.
+    Row 1 holds s_i q, and the entry of centres i and j is
+    t_ij = |c_j - c_i|^2 q - <c_j - c_i, u>^2, q times the squared distance
+    of the projected centres, with |c_j - c_i|^2 summed in axis order.  For
+    k = 3 the determinant is the direction sextic.
+    """
+    zero = one - one
+    qs = [q * s for s in squared_radii]
+    rows = [[zero] + [one] * (len(qs) + 1), [one, zero, *qs]]
+    for i, ci in enumerate(centers):
+        row = [one, qs[i]]
+        for j, cj in enumerate(centers):
+            if j <= i:
+                row.append(rows[j + 2][i + 2] if j < i else zero)
+            else:
+                e = [b - a for a, b in zip(ci, cj)]
+                w = lin(e)
+                row.append(q * sum(x * x for x in e) - w * w)
+        rows.append(row)
+    return rows
+
+
+def _direction_forms(centers, squared_radii) -> list[list[DirectionPoly]]:
+    """bordered_matrix over DirectionPoly, whose coefficients take the scalar
+    type of the centres (float, or exact for int or Fraction)."""
+    one = 1 if hasattr(centers[0][0], "denominator") else 1.0
+    return bordered_matrix(centers, squared_radii, DirectionPoly({(0, 0, 0): one}),
+                           DirectionPoly.norm_sq(one), DirectionPoly.linear)
+
+
 def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
     """Expand the direction sextic for centers c_k and squared radii s_k."""
-    return poly_det(bordered_matrix(c0, c1, c2, s0, s1, s2))
+    return poly_det(_direction_forms((c0, c1, c2), (s0, s1, s2)))
 
 
-def bordered_matrix(c0, c1, c2, s0, s1, s2) -> list[list[DirectionPoly]]:
-    """The bordered 5x5 matrix of forms whose determinant is the sextic.
-
-    Works for float or exact inputs; the scalar type of the centers decides
-    the coefficient type.
-    """
-    one = c0[0] - c0[0] + 1 if hasattr(c0[0], "denominator") else 1.0
-    q = DirectionPoly.norm_sq(one)
-
-    def t_form(ca, cb):
-        e = [cb[axis] - ca[axis] for axis in range(3)]
-        delta = sum(x * x for x in e)
-        lin = DirectionPoly.linear(e)
-        return q.scale(delta) - lin * lin
-
-    t01 = t_form(c0, c1)
-    t02 = t_form(c0, c2)
-    t12 = t_form(c1, c2)
-    qs = [q.scale(s0), q.scale(s1), q.scale(s2)]
-    one_p = DirectionPoly.constant(one)
-    zero_p = DirectionPoly()
-    return [
-        [zero_p, one_p, one_p, one_p, one_p],
-        [one_p, zero_p, qs[0], qs[1], qs[2]],
-        [one_p, qs[0], zero_p, t01, t02],
-        [one_p, qs[1], t01, zero_p, t12],
-        [one_p, qs[2], t02, t12, zero_p],
-    ]
+def sigma_pole_jet(centers, squared_radii) -> PoleJet:
+    """The sextic's 2-jet at the pole, for exact centres and squared radii:
+    scalars, or (m,) object arrays of them for m triples at once."""
+    return poly_det(bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
+                                    PoleJet.norm_sq(), PoleJet.linear))
 
 
 def cayley_matrix(triple: Triple, U: np.ndarray, squared_radii: np.ndarray) -> np.ndarray:
     """Numeric bordered 5x5 matrices (m, 5, 5) whose determinants are the
-    sextic at the direction rows of U (m, 3), for the given squared radii."""
+    sextic at the direction rows of U (m, 3), for the given squared radii.
+    Every product is taken per row, so a row's matrix does not depend on
+    the rows beside it."""
     U = np.asarray(U, dtype=float)
-    q = np.einsum("md,md->m", U, U)
-    M = np.zeros((len(U), 5, 5))
-    M[:, 0, 1:] = M[:, 1:, 0] = 1.0
-    M[:, 1, 2:] = M[:, 2:, 1] = q[:, None] * np.asarray(squared_radii, dtype=float)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        e = triple.edge(i, j)
-        M[:, i + 2, j + 2] = M[:, j + 2, i + 2] = triple.edge_norm_sq(i, j) * q - (U @ e) ** 2
-    return M
+    # Python floats: the same bits as numpy's scalars, for less overhead
+    M = bordered_matrix(triple.centers.tolist(), np.asarray(squared_radii, dtype=float).tolist(),
+                        np.ones(len(U)), np.einsum("md,md->m", U, U),
+                        lambda e: np.einsum("md,d->m", U, e))
+    return np.array(M).transpose(2, 0, 1)
 
 
 # inverse 7-point DFT: row m + 3 is the coefficient of e^{2im theta}, |m| <= 3,
@@ -410,7 +404,8 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     m = len(tangents)
     theta = np.arange(7) * math.pi / 7
     U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents[:, None, :]
-    C = np.linalg.det(cayley_matrix(triple, U.reshape(-1, 3), squared_radii)).reshape(m, 7) @ _DFT7.T
+    values = np.linalg.det(cayley_matrix(triple, U.reshape(-1, 3), squared_radii)).reshape(m, 7)
+    C = np.einsum("mk,jk->mj", values, _DFT7)
     floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
     lead = np.where(np.abs(C[:, 6]) < floor, floor, C[:, 6])
     companion = np.zeros((m, 6, 6), dtype=complex)
@@ -499,38 +494,6 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> np.ndarray:
                 feet.append(p0 + (-bq + sign * math.sqrt(disc)) / (2 * aq) * w)
     bases = [length * p + c0 for p in feet]
     return np.array([base - np.dot(base, uv) * uv for base in bases]).reshape(-1, 3)
-
-
-# ---------------------------------------------------------------------------
-# Pair cones: the conic of inner special bitangent directions.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticFormOnDirections:
-    """Symmetric 3x3 form M; the conic is {u : u^T M u = 0}.
-
-    For a disjoint pair, u^T M u < 0 exactly on the directions admitting a
-    transversal to both balls; the zero set is the inner bitangent conic.
-    """
-
-    matrix: np.ndarray
-    degenerate: bool = False
-
-
-def pair_cone_quadratic(ball_i: Ball, ball_j: Ball) -> QuadraticFormOnDirections:
-    """Quadratic form whose negative side is the pair's feasible directions.
-
-    A direction admits a transversal to both balls iff the projected centers
-    are within r_i + r_j, i.e. t_ij(u) <= (r_i + r_j)^2 q(u); the form is
-    u^T M u = t_ij(u) - (r_i + r_j)^2 q(u).
-    """
-    e = ball_j.center - ball_i.center
-    delta = float(np.dot(e, e))
-    rr = (ball_i.radius + ball_j.radius) ** 2
-    M = (delta - rr) * np.eye(3) - np.outer(e, e)
-    degenerate = delta <= rr  # overlapping or tangent pair: all of P^2 feasible
-    return QuadraticFormOnDirections(M, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +661,12 @@ def _curve_function(triple: Triple, name: str):
             return np.linalg.det(H) / h_scale
 
         return hessian
-    form = pair_cone_quadratic(triple.balls[int(name[4])], triple.balls[int(name[5])])
-    if form.degenerate:
+    pair = (int(name[4]), int(name[5]))
+    if pair in triple.scene.overlapping_pairs():
         return None
-    M = form.matrix
-    scale = max(np.max(np.abs(M)), 1e-30)
-
-    def conic(P):
-        U = P.U
-        return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
-
-    return conic
+    conic = triple.pair_conic(*pair)
+    scale = max(conic.max_abs_coeff(), 1e-300)
+    return lambda P: conic.eval_grid(P) / scale
 
 
 def trace_curves(

@@ -21,7 +21,7 @@ from linestab.geom import (
     orthonormal_basis_of_complement,
     random_scene_with_transversal,
 )
-from linestab.sextic import Triple
+from linestab.sextic import Triple, float_safe_triple
 
 
 def collinear_scene() -> Scene:
@@ -286,7 +286,10 @@ def pair_gaps_one(cfg) -> np.ndarray:
 
 def flex_report_one_by_one(triple, boundary_samples, seed=0) -> dict:
     """Oracle for certify_flex_free(...).to_json_dict() on a triple of
-    moderate size: the Hessian split and the gap check one sample at a time."""
+    moderate size: the Hessian split and the gap check one sample at a time,
+    at float_safe_triple's scale 2^shift, each margin (a sixth power of
+    length) scaled back by 2^(-6 shift)."""
+    triple, shift = float_safe_triple(triple)
     dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
     gap_floor = -1e-6 * triple.scene.diameter()
     rows, margins, nmargins = [], [], []
@@ -299,9 +302,10 @@ def flex_report_one_by_one(triple, boundary_samples, seed=0) -> dict:
         scale = abs(split.H2) + abs(split.H4)
         nm = 0.0 if scale == 0.0 else float((split.H4 + split.H2) / scale)
         ok = bool(np.all(pair_gaps_one(cfg) >= gap_floor))
-        rows.append({"direction": [float(x) for x in u], "margin": float(split.margin),
+        margin = math.ldexp(float(split.margin), -6 * shift)
+        rows.append({"direction": [float(x) for x in u], "margin": margin,
                      "normalized_margin": nm, "skipped": None, "disjointness_ok": ok})
-        margins.append(float(split.margin))
+        margins.append(margin)
         nmargins.append(nm)
     disjoint = all(r["disjointness_ok"] for r in rows if r["disjointness_ok"] is not None)
     return {
@@ -322,10 +326,38 @@ def line_distance(foot, u, x) -> float:
     return float(np.linalg.norm(w - np.dot(w, u) * u))
 
 
-def form_value(form, u) -> float:
-    """u^T M u for a QuadraticFormOnDirections."""
-    u = np.asarray(u, dtype=float)
-    return float(u @ form.matrix @ u)
+def cayley_matrix_5x5(triple, U, squared_radii) -> np.ndarray:
+    """Oracle for sextic.cayley_matrix: the bordered 5x5 matrices (m, 5, 5)
+    written out by hand, with border 1, s_k q in row 1 and the squared
+    projected distance q |e|^2 - (u . e)^2 of each edge e."""
+    U = np.asarray(U, dtype=float)
+    q = np.einsum("md,md->m", U, U)
+    M = np.zeros((len(U), 5, 5))
+    M[:, 0, 1:] = M[:, 1:, 0] = 1.0
+    M[:, 1, 2:] = M[:, 2:, 1] = q[:, None] * np.asarray(squared_radii, dtype=float)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        e = triple.edge(i, j)
+        M[:, i + 2, j + 2] = M[:, j + 2, i + 2] = float(np.dot(e, e)) * q - (U @ e) ** 2
+    return M
+
+
+def pair_matrix(ball_i, ball_j) -> np.ndarray:
+    """Oracle for a pair conic: the symmetric 3x3 matrix
+    (|e|^2 - (r_i + r_j)^2) I - e e^T, e = c_j - c_i, whose form u^T M u is
+    negative exactly on the directions of the pair's transversals."""
+    e = ball_j.center - ball_i.center
+    rr = (ball_i.radius + ball_j.radius) ** 2
+    return (float(np.dot(e, e)) - rr) * np.eye(3) - np.outer(e, e)
+
+
+def conic_matrix(conic) -> np.ndarray:
+    """The symmetric 3x3 matrix of a quadratic DirectionPoly."""
+    M = np.zeros((3, 3))
+    for e, c in conic.coeffs.items():
+        a, b = [k for k in range(3) for _ in range(e[k])]
+        M[a, b] += c / 2
+        M[b, a] += c / 2
+    return M
 
 
 def z_gaps(cfg) -> np.ndarray:

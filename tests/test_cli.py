@@ -833,15 +833,17 @@ class TestScaleFree:
         # at 2^-330 and 2^300 a product of two squared lengths leaves the
         # float range, so this also holds only if the kernel never forms one
         # and the sextic is traced at a safe scale; trace-curves writes chart
-        # coordinates, which do not scale
-        lengths = {"band", "min_midpoint_margin", "slack", "witness_slack"}
+        # coordinates, which do not scale.  probe-flex margins are sixth
+        # powers of length, so it runs at factors whose margins stay floats
+        powers = {"band": 1, "min_midpoint_margin": 1, "slack": 1, "witness_slack": 1,
+                  "margin": 6, "min_margin": 6}
 
         def unscaled(value, factor, key=None):
             if isinstance(value, dict):
                 return {k: unscaled(v, factor, k) for k, v in value.items()}
             if isinstance(value, list):
                 return [unscaled(v, factor, key) for v in value]
-            return value / factor if key in lengths and value is not None else value
+            return value / factor ** powers[key] if key in powers and value is not None else value
 
         commands = [
             ["check-convexity", "--samples", "2048", "--pairs", "300"],
@@ -850,13 +852,15 @@ class TestScaleFree:
             ["classify-boundary"],
         ]
         factors = (2.0 ** -30, 2.0 ** 30, 2.0 ** -330, 2.0 ** 300)
-        for args in commands:
+        runs = [(args, factors) for args in commands]
+        runs.append((["probe-flex"], (2.0 ** -30, 2.0 ** -2, 2.0 ** 3, 2.0 ** 30)))
+        for args, scales in runs:
             reports = []
-            for factor in (1.0, *factors):
+            for factor in (1.0, *scales):
                 r = runner.invoke(main, [*args, "--scene", _scaled_preset(tmp_path, name, factor)])
                 doc = json.loads(r.output)
                 reports.append((r.exit_code, unscaled(doc["verdicts"], factor), doc["outcome"]))
-            for factor, report in zip(factors, reports[1:]):
+            for factor, report in zip(scales, reports[1:]):
                 assert report == reports[0], (args, factor)
         traces = [runner.invoke(main, ["trace-curves", "--scene",
                                        _scaled_preset(tmp_path, name, factor)])

@@ -20,7 +20,7 @@ from linestab.polyid import (
     identity_catalog,
     schwartz_zippel_suite,
 )
-from linestab.sextic import DirectionPoly, PoleJet, bordered_matrix, poly_det, sigma_from_geometry
+from linestab.sextic import DirectionPoly, sigma_from_geometry, sigma_pole_jet
 from conftest import lifted_triple, poly_value
 
 
@@ -70,9 +70,8 @@ def _pole_hessian(cfg, euler=5, swap=False, power=18):
     for a, b, c, x, s in zip(cfg.a, cfg.b, cfg.c, cfg.lifts, cfg.squared_radii):
         L = math.lcm(*(v.denominator for v in (a, b, c, *x, *s)))
         ia, ib, ic, x0, x1, x2 = (int(v * L) for v in (a, b, c, *x))
-        m = bordered_matrix((0, 0, x0), (ia, 0, x1), (ib, ic, x2), *(int(v * L * L) for v in s))
-        jet = poly_det([[PoleJet.of([e]) for e in row] for row in m])
-        c00, c10, c01, c20, c11, c02 = (v[0] for v in jet.c)
+        c00, c10, c01, c20, c11, c02 = sigma_pole_jet(
+            ((0, 0, x0), (ia, 0, x1), (ib, ic, x2)), [int(v * L * L) for v in s]).c
         if swap:
             c20, c02 = c02, c20
         e = euler
@@ -408,20 +407,20 @@ class TestCrossModuleConsistency:
 
     @pytest.mark.parametrize("height", [10, 1000, 10**6])
     def test_pole_jet_hessian_matches_full_expansion(self, height):
-        # the integer 2-jet path against the full Fraction expansion: the six
-        # jet coefficients and the Hessian determinant at the pole, on random
-        # lifts and on the degenerate lifts x0 = x1 = x2
-        # lifts x0 = x1 = x2; the jets of all samples come from one
-        # determinant, and each sample's Hessian from the batched config
+        # the builder's 2-jets at the pole against the full Fraction
+        # expansion: the six jet coefficients and the Hessian determinant at
+        # the pole, on random lifts and on the degenerate lifts x0 = x1 = x2;
+        # the jets of all samples come from one determinant over (m,) arrays
+        # of Fractions, and each sample's Hessian from the batched config
         spec = spec_by_id("master-hessian-decomposition")
         r = np.random.default_rng(height)
         asgs = [spec.sampler(r, height) for _ in range(17)]
         asgs += [dict(asg, x=(asg["x"][0],) * 3) for asg in asgs[:3]]
         args = [(asg["a"], asg["b"], asg["c"], asg["p"], asg["x"]) for asg in asgs]
         sigmas = [exact_lifted_sigma(*arg) for arg in args]
-        matrices = [bordered_matrix(*_lifted_geometry(*arg)) for arg in args]
-        jet = poly_det([[PoleJet.of([m[row][col] for m in matrices]) for col in range(5)]
-                        for row in range(5)])
+        cfgs = [exact_config(*arg) for arg in args]
+        jet = sigma_pole_jet(np.array([c.centers for c in cfgs]).transpose(1, 2, 0),
+                             np.array([c.squared_radii for c in cfgs]).T)
         batched = exact_hessian_at_pole(spec.prepare(asgs))
         ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
         for t, (arg, sig) in enumerate(zip(args, sigmas)):

@@ -17,15 +17,14 @@ from linestab.sextic import (
     Triple,
     chart_point_to_direction,
     eval_sigma,
-    pair_cone_quadratic,
     _trace_zero_set,
     sigma_from_geometry,
     tangent_lines_for_direction,
     trace_curves,
 )
 from conftest import (
-    collinear_scene, eval_hessian_sigma, form_value, lifted_triple, line_distance, poly_value,
-    random_triple,
+    cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma, lifted_triple,
+    line_distance, pair_matrix, poly_value, random_triple,
 )
 
 
@@ -141,6 +140,33 @@ class TestSigma:
                 assert np.any((found >= grid[k]) & (found <= grid[k + 1])), grid[k]
                 brackets += 1
         assert brackets > 0
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_roots_on_rays_do_not_depend_on_the_batch(self, preset):
+        # every product is taken per row, so N rays give the bits of N
+        # one-ray calls
+        tri = Triple.from_scene(preset_scene(preset))
+        r = np.random.default_rng(5)
+        anchor = r.normal(size=3)
+        anchor /= np.linalg.norm(anchor)
+        tangents = r.normal(size=(300, 3))
+        tangents -= np.outer(tangents @ anchor, anchor)
+        tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        s = (tri.scene.radii + tri.scene.band) ** 2
+        batch = sextic_mod.sigma_roots_on_rays(tri, s, anchor, tangents)
+        one = np.concatenate([sextic_mod.sigma_roots_on_rays(tri, s, anchor, t[None])
+                              for t in tangents])
+        assert np.array_equal(batch, one, equal_nan=True)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_float_matrix_matches_the_hand_written_5x5(self, preset, rng):
+        tri = Triple.from_scene(preset_scene(preset))
+        U = rng.normal(size=(200, 3))
+        for s in (tri.squared_radii, (tri.scene.radii + 0.01) ** 2):
+            got = sextic_mod.cayley_matrix(tri, U, s)
+            want = cayley_matrix_5x5(tri, U, s)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(np.linalg.det(got), np.linalg.det(want), rtol=1e-12)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
@@ -266,23 +292,28 @@ class TestTangentRecovery:
         assert checked >= 8
 
 
+def pair_conic(bi, bj):
+    """The builder's conic of two balls, read from a triple with a far third."""
+    return Triple((bi, bj, Ball([0.0, 0.0, 50.0], 1.0)), allow_overlap=True).pair_conic(0, 1)
+
+
 class TestPairCone:
     def test_center_direction_always_feasible(self, rng):
         for seed in range(4):
             tri = random_triple(seed)
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 bi, bj = tri.balls[i], tri.balls[j]
-                form = pair_cone_quadratic(bi, bj)
+                conic = tri.pair_conic(i, j)
+                np.testing.assert_allclose(conic_matrix(conic), pair_matrix(bi, bj), rtol=1e-12)
                 e = bj.center - bi.center
                 u = e / np.linalg.norm(e)
                 expected = -((bi.radius + bj.radius) ** 2)
-                assert np.isclose(form_value(form, u), expected, rtol=1e-12)
+                assert np.isclose(poly_value(conic, *u), expected, rtol=1e-12)
 
     def test_perpendicular_never_feasible(self):
-        bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
-        form = pair_cone_quadratic(bi, bj)
-        assert form_value(form, [0, 1, 0]) > 0
-        assert np.isclose(form_value(form, [0, 1, 0]), 16 - 4)
+        conic = pair_conic(Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0))
+        assert poly_value(conic, 0.0, 1.0, 0.0) > 0
+        assert np.isclose(poly_value(conic, 0.0, 1.0, 0.0), 16 - 4)
 
     def test_half_angle_thirty_degrees(self):
         # unit balls 4 apart: transversal directions make at most 30 degrees
@@ -290,10 +321,10 @@ class TestPairCone:
         from linestab.cone import minimax_slack_batch
 
         bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
-        form = pair_cone_quadratic(bi, bj)
+        conic = pair_conic(bi, bj)
         for ux in (0.9, 0.88, math.sqrt(3) / 2 + 1e-3):
             u = np.array([ux, math.sqrt(1 - ux ** 2), 0.0])
-            val = form_value(form, u)
+            val = poly_value(conic, *u)
             slack = minimax_slack_batch(
                 np.array([bi.center, bj.center]), np.ones(2), u[None, :]
             )[0]
@@ -301,16 +332,20 @@ class TestPairCone:
             assert (val <= 0) == (ux ** 2 >= 0.75 - 1e-9)
 
     def test_overlapping_pair_degenerate(self):
-        form = pair_cone_quadratic(Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0))
-        assert form.degenerate
+        tri = Triple((Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 50], 1.0)),
+                     allow_overlap=True)
+        assert tri.scene.overlapping_pairs() == [(0, 1)]
+        assert sextic_mod._curve_function(tri, "pair01") is None
         # feasibility covers every direction
         for u in ([1, 0, 0], [0, 1, 0], [0.3, -0.2, 0.9]):
-            assert form_value(form, np.asarray(u) / np.linalg.norm(u)) < 0
+            assert poly_value(tri.pair_conic(0, 1), *np.asarray(u) / np.linalg.norm(u)) < 0
 
     def test_signature_recorded(self):
-        form = pair_cone_quadratic(Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0))
+        bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
+        M = conic_matrix(pair_conic(bi, bj))
+        assert np.array_equal(M, pair_matrix(bi, bj))
         # two positive eigenvalues and one negative: a real cone of directions
-        assert np.array_equal(np.sign(np.linalg.eigvalsh(form.matrix)), [-1, 1, 1])
+        assert np.array_equal(np.sign(np.linalg.eigvalsh(M)), [-1, 1, 1])
 
 
 from hypothesis import given, settings
@@ -382,8 +417,8 @@ class TestTraceCurves:
         elif curve == "hessian":
             oracle = lambda u: eval_hessian_sigma(tri, u)
         else:
-            form = pair_cone_quadratic(tri.balls[int(curve[4])], tri.balls[int(curve[5])])
-            oracle = lambda u: form_value(form, u)
+            M = pair_matrix(tri.balls[int(curve[4])], tri.balls[int(curve[5])])
+            oracle = lambda u: u @ M @ u
 
         def f(x, y):
             return oracle(chart_point_to_direction(chart, x, y))
@@ -523,14 +558,12 @@ def _termwise_functions(tri):
 
     funcs = {"sigma": lambda *U: _termwise_eval_grid(sig, *U) / sig_scale, "hessian": hessian}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        form = pair_cone_quadratic(tri.balls[i], tri.balls[j])
-        M = form.matrix
-        scale = max(np.max(np.abs(M)), 1e-30)
+        conic = tri.pair_conic(i, j)
 
-        def conic(*U, M=M, scale=scale):
-            return sum(M[a, b] * U[a] * U[b] for a in range(3) for b in range(3)) / scale
+        def conic_value(*U, conic=conic):
+            return _termwise_eval_grid(conic, *U) / max(conic.max_abs_coeff(), 1e-300)
 
-        funcs[f"pair{i}{j}"] = None if form.degenerate else conic
+        funcs[f"pair{i}{j}"] = None if (i, j) in tri.scene.overlapping_pairs() else conic_value
     return funcs
 
 
