@@ -9,8 +9,9 @@ contract holds by default.  Exit code 0 means all checked properties hold,
 1 reports a property violation with witnesses, 2 a usage error, and 3 an
 inconclusive run: too little evidence to decide either way.  The report's
 ``outcome`` names which of holds / violation / inconclusive it is, with a
-reason.  A classify-boundary run with no traced sextic point holds (exit 0)
-and gives its reason among the verdicts.
+reason.  A classify-boundary run with no sextic root on its rays holds
+(exit 0) and gives its reason among the verdicts: no feasible lattice
+direction to cast rays from, or no real root on them.
 
 A usage error exits 2 with a message on stderr and no report: among others a
 --scene file that is missing, a directory, unreadable, not UTF-8, not JSON
@@ -47,7 +48,6 @@ from . import cone as cone_mod
 from . import flexprobe, polyid, sextic
 from .geom import (
     Ball,
-    Direction,
     Scene,
     SceneError,
     SolverError,
@@ -427,56 +427,46 @@ def verify_identities(config, trials, height, seed):
 @click.option("--direction", callback=_numbers(float, 3), default=None,
               help="explicit 'x,y,z' on the sextic")
 @click.option("--directions", "n_directions", type=click.IntRange(min=1), default=8,
-              show_default=True, help="number of traced sextic directions to classify")
+              show_default=True, help="number of rays whose sextic roots are classified")
 def classify_boundary(config, triple, direction, n_directions):
     """Classify sextic directions: cone boundary iff crossing the triangle.
 
-    Without --direction, directions come evenly from sigma traced in the
-    charts u1, u2 and u3 at extent 1, which tile RP^2.  Tracing and
-    classification run on sextic.float_safe_triple's rescale of the triple,
-    and each slack is scaled back to the scene's own scale.
+    Without --direction, the directions are every real root of sigma along
+    the --directions rays that probe-flex casts from the cones' deepest
+    lattice directions (cone.sextic_ray_directions).  Roots and
+    classification come from sextic.float_safe_triple's rescale of the
+    triple, and each slack is scaled back to the scene's own scale.
     """
     triple, shift = sextic.float_safe_triple(triple)
-    verdicts: dict = {}
+    config.update(direction=None if direction is None else list(direction),
+                  directions=n_directions)
     if direction is not None:
-        dirs = [np.array(direction)]
-        verdicts["sextic_points"] = None
+        U = np.array([direction])
+        verdicts: dict = {"rays": None, "sextic_points": None}
     else:
-        traced = [
-            sextic.chart_point_to_direction(chart, *np.array(poly).T)
-            for chart in sextic.CHART_AXES
-            for poly in sextic.trace_curves(
-                triple, chart=chart, grid=65, extent=1.0, names=("sigma",)
-            ).curves["sigma"]
-        ]
-        pts = np.concatenate(traced) if traced else np.zeros((0, 3))
-        verdicts["sextic_points"] = len(pts)
-        if not len(pts):
-            verdicts["reason"] = "sigma has no sign change on the three charts"
-        dirs = list(pts[::max(1, len(pts) // n_directions)][:n_directions])
-    config["directions"] = len(dirs)
+        U, rays = cone_mod.sextic_ray_directions(triple, n_directions)
+        verdicts = {"rays": rays, "sextic_points": len(U)}
+        if not rays:
+            verdicts["reason"] = "no feasible lattice direction: no cone to cast rays from"
+        elif not len(U):
+            verdicts["reason"] = f"sigma has no real root on the {rays} rays"
     results = []
-    disagreements = 0
-    for vec in dirs:
-        try:
-            cls = cone_mod.classify_boundary_direction(triple, Direction(vec))
-        except SceneError as exc:
-            if direction is not None:
-                # an explicitly supplied direction must satisfy the
-                # precondition; traced directions may straddle the tolerance
-                raise
-            results.append({"direction": [float(x) for x in vec], "error": str(exc)})
-            continue
-        if cls["slack"] is not None:
+    for u, cls in zip(U, cone_mod.classify_boundary_direction(triple, U)):
+        if direction is not None and "error" in cls:
+            raise SceneError(cls["error"])  # an explicit direction must be on the sextic
+        if cls.get("slack") is not None:
             cls["slack"] = math.ldexp(cls["slack"], -shift)
-        entry = {"direction": [float(x) for x in vec / np.linalg.norm(vec)], **cls}
-        if cls["on_boundary"] is not None and cls["crosses_triangle"] is not None:
+        entry = {"direction": [float(x) for x in u / np.linalg.norm(u)], **cls}
+        if cls.get("on_boundary") is not None and cls["crosses_triangle"] is not None:
             entry["agree"] = cls["on_boundary"] == cls["crosses_triangle"]
-            if not entry["agree"]:
-                disagreements += 1
         results.append(entry)
-    verdicts.update(classifications=results, disagreements=disagreements)
-    return verdicts, disagreements == 0, None
+    verdicts.update(
+        classifications=results,
+        boundary_directions=sum(e.get("on_boundary") is True for e in results),
+        interior_directions=sum(e.get("on_boundary") is False for e in results),
+        disagreements=sum(e.get("agree") is False for e in results),
+    )
+    return verdicts, verdicts["disagreements"] == 0, None
 
 
 @_command("trace-curves", reads="triple", report=False)
@@ -539,24 +529,14 @@ def render_figure(traces: sextic.CurveTraces, feasible_points: np.ndarray | None
             f'<path d="{" ".join(strokes)}" stroke="#c8a2c8" stroke-width="0.8" fill="none"/>'
         )
     for name, polylines in traces.curves.items():
-        color = CURVE_COLORS.get(name, "#444444")
         for poly in polylines:
             if len(poly) < 2:
                 continue
-            coords = " ".join(
-                f"{to_px(float(x), float(y))[0]:.2f},{to_px(float(x), float(y))[1]:.2f}"
-                for x, y in poly
-            )
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
-            )
-    y0 = 18
-    for name, color in CURVE_COLORS.items():
-        if name in traces.curves:
-            parts.append(
-                f'<text x="10" y="{y0}" font-size="13" fill="{color}">{name}</text>'
-            )
-            y0 += 16
+            coords = " ".join("%.2f,%.2f" % to_px(float(x), float(y)) for x, y in poly)
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{CURVE_COLORS[name]}" '
+                         'stroke-width="1.4"/>')
+    for k, (name, color) in enumerate(CURVE_COLORS.items()):
+        parts.append(f'<text x="10" y="{18 + 16 * k}" font-size="13" fill="{color}">{name}</text>')
     parts.append(f'<text x="10" y="{size - 8}" font-size="11" fill="#333">chart {traces.chart}, '
                  f'extent {traces.extent}</text>')
     parts.append("</svg>")

@@ -5,8 +5,8 @@ geodesic-midpoint convexity certification, geometric permutation
 enumeration, connected component counting on the direction sphere (its
 neighbour pairs come from a fixed-radius cell grid), the boundary directions
 of a triple's cones (each ray's exit is a root of the sextic, a pair-cone
-conic or a tie-band edge along it), and boundary classification against the
-triangle of centers.
+conic or a tie-band edge along it), and the classification of the sextic's
+roots along the same rays against the triangle of centers.
 
 Every length decision reads one tolerance, the scene's ``band``: geom.REL_TOL
 times its diameter.  ConeSampleSet.feasible_for_order alone decides which
@@ -871,30 +871,36 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
     return np.mod(np.stack([phi - alpha, phi + alpha], axis=-1), math.pi).reshape(len(phi), -1)
 
 
+def _cone_rays(triple: Triple, count: int, seed: int = 0):
+    """Yield (order, anchor a, unit tangents t (k, 3)) per cone for the rays
+    cos(theta) a + sin(theta) t of boundary_directions_for_triple; every
+    yielded cone has k > 0 of the ``count`` rays."""
+    sset = sample_scene(triple.scene, BOUNDARY_LATTICE, seed=seed)
+    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
+    for k, order in enumerate(cones[:count]):
+        n_rays = count // len(cones) + (k < count % len(cones))
+        idx = np.nonzero(sset.feasible_for_order(order))[0]
+        anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
+        basis = orthonormal_basis_of_complement(anchor)
+        phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
+        yield order, anchor, np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
+
+
 def _boundary_exits(triple: Triple, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Boundary directions (k, 3) of boundary_directions_for_triple and the
     curve each lies on: "sextic", "conic ij" or "tie ij"."""
     scene = triple.scene
     band = scene.band
-    sset = sample_scene(scene, BOUNDARY_LATTICE, seed=seed)
     # slack <= band is slack <= 0 at radii r + band, so the inflated curves
     # hold the exits of the feasibility predicate itself
     R = scene.radii + band
     i, j = np.triu_indices(3, 1)
     D = scene.centers[j] - scene.centers[i]
     DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
-    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
     points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
-    shares = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
-    for order, n_rays in zip(cones, shares):
-        if n_rays == 0:
-            continue
+    for order, anchor, tangents in _cone_rays(triple, count, seed):
+        n_rays = len(tangents)
         query = OrderedQuery(scene, order)
-        idx = np.nonzero(sset.feasible_for_order(order))[0]
-        anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
-        basis = orthonormal_basis_of_complement(anchor)
-        phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
-        tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
         aD, tD, nD = D @ anchor, tangents @ D.T, np.cross(anchor, tangents) @ D.T
         phi = np.arctan2(tD, aD)
         cand = np.concatenate([
@@ -946,54 +952,74 @@ def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-def classify_boundary_direction(triple: Triple, u: Direction) -> dict:
-    """Classify a sextic direction: cone boundary vs interior.
+def sextic_ray_directions(triple: Triple, count: int) -> tuple[np.ndarray, int]:
+    """Unit directions (k, 3) of every real root of the sextic, at the
+    triple's own radii, along the ``count`` rays of
+    boundary_directions_for_triple, ray by ray in increasing theta; and the
+    number of rays cast, 0 when no lattice direction is feasible.
 
-    ``on_boundary`` reads the disk-minimax slack.  The three circles of a
-    sextic direction share a point, which all three closed disks contain, so
-    its slack is <= 0 in exact arithmetic; the direction is on the cone
-    boundary iff |slack| <= 2 * the scene's band.  The factor 2 keeps the
-    boundary exits, which sit at slack = band (radii r + band), strictly
-    inside the test rather than on its edge.
-    ``crosses_triangle`` independently intersects each recovered tangent
-    line, through its foot point along u, with the plane of centers and
-    tests barycentric containment in the triangle of centers.  The two must
-    agree on disjoint balls.  When no
-    tangent line decides ``crosses_triangle``, ``tag`` says why.  Returns
-    the dict of ``on_boundary``, ``crosses_triangle``, ``slack`` and
-    ``tag``; collinear centers decide none of them.
+    A root where a ray leaves its cone is a boundary direction and the
+    ray's other roots lie off the boundary, so the roots test both sides of
+    the boundary criterion."""
+    dirs, rays = [np.zeros((0, 3))], 0
+    for _, anchor, tangents in _cone_rays(triple, count):
+        rays += len(tangents)
+        theta = np.sort(sigma_roots_on_rays(triple, triple.squared_radii, anchor, tangents), axis=1)
+        ray, root = np.nonzero(~np.isnan(theta))
+        dirs.append(_geodesic_point(anchor, tangents[ray], theta[ray, root]))
+    U = np.concatenate(dirs)
+    return U / np.linalg.norm(U, axis=1, keepdims=True), rays
+
+
+def classify_boundary_direction(triple: Triple, U) -> list[dict]:
+    """Classify sextic directions, the rows of U (m, 3): cone boundary vs
+    interior, one dict per row.
+
+    ``on_boundary`` reads the disk-minimax slack, one kernel call for all
+    rows.  A sextic direction's three circles share a point, which all
+    three closed disks contain, so its slack is <= 0 in exact arithmetic;
+    the direction is on the cone boundary iff |slack| <= 2 * the scene's
+    band, which keeps the boundary exits (slack = band, at radii r + band)
+    strictly inside the test.  ``crosses_triangle`` independently
+    intersects each recovered tangent line, through its foot point along
+    u, with the plane of centers and tests barycentric containment in the
+    triangle of centers; the two must agree on disjoint balls.  When no
+    tangent line decides ``crosses_triangle``, ``tag`` says why, and
+    collinear centers decide none of them.  A row off the sextic gets only
+    ``error``, the message of tangent_lines_for_direction's SceneError.
     """
+    dirs = [Direction(u) for u in np.asarray(U, dtype=float).reshape(-1, 3)]
     if triple.collinear_centers:
-        return {"on_boundary": None, "crosses_triangle": None, "slack": None,
-                "tag": "collinear centers: no triangle"}
-    scene = triple.scene
-    centers = triple.centers
-    normal = np.cross(centers[1] - centers[0], centers[2] - centers[0])
+        return [{"on_boundary": None, "crosses_triangle": None, "slack": None,
+                 "tag": "collinear centers: no triangle"} for _ in dirs]
+    scene, c0 = triple.scene, triple.centers[0]
+    edges = triple.centers[1:] - c0
+    normal = np.cross(edges[0], edges[1])
     normal /= np.linalg.norm(normal)
-    denom = float(np.dot(u.components, normal))
-    crossings = []
-    tag = "no real tangent line"
-    for foot in tangent_lines_for_direction(triple, u):
-        off = float(np.dot(centers[0] - foot, normal))
-        # a traced direction is known to TRACE_TOL, so a tangent that close
-        # to parallel may lie in the plane
-        if abs(denom) <= TRACE_TOL:
-            tag = ("tangent inside plane of centers" if abs(off) < scene.band
-                   else "tangent parallel to plane of centers")
+    slacks = minimax_slack_batch(scene.centers, scene.radii,
+                                 np.array([u.components for u in dirs]).reshape(-1, 3))
+    results = []
+    for u, slack in zip(dirs, slacks.tolist()):
+        try:
+            feet = tangent_lines_for_direction(triple, u)
+        except SceneError as exc:
+            results.append({"error": str(exc)})
             continue
-        lam = _barycentrics_in_plane(centers, foot + (off / denom) * u.components)
-        crossings.append(bool(np.all(lam >= -1e-9)))
-    slack = float(minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0])
-    return {"on_boundary": bool(abs(slack) <= 2.0 * scene.band),
-            "crosses_triangle": any(crossings) if crossings else None, "slack": slack,
-            "tag": None if crossings else tag}
-
-
-def _barycentrics_in_plane(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    e1 = centers[1] - centers[0]
-    e2 = centers[2] - centers[0]
-    rel = X - centers[0]
-    A = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    b = np.array([rel @ e1, rel @ e2])
-    lam12 = np.linalg.solve(A, b)
-    return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+        denom = float(np.dot(u.components, normal))
+        off = (c0 - feet) @ normal
+        crosses, tag = None, "no real tangent line"
+        # a direction within TRACE_TOL of the plane of centers counts as
+        # parallel to it: neither an explicit direction nor a root along a
+        # ray is known closer, so its tangent lines may lie in the plane
+        if len(feet) and abs(denom) <= TRACE_TOL:
+            tag = ("tangent inside plane of centers" if abs(off[-1]) < scene.band
+                   else "tangent parallel to plane of centers")
+        elif len(feet):
+            # barycentrics (1 - l1 - l2, l1, l2) of each line's plane crossing
+            hits = feet + (off / denom)[:, None] * u.components - c0
+            lam = np.linalg.solve(edges @ edges.T, edges @ hits.T)
+            crosses, tag = bool(np.any(np.all(lam >= -1e-9, axis=0)
+                                       & (1.0 - lam.sum(axis=0) >= -1e-9))), None
+        results.append({"on_boundary": bool(abs(slack) <= 2.0 * scene.band),
+                        "crosses_triangle": crosses, "slack": slack, "tag": tag})
+    return results

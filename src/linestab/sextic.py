@@ -674,25 +674,19 @@ def trace_curves(
     chart: str = "u3",
     grid: int = 200,
     extent: float = 2.0,
-    names: Sequence[str] = CURVE_NAMES,
 ) -> CurveTraces:
-    """Trace the named curves in an affine chart.
+    """Trace the curves of CURVE_NAMES in an affine chart, for trace-curves.
 
     The curves are "sigma" (the direction sextic), "hessian" (the
     determinant of its second partials) and the pair conics "pair01",
-    "pair02" and "pair12" (empty for an overlapping or tangent pair).  Only
-    the curves in ``names`` are evaluated; the result lists them in that
-    order of CURVE_NAMES.  The chart "uk" is the plane u_k = 1.  Vertices
-    are refined by bisection along grid edges to TRACE_TOL, which
-    classify_boundary_direction relies on; components smaller than the
-    grid resolution may be missed, which is a documented limitation rather
-    than an error.
+    "pair02" and "pair12" (empty for an overlapping or tangent pair).  The
+    chart "uk" is the plane u_k = 1.  Vertices are refined by bisection
+    along grid edges to TRACE_TOL; components smaller than the grid
+    resolution may be missed, which is a documented limitation rather than
+    an error.
     """
     if chart not in CHART_AXES:
         raise SceneError(f"unknown chart {chart!r}; use one of {sorted(CHART_AXES)}")
-    unknown = [n for n in names if n not in CURVE_NAMES]
-    if unknown:
-        raise SceneError(f"unknown curve {unknown[0]!r}; use some of {list(CURVE_NAMES)}")
     axis = CHART_AXES[chart]
     xs = np.linspace(-extent, extent, grid)
 
@@ -706,7 +700,6 @@ def trace_curves(
 
     curves = {}
     for name in CURVE_NAMES:
-        if name in names:
-            g = _curve_function(triple, name)
-            curves[name] = [] if g is None else trace(name, g)
+        g = _curve_function(triple, name)
+        curves[name] = [] if g is None else trace(name, g)
     return CurveTraces(chart=chart, extent=extent, curves=curves)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from linestab import cli as cli_mod
 from linestab import cone as cone_mod
 from linestab import polyid
+from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, _finish, main, preset_scene, render_figure
 from linestab.geom import SolverError
 from linestab.sextic import Triple, trace_curves
@@ -478,6 +479,25 @@ def test_every_command_goes_through_the_shared_path():
         assert shared("--scene") in ([], [cli_mod._SCENE]), name
 
 
+def test_report_commands_trace_no_curve(runner, tmp_path, monkeypatch):
+    # the grid trace serves trace-curves alone: no report command reaches it
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace_curves called")
+
+    monkeypatch.setattr(sextic_mod, "trace_curves", no_trace)
+    scene = tmp_path / "f.json"
+    invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+    # budgets just large enough to decide: the smallest hold no midpoint pair
+    # of this scene's small cone and no probed boundary sample
+    budgets = {**SMALL_BUDGETS, "check-convexity": ["--samples", "1024", "--pairs", "16"],
+               "probe-flex": ["--boundary-samples", "20"]}
+    for name in sorted(REPORT_COMMANDS):
+        args = [] if name == "verify-identities" else ["--scene", str(scene)]
+        r = runner.invoke(main, [name, *args, *budgets[name]])
+        assert r.exception is None or isinstance(r.exception, SystemExit), (name, r.exception)
+        assert r.exit_code in (0, 1), (name, r.output)
+
+
 class TestFileErrors:
     """A bad --scene file or an unwritable --out is a usage error: exit 2
     with a message, no traceback and no report."""
@@ -541,20 +561,31 @@ class TestClassifyBoundary:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     @pytest.mark.parametrize("budget", [[], ["--directions", "32"]])
     def test_every_preset_agrees(self, runner, tmp_path, preset, budget):
-        # the three charts tile RP^2, so no preset needs a chart guessed; a
-        # preset without real sextic points is an answer, not a usage error
+        # a preset without real sextic roots on its rays is an answer, not a
+        # usage error, and its reason says why there are none
         scene = tmp_path / "p.json"
         invoke(runner, ["generate-scene", "--preset", preset, "--out", str(scene)])
         r = runner.invoke(main, ["classify-boundary", "--scene", str(scene), *budget])
         assert r.exit_code == 0, r.output
         v = json.loads(r.output)["verdicts"]
+        rays = int(budget[1]) if budget else 8
         assert v["disagreements"] == 0
         assert v["band"] == pytest.approx(1e-9 * preset_scene(preset).diameter())
+        assert v["rays"] == (0 if preset == "pinned" else rays)
+        assert v["sextic_points"] == len(v["classifications"])
+        assert v["boundary_directions"] + v["interior_directions"] == sum(
+            e.get("on_boundary") is not None for e in v["classifications"])
         if v["sextic_points"] == 0:
-            assert preset.startswith("transition-")
-            assert v["reason"] == "sigma has no sign change on the three charts"
-            assert v["classifications"] == []
+            assert preset == "pinned" or preset == "collinear" or preset.startswith("transition-")
+            assert v["reason"] == (
+                "no feasible lattice direction: no cone to cast rays from" if preset == "pinned"
+                else f"sigma has no real root on the {rays} rays")
+        else:
+            assert "reason" not in v
+        if preset in ("flexdemo-disjoint", "flexdemo-tangent", "two-permutations") and not budget:
+            assert v["boundary_directions"] > 0 and v["interior_directions"] > 0
         for entry in v["classifications"]:
+            assert "error" not in entry
             if entry.get("on_boundary") is not None:
                 assert entry["on_boundary"] == (abs(entry["slack"]) <= v["band"])
 
@@ -567,6 +598,21 @@ class TestClassifyBoundary:
         )
         assert r.exit_code == 2
         assert "not on the sextic" in r.output
+
+    def test_root_off_the_sextic_is_an_entry_error(self, runner, tmp_path, monkeypatch):
+        # a root that misses the sextic's tolerance is reported, not a usage error
+        roots = cone_mod.sextic_ray_directions
+        monkeypatch.setattr(cone_mod, "sextic_ray_directions", lambda triple, count: (
+            np.vstack([[0.2, 0.9, 0.1], roots(triple, count)[0]]), count))
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+        r = runner.invoke(main, ["classify-boundary", "--scene", str(scene)])
+        assert r.exit_code == 0, r.output
+        v = json.loads(r.output)["verdicts"]
+        first, *rest = v["classifications"]
+        assert set(first) == {"direction", "error"} and "not on the sextic" in first["error"]
+        assert v["sextic_points"] == len(rest) + 1 == 33
+        assert v["boundary_directions"] + v["interior_directions"] == len(rest)
 
 
 _SMOKE_SCENES = {
@@ -816,6 +862,25 @@ class TestScaleFree:
                 if s["skipped"] is None and s["margin"] is None]
         assert bool(lost) == ("reason" in doc["verdicts"])
 
+    def test_classify_boundary_of_a_rounded_copy(self, runner, tmp_path):
+        # 1e-100 is no power of two, so the copy's coordinates round and its
+        # sextic roots move in their last bits; its counts and verdicts stay
+        runs = [self.run(runner, ["classify-boundary", "--scene",
+                                  _scaled_preset(tmp_path, "flexdemo-disjoint", f)])
+                for f in (1.0, 1e-100)]
+        assert [code for code, _ in runs] == [0, 0]
+        (_, v1), (_, v) = runs
+        for key in ("rays", "sextic_points", "boundary_directions", "interior_directions",
+                    "disagreements"):
+            assert v[key] == v1[key], key
+        assert v1["boundary_directions"] > 0 and v1["interior_directions"] > 0
+
+        def verdicts(entry):
+            return [entry.get(k) for k in ("on_boundary", "crosses_triangle", "tag", "agree")]
+
+        assert list(map(verdicts, v["classifications"])) == \
+            list(map(verdicts, v1["classifications"]))
+
     def test_entry_order_violations_of_a_small_scene(self, runner, tmp_path):
         budget = ["--order-semantics", "entry", "--samples", "1024", "--pairs", "200"]
         runs = [self.run(runner, ["check-convexity", "--scene",
@@ -849,10 +914,10 @@ class TestScaleFree:
             ["check-convexity", "--samples", "2048", "--pairs", "300"],
             ["enumerate-permutations", "--samples", "4000"],
             ["count-components", "--samples", "4000"],
-            ["classify-boundary"],
         ]
         factors = (2.0 ** -30, 2.0 ** 30, 2.0 ** -330, 2.0 ** 300)
         runs = [(args, factors) for args in commands]
+        runs.append((["classify-boundary"], (*factors, 2.0 ** -7, 2.0 ** 3)))
         runs.append((["probe-flex"], (2.0 ** -30, 2.0 ** -2, 2.0 ** 3, 2.0 ** 30)))
         for args, scales in runs:
             reports = []

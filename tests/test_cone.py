@@ -677,19 +677,10 @@ def _probe_feasible_fraction(triple, u, eps=1e-4, probes=16):
     return float(np.mean(feasibility_batch(OrderedQuery(scene, order), pts)[0]))
 
 
-def _traced_sextic_directions(triple):
-    """Unit directions of the sextic traced in the three charts that tile RP^2."""
-    from linestab.sextic import CHART_AXES, chart_point_to_direction, trace_curves
-
-    dirs = [
-        chart_point_to_direction(chart, *np.asarray(poly).T)
-        for chart in CHART_AXES
-        for poly in trace_curves(
-            triple, chart=chart, grid=65, extent=1.0, names=("sigma",)
-        ).curves["sigma"]
-    ]
-    U = np.concatenate(dirs)
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
+def _ray_root_directions(triple):
+    """The sextic directions classify-boundary classifies by default: sigma's
+    roots along 8 boundary rays."""
+    return cone.sextic_ray_directions(triple, 8)[0]
 
 
 def _criterion_5_triples():
@@ -804,11 +795,10 @@ class TestBoundaryClassification:
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40, seed=0)
+        # bitangent-arc boundary directions are not on the sextic
+        on_sextic = [u for u in dirs if abs(eval_sigma(tri, u)) <= 1e-7 * tri.sigma_scale]
         agree = 0
-        for uvec in dirs:
-            if abs(eval_sigma(tri, uvec)) > 1e-7 * tri.sigma_scale:
-                continue  # bitangent-arc boundary direction, not on the sextic
-            cls = classify_boundary_direction(tri, Direction(uvec))
+        for cls in classify_boundary_direction(tri, on_sextic):
             if cls["on_boundary"] is None or cls["crosses_triangle"] is None:
                 continue
             assert cls["on_boundary"] == cls["crosses_triangle"]
@@ -833,7 +823,7 @@ class TestBoundaryClassification:
                 u /= np.linalg.norm(u)
                 slack = minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0]
                 if slack < -5e-3:  # strictly interior sextic point
-                    cls = classify_boundary_direction(tri, Direction(u))
+                    [cls] = classify_boundary_direction(tri, [u])
                     if cls["crosses_triangle"] is None:
                         continue
                     assert cls["on_boundary"] is False
@@ -846,7 +836,8 @@ class TestBoundaryClassification:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_similarity_invariant(self, name, scale):
         # moved, rotated, scaled and relabelled, with the directions rotated
-        # to match: every traced sextic direction keeps both verdicts
+        # to match: every root direction that classify-boundary classifies
+        # keeps both verdicts
         from linestab.cli import preset_scene
 
         tri = (Triple.from_scene(preset_scene(name)) if isinstance(name, str)
@@ -857,14 +848,26 @@ class TestBoundaryClassification:
         moved = Triple.from_scene(
             _moved_scene(tri.scene, Q, scale * np.array([30.0, -21.0, 9.0]), (2, 0, 1), scale)
         )
-        U = _traced_sextic_directions(tri)[::3]
+        U = _ray_root_directions(tri)
         assert len(U) > 0
-        for u in U:
-            before = classify_boundary_direction(tri, Direction(u))
-            after = classify_boundary_direction(moved, Direction(Q @ u))
+        pairs = zip(U, classify_boundary_direction(tri, U), classify_boundary_direction(moved, U @ Q.T))
+        for u, before, after in pairs:
             assert (after["on_boundary"], after["crosses_triangle"]) == (
                 before["on_boundary"], before["crosses_triangle"]
             ), u
+
+    @pytest.mark.parametrize("name", ["flexdemo-disjoint", "two-permutations"])
+    def test_batch_rows_match_single_rows(self, name):
+        from linestab.cli import preset_scene
+
+        tri = Triple.from_scene(preset_scene(name))
+        U = _ray_root_directions(tri)
+        batch = classify_boundary_direction(tri, U)
+        assert len(batch) == len(U) > 0
+        for u, cls in zip(U, batch):
+            [one] = classify_boundary_direction(tri, u[None, :])
+            for key in ("on_boundary", "crosses_triangle", "tag"):
+                assert cls[key] == one[key], (key, u)
 
     @pytest.mark.parametrize("z", [-7.991595998085517e-09, 7.991595998085517e-09])
     def test_tangent_lines_are_scale_free(self, z):
@@ -878,13 +881,13 @@ class TestBoundaryClassification:
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
             tri = Triple.from_scene(Scene(3, balls, allow_overlap=True))
-            cls = classify_boundary_direction(tri, u)
+            [cls] = classify_boundary_direction(tri, [u.components])
             verdicts.add((cls["crosses_triangle"], cls["tag"]))
         assert len(verdicts) == 1, verdicts
 
     def test_collinear_tagged(self):
         tri = Triple.from_scene(collinear_scene())
-        cls = classify_boundary_direction(tri, Direction([1, 0, 0]))
+        [cls] = classify_boundary_direction(tri, [[1, 0, 0]])
         assert cls["tag"] is not None
         assert cls["on_boundary"] is None
 

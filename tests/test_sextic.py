@@ -460,10 +460,6 @@ class TestTraceCurves:
         with pytest.raises(SceneError):
             trace_curves(collinear_triple(), chart="u9")
 
-    def test_unknown_curve_rejected(self):
-        with pytest.raises(SceneError, match="unknown curve"):
-            trace_curves(collinear_triple(), names=("sigma", "hessain"))
-
     def test_hessian_crossings_enter_boundary_on_overlap(self):
         # compact transition family: all sextic-Hessian intersections stay
         # strictly interior while the balls are disjoint; once two balls
@@ -602,11 +598,6 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
                 assert len(got[name]) == len(want[name]), (chart, grid, name)
                 for g, w in zip(got[name], want[name]):
                     assert np.array_equal(g, w), (chart, grid, name)
-            only = trace_curves(tri, chart=chart, grid=grid, extent=extent, names=("sigma",))
-            assert list(only.curves) == ["sigma"]
-            assert len(only.curves["sigma"]) == len(got["sigma"])
-            for g, w in zip(only.curves["sigma"], got["sigma"]):
-                assert np.array_equal(g, w)
 
 
 def test_trace_memory_stays_per_axis():
