@@ -10,10 +10,13 @@ canonical hyperboloid coordinates the disjointness octant misses the flex
 hyperboloid, by closed forms that ``linestab.polyid`` checks exactly.
 
 The closed forms are written once for two scalar types and any number of
-samples: a configuration built from floats holds float64 arrays, one built
-from ``fractions.Fraction`` holds object arrays, and a batch of m samples
-carries a leading sample axis, so ``a``, ``b`` and ``c`` have shape (m,) and
-the weights, lifts and q values (m, 3); a single configuration has none.
+samples: a configuration built from floats holds float64 arrays, and one
+built from exact rationals holds object arrays of ``fractions.Fraction`` or
+of the exact suite's ``_Ratio``, an unreduced pair that takes no gcd per
+operation (the configuration reduces its normalised weights, once).  A
+batch of m samples carries a leading sample axis, so ``a``, ``b`` and ``c``
+have shape (m,) and the weights, lifts and q values (m, 3); a single
+configuration has none.
 Forms read vertex k of a per-vertex array ``v`` as ``v.T[k]`` and reduce over
 ``axis=-1``, and a float batch gives each sample the bits it gets alone.  The
 exact identity suite (``linestab.polyid``) evaluates these same forms in
@@ -29,6 +32,7 @@ stacked ``@`` (``_dot``) and powers through ``_pow``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,10 +45,146 @@ from .geom import SceneError
 from .sextic import Triple, float_safe_triple
 
 
+class _Ratio:
+    """An exact rational n / d (d > 0) that never reduces: no operation takes a gcd.
+
+    Arithmetic mixes with int and Fraction; comparisons cross-multiply.  Any
+    other operand, float included, gives NotImplemented, so a float mixed in
+    raises TypeError.  ``fraction()`` reduces, once, where a value leaves
+    the arithmetic.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int = 1):
+        self.n, self.d = n, d
+
+    @staticmethod
+    def _of(x):
+        """An int or Fraction operand as a _Ratio; None for any other type."""
+        if isinstance(x, int):
+            return _Ratio(x)
+        if isinstance(x, Fraction):
+            return _Ratio(x.numerator, x.denominator)
+        return None
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return _Ratio(self.n + other * self.d, self.d)
+        if other.__class__ is not _Ratio and (other := _Ratio._of(other)) is None:
+            return NotImplemented
+        if other.d == self.d:
+            return _Ratio(self.n + other.n, self.d)
+        return _Ratio(self.n * other.d + other.n * self.d, self.d * other.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is int:
+            return _Ratio(self.n - other * self.d, self.d)
+        if other.__class__ is not _Ratio and (other := _Ratio._of(other)) is None:
+            return NotImplemented
+        if other.d == self.d:
+            return _Ratio(self.n - other.n, self.d)
+        return _Ratio(self.n * other.d - other.n * self.d, self.d * other.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            return _Ratio(self.n * other, self.d)
+        if other.__class__ is not _Ratio and (other := _Ratio._of(other)) is None:
+            return NotImplemented
+        return _Ratio(self.n * other.n, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is not _Ratio and (other := _Ratio._of(other)) is None:
+            return NotImplemented
+        if other.n > 0:
+            return _Ratio(self.n * other.d, self.d * other.n)
+        if other.n < 0:
+            return _Ratio(-self.n * other.d, -self.d * other.n)
+        raise ZeroDivisionError("division by zero")
+
+    def __rtruediv__(self, other):
+        other = _Ratio._of(other)
+        return NotImplemented if other is None else other / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k >= 0:
+            return _Ratio(self.n ** k, self.d ** k)
+        return 1 / _Ratio(self.n ** -k, self.d ** -k)
+
+    def __neg__(self):
+        return _Ratio(-self.n, self.d)
+
+    def __abs__(self):
+        return _Ratio(abs(self.n), self.d)
+
+    def _compare(op):
+        def compare(self, other):
+            if other.__class__ is not _Ratio and (other := _Ratio._of(other)) is None:
+                return NotImplemented
+            return op(self.n * other.d, other.n * self.d)
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+    del _compare
+
+    def __hash__(self):
+        return hash(self.fraction())
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __float__(self):
+        return self.n / self.d
+
+    def __int__(self):
+        return self.n // self.d if self.n >= 0 else -(-self.n // self.d)
+
+    def fraction(self) -> Fraction:
+        """The value in lowest terms."""
+        return Fraction(self.n, self.d)
+
+    def reduced(self) -> _Ratio:
+        """The same value in lowest terms, still a _Ratio."""
+        g = math.gcd(self.n, self.d)
+        return _Ratio(self.n // g, self.d // g)
+
+    @property
+    def numerator(self) -> int:
+        """In lowest terms, as for any Rational."""
+        return self.fraction().numerator
+
+    @property
+    def denominator(self) -> int:
+        return self.fraction().denominator
+
+    def __repr__(self):
+        return f"_Ratio({self.n}, {self.d})"
+
+
+_EXACT = (Fraction, _Ratio)
+_LOWEST_TERMS = np.frompyfunc(lambda v: v.reduced() if isinstance(v, _Ratio) else v, 1, 1)
+
+
 def _scalar_dtype(*values) -> type:
-    """object (exact arithmetic) when any value or array entry is a Fraction, float otherwise."""
-    entries = (e for v in values for e in (v.flat if isinstance(v, np.ndarray) else (v,)))
-    return object if any(isinstance(e, Fraction) for e in entries) else float
+    """object (exact arithmetic) when any value or object-array entry is exact,
+    float otherwise; a numeric array is decided by its dtype, unscanned."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            if v.dtype == object and any(isinstance(e, _EXACT) for e in v.flat):
+                return object
+        elif isinstance(v, _EXACT):
+            return object
+    return float
 
 
 _LIBM_POW = np.frompyfunc(pow, 2, 1)
@@ -112,7 +252,10 @@ class LiftedConfig:
             raise SceneError("triangle must be nondegenerate: a > 0 and c > 0")
         if not (w > 0).all():
             raise SceneError("barycentric weights must be positive")
-        object.__setattr__(self, "weights", w / w.sum(axis=-1, keepdims=True))
+        w = w / w.sum(axis=-1, keepdims=True)
+        if dtype is object:  # normalised weights feed every form: reduce them once
+            w = _LOWEST_TERMS(w)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "lifts", x)
 
     @cached_property

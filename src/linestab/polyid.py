@@ -3,13 +3,19 @@
 Every closed-form identity used by the flex certification is replayed here
 in arbitrary-precision rational arithmetic at random rational parameter
 points and compared exactly.  The closed forms are flexprobe's own: the
-suite builds ``LiftedConfig`` and ``CanonicalCoords`` from Fractions and
-evaluates the same code that runs on floats, the H2 + H4 split that
+suite builds ``LiftedConfig`` and ``CanonicalCoords`` from exact rationals
+and evaluates the same code that runs on floats, the H2 + H4 split that
 ``probe-flex`` reads among it.  The forms take a leading sample axis, so all
 trials of one identity are one batch of object arrays and each side is
-evaluated once over it.  The master identity's other side, the sextic's
-Hessian at the pole, is expanded independently from the sextic's bordered
-matrix over integer jets, in one determinant for the batch.  Since all
+evaluated once over it.  The batch holds flexprobe's unreduced ``_Ratio``
+pairs, which take no gcd per operation; the configuration reduces its
+normalised weights once, and each side's value is reduced to a Fraction
+once, so verdicts and witnesses are written in lowest terms.  The master
+identity's other side, the sextic's Hessian at the pole, is expanded
+independently from the sextic's bordered matrix over integer jets, from
+the reduced centres and squared radii, in one determinant for the batch.
+Each run of unsigned draws of a sampler is one rng call, in the stream
+order of one call per value.  Since all
 identities are polynomial of bounded degree, repeated agreement at random
 points certifies them with a quantifiable failure probability
 (Schwartz-Zippel style) without implementing symbolic normal forms.
@@ -26,6 +32,7 @@ import numpy as np
 from .flexprobe import (
     CanonicalCoords,
     LiftedConfig,
+    _Ratio,
     gram_from_barycentrics,
     lifted_hessian_decomposition,
     q_invariant,
@@ -43,6 +50,11 @@ def as_exact(x) -> Fraction:
     return Fraction(x)
 
 
+def _reduced(v) -> Fraction:
+    """An exact scalar (int, Fraction or unreduced ratio) in lowest terms."""
+    return v.fraction() if isinstance(v, _Ratio) else Fraction(v)
+
+
 def exact_hessian_at_pole(cfg: LiftedConfig):
     """Exact Hessian determinant of the lifted sextic at u = (0, 0, 1), per sample.
 
@@ -50,18 +62,21 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
     sum_k u_k d_k d_m sigma = 5 d_m sigma gives the Hessian at the pole as
     [[2c20, c11, 5c10], [c11, 2c02, 5c01], [5c10, 5c01, 30c00]], so only the
     2-jet there is expanded, in integers: with L the lcm of the denominators
-    of one sample's centres and squared radii, these scale by L and L^2, the
+    of one sample's centres and squared radii in lowest terms (reduced here,
+    once, since unreduced ones would inflate L), these scale by L and L^2, the
     quadratic entries of the bordered matrix by L^2, sigma by L^6 and det H
     by L^18.  Each sample keeps its own L; the jets of all samples come from
     one determinant over (m,) integer arrays.  A single configuration gives
     one Fraction, a batch an object array of them.
     """
     shape = np.shape(cfg.a)
-    centers, s = cfg.centers.reshape(-1, 3, 3), cfg.squared_radii.reshape(-1, 3)
-    Ls = [math.lcm(*(v.denominator for v in (*c.ravel(), *r))) for c, r in zip(centers, s)]
-    int_c = np.array([[[int(v * L) for v in row] for row in c] for c, L in zip(centers, Ls)],
-                     dtype=object)
-    int_s = np.array([[int(v * L * L) for v in r] for r, L in zip(s, Ls)], dtype=object)
+    centers = [[_reduced(v) for v in c.ravel()] for c in cfg.centers.reshape(-1, 9)]
+    s = [[_reduced(v) for v in r] for r in cfg.squared_radii.reshape(-1, 3)]
+    Ls = [math.lcm(*(v.denominator for v in (*c, *r))) for c, r in zip(centers, s)]
+    int_c = np.array([[v.numerator * (L // v.denominator) for v in c]
+                      for c, L in zip(centers, Ls)], dtype=object).reshape(-1, 3, 3)
+    int_s = np.array([[v.numerator * (L // v.denominator) * L for v in r]
+                      for r, L in zip(s, Ls)], dtype=object)
     c00, c10, c01, c20, c11, c02 = sigma_pole_jet(int_c.transpose(1, 2, 0), int_s.T).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
     det = (
@@ -83,7 +98,7 @@ class IdentitySpec:
     """One exactly-checkable identity: evaluators and sampling domain.
 
     ``prepare`` builds the exact object that both sides read (a
-    ``LiftedConfig`` or ``CanonicalCoords`` in Fractions) from a list of m
+    ``LiftedConfig`` or ``CanonicalCoords`` of unreduced ratios) from a list of m
     assignments, one sample each.  Each side is evaluated once over that
     batch, to an (m,) object array, a tuple of them, or one value that holds
     for every sample.
@@ -106,13 +121,20 @@ def _rand_fraction(rng: np.random.Generator, height: int, signed: bool = False) 
     return Fraction(num, den)
 
 
+def _rand_fractions(rng: np.random.Generator, height: int, k: int) -> list[Fraction]:
+    """k unsigned fractions from one draw of their 2k numerators and
+    denominators, in the stream order of k ``_rand_fraction`` calls (one
+    ``size=2k`` call is the faster for k >= 2, not for k = 1)."""
+    v = rng.integers(1, height + 1, size=2 * k).tolist()
+    return [Fraction(n, d) for n, d in zip(v[::2], v[1::2])]
+
+
 def _sample_triangle_weights(rng, height) -> dict:
-    return {
-        "a": _rand_fraction(rng, height),
-        "b": _rand_fraction(rng, height, signed=True),
-        "c": _rand_fraction(rng, height),
-        "p": tuple(_rand_fraction(rng, height) for _ in range(3)),
-    }
+    a, b = _rand_fractions(rng, height, 2)
+    if rng.integers(0, 2):  # b's sign, drawn after its denominator
+        b = -b
+    c, *p = _rand_fractions(rng, height, 4)
+    return {"a": a, "b": b, "c": c, "p": tuple(p)}
 
 
 def _sample_full(rng, height) -> dict:
@@ -122,11 +144,12 @@ def _sample_full(rng, height) -> dict:
 
 
 def _sample_q_triangle(rng, height) -> dict:
-    while True:
-        q = tuple(_rand_fraction(rng, height) for _ in range(3))
-        qs = sorted(q)
-        if qs[0] + qs[1] > qs[2]:
-            return {"q": q}
+    while True:  # one draw of the three fractions per attempt
+        n0, d0, n1, d1, n2, d2 = rng.integers(1, height + 1, size=6).tolist()
+        # the strict triangle inequality on the q_k times d0 d1 d2, in integers
+        x, y, z = sorted((n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1))
+        if x + y > z:
+            return {"q": (Fraction(n0, d0), Fraction(n1, d1), Fraction(n2, d2))}
 
 
 def _sample_single_q(rng, height) -> dict:
@@ -146,17 +169,23 @@ def _q_domain(asg: dict) -> bool:
 
 
 def _column(asgs: list[dict], key: str, default=None) -> np.ndarray:
-    """The value of ``key`` in each assignment, exact: shape (m,), or (m, 3)
-    for tuple values."""
+    """The value of ``key`` in each assignment as an unreduced ratio: shape
+    (m,), or (m, 3) for tuple values."""
     values = (asg.get(key, default) for asg in asgs)
     return np.array(
-        [[as_exact(x) for x in v] if isinstance(v, tuple) else as_exact(v) for v in values],
+        [[_ratio(x) for x in v] if isinstance(v, tuple) else _ratio(v) for v in values],
         dtype=object,
     )
 
 
+def _ratio(x) -> _Ratio:
+    """An assignment value as an unreduced ratio; floats are refused."""
+    x = x if isinstance(x, Fraction) else as_exact(x)
+    return _Ratio(x.numerator, x.denominator)
+
+
 def _config(asgs: list[dict]) -> LiftedConfig:
-    """The assignments' lifted configurations in Fractions (lifts 0 when absent)."""
+    """The assignments' lifted configurations, exact (lifts 0 when absent)."""
     return LiftedConfig(
         a=_column(asgs, "a"),
         b=_column(asgs, "b"),
@@ -323,7 +352,8 @@ def _per_sample(spec: IdentitySpec, side, m: int) -> list:
         part = np.asarray(part)
         if part.dtype.kind == "f" or any(isinstance(v, float) for v in part.flat):
             raise TypeError(f"{spec.identifier} evaluated to a float, not an exact rational")
-        columns.append(np.broadcast_to(part, (m,)).tolist())
+        columns.append([v.fraction() if isinstance(v, _Ratio) else v
+                        for v in np.broadcast_to(part, (m,)).flat])
     return list(zip(*columns)) if isinstance(side, tuple) else columns[0]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,51 @@ def poly_value(poly, u1, u2, u3):
     for (i, j, k), c in poly.coeffs.items():
         total = total + c * u1 ** i * u2 ** j * u3 ** k
     return total
+
+
+def _oracle_fraction(rng, height, signed=False):
+    """Oracle draw of one sampled fraction: numerator, then denominator, each
+    in its own scalar call, then the sign."""
+    num = int(rng.integers(1, height + 1))
+    den = int(rng.integers(1, height + 1))
+    if signed and rng.integers(0, 2):
+        num = -num
+    return Fraction(num, den)
+
+
+def _oracle_triangle_weights(rng, height):
+    return {
+        "a": _oracle_fraction(rng, height),
+        "b": _oracle_fraction(rng, height, signed=True),
+        "c": _oracle_fraction(rng, height),
+        "p": tuple(_oracle_fraction(rng, height) for _ in range(3)),
+    }
+
+
+def _oracle_full(rng, height):
+    out = _oracle_triangle_weights(rng, height)
+    out["x"] = tuple(_oracle_fraction(rng, height, signed=True) for _ in range(3))
+    return out
+
+
+def _oracle_q_triangle(rng, height):
+    while True:
+        q = tuple(_oracle_fraction(rng, height) for _ in range(3))
+        qs = sorted(q)
+        if qs[0] + qs[1] > qs[2]:
+            return {"q": q}
+
+
+# Oracle: each identity's sampler with one rng call per drawn value, the
+# stream that verify-identities' reports are pinned to.
+ORACLE_SAMPLERS = {
+    "master-hessian-decomposition": _oracle_full,
+    "area-q-lemma": _oracle_triangle_weights,
+    "gram-solution": _oracle_triangle_weights,
+    "beta-product-sum": _oracle_q_triangle,
+    "vertex-factorization": _oracle_q_triangle,
+    "symmetric-plane-value": lambda rng, height: {"q": _oracle_fraction(rng, height)},
+}
 
 
 def eval_hessian_sigma(triple, u) -> float:

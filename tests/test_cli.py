@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -265,6 +266,39 @@ class TestVerifyIdentities:
             )
             assert r.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of verify-identities' stdout, taken before the suite's forms moved to
+# an unreduced scalar and its sampler to one rng call per run of draws: the
+# reports must not change by a byte
+GOLDEN_IDENTITY_REPORTS = {
+    ("--trials", "25", "--seed", "0"):
+        "07b03b41ef717478004b6763ee95beb963a1773373ec23533a40b491559bd57e",
+    ("--trials", "25", "--seed", "1"):
+        "2f00c1d3feca5fd9ab467e86c71bb57ef98e4c86b4a3b67b9388228c2b06080b",
+    ("--trials", "25", "--seed", "2"):
+        "979e67018f5b4d8b074c24347109f0c7004f1a4ca41a6711651f1e7e96d1f82a",
+    ("--trials", "25", "--seed", "3"):
+        "62d62becb990967d5d5dcaa1bdf74d93a927ee1d9645af7cc54bba496aa07f31",
+    ("--trials", "25", "--height", "1000000", "--seed", "0"):
+        "0ad0262ff4f8dcfa8b50c2c04141f11e0e839a8fd33b57cc9541bd0e36732a58",
+    ("--trials", "25", "--height", "1000000", "--seed", "1"):
+        "935dd290b39bd8f7b836920ece949702f94ecf7cefbc0fc695cafc1128edcae9",
+    ("--trials", "25", "--height", "1000000", "--seed", "2"):
+        "22f49d1e54ba033b38a82358b0a1ed3ded17e9313b5f6b97465b989c68f7a635",
+    ("--trials", "25", "--height", "1000000", "--seed", "3"):
+        "7bc1d809d2d3eabf354278f3863512046ed8fc97cf21fc09d65ab3a3bacdb6d2",
+    ("--trials", "5", "--height", "9223372036854775807"):
+        "31c65042712c6dd3ee142c3cb64cac872f8cdbd90cd12a98c2d59d09bd7287f7",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_IDENTITY_REPORTS),
+                         ids=[" ".join(a) for a in GOLDEN_IDENTITY_REPORTS])
+def test_identity_reports_golden(runner, args):
+    r = invoke(runner, ["verify-identities", *args])
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_IDENTITY_REPORTS[args]
 
 
 class TestEnvironment:

@@ -1,13 +1,19 @@
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linestab.geom import Ball, SceneError
 from linestab.sextic import Triple
 from linestab.flexprobe import (
     CanonicalCoords,
     LiftedConfig,
+    _Ratio,
+    _scalar_dtype,
     certify_flex_free,
     gram_from_barycentrics,
     lifted_config_for_direction,
@@ -472,3 +478,87 @@ def test_normalized_margin_elementwise(m):
         assert np.ndim(split.normalized_margin) == 0
     assert _same(got, expected)
     assert got[m // 2] == 0.0 and not np.signbit(got[m // 2])
+
+
+# -- the exact suite's unreduced scalar ---------------------------------------
+
+_SMALL = st.integers(-40, 40)
+_EXACT_OPERAND = st.one_of(
+    _SMALL, st.builds(Fraction, _SMALL, st.integers(1, 30).flatmap(lambda d: st.sampled_from([d, -d]))))
+_STEP = st.tuples(st.sampled_from(["+", "-", "*", "/", "**"]), _EXACT_OPERAND, st.booleans())
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _ratio(x) -> _Ratio:
+    x = Fraction(x)
+    return _Ratio(x.numerator, x.denominator)
+
+
+def _step(value, op, operand, reflected):
+    """value op operand, or operand op value; ** takes a small int exponent."""
+    if op == "**":
+        return value ** (int(operand) % 5 - 2)
+    return _APPLY[op](operand, value) if reflected else _APPLY[op](value, operand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXACT_OPERAND, st.lists(_STEP, max_size=8), _EXACT_OPERAND)
+def test_ratio_follows_fraction(start, steps, probe):
+    # every step of a random + - * / ** sequence, mixing ints and signed
+    # Fractions on either side, has Fraction's value, order and zero division
+    ratio, frac = _ratio(start), Fraction(start)
+    for op, operand, reflected in steps:
+        try:
+            frac = _step(frac, op, operand, reflected)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _step(ratio, op, operand, reflected)
+            return
+        ratio = _step(ratio, op, operand, reflected)
+        assert isinstance(ratio, _Ratio) and ratio.d > 0
+        assert ratio.fraction() == frac
+        assert (ratio == frac) and (frac == ratio) and ratio == _ratio(frac)
+        assert (ratio == probe) == (frac == probe)
+        assert (ratio < probe) == (frac < probe) and (probe < ratio) == (probe < frac)
+        assert (ratio <= _ratio(probe)) == (frac <= probe)
+        assert (ratio > 0) == (frac > 0) and (ratio >= 0) == (frac >= 0)
+        assert -ratio == -frac and abs(ratio) == abs(frac) and bool(ratio) == bool(frac)
+        assert hash(ratio) == hash(frac) and int(ratio) == int(frac)
+        assert float(ratio) == float(frac)
+
+
+@pytest.mark.parametrize("other", [0.5, np.float64(0.5)], ids=["float", "float64"])
+def test_ratio_refuses_floats(other):
+    x = _Ratio(3, 4)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        for args in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(*args)
+    with pytest.raises(TypeError):
+        x ** other
+    with pytest.raises(TypeError):
+        np.array([x, x], dtype=object) * other
+
+
+def test_ratio_division_by_zero():
+    for zero in (0, Fraction(0), _Ratio(0, 7)):
+        with pytest.raises(ZeroDivisionError):
+            _Ratio(3, 4) / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / _Ratio(0, 5)
+    with pytest.raises(ZeroDivisionError):
+        _Ratio(0, 5) ** -1
+
+
+def test_scalar_dtype_decides_float_arrays_by_dtype():
+    # a numeric array is never scanned; object arrays and scalars are
+    class Unscannable(np.ndarray):
+        @property
+        def flat(self):
+            raise AssertionError("a float array was scanned entry by entry")
+
+    floats = np.arange(6.0).reshape(2, 3).view(Unscannable)
+    assert _scalar_dtype(1.0, floats, np.arange(3)) is float
+    assert _scalar_dtype(floats, np.array([1.0, _Ratio(1, 2)], dtype=object)) is object
+    assert _scalar_dtype(floats, Fraction(1, 3)) is object
+    assert _scalar_dtype(np.array([1.0, 2], dtype=object)) is float

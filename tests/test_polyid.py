@@ -11,7 +11,6 @@ from linestab.flexprobe import (
     LiftedConfig,
     lifted_hessian_decomposition,
 )
-from linestab import polyid
 from linestab.polyid import (
     IdentitySpec,
     as_exact,
@@ -21,7 +20,7 @@ from linestab.polyid import (
     schwartz_zippel_suite,
 )
 from linestab.sextic import DirectionPoly, sigma_from_geometry, sigma_pole_jet
-from conftest import lifted_triple, poly_value
+from conftest import ORACLE_SAMPLERS, lifted_triple, poly_value
 
 
 def spec_by_id(identifier):
@@ -288,30 +287,17 @@ class TestSuite:
             schwartz_zippel_suite(trials=0)
 
 
-def _two_call_fraction(rng, height, signed=False):
-    """Reference draw: numerator, then denominator, each in its own call,
-    then the sign."""
-    num = int(rng.integers(1, height + 1))
-    den = int(rng.integers(1, height + 1))
-    if signed and rng.integers(0, 2):
-        num = -num
-    return Fraction(num, den)
-
-
 @pytest.mark.parametrize("seed", [0, 42])
 @pytest.mark.parametrize("height", [1, 1000, 10**6, 2**63 - 1])
-def test_sampler_draws_pinned(monkeypatch, seed, height):
+def test_sampler_draws_pinned(seed, height):
     # the first five assignments of every identity are those of the
-    # two-call reference draw, so reports stay comparable across versions
-    drawn = {}
-    for draw in (polyid._rand_fraction, _two_call_fraction):
-        monkeypatch.setattr(polyid, "_rand_fraction", draw)
-        for spec in identity_catalog():
-            r = np.random.default_rng(seed)
-            drawn.setdefault(spec.identifier, []).append(
-                [spec.sampler(r, height) for _ in range(5)])
-    for identifier, (library, reference) in drawn.items():
-        assert library == reference, identifier
+    # one-fraction-per-call oracle, so reports stay comparable across versions
+    for spec in identity_catalog():
+        library, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [spec.sampler(library, height) for _ in range(5)]
+        expected = [ORACLE_SAMPLERS[spec.identifier](oracle, height) for _ in range(5)]
+        assert drawn == expected, spec.identifier
+        assert library.integers(0, 2**62) == oracle.integers(0, 2**62), spec.identifier
 
 
 def _verdict_fields(v):
