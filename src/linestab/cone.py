@@ -442,106 +442,153 @@ def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
 # (first boundary crossing per ball) depends on the transversal, and it is
 # the entry-order cones that lose convexity in the overlap transition.  The
 # default semantics everywhere is "center" (identical to "entry" on disjoint
-# scenes); "entry" exists for the overlap demonstrations.
+# scenes); "entry" exists for the overlap demonstrations.  In u^perp, the
+# lines entering the balls in order form a compact region bounded by the n
+# disk rims and the n - 1 curves e_a = e_b of consecutive entry times, each on
+# the projection of the circle where spheres a and b meet.  Such a region, if
+# not empty, holds a vertex of its boundary or a coordinate extreme of one of
+# its curves (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+# 2006): a finite list of candidate points decides a row.
 # ---------------------------------------------------------------------------
 
+# rows go through in chunks of about this many (row, candidate, ball) entries
+_ENTRY_CHUNK = 1 << 16
 
-def _entry_order_margin(
-    scene: Scene, U: np.ndarray, order: Sequence[int], grid: int = 25
-) -> np.ndarray:
-    """Best margin over transversals of each direction row (scaled to unit
-    length) for the entry order.
 
-    Positive: some transversal meets the balls in the given entry order
-    (with that much separation between consecutive entry times); negative:
-    no sampled transversal does; -inf when no transversal exists.  Each row
-    samples the minimax point of its projected disks plus a grid over their
-    bounding-box intersection, then polishes the best transversal with a
-    shrinking pattern search, run once per call over all rows.
-    """
+def _dot(x, y):
+    """<x, y> over the last axis, broadcast, one row at a time (no BLAS)."""
+    return np.einsum("...d,...d->...", x, y)
+
+
+def _sphere_circle(c: np.ndarray, r: np.ndarray, band: float):
+    """(centre, radius, unit normal, frame p and q) of the circle where two
+    spheres meet, a point if they touch up to the band; None if they miss."""
+    D = c[1] - c[0]
+    dd = float(D @ D)
+    alpha = (dd + r[0] ** 2 - r[1] ** 2) / (2.0 * dd) if dd else math.nan
+    rho2 = r[0] ** 2 - alpha * alpha * dd
+    if not rho2 >= -2.0 * band * r[0]:
+        return None
+    return (c[0] + alpha * D, math.sqrt(max(rho2, 0.0)), D / math.sqrt(dd),
+            *orthonormal_basis_of_complement(D))
+
+
+def _cos_sin_roots(A, B, K) -> np.ndarray:
+    """theta (..., 2) where A cos theta + B sin theta = K, or nearest to it."""
+    phi, turn = np.arctan2(B, A), np.arccos(np.clip(K / np.hypot(A, B), -1.0, 1.0))
+    return np.stack([phi + turn, phi - turn], axis=-1)
+
+
+def _projected_meets(circle, U: np.ndarray, M2, rho2, n2) -> np.ndarray:
+    """theta (m, 4) where M + rho (cos theta p + sin theta q) on ``circle``
+    projects along u onto the circle (M2, rho2, unit normal n2): the real
+    parts of the roots, by batched companion eigenvalues, of the quartic in
+    tan(theta / 2) of |L(y - M2)| = rho2 <u, n2>, L(v) = <u, n2> v - <v, n2> u.
+    theta = pi, its root at infinity, is not among them."""
+    M, rho, _, p, q = circle
+    un = _dot(U, n2)
+    L0, Lp, Lq = (un[:, None] * v - _dot(v, n2)[..., None] * U for v in (M - M2, rho * p, rho * q))
+    pp, qq, b2 = _dot(Lp, Lp), _dot(Lq, Lq), _dot(Lp, Lq)
+    # the harmonics a0 + a1 cos + b1 sin + a2 cos 2 theta + b2 sin 2 theta
+    a0 = _dot(L0, L0) + 0.5 * (pp + qq) - (rho2 * un) ** 2
+    a1, b1, a2 = 2.0 * _dot(L0, Lp), 2.0 * _dot(L0, Lq), 0.5 * (pp - qq)
+    C = np.stack([a0 - a1 + a2, 2.0 * b1 - 4.0 * b2, 2.0 * a0 - 6.0 * a2,
+                  2.0 * b1 + 4.0 * b2, a0 + a1 + a2], axis=1)
+    # as in sigma_roots_on_rays, a tiny leading coefficient only adds far roots
+    floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
+    companion = np.zeros((len(U), 4, 4))
+    companion[:, 0] = -C[:, 1:] / np.where(np.abs(C[:, 0]) < floor, floor, C[:, 0])[:, None]
+    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+    return 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+
+
+def _entry_candidates(c, r, U, E, circles):
+    """Candidate points (m, K, 3) of each row, and masks (K, n) of the balls
+    on whose rim (depth 0) or sphere (depth |<y - c_i, u>|) each one lies."""
+    m, n, blocks = len(U), len(c), []
+
+    def add(Y, rim=(), sphere=()):
+        known = np.array([[i in balls for i in range(n)] for balls in (rim, sphere)])
+        blocks.append((Y, *np.broadcast_to(known[:, None], (2, Y.shape[1], n))))
+
+    # each rim's extremes along both axes, and where two rims meet
+    for i in range(n):
+        add(c[i] + r[i] * np.concatenate([E, -E], axis=1), rim=(i,))
+    for i, j in itertools.combinations(range(n), 2):
+        D = (c[j] - c[i]) - _dot(U, c[j] - c[i])[:, None] * U
+        dd = _dot(D, D)
+        a = (dd + r[i] ** 2 - r[j] ** 2) / (2.0 * dd)
+        b = np.sqrt(np.clip(r[i] ** 2 / dd - a * a, 0.0, None))[:, None, None]
+        add(c[i] + a[:, None, None] * D[:, None] + [[1.0], [-1.0]] * b * np.cross(U, D)[:, None],
+            rim=(i, j))
+    for ab, *circle in circles:
+        M, rho, _, p, q = circle
+        # its extremes, theta = pi, where it touches its own rims, and where
+        # it meets the next ball's sphere, as its curve meets the next curve
+        theta = [np.arctan2(np.einsum("med,d->me", E, q), np.einsum("med,d->me", E, p))]
+        theta += [theta[0] + math.pi, np.full((m, 1), math.pi)]
+        theta += [_cos_sin_roots(rho * _dot(U, p), rho * _dot(U, q), -_dot(U, M - c[l]))
+                  for l in ab]
+        for l in (cd[1] for cd, *_ in circles if cd[0] == ab[1]):
+            w = M - c[l]
+            on_sphere = _cos_sin_roots(2.0 * rho * (w @ p), 2.0 * rho * (w @ q),
+                                       r[l] ** 2 - w @ w - rho ** 2)
+            theta.append(np.broadcast_to(on_sphere, (m, 2)))
+        # where it meets every other rim, and every circle sharing no ball
+        meets = [_projected_meets(circle, U, c[o], r[o], U) for o in range(n) if o not in ab]
+        meets += [_projected_meets(circle, U, *other[:3])
+                  for cd, *other in circles if not set(ab) & set(cd)]
+        for angles, sphere in ((theta, ab), ([np.zeros((m, 0)), *meets], ())):
+            angles = np.concatenate(angles, axis=1)
+            add(M + rho * (np.cos(angles)[..., None] * p + np.sin(angles)[..., None] * q),
+                sphere=sphere)
+    Y, rim, sphere = zip(*blocks)
+    return np.concatenate(Y, axis=1), np.concatenate(rim), np.concatenate(sphere)
+
+
+def _entry_witnesses(scene: Scene, U: np.ndarray, order: Sequence[int]):
+    """(feasible mask, witness points (m, 3), NaN where infeasible): a row is
+    feasible when a candidate lies within the band of every disk with every
+    entry gap >= -band; its witness is on that candidate's line.  Depths
+    known by construction are read as such: sqrt(r^2 - d^2) turns roundoff
+    near a rim into its square root.  Quartic coefficients are fourth powers
+    of length, so the work runs at an exact power-of-two rescale."""
     U = _unit_rows(U)
-    W = minimax_weights_batch(scene.centers, scene.radii, U)
     order = list(order)
-    r2 = scene.radii ** 2
-    # a transversal point inside a disk up to roundoff, 1e-12 diameter^2
-    r2_in = r2 + 1e-12 * scene.diameter() ** 2
-    # the grid search takes rows in chunks of about 2^15 transversals, which
-    # keeps the (rows, grid^2, n) arrays under 1 MB each; the pattern search
-    # then polishes every row at once with each chunk's own C2 and keys (a
-    # matmul over other rows may round differently)
-    chunk = max(1, 2 ** 15 // (grid * grid))
-    n = len(scene)
-    parts = [(np.empty(0), np.empty((0, 2)), np.empty((0, n, 2)), np.empty((0, n)))]
-    for lo in range(0, len(U), chunk):
-        rows = slice(lo, lo + chunk)
-        parts.append(_entry_grid_search(scene, U[rows], W[rows], order, grid, r2_in))
-    result, x, C2, keys = (np.concatenate(p) for p in zip(*parts))
-
-    # polish each row's best transversal with a local pattern search
-    m = len(result)
-    step = np.full(m, 0.25 * float(np.min(scene.radii)))
-    active = np.isfinite(result)
-    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-    for _ in range(40):
-        if not np.any(active):
-            break
-        improved = np.zeros(m, dtype=bool)
-        for move in moves:
-            cand = x + step[:, None] * move
-            cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
-            centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
-            cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
-            better = active & np.all(cd2 <= r2_in, axis=1) & (cm > result)
-            result = np.where(better, cm, result)
-            x = np.where(better[:, None], cand, x)
-            improved |= better
-        halve = active & ~improved
-        step = np.where(halve, 0.5 * step, step)
-        active &= ~(halve & (step < scene.band))
-    return result
-
-
-def _entry_grid_search(
-    scene: Scene, U: np.ndarray, W: np.ndarray, order: list[int], grid: int, r2_in: np.ndarray
-):
-    """(best margin, best point, projected centres C2, keys) of each row's
-    grid search: its minimax point plus a grid over the disks' bounding-box
-    intersection."""
-    centers, radii = scene.centers, scene.radii
-    r2 = radii ** 2
-    m = len(U)
-    rows = np.arange(m)
-    basis = np.array([orthonormal_basis_of_complement(u) for u in U])  # (m, 2, 3)
-    C2 = np.einsum("nd,mkd->mnk", centers, basis)                     # (m, n, 2)
-    keys = U @ centers.T                                               # (m, n)
-    lo = np.max(C2 - radii[None, :, None], axis=1)
-    hi = np.min(C2 + radii[None, :, None], axis=1)
-    start = np.einsum("mn,mnk->mk", W, C2)
-    xs = np.linspace(lo[:, 0], hi[:, 0], grid, axis=1)
-    ys = np.linspace(lo[:, 1], hi[:, 1], grid, axis=1)
-    P = np.concatenate([
-        start[:, None, :],
-        np.stack([
-            np.broadcast_to(xs[:, None, :], (m, grid, grid)).reshape(m, -1),
-            np.broadcast_to(ys[:, :, None], (m, grid, grid)).reshape(m, -1),
-        ], axis=2),
-    ], axis=1)
-    box = np.all(lo <= hi, axis=1)
-    d2 = sum((P[:, :, None, k] - C2[:, None, :, k]) ** 2 for k in range(2))
-    inside = np.all(d2 <= r2_in, axis=2)
-    inside[:, 1:] &= box[:, None]
-    entry = keys[:, None, :] - np.sqrt(np.clip(r2 - d2, 0.0, None))
-    # a single ball has no consecutive entries to separate: margin +inf
-    gaps = np.min(np.diff(entry[:, :, order], axis=2), axis=2, initial=np.inf)
-    margins = np.where(inside, gaps, -np.inf)
-    best = np.argmax(margins, axis=1)
-    return margins[rows, best], P[rows, best], C2, keys
+    shift = scene.centers.mean(axis=0)
+    scale = math.frexp(max(np.max(np.abs(scene.centers - shift)), np.max(scene.radii)))[1]
+    c, r, band = (np.ldexp(x, -scale) for x in (scene.centers - shift, scene.radii, scene.band))
+    circles = [(ab, *circle) for ab in zip(order, order[1:])
+               if (circle := _sphere_circle(c[list(ab)], r[list(ab)], band)) is not None]
+    ok, witness = np.zeros(len(U), dtype=bool), np.full(U.shape, np.nan)
+    count = len(_entry_candidates(c, r, U[:0], np.zeros((0, 2, 3)), circles)[1])
+    step = max(1, _ENTRY_CHUNK // (count * len(c)))
+    for lo in range(0, len(U), step):
+        u = U[lo:lo + step]
+        # bases E of u^perp, from u cross the axis of its smallest part
+        e1 = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+        e1 /= np.sqrt(_dot(e1, e1))[:, None]
+        E = np.stack([e1, np.cross(u, e1)], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y, rim, sphere = _entry_candidates(c, r, u, E, circles)
+            k = np.einsum("nd,md->mn", c, u)
+            h = _dot(Y, u[:, None, :])[:, :, None] - k[:, None, :]
+            X, C2 = np.einsum("mkd,med->mke", Y, E), np.einsum("nd,med->mne", c, E)
+            d2 = np.sum((X[:, :, None, :] - C2[:, None, :, :]) ** 2, axis=3)
+            root = np.sqrt(np.clip(r * r - d2, 0.0, None))
+            s = np.where(rim, 0.0, np.where(sphere, np.abs(h), root))
+            gaps = np.min(np.diff((k[:, None, :] - s)[:, :, order], axis=2), axis=2, initial=np.inf)
+            good = np.all(d2 <= (r + band) ** 2, axis=2) & (gaps >= -band)
+        rows, first = np.arange(len(u)), np.argmax(good, axis=1)
+        ok[lo:lo + step] = good[rows, first]
+        witness[lo:lo + step] = np.where(good[rows, first, None], Y[rows, first], np.nan)
+    return ok, np.ldexp(witness, scale) + shift
 
 
 def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Per direction row: does some transversal meet the balls in this entry
-    order, up to the scene's band?"""
-    return _entry_order_margin(scene, U, order) >= -scene.band
+    order, up to the scene's band?  See _entry_witnesses."""
+    return _entry_witnesses(scene, U, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +671,6 @@ def cone_convexity_check(
     slacks = mset.slacks
     bad_idx = np.nonzero(~mset.feasible_for_order(query.order, order_semantics))[0]
     meet = mset.meets[bad_idx]  # the disks share a point: the order failed
-    if order_semantics == "entry" and np.any(meet):
-        # double-check order failures at higher transversal resolution
-        keep = ~meet
-        margin = _entry_order_margin(scene, mids[bad_idx[meet]], query.order, grid=60)
-        keep[meet] = margin < -scene.band
-        bad_idx, meet = bad_idx[keep], meet[keep]
 
     violations = [
         {"u": u[m].tolist(), "v": v[m].tolist(), "midpoint": mids[m].tolist(),

@@ -156,16 +156,15 @@ def _sample_single_q(rng, height) -> dict:
     return {"q": _rand_fraction(rng, height)}
 
 
+# domain checks in integers: denominators are positive
 def _triangle_domain(asg: dict) -> bool:
-    return asg["a"] > 0 and asg["c"] > 0 and all(v > 0 for v in asg["p"])
+    return all(v.numerator > 0 for v in (asg["a"], asg["c"], *asg["p"]))
 
 
 def _q_domain(asg: dict) -> bool:
-    q = asg["q"]
-    if not all(v > 0 for v in q):
-        return False
-    qs = sorted(q)
-    return qs[0] + qs[1] > qs[2]
+    (n0, d0), (n1, d1), (n2, d2) = ((v.numerator, v.denominator) for v in asg["q"])
+    x, y, z = sorted((n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1))
+    return n0 > 0 and n1 > 0 and n2 > 0 and x + y > z
 
 
 def _column(asgs: list[dict], key: str, default=None) -> np.ndarray:
@@ -290,7 +289,7 @@ def identity_catalog() -> list[IdentitySpec]:
             lambda cc: np.sum(cc.octant_vertex(), axis=-1) - cc.plane_threshold,
             lambda cc: Fraction(15, 8),
             _sample_single_q,
-            lambda asg: asg["q"] > 0,
+            lambda asg: asg["q"].numerator > 0,
             4,
         ),
     ]

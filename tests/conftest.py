@@ -46,11 +46,12 @@ def canonical_permutation(order) -> tuple[int, ...]:
     return min(fwd, fwd[::-1])
 
 
-def line_entry_parameters(point, direction, scene):
+def line_entry_parameters(point, direction, scene, band=0.0):
     """Entry parameter of the line {point + t direction} into each ball.
 
     Independent order oracle: smaller quadratic root per ball, or None if
-    the line misses it.
+    the line misses it, passing farther than radius + band from its centre;
+    a line within the band of a ball touches it at the nearest point.
     """
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -59,12 +60,99 @@ def line_entry_parameters(point, direction, scene):
     for b in scene.balls:
         w = b.center - p
         tm = float(np.dot(w, d))
-        h2 = b.radius * b.radius - (float(np.dot(w, w)) - tm * tm)
-        if h2 < 0:
+        dist2 = float(np.dot(w, w)) - tm * tm
+        if dist2 > (b.radius + band) ** 2:
             out.append(None)
         else:
-            out.append(tm - np.sqrt(h2))
+            out.append(tm - np.sqrt(max(b.radius * b.radius - dist2, 0.0)))
     return out
+
+
+def random_overlapping_scene(n: int, seed: int) -> Scene:
+    """n balls of radii in [0.8, 1.6] along a random line, each overlapping
+    the one before it: consecutive centres are 0.5 to 1.0 times the sum of
+    their radii apart along the line, and sit off it by up to 0.4 radius."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    radii = rng.uniform(0.8, 1.6, size=n)
+    balls, t = [], 0.0
+    for i in range(n):
+        if i:
+            t += rng.uniform(0.5, 1.0) * (radii[i - 1] + radii[i])
+        off = rng.normal(size=3)
+        off -= (off @ axis) * axis
+        off *= rng.uniform(0.0, 0.4) * radii[i] / np.linalg.norm(off)
+        balls.append(Ball(t * axis + off, radii[i]))
+    return Scene(3, tuple(balls), allow_overlap=True)
+
+
+def entry_order_margin(scene, U, order, grid=400):
+    """Search oracle for cone.entry_order_feasible: the best entry-order
+    margin over transversals of each unit direction row.
+
+    Positive: some transversal meets the balls in the given entry order with
+    that much separation between consecutive entry times; negative: no
+    sampled transversal does; -inf when none was found inside every disk up
+    to 1e-12 diameter^2.  Each row tries the minimax point of its projected
+    disks and a grid x grid lattice over their bounding-box intersection, one
+    row at a time, then polishes its best transversal by a pattern search of
+    40 rounds whose step halves down to the band.  It is one-sided: a row it
+    calls feasible is feasible up to roundoff, but a thin feasible region
+    between lattice points can be missed.
+    """
+    U = np.asarray(U, dtype=float).reshape(-1, 3)
+    order = list(order)
+    centers, radii = scene.centers, scene.radii
+    r2 = radii ** 2
+    r2_in = r2 + 1e-12 * scene.diameter() ** 2
+    W = minimax_weights_batch(centers, radii, U)
+    m = len(U)
+    result, x = np.full(m, -np.inf), np.zeros((m, 2))
+    C2, keys = np.zeros((m, len(scene), 2)), U @ centers.T
+    for k, u in enumerate(U):
+        C2[k] = centers @ orthonormal_basis_of_complement(u).T
+        lo = np.max(C2[k] - radii[:, None], axis=0)
+        hi = np.min(C2[k] + radii[:, None], axis=0)
+        start = W[k] @ C2[k]
+        d2 = np.sum((start - C2[k]) ** 2, axis=1)
+        if np.all(d2 <= r2_in):
+            entry = keys[k] - np.sqrt(np.clip(r2 - d2, 0.0, None))
+            result[k], x[k] = np.min(np.diff(entry[order]), initial=np.inf), start
+        if not np.all(lo <= hi):
+            continue
+        # the lattice's squared distances add one row term and one column term
+        xs, ys = np.linspace(lo[0], hi[0], grid), np.linspace(lo[1], hi[1], grid)
+        d2 = [(ys[:, None] - C2[k, i, 1]) ** 2 + (xs[None, :] - C2[k, i, 0]) ** 2
+              for i in range(len(scene))]
+        entry = [keys[k, i] - np.sqrt(np.clip(r2[i] - d2[i], 0.0, None)) for i in order]
+        gaps = np.full((grid, grid), np.inf)
+        for a, b in zip(entry, entry[1:]):
+            gaps = np.minimum(gaps, b - a)
+        inside = np.all([d2[i] <= r2_in[i] for i in range(len(scene))], axis=0)
+        margins = np.where(inside, gaps, -np.inf)
+        row, col = np.unravel_index(np.argmax(margins), margins.shape)
+        if margins[row, col] > result[k]:
+            result[k], x[k] = margins[row, col], (xs[col], ys[row])
+    step = np.full(m, 0.25 * float(np.min(radii)))
+    active = np.isfinite(result)
+    for _ in range(40):
+        if not np.any(active):
+            break
+        improved = np.zeros(m, dtype=bool)
+        for move in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+            cand = x + step[:, None] * np.array(move)
+            cd2 = np.sum((cand[:, None, :] - C2) ** 2, axis=2)
+            centry = keys - np.sqrt(np.clip(r2 - cd2, 0.0, None))
+            cm = np.min(np.diff(centry[:, order], axis=1), axis=1, initial=np.inf)
+            better = active & np.all(cd2 <= r2_in, axis=1) & (cm > result)
+            result = np.where(better, cm, result)
+            x = np.where(better[:, None], cand, x)
+            improved |= better
+        halve = active & ~improved
+        step = np.where(halve, 0.5 * step, step)
+        active &= ~(halve & (step < scene.band))
+    return result
 
 
 def simplex_minimax(centers, radii, starts=8):

@@ -916,14 +916,20 @@ class TestScaleFree:
             list(map(verdicts, v1["classifications"]))
 
     def test_entry_order_violations_of_a_small_scene(self, runner, tmp_path):
+        # 1e-6 rounds the scene; 2^-330 and 2^300 take the squares of its
+        # lengths out of the float range
         budget = ["--order-semantics", "entry", "--samples", "1024", "--pairs", "200"]
-        runs = [self.run(runner, ["check-convexity", "--scene",
-                                  _scaled_preset(tmp_path, "transition-overlapping", f), *budget])
-                for f in (1.0, 1e-6)]
-        assert [code for code, _ in runs] == [1, 1]
-        assert runs[0][1]["violation_count"] > 0
-        for key in ("violation_count", "feasible_samples", "tested_pairs"):
-            assert runs[1][1][key] == runs[0][1][key], key
+        for name in ("transition-overlapping", "flexdemo-overlapping"):
+            runs = [self.run(runner, ["check-convexity", "--scene",
+                                      _scaled_preset(tmp_path, name, f), *budget])
+                    for f in (1.0, 1e-6, 2.0 ** -330, 2.0 ** 300)]
+            assert runs[0][0] in (0, 1) and runs[0][1]["feasible_samples"] > 0
+            if name == "transition-overlapping":
+                assert runs[0][0] == 1 and runs[0][1]["violation_count"] > 0
+            for code, verdicts in runs[1:]:
+                assert code == runs[0][0], name
+                for key in ("violation_count", "feasible_samples", "tested_pairs"):
+                    assert verdicts[key] == runs[0][1][key], (name, key)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_power_of_two_scales_every_length_exactly(self, runner, tmp_path, name):

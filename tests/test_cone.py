@@ -39,7 +39,8 @@ from linestab.cone import (
 )
 from conftest import (
     bisected_boundary_directions, canonical_permutation, center_order, close_pairs,
-    collinear_scene, is_pinned_planar, random_triple, scene_classification, simplex_minimax,
+    collinear_scene, entry_order_margin, is_pinned_planar, line_entry_parameters,
+    random_overlapping_scene, random_triple, scene_classification, simplex_minimax,
 )
 
 
@@ -185,7 +186,8 @@ class TestDirectionFeasible:
     @pytest.mark.parametrize("length", [1e-6, 0.4, 2.5, 1e6])
     def test_tie_rule_is_row_scale_free(self, length):
         # test_single_tie_rule's scene at factor 2: no tie at any row length,
-        # and the entry-order margin does not read the length either
+        # and the entry-order decision and its witness do not read the
+        # length either
         scene = Scene(
             3,
             (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
@@ -196,8 +198,10 @@ class TestDirectionFeasible:
         orders, ties = realized_orders_batch(scene, length * u)
         assert orders[0].tolist() == [0, 1, 2]
         assert not ties[0]
-        margins = [cone._entry_order_margin(scene, v, (0, 1, 2)) for v in (u, length * u)]
-        assert abs(margins[1][0] - margins[0][0]) <= 1e-12 * scene.diameter()
+        (ok, witness), (ok_scaled, witness_scaled) = (
+            cone._entry_witnesses(scene, v, (0, 1, 2)) for v in (u, length * u))
+        assert ok[0] and ok_scaled[0]
+        assert np.max(np.abs(witness_scaled - witness)) <= 1e-12 * scene.diameter()
 
     def test_order_must_be_permutation(self):
         with pytest.raises(SceneError):
@@ -412,54 +416,122 @@ class TestConvexity:
 
 def _entry_split_scene(name):
     """(scene, entry order) of the row-split test: the two transition presets,
-    one ball, and four disjoint balls with a transversal."""
-    from linestab.cli import preset_scene
-
+    each with an order it realizes, one ball, and four disjoint balls with a
+    transversal."""
     if name == "one-ball":
         return Scene(3, (Ball([0, 0, 0], 1.0),)), (0,)
     if name == "four-balls":
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
         return scene, center_order(scene, axis.components)[0]
-    return preset_scene(name), (0, 1, 2)
+    return preset_scene(name), {"transition-overlapping": (0, 1, 2),
+                                "transition-disjoint": (1, 0, 2)}[name]
 
 
-@pytest.mark.parametrize("grid", [25, 60])
-@pytest.mark.parametrize("name", ["transition-overlapping", "transition-disjoint",
-                                  "one-ball", "four-balls"])
-def test_entry_margin_does_not_depend_on_the_row_split(name, grid, monkeypatch):
-    # the grid search takes rows in chunks and the pattern search takes them
-    # all at once; neither may let a row's margin depend on the rows beside
-    # it.  A row's BLAS products (the kernel's U @ centers.T, the grid
-    # search's keys) may round differently in a batch of another size, so
-    # the weights and the grid search see one row at a time here.
-    weights, grid_search = cone.minimax_weights_batch, cone._entry_grid_search
-
-    def weights_by_row(centers, radii, U):
-        return np.concatenate([np.empty((0, len(centers)))]
-                              + [weights(centers, radii, u[None, :]) for u in U])
-
-    def grid_search_by_row(scene, U, W, *rest):
-        rows = [grid_search(scene, U[k:k + 1], W[k:k + 1], *rest) for k in range(len(U))]
-        return tuple(np.concatenate(part) for part in zip(*rows))
-
-    monkeypatch.setattr(cone, "minimax_weights_batch", weights_by_row)
-    monkeypatch.setattr(cone, "_entry_grid_search", grid_search_by_row)
-    scene, order = _entry_split_scene(name)
-    chunk = max(1, 2 ** 15 // (grid * grid))
-    n_max = 3 * chunk + 5
-    # rows from deep inside the cone out past its rim, about two thirds
-    # inside, in shuffled order so that every chunk holds both kinds
+def _split_rows(scene, count):
+    """``count`` direction rows from deep inside the scene's meeting cone out
+    past its rim, about two thirds inside, in shuffled order."""
     U = fibonacci_sphere(20000)
     slack = minimax_slack_batch(scene.centers, scene.radii, U)
-    stride = max(1, 3 * int(np.sum(slack <= scene.band)) // (2 * n_max))
-    U = U[np.random.default_rng(0).permutation(np.argsort(slack)[::stride][:n_max])]
-    single = [cone._entry_order_margin(scene, u[None, :], order, grid) for u in U]
-    for N in (0, 1, chunk, chunk + 1, n_max):
-        got = cone._entry_order_margin(scene, U[:N], order, grid)
-        want = np.concatenate([np.empty(0)] + single[:N])
-        assert np.array_equal(got, want, equal_nan=True), N
+    stride = max(1, 3 * int(np.sum(slack <= scene.band)) // (2 * count))
+    return U[np.random.default_rng(0).permutation(np.argsort(slack)[::stride][:count])]
+
+
+@pytest.mark.parametrize("rows", [25, 60])
+@pytest.mark.parametrize("name", ["transition-overlapping", "transition-disjoint",
+                                  "one-ball", "four-balls"])
+def test_entry_margin_does_not_depend_on_the_row_split(name, rows, monkeypatch):
+    # entry_order_feasible takes rows in chunks and uses per-row products
+    # only, so N rows decide as N one-row calls do, witnesses included, bit
+    # for bit.  The chunk is set to hold ``rows`` rows, read from the
+    # candidates' (candidate, ball) entries per row, and the sizes N span
+    # several chunks (one ball has fewer rows in its cone, so fewer chunks);
+    # then a call of more than one chunk at the default size is checked on a
+    # subsample of its rows
+    scene, order = _entry_split_scene(name)
+    candidates, seen = cone._entry_candidates, []
+
+    def spy(c, r, U, *rest):
+        out = candidates(c, r, U, *rest)
+        seen.append((len(U), out[1].size))
+        return out
+
+    def single(U):
+        rows = [cone._entry_witnesses(scene, u[None, :], order) for u in U]
+        return tuple(np.concatenate([empty, *part])
+                     for empty, part in zip((np.zeros(0, bool), np.zeros((0, 3))), zip(*rows)))
+
+    monkeypatch.setattr(cone, "_entry_candidates", spy)
+    cone._entry_witnesses(scene, np.zeros((0, 3)), order)
+    entries = seen[0][1]
+    n_max = 3 * rows + 5
+    U = _split_rows(scene, n_max)
+    with monkeypatch.context() as patch:
+        patch.setattr(cone, "_ENTRY_CHUNK", rows * entries)
+        want = single(U)
+        for N in (min(k, len(U)) for k in (0, 1, rows, rows + 1, n_max)):
+            seen.clear()
+            got = cone._entry_witnesses(scene, U[:N], order)
+            assert [m for m, _ in seen[1:]] == [min(rows, N - lo) for lo in range(0, N, rows)], N
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w[:N], equal_nan=True), N
     if len(scene) > 1:
-        assert np.any(np.isfinite(got)) and np.any(np.isneginf(got))
+        assert np.any(want[0]) and not np.all(want[0])
+    U = _split_rows(scene, 4 * cone._ENTRY_CHUNK // entries)
+    pick = np.random.default_rng(1).choice(len(U), 30, replace=False)
+    for g, w in zip(cone._entry_witnesses(scene, U, order), single(U[pick])):
+        assert np.array_equal(g[pick], w, equal_nan=True)
+
+
+# the entry decision is tested against the search oracle on these scenes,
+# every order of each: the overlapping and tangent presets, and random
+# overlapping scenes of 3 and 4 balls (n = 4 has curves that share no ball)
+ENTRY_ORACLE_SCENES = ["transition-overlapping", "transition-tangent", "flexdemo-overlapping",
+                       "flexdemo-tangent", (3, 0), (3, 1), (4, 0), (4, 1)]
+
+
+@pytest.mark.parametrize("key", ENTRY_ORACLE_SCENES, ids=str)
+def test_entry_decision_against_search_oracle(key):
+    # rows are the lattice directions whose disks meet, the rows entry
+    # semantics decides.  Every row called feasible has a witness whose
+    # entries, read independently, are in order up to the band plus the
+    # square-root roundoff of a witness on a rim: a point 1 ulp inside a rim
+    # has a depth of sqrt(2 eps) radius, about 2e-8, so the tolerance is the
+    # band plus 1e-7 diameter.  The grid-400 search oracle, run on the
+    # infeasible rows closest to feasible ones and on random infeasible
+    # rows, finds no transversal the decision missed.
+    scene = preset_scene(key) if isinstance(key, str) else random_overlapping_scene(*key)
+    U = fibonacci_sphere(2048)
+    U = U[minimax_slack_batch(scene.centers, scene.radii, U) <= scene.band]
+    tol = scene.band + 1e-7 * scene.diameter()
+    rng = np.random.default_rng(0)
+    feasible_rows = 0
+    for order in itertools.permutations(range(len(scene))):
+        ok, witness = cone._entry_witnesses(scene, U, order)
+        assert np.all(np.isnan(witness[~ok])) and np.all(np.isfinite(witness[ok]))
+        for u, w in zip(U[ok], witness[ok]):
+            entry = line_entry_parameters(w, u, scene, scene.band)
+            assert None not in entry, (order, u)
+            assert min(entry[b] - entry[a] for a, b in zip(order, order[1:])) >= -tol, (order, u)
+        feasible_rows += int(np.sum(ok))
+        rows = np.nonzero(~ok)[0]
+        near = np.max(U[rows] @ U[ok].T, axis=1, initial=-1.0)
+        picked = np.union1d(rows[np.argsort(-near, kind="stable")[:6]],
+                            rng.choice(rows, min(4, len(rows)), replace=False))
+        margin = entry_order_margin(scene, U[picked], order)
+        assert np.all(margin < -scene.band), (order, U[picked][margin >= -scene.band])
+    assert feasible_rows > 0
+
+
+def test_entry_decision_reads_depths_from_the_construction():
+    # on flexdemo-overlapping this lattice direction has transversals in
+    # order (0, 1, 2) (the oracle's best margin is 8.5e-5), and the only
+    # candidates that show it are where the circle of spheres 0 and 1
+    # touches the rim of ball 1: there e_0 = e_1 exactly, but the depths
+    # sqrt(r^2 - d^2) of the float point put the gap at -1.5e-8, below -band
+    scene = preset_scene("flexdemo-overlapping")
+    u = np.array([[-0.22106119020472767, 0.9673104564782788, -0.124267578125]])
+    assert entry_order_margin(scene, u, (0, 1, 2))[0] > 0
+    assert entry_order_feasible(scene, u, (0, 1, 2))[0]
 
 
 class TestPermutations:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linestab.flexprobe import (
     CanonicalCoords,
@@ -13,6 +15,8 @@ from linestab.flexprobe import (
 )
 from linestab.polyid import (
     IdentitySpec,
+    _q_domain,
+    _triangle_domain,
     as_exact,
     check_identities,
     exact_hessian_at_pole,
@@ -179,6 +183,21 @@ class TestCatalog:
                 spec_by_id("beta-product-sum"),
                 [{"q": (Fraction(1), Fraction(1), Fraction(5))}],
             )[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3, 7)]),
+                    min_size=6, max_size=6),
+           st.lists(st.integers(1, 12), min_size=3, max_size=3))
+    def test_domain_checks_agree_with_fractions(self, values, scale):
+        # few distinct values, so signs, zeros, equal values and degenerate
+        # triangles (q0 + q1 == q2) are all drawn; the integer checks must
+        # decide as the Fraction comparisons do
+        a, c, *p = values
+        q = tuple(v * k for v, k in zip(values[:3], scale))
+        assert _triangle_domain({"a": a, "c": c, "p": tuple(p)}) == (
+            a > 0 and c > 0 and all(v > 0 for v in p))
+        qs = sorted(q)
+        assert _q_domain({"q": q}) == (all(v > 0 for v in q) and qs[0] + qs[1] > qs[2])
 
 
 class TestMutationSensitivity:
