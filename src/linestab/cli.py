@@ -397,12 +397,10 @@ def count_components_cmd(config, scene, samples, seed):
 
 @_command("probe-flex", reads="triple")
 @click.option("--boundary-samples", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def probe_flex(config, triple, boundary_samples, seed):
+def probe_flex(config, triple, boundary_samples):
     """Flex-freeness certificate over sampled cone boundary directions."""
-    config.update(scene_data=triple.scene.to_json_dict(), boundary_samples=boundary_samples,
-                  seed=seed)
-    rep = flexprobe.certify_flex_free(triple, boundary_samples=boundary_samples, seed=seed)
+    config.update(scene_data=triple.scene.to_json_dict(), boundary_samples=boundary_samples)
+    rep = flexprobe.certify_flex_free(triple, boundary_samples=boundary_samples)
     reason = None
     if rep.probed == 0:
         reason = f"no boundary sample was probed ({rep.skipped} skipped)"

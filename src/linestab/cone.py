@@ -38,7 +38,8 @@ from .geom import (
     SolverError,
     orthonormal_basis_of_complement,
 )
-from .sextic import TRACE_TOL, Triple, sigma_roots_on_rays, tangent_lines_for_direction
+from .sextic import (TRACE_TOL, Triple, companion_roots, sigma_roots_on_rays,
+                     tangent_lines_for_direction)
 
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
@@ -176,6 +177,16 @@ def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarra
     return val[pick, rows[:, 0]], candidates[pick, rows[:, 0]]
 
 
+def _unit_scale(centers: np.ndarray, radii: np.ndarray):
+    """Centres about their mean and radii at an exact power-of-two rescale
+    to unit size, with the mean and the exponent: every product of lengths
+    taken there stays inside the float range."""
+    mean = centers.mean(axis=0)
+    centers = centers - mean
+    scale = math.frexp(max(np.max(np.abs(centers)), np.max(radii)))[1]
+    return np.ldexp(centers, -scale), np.ldexp(radii, -scale), mean, scale
+
+
 def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slack (m,) and affine weights (m, n) of the projected-disk minimax
     problem of each direction row; see minimax_slack_batch.
@@ -195,11 +206,8 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     if not len(centers):
         raise SolverError("need at least one ball")
     U = _unit_rows(U)
-    centers = centers - centers.mean(axis=0)
-    # an exact power-of-two rescale to unit size keeps every product of
-    # lengths, det(G) in _best_point among them, inside the float range
-    scale = math.frexp(max(np.max(np.abs(centers)), np.max(radii)))[1]
-    centers, radii = np.ldexp(centers, -scale), np.ldexp(radii, -scale)
+    # at unit size det(G) in _best_point stays inside the float range
+    centers, radii, _, scale = _unit_scale(centers, radii)
     m, n, cap = len(U), len(centers), min(len(centers), U.shape[1])
     rows = np.arange(m)
     P = centers[None, :, :] - (U @ centers.T)[:, :, None] * U[:, None, :]
@@ -482,8 +490,8 @@ def _cos_sin_roots(A, B, K) -> np.ndarray:
 def _projected_meets(circle, U: np.ndarray, M2, rho2, n2) -> np.ndarray:
     """theta (m, 4) where M + rho (cos theta p + sin theta q) on ``circle``
     projects along u onto the circle (M2, rho2, unit normal n2): the real
-    parts of the roots, by batched companion eigenvalues, of the quartic in
-    tan(theta / 2) of |L(y - M2)| = rho2 <u, n2>, L(v) = <u, n2> v - <v, n2> u.
+    parts of the roots (companion_roots) of the quartic in tan(theta / 2)
+    of |L(y - M2)| = rho2 <u, n2>, L(v) = <u, n2> v - <v, n2> u.
     theta = pi, its root at infinity, is not among them."""
     M, rho, _, p, q = circle
     un = _dot(U, n2)
@@ -494,12 +502,7 @@ def _projected_meets(circle, U: np.ndarray, M2, rho2, n2) -> np.ndarray:
     a1, b1, a2 = 2.0 * _dot(L0, Lp), 2.0 * _dot(L0, Lq), 0.5 * (pp - qq)
     C = np.stack([a0 - a1 + a2, 2.0 * b1 - 4.0 * b2, 2.0 * a0 - 6.0 * a2,
                   2.0 * b1 + 4.0 * b2, a0 + a1 + a2], axis=1)
-    # as in sigma_roots_on_rays, a tiny leading coefficient only adds far roots
-    floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
-    companion = np.zeros((len(U), 4, 4))
-    companion[:, 0] = -C[:, 1:] / np.where(np.abs(C[:, 0]) < floor, floor, C[:, 0])[:, None]
-    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
-    return 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    return 2.0 * np.arctan(companion_roots(C).real)
 
 
 def _entry_candidates(c, r, U, E, circles):
@@ -555,9 +558,8 @@ def _entry_witnesses(scene: Scene, U: np.ndarray, order: Sequence[int]):
     of length, so the work runs at an exact power-of-two rescale."""
     U = _unit_rows(U)
     order = list(order)
-    shift = scene.centers.mean(axis=0)
-    scale = math.frexp(max(np.max(np.abs(scene.centers - shift)), np.max(scene.radii)))[1]
-    c, r, band = (np.ldexp(x, -scale) for x in (scene.centers - shift, scene.radii, scene.band))
+    c, r, shift, scale = _unit_scale(scene.centers, scene.radii)
+    band = np.ldexp(scene.band, -scale)
     circles = [(ab, *circle) for ab in zip(order, order[1:])
                if (circle := _sphere_circle(c[list(ab)], r[list(ab)], band)) is not None]
     ok, witness = np.zeros(len(U), dtype=bool), np.full(U.shape, np.nan)
@@ -912,11 +914,11 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
     return np.mod(np.stack([phi - alpha, phi + alpha], axis=-1), math.pi).reshape(len(phi), -1)
 
 
-def _cone_rays(triple: Triple, count: int, seed: int = 0):
+def _cone_rays(triple: Triple, count: int):
     """Yield (order, anchor a, unit tangents t (k, 3)) per cone for the rays
     cos(theta) a + sin(theta) t of boundary_directions_for_triple; every
     yielded cone has k > 0 of the ``count`` rays."""
-    sset = sample_scene(triple.scene, BOUNDARY_LATTICE, seed=seed)
+    sset = sample_scene(triple.scene, BOUNDARY_LATTICE)
     cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
     for k, order in enumerate(cones[:count]):
         n_rays = count // len(cones) + (k < count % len(cones))
@@ -927,7 +929,7 @@ def _cone_rays(triple: Triple, count: int, seed: int = 0):
         yield order, anchor, np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
 
 
-def _boundary_exits(triple: Triple, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary directions (k, 3) of boundary_directions_for_triple and the
     curve each lies on: "sextic", "conic ij" or "tie ij"."""
     scene = triple.scene
@@ -939,7 +941,7 @@ def _boundary_exits(triple: Triple, count: int, seed: int = 0) -> tuple[np.ndarr
     D = scene.centers[j] - scene.centers[i]
     DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
     points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
-    for order, anchor, tangents in _cone_rays(triple, count, seed):
+    for order, anchor, tangents in _cone_rays(triple, count):
         n_rays = len(tangents)
         query = OrderedQuery(scene, order)
         aD, tD, nD = D @ anchor, tangents @ D.T, np.cross(anchor, tangents) @ D.T
@@ -971,7 +973,7 @@ def _boundary_exits(triple: Triple, count: int, seed: int = 0) -> tuple[np.ndarr
     return np.concatenate(points), np.concatenate(curves)
 
 
-def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0) -> np.ndarray:
+def boundary_directions_for_triple(triple: Triple, count: int) -> np.ndarray:
     """``count`` directions (count, 3) on the cone boundaries of a triple.
 
     Every cone the BOUNDARY_LATTICE lattice finds gets an even share of geodesic rays
@@ -985,7 +987,7 @@ def boundary_directions_for_triple(triple: Triple, count: int, seed: int = 0) ->
     its first infeasible interval.  A ray without one raises SolverError;
     no feasible lattice direction gives an empty array.
     """
-    return _boundary_exits(triple, count, seed)[0]
+    return _boundary_exits(triple, count)[0]
 
 
 # ---------------------------------------------------------------------------

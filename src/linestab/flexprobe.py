@@ -48,10 +48,12 @@ from .sextic import Triple, float_safe_triple
 class _Ratio:
     """An exact rational n / d (d > 0) that never reduces: no operation takes a gcd.
 
-    Arithmetic mixes with int and Fraction; comparisons cross-multiply.  Any
-    other operand, float included, gives NotImplemented, so a float mixed in
-    raises TypeError.  ``fraction()`` reduces, once, where a value leaves
-    the arithmetic.
+    It has what the forms and the identity suite use: +, - and * with it on
+    either side, / with it on the left, ** by an int k >= 0, unary minus,
+    ==, <= and > by cross-multiplication, and bool.  Operands may be int,
+    Fraction or _Ratio; any other, float included, gives NotImplemented, so
+    a float mixed in raises TypeError.  ``fraction()`` reduces, once, where
+    a value leaves the arithmetic.
     """
 
     __slots__ = ("n", "d")
@@ -109,22 +111,13 @@ class _Ratio:
             return _Ratio(-self.n * other.d, -self.d * other.n)
         raise ZeroDivisionError("division by zero")
 
-    def __rtruediv__(self, other):
-        other = _Ratio._of(other)
-        return NotImplemented if other is None else other / self
-
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k >= 0:
-            return _Ratio(self.n ** k, self.d ** k)
-        return 1 / _Ratio(self.n ** -k, self.d ** -k)
+        return _Ratio(self.n ** k, self.d ** k)
 
     def __neg__(self):
         return _Ratio(-self.n, self.d)
-
-    def __abs__(self):
-        return _Ratio(abs(self.n), self.d)
 
     def _compare(op):
         def compare(self, other):
@@ -133,21 +126,11 @@ class _Ratio:
             return op(self.n * other.d, other.n * self.d)
         return compare
 
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(
-        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+    __eq__, __le__, __gt__ = map(_compare, (operator.eq, operator.le, operator.gt))
     del _compare
-
-    def __hash__(self):
-        return hash(self.fraction())
 
     def __bool__(self):
         return self.n != 0
-
-    def __float__(self):
-        return self.n / self.d
-
-    def __int__(self):
-        return self.n // self.d if self.n >= 0 else -(-self.n // self.d)
 
     def fraction(self) -> Fraction:
         """The value in lowest terms."""
@@ -157,15 +140,6 @@ class _Ratio:
         """The same value in lowest terms, still a _Ratio."""
         g = math.gcd(self.n, self.d)
         return _Ratio(self.n // g, self.d // g)
-
-    @property
-    def numerator(self) -> int:
-        """In lowest terms, as for any Rational."""
-        return self.fraction().numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.fraction().denominator
 
     def __repr__(self):
         return f"_Ratio({self.n}, {self.d})"
@@ -616,11 +590,7 @@ def _unscaled(value: Optional[float], shift: int) -> Optional[float]:
     return out if math.ldexp(out, 6 * shift) == value else None
 
 
-def certify_flex_free(
-    triple: Triple,
-    boundary_samples: int = 200,
-    seed: int = 0,
-) -> FlexFreeReport:
+def certify_flex_free(triple: Triple, boundary_samples: int = 200) -> FlexFreeReport:
     """Certify that sampled cone boundary directions admit no flex.
 
     ``boundary_samples`` boundary directions, shared among the direction
@@ -639,7 +609,7 @@ def certify_flex_free(
     no float holds it.
     """
     triple, shift = float_safe_triple(triple)
-    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
+    dirs = boundary_directions_for_triple(triple, boundary_samples)
     cfg, reasons = lifted_config_for_direction(triple, dirs)
     split = lifted_hessian_decomposition(cfg)
     margins = split.margin.tolist()

@@ -150,15 +150,25 @@ class Scene:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scene":
+        """The scene of a JSON document: ``dimension`` an integer,
+        ``allow_overlap`` (optional) a boolean, and each ball's ``center``
+        entries and ``radius`` numbers; a boolean is none of these numbers."""
         try:
-            dim = int(data["dimension"])
-            balls = tuple(
-                Ball(np.array(b["center"], dtype=float), float(b["radius"]))
-                for b in data["balls"]
-            )
+            dim, overlap = data["dimension"], data.get("allow_overlap", False)
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise TypeError(f"dimension must be an integer, got {dim!r}")
+            if not isinstance(overlap, bool):
+                raise TypeError(f"allow_overlap must be true or false, got {overlap!r}")
+            balls = []
+            for b in data["balls"]:
+                center, radius = list(b["center"]), b["radius"]
+                if any(isinstance(x, bool) or not isinstance(x, (int, float))
+                       for x in (*center, radius)):
+                    raise TypeError(f"center entries and radius must be numbers, got {b!r}")
+                balls.append(Ball(np.array(center, dtype=float), float(radius)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
-        return cls(dim, balls, allow_overlap=bool(data.get("allow_overlap", False)))
+        return cls(dim, tuple(balls), allow_overlap=overlap)
 
 
 @dataclass(frozen=True)

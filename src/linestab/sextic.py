@@ -387,6 +387,20 @@ def cayley_matrix(triple: Triple, U: np.ndarray, squared_radii: np.ndarray) -> n
 _DFT7 = np.exp(-2j * math.pi * np.outer(np.arange(-3, 4), np.arange(7)) / 7) / 7
 
 
+def companion_roots(C: np.ndarray) -> np.ndarray:
+    """Roots (m, k) of the polynomials whose coefficient rows C (m, k + 1),
+    real or complex, lead with the highest degree: the eigenvalues of their
+    companion matrices, in one batch (Boyd, SIAM Review 55(2), 2013).  A
+    leading coefficient below 1e-13 of the row's largest is raised to that
+    size, which only adds roots of large modulus."""
+    m, k = C.shape[0], C.shape[1] - 1
+    floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
+    companion = np.zeros((m, k, k), dtype=C.dtype)
+    companion[:, 0] = -C[:, 1:] / np.where(np.abs(C[:, 0]) < floor, floor, C[:, 0])[:, None]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
 def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.ndarray,
                         tangents: np.ndarray) -> np.ndarray:
     """Real roots theta in [0, pi) of the sextic, at the given squared radii,
@@ -395,23 +409,15 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     On a ray a form of degree 6 has the harmonics 0, +-2, +-4 and +-6 only,
     so its values at theta = k pi / 7 give its coefficients exactly, and
     z^3 sigma is a polynomial of degree 6 in z = e^{2i theta}.  Its roots
-    are the eigenvalues of the companion matrix (Boyd, SIAM Review 55(2),
-    2013); those within 1e-6 of the unit circle are polished by Newton steps
-    on the trigonometric polynomial.  A leading coefficient below 1e-13 of
-    the largest is raised to that size, which only sends the roots it adds
-    far off the unit circle.
+    (companion_roots) within 1e-6 of the unit circle are polished by Newton
+    steps on the trigonometric polynomial.
     """
     m = len(tangents)
     theta = np.arange(7) * math.pi / 7
     U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents[:, None, :]
     values = np.linalg.det(cayley_matrix(triple, U.reshape(-1, 3), squared_radii)).reshape(m, 7)
     C = np.einsum("mk,jk->mj", values, _DFT7)
-    floor = np.maximum(1e-13 * np.max(np.abs(C), axis=1), np.finfo(float).tiny)
-    lead = np.where(np.abs(C[:, 6]) < floor, floor, C[:, 6])
-    companion = np.zeros((m, 6, 6), dtype=complex)
-    companion[:, 0] = -C[:, 5::-1] / lead[:, None]
-    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
-    z = np.linalg.eigvals(companion)
+    z = companion_roots(C[:, ::-1])
     theta = np.where(np.abs(np.abs(z) - 1.0) < 1e-6, 0.5 * np.angle(z), np.nan)
     harmonics = 2j * np.arange(-3, 4)
     for _ in range(3):

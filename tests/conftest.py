@@ -226,7 +226,7 @@ def enumerate_minimax(centers, radii, U):
     return best
 
 
-def bisected_boundary_directions(triple, count, seed=0, lattice=4096):
+def bisected_boundary_directions(triple, count, lattice=4096):
     """Bisection oracle for cone.boundary_directions_for_triple.
 
     The same lattice, anchors and rays; each ray is marched in 0.02 rad
@@ -236,7 +236,7 @@ def bisected_boundary_directions(triple, count, seed=0, lattice=4096):
     dropped.
     """
     scene = triple.scene
-    sset = sample_scene(scene, lattice, seed=seed)
+    sset = sample_scene(scene, lattice)
     feas = sset.feasible
     cones = sorted({tuple(int(i) for i in sset.orders[m]) for m in np.nonzero(feas)[0]})
     out = [np.zeros((0, 3))]
@@ -418,13 +418,13 @@ def pair_gaps_one(cfg) -> np.ndarray:
     return np.array(out)
 
 
-def flex_report_one_by_one(triple, boundary_samples, seed=0) -> dict:
+def flex_report_one_by_one(triple, boundary_samples) -> dict:
     """Oracle for certify_flex_free(...).to_json_dict() on a triple of
     moderate size: the Hessian split and the gap check one sample at a time,
     at float_safe_triple's scale 2^shift, each margin (a sixth power of
     length) scaled back by 2^(-6 shift)."""
     triple, shift = float_safe_triple(triple)
-    dirs = boundary_directions_for_triple(triple, boundary_samples, seed=seed)
+    dirs = boundary_directions_for_triple(triple, boundary_samples)
     gap_floor = -1e-6 * triple.scene.diameter()
     rows, margins, nmargins = [], [], []
     for u, cfg in zip(dirs, lifted_configs_one_by_one(triple, dirs)):

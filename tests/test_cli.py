@@ -131,6 +131,14 @@ class TestCheckConvexity:
             '{"dimension": 3, "balls": []}',
             '{"balls": [{"center": [0, 0, 0], "radius": 1}]}',
             "[1, 2]",
+            # a dimension that is no integer, a flag that is no boolean (the
+            # balls overlap), and booleans given as numbers
+            '{"dimension": 3.7, "balls": [{"center": [0, 0, 0], "radius": 1}]}',
+            '{"dimension": true, "balls": [{"center": [0, 0], "radius": 1}]}',
+            '{"dimension": 3, "allow_overlap": "false", "balls": [{"center": [0, 0, 0], "radius": 1},'
+            ' {"center": [1, 0, 0], "radius": 1}]}',
+            '{"dimension": 3, "balls": [{"center": [0, 0, 0], "radius": true}]}',
+            '{"dimension": 3, "balls": [{"center": [true, 0, 0], "radius": 1}]}',
         ],
     )
     def test_invalid_scene_document_is_usage_error(self, runner, tmp_path, doc):
@@ -185,7 +193,6 @@ class TestIntegerOptions:
             ["count-components", "--scene", "s.json", "--samples", "-1"],
             ["count-components", "--scene", "s.json", "--seed", "-2"],
             ["probe-flex", "--scene", "s.json", "--boundary-samples", "-3"],
-            ["probe-flex", "--scene", "s.json", "--seed", "-1"],
             ["classify-boundary", "--scene", "s.json", "--directions", "0"],
             ["trace-curves", "--scene", "s.json", "--grid", "-4"],
             ["trace-curves", "--scene", "s.json", "--grid", "1"],
@@ -352,12 +359,18 @@ class TestComponentsAndPermutations:
 
 
 class TestProbeFlex:
+    def test_seed_is_no_option(self, runner):
+        # the boundary lattice in R^3 is the Fibonacci lattice: no seed reaches it
+        r = runner.invoke(main, ["probe-flex", "--scene", "s.json", "--seed", "0"])
+        assert r.exit_code == 2, r.output
+        assert "No such option '--seed'" in r.output
+
     def test_disjoint_demo_passes(self, runner, tmp_path):
         scene = tmp_path / "f.json"
         invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
         r = runner.invoke(
             main,
-            ["probe-flex", "--scene", str(scene), "--boundary-samples", "60", "--seed", "0"],
+            ["probe-flex", "--scene", str(scene), "--boundary-samples", "60"],
         )
         assert r.exit_code == 0
         doc = json.loads(r.output)
@@ -372,7 +385,7 @@ class TestProbeFlex:
         )
         r = runner.invoke(
             main,
-            ["probe-flex", "--scene", str(scene), "--boundary-samples", "60", "--seed", "0"],
+            ["probe-flex", "--scene", str(scene), "--boundary-samples", "60"],
         )
         assert r.exit_code == 1
         # the violation exit still carries a well-formed report

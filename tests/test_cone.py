@@ -237,7 +237,7 @@ class TestDirectionFeasible:
         assert np.any(feas)
         order = tuple(int(i) for i in sset.orders[np.nonzero(feas)[0][0]])
         q = OrderedQuery(scene, order)
-        dirs = boundary_directions_for_triple(tri, 12, seed=0)
+        dirs = boundary_directions_for_triple(tri, 12)
         idx = np.nonzero(feas)[0]
         anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
         for uvec in dirs[:6]:
@@ -264,7 +264,7 @@ class TestDirectionFeasible:
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
         scene = tri.scene
-        dirs = boundary_directions_for_triple(tri, 40, seed=0)
+        dirs = boundary_directions_for_triple(tri, 40)
         checked = 0
         for uvec in dirs:
             if abs(eval_sigma(tri, uvec)) > 1e-7 * tri.sigma_scale:
@@ -764,7 +764,7 @@ def _criterion_5_triples():
 
 
 def _assert_exits_match_bisection(tri, count):
-    dirs = boundary_directions_for_triple(tri, count, seed=0)
+    dirs = boundary_directions_for_triple(tri, count)
     assert dirs.shape == (count, 3)
     gap = np.max(np.linalg.norm(dirs - bisected_boundary_directions(tri, count), axis=1))
     assert gap <= 1e-12, gap
@@ -866,7 +866,7 @@ class TestBoundaryClassification:
         from linestab.cli import preset_scene
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
-        dirs = boundary_directions_for_triple(tri, 40, seed=0)
+        dirs = boundary_directions_for_triple(tri, 40)
         # bitangent-arc boundary directions are not on the sextic
         on_sextic = [u for u in dirs if abs(eval_sigma(tri, u)) <= 1e-7 * tri.sigma_scale]
         agree = 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linestab.geom import Ball, SceneError
-from linestab.sextic import Triple
+from linestab.sextic import Triple, float_safe_triple
 from linestab.flexprobe import (
     CanonicalCoords,
     LiftedConfig,
@@ -306,7 +306,7 @@ class TestCertifyFlexFree:
     def test_random_disjoint_triples_certify(self):
         for seed in (0, 5):
             tri = random_triple(seed)
-            rep = certify_flex_free(tri, boundary_samples=60, seed=0)
+            rep = certify_flex_free(tri, boundary_samples=60)
             assert rep.probed > 0
             assert rep.min_margin > 0
             assert rep.passed
@@ -315,7 +315,7 @@ class TestCertifyFlexFree:
         from linestab.cli import preset_scene
 
         tri = Triple.from_scene(preset_scene("flexdemo-overlapping"))
-        rep = certify_flex_free(tri, boundary_samples=60, seed=0)
+        rep = certify_flex_free(tri, boundary_samples=60)
         bad = [
             s
             for s in rep.samples
@@ -326,13 +326,13 @@ class TestCertifyFlexFree:
 
     def test_skipped_samples_tagged(self):
         tri = random_triple(3)
-        rep = certify_flex_free(tri, boundary_samples=60, seed=0)
+        rep = certify_flex_free(tri, boundary_samples=60)
         for s in rep.samples:
             assert (s["skipped"] is None) == (s["margin"] is not None)
 
     def test_report_serializes(self):
         tri = random_triple(0)
-        rep = certify_flex_free(tri, boundary_samples=20, seed=0)
+        rep = certify_flex_free(tri, boundary_samples=20)
         doc = rep.to_json_dict()
         assert doc["probed"] == rep.probed
         assert isinstance(doc["samples"], list)
@@ -347,12 +347,26 @@ class TestLiftedConfigForDirection:
         from linestab.cone import boundary_directions_for_triple
 
         tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
-        dirs = boundary_directions_for_triple(tri, 40, seed=0)
+        dirs = boundary_directions_for_triple(tri, 40)
         cfg, _ = lifted_config_for_direction(tri, dirs)
         derived = np.sort(cfg.radii, axis=1)
         original = np.sort([b.radius for b in tri.balls])
         hits = int(np.sum(np.all(np.isclose(derived, original, rtol=0, atol=1e-6), axis=1)))
         assert hits >= 4  # the sextic arcs of the boundary produce exact matches
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_skip_reasons_survive_scaling_the_rows(self):
+        # a row's skip reason is a property of its direction, so scaling
+        # the row by 1 + 2^-52 must keep it; today roundoff decides 1, 10
+        # and 2 of the 200 boundary rows of these presets
+        from linestab.cli import preset_scene
+        from linestab.cone import boundary_directions_for_triple
+
+        for name in ("flexdemo-disjoint", "two-permutations", "transition-disjoint"):
+            tri = float_safe_triple(Triple.from_scene(preset_scene(name)))[0]
+            dirs = boundary_directions_for_triple(tri, 200)
+            reasons = lifted_config_for_direction(tri, dirs)[1]
+            assert lifted_config_for_direction(tri, dirs * (1.0 + 2.0 ** -52))[1] == reasons, name
 
 
 def _same(batch, rows) -> bool:
@@ -387,7 +401,7 @@ class TestBatchMatchesOneRow:
         from linestab.cone import boundary_directions_for_triple
 
         for tri in (random_triple(3), random_triple(300, (0.7, 1.5))):
-            dirs = boundary_directions_for_triple(tri, 200, seed=0)[:n]
+            dirs = boundary_directions_for_triple(tri, 200)[:n]
             assert len(dirs) == n
             _assert_batch_matches_one_by_one(tri, dirs)
 
@@ -455,7 +469,7 @@ class TestBatchMatchesOneRow:
         from linestab.cli import preset_scene
 
         tri = Triple.from_scene(preset_scene(name))
-        rep = certify_flex_free(tri, boundary_samples=60, seed=0)
+        rep = certify_flex_free(tri, boundary_samples=60)
         assert json.dumps(rep.to_json_dict()) == json.dumps(flex_report_one_by_one(tri, 60))
 
 
@@ -495,17 +509,21 @@ def _ratio(x) -> _Ratio:
 
 
 def _step(value, op, operand, reflected):
-    """value op operand, or operand op value; ** takes a small int exponent."""
+    """value op operand, or operand op value for + - *; ** takes a small
+    int exponent k >= 0."""
     if op == "**":
-        return value ** (int(operand) % 5 - 2)
-    return _APPLY[op](operand, value) if reflected else _APPLY[op](value, operand)
+        return value ** (int(operand) % 5)
+    if reflected and op != "/":
+        return _APPLY[op](operand, value)
+    return _APPLY[op](value, operand)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_EXACT_OPERAND, st.lists(_STEP, max_size=8), _EXACT_OPERAND)
 def test_ratio_follows_fraction(start, steps, probe):
     # every step of a random + - * / ** sequence, mixing ints and signed
-    # Fractions on either side, has Fraction's value, order and zero division
+    # Fractions (on either side of + - *), has Fraction's value, order and
+    # zero division
     ratio, frac = _ratio(start), Fraction(start)
     for op, operand, reflected in steps:
         try:
@@ -519,12 +537,9 @@ def test_ratio_follows_fraction(start, steps, probe):
         assert ratio.fraction() == frac
         assert (ratio == frac) and (frac == ratio) and ratio == _ratio(frac)
         assert (ratio == probe) == (frac == probe)
-        assert (ratio < probe) == (frac < probe) and (probe < ratio) == (probe < frac)
-        assert (ratio <= _ratio(probe)) == (frac <= probe)
-        assert (ratio > 0) == (frac > 0) and (ratio >= 0) == (frac >= 0)
-        assert -ratio == -frac and abs(ratio) == abs(frac) and bool(ratio) == bool(frac)
-        assert hash(ratio) == hash(frac) and int(ratio) == int(frac)
-        assert float(ratio) == float(frac)
+        assert (ratio > probe) == (frac > probe) and (probe < ratio) == (probe < frac)
+        assert (ratio <= _ratio(probe)) == (frac <= probe) and (ratio > 0) == (frac > 0)
+        assert -ratio == -frac and bool(ratio) == bool(frac)
 
 
 @pytest.mark.parametrize("other", [0.5, np.float64(0.5)], ids=["float", "float64"])
@@ -540,14 +555,16 @@ def test_ratio_refuses_floats(other):
         np.array([x, x], dtype=object) * other
 
 
+def test_ratio_refuses_negative_powers():
+    # not among its operations: no form takes one
+    with pytest.raises(TypeError):
+        _Ratio(3, 4) ** -1
+
+
 def test_ratio_division_by_zero():
     for zero in (0, Fraction(0), _Ratio(0, 7)):
         with pytest.raises(ZeroDivisionError):
             _Ratio(3, 4) / zero
-    with pytest.raises(ZeroDivisionError):
-        1 / _Ratio(0, 5)
-    with pytest.raises(ZeroDivisionError):
-        _Ratio(0, 5) ** -1
 
 
 def test_scalar_dtype_decides_float_arrays_by_dtype():
