@@ -7,7 +7,6 @@ verification of the underlying algebraic identities.
 
 from .geom import (
     Ball,
-    Direction,
     Scene,
     SceneError,
     SolverError,

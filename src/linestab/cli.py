@@ -71,90 +71,37 @@ CURVE_COLORS = {
     "pair12": "#808080",
 }
 
-# Frozen demonstration scenes, both of the "second ball slides toward the
-# first" form.  The transition family is spread out; its overlapping member
-# has a non-convex entry-order cone (order 0,1,2) while the disjoint member
-# has none.  The flexdemo family is compact, so its cone boundary carries
-# sextic arcs: the disjoint member keeps all sextic-Hessian intersections
-# strictly interior, the overlapping member pulls them onto the boundary.
-_TRANSITION_RADII = (1.864, 0.952, 0.772)
-_TRANSITION_THIRD = (-3.484, 1.766, 0.0)
-_TRANSITION_T = {"disjoint": 3.2, "tangent": 2.816, "overlapping": 1.544}
-
-_FLEXDEMO_THIRD = (1.1, 2.2, 0.0)
-_FLEXDEMO_T = {"disjoint": 2.2, "tangent": 2.0, "overlapping": 1.95}
-
-
-def _transition_scene(kind: str) -> Scene:
-    t = _TRANSITION_T[kind]
-    r = _TRANSITION_RADII
-    return Scene(
-        3,
-        (
-            Ball([0.0, 0.0, 0.0], r[0]),
-            Ball([t, 0.0, 0.0], r[1]),
-            Ball(list(_TRANSITION_THIRD), r[2]),
-        ),
-        allow_overlap=(kind != "disjoint"),
-    )
-
-
-def _flexdemo_scene(kind: str) -> Scene:
-    t = _FLEXDEMO_T[kind]
-    return Scene(
-        3,
-        (
-            Ball([0.0, 0.0, 0.0], 1.0),
-            Ball([t, 0.0, 0.0], 1.0),
-            Ball(list(_FLEXDEMO_THIRD), 1.0),
-        ),
-        allow_overlap=(kind != "disjoint"),
-    )
+# Frozen demonstration scenes: (center, radius) of each ball.  The transition
+# and flexdemo families are both of the "second ball slides toward the first"
+# form.  The transition family is spread out; its overlapping member has a
+# non-convex entry-order cone (order 0,1,2) while the disjoint member has
+# none.  The flexdemo family is compact, so its cone boundary carries sextic
+# arcs: the disjoint member keeps all sextic-Hessian intersections strictly
+# interior, the overlapping member pulls them onto the boundary.
+_PRESETS = {
+    "collinear": (([0, 0, 0], 1.0), ([4, 0, 0], 1.0), ([8, 0, 0], 1.0)),
+    "pinned": (([0, 1, 0], 1.0), ([3, -1, 0], 1.0), ([6, 1.5, 0], 1.5)),
+    "two-permutations": (([2.04, 1.47, 2.0], 1.11), ([-0.75, 1.91, 1.2], 0.69),
+                         ([0, -33, 0], 33.0)),
+    "transition-disjoint": (([0, 0, 0], 1.864), ([3.2, 0, 0], 0.952),
+                            ([-3.484, 1.766, 0], 0.772)),
+    "transition-tangent": (([0, 0, 0], 1.864), ([2.816, 0, 0], 0.952),
+                           ([-3.484, 1.766, 0], 0.772)),
+    "transition-overlapping": (([0, 0, 0], 1.864), ([1.544, 0, 0], 0.952),
+                               ([-3.484, 1.766, 0], 0.772)),
+    "flexdemo-disjoint": (([0, 0, 0], 1.0), ([2.2, 0, 0], 1.0), ([1.1, 2.2, 0], 1.0)),
+    "flexdemo-tangent": (([0, 0, 0], 1.0), ([2.0, 0, 0], 1.0), ([1.1, 2.2, 0], 1.0)),
+    "flexdemo-overlapping": (([0, 0, 0], 1.0), ([1.95, 0, 0], 1.0), ([1.1, 2.2, 0], 1.0)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_scene(name: str) -> Scene:
     """Built-in demonstration scenes used by tests and figure reproduction."""
-    if name == "collinear":
-        return Scene(
-            3,
-            (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([8, 0, 0], 1.0)),
-        )
-    if name == "pinned":
-        return Scene(
-            3,
-            (Ball([0, 1, 0], 1.0), Ball([3, -1, 0], 1.0), Ball([6, 1.5, 0], 1.5)),
-        )
-    if name == "two-permutations":
-        return Scene(
-            3,
-            (
-                Ball([2.04, 1.47, 2.0], 1.11),
-                Ball([-0.75, 1.91, 1.2], 0.69),
-                Ball([0.0, -33.0, 0.0], 33.0),
-            ),
-        )
-    if name.startswith("transition-"):
-        kind = name.split("-", 1)[1]
-        if kind in _TRANSITION_T:
-            return _transition_scene(kind)
-    if name.startswith("flexdemo-"):
-        kind = name.split("-", 1)[1]
-        if kind in _FLEXDEMO_T:
-            return _flexdemo_scene(kind)
-    raise SceneError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = (
-    "collinear",
-    "pinned",
-    "two-permutations",
-    "transition-disjoint",
-    "transition-tangent",
-    "transition-overlapping",
-    "flexdemo-disjoint",
-    "flexdemo-tangent",
-    "flexdemo-overlapping",
-)
+    if name not in _PRESETS:
+        raise SceneError(f"unknown preset {name!r}")
+    return Scene(3, tuple(Ball(c, r) for c, r in _PRESETS[name]),
+                 allow_overlap=name.endswith(("-tangent", "-overlapping")))
 
 
 def _load_scene(path: str, triple_for: str | None = None) -> Scene:
@@ -333,7 +280,7 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, transversal):
         extra = {"preset": preset}
     elif transversal:
         scene, direction = random_scene_with_transversal(n, dim, (rmin, rmax), seed)
-        extra = {"transversal_direction": [float(x) for x in direction.components]}
+        extra = {"transversal_direction": [float(x) for x in direction]}
     else:
         scene = random_disjoint_scene(n, dim, (rmin, rmax), seed)
         extra = {}
@@ -368,24 +315,27 @@ def check_convexity(config, scene, order, samples, pairs, seed, order_semantics)
 
 @_command("enumerate-permutations", reads="scene")
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="seeds the Gaussian direction sample in R^d, d >= 4; the R^2 angles "
+                   "and the R^3 Fibonacci lattice ignore it")
 def enumerate_permutations(config, scene, samples, seed):
     """Catalog geometric permutations with witness directions."""
     config.update(samples=samples, seed=seed)
-    return cone_mod.enumerate_geometric_permutations(scene, samples=samples, seed=seed), True, None
+    sset = cone_mod.sample_scene(scene, samples, seed)
+    return cone_mod.enumerate_geometric_permutations(sset), True, None
 
 
 @_command("count-components", reads="scene")
 @click.option("--samples", type=click.IntRange(min=1), default=20000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="seeds the Gaussian direction sample in R^d, d >= 4; the R^2 angles "
+                   "and the R^3 Fibonacci lattice ignore it")
 def count_components_cmd(config, scene, samples, seed):
     """Count transversal components; must equal the permutation count."""
     config.update(samples=samples, seed=seed)
-    sset = cone_mod.sample_scene(scene, samples, seed=seed)
-    comp = cone_mod.count_components(scene, samples=samples, seed=seed, sample_set=sset)
-    cat = cone_mod.enumerate_geometric_permutations(
-        scene, samples=samples, seed=seed, sample_set=sset
-    )
+    sset = cone_mod.sample_scene(scene, samples, seed)
+    comp = cone_mod.count_components(sset)
+    cat = cone_mod.enumerate_geometric_permutations(sset)
     agree = comp["count"] == cat["count"]
     verdicts = {
         "components": comp,
@@ -435,11 +385,14 @@ def classify_boundary(config, triple, direction, n_directions):
     classification come from sextic.float_safe_triple's rescale of the
     triple, and each slack is scaled back to the scene's own scale.
     """
+    if direction is not None and not (all(map(math.isfinite, direction)) and any(direction)):
+        raise click.BadParameter(f"must be finite and not zero, got {direction}",
+                                 param_hint="'--direction'")
     triple, shift = sextic.float_safe_triple(triple)
     config.update(direction=None if direction is None else list(direction),
                   directions=n_directions)
     if direction is not None:
-        U = np.array([direction])
+        U = cone_mod._unit_rows([direction])
         verdicts: dict = {"rays": None, "sextic_points": None}
     else:
         U, rays = cone_mod.sextic_ray_directions(triple, n_directions)

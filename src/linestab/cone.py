@@ -31,13 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import (
-    Direction,
-    Scene,
-    SceneError,
-    SolverError,
-    orthonormal_basis_of_complement,
-)
+from .geom import Scene, SceneError, SolverError, orthonormal_basis_of_complement
 from .sextic import (TRACE_TOL, Triple, companion_roots, sigma_roots_on_rays,
                      tangent_lines_for_direction)
 
@@ -96,8 +90,6 @@ def lattice_spacing(d: int, count: int) -> float:
     """Mean angular spacing of a `count`-point sample of S^{d-1}."""
     if d == 3:
         return math.sqrt(4.0 * math.pi / count)
-    if d == 4:
-        return (2.0 * math.pi ** 2 / count) ** (1.0 / 3.0)
     # general sphere measure, adequate for spacing estimates
     area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     return (area / count) ** (1.0 / (d - 1))
@@ -703,23 +695,17 @@ def _reversed_is_canonical(orders: np.ndarray) -> np.ndarray:
     return rev[rows, first] < orders[rows, first]
 
 
-def enumerate_geometric_permutations(
-    scene: Scene,
-    samples: int = 20000,
-    seed: int = 0,
-    sample_set: Optional[ConeSampleSet] = None,
-) -> dict:
-    """Catalog of geometric permutations discovered by direction sampling.
+def enumerate_geometric_permutations(sset: ConeSampleSet) -> dict:
+    """Catalog of the geometric permutations of ``sset.scene`` discovered by
+    its direction sample ``sset``.
 
     Orderings are identified with their reversals; each entry keeps the
     deepest-slack witness direction.  Cones thinner than the sampling
     density can be missed, which is reported through the sample counts.
-    Returns the report's verdicts: the ``count``, ``samples`` and ``seed``,
-    and the ``permutations`` in order of discovery, each with its
-    ``witness`` direction, ``witness_order``, ``witness_slack`` and
-    ``sample_count``.
+    Returns the report's verdicts: the ``count`` and the ``permutations``
+    in order of discovery, each with its ``witness`` direction,
+    ``witness_order``, ``witness_slack`` and ``sample_count``.
     """
-    sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     idxs = np.nonzero(sset.feasible)[0]
     orders = sset.orders[idxs]
     canon = np.where(_reversed_is_canonical(orders)[:, None], orders[:, ::-1], orders)
@@ -736,8 +722,7 @@ def enumerate_geometric_permutations(
          "sample_count": int(counts[g])}
         for g, m in zip(found, witness[found])
     ]
-    return {"count": len(permutations), "samples": samples, "seed": seed,
-            "permutations": permutations}
+    return {"count": len(permutations), "permutations": permutations}
 
 
 # candidate pairs _close_pairs tests at a time (plus at most one cell's rows),
@@ -853,13 +838,9 @@ def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
-def count_components(
-    scene: Scene,
-    samples: int = 20000,
-    seed: int = 0,
-    sample_set: Optional[ConeSampleSet] = None,
-) -> dict:
-    """Count connected clusters of feasible directions on the sphere.
+def count_components(sset: ConeSampleSet) -> dict:
+    """Count connected clusters of the feasible directions of the sample
+    ``sset`` on the sphere.
 
     Each feasible sample is canonicalized (antipodal identification of the
     reversed-order witness), then clustered with a neighborhood graph whose
@@ -872,7 +853,6 @@ def count_components(
     ``undersampled`` (a cluster of fewer than 10 samples),
     ``feasible_samples`` and ``neighbour_pairs``.
     """
-    sset = sample_set if sample_set is not None else sample_scene(scene, samples, seed=seed)
     feas = sset.feasible
     dirs = sset.directions[feas]
     orders = sset.orders[feas]
@@ -880,7 +860,7 @@ def count_components(
         return {"count": 0, "cluster_sizes": [], "angular_radius": 0.0, "undersampled": False,
                 "feasible_samples": 0, "neighbour_pairs": 0}
     canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
-    theta = NEIGHBOUR_SPACINGS * lattice_spacing(scene.dimension, len(sset.directions))
+    theta = NEIGHBOUR_SPACINGS * lattice_spacing(sset.scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
     a, b = _close_pairs(canon_dirs, chord)
     labels = _component_labels(len(canon_dirs), a, b)
@@ -1016,7 +996,8 @@ def sextic_ray_directions(triple: Triple, count: int) -> tuple[np.ndarray, int]:
 
 def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     """Classify sextic directions, the rows of U (m, 3): cone boundary vs
-    interior, one dict per row.
+    interior, one dict per row.  The rows are scaled to unit length
+    (_unit_rows), so a zero or non-finite row raises SolverError.
 
     ``on_boundary`` reads the disk-minimax slack, one kernel call for all
     rows.  A sextic direction's three circles share a point, which all
@@ -1031,24 +1012,22 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     collinear centers decide none of them.  A row off the sextic gets only
     ``error``, the message of tangent_lines_for_direction's SceneError.
     """
-    dirs = [Direction(u) for u in np.asarray(U, dtype=float).reshape(-1, 3)]
+    U = _unit_rows(np.reshape(U, (-1, 3)))
     if triple.collinear_centers:
         return [{"on_boundary": None, "crosses_triangle": None, "slack": None,
-                 "tag": "collinear centers: no triangle"} for _ in dirs]
+                 "tag": "collinear centers: no triangle"} for _ in U]
     scene, c0 = triple.scene, triple.centers[0]
     edges = triple.centers[1:] - c0
     normal = np.cross(edges[0], edges[1])
     normal /= np.linalg.norm(normal)
-    slacks = minimax_slack_batch(scene.centers, scene.radii,
-                                 np.array([u.components for u in dirs]).reshape(-1, 3))
     results = []
-    for u, slack in zip(dirs, slacks.tolist()):
+    for u, slack in zip(U, minimax_slack_batch(scene.centers, scene.radii, U).tolist()):
         try:
             feet = tangent_lines_for_direction(triple, u)
         except SceneError as exc:
             results.append({"error": str(exc)})
             continue
-        denom = float(np.dot(u.components, normal))
+        denom = float(np.dot(u, normal))
         off = (c0 - feet) @ normal
         crosses, tag = None, "no real tangent line"
         # a direction within TRACE_TOL of the plane of centers counts as
@@ -1059,7 +1038,7 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
                    else "tangent parallel to plane of centers")
         elif len(feet):
             # barycentrics (1 - l1 - l2, l1, l2) of each line's plane crossing
-            hits = feet + (off / denom)[:, None] * u.components - c0
+            hits = feet + (off / denom)[:, None] * u - c0
             lam = np.linalg.solve(edges @ edges.T, edges @ hits.T)
             crosses, tag = bool(np.any(np.all(lam >= -1e-9, axis=0)
                                        & (1.0 - lam.sum(axis=0) >= -1e-9))), None

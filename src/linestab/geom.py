@@ -1,8 +1,8 @@
 """Euclidean primitives for ball scenes in R^d.
 
-Balls, ordered scenes, directions on the unit sphere, an orthonormal basis
-of a direction's complement, and the scene generators used throughout the
-library.
+Balls, ordered scenes, an orthonormal basis of a direction's complement,
+and the scene generators used throughout the library.  A direction is a
+plain row of d floats, as every kernel takes it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import numpy as np
 
 DISJOINTNESS_MARGIN = 1e-6
 MAX_REJECTS = 10000  # placement attempts of random_disjoint_scene
-DIRECTION_NORM_TOL = 1e-12
 # the one length tolerance, relative to a scene's diameter (Scene.band):
 # feasibility, tie, boundary and entry-order decisions all read the band
 REL_TOL = 1e-9
@@ -35,19 +34,6 @@ def _as_vector(x, name="vector"):
     if not np.all(np.isfinite(v)):
         raise SceneError(f"{name} has non-finite entries")
     return v
-
-
-def _nonzero_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(v, |v|) for a nonzero vector; v is first divided by max |v_i| when
-    |v| overflows, so that huge finite vectors still normalize."""
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
-    if n == 0.0:
-        raise SceneError("cannot normalize the zero vector")
-    if math.isinf(n):
-        v = v / np.max(np.abs(v))
-        n = np.linalg.norm(v)
-    return v, n
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,31 +157,22 @@ class Scene:
         return cls(dim, tuple(balls), allow_overlap=overlap)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector on S^{d-1}.  Antipodal identification is always explicit."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        v, n = _nonzero_norm(_as_vector(self.components, "direction"))
-        if abs(n - 1.0) > DIRECTION_NORM_TOL:
-            v = v / n
-        object.__setattr__(self, "components", v)
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
-
-
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of u^perp, rows are the basis vectors.
 
     The standard basis axis with the largest |u| component is dropped and the
     remaining axes are Gram-Schmidt orthogonalized against u in index order,
-    which pins the basis uniquely for reproducibility.
+    which pins the basis uniquely for reproducibility.  A huge u is first
+    divided by max |u_i| so that its norm does not overflow.
     """
-    u, n = _nonzero_norm(_as_vector(u, "direction"))
+    u = _as_vector(u, "direction")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(u)
+    if n == 0.0:
+        raise SceneError("cannot normalize the zero vector")
+    if math.isinf(n):
+        u = u / np.max(np.abs(u))
+        n = np.linalg.norm(u)
     u = u / n
     d = u.shape[0]
     drop = int(np.argmax(np.abs(u)))
@@ -261,8 +238,9 @@ def random_scene_with_transversal(
     d: int,
     radius_range: tuple[float, float],
     seed: int,
-) -> tuple[Scene, Direction]:
-    """Random disjoint scene guaranteed to admit a transversal, plus a witness.
+) -> tuple[Scene, np.ndarray]:
+    """Random disjoint scene guaranteed to admit a transversal, plus the unit
+    direction (d,) of that transversal as a witness.
 
     Centers are placed close to a random line (offset below half the radius),
     so the line itself meets every ball; spacing along the line guarantees
@@ -288,4 +266,4 @@ def random_scene_with_transversal(
         center = t * axis + off * (perp @ basis)
         balls.append(Ball(center, radii[i]))
         prev_r = radii[i]
-    return Scene(d, tuple(balls)), Direction(axis)
+    return Scene(d, tuple(balls)), axis

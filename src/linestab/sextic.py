@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Ball, Direction, Scene, SceneError, SolverError
+from .geom import Ball, Scene, SceneError, SolverError
 
 SIGMA_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -440,9 +440,10 @@ def eval_sigma(triple: Triple, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tangent_lines_for_direction(triple: Triple, u: Direction) -> np.ndarray:
+def tangent_lines_for_direction(triple: Triple, u) -> np.ndarray:
     """Foot points (k, 3), k <= 2, of the affine common tangent lines with
-    direction u: each line is {foot + t u}, its foot orthogonal to u.
+    direction u, a unit row (3,): each line is {foot + t u}, its foot
+    orthogonal to u.
 
     Requires sigma(u) ~ 0: |sigma| at unit u at most SIGMA_TOL times the
     largest coefficient, else SceneError.  Centers are translated so the
@@ -454,7 +455,7 @@ def tangent_lines_for_direction(triple: Triple, u: Direction) -> np.ndarray:
     direction along collinear centers, whose tangents form a circle family,
     yields none.
     """
-    uv = u.components
+    uv = np.asarray(u, dtype=float)
     val = eval_sigma(triple, uv / np.linalg.norm(uv)) / triple.sigma_scale
     if not abs(val) <= SIGMA_TOL:  # a NaN is off the curve too
         raise SceneError(

@@ -25,7 +25,6 @@ from linestab.cone import (
 from linestab.flexprobe import LiftedConfig, certify_flex_free, lifted_hessian_decomposition
 from linestab.geom import (
     Ball,
-    Direction,
     Scene,
     random_scene_with_transversal,
 )
@@ -86,7 +85,7 @@ def test_criterion_3_convexity_theorem():
     total_pairs = 0
     for seed in range(50):
         scene, axis = random_scene_with_transversal(3, 3, (0.6, 1.6), seed=seed)
-        order, _ = center_order(scene, axis.components)
+        order, _ = center_order(scene, axis)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=2048
         )
@@ -95,7 +94,7 @@ def test_criterion_3_convexity_theorem():
         total_pairs += rep["tested_pairs"]
     for seed in range(10):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=100 + seed)
-        order, _ = center_order(scene, axis.components)
+        order, _ = center_order(scene, axis)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=4096
         )
@@ -124,7 +123,7 @@ def test_criterion_4_disjointness_necessity():
     assert rep["violation_count"] >= 1, "overlapping panel shows no midpoint violation"
 
     disjoint = preset_scene("transition-disjoint")
-    cat = enumerate_geometric_permutations(disjoint, samples=4096, seed=0)
+    cat = enumerate_geometric_permutations(sample_scene(disjoint, 4096))
     assert cat["count"] >= 1
     for entry in cat["permutations"]:
         rep_d = cone_convexity_check(
@@ -187,8 +186,8 @@ def test_criterion_6_permutations_equal_components():
     for n, d, seed in cases:
         scene, _ = random_scene_with_transversal(n, d, (0.8, 2.0), seed=seed)
         sset = sample_scene(scene, 100_000, seed=0)
-        cat = enumerate_geometric_permutations(scene, sample_set=sset)
-        comp = count_components(scene, samples=100_000, sample_set=sset)
+        cat = enumerate_geometric_permutations(sset)
+        comp = count_components(sset)
         assert comp["count"] == cat["count"], (n, d, seed, comp["count"], cat["count"])
     elapsed = time.perf_counter() - t0
     _ok(f"6 permutations-equal-components (30 scenes at 1e5 samples, {elapsed:.1f}s)")
@@ -206,7 +205,7 @@ def test_criterion_7_helly_consistency():
 
         lattice = sample_directions(3, 400, seed=seed)
         U.append(lattice)
-        jitter = axis.components[None, :] + 0.2 * rng.normal(size=(100, 3))
+        jitter = axis[None, :] + 0.2 * rng.normal(size=(100, 3))
         U.append(jitter / np.linalg.norm(jitter, axis=1, keepdims=True))
         U = np.vstack(U)
         scene_feas = minimax_slack_batch(scene.centers, scene.radii, U) <= 1e-9
@@ -238,10 +237,11 @@ def test_criterion_8_tangent_recovery():
                 for x, y in poly[::3]:
                     if collected >= 20:
                         break
-                    u = Direction(chart_point_to_direction(chart, x, y))
+                    u = chart_point_to_direction(chart, x, y)
+                    u = u / np.linalg.norm(u)
                     for foot in tangent_lines_for_direction(tri, u):
                         for b in tri.balls:
-                            err = abs(line_distance(foot, u.components, b.center) - b.radius)
+                            err = abs(line_distance(foot, u, b.center) - b.radius)
                             assert err <= 1e-8, err
                         total_lines += 1
                         collected += 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -243,6 +244,16 @@ class TestFloatOptions:
         )
         assert r.exit_code == 2, r.output
         assert "3 components" in r.output
+
+    @pytest.mark.parametrize("direction", ["0,0,0", "nan,0,0", "1,inf,0"])
+    def test_direction_must_be_finite_and_not_zero(self, runner, tmp_path, direction):
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+        r = runner.invoke(
+            main, ["classify-boundary", "--scene", str(scene), "--direction", direction]
+        )
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--direction': must be finite and not zero" in r.output
 
 
 @pytest.mark.parametrize("command", ["probe-flex", "classify-boundary", "trace-curves"])
@@ -605,6 +616,23 @@ class TestClassifyBoundary:
         assert doc["verdicts"]["disagreements"] == 0
         assert len(doc["verdicts"]["classifications"]) >= 1
 
+    def test_huge_explicit_direction_reads_as_its_unit_row(self, runner, tmp_path):
+        # a row whose squared norm overflows was reported as direction [0, 0, -0]
+        scene = tmp_path / "f.json"
+        invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
+
+        def classify(*args):
+            r = runner.invoke(main, ["classify-boundary", "--scene", str(scene), *args])
+            assert r.exit_code == 0, r.output
+            return json.loads(r.output)["verdicts"]["classifications"]
+
+        unit = classify()[0]["direction"]
+        [huge] = classify("--direction", ",".join(repr(math.ldexp(x, 1020)) for x in unit))
+        [same] = classify("--direction", ",".join(map(repr, unit)))
+        np.testing.assert_allclose(huge.pop("direction"), same.pop("direction"), rtol=1e-15)
+        assert huge.pop("slack") == pytest.approx(same.pop("slack"), rel=1e-12)
+        assert huge == same
+
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     @pytest.mark.parametrize("budget", [[], ["--directions", "32"]])
     def test_every_preset_agrees(self, runner, tmp_path, preset, budget):
@@ -746,6 +774,9 @@ class TestReportSchema:
         def verdicts(*args):
             doc = json.loads(runner.invoke(main, [*args, "--scene", str(path)]).output)
             assert doc["verdicts"].pop("band") == scene.band
+            # the sample-set reports give their sample's budget in the config only
+            if doc["command"] != "check-convexity":
+                assert doc["config"] == {"scene": str(path), "samples": 4000, "seed": 2}
             return doc["verdicts"]
 
         def round_trip(report):
@@ -758,10 +789,11 @@ class TestReportSchema:
                         "--order-semantics", "entry") == round_trip(convexity)
         assert len(convexity["violations"]) == min(convexity["violation_count"],
                                                    cone_mod.REPORTED_VIOLATIONS)
-        catalog = cone_mod.enumerate_geometric_permutations(scene, samples=4000, seed=2)
+        sset = cone_mod.sample_scene(scene, 4000, 2)
+        catalog = cone_mod.enumerate_geometric_permutations(sset)
         assert verdicts("enumerate-permutations", "--samples", "4000", "--seed", "2") == \
             round_trip(catalog)
-        components = cone_mod.count_components(scene, samples=4000, seed=2)
+        components = cone_mod.count_components(sset)
         assert verdicts("count-components", "--samples", "4000", "--seed", "2")["components"] \
             == round_trip(components)
 

@@ -10,7 +10,6 @@ from linestab import cone
 from linestab.cli import PRESET_NAMES, preset_scene
 from linestab.geom import (
     Ball,
-    Direction,
     Scene,
     SceneError,
     SolverError,
@@ -18,7 +17,7 @@ from linestab.geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
 )
-from linestab.sextic import Triple, eval_sigma
+from linestab.sextic import Triple, eval_sigma, float_safe_triple
 from linestab.cone import (
     OrderedQuery,
     _pair_bound,
@@ -129,7 +128,7 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
     U = rng.normal(size=(300, d))
     if kind == "transversal":
         scene, axis = random_scene_with_transversal(n, d, (0.5, 2.0), seed=seed)
-        U[:150] = axis.components + 0.2 * U[:150]
+        U[:150] = axis + 0.2 * U[:150]
     elif kind == "disjoint":
         scene = random_disjoint_scene(n, d, (0.5, 2.0), seed=seed)
     else:
@@ -212,9 +211,9 @@ class TestDirectionFeasible:
         # against that slack plus the center order; half the directions lie
         # near the transversal axis so both verdicts occur
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
-        order, _ = center_order(scene, axis.components)
+        order, _ = center_order(scene, axis)
         q = OrderedQuery(scene, order)
-        U = np.vstack([rng.normal(size=(12, 3)), axis.components + 0.2 * rng.normal(size=(12, 3))])
+        U = np.vstack([rng.normal(size=(12, 3)), axis + 0.2 * rng.normal(size=(12, 3))])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         mask, slacks = feasibility_batch(q, U)
         for m in range(len(U)):
@@ -317,7 +316,7 @@ def test_feasibility_batch_is_the_sample_set_decision(key):
         scene, extra = preset_scene(key), X_AXIS
     else:
         scene, u = random_scene_with_transversal(key[0], key[1], (1.0, 2.0), seed=key[2])
-        extra = u.components[None, :]
+        extra = u[None, :]
     sset = sample_scene(scene, 2048, seed=0, extra_directions=extra)
     orders = {tuple(o) for o in sset.orders[sset.feasible].tolist()}
     semantics = ("center", "entry") if scene.dimension == 3 else ("center",)
@@ -334,7 +333,7 @@ class TestConvexity:
     def test_random_triples_have_convex_cones(self):
         for seed in (1, 4, 8):
             scene, axis = random_scene_with_transversal(3, 3, (0.7, 1.4), seed=seed)
-            order, _ = center_order(scene, axis.components)
+            order, _ = center_order(scene, axis)
             rep = cone_convexity_check(
                 OrderedQuery(scene, order), pairs=400, seed=2, lattice=2048
             )
@@ -344,7 +343,7 @@ class TestConvexity:
 
     def test_r4_scene_convex(self):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=3)
-        order, _ = center_order(scene, axis.components)
+        order, _ = center_order(scene, axis)
         rep = cone_convexity_check(
             OrderedQuery(scene, order), pairs=300, seed=0, lattice=4096
         )
@@ -368,7 +367,7 @@ class TestConvexity:
         from linestab.cli import preset_scene
 
         scene = preset_scene("transition-disjoint")
-        cat = enumerate_geometric_permutations(scene, samples=2048, seed=0)
+        cat = enumerate_geometric_permutations(sample_scene(scene, 2048))
         order = cat["permutations"][0]["witness_order"]
         for semantics in ("center", "entry"):
             rep = cone_convexity_check(
@@ -422,7 +421,7 @@ def _entry_split_scene(name):
         return Scene(3, (Ball([0, 0, 0], 1.0),)), (0,)
     if name == "four-balls":
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
-        return scene, center_order(scene, axis.components)[0]
+        return scene, center_order(scene, axis)[0]
     return preset_scene(name), {"transition-overlapping": (0, 1, 2),
                                 "transition-disjoint": (1, 0, 2)}[name]
 
@@ -536,7 +535,7 @@ def test_entry_decision_reads_depths_from_the_construction():
 
 class TestPermutations:
     def test_collinear_has_one_permutation(self):
-        cat = enumerate_geometric_permutations(collinear_scene(), samples=2000, seed=0)
+        cat = enumerate_geometric_permutations(sample_scene(collinear_scene(), 2000))
         assert cat["count"] == 1
         assert [e["permutation"] for e in cat["permutations"]] == [[0, 1, 2]]
 
@@ -555,8 +554,8 @@ class TestPermutations:
         scene = Scene(3, tuple(balls))
         assert scene_classification(scene).thinly_distributed
         sset = sample_scene(scene, 20000, seed=0)
-        cat = enumerate_geometric_permutations(scene, sample_set=sset)
-        comp = count_components(scene, sample_set=sset)
+        cat = enumerate_geometric_permutations(sset)
+        comp = count_components(sset)
         assert cat["count"] >= 1
         assert comp["count"] == cat["count"]
 
@@ -565,7 +564,7 @@ class TestPermutations:
 
         scene = preset_scene("two-permutations")
         sset = sample_scene(scene, 20000, seed=0)
-        cat = enumerate_geometric_permutations(scene, sample_set=sset)
+        cat = enumerate_geometric_permutations(sset)
         assert cat["count"] == 2
         assert _catalog_by_loop(sset) == [
             (tuple(e["permutation"]), tuple(e["witness_order"]), e["witness_slack"],
@@ -587,7 +586,7 @@ class TestPermutations:
 
 class TestComponents:
     def test_collinear_single_component(self):
-        rep = count_components(collinear_scene(), samples=4000, seed=0)
+        rep = count_components(sample_scene(collinear_scene(), 4000))
         assert rep["count"] == 1
         assert not rep["undersampled"]
 
@@ -595,15 +594,15 @@ class TestComponents:
         from linestab.cli import preset_scene
 
         scene = preset_scene("two-permutations")
-        rep = count_components(scene, samples=20000, seed=0)
+        rep = count_components(sample_scene(scene, 20000))
         assert rep["count"] == 2
 
     def test_components_equal_permutations_random(self):
         for seed in (2, 6):
             scene, _ = random_scene_with_transversal(4, 3, (0.7, 1.3), seed=seed)
             sset = sample_scene(scene, 20000, seed=0)
-            cat = enumerate_geometric_permutations(scene, sample_set=sset)
-            rep = count_components(scene, sample_set=sset)
+            cat = enumerate_geometric_permutations(sset)
+            rep = count_components(sset)
             assert rep["count"] == cat["count"]
 
     def test_plane_scenes_form_one_component(self):
@@ -614,8 +613,8 @@ class TestComponents:
         for scene in (pair, five):
             for samples in (500, 2000, 20000):
                 sset = sample_scene(scene, samples, seed=0)
-                rep = count_components(scene, sample_set=sset)
-                cat = enumerate_geometric_permutations(scene, sample_set=sset)
+                rep = count_components(sset)
+                cat = enumerate_geometric_permutations(sset)
                 assert rep["count"] == cat["count"] == 1
 
     def test_empty_scene_reports_zero(self):
@@ -624,7 +623,7 @@ class TestComponents:
             3,
             (Ball([0, 0, 0], 1.0), Ball([s, 0, 0], 1.0), Ball([s / 2, s, 0], 1.0)),
         )
-        rep = count_components(scene, samples=2000, seed=0)
+        rep = count_components(sample_scene(scene, 2000))
         assert rep["count"] == 0
         assert rep["feasible_samples"] == rep["neighbour_pairs"] == 0
 
@@ -635,7 +634,7 @@ class TestComponents:
 
         scene = preset_scene("two-permutations")
         sset = sample_scene(scene, 100_000, seed=0)
-        rep = count_components(scene, sample_set=sset)
+        rep = count_components(sset)
         assert rep["count"] == 2
         assert rep["cluster_sizes"] == [7713, 2399]
         assert rep["feasible_samples"] == int(np.sum(sset.feasible)) == 10112
@@ -810,6 +809,25 @@ class TestBoundaryExits:
         # the cones of disjoint balls end before any tie
         assert not any(c.startswith("tie") for c in curves) or scene.allow_overlap
 
+    def test_sextic_exits_are_the_rows_with_three_positive_weights(self):
+        # an exit lies on a sextic arc exactly when the kernel's minimax point
+        # has all three disks in its support; the weights are exact zeros off
+        # the support, so no roundoff decides this.  flexdemo-overlapping
+        # breaks it (conic exits with three positive weights) and is left out
+        names = [name for name in PRESET_NAMES if not name.endswith("-overlapping")]
+        sextic = {}
+        for key, tri in [*((name, Triple.from_scene(preset_scene(name))) for name in names),
+                         *enumerate(_criterion_5_triples())]:
+            tri = float_safe_triple(tri)[0]
+            dirs, curves = cone._boundary_exits(tri, 200)
+            weights = minimax_weights_batch(tri.scene.centers, tri.scene.radii, dirs)
+            np.testing.assert_array_equal(curves == "sextic", np.all(weights > 0, axis=1))
+            sextic[key] = int(np.sum(curves == "sextic"))
+        assert [sextic[name] for name in ("two-permutations", "flexdemo-disjoint",
+                                          "flexdemo-tangent")] == [23, 16, 56]
+        # criterion 5: no sextic exit on its 20 random triples, 16 to 48 on its gap sweep
+        assert [sextic[k] for k in range(25)] == [0] * 20 + [16, 31, 37, 44, 48]
+
     def test_kernel_calls_do_not_grow_with_count(self, monkeypatch):
         from linestab.cli import preset_scene
 
@@ -948,12 +966,12 @@ class TestBoundaryClassification:
         from linestab.cli import preset_scene
 
         scene = preset_scene("flexdemo-tangent")
-        u = Direction([0.4472135954999579, 0.8944271909999159, z])
+        u = [0.4472135954999579, 0.8944271909999159, z]
         verdicts = set()
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
             tri = Triple.from_scene(Scene(3, balls, allow_overlap=True))
-            [cls] = classify_boundary_direction(tri, [u.components])
+            [cls] = classify_boundary_direction(tri, [u])
             verdicts.add((cls["crosses_triangle"], cls["tag"]))
         assert len(verdicts) == 1, verdicts
 
@@ -997,7 +1015,7 @@ class TestInvariance:
         # centers shifted by up to 10^6 along a generic vector: no feasibility
         # verdict flips and the convexity theorem still shows no violation
         scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=3)
-        order, _ = center_order(scene, axis.components)
+        order, _ = center_order(scene, axis)
         U = fibonacci_sphere(20000)
         mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
         assert np.sum(mask0) > 0
@@ -1016,8 +1034,8 @@ class TestInvariance:
         # the feasibility mask of 2 * 10^4 rows around the scene's axis flipped
         # 5147 rows at scale 10^-9 while the tolerance was an absolute 1e-9
         scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
-        order, _ = center_order(scene, axis.components)
-        U = axis.components + 0.3 * np.random.default_rng(0).normal(size=(20000, 3))
+        order, _ = center_order(scene, axis)
+        U = axis + 0.3 * np.random.default_rng(0).normal(size=(20000, 3))
         mask0 = feasibility_batch(OrderedQuery(scene, order), U)[0]
         assert 0 < np.sum(mask0) < len(U)
         for s in (1e-9, 1e-6, 1e6, 1e9, 2.0 ** -30, 2.0 ** 30):
@@ -1045,9 +1063,9 @@ def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
 )
 def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, perm):
     scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=seed)
-    order, _ = center_order(scene, axis.components)
+    order, _ = center_order(scene, axis)
     rng = np.random.default_rng(seed)
-    U = np.vstack([fibonacci_sphere(300), axis.components + 0.15 * rng.normal(size=(100, 3))])
+    U = np.vstack([fibonacci_sphere(300), axis + 0.15 * rng.normal(size=(100, 3))])
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
 

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linestab.cone import minimax_slack_batch, minimax_weights_batch
+from linestab.cone import _unit_rows, minimax_slack_batch, minimax_weights_batch
 from linestab.geom import (
     Ball,
-    Direction,
     Scene,
     SceneError,
     SolverError,
@@ -25,7 +24,7 @@ from conftest import (
 
 def project_centers(scene, u):
     """Centers projected onto u^perp, in the coordinates of its basis."""
-    return scene.centers @ orthonormal_basis_of_complement(u.components).T
+    return scene.centers @ orthonormal_basis_of_complement(u).T
 
 
 E3 = np.array([[0.0, 0.0, 1.0]])
@@ -41,7 +40,7 @@ def planar_minimax(centers2, radii):
 
 
 def scene_slack(scene, u):
-    return minimax_slack_batch(scene.centers, scene.radii, u.components[None, :])[0]
+    return minimax_slack_batch(scene.centers, scene.radii, np.array([u], dtype=float))[0]
 
 
 class TestValidation:
@@ -64,23 +63,20 @@ class TestValidation:
             Scene(3, (Ball([0, 0], 1.0),))
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(SceneError):
-            Direction([0.0, 0.0, 0.0])
+        with pytest.raises(SceneError, match="zero vector"):
+            orthonormal_basis_of_complement([0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("v", [[1e308, 1e308, 1.0], [-1e308, 2e307, 0.0, 5.0]])
     def test_huge_direction_normalizes(self, v):
-        # |v| overflows to inf; the result is still the unit vector along v
-        u = Direction(v).components
+        # |v| overflows to inf; the kernel's row is still the unit vector
+        # along v, and the basis of its complement is still orthonormal
+        [u] = _unit_rows([v])
         w = np.array(v) / np.max(np.abs(v))
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
         np.testing.assert_allclose(u, w / np.linalg.norm(w), rtol=1e-15)
         B = orthonormal_basis_of_complement(np.array(v))
         np.testing.assert_allclose(B @ B.T, np.eye(len(v) - 1), atol=1e-12)
         np.testing.assert_allclose(B @ u, 0.0, atol=1e-12)
-
-    def test_finite_norm_keeps_its_bits(self):
-        v = np.array([3.0, -4.0, 12.0])
-        np.testing.assert_array_equal(Direction(v).components, v / 13.0)
 
 
 def test_scene_objects_compare_and_hash_by_identity():
@@ -115,11 +111,11 @@ class TestSceneJson:
 class TestProjection:
     def test_collinear_axis_projection(self):
         # projecting along the line of centers collapses all disks onto one
-        c2 = project_centers(collinear_scene(), Direction([1, 0, 0]))
+        c2 = project_centers(collinear_scene(), [1.0, 0.0, 0.0])
         np.testing.assert_allclose(c2, 0.0, atol=1e-12)
 
     def test_z_axis_projection_is_xy(self):
-        centers = project_centers(collinear_scene(), Direction([0, 0, 1]))
+        centers = project_centers(collinear_scene(), [0.0, 0.0, 1.0])
         np.testing.assert_allclose(
             np.sort(np.linalg.norm(centers - centers[0], axis=1)), [0, 4, 8], atol=1e-12
         )
@@ -129,8 +125,8 @@ class TestProjection:
         u = rng.normal(size=3)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in scene.balls))
-        c1 = project_centers(scene, Direction(u))
-        c2 = project_centers(rotated, Direction(Q @ u))
+        c1 = project_centers(scene, u)
+        c2 = project_centers(rotated, Q @ u)
         for i in range(len(c1)):
             for j in range(len(c1)):
                 assert np.isclose(
@@ -140,7 +136,7 @@ class TestProjection:
     def test_projection_contracts_distances(self, rng):
         scene = random_disjoint_scene(5, 4, (0.5, 1.5), seed=11)
         for _ in range(20):
-            u = Direction(rng.normal(size=4))
+            u = rng.normal(size=4)
             c2 = project_centers(scene, u)
             for i in range(5):
                 for j in range(i + 1, 5):
@@ -150,7 +146,7 @@ class TestProjection:
 
     def test_perpendicular_edge_preserves_distance(self):
         scene = Scene(3, (Ball([0, 0, 0], 1.0), Ball([0, 5, 0], 1.0)))
-        c2 = project_centers(scene, Direction([1, 0, 0]))
+        c2 = project_centers(scene, [1.0, 0.0, 0.0])
         d = np.linalg.norm(c2[0] - c2[1])
         assert np.isclose(d, 5.0, atol=1e-12)
 
@@ -268,10 +264,10 @@ class TestTransversalOrder:
         # a real transversal's entry order must match the center-key order
         for seed in range(5):
             scene, direction = random_scene_with_transversal(4, 3, (0.6, 1.4), seed=seed)
-            entries = line_entry_parameters([0, 0, 0], direction.components, scene)
+            entries = line_entry_parameters([0, 0, 0], direction, scene)
             assert all(e is not None for e in entries)
             oracle = tuple(int(i) for i in np.argsort(entries))
-            assert center_order(scene, direction.components)[0] == oracle
+            assert center_order(scene, direction)[0] == oracle
 
 
 class TestSceneClassification:
@@ -313,12 +309,12 @@ class TestGenerators:
         # the ordered query along the construction direction is feasible
         from linestab.cone import OrderedQuery, feasibility_batch
 
-        order, _ = center_order(scene, direction.components)
-        assert feasibility_batch(OrderedQuery(scene, order), direction.components[None, :])[0][0]
+        order, _ = center_order(scene, direction)
+        assert feasibility_batch(OrderedQuery(scene, order), direction[None, :])[0][0]
 
     def test_collinear_center_direction_always_feasible(self):
         scene = collinear_scene()
-        assert scene_slack(scene, Direction([1, 0, 0])) <= 0
+        assert scene_slack(scene, [1.0, 0.0, 0.0]) <= 0
         assert center_order(scene, [1, 0, 0])[0] == (0, 1, 2)
 
     def test_bad_arguments(self):
@@ -339,7 +335,8 @@ class TestGenerators:
 )
 def test_projection_isometry_property(seed, ux, uy, uz):
     scene = random_disjoint_scene(3, 3, (0.5, 1.5), seed=seed % 50)
-    u = Direction([ux, uy, uz])
+    u = np.array([ux, uy, uz])
+    u /= np.linalg.norm(u)
     c2 = project_centers(scene, u)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -347,6 +344,6 @@ def test_projection_isometry_property(seed, ux, uy, uz):
             orig = np.linalg.norm(scene.balls[i].center - scene.balls[j].center)
             assert proj <= orig + 1e-9
             edge = scene.balls[j].center - scene.balls[i].center
-            cos = abs(np.dot(edge, u.components)) / np.linalg.norm(edge)
+            cos = abs(np.dot(edge, u)) / np.linalg.norm(edge)
             if cos < 1e-9:  # edge perpendicular to the direction
                 assert np.isclose(proj, orig, atol=1e-9)

@@ -92,7 +92,7 @@ class TestRegressions:
 
     def test_rows_are_normalised(self):
         scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
-        u = axis.components
+        u = axis
         at_unit = minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0]
         assert at_unit == pytest.approx(-0.5996361378, abs=1e-9)
         for factor in (1.01, 3.0, 1e-200, 1e200):
@@ -102,7 +102,7 @@ class TestRegressions:
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_zero_or_non_finite_row_rejected(self, bad):
         scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
-        U = np.vstack([axis.components, [bad, 0.0, 0.0]])
+        U = np.vstack([axis, [bad, 0.0, 0.0]])
         for kernel in (minimax_slack_batch, minimax_weights_batch):
             with pytest.raises(SolverError):
                 kernel(scene.centers, scene.radii, U)
@@ -194,7 +194,7 @@ def test_inflated_radii_shift_the_slack(tau):
     # slack <= tol is slack <= 0 at radii r + tol: boundary exits rest on it
     scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
     rng = np.random.default_rng(1)
-    U = np.vstack([fibonacci_sphere(400), axis.components + 0.3 * rng.normal(size=(400, 3))])
+    U = np.vstack([fibonacci_sphere(400), axis + 0.3 * rng.normal(size=(400, 3))])
     base = minimax_slack_batch(scene.centers, scene.radii, U)
     inflated = minimax_slack_batch(scene.centers, scene.radii + tau, U)
     eps = KERNEL_REL_EPS * diameter(scene.centers, scene.radii + tau)

@@ -6,7 +6,11 @@
 ``presets`` runs each command of the ``linestab`` CLI on the built-in preset
 scenes at its default options (entry order semantics for check-convexity on
 the transition presets), plus verify-identities once, and prints the digest
-of each run's standard output with its exit code.  ``--src`` is the source
+of each run's standard output with its exit code.  On flexdemo-disjoint it
+also runs classify-boundary with an explicit ``--direction``: the first
+direction of the default run, then a zero and a NaN direction (usage
+errors).  Last come four ``generate-scene --with-transversal`` runs, in
+R^3 to R^5.  ``--src`` is the source
 directory of the checkout to run (default: this checkout's ``src``); every
 run reads its scene through the same relative path, so the reports of two
 checkouts compare byte for byte.
@@ -72,8 +76,15 @@ def presets(src):
                 extra = (["--order-semantics", "entry"]
                          if command == "check-convexity" and preset.startswith("transition-")
                          else [])
-                run(command, "--scene", scene, *extra)
+                out = run(command, "--scene", scene, *extra)
+                if preset == "flexdemo-disjoint" and command == "classify-boundary":
+                    first = json.loads(out)["verdicts"]["classifications"][0]["direction"]
+                    for direction in (",".join(map(repr, first)), "0,0,0", "nan,0,0"):
+                        run(command, "--scene", scene, "--direction", direction)
         run("verify-identities")
+        for n, dim, seed in ((3, 3, 0), (5, 4, 1), (6, 5, 2), (10, 3, 7)):
+            run("generate-scene", "--with-transversal", "--n", str(n), "--dim", str(dim),
+                "--seed", str(seed))
 
 
 @main.command()
