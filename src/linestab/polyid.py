@@ -145,11 +145,9 @@ def _sample_full(rng, height) -> dict:
 
 def _sample_q_triangle(rng, height) -> dict:
     while True:  # one draw of the three fractions per attempt
-        n0, d0, n1, d1, n2, d2 = rng.integers(1, height + 1, size=6).tolist()
-        # the strict triangle inequality on the q_k times d0 d1 d2, in integers
-        x, y, z = sorted((n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1))
-        if x + y > z:
-            return {"q": (Fraction(n0, d0), Fraction(n1, d1), Fraction(n2, d2))}
+        asg = {"q": tuple(_rand_fractions(rng, height, 3))}
+        if _q_domain(asg):
+            return asg
 
 
 def _sample_single_q(rng, height) -> dict:
@@ -351,8 +349,7 @@ def _per_sample(spec: IdentitySpec, side, m: int) -> list:
         part = np.asarray(part)
         if part.dtype.kind == "f" or any(isinstance(v, float) for v in part.flat):
             raise TypeError(f"{spec.identifier} evaluated to a float, not an exact rational")
-        columns.append([v.fraction() if isinstance(v, _Ratio) else v
-                        for v in np.broadcast_to(part, (m,)).flat])
+        columns.append([_reduced(v) for v in np.broadcast_to(part, (m,)).flat])
     return list(zip(*columns)) if isinstance(side, tuple) else columns[0]
 
 

@@ -557,6 +557,8 @@ def _trace_zero_set(f, xs, ys, refine_tol, label="f"):
     f is vectorised and broadcasts its arguments: it fills the grid from the
     column xs[:, None] and the row ys[None, :], refines every crossing edge
     in one batched bisection and decides the saddle cells from their centres.
+    A crossing's id is the index of its grid edge among the crossing edges;
+    the polylines are the bisected points indexed by chains of ids.
     A grid value that is not finite has no sign: SolverError, naming label.
     """
     values = f(xs[:, None], ys[None, :])
@@ -565,68 +567,59 @@ def _trace_zero_set(f, xs, ys, refine_tol, label="f"):
     sign = values >= 0  # an exact zero counts as positive
 
     # crossing edges: horizontal (ix, iy)-(ix + 1, iy), then vertical (ix, iy)-(ix, iy + 1)
-    hx, hy = np.nonzero(sign[:-1] != sign[1:])
-    vx, vy = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    h_cross, v_cross = sign[:-1] != sign[1:], sign[:, :-1] != sign[:, 1:]
+    hx, hy = np.nonzero(h_cross)
+    vx, vy = np.nonzero(v_cross)
     ex, ey = np.concatenate([hx, vx]), np.concatenate([hy, vy])
     start = np.column_stack([xs[ex], ys[ey]])
     end = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
     flip = sign[ex, ey][:, None]
     pts = _bisect_crossings(f, np.where(flip, end, start), np.where(flip, start, end), refine_tol)
-    pts = list(map(tuple, pts.tolist()))
-    h_cross = dict(zip(zip(hx.tolist(), hy.tolist()), pts[: len(hx)]))
-    v_cross = dict(zip(zip(vx.tolist(), vy.tolist()), pts[len(hx):]))
+    # a crossing edge's id is its rank in the order of (hx, hy) then (vx, vy)
+    h_id = np.cumsum(h_cross).reshape(h_cross.shape) - 1
+    v_id = np.cumsum(v_cross).reshape(v_cross.shape) - 1 + len(hx)
 
     code = sign[:-1, :-1] + 2 * sign[1:, :-1] + 4 * sign[1:, 1:] + 8 * sign[:-1, 1:]
     cx, cy = np.nonzero((code != 0) & (code != 15))
     codes = code[cx, cy]
     saddle = (codes == 5) | (codes == 10)
+    centre = np.zeros(len(codes), dtype=bool)
     sx, sy = cx[saddle], cy[saddle]
-    centre_pos = f(0.5 * (xs[sx] + xs[sx + 1]), 0.5 * (ys[sy] + ys[sy + 1])) > 0
-    centre = dict(zip(zip(sx.tolist(), sy.tolist()), centre_pos.tolist()))
+    centre[saddle] = f(0.5 * (xs[sx] + xs[sx + 1]), 0.5 * (ys[sy] + ys[sy + 1])) > 0
 
-    segments = []
-    for ix, iy, c in zip(cx.tolist(), cy.tolist(), codes.tolist()):
-        edge_pt = (h_cross.get((ix, iy)), v_cross.get((ix + 1, iy)),
-                   h_cross.get((ix, iy + 1)), v_cross.get((ix, iy)))
-        for e1, e2 in _MS_CASES[(c, centre[ix, iy]) if c in (5, 10) else c]:
-            segments.append((edge_pt[e1], edge_pt[e2]))
-    return _chain_segments(segments)
+    edge_ids = np.column_stack([h_id[cx, cy], v_id[cx + 1, cy], h_id[cx, cy + 1], v_id[cx, cy]])
+    segments = [(ids[e1], ids[e2])
+                for ids, c, pos in zip(edge_ids.tolist(), codes.tolist(), centre.tolist())
+                for e1, e2 in _MS_CASES[(c, pos) if c in (5, 10) else c]]
+    return [pts[chain] for chain in _chain_segments(segments, len(pts))]
 
 
-def _chain_segments(segments):
-    """Link shared-endpoint segments into ordered polylines.
+def _chain_segments(segments, count):
+    """Link segments, pairs of crossing ids below count, into chains of ids.
 
-    Endpoints match when their coordinates agree to 12 decimals; each
-    endpoint's key is rounded once.
+    A crossing lies on at most two segments.  In segment order, each unused
+    segment (a, b) starts a chain, which extends forward from b, then
+    backward from a, through the first unused segment at its tip; a closed
+    curve's chain ends on its first id.
     """
-    def key(p):
-        return (round(p[0], 12), round(p[1], 12))
-
-    ends = [(a, b, key(a), key(b)) for a, b in segments]
-    adj: dict[tuple, list] = {}
-    for a, b, ka, kb in ends:
-        adj.setdefault(ka, []).append((b, kb))
-        adj.setdefault(kb, []).append((a, ka))
-
-    used = set()
-    polylines = []
-    for a, b, ka, kb in ends:
-        if (ka, kb) in used or (kb, ka) in used:
+    on = [[] for _ in range(count)]  # the segments on each crossing
+    for s, (a, b) in enumerate(segments):
+        on[a].append(s)
+        on[b].append(s)
+    used = [False] * len(segments)
+    chains = []
+    for s, (a, b) in enumerate(segments):
+        if used[s]:
             continue
-        used.add((ka, kb))
-        # extend forward from b, then backward from a
+        used[s] = True
         fwd, back = [], []
-        for tip, pts in ((kb, fwd), (ka, back)):
-            while True:
-                nxt = next(((t, kt) for t, kt in adj[tip]
-                            if (tip, kt) not in used and (kt, tip) not in used), None)
-                if nxt is None:
-                    break
-                used.add((tip, nxt[1]))
-                pts.append(nxt[0])
-                tip = nxt[1]
-        polylines.append(np.array(back[::-1] + [a, b] + fwd))
-    return polylines
+        for tip, ids in ((b, fwd), (a, back)):
+            while (t := next((r for r in on[tip] if not used[r]), None)) is not None:
+                used[t] = True
+                tip = sum(segments[t]) - tip  # the other end of segment t
+                ids.append(tip)
+        chains.append(back[::-1] + [a, b] + fwd)
+    return chains
 
 
 @dataclass

@@ -458,6 +458,31 @@ class TestTraceCurves:
             signs = np.sign(poly)
             assert np.all(signs == signs[0]), poly
 
+    def test_crossings_closer_than_12_decimals_stay_apart(self):
+        # the line x + y = 2e-13 crosses four edges of the grid {-1, 0, 1}^2;
+        # two of its crossings, (2e-13, 0) and (0, 2e-13), agree to 12
+        # decimals and are still two vertices of one polyline
+        c = 2e-13
+        xs = np.array([-1.0, 0.0, 1.0])
+        polys = _trace_zero_set(lambda x, y: x + y - c, xs, xs, 1e-15)
+        assert len(polys) == 1
+        poly = polys[0] if polys[0][0, 0] > 0 else polys[0][::-1]
+        want = np.array([[1.0, c - 1.0], [c, 0.0], [0.0, c], [c - 1.0, 1.0]])
+        assert poly.shape == (4, 2)
+        assert np.allclose(poly, want, rtol=0, atol=1e-15), poly
+
+    def test_closed_curve_ends_on_its_first_vertex(self):
+        # the unit circle on a grid of spacing 0.8 crosses 8 edges, two on
+        # each of the grid lines x = ±0.4 and y = ±0.4
+        xs = np.linspace(-2.0, 2.0, 6)
+        polys = _trace_zero_set(lambda x, y: x * x + y * y - 1.0, xs, xs, 1e-12)
+        assert len(polys) == 1
+        poly = polys[0]
+        assert poly.shape == (9, 2)
+        assert np.array_equal(poly[0], poly[-1])
+        assert len({tuple(p) for p in poly[:-1].tolist()}) == 8
+        assert np.allclose(np.hypot(*poly.T), 1.0, rtol=0, atol=1e-11)
+
     def test_unknown_chart_rejected(self):
         with pytest.raises(SceneError):
             trace_curves(collinear_triple(), chart="u9")
@@ -495,7 +520,8 @@ class TestTraceCurves:
 # ---------------------------------------------------------------------------
 # Bit-identity of the tracer against the term-by-term evaluation it replaced:
 # every power recomputed per term, the Hessian's nine entries evaluated
-# separately, endpoint keys rounded on every lookup.
+# separately, and the polylines chained by their crossing points' coordinates
+# rounded to 12 decimals on every lookup, not by crossing ids.
 # ---------------------------------------------------------------------------
 
 
@@ -565,13 +591,34 @@ def _termwise_functions(tri):
     return funcs
 
 
-def _termwise_trace(tri, chart, grid, extent, refine_tol=1e-10):
+def _termwise_trace(tri, chart, grid, extent, monkeypatch, refine_tol=1e-10):
+    """The polylines of _trace_zero_set on the termwise functions, with its
+    segments chained by _relookup_chain_segments on their crossing points."""
     xs = np.linspace(-extent, extent, grid)
+    bisect = sextic_mod._bisect_crossings
 
     def trace(g):
         def f(X, Y):
             return g(*np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
-        return sextic_mod._trace_zero_set(f, xs, xs, refine_tol)
+
+        seen = {}
+
+        def crossings(*args):
+            pts = bisect(*args)
+            seen["pts"] = pts.tolist()
+            return pts
+
+        def chain(segments, count):
+            pts = seen["pts"]
+            seen["polys"] = _relookup_chain_segments(
+                [(tuple(pts[a]), tuple(pts[b])) for a, b in segments])
+            return []
+
+        with monkeypatch.context() as m:
+            m.setattr(sextic_mod, "_bisect_crossings", crossings)
+            m.setattr(sextic_mod, "_chain_segments", chain)
+            sextic_mod._trace_zero_set(f, xs, xs, refine_tol)
+        return seen["polys"]
 
     return {name: [] if g is None else trace(g) for name, g in _termwise_functions(tri).items()}
 
@@ -591,9 +638,7 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
                 got = sextic_mod._curve_function(tri, name)(P)
                 assert np.array_equal(got, g(*U)), (chart, name)
         for grid, extent in ((100, 2.0), (160, 2.5)):
-            with monkeypatch.context() as m:
-                m.setattr(sextic_mod, "_chain_segments", _relookup_chain_segments)
-                want = _termwise_trace(tri, chart, grid, extent)
+            want = _termwise_trace(tri, chart, grid, extent, monkeypatch)
             got = trace_curves(tri, chart=chart, grid=grid, extent=extent).curves
             assert list(got) == list(CURVE_NAMES) == list(want)
             for name in CURVE_NAMES:

@@ -6,12 +6,13 @@
 ``presets`` runs each command of the ``linestab`` CLI on the built-in preset
 scenes at its default options (entry order semantics for check-convexity on
 the transition presets), plus verify-identities once, and prints the digest
-of each run's standard output with its exit code.  On flexdemo-disjoint it
-also runs classify-boundary with an explicit ``--direction``: the first
+of each run's standard output with its exit code.  trace-curves also runs
+in the charts u1 and u2 (the default is u3).  On flexdemo-disjoint,
+classify-boundary also runs with an explicit ``--direction``: the first
 direction of the default run, then a zero and a NaN direction (usage
-errors).  Last come four ``generate-scene --with-transversal`` runs, in
-R^3 to R^5.  ``--src`` is the source
-directory of the checkout to run (default: this checkout's ``src``); every
+errors); and trace-curves once more with ``--format svg``.  Last come four
+``generate-scene --with-transversal`` runs, in R^3 to R^5.  ``--src`` is the
+source directory of the checkout to run (default: this checkout's ``src``); every
 run reads its scene through the same relative path, so the reports of two
 checkouts compare byte for byte.
 
@@ -81,6 +82,11 @@ def presets(src):
                     first = json.loads(out)["verdicts"]["classifications"][0]["direction"]
                     for direction in (",".join(map(repr, first)), "0,0,0", "nan,0,0"):
                         run(command, "--scene", scene, "--direction", direction)
+                if command == "trace-curves":
+                    for chart in ("u1", "u2"):
+                        run(command, "--scene", scene, "--chart", chart)
+                    if preset == "flexdemo-disjoint":
+                        run(command, "--scene", scene, "--format", "svg")
         run("verify-identities")
         for n, dim, seed in ((3, 3, 0), (5, 4, 1), (6, 5, 2), (10, 3, 7)):
             run("generate-scene", "--with-transversal", "--n", str(n), "--dim", str(dim),
