@@ -132,13 +132,24 @@ def _pair_distances(centers: np.ndarray, U: np.ndarray):
     return i, j, dist
 
 
+def _lengths(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=-1) to the bit, without its slow reduction over
+    a short trailing axis: below 8 terms numpy adds them in order, and so
+    does the sum over coordinates."""
+    if X.shape[-1] >= 8:
+        return np.linalg.norm(X, axis=-1)
+    return np.sqrt(sum(X[..., c] * X[..., c] for c in range(X.shape[-1])))
+
+
 def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarray):
     """Per row, the smallest max over the columns ``over`` (g, k) of
     |x - p_i| - r_i at a point x of the affine hull of its support B (g, b)
     where these agree over B, and the affine weights of that x over B.  With
     edges E = p_i - p_0 and x = p_0 + alpha E, they agree at t where
     G alpha = b0 - t b1 (G = E E^T) and |x - p_0| = r_0 + t: two roots of a
-    quadratic.  A row whose G is singular or has no real root keeps inf."""
+    quadratic.  A row whose G is singular or has no real root keeps inf.
+    Rows are independent, so callers stack many supports as rows of one
+    call; a two-disk support's 1x1 system is solved without LAPACK."""
     g, b = B.shape
     rows = np.arange(g)[:, None]
     PB, rB = P[rows, B], radii[B]
@@ -149,10 +160,14 @@ def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarra
             G = np.einsum("gid,gjd->gij", E, E)
             d2 = np.einsum("gii->gi", G)
             r0, dr = rB[:, 0], rB[:, 1:] - rB[:, :1]
-            # det G <= prod diag G, with equality for orthogonal edges
-            ok = np.linalg.det(G) > 1e-15 * np.prod(d2, axis=1)
             rhs = np.stack([0.5 * (d2 - dr * (rB[:, 1:] + rB[:, :1])), dr], axis=2)
-            A = np.linalg.solve(np.where(ok[:, None, None], G, np.eye(b - 1)), rhs)
+            if b == 2:
+                # a 1x1 system: LAPACK's solve is rhs * (1 / G) to the bit
+                ok, A = G[:, 0, 0] > 0.0, rhs * (1.0 / G)
+            else:
+                # det G <= prod diag G, with equality for orthogonal edges
+                ok = np.linalg.det(G) > 1e-15 * np.prod(d2, axis=1)
+                A = np.linalg.solve(np.where(ok[:, None, None], G, np.eye(b - 1)), rhs)
             A[~ok] = np.nan
             y0, y1 = np.einsum("gjd,gjc->cgd", E, A)
             qa = np.einsum("gd,gd->g", y1, y1) - 1.0
@@ -163,7 +178,11 @@ def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarra
             alpha = A[:, :, 0] - np.stack([q / qa, qc / q])[:, :, None] * A[:, :, 1]
             candidates = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
         x = np.einsum("cgb,gbd->cgd", candidates, PB)
-        val = np.max(np.linalg.norm(x[:, :, None, :] - P[rows, over], axis=3) - radii[over], axis=2)
+        # the max over ``over`` one column at a time: a max is exact, and no
+        # (2, g, k, d) array or reduction over the short k axis is made
+        val = np.full(x.shape[:2], -np.inf)
+        for o in over.T:
+            val = np.maximum(val, _lengths(x - P[rows[:, 0], o]) - radii[o])
     val[np.isnan(val)] = np.inf
     pick = np.argmin(val, axis=0)
     return val[pick, rows[:, 0]], candidates[pick, rows[:, 0]]
@@ -188,11 +207,14 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     projected disks that are not nested, else its smallest disk.  While a
     disk v is violated at the row's point by more than KERNEL_REL_EPS times
     the diameter, the support S becomes the best support in S + {v} that
-    holds v, by the max t over S + {v}.  t rises strictly, so each basis is
-    met at most once; a row still open after that many rounds raises
-    SolverError.  Points live in explicit projected coordinates
-    P = c - (c.u)u, and the slack is the max over all disks at weights @ P:
-    attained, never below the minimum."""
+    holds v, by the max t over S + {v}; a tie goes to the smaller support,
+    then to the first in itertools.combinations order.  A round makes one
+    _best_point call per candidate size for the open rows of each support
+    size, with every candidate support of that size stacked as rows.  t
+    rises strictly, so each basis is met at most once; a row still open
+    after that many rounds raises SolverError.  Points live in explicit
+    projected coordinates P = c - (c.u)u, and the slack is the max over all
+    disks at weights @ P: attained, never below the minimum."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if not len(centers):
@@ -221,7 +243,7 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     worst, slack, open_ = np.zeros(m, dtype=np.int64), np.empty(m), rows
     for _ in range(sum(math.comb(n, k) for k in range(1, cap + 1)) + 1):
         x = np.einsum("mk,mkd->md", weights[open_], P[open_[:, None], support[open_]])
-        g = np.linalg.norm(x[:, None, :] - P[open_], axis=2) - radii
+        g = _lengths(x[:, None, :] - P[open_]) - radii
         worst[open_] = np.argmax(g, axis=1)
         slack[open_] = g[np.arange(len(open_)), worst[open_]]
         open_ = open_[slack[open_] - t[open_] > eps]
@@ -232,14 +254,18 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
             over = np.column_stack([worst[r], support[r, :k]])
             t[r] = np.inf
             for s in range(min(k, cap - 1) + 1):
-                for T in itertools.combinations(range(1, k + 1), s):
-                    B = over[:, (0,) + T]
-                    val, w = _best_point(P[r], radii, B, over)
-                    better = val < t[r]
-                    b = r[better]
-                    t[b], size[b] = val[better], s + 1
-                    support[b], weights[b] = 0, 0.0
-                    support[b, :s + 1], weights[b, :s + 1] = B[better], w[better]
+                # every support of size s + 1 in one call, one block of rows
+                # per subset T; the first smallest in combinations order wins
+                Ts = list(itertools.combinations(range(1, k + 1), s))
+                B = np.concatenate([over[:, (0,) + T] for T in Ts])
+                val, w = _best_point(np.tile(P[r], (len(Ts), 1, 1)), radii, B,
+                                     np.tile(over, (len(Ts), 1)))
+                pick = np.argmin(val.reshape(len(Ts), len(r)), axis=0) * len(r) + np.arange(len(r))
+                better = val[pick] < t[r]
+                b, pick = r[better], pick[better]
+                t[b], size[b] = val[pick], s + 1
+                support[b], weights[b] = 0, 0.0
+                support[b, :s + 1], weights[b, :s + 1] = B[pick], w[pick]
     else:
         raise SolverError(f"disk minimax did not converge on {len(open_)} direction rows")
     W = np.zeros((m, n))
@@ -282,7 +308,9 @@ def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.nda
     """
     i, j, gap = _pair_distances(centers, U)
     gap -= radii[i] + radii[j]
-    return 0.5 * np.max(gap, axis=1, initial=-np.inf)
+    # the max runs over the leading axis of a contiguous transposed copy, as
+    # in _unit_rows: several times faster, and a max is exact
+    return 0.5 * np.max(np.ascontiguousarray(gap.T), axis=0, initial=-np.inf)
 
 
 def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +321,15 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
     two projections closer than the scene's band make the row's order a tie:
     indeterminate, never feasible.
     """
-    keys = _unit_rows(U) @ scene.centers.T
+    return _orders_of_keys(_unit_rows(U) @ scene.centers.T, scene.band)
+
+
+def _orders_of_keys(keys: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of each row of center projections ``keys``, and
+    whether two of them are closer than ``band``."""
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
-    ties = np.any(np.diff(sorted_keys, axis=1) < scene.band, axis=1)
-    return orders, ties
+    return orders, np.any(np.diff(sorted_keys, axis=1) < band, axis=1)
 
 
 @dataclass
@@ -307,7 +339,9 @@ class ConeSampleSet:
 
     ``slacks`` are exact (up to roundoff) where they are <= the scene's
     band; above it a row may instead hold the pair-cone lower bound of its
-    slack, which certifies it infeasible.  Read them through the two
+    slack, which certifies it infeasible.  ``orders`` and ``ties`` are those
+    of realized_orders_batch on the rows that meet; a row that does not
+    meet holds the identity order and no tie.  Read them through the two
     predicates or on feasible rows only.
     """
 
@@ -350,11 +384,13 @@ def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
     at a time: each row keeps its pair-cone bound unless the bound is at
     most ``exact_below`` (or NaN, where its squares overflow), and then the
     kernel's slack; at the default every slack is exact and no bound is
-    taken."""
+    taken.  Only the rows that meet are sorted and tie-tested, on their rows
+    of the chunk's key product (whose rounding depends on the row count, so
+    it stays chunk-wide); the others keep the identity order and no tie."""
     U = _unit_rows(U)
     slacks = np.empty(len(U))
-    orders = np.empty((len(U), len(scene)), dtype=np.int64)
-    ties = np.empty(len(U), dtype=bool)
+    orders = np.tile(np.arange(len(scene)), (len(U), 1))
+    ties = np.zeros(len(U), dtype=bool)
     for lo in range(0, len(U), SAMPLE_CHUNK):
         chunk = slice(lo, lo + SAMPLE_CHUNK)
         rows = U[chunk]
@@ -363,7 +399,9 @@ def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
         near = ~(bound > exact_below)
         bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
         slacks[chunk] = bound
-        orders[chunk], ties[chunk] = realized_orders_batch(scene, rows)
+        meet = np.flatnonzero(bound <= scene.band)
+        keys = _unit_rows(rows) @ scene.centers.T
+        orders[lo + meet], ties[lo + meet] = _orders_of_keys(keys[meet], scene.band)
     return ConeSampleSet(scene, U, slacks, orders, ties)
 
 

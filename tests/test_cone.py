@@ -329,6 +329,36 @@ def test_feasibility_batch_is_the_sample_set_decision(key):
     assert checked > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    key=st.one_of(st.sampled_from(PRESET_NAMES),
+                  st.tuples(st.integers(2, 10), st.integers(3, 5))),
+)
+def test_sample_orders_are_read_on_meeting_rows(seed, key):
+    # sample_scene sorts and tie-tests only the rows that meet, and those
+    # equal realized_orders_batch on the whole sample; the other rows hold
+    # the identity order and no tie, and feasible_for_order decides every
+    # order as it does from the whole sample's orders
+    if isinstance(key, str):
+        scene = preset_scene(key)
+    else:
+        scene = random_scene_with_transversal(*key, (0.5, 2.0), seed=seed)[0]
+    sset = sample_scene(scene, 3000, seed=seed)
+    orders, ties = realized_orders_batch(scene, sset.directions)
+    meets = sset.meets
+    assert np.array_equal(sset.orders[meets], orders[meets])
+    assert np.array_equal(sset.ties[meets], ties[meets])
+    assert np.all(sset.orders[~meets] == np.arange(len(scene)))
+    assert not np.any(sset.ties[~meets])
+    found = {tuple(o) for o in sset.orders[sset.feasible].tolist()}
+    for order in [None, *sorted(found)]:
+        rule = meets & ~ties
+        if order is not None:
+            rule &= np.all(orders == np.asarray(order), axis=1)
+        assert np.array_equal(sset.feasible_for_order(order), rule), order
+
+
 class TestConvexity:
     def test_random_triples_have_convex_cones(self):
         for seed in (1, 4, 8):

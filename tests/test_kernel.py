@@ -21,6 +21,7 @@ from linestab.geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
 )
+from linestab.cli import preset_scene
 from conftest import enumerate_minimax, simplex_minimax
 
 # an overlapping scene on which a Gram-form evaluation of ill-conditioned
@@ -187,6 +188,68 @@ def test_unconverged_row_raises(monkeypatch):
     monkeypatch.setattr(cone, "_best_point", stuck)
     with pytest.raises(SolverError, match="did not converge"):
         minimax_slack_batch(scene.centers, scene.radii, U)
+
+
+def _near_boundary_rows(scene, count):
+    U = cone.sample_directions(scene.dimension, 4096)
+    slack = minimax_slack_batch(scene.centers, scene.radii, U)
+    return U[np.argsort(np.abs(slack))[:count]]
+
+
+@pytest.mark.parametrize("key", ["flexdemo-disjoint", (10, 3, 310), (8, 4, 303)], ids=str)
+def test_one_best_point_call_per_support_size(key, monkeypatch):
+    # after the pair start, each violator round solves every candidate
+    # support of one size in one call: within a size group k (over = k + 1
+    # disks) the support sizes 1, 2, ... appear once each, in turn.  Rows
+    # near a random scene's transversal reach the largest supports
+    if isinstance(key, str):
+        U = _near_boundary_rows(scene := preset_scene(key), 200)
+    else:
+        scene, axis = random_scene_with_transversal(*key[:2], (1.0, 2.0), seed=key[2])
+        noise = 0.1 * np.random.default_rng(0).normal(size=(200, scene.dimension))
+        U = np.vstack([_near_boundary_rows(scene, 200), axis + noise])
+    calls = []
+    real = cone._best_point
+
+    def counted(P, radii, B, over):
+        calls.append((B.shape[1], over.shape[1]))
+        return real(P, radii, B, over)
+
+    monkeypatch.setattr(cone, "_best_point", counted)
+    slack = minimax_slack_batch(scene.centers, scene.radii, U)
+    monkeypatch.undo()
+    assert np.array_equal(slack, minimax_slack_batch(scene.centers, scene.radii, U))
+    assert calls[0] == (2, 2)  # the pair start
+    cap = min(len(scene), scene.dimension)
+    groups = []
+    for b, width in calls[1:]:
+        if b == 1:
+            groups.append([])
+        groups[-1].append((b, width))
+    for group in groups:
+        width = group[0][1]
+        assert group == [(b, width) for b in range(1, min(width - 1, cap - 1) + 2)]
+    # the rows reach groups of three disks, and of four or more in the random
+    # scenes
+    assert max(group[0][1] for group in groups) >= (3 if isinstance(key, str) else 4)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_lengths_are_the_norm_to_the_bit(d):
+    # the kernel's lengths add coordinates in order, as numpy's norm does
+    # below 8 terms; from 8 on they are the norm itself
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(2, 300, 5, d)) * np.exp(5.0 * rng.normal(size=(2, 300, 5, d)))
+    assert np.array_equal(cone._lengths(X), np.linalg.norm(X, axis=-1))
+
+
+def test_coincident_pair_support_keeps_inf():
+    # a two-disk support whose projected centres coincide has G = 0: the
+    # 1x1 system is singular and its row keeps inf
+    P = np.array([[[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [4.0, 0.0, 0.0]]])
+    B, over = np.array([[0, 1]]), np.array([[0, 1, 2]])
+    val, _ = cone._best_point(P, np.array([1.0, 0.5, 1.0]), B, over)
+    assert val.tolist() == [np.inf]
 
 
 @pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.25])

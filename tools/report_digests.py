@@ -2,6 +2,7 @@
 
     python3 tools/report_digests.py presets [--src DIR]
     python3 tools/report_digests.py workdir .perfbench_work/triple-certify
+    python3 tools/report_digests.py kernel [--src DIR]
 
 ``presets`` runs each command of the ``linestab`` CLI on the built-in preset
 scenes at its default options (entry order semantics for check-convexity on
@@ -20,6 +21,15 @@ checkouts compare byte for byte.
 directory (``ops.json`` and the files the ops wrote), with the path the ops
 wrote to replaced by ``WORK`` so that runs in two checkouts compare; a
 missing report is digested as empty.
+
+``kernel`` prints the digests of the disk-minimax kernel's slack and weight
+bytes (``cone._minimax``) on fixed inputs: the five random scenes of the
+cone-sweep shapes (``random_scene_with_transversal`` at seeds 300 to 304) and
+the presets, each once on a lattice of KERNEL_LATTICE directions and once on
+the KERNEL_NEAR lattice rows of smallest |slack|, which reach the violator
+rounds.  Then, per scene, those of ``sample_scene`` on SAMPLE_ROWS rows: its
+slacks, its orders on the rows that meet, its ties and its feasible mask.
+``--src`` is as for ``presets``.
 
 The digests of two commits are then one ``diff`` apart.
 """
@@ -45,6 +55,11 @@ SCENE_COMMANDS = (
     "check-convexity", "enumerate-permutations", "count-components",
     "probe-flex", "classify-boundary", "trace-curves",
 )
+# (n, d) of the random scenes of the kernel digests, at seeds 300, 301, ...
+KERNEL_SHAPES = ((3, 3), (6, 3), (10, 3), (8, 4), (6, 5))
+KERNEL_LATTICE = 4096
+KERNEL_NEAR = 1000
+SAMPLE_ROWS = 20_000
 
 
 def _digest(data: bytes) -> str:
@@ -104,6 +119,38 @@ def workdir(work):
         out = work / written.name
         data = out.read_bytes().replace(str(written.parent).encode(), b"WORK") if out.exists() else b""
         click.echo(f"{_digest(data)}  op{op['id']} {op['command']} {out.name}")
+
+
+@main.command()
+@click.option("--src", type=click.Path(exists=True, file_okay=False), default=str(ROOT / "src"),
+              show_default=True, help="source directory holding the linestab package")
+def kernel(src):
+    """The kernel's slacks and weights and sample_scene's data on fixed scenes."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    import numpy as np
+    from linestab import cone, geom
+    from linestab.cli import preset_scene
+
+    scenes = [(f"random-n{n}-d{d}", geom.random_scene_with_transversal(n, d, (1.0, 2.0), 300 + k)[0])
+              for k, (n, d) in enumerate(KERNEL_SHAPES)]
+    scenes += [(name, preset_scene(name)) for name in PRESETS]
+
+    def echo(label, name, *arrays):
+        data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+        click.echo(f"{_digest(data)}  {label} {name}")
+
+    for name, scene in scenes:
+        U = cone.sample_directions(scene.dimension, KERNEL_LATTICE)
+        slack, W = cone._minimax(scene.centers, scene.radii, U)
+        echo("minimax lattice", name, slack, W)
+        near = U[np.argsort(np.abs(slack), kind="stable")[:KERNEL_NEAR]]
+        echo("minimax near", name, *cone._minimax(scene.centers, scene.radii, near))
+    for name, scene in scenes:
+        sset = cone.sample_scene(scene, SAMPLE_ROWS)
+        echo("sample slacks", name, sset.slacks)
+        echo("sample orders", name, sset.orders[sset.meets])
+        echo("sample ties", name, sset.ties)
+        echo("sample feasible", name, sset.feasible)
 
 
 if __name__ == "__main__":
