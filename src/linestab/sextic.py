@@ -9,7 +9,10 @@ that matrix, over any ring of forms: expanded in ``DirectionPoly`` into the
 curve tracing share; over 2-jets at the pole u = (0, 0, 1) (``PoleJet``) for
 the exact identity suite, a batch of trials at once; and in floats at
 direction rows, for point values and the roots along rays.  Its t_ij entries
-also give the pair-cone conics.
+also give the pair-cone conics.  ``eliminate_border`` reduces the matrix of
+k centres to a k x k one with the opposite determinant; the exact 2-jets take
+that 3 x 3 determinant, the float paths the 5 x 5 one, whose rounding their
+reports read.
 """
 from __future__ import annotations
 
@@ -349,6 +352,22 @@ def bordered_matrix(centers, squared_radii, one, q, lin) -> list[list]:
     return rows
 
 
+def eliminate_border(M) -> list[list]:
+    """The k x k matrix B with det M = -det B, for M a (k + 2) x (k + 2)
+    ``bordered_matrix``: B_ij = M_ij - M_i1 - M_1j over the rows and columns
+    i, j >= 2 of the projected centres, so B_ii = -2 s_i q and
+    B_ij = t_ij - (s_i + s_j) q.
+
+    Subtracting row and column 1 (the common point, M_11 = 0) from those of
+    the centres leaves the border row (0, 1, 0, ..., 0) and column; expanding
+    along them gives -det B (Blumenthal, *Theory and Applications of Distance
+    Geometry*, 1953).  The steps are unimodular, so over exact scalars the
+    two determinants are equal, not just close.
+    """
+    n = len(M)
+    return [[M[i][j] - M[i][1] - M[1][j] for j in range(2, n)] for i in range(2, n)]
+
+
 def _direction_forms(centers, squared_radii) -> list[list[DirectionPoly]]:
     """bordered_matrix over DirectionPoly, whose coefficients take the scalar
     type of the centres (float, or exact for int or Fraction)."""
@@ -364,9 +383,17 @@ def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
 
 def sigma_pole_jet(centers, squared_radii) -> PoleJet:
     """The sextic's 2-jet at the pole, for exact centres and squared radii:
-    scalars, or (m,) object arrays of them for m triples at once."""
-    return poly_det(bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
-                                    PoleJet.norm_sq(), PoleJet.linear))
+    scalars, or (m,) object arrays of them for m triples at once.
+
+    The jet is -det B of the bordered matrix's ``eliminate_border``, a 3 x 3
+    determinant of 9 jet products where the 5 x 5 one takes 60, and equal
+    to it coefficient by coefficient.  The float paths (``Triple.sigma``,
+    ``cayley_matrix``) keep the 5 x 5 determinant: in floats the elimination
+    rounds differently, and probe-flex's verdicts read those bits.
+    """
+    M = bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
+                        PoleJet.norm_sq(), PoleJet.linear)
+    return poly_det(eliminate_border(M)) * -1
 
 
 def cayley_matrix(triple: Triple, U: np.ndarray, squared_radii: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -308,15 +309,32 @@ GOLDEN_IDENTITY_REPORTS = {
         "7bc1d809d2d3eabf354278f3863512046ed8fc97cf21fc09d65ab3a3bacdb6d2",
     ("--trials", "5", "--height", "9223372036854775807"):
         "31c65042712c6dd3ee142c3cb64cac872f8cdbd90cd12a98c2d59d09bd7287f7",
+    # the defaults, taken before the underflowing failure bound was floored
+    # and the master jet's border eliminated
+    ():
+        "740aa20db33981e43b34d4bf0c82c4af170f1fda21533a30c0059a024498476e",
 }
 
 
 @pytest.mark.parametrize("args", list(GOLDEN_IDENTITY_REPORTS),
-                         ids=[" ".join(a) for a in GOLDEN_IDENTITY_REPORTS])
+                         ids=[" ".join(a) or "defaults" for a in GOLDEN_IDENTITY_REPORTS])
 def test_identity_reports_golden(runner, args):
     r = invoke(runner, ["verify-identities", *args])
     assert r.exit_code == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_IDENTITY_REPORTS[args]
+
+
+def test_failure_bounds_never_underflow(runner):
+    # at 200 trials every (degree/height)^trials underflows a double: the
+    # report keeps a positive bound, at least the exact power, not 0.0
+    r = invoke(runner, ["verify-identities", "--trials", "200"])
+    assert r.exit_code == 0
+    verdicts = json.loads(r.stdout)["verdicts"]
+    assert verdicts["height"] == 1000
+    for ident in verdicts["identities"]:
+        bound = ident["failure_bound"]
+        assert bound > 0
+        assert Fraction(bound) >= Fraction(ident["degree_bound"], 1000) ** 200
 
 
 class TestEnvironment:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from linestab.sextic import (
     CHART_AXES,
     CURVE_NAMES,
     DirectionPoly,
+    PoleJet,
     Triple,
+    bordered_matrix,
     chart_point_to_direction,
+    eliminate_border,
     eval_sigma,
     _trace_zero_set,
     sigma_from_geometry,
+    sigma_pole_jet,
     tangent_lines_for_direction,
     trace_curves,
 )
@@ -171,6 +176,77 @@ class TestSigma:
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
             eval_sigma(collinear_triple(), np.zeros(3))
+
+
+def _pole_jets(centers, squared_radii):
+    """The bordered matrix over 2-jets at the pole."""
+    return bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
+                           PoleJet.norm_sq(), PoleJet.linear)
+
+
+def _integer_triples(height, m, seed):
+    """m integer triples with coordinates in [-height, height] and squared
+    radii in [1, height], then the degenerate ones built from them: equal
+    radii, collinear centres, centres at one height (lifts x0 = x1 = x2) and
+    two coincident centres.  Python ints, so 2^63 - 1 does not overflow."""
+    r = np.random.default_rng(seed)
+    draw = lambda *shape, low=-height: r.integers(low, height, size=shape, endpoint=True).tolist()
+    triples = list(zip(draw(m, 3, 3), draw(m, 3, low=1)))
+    for c, s in triples[:2]:
+        triples.append((c, [s[0]] * 3))
+        triples.append(([c[0], c[1], [2 * b - a for a, b in zip(c[0], c[1])]], s))
+        triples.append(([[x, y, c[0][2]] for x, y, _ in c], s))
+        triples.append(([c[0], c[0], c[2]], s))
+    return triples
+
+
+class TestBorderElimination:
+    @pytest.mark.parametrize("height", [1, 10, 10**6, 2**63 - 1])
+    def test_pole_jet_equals_the_bordered_determinant(self, height):
+        # coefficient by coefficient, per triple and over one (m,) batch
+        triples = _integer_triples(height, 9, height % 997)
+        full = [sextic_mod.poly_det(_pole_jets(c, s)).c for c, s in triples]
+        for (c, s), want in zip(triples, full):
+            assert sigma_pole_jet(c, s).c == want
+        centers = np.empty((3, 3, len(triples)), dtype=object)
+        radii = np.empty((3, len(triples)), dtype=object)
+        for t, (c, s) in enumerate(triples):
+            centers[..., t], radii[:, t] = c, s
+        batched = sigma_pole_jet(centers, radii).c
+        assert [[int(v[t]) for v in batched] for t in range(len(triples))] == \
+            [list(want) for want in full]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_det_is_minus_det_of_the_eliminated_matrix(self, k):
+        # over 2-jets of k projected centres, for any k: (k + 2) x (k + 2)
+        # becomes k x k, with B_ii = -2 s_i q
+        r = np.random.default_rng(k)
+        centers = r.integers(-50, 50, size=(k, 3), endpoint=True).tolist()
+        s = r.integers(1, 50, size=k, endpoint=True).tolist()
+        M = _pole_jets(centers, s)
+        B = eliminate_border(M)
+        assert len(B) == k and all(len(row) == k for row in B)
+        for i in range(k):
+            assert B[i][i].c == (PoleJet.norm_sq() * (-2 * s[i])).c
+        assert (sextic_mod.poly_det(B) * -1).c == sextic_mod.poly_det(M).c
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rational_expansion_is_minus_det_of_the_eliminated_matrix(self, seed):
+        # over DirectionPoly with Fraction coefficients: all 28 coefficients
+        r = np.random.default_rng(seed)
+        frac = lambda: Fraction(int(r.integers(-40, 41)), int(r.integers(1, 40)))
+        c = [[frac() for _ in range(3)] for _ in range(3)]
+        s = [abs(frac()) for _ in range(3)]
+        if seed == 3:  # collinear centres, equal radii
+            c[2] = [2 * b - a for a, b in zip(c[0], c[1])]
+            s = [s[0]] * 3
+        one = DirectionPoly({(0, 0, 0): 1})
+        M = bordered_matrix(c, s, one, DirectionPoly.norm_sq(1), DirectionPoly.linear)
+        got = sextic_mod.poly_det(eliminate_border(M)) * -1
+        want = sigma_from_geometry(*c, *s)
+        assert got.coeffs == want.coeffs
+        assert all(sum(e) == 6 for e in got.coeffs) and len(got.coeffs) <= 28
+        assert all(isinstance(v, (int, Fraction)) for v in got.coeffs.values())
 
 
 class TestTriple:

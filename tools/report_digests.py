@@ -1,6 +1,7 @@
 """Print the sha256 of every report a checkout writes, one line each.
 
     python3 tools/report_digests.py presets [--src DIR]
+    python3 tools/report_digests.py identities [--src DIR]
     python3 tools/report_digests.py workdir .perfbench_work/triple-certify
     python3 tools/report_digests.py kernel [--src DIR]
 
@@ -16,6 +17,13 @@ errors); and trace-curves once more with ``--format svg``.  Last come four
 source directory of the checkout to run (default: this checkout's ``src``); every
 run reads its scene through the same relative path, so the reports of two
 checkouts compare byte for byte.
+
+``identities`` prints the digest of every verify-identities report of
+perfbench's exact-identities ops at seeds 1 and 2 (``perfbench/workloads.py``:
+25 trials at ``--seed`` 1000 s + k, twelve at the default height and four at
+height 10^6), run without their ``--out``; then of 25 trials at the heights 1
+and 2^63 - 1 and of ``--trials 200`` at the defaults.  The failure bounds of
+the last two underflow a double.  ``--src`` is as for ``presets``.
 
 ``workdir`` prints the digest of each op's report in a perfbench work
 directory (``ops.json`` and the files the ops wrote), with the path the ops
@@ -60,10 +68,26 @@ KERNEL_SHAPES = ((3, 3), (6, 3), (10, 3), (8, 4), (6, 5))
 KERNEL_LATTICE = 4096
 KERNEL_NEAR = 1000
 SAMPLE_ROWS = 20_000
+# perfbench seeds of the exact-identities ops that ``identities`` replays
+IDENTITY_SEEDS = (1, 2)
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _cli_runner(src: str, work: str):
+    """A function that runs the CLI of the checkout at ``src`` in ``work`` on
+    its arguments, prints the digest of its standard output and returns it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+
+    def run(*args: str) -> bytes:
+        proc = subprocess.run([sys.executable, "-m", "linestab.cli", *args], cwd=work,
+                              env=env, capture_output=True)
+        click.echo(f"{_digest(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}")
+        return proc.stdout
+
+    return run
 
 
 @click.group()
@@ -76,15 +100,8 @@ def main():
               show_default=True, help="source directory holding the linestab package")
 def presets(src):
     """Every command's report on the preset scenes."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     with tempfile.TemporaryDirectory() as work:
-
-        def run(*args: str) -> bytes:
-            proc = subprocess.run([sys.executable, "-m", "linestab.cli", *args], cwd=work,
-                                  env=env, capture_output=True)
-            click.echo(f"{_digest(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}")
-            return proc.stdout
-
+        run = _cli_runner(src, work)
         for preset in PRESETS:
             scene = f"{preset}.json"
             Path(work, scene).write_bytes(run("generate-scene", "--preset", preset))
@@ -106,6 +123,26 @@ def presets(src):
         for n, dim, seed in ((3, 3, 0), (5, 4, 1), (6, 5, 2), (10, 3, 7)):
             run("generate-scene", "--with-transversal", "--n", str(n), "--dim", str(dim),
                 "--seed", str(seed))
+
+
+@main.command()
+@click.option("--src", type=click.Path(exists=True, file_okay=False), default=str(ROOT / "src"),
+              show_default=True, help="source directory holding the linestab package")
+def identities(src):
+    """verify-identities' reports: the exact-identities ops and the edge heights."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work:
+        run = _cli_runner(src, work)
+        for seed in IDENTITY_SEEDS:
+            for op in workloads.build("exact-identities", seed, Path(work)):
+                args = op["args"]
+                at = args.index("--out")
+                run(op["command"], *args[:at], *args[at + 2:])
+        for height in (1, 2**63 - 1):
+            run("verify-identities", "--trials", "25", "--height", str(height))
+        run("verify-identities", "--trials", "200")
 
 
 @main.command()
