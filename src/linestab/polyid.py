@@ -12,9 +12,9 @@ pairs, which take no gcd per operation; the configuration reduces its
 normalised weights once, and each side's value is reduced to a Fraction
 once, so verdicts and witnesses are written in lowest terms.  The master
 identity's other side, the sextic's Hessian at the pole, is expanded
-independently from the sextic's bordered matrix over integer jets, from
-the reduced centres and squared radii: the matrix with its border
-eliminated, one 3 x 3 jet determinant for the batch.
+independently from the sextic's Cayley-Menger form over integer jets, from
+the reduced centres and squared radii: one 3 x 3 jet determinant for the
+batch.
 Each run of unsigned draws of a sampler is one rng call, in the stream
 order of one call per value.  Since all
 identities are polynomial of bounded degree, repeated agreement at random
@@ -65,12 +65,11 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
     2-jet there is expanded, in integers: with L the lcm of the denominators
     of one sample's centres and squared radii in lowest terms (reduced here,
     once, since unreduced ones would inflate L), these scale by L and L^2, the
-    quadratic entries of the bordered matrix by L^2, sigma by L^6 and det H
-    by L^18.  Each sample keeps its own L; the jets of all samples come from
-    one 3 x 3 determinant over (m,) integer arrays, the bordered matrix with
-    its border eliminated (``sigma_pole_jet``), equal coefficient by
-    coefficient to the 5 x 5 one.  A single configuration gives one
-    Fraction, a batch an object array of them.
+    entries of the Cayley-Menger form by L^2, sigma by L^6 and det H by
+    L^18.  Each sample keeps its own L; the jets of all samples come from
+    one 3 x 3 determinant over (m,) integer arrays, -det of the form
+    (``sigma_pole_jet``).  A single configuration gives one Fraction, a
+    batch an object array of them.
     """
     shape = np.shape(cfg.a)
     centers = [[_reduced(v) for v in c.ravel()] for c in cfg.centers.reshape(-1, 9)]

@@ -2,17 +2,16 @@
 
 The directions of common tangent lines to three spheres form a degree-6
 projective curve: the zero set of the bordered Cayley-Menger determinant of
-the circles' common point and the projected centres, whose entries are
-quadratic forms in the direction.  ``bordered_matrix`` is the one builder of
-that matrix, over any ring of forms: expanded in ``DirectionPoly`` into the
+the circles' common point and the projected centres.  With its border
+eliminated that determinant is -det B, B the k x k Cayley-Menger form of the
+k projected balls, whose entries are quadratic forms in the direction.
+``cayley_menger_forms`` is the one builder of B, over any ring of forms, and
+every value of the sextic is -det B: expanded in ``DirectionPoly`` into the
 28 coefficients of the ternary sextic, which the Hessian determinant and
 curve tracing share; over 2-jets at the pole u = (0, 0, 1) (``PoleJet``) for
 the exact identity suite, a batch of trials at once; and in floats at
-direction rows, for point values and the roots along rays.  Its t_ij entries
-also give the pair-cone conics.  ``eliminate_border`` reduces the matrix of
-k centres to a k x k one with the opposite determinant; the exact 2-jets take
-that 3 x 3 determinant, the float paths the 5 x 5 one, whose rounding their
-reports read.
+direction rows, for point values and the roots along rays.  Its t_ij terms
+also give the pair-cone conics.
 """
 from __future__ import annotations
 
@@ -294,9 +293,9 @@ class Triple:
         transversals to balls i and j: their projected centres are within
         r_i + r_j.  It bounds nothing for an overlapping or tangent pair
         (``Scene.overlapping_pairs``), which every direction admits."""
-        r = self.scene.radii
-        t = _direction_forms(self.centers, self.squared_radii)[i + 2][j + 2]
-        return t - DirectionPoly.norm_sq() * (r[i] + r[j]) ** 2
+        r, q = self.scene.radii, DirectionPoly.norm_sq()
+        t = _projected_distance(self.centers[i], self.centers[j], q, DirectionPoly.linear)
+        return t - q * (r[i] + r[j]) ** 2
 
     @cached_property
     def sigma_scale(self) -> float:
@@ -325,88 +324,58 @@ def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
     return triple, shift
 
 
-def bordered_matrix(centers, squared_radii, one, q, lin) -> list[list]:
-    """The bordered Cayley-Menger matrix of the circles' common point and the
-    k projected centres, (k + 2) x (k + 2), over a ring of forms in u.
+def _projected_distance(ci, cj, q, lin):
+    """t_ij = |c_j - c_i|^2 q - <c_j - c_i, u>^2, q times the squared distance
+    of the centres projected along u, with |c_j - c_i|^2 summed in axis order."""
+    e = [b - a for a, b in zip(ci, cj)]
+    w = lin(e)
+    return q * sum(x * x for x in e) - w * w
 
-    ``one`` is the border, ``q`` the form <u, u> and ``lin(e)`` the form
-    <e, u>; a form times a scalar must be defined, and one - one is zero.
-    Row 1 holds s_i q, and the entry of centres i and j is
-    t_ij = |c_j - c_i|^2 q - <c_j - c_i, u>^2, q times the squared distance
-    of the projected centres, with |c_j - c_i|^2 summed in axis order.  For
-    k = 3 the determinant is the direction sextic.
+
+def cayley_menger_forms(centers, squared_radii, q, lin) -> list[list]:
+    """The k x k Cayley-Menger form of k balls seen along u, over a ring of
+    forms in u: B_ii = -2 s_i q and B_ij = t_ij - (s_i + s_j) q.
+
+    ``q`` is the form <u, u> and ``lin(e)`` the form <e, u>; a form times a
+    scalar must be defined.  B is the bordered Cayley-Menger matrix of the
+    circles' common point and the projected centres with its border
+    eliminated, whose determinant is -det B (Blumenthal, *Theory and
+    Applications of Distance Geometry*, 1953); for k = 3, -det B is the
+    direction sextic.
     """
-    zero = one - one
-    qs = [q * s for s in squared_radii]
-    rows = [[zero] + [one] * (len(qs) + 1), [one, zero, *qs]]
-    for i, ci in enumerate(centers):
-        row = [one, qs[i]]
-        for j, cj in enumerate(centers):
-            if j <= i:
-                row.append(rows[j + 2][i + 2] if j < i else zero)
-            else:
-                e = [b - a for a, b in zip(ci, cj)]
-                w = lin(e)
-                row.append(q * sum(x * x for x in e) - w * w)
-        rows.append(row)
-    return rows
-
-
-def eliminate_border(M) -> list[list]:
-    """The k x k matrix B with det M = -det B, for M a (k + 2) x (k + 2)
-    ``bordered_matrix``: B_ij = M_ij - M_i1 - M_1j over the rows and columns
-    i, j >= 2 of the projected centres, so B_ii = -2 s_i q and
-    B_ij = t_ij - (s_i + s_j) q.
-
-    Subtracting row and column 1 (the common point, M_11 = 0) from those of
-    the centres leaves the border row (0, 1, 0, ..., 0) and column; expanding
-    along them gives -det B (Blumenthal, *Theory and Applications of Distance
-    Geometry*, 1953).  The steps are unimodular, so over exact scalars the
-    two determinants are equal, not just close.
-    """
-    n = len(M)
-    return [[M[i][j] - M[i][1] - M[1][j] for j in range(2, n)] for i in range(2, n)]
-
-
-def _direction_forms(centers, squared_radii) -> list[list[DirectionPoly]]:
-    """bordered_matrix over DirectionPoly, whose coefficients take the scalar
-    type of the centres (float, or exact for int or Fraction)."""
-    one = 1 if hasattr(centers[0][0], "denominator") else 1.0
-    return bordered_matrix(centers, squared_radii, DirectionPoly({(0, 0, 0): one}),
-                           DirectionPoly.norm_sq(one), DirectionPoly.linear)
+    k = len(centers)
+    B = [[None] * k for _ in range(k)]
+    for i in range(k):
+        B[i][i] = q * (-2 * squared_radii[i])
+        for j in range(i + 1, k):
+            B[i][j] = B[j][i] = (_projected_distance(centers[i], centers[j], q, lin)
+                                 - q * (squared_radii[i] + squared_radii[j]))
+    return B
 
 
 def sigma_from_geometry(c0, c1, c2, s0, s1, s2) -> DirectionPoly:
-    """Expand the direction sextic for centers c_k and squared radii s_k."""
-    return poly_det(_direction_forms((c0, c1, c2), (s0, s1, s2)))
+    """Expand the direction sextic for centers c_k and squared radii s_k.
+    The coefficients take the scalar type of the centres: float, or exact
+    for int or Fraction."""
+    q = DirectionPoly.norm_sq(1 if hasattr(c0[0], "denominator") else 1.0)
+    return -poly_det(cayley_menger_forms((c0, c1, c2), (s0, s1, s2), q, DirectionPoly.linear))
 
 
 def sigma_pole_jet(centers, squared_radii) -> PoleJet:
     """The sextic's 2-jet at the pole, for exact centres and squared radii:
-    scalars, or (m,) object arrays of them for m triples at once.
-
-    The jet is -det B of the bordered matrix's ``eliminate_border``, a 3 x 3
-    determinant of 9 jet products where the 5 x 5 one takes 60, and equal
-    to it coefficient by coefficient.  The float paths (``Triple.sigma``,
-    ``cayley_matrix``) keep the 5 x 5 determinant: in floats the elimination
-    rounds differently, and probe-flex's verdicts read those bits.
-    """
-    M = bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
-                        PoleJet.norm_sq(), PoleJet.linear)
-    return poly_det(eliminate_border(M)) * -1
+    scalars, or (m,) object arrays of them for m triples at once."""
+    B = cayley_menger_forms(centers, squared_radii, PoleJet.norm_sq(), PoleJet.linear)
+    return poly_det(B) * -1
 
 
-def cayley_matrix(triple: Triple, U: np.ndarray, squared_radii: np.ndarray) -> np.ndarray:
-    """Numeric bordered 5x5 matrices (m, 5, 5) whose determinants are the
-    sextic at the direction rows of U (m, 3), for the given squared radii.
-    Every product is taken per row, so a row's matrix does not depend on
-    the rows beside it."""
-    U = np.asarray(U, dtype=float)
+def _sigma_at_rows(triple: Triple, U: np.ndarray, squared_radii) -> np.ndarray:
+    """The sextic at the direction rows of U (m, 3), for the given squared
+    radii: -det of the (m, 3, 3) Cayley-Menger forms.  Every product is
+    taken per row, so a row's value does not depend on the rows beside it."""
     # Python floats: the same bits as numpy's scalars, for less overhead
-    M = bordered_matrix(triple.centers.tolist(), np.asarray(squared_radii, dtype=float).tolist(),
-                        np.ones(len(U)), np.einsum("md,md->m", U, U),
-                        lambda e: np.einsum("md,d->m", U, e))
-    return np.array(M).transpose(2, 0, 1)
+    B = cayley_menger_forms(triple.centers.tolist(), np.asarray(squared_radii, dtype=float).tolist(),
+                            np.einsum("md,md->m", U, U), lambda e: np.einsum("md,d->m", U, e))
+    return -np.linalg.det(np.array(B).transpose(2, 0, 1))
 
 
 # inverse 7-point DFT: row m + 3 is the coefficient of e^{2im theta}, |m| <= 3,
@@ -442,7 +411,7 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     m = len(tangents)
     theta = np.arange(7) * math.pi / 7
     U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents[:, None, :]
-    values = np.linalg.det(cayley_matrix(triple, U.reshape(-1, 3), squared_radii)).reshape(m, 7)
+    values = _sigma_at_rows(triple, U.reshape(-1, 3), squared_radii).reshape(m, 7)
     C = np.einsum("mk,jk->mj", values, _DFT7)
     z = companion_roots(C[:, ::-1])
     theta = np.where(np.abs(np.abs(z) - 1.0) < 1e-6, 0.5 * np.angle(z), np.nan)
@@ -457,9 +426,11 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
 def eval_sigma(triple: Triple, u) -> float:
     """Value of the direction sextic at u (any nonzero scale of u)."""
     u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise SceneError(f"sigma is undefined at the non-finite vector {u.tolist()}")
     if float(np.dot(u, u)) == 0.0:
         raise SceneError("sigma is undefined at the zero vector")
-    return float(np.linalg.det(cayley_matrix(triple, u[None, :], triple.squared_radii))[0])
+    return float(_sigma_at_rows(triple, u[None, :], triple.squared_radii)[0])
 
 
 # ---------------------------------------------------------------------------

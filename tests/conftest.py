@@ -461,7 +461,7 @@ def line_distance(foot, u, x) -> float:
 
 
 def cayley_matrix_5x5(triple, U, squared_radii) -> np.ndarray:
-    """Oracle for sextic.cayley_matrix: the bordered 5x5 matrices (m, 5, 5)
+    """Oracle for the sextic at float rows: the bordered 5x5 matrices (m, 5, 5)
     written out by hand, with border 1, s_k q in row 1 and the squared
     projected distance q |e|^2 - (u . e)^2 of each edge e."""
     U = np.asarray(U, dtype=float)
@@ -472,6 +472,27 @@ def cayley_matrix_5x5(triple, U, squared_radii) -> np.ndarray:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         e = triple.edge(i, j)
         M[:, i + 2, j + 2] = M[:, j + 2, i + 2] = float(np.dot(e, e)) * q - (U @ e) ** 2
+    return M
+
+
+def bordered_cayley_menger(centers, squared_radii, one, q, lin) -> list[list]:
+    """Oracle for sextic.cayley_menger_forms: the bordered Cayley-Menger
+    matrix of the circles' common point and the k projected centres,
+    (k + 2) x (k + 2), over any ring of forms in u, written out from its
+    definition: border ``one``, s_i q between the common point and centre i,
+    and q |e|^2 - <e, u>^2 between centres i < j, e = c_j - c_i.  Its
+    determinant is the form's -det."""
+    k = len(centers)
+    zero = one - one
+    M = [[zero] * (k + 2) for _ in range(k + 2)]
+    for a in range(1, k + 2):
+        M[0][a] = M[a][0] = one
+    for i in range(k):
+        M[1][i + 2] = M[i + 2][1] = q * squared_radii[i]
+        for j in range(i + 1, k):
+            e = [b - a for a, b in zip(centers[i], centers[j])]
+            w = lin(e)
+            M[i + 2][j + 2] = M[j + 2][i + 2] = q * sum(x * x for x in e) - w * w
     return M
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,8 @@ from linestab.sextic import (
     DirectionPoly,
     PoleJet,
     Triple,
-    bordered_matrix,
+    cayley_menger_forms,
     chart_point_to_direction,
-    eliminate_border,
     eval_sigma,
     _trace_zero_set,
     sigma_from_geometry,
@@ -28,7 +28,7 @@ from linestab.sextic import (
     trace_curves,
 )
 from conftest import (
-    cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma, lifted_triple,
+    bordered_cayley_menger, cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma, lifted_triple,
     line_distance, pair_matrix, poly_value, random_triple,
 )
 
@@ -134,7 +134,7 @@ class TestSigma:
 
         def sigma(t, theta):
             U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * t
-            return np.linalg.det(sextic_mod.cayley_matrix(tri, U, tri.squared_radii))
+            return sextic_mod._sigma_at_rows(tri, U, tri.squared_radii)
 
         brackets = 0
         for t, row in zip(tangents, roots):
@@ -165,23 +165,31 @@ class TestSigma:
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_float_matrix_matches_the_hand_written_5x5(self, preset, rng):
+        # -det of the 3x3 form at float rows is the bordered 5x5 determinant
         tri = Triple.from_scene(preset_scene(preset))
         U = rng.normal(size=(200, 3))
         for s in (tri.squared_radii, (tri.scene.radii + 0.01) ** 2):
-            got = sextic_mod.cayley_matrix(tri, U, s)
-            want = cayley_matrix_5x5(tri, U, s)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(np.linalg.det(got), np.linalg.det(want), rtol=1e-12)
+            got = sextic_mod._sigma_at_rows(tri, U, s)
+            want = np.linalg.det(cayley_matrix_5x5(tri, U, s))
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
             eval_sigma(collinear_triple(), np.zeros(3))
 
+    @pytest.mark.parametrize("u", [[math.nan, 0, 0], [math.inf, 0, 0], [1, -math.inf, 0]])
+    def test_non_finite_direction_rejected(self, u):
+        # like the zero vector: a SceneError, not a NaN value with warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SceneError, match="non-finite"):
+                eval_sigma(collinear_triple(), np.array(u))
+
 
 def _pole_jets(centers, squared_radii):
     """The bordered matrix over 2-jets at the pole."""
-    return bordered_matrix(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
-                           PoleJet.norm_sq(), PoleJet.linear)
+    return bordered_cayley_menger(centers, squared_radii, PoleJet((1, 0, 0, 0, 0, 0)),
+                                  PoleJet.norm_sq(), PoleJet.linear)
 
 
 def _integer_triples(height, m, seed):
@@ -201,6 +209,9 @@ def _integer_triples(height, m, seed):
 
 
 class TestBorderElimination:
+    """-det of the k x k Cayley-Menger form is the bordered (k + 2) x (k + 2)
+    determinant, exactly, against the hand-written bordered matrix."""
+
     @pytest.mark.parametrize("height", [1, 10, 10**6, 2**63 - 1])
     def test_pole_jet_equals_the_bordered_determinant(self, height):
         # coefficient by coefficient, per triple and over one (m,) batch
@@ -218,35 +229,40 @@ class TestBorderElimination:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_det_is_minus_det_of_the_eliminated_matrix(self, k):
-        # over 2-jets of k projected centres, for any k: (k + 2) x (k + 2)
-        # becomes k x k, with B_ii = -2 s_i q
+        # over 2-jets of k projected centres, for any k: the form is k x k,
+        # symmetric, with B_ii = -2 s_i q
         r = np.random.default_rng(k)
         centers = r.integers(-50, 50, size=(k, 3), endpoint=True).tolist()
         s = r.integers(1, 50, size=k, endpoint=True).tolist()
-        M = _pole_jets(centers, s)
-        B = eliminate_border(M)
+        B = cayley_menger_forms(centers, s, PoleJet.norm_sq(), PoleJet.linear)
         assert len(B) == k and all(len(row) == k for row in B)
         for i in range(k):
             assert B[i][i].c == (PoleJet.norm_sq() * (-2 * s[i])).c
+            assert all(B[i][j].c == B[j][i].c for j in range(k))
+        M = _pole_jets(centers, s)
         assert (sextic_mod.poly_det(B) * -1).c == sextic_mod.poly_det(M).c
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rational_expansion_is_minus_det_of_the_eliminated_matrix(self, seed):
-        # over DirectionPoly with Fraction coefficients: all 28 coefficients
+        # over DirectionPoly with Fraction coefficients, all coefficients, for
+        # k = 1 to 4 balls; at k = 3 it is the sextic's 28-coefficient expansion
         r = np.random.default_rng(seed)
         frac = lambda: Fraction(int(r.integers(-40, 41)), int(r.integers(1, 40)))
-        c = [[frac() for _ in range(3)] for _ in range(3)]
-        s = [abs(frac()) for _ in range(3)]
-        if seed == 3:  # collinear centres, equal radii
-            c[2] = [2 * b - a for a, b in zip(c[0], c[1])]
-            s = [s[0]] * 3
-        one = DirectionPoly({(0, 0, 0): 1})
-        M = bordered_matrix(c, s, one, DirectionPoly.norm_sq(1), DirectionPoly.linear)
-        got = sextic_mod.poly_det(eliminate_border(M)) * -1
-        want = sigma_from_geometry(*c, *s)
-        assert got.coeffs == want.coeffs
-        assert all(sum(e) == 6 for e in got.coeffs) and len(got.coeffs) <= 28
-        assert all(isinstance(v, (int, Fraction)) for v in got.coeffs.values())
+        q, one = DirectionPoly.norm_sq(1), DirectionPoly({(0, 0, 0): 1})
+        for k in range(1, 5):
+            c = [[frac() for _ in range(3)] for _ in range(k)]
+            s = [abs(frac()) for _ in range(k)]
+            if seed == 3 and k >= 3:  # collinear centres, equal radii
+                c[2] = [2 * b - a for a, b in zip(c[0], c[1])]
+                s = [s[0]] * k
+            got = -sextic_mod.poly_det(cayley_menger_forms(c, s, q, DirectionPoly.linear))
+            want = sextic_mod.poly_det(bordered_cayley_menger(c, s, one, q, DirectionPoly.linear))
+            assert got.coeffs == want.coeffs
+            assert all(sum(e) == 2 * k for e in got.coeffs)
+            assert all(isinstance(v, (int, Fraction)) for v in got.coeffs.values())
+            if k == 3:
+                assert sigma_from_geometry(*c, *s).coeffs == got.coeffs
+                assert len(got.coeffs) <= 28
 
 
 class TestTriple:

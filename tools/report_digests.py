@@ -39,6 +39,13 @@ rounds.  Then, per scene, those of ``sample_scene`` on SAMPLE_ROWS rows: its
 slacks, its orders on the rows that meet, its ties and its feasible mask.
 ``--src`` is as for ``presets``.
 
+``presets``, ``identities`` and ``workdir`` print two digests per report:
+of its bytes, and of its float-free form, the report with every float
+replaced by its type name.  A trace CSV's float-free form keeps each row's
+curve label only, so it records the row count of each curve.  A change that
+moves float bits on purpose shows in the second digest that no count, flag
+or exit code moved.
+
 The digests of two commits are then one ``diff`` apart.
 """
 from __future__ import annotations
@@ -46,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,8 +80,19 @@ SAMPLE_ROWS = 20_000
 IDENTITY_SEEDS = (1, 2)
 
 
+# a float as the reports print one: a repr or formatted value, or not finite
+_FLOAT = re.compile(rb"-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|\b(?:inf|Infinity|nan|NaN)\b)")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _digests(data: bytes) -> str:
+    """The digest of a report's bytes, then that of the report with every
+    float replaced by its type name: a trace CSV keeps only each row's curve
+    label, so the row count of each curve."""
+    return f"{_digest(data)}  {_digest(_FLOAT.sub(b'float', data))}"
 
 
 def _cli_runner(src: str, work: str):
@@ -84,7 +103,7 @@ def _cli_runner(src: str, work: str):
     def run(*args: str) -> bytes:
         proc = subprocess.run([sys.executable, "-m", "linestab.cli", *args], cwd=work,
                               env=env, capture_output=True)
-        click.echo(f"{_digest(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}")
+        click.echo(f"{_digests(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}")
         return proc.stdout
 
     return run
@@ -155,7 +174,7 @@ def workdir(work):
         written = Path(args[args.index("--out") + 1])  # where the op wrote it
         out = work / written.name
         data = out.read_bytes().replace(str(written.parent).encode(), b"WORK") if out.exists() else b""
-        click.echo(f"{_digest(data)}  op{op['id']} {op['command']} {out.name}")
+        click.echo(f"{_digests(data)}  op{op['id']} {op['command']} {out.name}")
 
 
 @main.command()
