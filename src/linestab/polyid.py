@@ -363,9 +363,10 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
     a hard failure and carries the first failing trial as witness.
     ``failure_bound`` is the standard degree-over-sample-space estimate
     (deg/height)^trials for a nonzero polynomial surviving all trials under
-    the random-evaluation model; where that float power underflows to 0.0
-    (from 169 trials for degree 12 at height 1000) it is the smallest
-    positive double, still an upper bound and no claim of certainty.
+    the random-evaluation model: the float power, raised to the next double
+    while it is below the exact rational one, so never below it.  Where the
+    power underflows to 0.0 (from 169 trials for degree 12 at height 1000)
+    that is the smallest positive double, no claim of certainty.
     Returns the report's verdicts: the ``trials``, ``height`` and ``seed``,
     ``pass``, and per identity its ``identifier``, ``trials``, ``passes``,
     ``degree_bound``, ``failure_bound``, ``pass`` and ``witness`` (in
@@ -378,8 +379,12 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
         rng = np.random.default_rng(seed)
         verdicts = check_identities(spec, [spec.sampler(rng, height) for _ in range(trials)])
         witness = next((v for v in verdicts if not v.equal), None)
-        bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
-        bound = bound or math.ulp(0.0)  # an underflow to 0.0 would claim certainty
+        bound = 1.0
+        if height > spec.degree_bound:
+            exact = Fraction(spec.degree_bound, height) ** trials
+            bound = (spec.degree_bound / height) ** trials
+            while Fraction(bound) < exact:  # the float power may round below it
+                bound = math.nextafter(bound, 1.0)
         identities.append({
             "identifier": spec.identifier,
             "trials": trials,

@@ -289,7 +289,9 @@ class TestVerifyIdentities:
 
 # sha256 of verify-identities' stdout, taken before the suite's forms moved to
 # an unreduced scalar and its sampler to one rng call per run of draws: the
-# reports must not change by a byte
+# reports must not change by a byte.  The height-10^6 and 2^63 - 1 entries
+# were retaken when failure bounds that the float power rounded below the
+# exact (degree/height)^trials were raised to it; only those bounds moved.
 GOLDEN_IDENTITY_REPORTS = {
     ("--trials", "25", "--seed", "0"):
         "07b03b41ef717478004b6763ee95beb963a1773373ec23533a40b491559bd57e",
@@ -300,15 +302,15 @@ GOLDEN_IDENTITY_REPORTS = {
     ("--trials", "25", "--seed", "3"):
         "62d62becb990967d5d5dcaa1bdf74d93a927ee1d9645af7cc54bba496aa07f31",
     ("--trials", "25", "--height", "1000000", "--seed", "0"):
-        "0ad0262ff4f8dcfa8b50c2c04141f11e0e839a8fd33b57cc9541bd0e36732a58",
+        "f3638c36ee153ea4f0c5c4bf84285600b757189559e5a7305fb5507a340f35e8",
     ("--trials", "25", "--height", "1000000", "--seed", "1"):
-        "935dd290b39bd8f7b836920ece949702f94ecf7cefbc0fc695cafc1128edcae9",
+        "8120dbaa0c781d01b909caf040d6c4775340a5b52c1feb8dcfe3d6a6c9ee8008",
     ("--trials", "25", "--height", "1000000", "--seed", "2"):
-        "22f49d1e54ba033b38a82358b0a1ed3ded17e9313b5f6b97465b989c68f7a635",
+        "effe01b9aaaf738f1a7e5c9454b45b2fa39da28b44b68a0aa4fa6e3a4e8c036b",
     ("--trials", "25", "--height", "1000000", "--seed", "3"):
-        "7bc1d809d2d3eabf354278f3863512046ed8fc97cf21fc09d65ab3a3bacdb6d2",
+        "f56c30c794306ce7bc15b34cba3b09d098f7d87a2dffd9ca1667861e5f3af0ba",
     ("--trials", "5", "--height", "9223372036854775807"):
-        "31c65042712c6dd3ee142c3cb64cac872f8cdbd90cd12a98c2d59d09bd7287f7",
+        "e25604b1c69db2f1ba2724ead12bae759c303147f9b6a5dc4d43104cc311dca2",
     # the defaults, taken before the underflowing failure bound was floored
     # and the master jet's border eliminated
     ():

@@ -294,6 +294,14 @@ class TestSuite:
             assert r["witness"] is None
             assert 0 < r["failure_bound"] < 1
 
+    @pytest.mark.parametrize("trials, height", [(25, 10**6), (5, 2**63 - 1)])
+    def test_failure_bound_is_at_least_the_exact_power(self, trials, height):
+        # there the float power (degree/height)^trials rounds below the
+        # exact one for some degrees; the reported bound never does
+        rep = schwartz_zippel_suite(trials=trials, height=height, seed=0)
+        for r in rep["identities"]:
+            assert Fraction(r["failure_bound"]) >= Fraction(r["degree_bound"], height) ** trials
+
     def test_single_trial_smoke(self):
         rep = schwartz_zippel_suite(trials=1, height=50, seed=0)
         assert rep["pass"]
@@ -370,7 +378,13 @@ def _per_trial_suite(trials, height, seed):
                 passes += 1
             elif witness is None:
                 witness = verdict
-        bound = (spec.degree_bound / height) ** trials if height > spec.degree_bound else 1.0
+        bound = 1.0
+        if height > spec.degree_bound:
+            # the least double at or above the float power and the exact one
+            exact = Fraction(spec.degree_bound, height) ** trials
+            bound = (spec.degree_bound / height) ** trials
+            while Fraction(bound) < exact:
+                bound = math.nextafter(bound, 1.0)
         reports.append({
             "identifier": spec.identifier,
             "trials": trials,
