@@ -373,8 +373,9 @@ def _sigma_at_rows(triple: Triple, U: np.ndarray, squared_radii) -> np.ndarray:
     radii: -det of the (m, 3, 3) Cayley-Menger forms.  Every product is
     taken per row, so a row's value does not depend on the rows beside it."""
     # Python floats: the same bits as numpy's scalars, for less overhead
-    B = cayley_menger_forms(triple.centers.tolist(), np.asarray(squared_radii, dtype=float).tolist(),
-                            np.einsum("md,md->m", U, U), lambda e: np.einsum("md,d->m", U, e))
+    s = np.asarray(squared_radii, dtype=float).tolist()
+    B = cayley_menger_forms(triple.centers.tolist(), s, np.einsum("md,md->m", U, U),
+                            lambda e: np.einsum("md,d->m", U, e))
     return -np.linalg.det(np.array(B).transpose(2, 0, 1))
 
 

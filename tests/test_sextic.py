@@ -28,8 +28,8 @@ from linestab.sextic import (
     trace_curves,
 )
 from conftest import (
-    bordered_cayley_menger, cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma, lifted_triple,
-    line_distance, pair_matrix, poly_value, random_triple,
+    bordered_cayley_menger, cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma,
+    lifted_triple, line_distance, pair_matrix, poly_value, random_triple,
 )
 
 
