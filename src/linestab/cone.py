@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geom import Scene, SceneError, SolverError, orthonormal_basis_of_complement
-from .sextic import (TRACE_TOL, Triple, companion_roots, sigma_roots_on_rays,
-                     tangent_lines_for_direction)
+from .sextic import TRACE_TOL, Triple, _tangent_feet, companion_roots, sigma_roots_on_rays
 
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
@@ -1049,6 +1048,7 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     tangent line decides ``crosses_triangle``, ``tag`` says why, and
     collinear centers decide none of them.  A row off the sextic gets only
     ``error``, the message of tangent_lines_for_direction's SceneError.
+    One batch (sextic._tangent_feet) recovers every row's tangent lines.
     """
     U = _unit_rows(np.reshape(U, (-1, 3)))
     if triple.collinear_centers:
@@ -1058,28 +1058,32 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     edges = triple.centers[1:] - c0
     normal = np.cross(edges[0], edges[1])
     normal /= np.linalg.norm(normal)
+    feet, errors = _tangent_feet(triple, U)
+    found = ~np.isnan(feet[:, :, 0])
+    count = found.sum(axis=1)
+    denom = np.einsum("md,d->m", U, normal)
+    off = np.einsum("mkd,d->mk", c0 - feet, normal)
+    # a direction within TRACE_TOL of the plane of centers counts as
+    # parallel to it: neither an explicit direction nor a root along a ray
+    # is known closer, so its tangent lines may lie in the plane
+    row, foot = np.nonzero(found & (np.abs(denom) > TRACE_TOL)[:, None])
+    # barycentrics (1 - l1 - l2, l1, l2) of each line's plane crossing, all
+    # feet in one solve against the fixed Gram matrix of the edges
+    hits = feet[row, foot] + (off[row, foot] / denom[row])[:, None] * U[row] - c0
+    lam = np.linalg.solve(edges @ edges.T, np.einsum("jd,fd->jf", edges, hits))
+    inside = np.zeros(feet.shape[:2], dtype=bool)
+    inside[row, foot] = np.all(lam >= -1e-9, axis=0) & (1.0 - lam.sum(axis=0) >= -1e-9)
     results = []
-    for u, slack in zip(U, minimax_slack_batch(scene.centers, scene.radii, U).tolist()):
-        try:
-            feet = tangent_lines_for_direction(triple, u)
-        except SceneError as exc:
-            results.append({"error": str(exc)})
+    for i, slack in enumerate(minimax_slack_batch(scene.centers, scene.radii, U).tolist()):
+        if errors[i] is not None:
+            results.append({"error": errors[i]})
             continue
-        denom = float(np.dot(u, normal))
-        off = (c0 - feet) @ normal
         crosses, tag = None, "no real tangent line"
-        # a direction within TRACE_TOL of the plane of centers counts as
-        # parallel to it: neither an explicit direction nor a root along a
-        # ray is known closer, so its tangent lines may lie in the plane
-        if len(feet) and abs(denom) <= TRACE_TOL:
-            tag = ("tangent inside plane of centers" if abs(off[-1]) < scene.band
+        if count[i] and abs(denom[i]) <= TRACE_TOL:
+            tag = ("tangent inside plane of centers" if abs(off[i, count[i] - 1]) < scene.band
                    else "tangent parallel to plane of centers")
-        elif len(feet):
-            # barycentrics (1 - l1 - l2, l1, l2) of each line's plane crossing
-            hits = feet + (off / denom)[:, None] * u - c0
-            lam = np.linalg.solve(edges @ edges.T, edges @ hits.T)
-            crosses, tag = bool(np.any(np.all(lam >= -1e-9, axis=0)
-                                       & (1.0 - lam.sum(axis=0) >= -1e-9))), None
+        elif count[i]:
+            crosses, tag = bool(np.any(inside[i])), None
         results.append({"on_boundary": bool(abs(slack) <= 2.0 * scene.band),
                         "crosses_triangle": crosses, "slack": slack, "tag": tag})
     return results

@@ -11,7 +11,10 @@ every value of the sextic is -det B: expanded in ``DirectionPoly`` into the
 curve tracing share; over 2-jets at the pole u = (0, 0, 1) (``PoleJet``) for
 the exact identity suite, a batch of trials at once; and in floats at
 direction rows, for point values and the roots along rays.  Its t_ij terms
-also give the pair-cone conics.
+also give the pair-cone conics.  The curves are traced by marching squares
+in an affine chart, each crossing bisected on the edge's degree-k Chebyshev
+interpolant, and the tangent lines of many sextic directions are recovered
+in one batch.
 """
 from __future__ import annotations
 
@@ -439,67 +442,77 @@ def eval_sigma(triple: Triple, u) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
+    """Foot points (m, 2, 3), NaN-padded, of the affine common tangent lines
+    with the directions of the rows of U (m, 3), and per row None or the
+    message of tangent_lines_for_direction's SceneError.
+
+    Each row is scaled to unit length once and must be on the sextic: |sigma|
+    at most SIGMA_TOL times the largest coefficient.  With the first center
+    at the origin and the scene at unit diameter, where the rank cut and the
+    residual tests are scale-free, a foot p solves two center equations and
+    <p, u> = 0 and lies on the sphere <p, p> = s_0; a rank-2 system leaves a
+    line of candidates, and collinear centers along u (a circle family of
+    tangents) give none.  Every step is per row (one batched SVD), so a
+    row's feet do not depend on the rows beside it.
+    """
+    U = np.asarray(U, dtype=float).reshape(-1, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        V = U / np.max(np.abs(U), axis=1, keepdims=True)  # so that huge rows normalize
+        N = V / np.sqrt(np.einsum("md,md->m", V, V))[:, None]
+    ok = np.all(np.isfinite(N), axis=1)
+    val = np.full(len(U), np.nan)
+    val[ok] = _sigma_at_rows(triple, N[ok], triple.squared_radii) / triple.sigma_scale
+    errors = [(None if abs(v) <= SIGMA_TOL  # a NaN is off the curve too
+               else f"direction is not on the sextic: normalized sigma value {v:.3e}") if good
+              else "sigma is undefined at the zero vector" if all(map(math.isfinite, u))
+              else f"sigma is undefined at the non-finite vector {u}"
+              for u, v, good in zip(U.tolist(), val.tolist(), ok.tolist())]
+    on = np.array([e is None for e in errors], dtype=bool)
+    n, k = N[on], int(on.sum())
+    length, c0 = triple.scene.diameter(), triple.centers[0]
+    C = (triple.centers[1:] - c0) / length
+    s = triple.squared_radii / length ** 2
+    cross = np.cross(C[:, None, :], n)
+    a = 0.5 * (np.einsum("ikd,ikd->ik", cross, cross) + (s[0] - s[1:, None]))
+    A = np.concatenate([np.broadcast_to(C, (k, 2, 3)), n[:, None, :]], axis=1)
+    rhs = np.column_stack([*a, np.zeros(k)])
+    L, sv, Vt = np.linalg.svd(A)
+    kept = sv > RANK_TOL * np.where(sv[:, :1] > 0, sv[:, :1], 1.0)
+    rank = kept.sum(axis=1)
+    # the least-squares solution, and for rank 2 the nullspace direction w
+    y = np.divide(np.einsum("kji,kj->ki", L, rhs), sv, out=np.zeros_like(sv), where=kept)
+    p0, w = np.einsum("kji,kj->ki", Vt, y), Vt[:, 2]
+    resid = np.linalg.norm(np.einsum("kij,kj->ki", A, p0) - rhs, axis=1)
+    aq, bq = np.einsum("kd,kd->k", w, w), 2.0 * np.einsum("kd,kd->k", p0, w)
+    cq = np.einsum("kd,kd->k", p0, p0) - s[0]
+    disc = bq * bq - 4 * aq * cq
+    # rank 3: the unique foot must lie on the sphere, else no real tangent
+    # has this direction at the working tolerance; rank 2: the line of
+    # solutions must meet the sphere
+    unique = (rank == 3) & ~(np.abs(cq) > 1e-5)
+    line = (rank == 2) & (disc >= 0)
+    line &= resid <= 1e-6 * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+    P = np.full((k, 2, 3), np.nan)
+    P[unique, 0] = p0[unique]
+    root = np.sqrt(np.where(line, disc, 0.0))
+    for f, sign, rows in ((0, 1.0, line), (1, -1.0, line & (disc > 0))):
+        P[rows, f] = p0[rows] + ((-bq[rows] + sign * root[rows]) / (2 * aq[rows]))[:, None] * w[rows]
+    base = length * P + c0
+    feet = np.full((len(U), 2, 3), np.nan)
+    feet[on] = base - np.einsum("kfd,kd->kf", base, n)[:, :, None] * n[:, None, :]
+    return feet, errors
+
+
 def tangent_lines_for_direction(triple: Triple, u) -> np.ndarray:
     """Foot points (k, 3), k <= 2, of the affine common tangent lines with
-    direction u, a unit row (3,): each line is {foot + t u}, its foot
-    orthogonal to u.
-
-    Requires sigma(u) ~ 0: |sigma| at unit u at most SIGMA_TOL times the
-    largest coefficient, else SceneError.  Centers are translated so the
-    first sits at the origin and scaled to unit scene diameter, so that the
-    rank cut and the residual tests do not depend on the scene's scale; the
-    tangent's foot point p then solves two center equations plus <p, u> = 0,
-    and must satisfy <p, p> = s_0.  A rank-deficient system yields a line of
-    candidate feet (0, 1 or 2 solutions after the sphere condition).  A
-    direction along collinear centers, whose tangents form a circle family,
-    yields none.
-    """
-    uv = np.asarray(u, dtype=float)
-    val = eval_sigma(triple, uv / np.linalg.norm(uv)) / triple.sigma_scale
-    if not abs(val) <= SIGMA_TOL:  # a NaN is off the curve too
-        raise SceneError(
-            f"direction is not on the sextic: normalized sigma value {val:.3e}"
-        )
-    length = triple.scene.diameter()
-    c0 = triple.balls[0].center
-    c1 = (triple.balls[1].center - c0) / length
-    c2 = (triple.balls[2].center - c0) / length
-    s = triple.squared_radii / length ** 2
-    q = float(np.dot(uv, uv))
-
-    def a_i(ci, si):
-        e_cross = np.cross(ci, uv)
-        t0i = float(np.dot(e_cross, e_cross))
-        return t0i + (s[0] - si) * q
-
-    A = np.array([c1, c2, uv])
-    rhs = np.array([a_i(c1, s[1]) / (2 * q), a_i(c2, s[2]) / (2 * q), 0.0])
-    U, sv, Vt = np.linalg.svd(A)
-    scale = sv[0] if sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > RANK_TOL * scale))
-
-    feet = []
-    if rank >= 3:
-        p = Vt.T @ ((U.T @ rhs) / sv)
-        # the linear system's unique foot must lie on the sphere, else no
-        # real tangent has this direction at the working tolerance
-        if not abs(float(np.dot(p, p)) - s[0]) > 1e-5:
-            feet.append(p)
-    elif rank == 2:
-        # particular solution + nullspace direction, then the sphere condition
-        inv = np.where(sv > RANK_TOL * scale, 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
-        p0 = Vt.T @ (inv * (U.T @ rhs))
-        w = Vt[2]
-        resid = float(np.linalg.norm(A @ p0 - rhs))
-        aq = float(np.dot(w, w))
-        bq = 2.0 * float(np.dot(p0, w))
-        cq = float(np.dot(p0, p0)) - s[0]
-        disc = bq * bq - 4 * aq * cq
-        if resid <= 1e-6 * max(1.0, float(np.linalg.norm(rhs))) and disc >= 0:
-            for sign in (1.0, -1.0) if disc > 0 else (1.0,):
-                feet.append(p0 + (-bq + sign * math.sqrt(disc)) / (2 * aq) * w)
-    bases = [length * p + c0 for p in feet]
-    return np.array([base - np.dot(base, uv) * uv for base in bases]).reshape(-1, 3)
+    direction u, a nonzero row (3,) of any length: each line is {foot + t u},
+    its foot orthogonal to u.  The one-row case of _tangent_feet: a
+    direction off the sextic raises SceneError."""
+    feet, errors = _tangent_feet(triple, np.reshape(u, (1, 3)))
+    if errors[0] is not None:
+        raise SceneError(errors[0])
+    return feet[0][~np.isnan(feet[0, :, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -521,20 +534,38 @@ def chart_point_to_direction(chart: str, x, y) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def _bisect_crossings(f, neg, pos, refine_tol):
-    """Bisect every segment from a negative-value point (row of ``neg``) to a
-    positive-value point (row of ``pos``) at once, each until its own bracket
-    is below refine_tol; an exact zero ends that segment's bisection."""
-    a, b = neg.copy(), pos.copy()
+def _bisect_crossings(f, degree, neg, pos, refine_tol, label):
+    """Bisect every segment neg + t (pos - neg), t in [0, 1], from a negative
+    value of f to a positive one, at once.  There f is a polynomial of at most
+    ``degree``: its values at degree + 1 Chebyshev points, in one call of f,
+    give its Chebyshev coefficients, and t is bisected on their Clenshaw sum
+    until the bracket is at most refine_tol long in the chart; an exact zero
+    ends a segment's bisection (Boyd, SIAM Review 55(2), 2013).  A segment's
+    vertex does not depend on the segments beside it."""
+    theta = (np.arange(degree + 1) + 0.5) * math.pi / (degree + 1)
+    step = pos - neg
+    nodes = neg[:, None, :] + (0.5 + 0.5 * np.cos(theta))[:, None] * step[:, None, :]
+    values = f(nodes[..., 0], nodes[..., 1])
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"{label} has non-finite values on the grid")
+    cosines = np.cos(np.outer(np.arange(degree + 1), theta)) * (2.0 / (degree + 1))
+    cosines[0] *= 0.5
+    coeffs = np.einsum("kj,mj->km", values, cosines)  # no BLAS: the same sums for any count
+    length = np.linalg.norm(step, axis=1)
+    a, b = np.zeros(len(neg)), np.ones(len(neg))
     for _ in range(80):
-        active = np.nonzero(np.linalg.norm(b - a, axis=1) > refine_tol)[0]
+        active = np.nonzero((b - a) * length > refine_tol)[0]
         if len(active) == 0:
             break
         mid = 0.5 * (a[active] + b[active])
-        v = f(mid[:, 0], mid[:, 1])
+        x, c = 2.0 * mid - 1.0, coeffs[active]
+        b1 = b2 = np.zeros(len(active))
+        for m in range(degree, 0, -1):
+            b1, b2 = c[:, m] + 2.0 * x * b1 - b2, b1
+        v = c[:, 0] + x * b1 - b2
         a[active[v <= 0]] = mid[v <= 0]
         b[active[v >= 0]] = mid[v >= 0]
-    return 0.5 * (a + b)
+    return neg + (0.5 * (a + b))[:, None] * step
 
 
 # marching-squares segment table: corner bits (bl, br, tr, tl) -> edge pairs,
@@ -550,15 +581,18 @@ _MS_CASES = {
 }
 
 
-def _trace_zero_set(f, xs, ys, refine_tol, label="f"):
+def _trace_zero_set(f, degree, xs, ys, refine_tol, label="f"):
     """Marching squares of the zero set of f(X, Y) on the grid xs x ys.
 
     f is vectorised and broadcasts its arguments: it fills the grid from the
-    column xs[:, None] and the row ys[None, :], refines every crossing edge
-    in one batched bisection and decides the saddle cells from their centres.
+    column xs[:, None] and the row ys[None, :], and decides the saddle cells
+    from their centres.  On a grid edge f is a polynomial of degree at most
+    k = ``degree``, and every crossing is bisected on its edge's degree-k
+    Chebyshev interpolant, all crossings in one batch (_bisect_crossings).
     A crossing's id is the index of its grid edge among the crossing edges;
     the polylines are the bisected points indexed by chains of ids.
-    A grid value that is not finite has no sign: SolverError, naming label.
+    A grid or node value that is not finite has no sign: SolverError,
+    naming label.
     """
     values = f(xs[:, None], ys[None, :])
     if not np.all(np.isfinite(values)):
@@ -573,7 +607,8 @@ def _trace_zero_set(f, xs, ys, refine_tol, label="f"):
     start = np.column_stack([xs[ex], ys[ey]])
     end = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
     flip = sign[ex, ey][:, None]
-    pts = _bisect_crossings(f, np.where(flip, end, start), np.where(flip, start, end), refine_tol)
+    pts = _bisect_crossings(f, degree, np.where(flip, end, start), np.where(flip, start, end),
+                            refine_tol, label)
     # a crossing edge's id is its rank in the order of (hx, hy) then (vx, vy)
     h_id = np.cumsum(h_cross).reshape(h_cross.shape) - 1
     v_id = np.cumsum(v_cross).reshape(v_cross.shape) - 1 + len(hx)
@@ -668,6 +703,15 @@ def _curve_function(triple: Triple, name: str):
     return lambda P: conic.eval_grid(P) / scale
 
 
+def _curve_degree(triple: Triple, name: str) -> int:
+    """The degree of the named curve's form: its bound along any chart line."""
+    if name == "sigma":
+        return triple.sigma.degree
+    if name == "hessian":
+        return 3 * max(p.degree for row in triple.hessian_entries for p in row)
+    return triple.pair_conic(int(name[4]), int(name[5])).degree
+
+
 def trace_curves(
     triple: Triple,
     chart: str = "u3",
@@ -679,8 +723,9 @@ def trace_curves(
     The curves are "sigma" (the direction sextic), "hessian" (the
     determinant of its second partials) and the pair conics "pair01",
     "pair02" and "pair12" (empty for an overlapping or tangent pair).  The
-    chart "uk" is the plane u_k = 1.  Vertices are refined by bisection
-    along grid edges to TRACE_TOL; components smaller than the grid
+    chart "uk" is the plane u_k = 1.  Each vertex is bisected to TRACE_TOL
+    on its grid edge's degree-k Chebyshev interpolant, k the degree of the
+    curve's form (_curve_degree); components smaller than the grid
     resolution may be missed, which is a documented limitation rather than
     an error.
     """
@@ -695,7 +740,8 @@ def trace_curves(
             U = [X, Y]
             U.insert(axis, 1.0)  # the chart plane u_axis = 1, as a scalar whose factors are skipped
             return g(GridPowers(*U))
-        return _trace_zero_set(f, xs, xs, TRACE_TOL, f"{name} in chart {chart} at extent {extent!r}")
+        return _trace_zero_set(f, _curve_degree(triple, name), xs, xs, TRACE_TOL,
+                               f"{name} in chart {chart} at extent {extent!r}")
 
     curves = {}
     for name in CURVE_NAMES:

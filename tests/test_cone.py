@@ -17,7 +17,7 @@ from linestab.geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
 )
-from linestab.sextic import Triple, eval_sigma, float_safe_triple
+from linestab.sextic import Triple, _tangent_feet, eval_sigma, float_safe_triple
 from linestab.cone import (
     OrderedQuery,
     _pair_bound,
@@ -988,6 +988,25 @@ class TestBoundaryClassification:
             [one] = classify_boundary_direction(tri, u[None, :])
             for key in ("on_boundary", "crosses_triangle", "tag"):
                 assert cls[key] == one[key], (key, u)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_batch_rows_are_single_rows_bit_for_bit(self, name):
+        # the rows classify-boundary classifies by default, and three rows
+        # off the sextic: the tangent feet of N rows and their dicts are
+        # those of N one-row calls; all but the slack, the disk-minimax
+        # kernel's, whose last bits still depend on the batch (ROADMAP item 4)
+        tri, _ = float_safe_triple(Triple.from_scene(preset_scene(name)))
+        off = np.array([[0.12, 0.93, -0.41], [0.6, 0.0, 0.8], [-0.3, 0.4, 0.866]])
+        U = np.concatenate([_ray_root_directions(tri), off / np.linalg.norm(off, axis=1)[:, None]])
+        feet, errors = _tangent_feet(tri, U)
+        batch = classify_boundary_direction(tri, U)
+        for i in range(len(U)):
+            one_feet, one_errors = _tangent_feet(tri, U[i:i + 1])
+            assert np.array_equal(one_feet[0], feet[i], equal_nan=True), (name, i)
+            assert one_errors == [errors[i]]
+            [one] = classify_boundary_direction(tri, U[i:i + 1])
+            assert list(one) == list(batch[i]), (name, i)
+            assert all(one[k] == batch[i][k] for k in one if k != "slack"), (name, i)
 
     @pytest.mark.parametrize("z", [-7.991595998085517e-09, 7.991595998085517e-09])
     def test_tangent_lines_are_scale_free(self, z):

@@ -15,6 +15,7 @@ from linestab.geom import (
 from linestab.sextic import (
     CHART_AXES,
     CURVE_NAMES,
+    TRACE_TOL,
     DirectionPoly,
     PoleJet,
     Triple,
@@ -385,6 +386,20 @@ class TestTangentRecovery:
                     checked += 1
         assert checked >= 8
 
+    def test_feet_do_not_depend_on_the_direction_scale(self):
+        # the first direction classify-boundary classifies on
+        # two-permutations, at three lengths: the same feet, orthogonal to u
+        from linestab.cone import sextic_ray_directions
+
+        tri, _ = sextic_mod.float_safe_triple(Triple.from_scene(preset_scene("two-permutations")))
+        u = sextic_ray_directions(tri, 8)[0][0]
+        want = tangent_lines_for_direction(tri, u)
+        assert len(want) > 0
+        for scale in (2.0, 1e-3):
+            feet = tangent_lines_for_direction(tri, scale * u)
+            assert np.allclose(feet, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            assert np.all(np.abs(feet @ u) <= 1e-12 * np.linalg.norm(feet, axis=1))
+
 
 def pair_conic(bi, bj):
     """The builder's conic of two balls, read from a triple with a far third."""
@@ -543,7 +558,7 @@ class TestTraceCurves:
         # has two hyperbola branches in opposite quadrants; a segment that
         # leaves its quadrant crosses the saddle
         xs = np.array([-1.0, 1.0])
-        polys = _trace_zero_set(lambda x, y: c + s * x * y, xs, xs, 1e-12)
+        polys = _trace_zero_set(lambda x, y: c + s * x * y, 2, xs, xs, 1e-12)
         assert len(polys) == 2
         for poly in polys:
             assert len(poly) == 2
@@ -556,7 +571,7 @@ class TestTraceCurves:
         # decimals and are still two vertices of one polyline
         c = 2e-13
         xs = np.array([-1.0, 0.0, 1.0])
-        polys = _trace_zero_set(lambda x, y: x + y - c, xs, xs, 1e-15)
+        polys = _trace_zero_set(lambda x, y: x + y - c, 1, xs, xs, 1e-15)
         assert len(polys) == 1
         poly = polys[0] if polys[0][0, 0] > 0 else polys[0][::-1]
         want = np.array([[1.0, c - 1.0], [c, 0.0], [0.0, c], [c - 1.0, 1.0]])
@@ -567,7 +582,7 @@ class TestTraceCurves:
         # the unit circle on a grid of spacing 0.8 crosses 8 edges, two on
         # each of the grid lines x = ±0.4 and y = ±0.4
         xs = np.linspace(-2.0, 2.0, 6)
-        polys = _trace_zero_set(lambda x, y: x * x + y * y - 1.0, xs, xs, 1e-12)
+        polys = _trace_zero_set(lambda x, y: x * x + y * y - 1.0, 2, xs, xs, 1e-12)
         assert len(polys) == 1
         poly = polys[0]
         assert poly.shape == (9, 2)
@@ -610,10 +625,11 @@ class TestTraceCurves:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity of the tracer against the term-by-term evaluation it replaced:
-# every power recomputed per term, the Hessian's nine entries evaluated
-# separately, and the polylines chained by their crossing points' coordinates
-# rounded to 12 decimals on every lookup, not by crossing ids.
+# The tracer against the term-by-term evaluation it replaced: every power
+# recomputed per term, the Hessian's nine entries evaluated separately, each
+# crossing bisected on the function itself, and the polylines chained by
+# their crossing points' coordinates rounded to 12 decimals on every lookup,
+# not by crossing ids.
 # ---------------------------------------------------------------------------
 
 
@@ -683,11 +699,26 @@ def _termwise_functions(tri):
     return funcs
 
 
+def _termwise_bisect(f, neg, pos, refine_tol):
+    """Bisect every segment from neg to pos on f itself, until its bracket
+    is below refine_tol; an exact zero ends that segment's bisection."""
+    a, b = neg.copy(), pos.copy()
+    for _ in range(80):
+        active = np.nonzero(np.linalg.norm(b - a, axis=1) > refine_tol)[0]
+        if len(active) == 0:
+            break
+        mid = 0.5 * (a[active] + b[active])
+        v = f(mid[:, 0], mid[:, 1])
+        a[active[v <= 0]] = mid[v <= 0]
+        b[active[v >= 0]] = mid[v >= 0]
+    return 0.5 * (a + b)
+
+
 def _termwise_trace(tri, chart, grid, extent, monkeypatch, refine_tol=1e-10):
-    """The polylines of _trace_zero_set on the termwise functions, with its
-    segments chained by _relookup_chain_segments on their crossing points."""
+    """The polylines of _trace_zero_set on the termwise functions, each
+    crossing bisected termwise, with its segments chained by
+    _relookup_chain_segments on their crossing points."""
     xs = np.linspace(-extent, extent, grid)
-    bisect = sextic_mod._bisect_crossings
 
     def trace(g):
         def f(X, Y):
@@ -695,8 +726,8 @@ def _termwise_trace(tri, chart, grid, extent, monkeypatch, refine_tol=1e-10):
 
         seen = {}
 
-        def crossings(*args):
-            pts = bisect(*args)
+        def crossings(f, degree, neg, pos, tol, label):
+            pts = _termwise_bisect(f, neg, pos, tol)
             seen["pts"] = pts.tolist()
             return pts
 
@@ -709,10 +740,25 @@ def _termwise_trace(tri, chart, grid, extent, monkeypatch, refine_tol=1e-10):
         with monkeypatch.context() as m:
             m.setattr(sextic_mod, "_bisect_crossings", crossings)
             m.setattr(sextic_mod, "_chain_segments", chain)
-            sextic_mod._trace_zero_set(f, xs, xs, refine_tol)
+            sextic_mod._trace_zero_set(f, None, xs, xs, refine_tol)  # no interpolant, no degree
         return seen["polys"]
 
     return {name: [] if g is None else trace(g) for name, g in _termwise_functions(tri).items()}
+
+
+def _recorded_crossings(monkeypatch, run):
+    """run()'s result, and the arguments and vertices of each
+    _bisect_crossings call it made."""
+    bisect, calls = sextic_mod._bisect_crossings, []
+
+    def record(*args):
+        pts = bisect(*args)
+        calls.append((args, pts))
+        return pts
+
+    with monkeypatch.context() as m:
+        m.setattr(sextic_mod, "_bisect_crossings", record)
+        return run(), calls
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -721,7 +767,6 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
     oracle = _termwise_functions(tri)
     for chart, axis in CHART_AXES.items():
         # the curve functions themselves, on a grid where every float counts
-        # (a vertex moves only when a roundoff change flips a bisection sign)
         X, Y = np.meshgrid(*2 * [np.linspace(-2.5, 2.5, 40)], indexing="ij")
         U = list(np.moveaxis(chart_point_to_direction(chart, X, Y), -1, 0))
         P = sextic_mod.GridPowers(*U[:axis], 1.0, *U[axis + 1:])
@@ -729,14 +774,38 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
             if g is not None:
                 got = sextic_mod._curve_function(tri, name)(P)
                 assert np.array_equal(got, g(*U)), (chart, name)
+        # the traces: bisected on each edge's interpolant, every vertex
+        # stays within TRACE_TOL of the termwise bisection's, on the same
+        # polylines, and brackets a sign change of the termwise function
         for grid, extent in ((100, 2.0), (160, 2.5)):
             want = _termwise_trace(tri, chart, grid, extent, monkeypatch)
-            got = trace_curves(tri, chart=chart, grid=grid, extent=extent).curves
+            traces, calls = _recorded_crossings(
+                monkeypatch, lambda: trace_curves(tri, chart=chart, grid=grid, extent=extent))
+            got = traces.curves
             assert list(got) == list(CURVE_NAMES) == list(want)
             for name in CURVE_NAMES:
-                assert len(got[name]) == len(want[name]), (chart, grid, name)
+                assert [len(p) for p in got[name]] == [len(p) for p in want[name]], (chart, grid, name)
                 for g, w in zip(got[name], want[name]):
-                    assert np.array_equal(g, w), (chart, grid, name)
+                    assert np.max(np.hypot(*(g - w).T)) <= TRACE_TOL, (chart, grid, name)
+            for (_, _, neg, pos, _, label), pts in calls:
+                g = oracle[label.split()[0]]
+                d = (pos - neg) / np.linalg.norm(pos - neg, axis=1)[:, None]
+                lo, hi = (np.moveaxis(chart_point_to_direction(chart, *(pts + e * d).T), -1, 0)
+                          for e in (-TRACE_TOL, TRACE_TOL))
+                assert np.all(g(*lo) <= 0) and np.all(g(*hi) >= 0), (chart, grid, label)
+
+
+@pytest.mark.parametrize("preset", ["two-permutations", "flexdemo-disjoint"])
+def test_trace_vertex_does_not_depend_on_its_batch(preset, monkeypatch):
+    # a crossing bisected alone lands on the same bits as among all the
+    # crossings of its curve
+    tri = Triple.from_scene(preset_scene(preset))
+    _, calls = _recorded_crossings(monkeypatch, lambda: trace_curves(tri, grid=100))
+    assert sum(len(pts) for _, pts in calls) > 100
+    for (f, degree, neg, pos, tol, label), pts in calls:
+        for i in range(len(pts)):
+            alone = sextic_mod._bisect_crossings(f, degree, neg[i:i + 1], pos[i:i + 1], tol, label)
+            assert np.array_equal(alone[0], pts[i]), (label, i)
 
 
 def test_trace_memory_stays_per_axis():
@@ -763,3 +832,15 @@ def test_non_finite_grid_values_name_the_curve():
     for preset in PRESET_NAMES:
         for chart in CHART_AXES:
             trace_curves(Triple.from_scene(preset_scene(preset)), chart=chart, grid=20, extent=2.5)
+
+
+def test_non_finite_edge_values_name_the_curve():
+    # finite at every grid point, NaN at the middle Chebyshev point of the
+    # crossing edges from x = 0 to x = 1: no sign to bisect on
+    xs = np.array([-1.0, 0.0, 1.0])
+
+    def f(x, y):
+        return np.where(np.abs(x - 0.5) < 0.1, np.nan, x - 0.25) + 0 * y
+
+    with pytest.raises(SolverError, match=r"^g has non-finite values"):
+        _trace_zero_set(f, 2, xs, xs, 1e-12, "g")
