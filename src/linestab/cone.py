@@ -2,8 +2,8 @@
 
 Feasibility of a direction (order-respecting transversal existence),
 geodesic-midpoint convexity certification, geometric permutation
-enumeration, connected component counting on the direction sphere (its
-neighbour pairs come from a fixed-radius cell grid), the boundary directions
+enumeration, connected component counting of line directions (its neighbour
+pairs come from a fixed-radius cell grid), the boundary directions
 of a triple's cones (each ray's exit is a root of the sextic, a pair-cone
 conic or a tie-band edge along it), and the classification of the sextic's
 roots along the same rays against the triangle of centers.
@@ -318,17 +318,13 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
     For disjoint balls a transversal of direction u meets them in the order
     of the center projections <c_i, u>.  Rows are scaled to unit length, and
     two projections closer than the scene's band make the row's order a tie:
-    indeterminate, never feasible.
+    indeterminate, never feasible.  Each row's projections are summed on
+    their own, so a row's answer does not depend on the rows beside it.
     """
-    return _orders_of_keys(_unit_rows(U) @ scene.centers.T, scene.band)
-
-
-def _orders_of_keys(keys: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stable argsort of each row of center projections ``keys``, and
-    whether two of them are closer than ``band``."""
+    keys = np.einsum("md,nd->mn", _unit_rows(U), scene.centers)  # per row: no BLAS
     orders = np.argsort(keys, axis=1, kind="stable")
     sorted_keys = np.take_along_axis(keys, orders, axis=1)
-    return orders, np.any(np.diff(sorted_keys, axis=1) < band, axis=1)
+    return orders, np.any(np.diff(sorted_keys, axis=1) < scene.band, axis=1)
 
 
 @dataclass
@@ -383,9 +379,8 @@ def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
     at a time: each row keeps its pair-cone bound unless the bound is at
     most ``exact_below`` (or NaN, where its squares overflow), and then the
     kernel's slack; at the default every slack is exact and no bound is
-    taken.  Only the rows that meet are sorted and tie-tested, on their rows
-    of the chunk's key product (whose rounding depends on the row count, so
-    it stays chunk-wide); the others keep the identity order and no tie."""
+    taken.  Only the rows that meet get realized_orders_batch's orders and
+    ties; the others keep the identity order and no tie."""
     U = _unit_rows(U)
     slacks = np.empty(len(U))
     orders = np.tile(np.arange(len(scene)), (len(U), 1))
@@ -399,8 +394,7 @@ def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
         bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
         slacks[chunk] = bound
         meet = np.flatnonzero(bound <= scene.band)
-        keys = _unit_rows(rows) @ scene.centers.T
-        orders[lo + meet], ties[lo + meet] = _orders_of_keys(keys[meet], scene.band)
+        orders[lo + meet], ties[lo + meet] = realized_orders_batch(scene, rows[meet])
     return ConeSampleSet(scene, U, slacks, orders, ties)
 
 
@@ -743,94 +737,120 @@ def enumerate_geometric_permutations(sset: ConeSampleSet) -> dict:
     in order of discovery, each with its ``witness`` direction,
     ``witness_order``, ``witness_slack`` and ``sample_count``.
     """
-    idxs = np.nonzero(sset.feasible)[0]
+    idxs = np.flatnonzero(sset.feasible)
     orders = sset.orders[idxs]
     canon = np.where(_reversed_is_canonical(orders)[:, None], orders[:, ::-1], orders)
-    perms, first, group, counts = np.unique(
-        canon, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    # witness: each permutation's first sample of smallest slack (stable sort)
-    by_slack = np.lexsort((sset.slacks[idxs], group.reshape(-1)))
-    witness = idxs[by_slack[np.cumsum(counts) - counts]]
-    found = np.argsort(first)
+    # one sort groups the permutations and puts each one's smallest slack
+    # first (stable: its first sample among equal slacks)
+    key = _row_keys(canon, len(sset.scene))
+    by = np.lexsort((sset.slacks[idxs], key))
+    starts = np.flatnonzero(np.diff(key[by], prepend=-1))  # keys are >= 0
+    counts = np.diff(starts, append=len(by))
+    found = np.argsort(np.minimum.reduceat(by, starts))  # by first sample
     permutations = [
-        {"permutation": perms[g].tolist(), "witness": sset.directions[m].tolist(),
+        {"permutation": canon[by[s]].tolist(), "witness": sset.directions[m].tolist(),
          "witness_order": sset.orders[m].tolist(), "witness_slack": float(sset.slacks[m]),
-         "sample_count": int(counts[g])}
-        for g, m in zip(found, witness[found])
+         "sample_count": int(c)}
+        for s, m, c in zip(starts[found], idxs[by[starts[found]]], counts[found])
     ]
     return {"count": len(permutations), "permutations": permutations}
 
 
-# candidate pairs _close_pairs tests at a time (plus at most one cell's rows),
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """An int64 key per row of integers in [0, base), equal exactly where the
+    rows are equal: the rows' base-``base`` numbers, with the digits read so
+    far replaced by their dense rank whenever one more digit would leave
+    int64."""
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        if span * base > 2 ** 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * base + column
+        span *= base
+    return key
+
+
+# candidate pairs _close_pairs tests at a time (plus at most one row's run),
 # which bounds its memory however crowded a cell is
 _PAIR_BATCH = 1 << 16
 
 
 def _close_pairs(points: np.ndarray, chord: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of rows of ``points`` at Euclidean distance <= chord,
-    each unordered pair once.
+    """Index pairs (i, j), i < j, of rows of ``points`` at Euclidean distance
+    <= chord, each unordered pair once.
 
     A pair is close when its squared differences, summed in coordinate
     order, are at most chord^2 and its differences on the coordinate w of
-    widest spread and on w + 1 are at most chord.  A fixed-radius cell grid
-    (Bentley, Stanat and Williams 1977) finds them: rows are bucketed into
-    cubes of side h >= chord over the k coordinates of widest spread,
-    k = clip(floor(log3 n), 1, min(d, 5)), so the (3^k + 1) / 2 half-neighbour
-    offsets never outnumber the rows, and every pair in one cell or in two
-    cells one offset apart is tested.  h is at least 2^-30 times the widest
-    spread, so roundoff moves a row by under 2^-21 of a cell and close rows
-    are at most one cell apart on each axis.
+    widest spread and on w + 1 are at most chord.  Those two screens can only
+    fail where the sum is chord^2 to the bit, so only such batches read
+    them.  A fixed-radius cell grid (Bentley, Stanat and Williams 1977) finds
+    the pairs: rows are bucketed into cubes of side h >= chord / 2 over the k
+    coordinates of widest spread, so close rows are at most two cells apart
+    on each axis.  k is the largest count up to min(d - 1, 5), and at least
+    1, with 5^(k-1) <= n: rows on S^{d-1} with one sign per line, as
+    count_components passes them, are a graph over d - 1 coordinates, where
+    one more axis splits few cells.  The first axis has stride 1 in the cell
+    key, so the five cells around a row in its column (the cells that share
+    the other k - 1 coordinates) are one run of sorted rows: each row is
+    tested against the later rows of its own column's run and against the
+    run of each of its (5^(k-1) - 1) / 2 half-neighbour columns, which never
+    outnumber the rows.  h is at least 2^-30 times the widest spread, so
+    roundoff moves a row by under 2^-21 of a cell.
     """
     n, d = points.shape
     none = np.zeros(0, dtype=np.int64)
     if n < 2:
         return none, none
-    spread = np.ptp(points, axis=0)
+    cols = np.ascontiguousarray(points.T)  # fast reductions along each coordinate
+    spread = np.ptp(cols, axis=1)
     w = int(np.argmax(spread))
     k = 1
-    while k < min(d, 5) and 3 ** (k + 1) <= n:
+    while k < min(d - 1, 5) and 5 ** k <= n:
         k += 1
     # 2^-490 keeps a cell wider than any difference whose square underflows
-    h = max(chord * (1.0 + 2.0 ** -20), float(spread[w]) * 2.0 ** -30, 2.0 ** -490)
+    h = max(chord * (0.5 + 2.0 ** -20), float(spread[w]) * 2.0 ** -30, 2.0 ** -490)
     key, strides = _cell_keys(points, h, np.argsort(-spread, kind="stable")[:k])
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)  # the order within a cell moves no pair
     key = key[order]
-    cols = points[order].T.copy()
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    cells, count = key[first], np.diff(np.append(first, n))
-    cell_of = np.repeat(np.arange(len(cells)), count)
+    cols = cols.take(order, axis=1)
+    starts = np.append(np.flatnonzero(np.diff(key, prepend=-1)), n)  # each cell's first row, then n
+    cells = key[starts[:-1]]
+    cell_of = np.repeat(np.arange(len(cells)), np.diff(starts))
+    c2 = chord * chord
     firsts, seconds = [none], [none]
-    for digits in itertools.product((-1, 0, 1), repeat=len(strides)):
+    for digits in itertools.product(range(-2, 3), repeat=len(strides) - 1):
         if next((x for x in digits if x), 1) < 0:
-            continue  # the opposite offset visits these cell pairs
-        target = cells + sum(x * s for x, s in zip(digits, strides))
-        pos = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-        # each row i of a cell with a partner cell meets its rows [lo, lo + m)
-        i = np.flatnonzero((cells[pos] == target)[cell_of])
-        partner = pos[cell_of[i]]
-        lo = first[partner] if any(digits) else i + 1  # in one cell, each pair once
-        m = first[partner] + count[partner] - lo
-        for a, b in _row_ranges(i, lo, m):
-            dist_sq = sum((cols[c, b] - cols[c, a]) ** 2 for c in range(d))
-            keep = dist_sq <= chord * chord
-            for c in (w, (w + 1) % d):
-                a, b = a[keep], b[keep]
-                keep = np.abs(cols[c, b] - cols[c, a]) <= chord
-            firsts.append(a[keep])
-            seconds.append(b[keep])
-    return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
+            continue  # the opposite column visits these cell pairs
+        column = cells + sum(x * s for x, s in zip(digits, strides[1:]))
+        # the run of the column's cells two before to two after each cell
+        hi = starts[np.searchsorted(cells, column + 2, side="right")][cell_of]
+        if any(digits):
+            lo = starts[np.searchsorted(cells, column - 2)][cell_of]
+        else:
+            lo = np.arange(1, n + 1)  # in its own column, each pair once
+        i = np.flatnonzero(hi > lo)
+        for a, b in _row_ranges(i, lo[i], hi[i] - lo[i]):
+            dist_sq = sum((cols[c].take(b) - cols[c].take(a)) ** 2 for c in range(d))
+            keep = dist_sq <= c2
+            if np.any(dist_sq == c2):
+                for c in (w, (w + 1) % d):
+                    keep &= (dist_sq < c2) | (np.abs(cols[c].take(b) - cols[c].take(a)) <= chord)
+            a, b = order[a[keep]], order[b[keep]]
+            firsts.append(np.minimum(a, b))
+            seconds.append(np.maximum(a, b))
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def _cell_keys(points: np.ndarray, h: float, axes: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Mixed-radix key of the cube of side h holding each row, over the given
-    axes in turn, and each used axis' stride.  Cell indices start at 1 and
-    the radix leaves one spare cell on each side, so offsets of -1 and +1
+    axes in turn, and each used axis' stride.  Cell indices start at 2 and
+    the radix leaves two spare cells on each side, so offsets from -2 to +2
     never wrap; an axis joins only while the keys fit in int64."""
     key, stride, strides = np.zeros(len(points), dtype=np.int64), 1, []
     for a in axes:
-        cell = np.floor((points[:, a] - points[:, a].min()) / h).astype(np.int64) + 1
-        extent = int(cell.max()) + 2
+        cell = np.floor((points[:, a] - points[:, a].min()) / h).astype(np.int64) + 2
+        extent = int(cell.max()) + 3
         if stride * extent > 2 ** 62:
             break
         key += stride * cell
@@ -855,55 +875,73 @@ def _row_ranges(rows: np.ndarray, lo: np.ndarray, m: np.ndarray):
 
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Label of each of n nodes, equal within each connected component of
-    the graph with edges (a[k], b[k]).
+    the graph with edges (a[k], b[k]), a[k] < b[k]: the component's smallest
+    node.
 
-    Each label points to a root.  Every edge between two roots hooks the
-    larger root under the smaller one, then labels jump to their roots;
-    this repeats until no edge joins two roots.
+    Each label points to a root.  Every edge hooks the root of its larger
+    end under the root of its smaller one (the smallest offer wins), then
+    labels jump to their roots; the edges that still join two roots go
+    round again.
     """
     labels = np.arange(n)
-    while True:
-        ra, rb = labels[a], labels[b]
-        joins = ra != rb
-        if not np.any(joins):
-            return labels
-        np.minimum.at(labels, np.maximum(ra, rb)[joins], np.minimum(ra, rb)[joins])
+    while len(a):
+        np.minimum.at(labels, b, a)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        a, b = labels[a], labels[b]
+        joins = a != b
+        a, b = np.minimum(a[joins], b[joins]), np.maximum(a[joins], b[joins])
+    return labels
 
 
 def count_components(sset: ConeSampleSet) -> dict:
-    """Count connected clusters of the feasible directions of the sample
-    ``sset`` on the sphere.
+    """Count connected clusters of the line directions of the feasible samples
+    of ``sset``.
 
-    Each feasible sample is canonicalized (antipodal identification of the
-    reversed-order witness), then clustered with a neighborhood graph whose
-    angular radius is NEIGHBOUR_SPACINGS times the lattice spacing.  Its edges,
-    the pairs of samples at most the matching chord apart, come from a
-    fixed-radius cell grid (_close_pairs); ``neighbour_pairs`` counts them.
-    For disjoint scenes the count must equal the number of geometric
-    permutations.  Returns the report's verdicts: the ``count``, the
-    ``cluster_sizes`` in decreasing order, the ``angular_radius``,
-    ``undersampled`` (a cluster of fewer than 10 samples),
-    ``feasible_samples`` and ``neighbour_pairs``.
+    Lines are unoriented, so u and -u are one line direction, and two samples
+    are neighbours when min(|u - v|, |u + v|) is at most the chord of
+    NEIGHBOUR_SPACINGS lattice spacings: a graph that reads no ball label.
+    Its edges come from a fixed-radius cell grid (_close_pairs) over one
+    representative per sample, flipped to u_w >= 0 on the seam axis w, the
+    coordinate with the fewest samples within the chord of 0, plus a negated
+    copy of each sample within the chord of that seam; pairs found through a
+    copy are mapped back to their samples and counted once.
+    ``neighbour_pairs`` counts the edges, and ``cluster_sizes`` (in
+    decreasing order) counts each feasible sample once.  For disjoint scenes
+    the count must equal the number of geometric permutations.  Returns the
+    report's verdicts: the ``count``, the ``cluster_sizes``, the
+    ``angular_radius``, ``undersampled`` (a cluster of fewer than 10
+    samples), ``feasible_samples`` and ``neighbour_pairs``.
     """
-    feas = sset.feasible
-    dirs = sset.directions[feas]
-    orders = sset.orders[feas]
-    if len(dirs) == 0:
+    dirs = sset.directions[sset.feasible]
+    n = len(dirs)
+    if n == 0:
         return {"count": 0, "cluster_sizes": [], "angular_radius": 0.0, "undersampled": False,
                 "feasible_samples": 0, "neighbour_pairs": 0}
-    canon_dirs = np.where(_reversed_is_canonical(orders)[:, None], -dirs, dirs)
     theta = NEIGHBOUR_SPACINGS * lattice_spacing(sset.scene.dimension, len(sset.directions))
     chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
-    a, b = _close_pairs(canon_dirs, chord)
-    labels = _component_labels(len(canon_dirs), a, b)
-    sizes = sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True)
+    w = int(np.argmin(np.count_nonzero(np.abs(dirs) <= chord, axis=0)))
+    reps = np.where((dirs[:, w] < 0.0)[:, None], -dirs, dirs)
+    # a pair through a copy has |u_w + v_w| <= chord, so both rows lie in the
+    # seam; the margin covers the roundoff of that sum
+    seam = np.flatnonzero(reps[:, w] <= chord * (1.0 + 2.0 ** -20))
+    a, b = _close_pairs(np.vstack([reps, -reps[seam]]), chord)
+    if len(seam):
+        # each pair of rows once: a pair with one copy is found from both of
+        # its rows, a pair of copies repeats the pair of their rows, and a row
+        # is not its own neighbour
+        row = np.concatenate([np.arange(n), seam])
+        ra, rb = row[a], row[b]
+        key = np.unique(np.minimum(ra, rb) * n + np.maximum(ra, rb))
+        a, b = np.divmod(key[key // n != key % n], n)
+    labels = _component_labels(n, a, b)
+    counts = np.bincount(labels)
+    sizes = sorted(counts[counts > 0].tolist(), reverse=True)
     return {"count": len(sizes), "cluster_sizes": sizes, "angular_radius": theta,
-            "undersampled": any(s < 10 for s in sizes), "feasible_samples": len(dirs),
+            "undersampled": any(s < 10 for s in sizes), "feasible_samples": n,
             "neighbour_pairs": len(a)}
 
 

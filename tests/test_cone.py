@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linestab import cone
@@ -359,6 +359,34 @@ def test_sample_orders_are_read_on_meeting_rows(seed, key):
         assert np.array_equal(sset.feasible_for_order(order), rule), order
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from([(3, 3), (6, 3), (10, 3), (5, 4), (6, 5)]),
+    rows=st.integers(1, 120),
+)
+def test_orders_of_a_row_do_not_depend_on_its_batch(seed, shape, rows):
+    # N rows give the orders and ties of N one-row calls, bit for bit; half
+    # the rows put two centre projections one band apart, where the tie
+    # decision reads the last bits of the keys
+    n, d = shape
+    scene, axis = random_scene_with_transversal(n, d, (0.5, 2.0), seed=seed)
+    rng = np.random.default_rng(seed)
+    U = axis + 0.3 * rng.normal(size=(rows, d))
+    for k in range(0, rows, 2):
+        i, j = rng.choice(n, size=2, replace=False)
+        D = scene.centers[j] - scene.centers[i]
+        t = rng.normal(size=d)
+        t -= (t @ D) / (D @ D) * D
+        sine = scene.band / np.linalg.norm(D) * (1.0 + 1e-13 * rng.normal())
+        U[k] = math.sqrt(1.0 - sine * sine) * t / np.linalg.norm(t) + sine * D / np.linalg.norm(D)
+    U *= rng.uniform(0.5, 2.0, size=(rows, 1))  # rows need not be unit
+    orders, ties = realized_orders_batch(scene, U)
+    for k in range(rows):
+        one_order, one_tie = realized_orders_batch(scene, U[k:k + 1])
+        assert np.array_equal(one_order[0], orders[k]) and one_tie[0] == ties[k], k
+
+
 class TestConvexity:
     def test_random_triples_have_convex_cones(self):
         for seed in (1, 4, 8):
@@ -657,6 +685,15 @@ class TestComponents:
         assert rep["count"] == 0
         assert rep["feasible_samples"] == rep["neighbour_pairs"] == 0
 
+    @pytest.mark.parametrize("name", ["flexdemo-tangent", "flexdemo-overlapping"])
+    def test_touching_cones_give_one_count_under_every_labelling(self, name):
+        # two cones of different orders touch along a tie; the directions
+        # form one cluster of lines however the balls are numbered
+        scene = preset_scene(name)
+        for perm in itertools.permutations(range(3)):
+            rep = count_components(sample_scene(_moved_scene(scene, np.eye(3), 0.0, perm), 20000))
+            assert rep["count"] == 1, perm
+
     def test_two_permutations_at_acceptance_budget(self):
         # the clusters and neighbour pairs the one-axis sweep found at 1e5
         # samples, to the sample
@@ -669,6 +706,75 @@ class TestComponents:
         assert rep["cluster_sizes"] == [7713, 2399]
         assert rep["feasible_samples"] == int(np.sum(sset.feasible)) == 10112
         assert rep["neighbour_pairs"] == 185181
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 4), caps=st.integers(1, 6))
+def test_components_match_the_line_graph(seed, d, caps):
+    # feasible samples in random caps, some across the seam of every axis:
+    # the count, sizes and pairs are those of the graph joining two samples
+    # when min(|u - v|, |u + v|) is within the chord, taken pair by pair
+    rng = np.random.default_rng(seed)
+    samples = {2: 400, 3: 4000, 4: 6000}[d]
+    U = sample_directions(d, samples, seed)
+    centres = rng.normal(size=(caps, d))
+    centres[: caps // 2, rng.integers(0, d)] = 0.0  # on the equator of an axis
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    feasible = np.any(np.abs(U @ centres.T) >= np.cos(rng.uniform(0.05, 0.4, size=caps)), axis=1)
+    scene = Scene(d, tuple(Ball(np.eye(d)[0] * 3.0 * k, 1.0) for k in range(3)))
+    sset = cone.ConeSampleSet(scene, U, np.where(feasible, -1.0, 1.0),
+                              np.tile(np.arange(3), (samples, 1)), np.zeros(samples, dtype=bool))
+    rep = count_components(sset)
+
+    F = U[feasible]
+    theta = cone.NEIGHBOUR_SPACINGS * cone.lattice_spacing(d, samples)
+    chord = 2.0 * math.sin(min(theta, math.pi) / 2.0)
+    near = np.zeros((len(F), len(F)), dtype=bool)
+    for sign in (-1.0, 1.0):
+        dist_sq = np.zeros(near.shape)
+        for c in range(d):
+            dist_sq += (sign * F[None, :, c] - F[:, None, c]) ** 2
+        near |= dist_sq <= chord * chord
+    i, j = np.nonzero(np.triu(near, 1))
+    labels = np.arange(len(F))
+    for _ in range(len(F)):
+        low = np.minimum(labels[i], labels[j])
+        if np.array_equal(labels[i], low) and np.array_equal(labels[j], low):
+            break
+        np.minimum.at(labels, i, low)
+        np.minimum.at(labels, j, low)
+    sizes = sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True)
+    assert rep["feasible_samples"] == len(F)
+    assert rep["neighbour_pairs"] == len(i)
+    assert rep["cluster_sizes"] == sizes and rep["count"] == len(sizes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(PRESET_NAMES),
+        st.tuples(st.integers(0, 500), st.sampled_from([(4, 3), (5, 3), (4, 4), (5, 4)])),
+    ),
+    labels=st.permutations(range(5)),
+)
+@example(source="flexdemo-tangent", labels=(0, 2, 1, 3, 4))
+@example(source="flexdemo-overlapping", labels=(1, 2, 0, 3, 4))
+def test_component_count_does_not_depend_on_labels(source, labels):
+    # relabelling the balls moves no direction: the count is the same, and
+    # where the feasible samples are the same, so is the whole report
+    if isinstance(source, str):
+        scene, samples = preset_scene(source), 20000
+    else:
+        (seed, (n, d)), samples = source, 6000
+        scene = random_scene_with_transversal(n, d, (0.4, 1.2), seed=seed)[0]
+    perm = [p for p in labels if p < len(scene)]
+    base = sample_scene(scene, samples)
+    d = scene.dimension
+    moved = sample_scene(_moved_scene(scene, np.eye(d), 0.0, perm), samples)
+    rep, moved_rep = count_components(base), count_components(moved)
+    assert moved_rep["count"] == rep["count"]
+    if np.array_equal(moved.feasible, base.feasible):
+        assert moved_rep == rep
 
 
 def _close_pair_set(points, chord) -> set[tuple[int, int]]:
@@ -696,11 +802,13 @@ def test_close_pairs_match_the_oracle(seed, n, d, kind, log_chord):
         X = rng.normal(size=(n, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         if kind == "antipodal":
-            # canonicalised as count_components does it: a row and its
-            # antipode, one of them flipped by a reversed-canonical order
-            orders = rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1)
+            # rows and their antipodes as count_components passes them: each
+            # flipped to u_w >= 0 on its seam axis w, then a negated copy of
+            # every row within the chord of that seam
             X[: n // 2] = -X[n - n // 2:]
-            X = np.where(_reversed_is_canonical(orders)[:, None], -X, X)
+            w = int(np.argmin(np.count_nonzero(np.abs(X) <= chord, axis=0)))
+            X = np.where((X[:, w] < 0.0)[:, None], -X, X)
+            X = np.vstack([X, -X[X[:, w] <= chord]])
         elif kind == "duplicates":
             X = X[rng.integers(0, max(1, n // 4), size=n)]
     assert _close_pair_set(X, chord) == close_pairs(X, chord)
@@ -723,6 +831,34 @@ def test_close_pair_cell_keys_fit_int64():
     key, strides = cone._cell_keys(X, 1e-9, np.arange(5))
     assert len(strides) == 2 and np.all(key > 0)
     assert _close_pair_set(X, 1e-9) == close_pairs(X, 1e-9) == {(0, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 20), rows=st.integers(0, 300))
+@example(seed=0, n=16, rows=300)
+def test_keyed_catalog_matches_the_loop(seed, n, rows):
+    # a few orders, read forward or reversed and repeated, and two more equal
+    # to the first but for its first or its last two balls: the catalogue
+    # groups them as the loop does for every n, also where a base-n key
+    # overflows int64 (n >= 16)
+    rng = np.random.default_rng(seed)
+    scene = Scene(3, tuple(Ball([3.0 * i, 0.0, 0.0], 1.0) for i in range(n)))
+    base = np.array([rng.permutation(n) for _ in range(rng.integers(1, 6))])
+    base = np.vstack([base, base[:1], base[:1]])
+    base[-2, :2] = base[-2, :2][::-1]
+    base[-1, -2:] = base[-1, -2:][::-1]
+    orders = base[rng.integers(0, len(base), size=rows)]
+    flip = rng.random(rows) < 0.5
+    orders[flip] = orders[flip, ::-1]
+    slacks = rng.choice([-1.0, -0.5, 0.0, 1.0], size=rows)  # repeats, and infeasible rows
+    ties = rng.random(rows) < 0.1
+    sset = cone.ConeSampleSet(scene, rng.normal(size=(rows, 3)), slacks, orders, ties)
+    cat = enumerate_geometric_permutations(sset)
+    assert _catalog_by_loop(sset) == [
+        (tuple(e["permutation"]), tuple(e["witness_order"]), e["witness_slack"], e["sample_count"])
+        for e in cat["permutations"]
+    ]
+    assert cat["count"] == len(cat["permutations"])
 
 
 def _catalog_by_loop(sset):
@@ -1100,6 +1236,7 @@ def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
         scene.dimension,
         tuple(Ball(scale * (Q @ scene.balls[p].center) + offset, scale * scene.balls[p].radius)
               for p in perm),
+        allow_overlap=scene.allow_overlap,
     )
 
 

@@ -12,7 +12,10 @@ of each run's standard output with its exit code.  trace-curves also runs
 in the charts u1 and u2 (the default is u3).  On flexdemo-disjoint,
 classify-boundary also runs with an explicit ``--direction``: the first
 direction of the default run, then a zero and a NaN direction (usage
-errors); and trace-curves once more with ``--format svg``.  Last come four
+errors); and trace-curves once more with ``--format svg``.  count-components
+also runs on every relabelling of each preset's balls, from one file name, so
+that a report that depends on how the balls are numbered shows as digests
+that differ within the preset's block of relabellings.  Last come four
 ``generate-scene --with-transversal`` runs, in R^3 to R^5.  ``--src`` is the
 source directory of the checkout to run (default: this checkout's ``src``); every
 run reads its scene through the same relative path, so the reports of two
@@ -51,6 +54,7 @@ The digests of two commits are then one ``diff`` apart.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -100,10 +104,10 @@ def _cli_runner(src: str, work: str):
     its arguments, prints the digest of its standard output and returns it."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
 
-    def run(*args: str) -> bytes:
+    def run(*args: str, note: str = "") -> bytes:
         proc = subprocess.run([sys.executable, "-m", "linestab.cli", *args], cwd=work,
                               env=env, capture_output=True)
-        click.echo(f"{_digests(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}")
+        click.echo(f"{_digests(proc.stdout)}  exit {proc.returncode}  {' '.join(args)}{note}")
         return proc.stdout
 
     return run
@@ -138,6 +142,12 @@ def presets(src):
                         run(command, "--scene", scene, "--chart", chart)
                     if preset == "flexdemo-disjoint":
                         run(command, "--scene", scene, "--format", "svg")
+            doc = json.loads(Path(work, scene).read_text())
+            for perm in itertools.permutations(range(len(doc["balls"]))):
+                relabelled = dict(doc, balls=[doc["balls"][p] for p in perm])
+                Path(work, "relabelled.json").write_text(json.dumps(relabelled))
+                run("count-components", "--scene", "relabelled.json",
+                    note=f"  ({preset}, balls {','.join(map(str, perm))})")
         run("verify-identities")
         for n, dim, seed in ((3, 3, 0), (5, 4, 1), (6, 5, 2), (10, 3, 7)):
             run("generate-scene", "--with-transversal", "--n", str(n), "--dim", str(dim),
