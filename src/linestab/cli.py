@@ -51,6 +51,7 @@ from .geom import (
     Scene,
     SceneError,
     SolverError,
+    _unit_rows,
     random_disjoint_scene,
     random_scene_with_transversal,
 )
@@ -104,12 +105,11 @@ def preset_scene(name: str) -> Scene:
                  allow_overlap=name.endswith(("-tangent", "-overlapping")))
 
 
-def _load_scene(path: str, triple_for: str | None = None) -> Scene:
+def _load_scene(path: str) -> Scene:
     """The scene in the file at ``path``.
 
-    SceneError when the file cannot be read as UTF-8 JSON, does not hold a
-    valid scene or, when ``triple_for`` names the command, is not three
-    balls in R^3.  --scene's click.Path has already turned away a missing
+    SceneError when the file cannot be read as UTF-8 JSON or does not hold a
+    valid scene.  --scene's click.Path has already turned away a missing
     path and a directory.
     """
     try:
@@ -127,8 +127,6 @@ def _load_scene(path: str, triple_for: str | None = None) -> Scene:
         scene = Scene.from_json_dict(data)
     except SceneError as exc:
         raise SceneError(f"invalid scene {path}: {exc}")
-    if triple_for is not None and (len(scene) != 3 or scene.dimension != 3):
-        raise SceneError(f"{triple_for} needs a scene of exactly three balls in R^3")
     return scene
 
 
@@ -224,8 +222,9 @@ def _command(name: str, reads: str | None = None, report: bool = True):
     command's result or failure to its output and exit code.
 
     ``reads`` is "scene" for a command that takes --scene, or "triple" for
-    one that needs three balls in R^3; the body gets the loaded scene (as a
-    Triple for "triple") under that keyword.  A report body fills
+    one that needs three balls in R^3; the body gets the loaded scene (as
+    sextic.Triple's view of it for "triple", which checks those balls)
+    under that keyword.  A report body fills
     ``config`` and returns (verdicts, passed, inconclusive reason); the
     scene's band joins the verdicts and _finish writes the report to --out
     and exits.  A text body returns the text for --out.  A SceneError exits
@@ -241,9 +240,9 @@ def _command(name: str, reads: str | None = None, report: bool = True):
             config: dict = {}
             try:
                 if reads:
-                    scene = _load_scene(scene_path, name if reads == "triple" else None)
+                    scene = _load_scene(scene_path)
                     config["scene"] = scene_path
-                    options[reads] = sextic.Triple.from_scene(scene) if reads == "triple" else scene
+                    options[reads] = sextic.Triple(scene) if reads == "triple" else scene
                 if not report:
                     return _write(body(**options), out)
                 verdicts, passed, reason = body(config=config, **options)
@@ -392,7 +391,7 @@ def classify_boundary(config, triple, direction, n_directions):
     config.update(direction=None if direction is None else list(direction),
                   directions=n_directions)
     if direction is not None:
-        U = cone_mod._unit_rows([direction])
+        U = _unit_rows([direction])
         verdicts: dict = {"rays": None, "sextic_points": None}
     else:
         U, rays = cone_mod.sextic_ray_directions(triple, n_directions)

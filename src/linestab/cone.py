@@ -31,16 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Scene, SceneError, SolverError, orthonormal_basis_of_complement
+from .geom import Scene, SceneError, SolverError, _unit_rows, orthonormal_basis_of_complement
 from .sextic import TRACE_TOL, Triple, _tangent_feet, companion_roots, sigma_roots_on_rays
 
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
 # point, and the pair bound rules a row out only above the band plus this
 KERNEL_REL_EPS = 1e-12
-# a direction row whose squared length is within this of 1 counts as unit: a
-# few ulps, far inside KERNEL_REL_EPS
-UNIT_SQ_TOL = 2.0 ** -48
 # sample_scene sends the lattice through the kernel this many rows at a time
 SAMPLE_CHUNK = 200_000
 # boundary_directions_for_triple anchors its rays on a lattice of this size
@@ -97,26 +94,6 @@ def lattice_spacing(d: int, count: int) -> float:
 # ---------------------------------------------------------------------------
 # The disk-minimax kernel, batched over directions.
 # ---------------------------------------------------------------------------
-
-
-def _unit_rows(U) -> np.ndarray:
-    """Direction rows at unit length; SolverError on a zero or non-finite row.
-
-    Rows whose squared lengths are all within UNIT_SQ_TOL of 1 come back as
-    they are, so rows normalized once (or unit by construction) cost one
-    reduction on every later call.  Otherwise each row is divided by its
-    largest entry first, so huge rows normalize."""
-    U = np.asarray(U, dtype=float)
-    if np.all(np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL):
-        return U
-    # both reductions run over the leading axis of a contiguous transposed
-    # copy, several times faster than over the short trailing axis; the sum
-    # adds the same terms in the same order for d < 8
-    big = np.max(np.ascontiguousarray(np.abs(U).T), axis=0, initial=0.0)[:, None]
-    if not np.all(np.isfinite(big) & (big > 0.0)):
-        raise SolverError("direction rows must be finite and non-zero")
-    U = U / big
-    return U / np.sqrt(np.sum(np.ascontiguousarray((U * U).T), axis=0))[:, None]
 
 
 def _pair_distances(centers: np.ndarray, U: np.ndarray):
@@ -308,7 +285,7 @@ def _pair_bound(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.nda
     i, j, gap = _pair_distances(centers, U)
     gap -= radii[i] + radii[j]
     # the max runs over the leading axis of a contiguous transposed copy, as
-    # in _unit_rows: several times faster, and a max is exact
+    # in geom._unit_rows: several times faster, and a max is exact
     return 0.5 * np.max(np.ascontiguousarray(gap.T), axis=0, initial=-np.inf)
 
 
@@ -361,9 +338,11 @@ class ConeSampleSet:
 
         Center semantics: the row meets, its center order has no tie (a tie
         is indeterminate, never feasible) and, given ``order``, equals it.
-        Entry semantics, which needs ``order``: the row meets and
-        entry_order_feasible finds a transversal with that entry order.
+        Entry semantics, which needs ``order`` and a scene in R^3: the row
+        meets and entry_order_feasible finds a transversal with that entry
+        order.  Any other semantics raises SceneError.
         """
+        _check_order_semantics(self.scene, order_semantics, order)
         mask = self.meets
         if order_semantics == "entry":
             mask[mask] = entry_order_feasible(self.scene, self.directions[mask], order)
@@ -416,7 +395,7 @@ def sample_scene(
     U = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, _unit_rows(extra_directions)])
-    return _evaluate(scene, U, scene.band + KERNEL_REL_EPS * scene.diameter())
+    return _evaluate(scene, U, scene.band + KERNEL_REL_EPS * scene.diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +429,20 @@ def feasibility_batch(
     (realized_orders_batch; the default) or "entry", which needs a scene in
     R^3; see cone_convexity_check.
     """
-    _check_order_semantics(query.scene, order_semantics)
     sset = _evaluate(query.scene, U)
     return sset.feasible_for_order(query.order, order_semantics), sset.slacks
 
 
-def _check_order_semantics(scene: Scene, order_semantics: str) -> None:
-    """Raise SceneError unless the order semantics is known and fits the scene;
-    the entry order searches transversals over a plane, so it needs R^3."""
+def _check_order_semantics(scene: Scene, order_semantics: str, order) -> None:
+    """Raise SceneError unless the order semantics is known and fits the scene
+    and order: the entry order searches transversals over a plane for one
+    given order, so it needs R^3 and an order."""
     if order_semantics not in ("center", "entry"):
         raise SceneError(f"unknown order semantics {order_semantics!r}")
     if order_semantics == "entry" and scene.dimension != 3:
         raise SceneError(f"entry order semantics needs a scene in R^3, not R^{scene.dimension}")
+    if order_semantics == "entry" and order is None:
+        raise SceneError("entry order semantics needs an order")
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +628,6 @@ def cone_convexity_check(
     overlap.  Entry semantics needs a scene in R^3 (SceneError otherwise).
     """
     scene = query.scene
-    _check_order_semantics(scene, order_semantics)
     sset = sample_scene(scene, lattice, seed=seed)
     mask = sset.feasible_for_order(query.order, order_semantics)
     F = sset.directions[mask]

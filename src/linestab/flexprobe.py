@@ -614,7 +614,7 @@ def certify_flex_free(triple: Triple, boundary_samples: int = 200) -> FlexFreeRe
     split = lifted_hessian_decomposition(cfg)
     margins = split.margin.tolist()
     nmargins = split.normalized_margin.tolist()
-    disjoint = np.all(rebuilt_pair_gaps(cfg) >= -1e-6 * triple.scene.diameter(), axis=-1)
+    disjoint = np.all(rebuilt_pair_gaps(cfg) >= -1e-6 * triple.scene.diameter, axis=-1)
     reported = [_unscaled(m, shift) for m in margins]
     probed = iter(zip(reported, nmargins, disjoint.tolist()))
     samples = []

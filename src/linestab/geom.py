@@ -17,6 +17,9 @@ MAX_REJECTS = 10000  # placement attempts of random_disjoint_scene
 # the one length tolerance, relative to a scene's diameter (Scene.band):
 # feasibility, tie, boundary and entry-order decisions all read the band
 REL_TOL = 1e-9
+# a direction row whose squared length is within this of 1 counts as unit: a
+# few ulps, far inside the disk-minimax kernel's roundoff margin
+UNIT_SQ_TOL = 2.0 ** -48
 
 
 class SceneError(ValueError):
@@ -62,11 +65,14 @@ class Scene:
     Pairwise strict disjointness is enforced unless ``allow_overlap`` is set,
     which exists only for tangent/overlapping demonstration scenes.
 
-    Construction builds the read-only ``centers`` (n, d) and ``radii`` (n,)
-    once, the diameter of the union of the balls, and ``band``: REL_TOL
-    times the diameter, the one tolerance every length decision reads, so
-    that verdicts do not change when the scene is scaled.  Scenes are
-    compared and hashed by identity.
+    Construction takes every pair's centre distance once, and from them the
+    ``diameter`` of the union of the balls, the overlapping pairs and
+    ``band``: REL_TOL times the diameter, the one tolerance every length
+    decision reads, so that verdicts do not change when the scene is
+    scaled.  A pair's reach sums as |c_i - c_j| + (r_i + r_j), the same under
+    either label, so relabelling the balls moves neither.  ``centers``
+    (n, d) and ``radii`` (n,) are read-only.  Scenes are compared and hashed
+    by identity.
     """
 
     dimension: int
@@ -74,8 +80,9 @@ class Scene:
     allow_overlap: bool = False
     centers: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
+    diameter: float = field(init=False, repr=False)
     band: float = field(init=False, repr=False)
-    _diameter: float = field(init=False, repr=False)
+    _overlapping: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "balls", tuple(self.balls))
@@ -93,33 +100,25 @@ class Scene:
         centers.flags.writeable = radii.flags.writeable = False
         i, j = np.triu_indices(len(radii), 1)
         with np.errstate(over="ignore"):
-            reach = np.linalg.norm(centers[i] - centers[j], axis=1) + radii[i] + radii[j]
-            diameter = float(np.max(reach, initial=2.0 * np.max(radii)))
+            dist, touch = np.linalg.norm(centers[i] - centers[j], axis=1), radii[i] + radii[j]
+            diameter = float(np.max(dist + touch, initial=2.0 * np.max(radii)))
         if not math.isfinite(diameter * diameter):
             raise SceneError(f"scene is too large: its squared diameter overflows ({diameter:.3g})")
+        overlap = dist <= touch
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "diameter", diameter)
         object.__setattr__(self, "band", REL_TOL * diameter)
-        if not self.allow_overlap:
-            bad = self.overlapping_pairs()
-            if bad:
-                raise SceneError(f"balls are not pairwise disjoint: pairs {bad}")
+        object.__setattr__(self, "_overlapping", tuple(zip(i[overlap].tolist(), j[overlap].tolist())))
+        if self._overlapping and not self.allow_overlap:
+            raise SceneError(f"balls are not pairwise disjoint: pairs {self.overlapping_pairs()}")
 
     def overlapping_pairs(self) -> list[tuple[int, int]]:
-        bad = []
-        for i, j in itertools.combinations(range(len(self.balls)), 2):
-            bi, bj = self.balls[i], self.balls[j]
-            if np.linalg.norm(bi.center - bj.center) <= bi.radius + bj.radius:
-                bad.append((i, j))
-        return bad
+        """The pairs i < j of balls that overlap or touch, in index order."""
+        return list(self._overlapping)
 
     def __len__(self) -> int:
         return len(self.balls)
-
-    def diameter(self) -> float:
-        """Diameter of the union of the balls, computed once on construction."""
-        return self._diameter
 
     def to_json_dict(self) -> dict:
         out = {
@@ -155,6 +154,26 @@ class Scene:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
         return cls(dim, tuple(balls), allow_overlap=overlap)
+
+
+def _unit_rows(U) -> np.ndarray:
+    """Direction rows at unit length; SolverError on a zero or non-finite row.
+
+    Rows whose squared lengths are all within UNIT_SQ_TOL of 1 come back as
+    they are, so rows normalized once (or unit by construction) cost one
+    reduction on every later call.  Otherwise each row is divided by its
+    largest entry first, so huge rows normalize."""
+    U = np.asarray(U, dtype=float)
+    if np.all(np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL):
+        return U
+    # both reductions run over the leading axis of a contiguous transposed
+    # copy, several times faster than over the short trailing axis; the sum
+    # adds the same terms in the same order for d < 8
+    big = np.max(np.ascontiguousarray(np.abs(U).T), axis=0, initial=0.0)[:, None]
+    if not np.all(np.isfinite(big) & (big > 0.0)):
+        raise SolverError("direction rows must be finite and non-zero")
+    U = U / big
+    return U / np.sqrt(np.sum(np.ascontiguousarray((U * U).T), axis=0))[:, None]
 
 
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:

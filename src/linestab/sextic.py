@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Ball, Scene, SceneError, SolverError
+from .geom import Ball, Scene, SceneError, SolverError, _unit_rows
 
 SIGMA_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -243,27 +243,18 @@ def poly_det(matrix: Sequence[Sequence]):
 
 @dataclass(eq=False)
 class Triple:
-    """Three balls in R^3 with cached sextic data: a view of a 3-ball Scene.
+    """A view of the Scene of three balls in R^3 it is given, with cached
+    sextic data.  Construction is the one check of "three balls in R^3";
+    the Scene has checked the rest, and admits tangent or intersecting
+    balls only for the transition demonstrations (everything algebraic
+    still applies to them).  Triples are compared and hashed by identity."""
 
-    ``allow_overlap`` admits tangent/intersecting configurations for the
-    transition demonstrations; everything algebraic still applies to them.
-    The Scene built on construction checks dimension, finiteness and
-    disjointness.  Triples are compared and hashed by identity.
-    """
-
-    balls: tuple[Ball, Ball, Ball]
-    allow_overlap: bool = False
-    scene: Scene = field(init=False, repr=False)
+    scene: Scene
 
     def __post_init__(self):
-        self.balls = tuple(self.balls)
-        if len(self.balls) != 3:
-            raise SceneError("a Triple holds exactly three balls")
-        self.scene = Scene(3, self.balls, allow_overlap=self.allow_overlap)
-
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "Triple":
-        return cls(scene.balls, allow_overlap=scene.allow_overlap)
+        if len(self.scene) != 3 or self.scene.dimension != 3:
+            raise SceneError("a triple needs a scene of exactly three balls in R^3, "
+                             f"not {len(self.scene)} in R^{self.scene.dimension}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -274,13 +265,9 @@ class Triple:
         r = self.scene.radii
         return r * r
 
-    def edge(self, i: int, j: int) -> np.ndarray:
-        return self.balls[j].center - self.balls[i].center
-
     @cached_property
     def collinear_centers(self) -> bool:
-        e1 = self.edge(0, 1)
-        e2 = self.edge(0, 2)
+        e1, e2 = self.centers[1:] - self.centers[0]
         cross = np.cross(e1, e2)
         scale = np.linalg.norm(e1) * np.linalg.norm(e2)
         return bool(np.linalg.norm(cross) <= 1e-12 * max(scale, 1e-30))
@@ -320,10 +307,11 @@ def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
     triple bit for bit, so whatever is computed there is exactly
     equivariant; a length taken there is the scene's times 2^shift.
     """
-    shift = 1 - math.frexp(triple.scene.diameter())[1]
+    scene = triple.scene
+    shift = 1 - math.frexp(scene.diameter)[1]
     if shift:
-        triple = Triple(tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
-                              for b in triple.balls), allow_overlap=triple.allow_overlap)
+        triple = Triple(Scene(3, tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
+                                       for b in scene.balls), allow_overlap=scene.allow_overlap))
     return triple, shift
 
 
@@ -427,14 +415,20 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     return np.mod(theta, math.pi)
 
 
-def eval_sigma(triple: Triple, u) -> float:
-    """Value of the direction sextic at u (any nonzero scale of u)."""
+def _direction(u) -> np.ndarray:
+    """u as a float array; SceneError at a non-finite or zero vector, where
+    the sextic defines no direction."""
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise SceneError(f"sigma is undefined at the non-finite vector {u.tolist()}")
-    if float(np.dot(u, u)) == 0.0:
+    if not np.any(u):
         raise SceneError("sigma is undefined at the zero vector")
-    return float(_sigma_at_rows(triple, u[None, :], triple.squared_radii)[0])
+    return u
+
+
+def eval_sigma(triple: Triple, u) -> float:
+    """Value of the direction sextic at u (any nonzero scale of u)."""
+    return float(_sigma_at_rows(triple, _direction(u)[None, :], triple.squared_radii)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +441,23 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
     with the directions of the rows of U (m, 3), and per row None or the
     message of tangent_lines_for_direction's SceneError.
 
-    Each row is scaled to unit length once and must be on the sextic: |sigma|
-    at most SIGMA_TOL times the largest coefficient.  With the first center
-    at the origin and the scene at unit diameter, where the rank cut and the
+    The rows are taken to unit length (geom._unit_rows: SolverError on a
+    zero or non-finite row) and must be on the sextic: |sigma| at most
+    SIGMA_TOL times the largest coefficient.  With the first center at the
+    origin and the scene at unit diameter, where the rank cut and the
     residual tests are scale-free, a foot p solves two center equations and
     <p, u> = 0 and lies on the sphere <p, p> = s_0; a rank-2 system leaves a
     line of candidates, and collinear centers along u (a circle family of
-    tangents) give none.  Every step is per row (one batched SVD), so a
-    row's feet do not depend on the rows beside it.
+    tangents) give none.  Every step after the normaliser is per row (one
+    batched SVD), so a unit row's feet do not depend on the rows beside it.
     """
-    U = np.asarray(U, dtype=float).reshape(-1, 3)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V = U / np.max(np.abs(U), axis=1, keepdims=True)  # so that huge rows normalize
-        N = V / np.sqrt(np.einsum("md,md->m", V, V))[:, None]
-    ok = np.all(np.isfinite(N), axis=1)
-    val = np.full(len(U), np.nan)
-    val[ok] = _sigma_at_rows(triple, N[ok], triple.squared_radii) / triple.sigma_scale
-    errors = [(None if abs(v) <= SIGMA_TOL  # a NaN is off the curve too
-               else f"direction is not on the sextic: normalized sigma value {v:.3e}") if good
-              else "sigma is undefined at the zero vector" if all(map(math.isfinite, u))
-              else f"sigma is undefined at the non-finite vector {u}"
-              for u, v, good in zip(U.tolist(), val.tolist(), ok.tolist())]
-    on = np.array([e is None for e in errors], dtype=bool)
+    N = _unit_rows(np.reshape(U, (-1, 3)))
+    val = _sigma_at_rows(triple, N, triple.squared_radii) / triple.sigma_scale
+    on = np.abs(val) <= SIGMA_TOL  # a NaN is off the curve too
+    errors = [None if ok else f"direction is not on the sextic: normalized sigma value {v:.3e}"
+              for ok, v in zip(on.tolist(), val.tolist())]
     n, k = N[on], int(on.sum())
-    length, c0 = triple.scene.diameter(), triple.centers[0]
+    length, c0 = triple.scene.diameter, triple.centers[0]
     C = (triple.centers[1:] - c0) / length
     s = triple.squared_radii / length ** 2
     cross = np.cross(C[:, None, :], n)
@@ -499,7 +486,7 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
     for f, sign, rows in ((0, 1.0, line), (1, -1.0, line & (disc > 0))):
         P[rows, f] = p0[rows] + ((-bq[rows] + sign * root[rows]) / (2 * aq[rows]))[:, None] * w[rows]
     base = length * P + c0
-    feet = np.full((len(U), 2, 3), np.nan)
+    feet = np.full((len(N), 2, 3), np.nan)
     feet[on] = base - np.einsum("kfd,kd->kf", base, n)[:, :, None] * n[:, None, :]
     return feet, errors
 
@@ -507,9 +494,9 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
 def tangent_lines_for_direction(triple: Triple, u) -> np.ndarray:
     """Foot points (k, 3), k <= 2, of the affine common tangent lines with
     direction u, a nonzero row (3,) of any length: each line is {foot + t u},
-    its foot orthogonal to u.  The one-row case of _tangent_feet: a
-    direction off the sextic raises SceneError."""
-    feet, errors = _tangent_feet(triple, np.reshape(u, (1, 3)))
+    its foot orthogonal to u.  The one-row case of _tangent_feet: a zero or
+    non-finite u, or a direction off the sextic, raises SceneError."""
+    feet, errors = _tangent_feet(triple, np.reshape(_direction(u), (1, 3)))
     if errors[0] is not None:
         raise SceneError(errors[0])
     return feet[0][~np.isnan(feet[0, :, 0])]
@@ -677,12 +664,14 @@ class CurveTraces:
 CURVE_NAMES = ("sigma", "hessian", "pair01", "pair02", "pair12")
 
 
-def _curve_function(triple: Triple, name: str):
-    """The function of a GridPowers whose zero set is the named curve, or None
-    for the conic of an overlapping or tangent pair, which bounds nothing."""
+def _curve(triple: Triple, name: str):
+    """(f, degree) of the named curve: f maps a GridPowers to the values of
+    the curve's form, scaled by its largest coefficient, and degree is the
+    form's degree, its bound along any chart line.  None for the conic of an
+    overlapping or tangent pair, which bounds nothing."""
     if name == "sigma":
         sig, sig_scale = triple.sigma, triple.sigma_scale
-        return lambda P: sig.eval_grid(P) / sig_scale
+        return (lambda P: sig.eval_grid(P) / sig_scale), sig.degree
     if name == "hessian":
         hess = triple.hessian_entries
         h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
@@ -694,22 +683,13 @@ def _curve_function(triple: Triple, name: str):
                     H[..., a, b] = H[..., b, a] = hess[a][b].eval_grid(P)
             return np.linalg.det(H) / h_scale
 
-        return hessian
+        return hessian, 3 * max(p.degree for row in hess for p in row)
     pair = (int(name[4]), int(name[5]))
     if pair in triple.scene.overlapping_pairs():
         return None
     conic = triple.pair_conic(*pair)
     scale = max(conic.max_abs_coeff(), 1e-300)
-    return lambda P: conic.eval_grid(P) / scale
-
-
-def _curve_degree(triple: Triple, name: str) -> int:
-    """The degree of the named curve's form: its bound along any chart line."""
-    if name == "sigma":
-        return triple.sigma.degree
-    if name == "hessian":
-        return 3 * max(p.degree for row in triple.hessian_entries for p in row)
-    return triple.pair_conic(int(name[4]), int(name[5])).degree
+    return (lambda P: conic.eval_grid(P) / scale), conic.degree
 
 
 def trace_curves(
@@ -725,7 +705,7 @@ def trace_curves(
     "pair02" and "pair12" (empty for an overlapping or tangent pair).  The
     chart "uk" is the plane u_k = 1.  Each vertex is bisected to TRACE_TOL
     on its grid edge's degree-k Chebyshev interpolant, k the degree of the
-    curve's form (_curve_degree); components smaller than the grid
+    curve's form (_curve); components smaller than the grid
     resolution may be missed, which is a documented limitation rather than
     an error.
     """
@@ -734,17 +714,17 @@ def trace_curves(
     axis = CHART_AXES[chart]
     xs = np.linspace(-extent, extent, grid)
 
-    def trace(name, g):
+    def trace(name, g, degree):
         """Trace the zero set of g, a function of one grid's GridPowers."""
         def f(X, Y):
             U = [X, Y]
             U.insert(axis, 1.0)  # the chart plane u_axis = 1, as a scalar whose factors are skipped
             return g(GridPowers(*U))
-        return _trace_zero_set(f, _curve_degree(triple, name), xs, xs, TRACE_TOL,
+        return _trace_zero_set(f, degree, xs, xs, TRACE_TOL,
                                f"{name} in chart {chart} at extent {extent!r}")
 
     curves = {}
     for name in CURVE_NAMES:
-        g = _curve_function(triple, name)
-        curves[name] = [] if g is None else trace(name, g)
+        curve = _curve(triple, name)
+        curves[name] = [] if curve is None else trace(name, *curve)
     return CurveTraces(chart=chart, extent=extent, curves=curves)

@@ -31,7 +31,7 @@ def collinear_scene() -> Scene:
 
 def random_triple(seed: int, radius_range=(0.8, 1.6)) -> Triple:
     scene, _ = random_scene_with_transversal(3, 3, radius_range, seed=seed)
-    return Triple.from_scene(scene)
+    return Triple(scene)
 
 
 def center_order(scene: Scene, u) -> tuple[tuple[int, ...], bool]:
@@ -105,7 +105,7 @@ def entry_order_margin(scene, U, order, grid=400):
     order = list(order)
     centers, radii = scene.centers, scene.radii
     r2 = radii ** 2
-    r2_in = r2 + 1e-12 * scene.diameter() ** 2
+    r2_in = r2 + 1e-12 * scene.diameter ** 2
     W = minimax_weights_batch(centers, radii, U)
     m = len(U)
     result, x = np.full(m, -np.inf), np.zeros((m, 2))
@@ -339,7 +339,7 @@ def lifted_triple(cfg) -> Triple:
     """The ball triple a LiftedConfig parametrizes: vertex k raised to its
     lift, with radius |v_k|."""
     c, r = cfg.centers, cfg.radii
-    return Triple(tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True)
+    return Triple(Scene(3, tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True))
 
 
 def rotation_to_axis(u) -> np.ndarray:
@@ -425,7 +425,7 @@ def flex_report_one_by_one(triple, boundary_samples) -> dict:
     length) scaled back by 2^(-6 shift)."""
     triple, shift = float_safe_triple(triple)
     dirs = boundary_directions_for_triple(triple, boundary_samples)
-    gap_floor = -1e-6 * triple.scene.diameter()
+    gap_floor = -1e-6 * triple.scene.diameter
     rows, margins, nmargins = [], [], []
     for u, cfg in zip(dirs, lifted_configs_one_by_one(triple, dirs)):
         if isinstance(cfg, SceneError):
@@ -470,7 +470,7 @@ def cayley_matrix_5x5(triple, U, squared_radii) -> np.ndarray:
     M[:, 0, 1:] = M[:, 1:, 0] = 1.0
     M[:, 1, 2:] = M[:, 2:, 1] = q[:, None] * np.asarray(squared_radii, dtype=float)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        e = triple.edge(i, j)
+        e = triple.centers[j] - triple.centers[i]
         M[:, i + 2, j + 2] = M[:, j + 2, i + 2] = float(np.dot(e, e)) * q - (U @ e) ** 2
     return M
 

@@ -146,7 +146,7 @@ def test_criterion_5_flex_free_boundary():
     probed_total = 0
     for seed in range(20):
         scene, _ = random_scene_with_transversal(3, 3, (0.7, 1.5), seed=300 + seed)
-        tri = Triple.from_scene(scene)
+        tri = Triple(scene)
         rep = certify_flex_free(tri, boundary_samples=200)
         for s in rep.samples:
             if s["margin"] is not None:
@@ -157,13 +157,14 @@ def test_criterion_5_flex_free_boundary():
     gaps = (0.2, 0.1, 0.05, 0.02, 0.008)
     margins = []
     for g in gaps:
-        tri = Triple(
+        tri = Triple(Scene(
+            3,
             (
                 Ball([0, 0, 0], 1.0),
                 Ball([2.0 + g, 0, 0], 1.0),
                 Ball([1.1, 2.2, 0], 1.0),
-            )
-        )
+            ),
+        ))
         rep = certify_flex_free(tri, boundary_samples=200)
         assert rep.probed > 0 and rep.min_margin > 0
         margins.append(rep.min_margin)
@@ -224,10 +225,10 @@ def test_criterion_7_helly_consistency():
 
 def test_criterion_8_tangent_recovery():
     """Every recovered tritangent touches all three spheres to 1e-8."""
-    triples = [Triple.from_scene(preset_scene("flexdemo-disjoint"))]
+    triples = [Triple(preset_scene("flexdemo-disjoint"))]
     for seed in (12, 13, 17, 21):
         scene, _ = random_scene_with_transversal(3, 3, (0.8, 1.6), seed=seed)
-        triples.append(Triple.from_scene(scene))
+        triples.append(Triple(scene))
     total_lines = 0
     for tri in triples:
         collected = 0
@@ -240,7 +241,7 @@ def test_criterion_8_tangent_recovery():
                     u = chart_point_to_direction(chart, x, y)
                     u = u / np.linalg.norm(u)
                     for foot in tangent_lines_for_direction(tri, u):
-                        for b in tri.balls:
+                        for b in tri.scene.balls:
                             err = abs(line_distance(foot, u, b.center) - b.radius)
                             assert err <= 1e-8, err
                         total_lines += 1

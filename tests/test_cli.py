@@ -665,7 +665,7 @@ class TestClassifyBoundary:
         v = json.loads(r.output)["verdicts"]
         rays = int(budget[1]) if budget else 8
         assert v["disagreements"] == 0
-        assert v["band"] == pytest.approx(1e-9 * preset_scene(preset).diameter())
+        assert v["band"] == pytest.approx(1e-9 * preset_scene(preset).diameter)
         assert v["rays"] == (0 if preset == "pinned" else rays)
         assert v["sextic_points"] == len(v["classifications"])
         assert v["boundary_directions"] + v["interior_directions"] == sum(
@@ -877,7 +877,7 @@ class TestTraceCurves:
 
     def test_empty_traces_still_valid_svg(self):
         traces = trace_curves(
-            Triple.from_scene(preset_scene("collinear")), chart="u1", grid=24, extent=0.01
+            Triple(preset_scene("collinear")), chart="u1", grid=24, extent=0.01
         )
         traces.curves = {k: [] for k in traces.curves}
         svg = render_figure(traces)

@@ -13,6 +13,7 @@ from linestab.geom import (
     Scene,
     SceneError,
     SolverError,
+    _unit_rows,
     orthonormal_basis_of_complement,
     random_disjoint_scene,
     random_scene_with_transversal,
@@ -75,7 +76,7 @@ class TestPairPrefilter:
         monkeypatch.setattr(cone, "minimax_slack_batch", counted)
         sset = sample_scene(scene, 20000, seed=0)
         monkeypatch.undo()
-        band = 1e-12 * scene.diameter()
+        band = 1e-12 * scene.diameter
         full = cone._evaluate(scene, sset.directions)
         exact = full.slacks
         feas = sset.feasible
@@ -101,19 +102,19 @@ class TestPairPrefilter:
 class TestUnitRows:
     def test_unit_rows_come_back_as_they_are(self):
         U = fibonacci_sphere(1000)
-        assert cone._unit_rows(U) is U
+        assert _unit_rows(U) is U
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-9, 1.0 + 1e-14, 3.0, 1e200])
     def test_other_rows_are_scaled(self, scale):
         U = scale * fibonacci_sphere(1000)
-        unit = cone._unit_rows(U)
+        unit = _unit_rows(U)
         assert np.max(np.abs(np.linalg.norm(unit, axis=1) - 1.0)) <= 4e-16
-        assert cone._unit_rows(unit) is unit
+        assert _unit_rows(unit) is unit
 
     @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
     def test_zero_or_non_finite_row_raises(self, row):
         with pytest.raises(SolverError, match="finite and non-zero"):
-            cone._unit_rows(np.vstack([fibonacci_sphere(10), row]))
+            _unit_rows(np.vstack([fibonacci_sphere(10), row]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,7 +138,7 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     bound = _pair_bound(scene.centers, scene.radii, U)
     exact = minimax_slack_batch(scene.centers, scene.radii, U)
-    assert np.all(bound <= exact + 1e-12 * scene.diameter())
+    assert np.all(bound <= exact + 1e-12 * scene.diameter)
     assert n > 1 or np.all(bound == -np.inf)
 
 
@@ -170,7 +171,7 @@ class TestDirectionFeasible:
             (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
             allow_overlap=True,
         )
-        a = factor * 1e-9 * scene.diameter()
+        a = factor * 1e-9 * scene.diameter
         u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
         orders, ties = realized_orders_batch(scene, u)
         assert orders[0].tolist() == [0, 1, 2]
@@ -192,7 +193,7 @@ class TestDirectionFeasible:
             (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
             allow_overlap=True,
         )
-        a = 2e-9 * scene.diameter()
+        a = 2e-9 * scene.diameter
         u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
         orders, ties = realized_orders_batch(scene, length * u)
         assert orders[0].tolist() == [0, 1, 2]
@@ -200,7 +201,7 @@ class TestDirectionFeasible:
         (ok, witness), (ok_scaled, witness_scaled) = (
             cone._entry_witnesses(scene, v, (0, 1, 2)) for v in (u, length * u))
         assert ok[0] and ok_scaled[0]
-        assert np.max(np.abs(witness_scaled - witness)) <= 1e-12 * scene.diameter()
+        assert np.max(np.abs(witness_scaled - witness)) <= 1e-12 * scene.diameter
 
     def test_order_must_be_permutation(self):
         with pytest.raises(SceneError):
@@ -261,7 +262,7 @@ class TestDirectionFeasible:
         from linestab.cli import preset_scene
         from linestab.sextic import eval_sigma
 
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         scene = tri.scene
         dirs = boundary_directions_for_triple(tri, 40)
         checked = 0
@@ -460,6 +461,15 @@ class TestConvexity:
         with pytest.raises(SceneError, match=r"needs a scene in R\^3"):
             feasibility_batch(query, np.eye(d), order_semantics="entry")
 
+    def test_feasible_for_order_checks_its_semantics(self):
+        # the one predicate rejects entry semantics without an order and an
+        # unknown semantics, rather than failing inside or reading it as center
+        sset = sample_scene(preset_scene("transition-overlapping"), 64)
+        with pytest.raises(SceneError, match="entry order semantics needs an order"):
+            sset.feasible_for_order(order_semantics="entry")
+        with pytest.raises(SceneError, match="unknown order semantics 'bogus'"):
+            sset.feasible_for_order((0, 1, 2), order_semantics="bogus")
+
     def test_entry_semantics_matches_center_on_disjoint(self, rng):
         scene, _ = random_scene_with_transversal(3, 3, (0.8, 1.4), seed=5)
         for _ in range(20):
@@ -559,7 +569,7 @@ def test_entry_decision_against_search_oracle(key):
     scene = preset_scene(key) if isinstance(key, str) else random_overlapping_scene(*key)
     U = fibonacci_sphere(2048)
     U = U[minimax_slack_batch(scene.centers, scene.radii, U) <= scene.band]
-    tol = scene.band + 1e-7 * scene.diameter()
+    tol = scene.band + 1e-7 * scene.diameter
     rng = np.random.default_rng(0)
     feasible_rows = 0
     for order in itertools.permutations(range(len(scene))):
@@ -925,7 +935,8 @@ def _criterion_5_triples():
     for seed in range(300, 320):
         yield random_triple(seed, (0.7, 1.5))
     for g in (0.2, 0.1, 0.05, 0.02, 0.008):
-        yield Triple((Ball([0, 0, 0], 1.0), Ball([2.0 + g, 0, 0], 1.0), Ball([1.1, 2.2, 0], 1.0)))
+        yield Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([2.0 + g, 0, 0], 1.0),
+                               Ball([1.1, 2.2, 0], 1.0))))
 
 
 def _assert_exits_match_bisection(tri, count):
@@ -943,7 +954,7 @@ class TestBoundaryExits:
     def test_presets_match_bisection(self, name):
         from linestab.cli import preset_scene
 
-        _assert_exits_match_bisection(Triple.from_scene(preset_scene(name)), 200)
+        _assert_exits_match_bisection(Triple(preset_scene(name)), 200)
 
     def test_criterion_5_triples_match_bisection(self):
         for tri in _criterion_5_triples():
@@ -953,11 +964,11 @@ class TestBoundaryExits:
     def test_exits_lie_on_their_curves(self, name):
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene(name))
+        tri = Triple(preset_scene(name))
         scene = tri.scene
         band = scene.band
         dirs, curves = cone._boundary_exits(tri, 200)
-        eps = 1e-12 * scene.diameter()
+        eps = 1e-12 * scene.diameter
         slacks = minimax_slack_batch(scene.centers, scene.radii, dirs)
         for u, slack, curve in zip(dirs, slacks, curves):
             kind, pair = (curve + " ").split(" ")[:2]
@@ -982,7 +993,7 @@ class TestBoundaryExits:
         # breaks it (conic exits with three positive weights) and is left out
         names = [name for name in PRESET_NAMES if not name.endswith("-overlapping")]
         sextic = {}
-        for key, tri in [*((name, Triple.from_scene(preset_scene(name))) for name in names),
+        for key, tri in [*((name, Triple(preset_scene(name))) for name in names),
                          *enumerate(_criterion_5_triples())]:
             tri = float_safe_triple(tri)[0]
             dirs, curves = cone._boundary_exits(tri, 200)
@@ -1000,7 +1011,7 @@ class TestBoundaryExits:
         calls = []
         kernel = cone.minimax_slack_batch
         monkeypatch.setattr(cone, "minimax_slack_batch", lambda *a: calls.append(1) or kernel(*a))
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         per_count = []
         for count in (20, 400):
             calls.clear()
@@ -1021,7 +1032,7 @@ class TestBoundaryExits:
         from linestab.cli import preset_scene
         from linestab.flexprobe import certify_flex_free
 
-        tri = Triple.from_scene(preset_scene(name))
+        tri = Triple(preset_scene(name))
         rep = certify_flex_free(tri, boundary_samples=37)
         lattice_feasible = np.any(sample_scene(tri.scene, 4096).feasible)
         assert len(rep.samples) == (37 if lattice_feasible else 0)
@@ -1042,14 +1053,14 @@ def test_exits_match_bisection_under_similarity(seed, shift, angles, log_scale):
     scale = 10.0 ** log_scale
     scene, _ = random_scene_with_transversal(3, 3, (0.7, 1.5), seed=seed)
     moved = _moved_scene(scene, Rz @ Rx, scale * shift * np.array([1.0, -0.7, 0.3]), scale=scale)
-    _assert_exits_match_bisection(Triple.from_scene(moved), 24)
+    _assert_exits_match_bisection(Triple(moved), 24)
 
 
 class TestBoundaryClassification:
     def test_crossing_directions_classified(self):
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40)
         # bitangent-arc boundary directions are not on the sextic
         on_sextic = [u for u in dirs if abs(eval_sigma(tri, u)) <= 1e-7 * tri.sigma_scale]
@@ -1069,7 +1080,7 @@ class TestBoundaryClassification:
         from linestab.cli import preset_scene
         from linestab.sextic import chart_point_to_direction, trace_curves
 
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         scene = tri.scene
         traces = trace_curves(tri, chart="u2", grid=160, extent=2.5)
         checked = 0
@@ -1096,12 +1107,12 @@ class TestBoundaryClassification:
         # keeps both verdicts
         from linestab.cli import preset_scene
 
-        tri = (Triple.from_scene(preset_scene(name)) if isinstance(name, str)
+        tri = (Triple(preset_scene(name)) if isinstance(name, str)
                else random_triple(name, (0.7, 1.5)))
         a, b = 0.7, 2.1
         Q = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
         Q = Q @ np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
-        moved = Triple.from_scene(
+        moved = Triple(
             _moved_scene(tri.scene, Q, scale * np.array([30.0, -21.0, 9.0]), (2, 0, 1), scale)
         )
         U = _ray_root_directions(tri)
@@ -1116,7 +1127,7 @@ class TestBoundaryClassification:
     def test_batch_rows_match_single_rows(self, name):
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene(name))
+        tri = Triple(preset_scene(name))
         U = _ray_root_directions(tri)
         batch = classify_boundary_direction(tri, U)
         assert len(batch) == len(U) > 0
@@ -1131,7 +1142,7 @@ class TestBoundaryClassification:
         # off the sextic: the tangent feet of N rows and their dicts are
         # those of N one-row calls; all but the slack, the disk-minimax
         # kernel's, whose last bits still depend on the batch (ROADMAP item 4)
-        tri, _ = float_safe_triple(Triple.from_scene(preset_scene(name)))
+        tri, _ = float_safe_triple(Triple(preset_scene(name)))
         off = np.array([[0.12, 0.93, -0.41], [0.6, 0.0, 0.8], [-0.3, 0.4, 0.866]])
         U = np.concatenate([_ray_root_directions(tri), off / np.linalg.norm(off, axis=1)[:, None]])
         feet, errors = _tangent_feet(tri, U)
@@ -1155,13 +1166,13 @@ class TestBoundaryClassification:
         verdicts = set()
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
-            tri = Triple.from_scene(Scene(3, balls, allow_overlap=True))
+            tri = Triple(Scene(3, balls, allow_overlap=True))
             [cls] = classify_boundary_direction(tri, [u])
             verdicts.add((cls["crosses_triangle"], cls["tag"]))
         assert len(verdicts) == 1, verdicts
 
     def test_collinear_tagged(self):
-        tri = Triple.from_scene(collinear_scene())
+        tri = Triple(collinear_scene())
         [cls] = classify_boundary_direction(tri, [[1, 0, 0]])
         assert cls["tag"] is not None
         assert cls["on_boundary"] is None
@@ -1169,9 +1180,9 @@ class TestBoundaryClassification:
 
 class TestPinning:
     def pinned_triple(self):
-        return Triple(
-            (Ball([0, 1, 0], 1.0), Ball([3, -1, 0], 1.0), Ball([6, 1.5, 0], 1.5))
-        )
+        return Triple(Scene(
+            3, (Ball([0, 1, 0], 1.0), Ball([3, -1, 0], 1.0), Ball([6, 1.5, 0], 1.5))
+        ))
 
     def test_pinned_configuration_detected(self):
         assert is_pinned_planar(self.pinned_triple())
@@ -1190,7 +1201,7 @@ class TestPinning:
         assert not is_pinned_planar(random_triple(2))
 
     def test_collinear_not_pinned(self):
-        assert not is_pinned_planar(Triple.from_scene(collinear_scene()))
+        assert not is_pinned_planar(Triple(collinear_scene()))
 
 
 class TestInvariance:
@@ -1207,7 +1218,7 @@ class TestInvariance:
         for s in (1e3, 1e4, 1e5, 1e6):
             moved = _moved_scene(scene, np.eye(3), s * np.array([1.0, -0.7, 0.3]))
             mask, slack = feasibility_batch(OrderedQuery(moved, order), U)
-            assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter()
+            assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter
             assert np.array_equal(mask, mask0), s
             # the same directions through the pair-cone prefilter
             sampled = sample_scene(moved, len(U)).feasible_for_order(order)
@@ -1265,7 +1276,7 @@ def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, pe
     moved_order = tuple(label[i] for i in order)
     mask, slack = feasibility_batch(OrderedQuery(moved, moved_order), U @ Q.T)
 
-    band = 1e-9 * scene.diameter()
+    band = 1e-9 * scene.diameter
     assert np.max(np.abs(slack - slack0)) <= band
     clear = np.abs(slack0 - band) > band
     assert np.array_equal(mask[clear], mask0[clear])

@@ -314,7 +314,7 @@ class TestCertifyFlexFree:
     def test_overlapping_configuration_fails(self):
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene("flexdemo-overlapping"))
+        tri = Triple(preset_scene("flexdemo-overlapping"))
         rep = certify_flex_free(tri, boundary_samples=60)
         bad = [
             s
@@ -346,11 +346,11 @@ class TestLiftedConfigForDirection:
         from linestab.cli import preset_scene
         from linestab.cone import boundary_directions_for_triple
 
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         dirs = boundary_directions_for_triple(tri, 40)
         cfg, _ = lifted_config_for_direction(tri, dirs)
         derived = np.sort(cfg.radii, axis=1)
-        original = np.sort([b.radius for b in tri.balls])
+        original = np.sort([b.radius for b in tri.scene.balls])
         hits = int(np.sum(np.all(np.isclose(derived, original, rtol=0, atol=1e-6), axis=1)))
         assert hits >= 4  # the sextic arcs of the boundary produce exact matches
 
@@ -363,7 +363,7 @@ class TestLiftedConfigForDirection:
         from linestab.cone import boundary_directions_for_triple
 
         for name in ("flexdemo-disjoint", "two-permutations", "transition-disjoint"):
-            tri = float_safe_triple(Triple.from_scene(preset_scene(name)))[0]
+            tri = float_safe_triple(Triple(preset_scene(name)))[0]
             dirs = boundary_directions_for_triple(tri, 200)
             reasons = lifted_config_for_direction(tri, dirs)[1]
             assert lifted_config_for_direction(tri, dirs * (1.0 + 2.0 ** -52))[1] == reasons, name
@@ -408,7 +408,7 @@ class TestBatchMatchesOneRow:
     def test_rows_at_and_near_the_axis(self):
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+        tri = Triple(preset_scene("flexdemo-disjoint"))
         rows = []
         for sign in (1.0, -1.0):
             for off in (0.0, 1e-15, 5e-15, 9e-15, 1.1e-14, 2e-14, 1e-13):
@@ -423,7 +423,7 @@ class TestBatchMatchesOneRow:
         from linestab.cli import preset_scene
 
         seen = set()
-        collinear = Triple.from_scene(preset_scene("collinear"))
+        collinear = Triple(preset_scene("collinear"))
         # along the centres' line every projected centre is one point; along
         # e3 they stay on a line; off it the minimax point sits on an edge
         U = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.3, 0.0, 1.0]])
@@ -468,7 +468,7 @@ class TestBatchMatchesOneRow:
 
         from linestab.cli import preset_scene
 
-        tri = Triple.from_scene(preset_scene(name))
+        tri = Triple(preset_scene(name))
         rep = certify_flex_free(tri, boundary_samples=60)
         assert json.dumps(rep.to_json_dict()) == json.dumps(flex_report_one_by_one(tri, 60))
 

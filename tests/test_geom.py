@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linestab.cone import _unit_rows, minimax_slack_batch, minimax_weights_batch
+from linestab.cli import PRESET_NAMES, preset_scene
+from linestab.cone import minimax_slack_batch, minimax_weights_batch
 from linestab.geom import (
     Ball,
     Scene,
     SceneError,
     SolverError,
+    _unit_rows,
     orthonormal_basis_of_complement,
     random_disjoint_scene,
     random_scene_with_transversal,
@@ -84,7 +87,7 @@ def test_scene_objects_compare_and_hash_by_identity():
     # "truth value of an array ... is ambiguous"; a set needed a hash
     def make():
         a, b, c = (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([8, 0, 0], 1.0))
-        return [a, b, Scene(3, (a, b, c)), Triple((a, b, c))]
+        return [a, b, Scene(3, (a, b, c)), Triple(Scene(3, (a, b, c)))]
 
     first, second = make(), make()
     for x, y in zip(first, second):
@@ -289,6 +292,36 @@ class TestSceneClassification:
         assert scene_classification(collinear_scene()).collinear_centers
         sc = Scene(3, (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([2, 5, 0], 1.0)))
         assert not scene_classification(sc).collinear_centers
+
+
+def _assert_relabelling_keeps_scene_data(scene, perm):
+    """The scene's overlapping pairs are those of the pairwise loop, and
+    relabelling the balls by perm (ball k of the new scene is ball perm[k])
+    keeps band and diameter bit for bit and maps those pairs through perm."""
+    balls = scene.balls
+    assert scene.overlapping_pairs() == [
+        (a, b) for a, b in itertools.combinations(range(len(balls)), 2)
+        if np.linalg.norm(balls[a].center - balls[b].center) <= balls[a].radius + balls[b].radius]
+    moved = Scene(scene.dimension, tuple(scene.balls[p] for p in perm), allow_overlap=True)
+    assert (moved.band, moved.diameter) == (scene.band, scene.diameter), perm
+    mapped = {tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in moved.overlapping_pairs()}
+    assert mapped == set(scene.overlapping_pairs()), perm
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_relabelled_presets_keep_band_diameter_and_overlaps(name):
+    scene = preset_scene(name)
+    for perm in itertools.permutations(range(len(scene))):
+        _assert_relabelling_keeps_scene_data(scene, perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), d=st.integers(2, 5))
+def test_relabelling_keeps_band_diameter_and_overlaps(seed, n, d):
+    # centres a few radii apart, so that some pairs overlap
+    rng = np.random.default_rng(seed)
+    balls = tuple(Ball(3.0 * rng.normal(size=d), rng.uniform(0.2, 2.0)) for _ in range(n))
+    _assert_relabelling_keeps_scene_data(Scene(d, balls, allow_overlap=True), rng.permutation(n))
 
 
 class TestGenerators:

@@ -84,12 +84,12 @@ class TestRegressions:
         U = fibonacci_sphere(20000)
         slack = minimax_slack_batch(scene.centers, scene.radii, U)
         oracle = enumerate_minimax(scene.centers, scene.radii, U)
-        err = (slack - oracle) / scene.diameter()
+        err = (slack - oracle) / scene.diameter
         assert np.max(np.abs(err)) <= KERNEL_REL_EPS
         # the rows of smallest slack against independent Nelder-Mead solves
         for k in np.argsort(slack)[:3]:
             ref = simplex_minimax(projected_2d(scene.centers, U[k]), scene.radii)
-            assert abs(slack[k] - ref) <= 1e-8 * scene.diameter()
+            assert abs(slack[k] - ref) <= 1e-8 * scene.diameter
 
     def test_rows_are_normalised(self):
         scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
@@ -98,7 +98,7 @@ class TestRegressions:
         assert at_unit == pytest.approx(-0.5996361378, abs=1e-9)
         for factor in (1.01, 3.0, 1e-200, 1e200):
             scaled = minimax_slack_batch(scene.centers, scene.radii, factor * u[None, :])[0]
-            assert abs(scaled - at_unit) <= KERNEL_REL_EPS * scene.diameter()
+            assert abs(scaled - at_unit) <= KERNEL_REL_EPS * scene.diameter
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_zero_or_non_finite_row_rejected(self, bad):
@@ -120,7 +120,7 @@ def test_sampled_masks_equal_the_oracle(k, n, d):
     # kernel gets the oracle's slack, so the feasible masks are equal
     scene, _ = random_scene_with_transversal(n, d, (1.0, 2.0), seed=300 + k)
     sset = sample_scene(scene, 20000, seed=0)
-    band = KERNEL_REL_EPS * scene.diameter()
+    band = KERNEL_REL_EPS * scene.diameter
     near = _pair_bound(scene.centers, scene.radii, sset.directions) <= scene.band + band
     oracle = enumerate_minimax(scene.centers, scene.radii, sset.directions[near])
     assert np.max(np.abs(sset.slacks[near] - oracle)) <= band

@@ -35,7 +35,7 @@ from conftest import (
 
 
 def collinear_triple():
-    return Triple.from_scene(collinear_scene())
+    return Triple(collinear_scene())
 
 
 class TestDirectionPoly:
@@ -64,7 +64,7 @@ class TestSigma:
         val = eval_sigma(tri, np.array([1.0, 0.0, 0.0]))
         assert abs(val) <= 1e-9 * tri.sigma_scale
         line_point = np.array([0.0, 1.0, 0.0])
-        for b in tri.balls:
+        for b in tri.scene.balls:
             w = b.center - line_point
             d = math.sqrt(float(w @ w) - float(w @ np.array([1.0, 0, 0])) ** 2)
             assert np.isclose(d, b.radius, atol=1e-12)
@@ -83,21 +83,21 @@ class TestSigma:
         u = rng.normal(size=3)
         ref = eval_sigma(tri, u)
         for perm in itertools.permutations(range(3)):
-            tri_p = Triple(tuple(tri.balls[i] for i in perm))
+            tri_p = Triple(Scene(3, tuple(tri.scene.balls[i] for i in perm)))
             val = eval_sigma(tri_p, u)
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_translation_invariance(self, rng):
         tri = random_triple(4)
         shift = rng.normal(size=3) * 10
-        moved = Triple(tuple(Ball(b.center + shift, b.radius) for b in tri.balls))
+        moved = Triple(Scene(3, tuple(Ball(b.center + shift, b.radius) for b in tri.scene.balls)))
         u = rng.normal(size=3)
         assert np.isclose(eval_sigma(tri, u), eval_sigma(moved, u), rtol=1e-12)
 
     def test_rotation_equivariance(self, rng):
         tri = random_triple(5)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = Triple(tuple(Ball(Q @ b.center, b.radius) for b in tri.balls))
+        rotated = Triple(Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in tri.scene.balls)))
         for _ in range(4):
             u = rng.normal(size=3)
             a = eval_sigma(tri, u)
@@ -119,12 +119,12 @@ class TestSigma:
         # plane normal to an edge, where sigma's e^{6i theta} harmonic is zero,
         # and the circles of the overlapping balls 0 and 1 meet
         if case == "edge-normal":
-            tri = Triple((Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0.3, 0.4, 3], 1.0)),
-                         allow_overlap=True)
-            anchor, t = orthonormal_basis_of_complement(tri.edge(0, 1))
+            tri = Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0),
+                                   Ball([0.3, 0.4, 3], 1.0)), allow_overlap=True))
+            anchor, t = orthonormal_basis_of_complement(tri.centers[1] - tri.centers[0])
             tangents = np.array([t, -t])
         else:
-            tri = Triple.from_scene(preset_scene(case))
+            tri = Triple(preset_scene(case))
             anchor = rng.normal(size=3)
             anchor /= np.linalg.norm(anchor)
             tangents = rng.normal(size=(12, 3))
@@ -151,7 +151,7 @@ class TestSigma:
     def test_roots_on_rays_do_not_depend_on_the_batch(self, preset):
         # every product is taken per row, so N rays give the bits of N
         # one-ray calls
-        tri = Triple.from_scene(preset_scene(preset))
+        tri = Triple(preset_scene(preset))
         r = np.random.default_rng(5)
         anchor = r.normal(size=3)
         anchor /= np.linalg.norm(anchor)
@@ -167,7 +167,7 @@ class TestSigma:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_float_matrix_matches_the_hand_written_5x5(self, preset, rng):
         # -det of the 3x3 form at float rows is the bordered 5x5 determinant
-        tri = Triple.from_scene(preset_scene(preset))
+        tri = Triple(preset_scene(preset))
         U = rng.normal(size=(200, 3))
         for s in (tri.squared_radii, (tri.scene.radii + 0.01) ** 2):
             got = sextic_mod._sigma_at_rows(tri, U, s)
@@ -268,24 +268,33 @@ class TestBorderElimination:
 
 class TestTriple:
     def test_is_a_view_of_its_scene(self):
-        tri = collinear_triple()
-        assert len(tri.scene) == 3 and not tri.scene.allow_overlap
+        scene = collinear_scene()
+        tri = Triple(scene)
+        assert tri.scene is scene and not tri.scene.allow_overlap
         np.testing.assert_array_equal(tri.centers, tri.scene.centers)
         np.testing.assert_array_equal(tri.squared_radii, tri.scene.radii ** 2)
+
+    def test_float_safe_triple_keeps_a_triple_at_its_scale(self):
+        tri, _ = sextic_mod.float_safe_triple(collinear_triple())
+        again, shift = sextic_mod.float_safe_triple(tri)
+        assert again is tri and shift == 0
 
     @pytest.mark.parametrize(
         "balls, match",
         [
             (((0, 0, 0), 1.0, (1.5, 0, 0), 1.0, (0, 5, 0), 1.0), "disjoint"),
             (((0, 0, 0), 1.0, (1e200, 0, 0), 1.0, (0, 1e200, 0), 1.0), "too large"),
-            (((0, 0), 1.0, (4, 0), 1.0, (8, 0), 1.0), "dimension"),
+            (((0, 0), 1.0, (4, 0), 1.0, (8, 0), 1.0), r"three balls in R\^3, not 3 in R\^2"),
+            (((0, 0, 0), 1.0, (4, 0, 0), 1.0), r"three balls in R\^3, not 2 in R\^3"),
         ],
-        ids=["overlap", "overflow", "planar"],
+        ids=["overlap", "overflow", "planar", "two-balls"],
     )
     def test_direct_construction_gets_scene_checks(self, balls, match):
+        # the Scene checks its balls, and the Triple that they are three in R^3
         it = iter(balls)
+        balls = tuple(Ball(c, r) for c, r in zip(it, it))
         with pytest.raises(SceneError, match=match):
-            Triple(tuple(Ball(c, r) for c, r in zip(it, it)))
+            Triple(Scene(balls[0].dimension, balls))
 
 
 def abrel(a, b):
@@ -381,7 +390,7 @@ class TestTangentRecovery:
                 u = chart_point_to_direction("u1", x, y)
                 u = u / np.linalg.norm(u)
                 for foot in tangent_lines_for_direction(tri, u):
-                    for b in tri.balls:
+                    for b in tri.scene.balls:
                         assert abs(line_distance(foot, u, b.center) - b.radius) <= 1e-8
                     checked += 1
         assert checked >= 8
@@ -391,7 +400,7 @@ class TestTangentRecovery:
         # two-permutations, at three lengths: the same feet, orthogonal to u
         from linestab.cone import sextic_ray_directions
 
-        tri, _ = sextic_mod.float_safe_triple(Triple.from_scene(preset_scene("two-permutations")))
+        tri, _ = sextic_mod.float_safe_triple(Triple(preset_scene("two-permutations")))
         u = sextic_ray_directions(tri, 8)[0][0]
         want = tangent_lines_for_direction(tri, u)
         assert len(want) > 0
@@ -403,7 +412,7 @@ class TestTangentRecovery:
 
 def pair_conic(bi, bj):
     """The builder's conic of two balls, read from a triple with a far third."""
-    return Triple((bi, bj, Ball([0.0, 0.0, 50.0], 1.0)), allow_overlap=True).pair_conic(0, 1)
+    return Triple(Scene(3, (bi, bj, Ball([0.0, 0.0, 50.0], 1.0)), allow_overlap=True)).pair_conic(0, 1)
 
 
 class TestPairCone:
@@ -411,7 +420,7 @@ class TestPairCone:
         for seed in range(4):
             tri = random_triple(seed)
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                bi, bj = tri.balls[i], tri.balls[j]
+                bi, bj = tri.scene.balls[i], tri.scene.balls[j]
                 conic = tri.pair_conic(i, j)
                 np.testing.assert_allclose(conic_matrix(conic), pair_matrix(bi, bj), rtol=1e-12)
                 e = bj.center - bi.center
@@ -441,10 +450,10 @@ class TestPairCone:
             assert (val <= 0) == (ux ** 2 >= 0.75 - 1e-9)
 
     def test_overlapping_pair_degenerate(self):
-        tri = Triple((Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 50], 1.0)),
-                     allow_overlap=True)
+        tri = Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 50], 1.0)),
+                           allow_overlap=True))
         assert tri.scene.overlapping_pairs() == [(0, 1)]
-        assert sextic_mod._curve_function(tri, "pair01") is None
+        assert sextic_mod._curve(tri, "pair01") is None
         # feasibility covers every direction
         for u in ([1, 0, 0], [0, 1, 0], [0.3, -0.2, 0.9]):
             assert poly_value(tri.pair_conic(0, 1), *np.asarray(u) / np.linalg.norm(u)) < 0
@@ -474,9 +483,9 @@ def test_sigma_scaling_and_translation_property(seed, lam, shift):
     base = eval_sigma(tri, u)
     scaled = eval_sigma(tri, lam * u)
     assert abs(scaled - lam ** 6 * base) <= 1e-9 * max(abs(scaled), abs(lam ** 6 * base))
-    moved = Triple(
-        tuple(Ball(b.center + shift * np.array([1.0, -0.5, 0.25]), b.radius) for b in tri.balls)
-    )
+    moved = Triple(Scene(
+        3, tuple(Ball(b.center + shift * np.array([1.0, -0.5, 0.25]), b.radius) for b in tri.scene.balls)
+    ))
     assert abs(eval_sigma(moved, u) - base) <= 1e-9 * max(abs(base), 1e-300)
 
 
@@ -526,7 +535,7 @@ class TestTraceCurves:
         elif curve == "hessian":
             oracle = lambda u: eval_hessian_sigma(tri, u)
         else:
-            M = pair_matrix(tri.balls[int(curve[4])], tri.balls[int(curve[5])])
+            M = pair_matrix(tri.scene.balls[int(curve[4])], tri.scene.balls[int(curve[5])])
             oracle = lambda u: u @ M @ u
 
         def f(x, y):
@@ -603,7 +612,7 @@ class TestTraceCurves:
 
         def crossing_slacks(kind):
             scene = preset_scene(f"flexdemo-{kind}")
-            tri = Triple.from_scene(scene)
+            tri = Triple(scene)
             slacks = []
             for chart in ("u1", "u2"):
                 traces = trace_curves(tri, chart=chart, grid=240, extent=2.5)
@@ -763,7 +772,7 @@ def _recorded_crossings(monkeypatch, run):
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
-    tri = Triple.from_scene(preset_scene(preset))
+    tri = Triple(preset_scene(preset))
     oracle = _termwise_functions(tri)
     for chart, axis in CHART_AXES.items():
         # the curve functions themselves, on a grid where every float counts
@@ -772,7 +781,7 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
         P = sextic_mod.GridPowers(*U[:axis], 1.0, *U[axis + 1:])
         for name, g in oracle.items():
             if g is not None:
-                got = sextic_mod._curve_function(tri, name)(P)
+                got = sextic_mod._curve(tri, name)[0](P)
                 assert np.array_equal(got, g(*U)), (chart, name)
         # the traces: bisected on each edge's interpolant, every vertex
         # stays within TRACE_TOL of the termwise bisection's, on the same
@@ -799,7 +808,7 @@ def test_trace_is_bit_identical_to_termwise_evaluation(preset, monkeypatch):
 def test_trace_vertex_does_not_depend_on_its_batch(preset, monkeypatch):
     # a crossing bisected alone lands on the same bits as among all the
     # crossings of its curve
-    tri = Triple.from_scene(preset_scene(preset))
+    tri = Triple(preset_scene(preset))
     _, calls = _recorded_crossings(monkeypatch, lambda: trace_curves(tri, grid=100))
     assert sum(len(pts) for _, pts in calls) > 100
     for (f, degree, neg, pos, tol, label), pts in calls:
@@ -812,7 +821,7 @@ def test_trace_memory_stays_per_axis():
     # the powers are taken on the grid's two axes, so a 400 x 400 trace
     # holds a few full-grid arrays at a time (the Hessian's 3 x 3 stack is
     # 11.5 MB) and no meshgrid of every power: 32 MB with one, 14 MB without
-    tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+    tri = Triple(preset_scene("flexdemo-disjoint"))
     tracemalloc.start()
     try:
         trace_curves(tri, grid=400)
@@ -825,13 +834,13 @@ def test_trace_memory_stays_per_axis():
 def test_non_finite_grid_values_name_the_curve():
     # powers of 1e150 overflow, so the grid has no signs to march; every
     # preset's curves are finite in every chart at the figures' extent
-    tri = Triple.from_scene(preset_scene("flexdemo-disjoint"))
+    tri = Triple(preset_scene("flexdemo-disjoint"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match=r"^sigma in chart u1 at extent 1e\+150 has non-finite"):
             trace_curves(tri, chart="u1", grid=20, extent=1e150)
     for preset in PRESET_NAMES:
         for chart in CHART_AXES:
-            trace_curves(Triple.from_scene(preset_scene(preset)), chart=chart, grid=20, extent=2.5)
+            trace_curves(Triple(preset_scene(preset)), chart=chart, grid=20, extent=2.5)
 
 
 def test_non_finite_edge_values_name_the_curve():

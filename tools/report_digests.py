@@ -15,7 +15,9 @@ direction of the default run, then a zero and a NaN direction (usage
 errors); and trace-curves once more with ``--format svg``.  count-components
 also runs on every relabelling of each preset's balls, from one file name, so
 that a report that depends on how the balls are numbered shows as digests
-that differ within the preset's block of relabellings.  Last come four
+that differ within the preset's block of relabellings; a line after each
+block says whether the byte digests of its reports all agree, or how many
+distinct ones it holds.  Last come four
 ``generate-scene --with-transversal`` runs, in R^3 to R^5.  ``--src`` is the
 source directory of the checkout to run (default: this checkout's ``src``); every
 run reads its scene through the same relative path, so the reports of two
@@ -143,11 +145,14 @@ def presets(src):
                     if preset == "flexdemo-disjoint":
                         run(command, "--scene", scene, "--format", "svg")
             doc = json.loads(Path(work, scene).read_text())
+            digests = set()
             for perm in itertools.permutations(range(len(doc["balls"]))):
                 relabelled = dict(doc, balls=[doc["balls"][p] for p in perm])
                 Path(work, "relabelled.json").write_text(json.dumps(relabelled))
-                run("count-components", "--scene", "relabelled.json",
-                    note=f"  ({preset}, balls {','.join(map(str, perm))})")
+                digests.add(_digest(run("count-components", "--scene", "relabelled.json",
+                                        note=f"  ({preset}, balls {','.join(map(str, perm))})")))
+            click.echo(f"relabellings of {preset}: byte digests "
+                       + ("agree" if len(digests) == 1 else f"differ ({len(digests)} distinct)"))
         run("verify-identities")
         for n, dim, seed in ((3, 3, 0), (5, 4, 1), (6, 5, 2), (10, 3, 7)):
             run("generate-scene", "--with-transversal", "--n", str(n), "--dim", str(dim),
