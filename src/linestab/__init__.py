@@ -31,12 +31,11 @@ from .flexprobe import (
 )
 from .cone import (
     ConeSampleSet,
-    OrderedQuery,
     classify_boundary_direction,
     cone_convexity_check,
     count_components,
     enumerate_geometric_permutations,
-    feasibility_batch,
+    evaluate_directions,
 )
 from .polyid import (
     IdentitySpec,

@@ -301,11 +301,11 @@ def generate_scene(preset, n, dim, rmin, rmax, seed, transversal):
 )
 def check_convexity(config, scene, order, samples, pairs, seed, order_semantics):
     """Geodesic-midpoint convexity certification for one ordered cone."""
-    query = cone_mod.OrderedQuery(scene, tuple(range(len(scene))) if order is None else order)
-    config.update(order=list(query.order), samples=samples, pairs=pairs, seed=seed,
+    order = tuple(range(len(scene))) if order is None else order
+    config.update(order=list(order), samples=samples, pairs=pairs, seed=seed,
                   order_semantics=order_semantics)
     rep = cone_mod.cone_convexity_check(
-        query, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
+        scene, order, pairs=pairs, seed=seed, lattice=samples, order_semantics=order_semantics,
     )
     reason = (f"{rep['feasible_samples']} feasible direction sample(s): too few for a midpoint pair"
               if rep["inconclusive"] else None)
@@ -445,7 +445,7 @@ def _chart_feasible_points(scene: Scene, chart: str, extent: float, count: int) 
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     dirs = sextic.chart_point_to_direction(chart, pts[:, 0], pts[:, 1])
-    return pts[cone_mod._evaluate(scene, dirs).meets]
+    return pts[cone_mod.evaluate_directions(scene, dirs).meets]
 
 
 def render_figure(traces: sextic.CurveTraces, feasible_points: np.ndarray | None = None) -> str:

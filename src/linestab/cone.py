@@ -32,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geom import Scene, SceneError, SolverError, _unit_rows, orthonormal_basis_of_complement
-from .sextic import TRACE_TOL, Triple, _tangent_feet, companion_roots, sigma_roots_on_rays
+from .sextic import (TRACE_TOL, Triple, _tangent_feet, companion_roots, float_safe_triple,
+                     sigma_roots_on_rays)
 
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
@@ -306,11 +307,12 @@ def realized_orders_batch(scene: Scene, U: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass
 class ConeSampleSet:
-    """Kernel data of direction rows for one scene, and the one decision of
-    which rows are feasible (``meets`` and ``feasible_for_order``).
+    """Kernel data of direction rows for one scene, from sample_scene or
+    evaluate_directions, and the one decision of which rows are feasible
+    (``meets`` and ``feasible_for_order``).
 
     ``slacks`` are exact (up to roundoff) where they are <= the scene's
-    band; above it a row may instead hold the pair-cone lower bound of its
+    band; above it a sample_scene row may hold the pair-cone lower bound of its
     slack, which certifies it infeasible.  ``orders`` and ``ties`` are those
     of realized_orders_batch on the rows that meet; a row that does not
     meet holds the identity order and no tie.  Read them through the two
@@ -340,9 +342,10 @@ class ConeSampleSet:
         is indeterminate, never feasible) and, given ``order``, equals it.
         Entry semantics, which needs ``order`` and a scene in R^3: the row
         meets and entry_order_feasible finds a transversal with that entry
-        order.  Any other semantics raises SceneError.
+        order.  Any other semantics, or an order that is not a permutation
+        of the balls, raises SceneError.
         """
-        _check_order_semantics(self.scene, order_semantics, order)
+        order = _check_order(self.scene, order, order_semantics)
         mask = self.meets
         if order_semantics == "entry":
             mask[mask] = entry_order_feasible(self.scene, self.directions[mask], order)
@@ -353,13 +356,13 @@ class ConeSampleSet:
         return mask
 
 
-def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
+def _evaluate(scene: Scene, U, exact_below: float) -> ConeSampleSet:
     """Kernel data of direction rows, scaled to unit length, SAMPLE_CHUNK rows
     at a time: each row keeps its pair-cone bound unless the bound is at
     most ``exact_below`` (or NaN, where its squares overflow), and then the
-    kernel's slack; at the default every slack is exact and no bound is
-    taken.  Only the rows that meet get realized_orders_batch's orders and
-    ties; the others keep the identity order and no tie."""
+    kernel's slack; at inf every slack is exact and no bound is taken.
+    Only the rows that meet get realized_orders_batch's orders and ties;
+    the others keep the identity order and no tie."""
     U = _unit_rows(U)
     slacks = np.empty(len(U))
     orders = np.tile(np.arange(len(scene)), (len(U), 1))
@@ -375,6 +378,12 @@ def _evaluate(scene: Scene, U, exact_below: float = math.inf) -> ConeSampleSet:
         meet = np.flatnonzero(bound <= scene.band)
         orders[lo + meet], ties[lo + meet] = realized_orders_batch(scene, rows[meet])
     return ConeSampleSet(scene, U, slacks, orders, ties)
+
+
+def evaluate_directions(scene: Scene, U) -> ConeSampleSet:
+    """Kernel data of the given direction rows at unit length, every slack
+    exact; SolverError on a zero or non-finite row."""
+    return _evaluate(scene, U, math.inf)
 
 
 def sample_scene(
@@ -398,51 +407,22 @@ def sample_scene(
     return _evaluate(scene, U, scene.band + KERNEL_REL_EPS * scene.diameter)
 
 
-# ---------------------------------------------------------------------------
-# Feasibility of ordered queries.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderedQuery:
-    """A scene with a prescribed meeting order (orientation-sensitive)."""
-
-    scene: Scene
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        if sorted(self.order) != list(range(len(self.scene))):
-            raise SceneError(f"order {self.order} is not a permutation of the balls")
-
-
-def feasibility_batch(
-    query: OrderedQuery,
-    U: np.ndarray,
-    order_semantics: str = "center",
-) -> tuple[np.ndarray, np.ndarray]:
-    """(feasible mask, slacks) for rows of U against the ordered query.
-
-    A row is feasible when ConeSampleSet.feasible_for_order says so, with
-    every slack exact.  Rows are scaled to unit length; a zero or non-finite
-    row raises SolverError.  ``order_semantics`` is "center"
-    (realized_orders_batch; the default) or "entry", which needs a scene in
-    R^3; see cone_convexity_check.
-    """
-    sset = _evaluate(query.scene, U)
-    return sset.feasible_for_order(query.order, order_semantics), sset.slacks
-
-
-def _check_order_semantics(scene: Scene, order_semantics: str, order) -> None:
-    """Raise SceneError unless the order semantics is known and fits the scene
-    and order: the entry order searches transversals over a plane for one
-    given order, so it needs R^3 and an order."""
+def _check_order(scene: Scene, order, order_semantics: str):
+    """The order as a tuple of ints, or None; SceneError unless it is None or
+    a permutation of the balls, and the order semantics is known and fits
+    the scene and order: the entry order searches transversals over a plane
+    for one given order, so it needs R^3 and an order."""
     if order_semantics not in ("center", "entry"):
         raise SceneError(f"unknown order semantics {order_semantics!r}")
+    if order is not None:
+        order = tuple(np.asarray(order).tolist())
+        if sorted(order) != list(range(len(scene))):
+            raise SceneError(f"order {order} is not a permutation of the balls")
     if order_semantics == "entry" and scene.dimension != 3:
         raise SceneError(f"entry order semantics needs a scene in R^3, not R^{scene.dimension}")
     if order_semantics == "entry" and order is None:
         raise SceneError("entry order semantics needs an order")
+    return None if order is None else tuple(map(int, order))
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +573,9 @@ def _entry_witnesses(scene: Scene, U: np.ndarray, order: Sequence[int]):
 
 def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Per direction row: does some transversal meet the balls in this entry
-    order, up to the scene's band?  See _entry_witnesses."""
-    return _entry_witnesses(scene, U, order)[0]
+    order, up to the scene's band?  See _entry_witnesses.  SceneError unless
+    the scene is in R^3 and the order is a permutation of its balls."""
+    return _entry_witnesses(scene, U, _check_order(scene, order, "entry"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +584,15 @@ def entry_order_feasible(scene: Scene, U: np.ndarray, order: Sequence[int]) -> n
 
 
 def cone_convexity_check(
-    query: OrderedQuery,
+    scene: Scene,
+    order: Sequence[int],
     pairs: int = 1000,
     seed: int = 0,
     lattice: int = 4096,
     order_semantics: str = "center",
 ) -> dict:
-    """Sample feasible direction pairs and test their geodesic midpoints.
+    """Sample feasible direction pairs of the cone of ``order`` and test
+    their geodesic midpoints.
 
     For a strictly convex cone every midpoint of feasible directions is
     feasible; near-boundary pairs additionally get strictly interior
@@ -625,13 +608,13 @@ def cone_convexity_check(
     decided: "center" (projections of centers; the library default) or
     "entry" (first boundary crossing of some transversal).  The two agree
     on disjoint scenes; only entry-order cones lose convexity when balls
-    overlap.  Entry semantics needs a scene in R^3 (SceneError otherwise).
+    overlap.  Entry semantics needs a scene in R^3, and ``order`` must be a
+    permutation of the balls (SceneError otherwise, before any sampling).
     """
-    scene = query.scene
+    order = _check_order(scene, order, order_semantics)
     sset = sample_scene(scene, lattice, seed=seed)
-    mask = sset.feasible_for_order(query.order, order_semantics)
-    F = sset.directions[mask]
-    fslacks = sset.slacks[mask]
+    mask = sset.feasible_for_order(order, order_semantics)
+    F, fslacks = sset.directions[mask], sset.slacks[mask]
     if len(F) < 2:
         return {"tested_pairs": 0, "violations": [], "violation_count": 0,
                 "min_midpoint_margin": None, "feasible_samples": len(F),
@@ -664,17 +647,16 @@ def cone_convexity_check(
     bad = ii == jj
     jj = np.where(bad, (jj + 1) % len(F), jj)
 
-    u = F[ii]
-    v = F[jj]
+    u, v = F[ii], F[jj]
     mids = u + v
     norms = np.linalg.norm(mids, axis=1)
     good = norms > 1e-9  # angular distance < pi, guaranteed for one convex cone
     mids = mids[good] / norms[good, None]
     u, v = u[good], v[good]
 
-    mset = _evaluate(scene, mids)
+    mset = evaluate_directions(scene, mids)
     slacks = mset.slacks
-    bad_idx = np.nonzero(~mset.feasible_for_order(query.order, order_semantics))[0]
+    bad_idx = np.nonzero(~mset.feasible_for_order(order, order_semantics))[0]
     meet = mset.meets[bad_idx]  # the disks share a point: the order failed
 
     violations = [
@@ -967,6 +949,7 @@ def _cone_rays(triple: Triple, count: int):
 def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary directions (k, 3) of boundary_directions_for_triple and the
     curve each lies on: "sextic", "conic ij" or "tie ij"."""
+    triple = float_safe_triple(triple)[0]
     scene = triple.scene
     band = scene.band
     # slack <= band is slack <= 0 at radii r + band, so the inflated curves
@@ -978,7 +961,6 @@ def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]
     points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
     for order, anchor, tangents in _cone_rays(triple, count):
         n_rays = len(tangents)
-        query = OrderedQuery(scene, order)
         aD, tD, nD = D @ anchor, tangents @ D.T, np.cross(anchor, tangents) @ D.T
         phi = np.arctan2(tD, aD)
         cand = np.concatenate([
@@ -996,7 +978,7 @@ def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]
         ok = np.ones(lo.shape, dtype=bool)
         span = hi > lo
         mids = _geodesic_point(anchor, tangents[np.nonzero(span)[0]], 0.5 * (lo + hi)[span])
-        ok[span] = feasibility_batch(query, mids)[0]
+        ok[span] = evaluate_directions(scene, mids).feasible_for_order(order)
         first = np.argmax(~ok, axis=1)
         if np.any(first == 0):
             raise SolverError(f"boundary ray {int(np.argmin(first))} of cone {order} "
@@ -1020,7 +1002,9 @@ def boundary_directions_for_triple(triple: Triple, count: int) -> np.ndarray:
     companion matrix; one kernel call per cone decides a midpoint of every
     interval between consecutive roots, and a ray's exit is the left end of
     its first infeasible interval.  A ray without one raises SolverError;
-    no feasible lattice direction gives an empty array.
+    no feasible lattice direction gives an empty array.  The work runs at
+    sextic.float_safe_triple's scale, so every 2^k copy of a triple gives
+    the same directions bit for bit.
     """
     return _boundary_exits(triple, count)[0]
 
@@ -1038,7 +1022,9 @@ def sextic_ray_directions(triple: Triple, count: int) -> tuple[np.ndarray, int]:
 
     A root where a ray leaves its cone is a boundary direction and the
     ray's other roots lie off the boundary, so the roots test both sides of
-    the boundary criterion."""
+    the boundary criterion.  Like boundary_directions_for_triple, it works
+    at sextic.float_safe_triple's scale."""
+    triple = float_safe_triple(triple)[0]
     dirs, rays = [np.zeros((0, 3))], 0
     for _, anchor, tangents in _cone_rays(triple, count):
         rays += len(tangents)

@@ -159,12 +159,14 @@ class Scene:
 def _unit_rows(U) -> np.ndarray:
     """Direction rows at unit length; SolverError on a zero or non-finite row.
 
-    Rows whose squared lengths are all within UNIT_SQ_TOL of 1 come back as
-    they are, so rows normalized once (or unit by construction) cost one
-    reduction on every later call.  Otherwise each row is divided by its
-    largest entry first, so huge rows normalize."""
+    A row whose squared length is within UNIT_SQ_TOL of 1 comes back as it
+    is, so rows normalized once (or unit by construction) cost one reduction
+    on every later call.  Each other row is divided by its largest entry
+    first, so huge rows normalize.  Every row is decided on its own, so its
+    answer does not depend on the rows beside it."""
     U = np.asarray(U, dtype=float)
-    if np.all(np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL):
+    unit = np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL
+    if np.all(unit):
         return U
     # both reductions run over the leading axis of a contiguous transposed
     # copy, several times faster than over the short trailing axis; the sum
@@ -172,8 +174,9 @@ def _unit_rows(U) -> np.ndarray:
     big = np.max(np.ascontiguousarray(np.abs(U).T), axis=0, initial=0.0)[:, None]
     if not np.all(np.isfinite(big) & (big > 0.0)):
         raise SolverError("direction rows must be finite and non-zero")
-    U = U / big
-    return U / np.sqrt(np.sum(np.ascontiguousarray((U * U).T), axis=0))[:, None]
+    V = U / big
+    V /= np.sqrt(np.sum(np.ascontiguousarray((V * V).T), axis=0))[:, None]
+    return np.where(unit[:, None], U, V)
 
 
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:

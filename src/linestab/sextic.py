@@ -267,10 +267,12 @@ class Triple:
 
     @cached_property
     def collinear_centers(self) -> bool:
-        e1, e2 = self.centers[1:] - self.centers[0]
-        cross = np.cross(e1, e2)
-        scale = np.linalg.norm(e1) * np.linalg.norm(e2)
-        return bool(np.linalg.norm(cross) <= 1e-12 * max(scale, 1e-30))
+        """Coincident centres, or unit edges from the first centre whose cross
+        product (the sine of their angle) is <= 1e-12, at every scale."""
+        edges = self.centers[1:] - self.centers[0]
+        if not np.all(np.any(edges, axis=1)):
+            return True
+        return bool(np.linalg.norm(np.cross(*_unit_rows(edges))) <= 1e-12)
 
     @cached_property
     def sigma(self) -> DirectionPoly:

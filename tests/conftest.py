@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from linestab.cone import (
-    OrderedQuery,
     boundary_directions_for_triple,
-    feasibility_batch,
+    evaluate_directions,
     minimax_weights_batch,
     realized_orders_batch,
     sample_scene,
@@ -242,7 +241,6 @@ def bisected_boundary_directions(triple, count, lattice=4096):
     out = [np.zeros((0, 3))]
     for k, order in enumerate(cones):
         n_rays = count // len(cones) + (k < count % len(cones))
-        query = OrderedQuery(scene, order)
         idx = np.nonzero(sset.feasible_for_order(order))[0]
         anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
         basis = orthonormal_basis_of_complement(anchor)
@@ -251,7 +249,7 @@ def bisected_boundary_directions(triple, count, lattice=4096):
 
         def feasible(tg, theta):
             U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tg
-            return feasibility_batch(query, U)[0]
+            return evaluate_directions(scene, U).feasible_for_order(order)
 
         lo, hi, alive = np.zeros(n_rays), np.full(n_rays, np.nan), np.ones(n_rays, dtype=bool)
         theta = 0.0

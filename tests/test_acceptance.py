@@ -14,7 +14,6 @@ from click.testing import CliRunner
 from linestab.cli import main as cli_main
 from linestab.cli import preset_scene
 from linestab.cone import (
-    OrderedQuery,
     cone_convexity_check,
     count_components,
     enumerate_geometric_permutations,
@@ -86,18 +85,14 @@ def test_criterion_3_convexity_theorem():
     for seed in range(50):
         scene, axis = random_scene_with_transversal(3, 3, (0.6, 1.6), seed=seed)
         order, _ = center_order(scene, axis)
-        rep = cone_convexity_check(
-            OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=2048
-        )
+        rep = cone_convexity_check(scene, order, pairs=1000, seed=seed, lattice=2048)
         assert not rep["inconclusive"], f"R3 seed {seed} inconclusive"
         assert rep["violations"] == [], f"R3 seed {seed}: {rep['violation_count']} violations"
         total_pairs += rep["tested_pairs"]
     for seed in range(10):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=100 + seed)
         order, _ = center_order(scene, axis)
-        rep = cone_convexity_check(
-            OrderedQuery(scene, order), pairs=1000, seed=seed, lattice=4096
-        )
+        rep = cone_convexity_check(scene, order, pairs=1000, seed=seed, lattice=4096)
         assert not rep["inconclusive"], f"R4 seed {seed} inconclusive"
         assert rep["violations"] == [], f"R4 seed {seed}: {rep['violation_count']} violations"
         total_pairs += rep["tested_pairs"]
@@ -114,7 +109,8 @@ def test_criterion_4_disjointness_necessity():
     """
     overlap = preset_scene("transition-overlapping")
     rep = cone_convexity_check(
-        OrderedQuery(overlap, (0, 1, 2)),
+        overlap,
+        (0, 1, 2),
         pairs=10000,
         seed=1,
         lattice=4096,
@@ -127,7 +123,8 @@ def test_criterion_4_disjointness_necessity():
     assert cat["count"] >= 1
     for entry in cat["permutations"]:
         rep_d = cone_convexity_check(
-            OrderedQuery(disjoint, entry["witness_order"]),
+            disjoint,
+            entry["witness_order"],
             pairs=10000,
             seed=1,
             lattice=4096,

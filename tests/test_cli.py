@@ -163,6 +163,7 @@ class TestCheckConvexity:
             main, ["check-convexity", "--scene", str(scene), "--order", "0,0,2"]
         )
         assert r.exit_code == 2
+        assert "order (0, 0, 2) is not a permutation of the balls" in r.output
 
 
     def test_too_few_feasible_samples_is_inconclusive(self, runner, tmp_path):
@@ -475,10 +476,10 @@ class TestSolverErrors:
 
     def test_boundary_ray_without_exit(self, runner, tmp_path, monkeypatch):
         # every direction feasible: no boundary ray leaves its cone
-        monkeypatch.setattr(
-            cone_mod, "feasibility_batch",
-            lambda q, U: (np.ones(len(U), dtype=bool), np.zeros(len(U))),
-        )
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(cone_mod, "evaluate_directions", lambda scene, U: SimpleNamespace(
+            feasible_for_order=lambda order: np.ones(len(U), dtype=bool)))
         r = invoke(runner, ["probe-flex", "--scene", self.demo(runner, tmp_path)])
         assert r.exit_code == 3
         doc = json.loads(r.output)
@@ -803,7 +804,7 @@ class TestReportSchema:
             return json.loads(json.dumps(report))
 
         convexity = cone_mod.cone_convexity_check(
-            cone_mod.OrderedQuery(scene, (0, 1, 2)), pairs=200, seed=1, lattice=1024,
+            scene, (0, 1, 2), pairs=200, seed=1, lattice=1024,
             order_semantics="entry")
         assert verdicts("check-convexity", "--samples", "1024", "--pairs", "200", "--seed", "1",
                         "--order-semantics", "entry") == round_trip(convexity)

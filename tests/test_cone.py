@@ -20,7 +20,6 @@ from linestab.geom import (
 )
 from linestab.sextic import Triple, _tangent_feet, eval_sigma, float_safe_triple
 from linestab.cone import (
-    OrderedQuery,
     _pair_bound,
     _reversed_is_canonical,
     boundary_directions_for_triple,
@@ -29,7 +28,7 @@ from linestab.cone import (
     count_components,
     entry_order_feasible,
     enumerate_geometric_permutations,
-    feasibility_batch,
+    evaluate_directions,
     fibonacci_sphere,
     minimax_slack_batch,
     minimax_weights_batch,
@@ -77,7 +76,7 @@ class TestPairPrefilter:
         sset = sample_scene(scene, 20000, seed=0)
         monkeypatch.undo()
         band = 1e-12 * scene.diameter
-        full = cone._evaluate(scene, sset.directions)
+        full = evaluate_directions(scene, sset.directions)
         exact = full.slacks
         feas = sset.feasible
         assert np.any(feas)
@@ -117,6 +116,31 @@ class TestUnitRows:
             _unit_rows(np.vstack([fibonacci_sphere(10), row]))
 
 
+# the length of each kind of row _unit_rows is given: unit, or not
+ROW_LENGTHS = {"unit": lambda rng: 1.0, "scaled": lambda rng: rng.uniform(0.1, 10.0),
+               "huge": lambda rng: 2.0 ** rng.uniform(900, 1020),
+               "tiny": lambda rng: 2.0 ** -rng.uniform(900, 1070)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    d=st.integers(2, 5),
+    kinds=st.lists(st.sampled_from(sorted(ROW_LENGTHS)), min_size=1, max_size=12),
+)
+@example(seed=0, d=3, kinds=["unit"] * 8 + ["scaled"])
+def test_unit_rows_decides_each_row_on_its_own(seed, d, kinds):
+    # N rows, unit or not, huge or tiny, come back as N one-row calls bit for
+    # bit: a unit row keeps its bits beside any other row
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(len(kinds), d))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    U *= np.array([ROW_LENGTHS[kind](rng) for kind in kinds])[:, None]
+    rows = _unit_rows(U)
+    assert np.array_equal(rows, np.vstack([_unit_rows(U[k:k + 1]) for k in range(len(U))]))
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4e-16
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -145,21 +169,18 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
 
 class TestDirectionFeasible:
     def test_collinear_axis_feasible(self):
-        q = OrderedQuery(collinear_scene(), (0, 1, 2))
-        mask, slacks = feasibility_batch(q, X_AXIS)
-        assert mask[0]
-        assert slacks[0] <= -1.0 + 1e-9
+        sset = evaluate_directions(collinear_scene(), X_AXIS)
+        assert sset.feasible_for_order((0, 1, 2))[0]
+        assert sset.slacks[0] <= -1.0 + 1e-9
         assert realized_orders_batch(collinear_scene(), X_AXIS)[0][0].tolist() == [0, 1, 2]
 
     def test_wrong_order_infeasible(self):
-        q = OrderedQuery(collinear_scene(), (0, 2, 1))
-        assert not feasibility_batch(q, X_AXIS)[0][0]
+        assert not evaluate_directions(collinear_scene(), X_AXIS).feasible_for_order((0, 2, 1))[0]
 
     def test_tie_is_indeterminate(self):
-        q = OrderedQuery(collinear_scene(), (0, 1, 2))
         z = np.array([[0.0, 0.0, 1.0]])
         assert realized_orders_batch(collinear_scene(), z)[1][0]
-        assert not feasibility_batch(q, z)[0][0]
+        assert not evaluate_directions(collinear_scene(), z).feasible_for_order((0, 1, 2))[0]
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_single_tie_rule(self, factor):
@@ -176,7 +197,8 @@ class TestDirectionFeasible:
         orders, ties = realized_orders_batch(scene, u)
         assert orders[0].tolist() == [0, 1, 2]
         assert ties[0] == (factor < 1)
-        mask, slacks = feasibility_batch(OrderedQuery(scene, (0, 1, 2)), u)
+        uset = evaluate_directions(scene, u)
+        mask, slacks = uset.feasible_for_order((0, 1, 2)), uset.slacks
         assert slacks[0] < 0
         assert mask[0] == (not ties[0])
         sset = sample_scene(scene, 64, extra_directions=u)
@@ -204,8 +226,8 @@ class TestDirectionFeasible:
         assert np.max(np.abs(witness_scaled - witness)) <= 1e-12 * scene.diameter
 
     def test_order_must_be_permutation(self):
-        with pytest.raises(SceneError):
-            OrderedQuery(collinear_scene(), (0, 1, 1))
+        with pytest.raises(SceneError, match=r"order \(0, 1, 1\) is not a permutation"):
+            evaluate_directions(collinear_scene(), X_AXIS).feasible_for_order((0, 1, 1))
 
     def test_batch_matches_oracle(self, rng):
         # slack against the scipy simplex oracle on the projected disks, mask
@@ -213,10 +235,10 @@ class TestDirectionFeasible:
         # near the transversal axis so both verdicts occur
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
         order, _ = center_order(scene, axis)
-        q = OrderedQuery(scene, order)
         U = np.vstack([rng.normal(size=(12, 3)), axis + 0.2 * rng.normal(size=(12, 3))])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        mask, slacks = feasibility_batch(q, U)
+        uset = evaluate_directions(scene, U)
+        mask, slacks = uset.feasible_for_order(order), uset.slacks
         for m in range(len(U)):
             c2 = scene.centers @ orthonormal_basis_of_complement(U[m]).T
             oracle = simplex_minimax(c2, scene.radii)
@@ -236,7 +258,6 @@ class TestDirectionFeasible:
         feas = sset.feasible
         assert np.any(feas)
         order = tuple(int(i) for i in sset.orders[np.nonzero(feas)[0][0]])
-        q = OrderedQuery(scene, order)
         dirs = boundary_directions_for_triple(tri, 12)
         idx = np.nonzero(feas)[0]
         anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
@@ -251,7 +272,7 @@ class TestDirectionFeasible:
             inside = np.cos(theta - eps) * anchor + np.sin(theta - eps) * w
             outside = np.cos(theta + eps) * anchor + np.sin(theta + eps) * w
             pair = np.array([inside, outside])
-            feasible = feasibility_batch(q, pair)[0]
+            feasible = evaluate_directions(scene, pair).feasible_for_order(order)
             if all(center_order(scene, v)[0] == order for v in pair):
                 assert feasible[0]
                 assert not feasible[1]
@@ -295,11 +316,10 @@ class TestDirectionFeasible:
 
     def test_reversal_symmetry(self, rng):
         scene, _ = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=7)
-        q = OrderedQuery(scene, (0, 1, 2, 3))
-        qr = OrderedQuery(scene, (3, 2, 1, 0))
         U = rng.normal(size=(30, 3))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        np.testing.assert_array_equal(feasibility_batch(q, U)[0], feasibility_batch(qr, -U)[0])
+        np.testing.assert_array_equal(evaluate_directions(scene, U).feasible_for_order((0, 1, 2, 3)),
+                                      evaluate_directions(scene, -U).feasible_for_order((3, 2, 1, 0)))
 
 
 ONE_DECISION_SCENES = [
@@ -308,8 +328,8 @@ ONE_DECISION_SCENES = [
 
 
 @pytest.mark.parametrize("key", ONE_DECISION_SCENES, ids=str)
-def test_feasibility_batch_is_the_sample_set_decision(key):
-    # feasibility_batch takes every slack exactly and sample_scene keeps the
+def test_evaluated_rows_share_the_sample_set_decision(key):
+    # evaluate_directions takes every slack exactly and sample_scene keeps the
     # pair bound above the band, yet both decide through feasible_for_order,
     # so they agree on every row, for each realized order and semantics; a
     # known transversal direction (the pinned cone's axis) joins the lattice
@@ -322,9 +342,10 @@ def test_feasibility_batch_is_the_sample_set_decision(key):
     orders = {tuple(o) for o in sset.orders[sset.feasible].tolist()}
     semantics = ("center", "entry") if scene.dimension == 3 else ("center",)
     checked = 0
+    full = evaluate_directions(scene, sset.directions)
     for order in sorted(orders | {tuple(range(len(scene)))}):
         for sem in semantics:
-            mask = feasibility_batch(OrderedQuery(scene, order), sset.directions, sem)[0]
+            mask = full.feasible_for_order(order, sem)
             assert np.array_equal(mask, sset.feasible_for_order(order, sem)), (order, sem)
             checked += int(np.sum(mask))
     assert checked > 0
@@ -393,9 +414,7 @@ class TestConvexity:
         for seed in (1, 4, 8):
             scene, axis = random_scene_with_transversal(3, 3, (0.7, 1.4), seed=seed)
             order, _ = center_order(scene, axis)
-            rep = cone_convexity_check(
-                OrderedQuery(scene, order), pairs=400, seed=2, lattice=2048
-            )
+            rep = cone_convexity_check(scene, order, pairs=400, seed=2, lattice=2048)
             assert not rep["inconclusive"]
             assert rep["violations"] == []
             assert rep["min_midpoint_margin"] > 0
@@ -403,9 +422,7 @@ class TestConvexity:
     def test_r4_scene_convex(self):
         scene, axis = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=3)
         order, _ = center_order(scene, axis)
-        rep = cone_convexity_check(
-            OrderedQuery(scene, order), pairs=300, seed=0, lattice=4096
-        )
+        rep = cone_convexity_check(scene, order, pairs=300, seed=0, lattice=4096)
         assert not rep["inconclusive"]
         assert rep["violations"] == []
 
@@ -414,7 +431,8 @@ class TestConvexity:
 
         scene = preset_scene("transition-overlapping")
         rep = cone_convexity_check(
-            OrderedQuery(scene, (0, 1, 2)),
+            scene,
+            (0, 1, 2),
             pairs=2500,
             seed=1,
             lattice=4096,
@@ -430,7 +448,8 @@ class TestConvexity:
         order = cat["permutations"][0]["witness_order"]
         for semantics in ("center", "entry"):
             rep = cone_convexity_check(
-                OrderedQuery(scene, order),
+                scene,
+                order,
                 pairs=800,
                 seed=1,
                 lattice=2048,
@@ -449,17 +468,16 @@ class TestConvexity:
                 Ball([s / 2, s, 0], 1.0),
             ),
         )
-        rep = cone_convexity_check(OrderedQuery(scene, (0, 1, 2)), pairs=50, lattice=512)
+        rep = cone_convexity_check(scene, (0, 1, 2), pairs=50, lattice=512)
         assert rep["inconclusive"]
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_entry_semantics_needs_r3(self, d):
         scene, _ = random_scene_with_transversal(3, d, (0.8, 1.4), seed=1)
-        query = OrderedQuery(scene, (0, 1, 2))
         with pytest.raises(SceneError, match=r"needs a scene in R\^3"):
-            cone_convexity_check(query, pairs=10, lattice=256, order_semantics="entry")
+            cone_convexity_check(scene, (0, 1, 2), pairs=10, lattice=256, order_semantics="entry")
         with pytest.raises(SceneError, match=r"needs a scene in R\^3"):
-            feasibility_batch(query, np.eye(d), order_semantics="entry")
+            evaluate_directions(scene, np.eye(d)).feasible_for_order((0, 1, 2), "entry")
 
     def test_feasible_for_order_checks_its_semantics(self):
         # the one predicate rejects entry semantics without an order and an
@@ -479,6 +497,51 @@ class TestConvexity:
             assert entry_order_feasible(scene, u[None, :], order)[0] == (
                 minimax_slack_batch(scene.centers, scene.radii, u[None, :])[0] <= scene.band
             )
+
+
+def _not_a_permutation(kind: str, order: list, pick: int) -> tuple:
+    """``order`` with one ball repeated, dropped, added or out of range."""
+    n, i = len(order), pick % len(order)
+    if kind == "repeat":
+        return tuple(order[:i] + [order[(i + 1) % n]] + order[i + 1:])
+    if kind == "drop":
+        return tuple(order[:i] + order[i + 1:])
+    if kind == "add":
+        return tuple(order + [order[i]])
+    return tuple(order[:i] + [n + pick if pick % 2 else -1 - pick] + order[i + 1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.one_of(st.sampled_from(PRESET_NAMES),
+                  st.tuples(st.integers(2, 6), st.sampled_from([3, 4]), st.integers(0, 50))),
+    kind=st.sampled_from(["repeat", "drop", "add", "range"]),
+    pick=st.integers(0, 100),
+    data=st.data(),
+)
+@example(key="two-permutations", kind="drop", pick=0, data=None)
+def test_every_order_reader_checks_the_permutation(key, kind, pick, data):
+    # each public function that reads an order raises the one SceneError for
+    # an order that is not a permutation of the balls, under each semantics
+    # it takes, rather than answering for it or failing inside
+    if isinstance(key, str):
+        scene = preset_scene(key)
+    else:
+        scene = random_scene_with_transversal(key[0], key[1], (1.0, 2.0), seed=key[2])[0]
+    n = len(scene)
+    perm = list(range(n)) if data is None else data.draw(st.permutations(range(n)))
+    order = _not_a_permutation(kind, perm, pick)
+    sset = sample_scene(scene, 256)
+    semantics = ("center", "entry") if scene.dimension == 3 else ("center",)
+    message = rf"order \({', '.join(map(str, order))},?\) is not a permutation of the balls"
+    for sem in semantics:
+        with pytest.raises(SceneError, match=message):
+            sset.feasible_for_order(order, sem)
+        with pytest.raises(SceneError, match=message):
+            cone_convexity_check(scene, order, pairs=10, lattice=64, order_semantics=sem)
+    if scene.dimension == 3:
+        with pytest.raises(SceneError, match=message):
+            entry_order_feasible(scene, sset.directions[:8], order)
 
 
 def _entry_split_scene(name):
@@ -640,8 +703,8 @@ class TestPermutations:
             for e in cat["permutations"]
         ]
         for entry in cat["permutations"]:
-            q = OrderedQuery(scene, entry["witness_order"])
-            assert feasibility_batch(q, np.array(entry["witness"])[None, :])[0][0]
+            witness = evaluate_directions(scene, np.array(entry["witness"])[None, :])
+            assert witness.feasible_for_order(entry["witness_order"])[0]
 
     def test_canonicalization(self):
         assert canonical_permutation((2, 1, 0)) == (0, 1, 2)
@@ -921,7 +984,7 @@ def _probe_feasible_fraction(triple, u, eps=1e-4, probes=16):
     phis = 2.0 * math.pi * (np.arange(probes) + 0.5) / probes
     tangents = np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
     pts = math.cos(eps) * u + math.sin(eps) * tangents
-    return float(np.mean(feasibility_batch(OrderedQuery(scene, order), pts)[0]))
+    return float(np.mean(evaluate_directions(scene, pts).feasible_for_order(order)))
 
 
 def _ray_root_directions(triple):
@@ -1020,7 +1083,10 @@ class TestBoundaryExits:
         assert per_count == [5, 5]  # the lattice sample, then one per cone
 
     def test_ray_without_exit_raises(self, monkeypatch):
-        monkeypatch.setattr(cone, "feasibility_batch", lambda q, U: (np.ones(len(U), bool), None))
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(cone, "evaluate_directions", lambda scene, U: SimpleNamespace(
+            feasible_for_order=lambda order: np.ones(len(U), bool)))
         with pytest.raises(SolverError, match="boundary ray 0 of cone"):
             boundary_directions_for_triple(random_triple(300, (0.7, 1.5)), 10)
 
@@ -1213,17 +1279,19 @@ class TestInvariance:
         scene, axis = random_scene_with_transversal(5, 3, (0.8, 2.0), seed=3)
         order, _ = center_order(scene, axis)
         U = fibonacci_sphere(20000)
-        mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
+        sset0 = evaluate_directions(scene, U)
+        mask0, slack0 = sset0.feasible_for_order(order), sset0.slacks
         assert np.sum(mask0) > 0
         for s in (1e3, 1e4, 1e5, 1e6):
             moved = _moved_scene(scene, np.eye(3), s * np.array([1.0, -0.7, 0.3]))
-            mask, slack = feasibility_batch(OrderedQuery(moved, order), U)
+            sset = evaluate_directions(moved, U)
+            mask, slack = sset.feasible_for_order(order), sset.slacks
             assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter
             assert np.array_equal(mask, mask0), s
             # the same directions through the pair-cone prefilter
             sampled = sample_scene(moved, len(U)).feasible_for_order(order)
             assert np.array_equal(sampled, mask0), s
-        rep = cone_convexity_check(OrderedQuery(moved, order))
+        rep = cone_convexity_check(moved, order)
         assert rep["pass"] and rep["violations"] == []
 
     def test_scale_repro(self):
@@ -1232,13 +1300,41 @@ class TestInvariance:
         scene, axis = random_scene_with_transversal(5, 3, (0.5, 2.0), seed=4)
         order, _ = center_order(scene, axis)
         U = axis + 0.3 * np.random.default_rng(0).normal(size=(20000, 3))
-        mask0 = feasibility_batch(OrderedQuery(scene, order), U)[0]
+        mask0 = evaluate_directions(scene, U).feasible_for_order(order)
         assert 0 < np.sum(mask0) < len(U)
         for s in (1e-9, 1e-6, 1e6, 1e9, 2.0 ** -30, 2.0 ** 30):
             scaled = _moved_scene(scene, np.eye(3), 0.0, scale=s)
-            mask = feasibility_batch(OrderedQuery(scaled, order), U)[0]
+            mask = evaluate_directions(scaled, U).feasible_for_order(order)
             assert np.array_equal(mask, mask0), (s, int(np.sum(mask != mask0)))
             assert scaled.band == pytest.approx(s * scene.band, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_collinear_centers_at_any_scale(name):
+    # the test reads unit edges, so no absolute floor tags a small triangle
+    # collinear: at 2^-200 it tagged every preset
+    scene = preset_scene(name)
+    want = Triple(scene).collinear_centers
+    assert want == (name == "collinear")
+    for k in (-300, -200, 0, 200, 300):
+        assert Triple(_moved_scene(scene, np.eye(3), 0.0, scale=2.0 ** k)).collinear_centers == want
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_triple_directions_do_not_read_the_scale(name):
+    # directions do not scale: the 2^k copies of a preset give its boundary
+    # exits, their curves and its sextic ray roots bit for bit (at 2^200 the
+    # sextic's coefficients overflowed, at 2^-200 its roots were lost)
+    tri = Triple(preset_scene(name))
+    exits, curves = cone._boundary_exits(tri, 60)
+    roots, rays = cone.sextic_ray_directions(tri, 8)
+    assert len(exits) == (60 if rays else 0)  # pinned has no cone to cast rays from
+    for k in (-200, 200):
+        scaled = Triple(_moved_scene(tri.scene, np.eye(3), 0.0, scale=2.0 ** k))
+        exits_k, curves_k = cone._boundary_exits(scaled, 60)
+        roots_k, rays_k = cone.sextic_ray_directions(scaled, 8)
+        assert np.array_equal(exits_k, exits) and np.array_equal(curves_k, curves), k
+        assert np.array_equal(roots_k, roots) and rays_k == rays, k
 
 
 def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
@@ -1264,7 +1360,8 @@ def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, pe
     rng = np.random.default_rng(seed)
     U = np.vstack([fibonacci_sphere(300), axis + 0.15 * rng.normal(size=(100, 3))])
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    mask0, slack0 = feasibility_batch(OrderedQuery(scene, order), U)
+    sset0 = evaluate_directions(scene, U)
+    mask0, slack0 = sset0.feasible_for_order(order), sset0.slacks
 
     a, b, c = angles
     Rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
@@ -1274,7 +1371,8 @@ def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, pe
     moved = _moved_scene(scene, Q, shift * np.array([1.0, -0.7, 0.3]), perm)
     label = {old: new for new, old in enumerate(perm)}
     moved_order = tuple(label[i] for i in order)
-    mask, slack = feasibility_batch(OrderedQuery(moved, moved_order), U @ Q.T)
+    sset = evaluate_directions(moved, U @ Q.T)
+    mask, slack = sset.feasible_for_order(moved_order), sset.slacks
 
     band = 1e-9 * scene.diameter
     assert np.max(np.abs(slack - slack0)) <= band

@@ -339,11 +339,11 @@ class TestGenerators:
     def test_transversal_constraint(self):
         scene, direction = random_scene_with_transversal(5, 4, (1.0, 3.0), seed=1)
         assert scene_slack(scene, direction) <= 0
-        # the ordered query along the construction direction is feasible
-        from linestab.cone import OrderedQuery, feasibility_batch
+        # the construction direction is feasible for its own order
+        from linestab.cone import evaluate_directions
 
         order, _ = center_order(scene, direction)
-        assert feasibility_batch(OrderedQuery(scene, order), direction[None, :])[0][0]
+        assert evaluate_directions(scene, direction[None, :]).feasible_for_order(order)[0]
 
     def test_collinear_center_direction_always_feasible(self):
         scene = collinear_scene()

@@ -42,6 +42,10 @@ the presets, each once on a lattice of KERNEL_LATTICE directions and once on
 the KERNEL_NEAR lattice rows of smallest |slack|, which reach the violator
 rounds.  Then, per scene, those of ``sample_scene`` on SAMPLE_ROWS rows: its
 slacks, its orders on the rows that meet, its ties and its feasible mask.
+Last, per preset, those of ``boundary_directions_for_triple(triple, 200)``
+and ``sextic_ray_directions(triple, 8)`` on its 2^-200, 1 and 2^200 copies,
+with the exception's type name in place of a digest where a call raises;
+a line after each preset says whether its three copies' digests agree.
 ``--src`` is as for ``presets``.
 
 ``presets``, ``identities`` and ``workdir`` print two digests per report:
@@ -58,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -82,6 +87,8 @@ KERNEL_SHAPES = ((3, 3), (6, 3), (10, 3), (8, 4), (6, 5))
 KERNEL_LATTICE = 4096
 KERNEL_NEAR = 1000
 SAMPLE_ROWS = 20_000
+# the power-of-two copies of each preset whose triple directions ``kernel`` digests
+SCALE_SHIFTS = (-200, 0, 200)
 # perfbench seeds of the exact-identities ops that ``identities`` replays
 IDENTITY_SEEDS = (1, 2)
 
@@ -199,7 +206,7 @@ def kernel(src):
     """The kernel's slacks and weights and sample_scene's data on fixed scenes."""
     sys.path.insert(0, str(Path(src).resolve()))
     import numpy as np
-    from linestab import cone, geom
+    from linestab import cone, geom, sextic
     from linestab.cli import preset_scene
 
     scenes = [(f"random-n{n}-d{d}", geom.random_scene_with_transversal(n, d, (1.0, 2.0), 300 + k)[0])
@@ -222,6 +229,23 @@ def kernel(src):
         echo("sample orders", name, sset.orders[sset.meets])
         echo("sample ties", name, sset.ties)
         echo("sample feasible", name, sset.feasible)
+    calls = (("boundary directions", cone.boundary_directions_for_triple, 200),
+             ("sextic ray directions", lambda t, n: cone.sextic_ray_directions(t, n)[0], 8))
+    for name in PRESETS:
+        scene, seen = preset_scene(name), set()
+        for k in SCALE_SHIFTS:
+            triple = sextic.Triple(geom.Scene(3, tuple(
+                geom.Ball(np.ldexp(b.center, k), math.ldexp(b.radius, k)) for b in scene.balls),
+                allow_overlap=scene.allow_overlap))
+            for label, call, count in calls:
+                try:
+                    digest = _digest(np.ascontiguousarray(call(triple, count)).tobytes())
+                except Exception as exc:  # a raising call is part of the record
+                    digest = type(exc).__name__
+                seen.add((label, digest))
+                click.echo(f"{digest}  {label} {name} 2^{k}")
+        click.echo(f"scaled copies of {name}: digests "
+                   + ("agree" if len(seen) == 2 else "differ"))
 
 
 if __name__ == "__main__":
