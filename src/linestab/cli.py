@@ -427,9 +427,7 @@ def classify_boundary(config, triple, direction, n_directions):
 @click.option("--hatch-samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="direction samples for the feasible-region hatching (svg)")
 def trace_curves_cmd(triple, chart, grid, extent, fmt, hatch_samples):
-    """Trace sextic, Hessian and pair conics in an affine direction chart, on
-    sextic.float_safe_triple's rescale of the triple."""
-    triple = sextic.float_safe_triple(triple)[0]
+    """Trace sextic, Hessian and pair conics in an affine direction chart."""
     traces = sextic.trace_curves(triple, chart=chart, grid=grid, extent=extent)
     if fmt == "csv":
         return "\n".join(",".join(str(c) for c in row) for row in traces.to_csv_rows()) + "\n"

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Scene, SceneError, SolverError, _unit_rows, orthonormal_basis_of_complement
+from .geom import (Scene, SceneError, SolverError, _frames, _unit_rows,
+                   orthonormal_basis_of_complement)
 from .sextic import (TRACE_TOL, Triple, _tangent_feet, companion_roots, float_safe_triple,
                      sigma_roots_on_rays)
 
@@ -551,10 +552,7 @@ def _entry_witnesses(scene: Scene, U: np.ndarray, order: Sequence[int]):
     step = max(1, _ENTRY_CHUNK // (count * len(c)))
     for lo in range(0, len(U), step):
         u = U[lo:lo + step]
-        # bases E of u^perp, from u cross the axis of its smallest part
-        e1 = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
-        e1 /= np.sqrt(_dot(e1, e1))[:, None]
-        E = np.stack([e1, np.cross(u, e1)], axis=1)
+        E = _frames(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             Y, rim, sphere = _entry_candidates(c, r, u, E, circles)
             k = np.einsum("nd,md->mn", c, u)
@@ -961,7 +959,8 @@ def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]
     points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
     for order, anchor, tangents in _cone_rays(triple, count):
         n_rays = len(tangents)
-        aD, tD, nD = D @ anchor, tangents @ D.T, np.cross(anchor, tangents) @ D.T
+        aD, tD = D @ anchor, _dot(tangents[:, None], D)
+        nD = _dot(np.cross(anchor, tangents)[:, None], D)
         phi = np.arctan2(tD, aD)
         cand = np.concatenate([
             sigma_roots_on_rays(triple, R * R, anchor, tangents),
@@ -985,7 +984,7 @@ def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]
                               "has no exit from a feasible interval in (0, pi)")
         rays = np.arange(n_rays)
         pts = _geodesic_point(anchor, tangents, lo[rays, first])
-        points.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        points.append(_unit_rows(pts))
         curves.append(_EXIT_CURVES[by[rays, first - 1]])
     return np.concatenate(points), np.concatenate(curves)
 
@@ -1032,7 +1031,7 @@ def sextic_ray_directions(triple: Triple, count: int) -> tuple[np.ndarray, int]:
         ray, root = np.nonzero(~np.isnan(theta))
         dirs.append(_geodesic_point(anchor, tangents[ray], theta[ray, root]))
     U = np.concatenate(dirs)
-    return U / np.linalg.norm(U, axis=1, keepdims=True), rays
+    return _unit_rows(U), rays
 
 
 def classify_boundary_direction(triple: Triple, U) -> list[dict]:

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import boundary_directions_for_triple, minimax_weights_batch
-from .geom import SceneError
+from .geom import SceneError, _frames, _unit_rows
 from .sextic import Triple, float_safe_triple
 
 
@@ -545,37 +545,21 @@ class FlexFreeReport:
         return out
 
 
-def lifted_config_for_direction(
-    triple: Triple, U: np.ndarray
-) -> tuple[LiftedConfig, list[Optional[str]]]:
+def lifted_config_for_direction(triple: Triple,
+                                U: np.ndarray) -> tuple[LiftedConfig, list[Optional[str]]]:
     """Projected configurations of boundary direction rows, as one batch.
 
-    Each row u is rotated onto the third axis by the rotation about u x e3
-    (the identity within 1e-14 of e3, the half turn about e1 within 1e-14
-    of -e3); projected centers give the triangle, the minimax point of the
-    projected disks gives the interior point, and the rotated center
-    heights give the lifts.  Returns the batch of the usable rows, in
-    order, and each row's skip reason from ``LiftedConfig.from_plane_data``
-    (None for a usable row).
+    Per row u at unit length, the centres' coordinates in the frame of u^perp
+    (geom._frames) give the triangle, their heights u . c the lifts and the
+    minimax point of the projected disks the interior point.  Returns the
+    batch of the usable rows, in order, and each row's skip reason from
+    ``LiftedConfig.from_plane_data`` (None for a usable row).
     """
-    U = np.asarray(U, dtype=float)
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    U = _unit_rows(U)
     weights = minimax_weights_batch(triple.centers, triple.scene.radii, U)
-    c = U[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        axis = np.cross(U, [0.0, 0.0, 1.0])
-        s = np.sqrt(_dot(axis, axis))
-        axis = axis / s[:, None]
-    K = np.zeros((len(U), 3, 3))
-    K[:, 0, 1], K[:, 0, 2] = -axis[:, 2], axis[:, 1]
-    K[:, 1, 0], K[:, 1, 2] = axis[:, 2], -axis[:, 0]
-    K[:, 2, 0], K[:, 2, 1] = -axis[:, 1], axis[:, 0]
-    R = np.eye(3) + s[:, None, None] * K + (1 - c)[:, None, None] * (K @ K)
-    R[c > 1.0 - 1e-14] = np.eye(3)
-    R[c < -1.0 + 1e-14] = np.diag([1.0, -1.0, -1.0])
-    rc = triple.centers @ R.transpose(0, 2, 1)
-    point = (weights[:, None, :] @ rc[:, :, :2])[:, 0]
-    return LiftedConfig.from_plane_data(rc[:, :, :2], point, rc[:, :, 2])
+    plane = np.einsum("mkd,nd->mnk", _frames(U), triple.centers)
+    point = np.einsum("mn,mnk->mk", weights, plane)
+    return LiftedConfig.from_plane_data(plane, point, np.einsum("md,nd->mn", U, triple.centers))
 
 
 def _unscaled(value: Optional[float], shift: int) -> Optional[float]:

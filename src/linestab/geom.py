@@ -179,6 +179,16 @@ def _unit_rows(U) -> np.ndarray:
     return np.where(unit[:, None], U, V)
 
 
+def _frames(U) -> np.ndarray:
+    """Orthonormal frames (m, 2, 3) of u^perp for the unit rows u of U (m, 3),
+    each from its row alone: e1 = u x the axis of u's smallest component, at
+    unit length, and e2 = u x e1 (Hughes and Moller, JGT 4(4), 1999)."""
+    U = np.asarray(U, dtype=float)
+    e1 = np.cross(U, np.eye(3)[np.argmin(np.abs(U), axis=1)])
+    e1 /= np.sqrt(np.einsum("md,md->m", e1, e1))[:, None]
+    return np.stack([e1, np.cross(U, e1)], axis=1)
+
+
 def orthonormal_basis_of_complement(u: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of u^perp, rows are the basis vectors.
 

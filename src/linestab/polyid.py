@@ -39,7 +39,7 @@ from .flexprobe import (
     q_invariant,
     star_h_canonical,
 )
-from .sextic import sigma_pole_jet
+from .sextic import poly_det, sigma_pole_jet
 
 Value = Union[Fraction, tuple]
 
@@ -81,12 +81,7 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
                       for r, L in zip(s, Ls)], dtype=object)
     c00, c10, c01, c20, c11, c02 = sigma_pole_jet(int_c.transpose(1, 2, 0), int_s.T).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
-    det = (
-        H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
-        - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
-        + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
-    )
-    out = np.array([Fraction(d, L ** 18) for d, L in zip(det, Ls)], dtype=object)
+    out = np.array([Fraction(d, L ** 18) for d, L in zip(poly_det(H), Ls)], dtype=object)
     return out.reshape(shape)[()]
 
 

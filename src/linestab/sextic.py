@@ -211,15 +211,17 @@ class PoleJet:
 
 
 def poly_det(matrix: Sequence[Sequence]):
-    """Determinant of a square matrix of DirectionPoly or PoleJet entries.
+    """Determinant of a square matrix of DirectionPoly, PoleJet or (m,) array entries.
 
     Cofactor expansion along the first row, each minor computed once: the
     minors on the last k rows, keyed by their columns, are expanded along
     their own first row from those on the last k - 1.  Zero entries are
-    skipped: a PoleJet entry is zero when it is zero in every form.
+    skipped: a PoleJet or array entry is zero when it is zero in every form.
+    Products are per index, so a float value is exactly 2^(nk) times as
+    large when every entry is 2^k times as large, barring over- and underflow.
     """
     n = len(matrix)
-    zero = type(matrix[0][0])()
+    zero = matrix[0][0] * 0
     minors = {(c,): matrix[n - 1][c] for c in range(n)}
     for r in range(n - 2, -1, -1):
         expanded = {}
@@ -227,7 +229,7 @@ def poly_det(matrix: Sequence[Sequence]):
             total = zero
             for k, c in enumerate(cols):
                 entry = matrix[r][c]
-                if not entry:
+                if not np.any(entry):
                     continue
                 term = entry * minors[cols[:k] + cols[k + 1:]]
                 total = total + term if k % 2 == 0 else total - term
@@ -363,13 +365,14 @@ def sigma_pole_jet(centers, squared_radii) -> PoleJet:
 
 def _sigma_at_rows(triple: Triple, U: np.ndarray, squared_radii) -> np.ndarray:
     """The sextic at the direction rows of U (m, 3), for the given squared
-    radii: -det of the (m, 3, 3) Cayley-Menger forms.  Every product is
-    taken per row, so a row's value does not depend on the rows beside it."""
+    radii: -poly_det of the Cayley-Menger forms over (m,) arrays, per row, so
+    a row's value does not depend on the rows beside it and is exactly
+    2^(6k) times as large on a 2^k copy of the triple."""
     # Python floats: the same bits as numpy's scalars, for less overhead
     s = np.asarray(squared_radii, dtype=float).tolist()
     B = cayley_menger_forms(triple.centers.tolist(), s, np.einsum("md,md->m", U, U),
                             lambda e: np.einsum("md,d->m", U, e))
-    return -np.linalg.det(np.array(B).transpose(2, 0, 1))
+    return -poly_det(B)
 
 
 # inverse 7-point DFT: row m + 3 is the coefficient of e^{2im theta}, |m| <= 3,
@@ -445,14 +448,17 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
 
     The rows are taken to unit length (geom._unit_rows: SolverError on a
     zero or non-finite row) and must be on the sextic: |sigma| at most
-    SIGMA_TOL times the largest coefficient.  With the first center at the
-    origin and the scene at unit diameter, where the rank cut and the
+    SIGMA_TOL times the largest coefficient.  The work runs at
+    float_safe_triple's scale and the feet are scaled back exactly, so every
+    2^k copy of a triple gets the same answers.  With the first center at
+    the origin and the scene at unit diameter, where the rank cut and the
     residual tests are scale-free, a foot p solves two center equations and
     <p, u> = 0 and lies on the sphere <p, p> = s_0; a rank-2 system leaves a
     line of candidates, and collinear centers along u (a circle family of
     tangents) give none.  Every step after the normaliser is per row (one
     batched SVD), so a unit row's feet do not depend on the rows beside it.
     """
+    triple, shift = float_safe_triple(triple)
     N = _unit_rows(np.reshape(U, (-1, 3)))
     val = _sigma_at_rows(triple, N, triple.squared_radii) / triple.sigma_scale
     on = np.abs(val) <= SIGMA_TOL  # a NaN is off the curve too
@@ -490,7 +496,7 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
     base = length * P + c0
     feet = np.full((len(N), 2, 3), np.nan)
     feet[on] = base - np.einsum("kfd,kd->kf", base, n)[:, :, None] * n[:, None, :]
-    return feet, errors
+    return np.ldexp(feet, -shift), errors
 
 
 def tangent_lines_for_direction(triple: Triple, u) -> np.ndarray:
@@ -679,11 +685,9 @@ def _curve(triple: Triple, name: str):
         h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
 
         def hessian(P):
-            H = np.empty(P.shape + (3, 3))
-            for a in range(3):
-                for b in range(a, 3):
-                    H[..., a, b] = H[..., b, a] = hess[a][b].eval_grid(P)
-            return np.linalg.det(H) / h_scale
+            H = {(a, b): hess[a][b].eval_grid(P) for a in range(3) for b in range(a, 3)}
+            H = [[H[min(a, b), max(a, b)] for b in range(3)] for a in range(3)]
+            return poly_det(H) / h_scale
 
         return hessian, 3 * max(p.degree for row in hess for p in row)
     pair = (int(name[4]), int(name[5]))
@@ -709,10 +713,12 @@ def trace_curves(
     on its grid edge's degree-k Chebyshev interpolant, k the degree of the
     curve's form (_curve); components smaller than the grid
     resolution may be missed, which is a documented limitation rather than
-    an error.
+    an error.  The work runs at float_safe_triple's scale, so every 2^k
+    copy of a triple gets the same traces.
     """
     if chart not in CHART_AXES:
         raise SceneError(f"unknown chart {chart!r}; use one of {sorted(CHART_AXES)}")
+    triple = float_safe_triple(triple)[0]
     axis = CHART_AXES[chart]
     xs = np.linspace(-extent, extent, grid)
 

@@ -18,6 +18,7 @@ from linestab.geom import (
     Ball,
     Scene,
     SceneError,
+    _unit_rows,
     orthonormal_basis_of_complement,
     random_scene_with_transversal,
 )
@@ -340,23 +341,13 @@ def lifted_triple(cfg) -> Triple:
     return Triple(Scene(3, tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True))
 
 
-def rotation_to_axis(u) -> np.ndarray:
-    """Oracle: the rotation sending one unit direction u to (0, 0, 1), built
-    with one-sample numpy calls (the identity within 1e-14 of e3, the half
-    turn about e1 within 1e-14 of -e3)."""
-    e3 = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(u, e3))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(u, e3)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
+def frame_of_complement(u) -> np.ndarray:
+    """Oracle: the orthonormal frame (2, 3) of u^perp for one unit direction
+    u, built with one-sample numpy calls: e1 is u x the axis of u's smallest
+    component, at unit length, and e2 is u x e1."""
+    e1 = np.cross(u, np.eye(3)[int(np.argmin(np.abs(u)))])
+    e1 = e1 / np.sqrt(np.einsum("d,d->", e1, e1))
+    return np.array([e1, np.cross(u, e1)])
 
 
 def plane_config(vertices2, point2, lifts) -> LiftedConfig:
@@ -390,16 +381,17 @@ def plane_config(vertices2, point2, lifts) -> LiftedConfig:
 
 
 def lifted_configs_one_by_one(triple, U) -> list:
-    """Oracle for flexprobe.lifted_config_for_direction: one rotation and one
-    plane_config per row; an unusable row gets the SceneError it raised."""
-    U = np.asarray(U, dtype=float)
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    """Oracle for flexprobe.lifted_config_for_direction: one frame and one
+    plane_config per row, the centres' frame coordinates and heights taken
+    for that row alone; an unusable row gets the SceneError it raised."""
+    U = np.array([_unit_rows(u[None])[0] for u in np.asarray(U, dtype=float)]).reshape(-1, 3)
     weights = minimax_weights_batch(triple.centers, triple.scene.radii, U)
     out = []
     for u, w in zip(U, weights):
-        rc = triple.centers @ rotation_to_axis(u).T
+        plane = np.einsum("kd,nd->nk", frame_of_complement(u), triple.centers)
+        lifts = np.einsum("d,nd->n", u, triple.centers)
         try:
-            out.append(plane_config(rc[:, :2], w @ rc[:, :2], rc[:, 2]))
+            out.append(plane_config(plane, np.einsum("n,nk->k", w, plane), lifts))
         except SceneError as exc:
             out.append(exc)
     return out

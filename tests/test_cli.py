@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from linestab import cli as cli_mod
 from linestab import cone as cone_mod
+from linestab import flexprobe as flexprobe_mod
 from linestab import polyid
 from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, _finish, main, preset_scene, render_figure
@@ -439,7 +440,11 @@ class TestProbeFlex:
         r = runner.invoke(main, ["probe-flex", "--scene", str(scene)])
         assert r.exit_code == 2
 
-    def test_nothing_probed_is_inconclusive(self, runner, tmp_path):
+    def test_nothing_probed_is_inconclusive(self, runner, tmp_path, monkeypatch):
+        # every located row skipped: an empty batch with a reason per row
+        lifted = flexprobe_mod.lifted_config_for_direction
+        monkeypatch.setattr(flexprobe_mod, "lifted_config_for_direction", lambda triple, U: (
+            lifted(triple, U[:0])[0], ["point is not interior to the triangle"] * len(U)))
         scene = tmp_path / "f.json"
         invoke(runner, ["generate-scene", "--preset", "flexdemo-disjoint", "--out", str(scene)])
         r = runner.invoke(main, ["probe-flex", "--scene", str(scene), "--boundary-samples", "1"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from linestab.geom import (
     random_disjoint_scene,
     random_scene_with_transversal,
 )
-from linestab.sextic import Triple, _tangent_feet, eval_sigma, float_safe_triple
+from linestab.sextic import (
+    Triple, _tangent_feet, eval_sigma, float_safe_triple, tangent_lines_for_direction,
+)
 from linestab.cone import (
     _pair_bound,
     _reversed_is_canonical,
@@ -1335,6 +1338,35 @@ def test_triple_directions_do_not_read_the_scale(name):
         roots_k, rays_k = cone.sextic_ray_directions(scaled, 8)
         assert np.array_equal(exits_k, exits) and np.array_equal(curves_k, curves), k
         assert np.array_equal(roots_k, roots) and rays_k == rays, k
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_tangent_lines_do_not_read_the_scale(name):
+    # the sextic ray roots, off-sextic rows among them, on the 2^k copies of
+    # a preset: each copy's feet are the preset's scaled by 2^k, and its
+    # classifications and slacks agree (at 2^200 sigma overflowed, and every
+    # row read "not on the sextic")
+    tri = Triple(preset_scene(name))
+    U = np.vstack([cone.sextic_ray_directions(tri, 8)[0], [[1.0, 0.0, 0.0], [0.3, -0.5, 0.8]]])
+    want = classify_boundary_direction(tri, U)
+    assert sum("error" not in cls for cls in want) >= (len(U) - 2 if name != "pinned" else 0)
+    feet = []
+    for u in U:
+        try:
+            feet.append(tangent_lines_for_direction(tri, u))
+        except SceneError as exc:
+            feet.append(str(exc))
+    for k in (-200, -100, 100, 200):
+        scaled = Triple(_moved_scene(tri.scene, np.eye(3), 0.0, scale=2.0 ** k))
+        for u, cls, f, got in zip(U, want, feet, classify_boundary_direction(scaled, U)):
+            if cls.get("slack") is not None:
+                cls = dict(cls, slack=math.ldexp(cls["slack"], k))
+            assert got == cls, (k, u)
+            if isinstance(f, str):
+                with pytest.raises(SceneError, match=re.escape(f)):
+                    tangent_lines_for_direction(scaled, u)
+            else:
+                assert np.array_equal(tangent_lines_for_direction(scaled, u), np.ldexp(f, k))
 
 
 def _moved_scene(scene, Q, offset, perm=None, scale=1.0):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, preset_scene
@@ -36,6 +38,13 @@ from conftest import (
 
 def collinear_triple():
     return Triple(collinear_scene())
+
+
+def scaled_triple(tri, k):
+    """The exact copy of a triple scaled by 2^k."""
+    scene = tri.scene
+    return Triple(Scene(3, tuple(Ball(np.ldexp(b.center, k), math.ldexp(b.radius, k))
+                                 for b in scene.balls), allow_overlap=scene.allow_overlap))
 
 
 class TestDirectionPoly:
@@ -173,6 +182,20 @@ class TestSigma:
             got = sextic_mod._sigma_at_rows(tri, U, s)
             want = np.linalg.det(cayley_matrix_5x5(tri, U, s))
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(source=st.one_of(st.sampled_from(PRESET_NAMES), st.integers(0, 10_000)),
+           k=st.integers(-60, 60), seed=st.integers(0, 2**32 - 1))
+    def test_sigma_scales_exactly(self, source, k, seed):
+        # sigma is a sixth power of length, and every entry of the form is
+        # scaled exactly on a 2^k copy: so is its cofactor determinant, bit
+        # for bit (LAPACK's LU determinant was not)
+        tri = Triple(preset_scene(source)) if isinstance(source, str) else random_triple(source)
+        U = np.random.default_rng(seed).normal(size=(50, 3))
+        copy = scaled_triple(tri, k)
+        got = sextic_mod._sigma_at_rows(copy, U, copy.squared_radii)
+        want = np.ldexp(sextic_mod._sigma_at_rows(tri, U, tri.squared_radii), 6 * k)
+        assert np.array_equal(got, want)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
@@ -510,6 +533,21 @@ def _polyline_crossings(polys_a, polys_b):
 
 
 class TestTraceCurves:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_traces_do_not_read_the_scale(self, preset):
+        # the chart is direction space: the 2^k copies of a preset trace the
+        # same curves bit for bit (at 2^-200 the Hessian lost every vertex,
+        # at 2^200 the sextic overflowed)
+        tri = Triple(preset_scene(preset))
+        want = trace_curves(tri, grid=60)
+        assert any(want.curves.values())
+        for k in (-200, 200):
+            got = trace_curves(scaled_triple(tri, k), grid=60)
+            assert got.curves.keys() == want.curves.keys()
+            for name, polys in want.curves.items():
+                assert len(got.curves[name]) == len(polys), (k, name)
+                assert all(np.array_equal(a, b) for a, b in zip(got.curves[name], polys)), (k, name)
+
     def test_collinear_conics_are_concentric_circles(self):
         tri = collinear_triple()
         traces = trace_curves(tri, chart="u1", grid=160, extent=1.5)
@@ -691,11 +729,12 @@ def _termwise_functions(tri):
     h_scale = max(max(p.max_abs_coeff() for row in hess for p in row) ** 3, 1e-300)
 
     def hessian(*U):
-        H = np.stack(
-            [np.stack([_termwise_eval_grid(p, *U) for p in row], axis=-1) for row in hess],
-            axis=-2,
-        )
-        return np.linalg.det(H) / h_scale
+        H = [[_termwise_eval_grid(p, *U) for p in row] for row in hess]
+        # cofactors along the first row, each 2 x 2 minor on the last two rows
+        det = (H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
+               - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
+               + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
+        return det / h_scale
 
     funcs = {"sigma": lambda *U: _termwise_eval_grid(sig, *U) / sig_scale, "hessian": hessian}
     for i, j in ((0, 1), (0, 2), (1, 2)):

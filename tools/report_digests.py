@@ -8,7 +8,9 @@
 ``presets`` runs each command of the ``linestab`` CLI on the built-in preset
 scenes at its default options (entry order semantics for check-convexity on
 the transition presets), plus verify-identities once, and prints the digest
-of each run's standard output with its exit code.  trace-curves also runs
+of each run's standard output with its exit code.  Each probe-flex line is
+followed by that run's ``located``, ``probed`` and ``skipped`` counts, so a
+moved count reads directly.  trace-curves also runs
 in the charts u1 and u2 (the default is u3).  On flexdemo-disjoint,
 classify-boundary also runs with an explicit ``--direction``: the first
 direction of the default run, then a zero and a NaN direction (usage
@@ -142,6 +144,10 @@ def presets(src):
                          if command == "check-convexity" and preset.startswith("transition-")
                          else [])
                 out = run(command, "--scene", scene, *extra)
+                if command == "probe-flex":
+                    verdicts = json.loads(out)["verdicts"]
+                    click.echo("  ".join(f"{key} {verdicts[key]}"
+                                         for key in ("located", "probed", "skipped")))
                 if preset == "flexdemo-disjoint" and command == "classify-boundary":
                     first = json.loads(out)["verdicts"]["classifications"][0]["direction"]
                     for direction in (",".join(map(repr, first)), "0,0,0", "nan,0,0"):
