@@ -406,7 +406,7 @@ def classify_boundary(config, triple, direction, n_directions):
             raise SceneError(cls["error"])  # an explicit direction must be on the sextic
         if cls.get("slack") is not None:
             cls["slack"] = math.ldexp(cls["slack"], -shift)
-        entry = {"direction": [float(x) for x in u / np.linalg.norm(u)], **cls}
+        entry = {"direction": u.tolist(), **cls}  # the unit row that was classified
         if cls.get("on_boundary") is not None and cls["crosses_triangle"] is not None:
             entry["agree"] = cls["on_boundary"] == cls["crosses_triangle"]
         results.append(entry)
@@ -430,7 +430,7 @@ def trace_curves_cmd(triple, chart, grid, extent, fmt, hatch_samples):
     """Trace sextic, Hessian and pair conics in an affine direction chart."""
     traces = sextic.trace_curves(triple, chart=chart, grid=grid, extent=extent)
     if fmt == "csv":
-        return "\n".join(",".join(str(c) for c in row) for row in traces.to_csv_rows()) + "\n"
+        return traces.to_csv()
     feas = _chart_feasible_points(triple.scene, chart, extent, hatch_samples)
     return render_figure(traces, feasible_points=feas)
 

@@ -357,23 +357,27 @@ class ConeSampleSet:
         return mask
 
 
-def _evaluate(scene: Scene, U, exact_below: float) -> ConeSampleSet:
+def _evaluate(scene: Scene, U, prefilter: bool) -> ConeSampleSet:
     """Kernel data of direction rows, scaled to unit length, SAMPLE_CHUNK rows
-    at a time: each row keeps its pair-cone bound unless the bound is at
-    most ``exact_below`` (or NaN, where its squares overflow), and then the
-    kernel's slack; at inf every slack is exact and no bound is taken.
-    Only the rows that meet get realized_orders_batch's orders and ties;
-    the others keep the identity order and no tie."""
+    at a time.  With ``prefilter`` a row whose pair-cone bound exceeds the
+    band plus KERNEL_REL_EPS times the diameter keeps that bound, which
+    certifies it infeasible (the margin covers the roundoff between bound
+    and kernel), and only the other rows (a NaN bound, where its squares
+    overflow, among them) get the kernel's slack; without it every slack is
+    the kernel's and no bound is taken.  Only the rows that meet get
+    realized_orders_batch's orders and ties; the others keep the identity
+    order and no tie."""
     U = _unit_rows(U)
+    cut = scene.band + KERNEL_REL_EPS * scene.diameter
     slacks = np.empty(len(U))
     orders = np.tile(np.arange(len(scene)), (len(U), 1))
     ties = np.zeros(len(U), dtype=bool)
     for lo in range(0, len(U), SAMPLE_CHUNK):
         chunk = slice(lo, lo + SAMPLE_CHUNK)
         rows = U[chunk]
-        bound = (_pair_bound(scene.centers, scene.radii, rows) if exact_below < math.inf
+        bound = (_pair_bound(scene.centers, scene.radii, rows) if prefilter
                  else np.full(len(rows), -np.inf))
-        near = ~(bound > exact_below)
+        near = ~(bound > cut)
         bound[near] = minimax_slack_batch(scene.centers, scene.radii, rows[near])
         slacks[chunk] = bound
         meet = np.flatnonzero(bound <= scene.band)
@@ -384,7 +388,7 @@ def _evaluate(scene: Scene, U, exact_below: float) -> ConeSampleSet:
 def evaluate_directions(scene: Scene, U) -> ConeSampleSet:
     """Kernel data of the given direction rows at unit length, every slack
     exact; SolverError on a zero or non-finite row."""
-    return _evaluate(scene, U, math.inf)
+    return _evaluate(scene, U, prefilter=False)
 
 
 def sample_scene(
@@ -399,13 +403,12 @@ def sample_scene(
     scaled to unit length before they join them, so the lattice rows keep
     their bits.  Only rows whose pair-cone bound does not already exceed the
     scene's band go through the exact kernel; the others keep the bound (see
-    ConeSampleSet).  The KERNEL_REL_EPS * diameter margin covers the
-    roundoff between bound and kernel.
+    ConeSampleSet and _evaluate).
     """
     U = sample_directions(scene.dimension, samples, seed)
     if extra_directions is not None and len(extra_directions):
         U = np.vstack([U, _unit_rows(extra_directions)])
-    return _evaluate(scene, U, scene.band + KERNEL_REL_EPS * scene.diameter)
+    return _evaluate(scene, U, prefilter=True)
 
 
 def _check_order(scene: Scene, order, order_semantics: str):
@@ -930,18 +933,23 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
 
 
 def _cone_rays(triple: Triple, count: int):
-    """Yield (order, anchor a, unit tangents t (k, 3)) per cone for the rays
-    cos(theta) a + sin(theta) t of boundary_directions_for_triple; every
-    yielded cone has k > 0 of the ``count`` rays."""
+    """The rays cos(theta) a + sin(theta) t of boundary_directions_for_triple,
+    every cone's in one batch, so that a triple makes one sextic-root call
+    and one kernel call, prefiltered by the pair bound: the cones' orders,
+    each cone's anchor a (c, 3), and per ray its cone's index (m,) and unit
+    tangent t (m, 3), cone by cone.  Every cone has k > 0 of the ``count``
+    rays."""
     sset = sample_scene(triple.scene, BOUNDARY_LATTICE)
-    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})
-    for k, order in enumerate(cones[:count]):
-        n_rays = count // len(cones) + (k < count % len(cones))
+    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})[:count]
+    anchors, tangents = np.zeros((len(cones), 3)), [np.zeros((0, 3))]
+    sizes = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
+    for k, (order, n_rays) in enumerate(zip(cones, sizes)):
         idx = np.nonzero(sset.feasible_for_order(order))[0]
-        anchor = sset.directions[idx[np.argmin(sset.slacks[idx])]]
-        basis = orthonormal_basis_of_complement(anchor)
+        anchors[k] = sset.directions[idx[np.argmin(sset.slacks[idx])]]
+        basis = orthonormal_basis_of_complement(anchors[k])
         phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
-        yield order, anchor, np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1]
+        tangents.append(np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1])
+    return cones, anchors, np.repeat(np.arange(len(cones)), sizes), np.concatenate(tangents)
 
 
 def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -956,37 +964,48 @@ def _boundary_exits(triple: Triple, count: int) -> tuple[np.ndarray, np.ndarray]
     i, j = np.triu_indices(3, 1)
     D = scene.centers[j] - scene.centers[i]
     DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
-    points, curves = [np.zeros((0, 3))], [_EXIT_CURVES[:0]]
-    for order, anchor, tangents in _cone_rays(triple, count):
-        n_rays = len(tangents)
-        aD, tD = D @ anchor, _dot(tangents[:, None], D)
-        nD = _dot(np.cross(anchor, tangents)[:, None], D)
-        phi = np.arctan2(tD, aD)
-        cand = np.concatenate([
-            sigma_roots_on_rays(triple, R * R, anchor, tangents),
-            _level_roots(phi, DD - S * S, S * S - nD * nD),
-            _level_roots(phi, band * band, aD * aD + tD * tD - band * band),
-        ], axis=1)
-        by = np.argsort(cand, axis=1)  # NaN last
-        cand = np.take_along_axis(cand, by, axis=1)
-        edges = np.column_stack([np.zeros(n_rays), np.where(np.isnan(cand), math.pi, cand),
-                                 np.full(n_rays, math.pi)])
-        # feasibility is constant between consecutive candidates: one kernel
-        # call decides the midpoints of every ray's non-empty intervals
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        ok = np.ones(lo.shape, dtype=bool)
-        span = hi > lo
-        mids = _geodesic_point(anchor, tangents[np.nonzero(span)[0]], 0.5 * (lo + hi)[span])
-        ok[span] = evaluate_directions(scene, mids).feasible_for_order(order)
-        first = np.argmax(~ok, axis=1)
-        if np.any(first == 0):
-            raise SolverError(f"boundary ray {int(np.argmin(first))} of cone {order} "
-                              "has no exit from a feasible interval in (0, pi)")
-        rays = np.arange(n_rays)
-        pts = _geodesic_point(anchor, tangents, lo[rays, first])
-        points.append(_unit_rows(pts))
-        curves.append(_EXIT_CURVES[by[rays, first - 1]])
-    return np.concatenate(points), np.concatenate(curves)
+    cones, anchors, cone, tangents = _cone_rays(triple, count)
+    n_rays = len(tangents)
+    if not n_rays:
+        return np.zeros((0, 3)), _EXIT_CURVES[:0]
+    anchor = anchors[cone]
+    # D @ a one cone at a time: one BLAS product of every anchor could round otherwise
+    aD = np.stack([D @ a for a in anchors])[cone]
+    tD = _dot(tangents[:, None], D)
+    nD = _dot(np.cross(anchor, tangents)[:, None], D)
+    phi = np.arctan2(tD, aD)
+    cand = np.concatenate([
+        sigma_roots_on_rays(triple, R * R, anchor, tangents),
+        _level_roots(phi, DD - S * S, S * S - nD * nD),
+        _level_roots(phi, band * band, aD * aD + tD * tD - band * band),
+    ], axis=1)
+    by = np.argsort(cand, axis=1)  # NaN last
+    cand = np.take_along_axis(cand, by, axis=1)
+    edges = np.column_stack([np.zeros(n_rays), np.where(np.isnan(cand), math.pi, cand),
+                             np.full(n_rays, math.pi)])
+    # feasibility is constant between consecutive candidates: one prefiltered
+    # kernel call decides the midpoints of every ray's non-empty intervals,
+    # and each cone reads its own rows of it
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    ok = np.ones(lo.shape, dtype=bool)
+    span = hi > lo
+    ray = np.nonzero(span)[0]
+    sset = _evaluate(scene, _geodesic_point(anchor[ray], tangents[ray], 0.5 * (lo + hi)[span]),
+                     prefilter=True)
+    feasible = np.zeros(len(ray), dtype=bool)
+    for k, order in enumerate(cones):
+        mine = cone[ray] == k
+        feasible[mine] = sset.feasible_for_order(order)[mine]
+    ok[span] = feasible
+    first = np.argmax(~ok, axis=1)
+    if np.any(first == 0):
+        bad = int(np.argmin(first))
+        k = int(cone[bad])
+        raise SolverError(f"boundary ray {bad - int(np.searchsorted(cone, k))} of cone "
+                          f"{cones[k]} has no exit from a feasible interval in (0, pi)")
+    rays = np.arange(n_rays)
+    pts = _geodesic_point(anchor, tangents, lo[rays, first])
+    return _unit_rows(pts), _EXIT_CURVES[by[rays, first - 1]]
 
 
 def boundary_directions_for_triple(triple: Triple, count: int) -> np.ndarray:
@@ -998,9 +1017,12 @@ def boundary_directions_for_triple(triple: Triple, count: int) -> np.ndarray:
     leaves it exactly once in (0, pi), at a root of the sextic, of a
     pair-cone conic or of a tie-band edge, all at radii r + band.  The
     conic and tie roots are closed forms and the sextic's come from its
-    companion matrix; one kernel call per cone decides a midpoint of every
-    interval between consecutive roots, and a ray's exit is the left end of
-    its first infeasible interval.  A ray without one raises SolverError;
+    companion matrix, for every ray of every cone at once.  One kernel call
+    per triple, prefiltered by the pair bound as in sample_scene, decides a
+    midpoint of every interval between consecutive roots, each cone reading
+    its own rows through ConeSampleSet.feasible_for_order, and a ray's exit
+    is the left end of its first infeasible interval.  A ray without one
+    raises SolverError, naming its index within its cone;
     no feasible lattice direction gives an empty array.  The work runs at
     sextic.float_safe_triple's scale, so every 2^k copy of a triple gives
     the same directions bit for bit.
@@ -1024,14 +1046,11 @@ def sextic_ray_directions(triple: Triple, count: int) -> tuple[np.ndarray, int]:
     the boundary criterion.  Like boundary_directions_for_triple, it works
     at sextic.float_safe_triple's scale."""
     triple = float_safe_triple(triple)[0]
-    dirs, rays = [np.zeros((0, 3))], 0
-    for _, anchor, tangents in _cone_rays(triple, count):
-        rays += len(tangents)
-        theta = np.sort(sigma_roots_on_rays(triple, triple.squared_radii, anchor, tangents), axis=1)
-        ray, root = np.nonzero(~np.isnan(theta))
-        dirs.append(_geodesic_point(anchor, tangents[ray], theta[ray, root]))
-    U = np.concatenate(dirs)
-    return _unit_rows(U), rays
+    _, anchors, cone, tangents = _cone_rays(triple, count)
+    anchor = anchors[cone]
+    theta = np.sort(sigma_roots_on_rays(triple, triple.squared_radii, anchor, tangents), axis=1)
+    ray, root = np.nonzero(~np.isnan(theta))
+    return _unit_rows(_geodesic_point(anchor[ray], tangents[ray], theta[ray, root])), len(tangents)
 
 
 def classify_boundary_direction(triple: Triple, U) -> list[dict]:

@@ -301,6 +301,16 @@ class Triple:
         firsts = [self.sigma.diff(a) for a in range(3)]
         return [[firsts[min(a, b)].diff(max(a, b)) for b in range(3)] for a in range(3)]
 
+    @cached_property
+    def _float_safe(self) -> tuple[Triple, int]:
+        """float_safe_triple's rescaled copy and its shift, made once."""
+        scene = self.scene
+        shift = 1 - math.frexp(scene.diameter)[1]
+        if not shift:
+            return self, 0
+        return Triple(Scene(3, tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
+                                     for b in scene.balls), allow_overlap=scene.allow_overlap)), shift
+
 
 def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
     """The triple scaled by the power of two 2^shift that brings its diameter
@@ -309,14 +319,11 @@ def float_safe_triple(triple: Triple) -> tuple[Triple, int]:
     There the sextic and its Hessian (of high degree in the lengths) neither
     overflow nor underflow, and every 2^k copy of a scene maps to the same
     triple bit for bit, so whatever is computed there is exactly
-    equivariant; a length taken there is the scene's times 2^shift.
+    equivariant; a length taken there is the scene's times 2^shift.  The
+    rescaled triple is built once per triple, so its sextic is expanded
+    once however often it is asked for.
     """
-    scene = triple.scene
-    shift = 1 - math.frexp(scene.diameter)[1]
-    if shift:
-        triple = Triple(Scene(3, tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
-                                       for b in scene.balls), allow_overlap=scene.allow_overlap))
-    return triple, shift
+    return triple._float_safe
 
 
 def _projected_distance(ci, cj, q, lin):
@@ -398,6 +405,10 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
                         tangents: np.ndarray) -> np.ndarray:
     """Real roots theta in [0, pi) of the sextic, at the given squared radii,
     along each ray cos(theta) anchor + sin(theta) tangent: (m, 6), NaN-padded.
+    ``anchor`` is one row (3,) for every ray or one per ray (m, 3), so the
+    rays of every cone of a triple go in one call, as boundary directions
+    take one kernel call per triple, prefiltered by the pair bound; a ray's
+    roots do not depend on the rays beside it.
 
     On a ray a form of degree 6 has the harmonics 0, +-2, +-4 and +-6 only,
     so its values at theta = k pi / 7 give its coefficients exactly, and
@@ -407,7 +418,7 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     """
     m = len(tangents)
     theta = np.arange(7) * math.pi / 7
-    U = np.cos(theta)[:, None] * anchor + np.sin(theta)[:, None] * tangents[:, None, :]
+    U = np.cos(theta)[:, None] * anchor[..., None, :] + np.sin(theta)[:, None] * tangents[:, None, :]
     values = _sigma_at_rows(triple, U.reshape(-1, 3), squared_radii).reshape(m, 7)
     C = np.einsum("mk,jk->mj", values, _DFT7)
     z = companion_roots(C[:, ::-1])
@@ -546,20 +557,24 @@ def _bisect_crossings(f, degree, neg, pos, refine_tol, label):
     cosines = np.cos(np.outer(np.arange(degree + 1), theta)) * (2.0 / (degree + 1))
     cosines[0] *= 0.5
     coeffs = np.einsum("kj,mj->km", values, cosines)  # no BLAS: the same sums for any count
+    # one contiguous row per coefficient: each step sums every segment's
+    # series, cheaper than gathering the live ones, and moves only the live
+    # brackets; a segment's arithmetic is the same either way
+    c = np.ascontiguousarray(coeffs.T)
     length = np.linalg.norm(step, axis=1)
     a, b = np.zeros(len(neg)), np.ones(len(neg))
     for _ in range(80):
-        active = np.nonzero((b - a) * length > refine_tol)[0]
-        if len(active) == 0:
+        live = (b - a) * length > refine_tol
+        if not live.any():
             break
-        mid = 0.5 * (a[active] + b[active])
-        x, c = 2.0 * mid - 1.0, coeffs[active]
-        b1 = b2 = np.zeros(len(active))
+        mid = 0.5 * (a + b)
+        x = 2.0 * mid - 1.0
+        b1 = b2 = np.zeros(len(neg))
         for m in range(degree, 0, -1):
-            b1, b2 = c[:, m] + 2.0 * x * b1 - b2, b1
-        v = c[:, 0] + x * b1 - b2
-        a[active[v <= 0]] = mid[v <= 0]
-        b[active[v >= 0]] = mid[v >= 0]
+            b1, b2 = c[m] + 2.0 * x * b1 - b2, b1
+        v = c[0] + x * b1 - b2
+        a = np.where(live & (v <= 0), mid, a)
+        b = np.where(live & (v >= 0), mid, b)
     return neg + (0.5 * (a + b))[:, None] * step
 
 
@@ -659,14 +674,15 @@ class CurveTraces:
     extent: float
     curves: dict[str, list[np.ndarray]]
 
-    def to_csv_rows(self):
-        rows = [("curve", "chart", "x", "y")]
+    def to_csv(self) -> str:
+        """The CSV text of trace-curves: a header, then one line
+        "curve:component,chart,x,y" per vertex, each coordinate its repr."""
+        lines = ["curve,chart,x,y"]
         for name, polys in self.curves.items():
             for comp, pts in enumerate(polys):
-                label = f"{name}:{comp}"
-                for x, y in pts:
-                    rows.append((label, self.chart, repr(float(x)), repr(float(y))))
-        return rows
+                head = f"{name}:{comp},{self.chart},"
+                lines.extend(f"{head}{x!r},{y!r}" for x, y in pts.tolist())
+        return "\n".join(lines) + "\n"
 
 
 CURVE_NAMES = ("sigma", "hessian", "pair01", "pair02", "pair12")

@@ -481,10 +481,9 @@ class TestSolverErrors:
 
     def test_boundary_ray_without_exit(self, runner, tmp_path, monkeypatch):
         # every direction feasible: no boundary ray leaves its cone
-        from types import SimpleNamespace
-
-        monkeypatch.setattr(cone_mod, "evaluate_directions", lambda scene, U: SimpleNamespace(
-            feasible_for_order=lambda order: np.ones(len(U), dtype=bool)))
+        monkeypatch.setattr(cone_mod.ConeSampleSet, "feasible_for_order",
+                            lambda self, order=None, order_semantics="center":
+                            np.ones(len(self.directions), dtype=bool))
         r = invoke(runner, ["probe-flex", "--scene", self.demo(runner, tmp_path)])
         assert r.exit_code == 3
         doc = json.loads(r.output)
@@ -658,6 +657,29 @@ class TestClassifyBoundary:
         np.testing.assert_allclose(huge.pop("direction"), same.pop("direction"), rtol=1e-15)
         assert huge.pop("slack") == pytest.approx(same.pop("slack"), rel=1e-12)
         assert huge == same
+
+    @pytest.mark.parametrize("preset", ["two-permutations", "flexdemo-disjoint", "flexdemo-tangent"])
+    def test_printed_direction_classifies_as_its_row(self, runner, tmp_path, preset):
+        # each printed direction is the row that was classified, so feeding
+        # it back through --direction gives the same verdict, and the same
+        # slack up to the kernel's roundoff: a one-row kernel call may round
+        # the row's projections otherwise than the batch of every root
+        eps = cone_mod.KERNEL_REL_EPS * preset_scene(preset).diameter
+        scene = tmp_path / "p.json"
+        invoke(runner, ["generate-scene", "--preset", preset, "--out", str(scene)])
+
+        def classify(*args):
+            r = runner.invoke(main, ["classify-boundary", "--scene", str(scene), *args])
+            assert r.exit_code == 0, r.output
+            return json.loads(r.output)["verdicts"]["classifications"]
+
+        entries = classify()
+        rows = cone_mod.sextic_ray_directions(Triple(preset_scene(preset)), 8)[0]
+        assert [e["direction"] for e in entries] == rows.tolist() and len(rows) >= 28
+        for entry in entries:
+            [again] = classify("--direction", ",".join(map(repr, entry["direction"])))
+            assert again.pop("slack") == pytest.approx(entry.pop("slack"), rel=0.0, abs=eps)
+            assert again == entry
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     @pytest.mark.parametrize("budget", [[], ["--directions", "32"]])

@@ -20,7 +20,8 @@ from linestab.geom import (
     random_scene_with_transversal,
 )
 from linestab.sextic import (
-    Triple, _tangent_feet, eval_sigma, float_safe_triple, tangent_lines_for_direction,
+    Triple, _tangent_feet, eval_sigma, float_safe_triple, sigma_roots_on_rays,
+    tangent_lines_for_direction,
 )
 from linestab.cone import (
     _pair_bound,
@@ -1005,6 +1006,46 @@ def _criterion_5_triples():
                                Ball([1.1, 2.2, 0], 1.0))))
 
 
+def _per_cone_exits(triple, count):
+    """cone._boundary_exits cone by cone: one sigma_roots_on_rays call and one
+    evaluate_directions call per cone, every slack from the kernel."""
+    triple = float_safe_triple(triple)[0]
+    scene = triple.scene
+    band = scene.band
+    R = scene.radii + band
+    i, j = np.triu_indices(3, 1)
+    D = scene.centers[j] - scene.centers[i]
+    DD, S = np.einsum("pd,pd->p", D, D), R[i] + R[j]
+    cones, anchors, cone_of, all_tangents = cone._cone_rays(triple, count)
+    points, curves = [np.zeros((0, 3))], [cone._EXIT_CURVES[:0]]
+    for k, order in enumerate(cones):
+        anchor, tangents = anchors[k], all_tangents[cone_of == k]
+        n_rays = len(tangents)
+        aD, tD = D @ anchor, cone._dot(tangents[:, None], D)
+        nD = cone._dot(np.cross(anchor, tangents)[:, None], D)
+        phi = np.arctan2(tD, aD)
+        cand = np.concatenate([
+            sigma_roots_on_rays(triple, R * R, anchor, tangents),
+            cone._level_roots(phi, DD - S * S, S * S - nD * nD),
+            cone._level_roots(phi, band * band, aD * aD + tD * tD - band * band),
+        ], axis=1)
+        by = np.argsort(cand, axis=1)
+        cand = np.take_along_axis(cand, by, axis=1)
+        edges = np.column_stack([np.zeros(n_rays), np.where(np.isnan(cand), math.pi, cand),
+                                 np.full(n_rays, math.pi)])
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        ok = np.ones(lo.shape, dtype=bool)
+        span = hi > lo
+        mids = cone._geodesic_point(anchor, tangents[np.nonzero(span)[0]], 0.5 * (lo + hi)[span])
+        ok[span] = evaluate_directions(scene, mids).feasible_for_order(order)
+        first = np.argmax(~ok, axis=1)
+        assert np.all(first > 0)
+        rays = np.arange(n_rays)
+        points.append(_unit_rows(cone._geodesic_point(anchor, tangents, lo[rays, first])))
+        curves.append(cone._EXIT_CURVES[by[rays, first - 1]])
+    return np.concatenate(points), np.concatenate(curves)
+
+
 def _assert_exits_match_bisection(tri, count):
     dirs = boundary_directions_for_triple(tri, count)
     assert dirs.shape == (count, 3)
@@ -1014,7 +1055,22 @@ def _assert_exits_match_bisection(tri, count):
 
 class TestBoundaryExits:
     """Each ray leaves its cone at a root of the sextic, a pair-cone conic or
-    a tie-band edge; one kernel call per cone decides between the roots."""
+    a tie-band edge; one kernel call per triple, prefiltered by the pair
+    bound, decides between the roots."""
+
+    def test_one_batch_per_triple_matches_the_per_cone_loop(self):
+        # the batch takes D @ anchor per cone and decides every row on its
+        # own, and the pair-bound cut only skips rows the kernel would find
+        # infeasible, so the exits and their curves keep every bit
+        checked = 0
+        presets = [preset_scene(name) for name in PRESET_NAMES]
+        copies = [_moved_scene(s, np.eye(3), 0.0, scale=2.0 ** k) for s in presets for k in (-200, 200)]
+        for tri in [*(Triple(s) for s in presets + copies), *_criterion_5_triples()]:
+            dirs, curves = cone._boundary_exits(tri, 200)
+            want_dirs, want_curves = _per_cone_exits(tri, 200)
+            assert np.array_equal(dirs, want_dirs) and np.array_equal(curves, want_curves)
+            checked += len(dirs) > 0
+        assert checked == 3 * (len(PRESET_NAMES) - 1) + 25  # pinned has no cone
 
     @pytest.mark.parametrize("name", ["flexdemo-disjoint", "transition-disjoint", "two-permutations"])
     def test_presets_match_bisection(self, name):
@@ -1083,15 +1139,28 @@ class TestBoundaryExits:
             calls.clear()
             assert len(boundary_directions_for_triple(tri, count)) == count
             per_count.append(len(calls))
-        assert per_count == [5, 5]  # the lattice sample, then one per cone
+        assert per_count == [2, 2]  # the lattice sample, then one for every cone's rays
 
     def test_ray_without_exit_raises(self, monkeypatch):
-        from types import SimpleNamespace
-
-        monkeypatch.setattr(cone, "evaluate_directions", lambda scene, U: SimpleNamespace(
-            feasible_for_order=lambda order: np.ones(len(U), bool)))
+        monkeypatch.setattr(cone.ConeSampleSet, "feasible_for_order",
+                            lambda self, order=None, order_semantics="center":
+                            np.ones(len(self.directions), bool))
         with pytest.raises(SolverError, match="boundary ray 0 of cone"):
             boundary_directions_for_triple(random_triple(300, (0.7, 1.5)), 10)
+
+    def test_ray_without_exit_is_counted_within_its_cone(self, monkeypatch):
+        # only the last cone is feasible everywhere: its first ray is ray 0,
+        # though the rays of the cones before it come first in the batch
+        tri = Triple(preset_scene("two-permutations"))
+        cones = cone._cone_rays(float_safe_triple(tri)[0], 10)[0]
+        assert len(cones) == 4
+        feasible = cone.ConeSampleSet.feasible_for_order
+        monkeypatch.setattr(cone.ConeSampleSet, "feasible_for_order",
+                            lambda self, order=None, order_semantics="center":
+                            np.ones(len(self.directions), bool) if order == cones[-1]
+                            else feasible(self, order, order_semantics))
+        with pytest.raises(SolverError, match=re.escape(f"boundary ray 0 of cone {cones[-1]} ")):
+            boundary_directions_for_triple(tri, 10)
 
     @pytest.mark.parametrize("name", [
         "collinear", "pinned", "two-permutations", "transition-disjoint", "transition-tangent",

@@ -174,6 +174,24 @@ class TestSigma:
         assert np.array_equal(batch, one, equal_nan=True)
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_per_ray_anchors_match_the_per_cone_calls(self, preset):
+        # the rays of several anchors in one call, one anchor row per ray,
+        # give the bits of one call per anchor
+        tri = Triple(preset_scene(preset))
+        r = np.random.default_rng(7)
+        anchors = r.normal(size=(4, 3))
+        anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+        cone = np.repeat(np.arange(4), [5, 1, 30, 14])
+        tangents = r.normal(size=(len(cone), 3))
+        tangents -= np.einsum("md,md->m", tangents, anchors[cone])[:, None] * anchors[cone]
+        tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        s = (tri.scene.radii + tri.scene.band) ** 2
+        batch = sextic_mod.sigma_roots_on_rays(tri, s, anchors[cone], tangents)
+        per_cone = np.concatenate([sextic_mod.sigma_roots_on_rays(tri, s, a, tangents[cone == k])
+                                   for k, a in enumerate(anchors)])
+        assert np.array_equal(batch, per_cone, equal_nan=True)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_float_matrix_matches_the_hand_written_5x5(self, preset, rng):
         # -det of the 3x3 form at float rows is the bordered 5x5 determinant
         tri = Triple(preset_scene(preset))
@@ -301,6 +319,27 @@ class TestTriple:
         tri, _ = sextic_mod.float_safe_triple(collinear_triple())
         again, shift = sextic_mod.float_safe_triple(tri)
         assert again is tri and shift == 0
+
+    def test_float_safe_triple_expands_the_sextic_once(self, monkeypatch):
+        # a triple off the scale [1, 2) keeps its rescaled copy, so repeated
+        # direct calls expand that copy's sextic once
+        tri = Triple(preset_scene("two-permutations"))
+        safe, shift = sextic_mod.float_safe_triple(tri)
+        assert shift != 0
+        phi = np.arange(16) * math.pi / 8
+        anchor, tangents = np.array([0.0, 0.0, 1.0]), np.column_stack([np.cos(phi), np.sin(phi), 0 * phi])
+        theta = sextic_mod.sigma_roots_on_rays(safe, safe.squared_radii, anchor, tangents)
+        ray, root = np.argwhere(~np.isnan(theta))[0]  # a root along a ray: on the sextic
+        u = math.cos(theta[ray, root]) * anchor + math.sin(theta[ray, root]) * tangents[ray]
+        expansions = []
+        expand = sextic_mod.sigma_from_geometry
+        monkeypatch.setattr(sextic_mod, "sigma_from_geometry",
+                            lambda *a: expansions.append(1) or expand(*a))
+        tri = Triple(preset_scene("two-permutations"))
+        feet = [tangent_lines_for_direction(tri, u) for _ in range(3)]
+        assert len(expansions) == 1 and len(feet[0])
+        assert all(np.array_equal(f, feet[0]) for f in feet)
+        assert sextic_mod.float_safe_triple(tri)[0] is sextic_mod.float_safe_triple(tri)[0]
 
     @pytest.mark.parametrize(
         "balls, match",
