@@ -380,14 +380,11 @@ def classify_boundary(config, triple, direction, n_directions):
 
     Without --direction, the directions are every real root of sigma along
     the --directions rays that probe-flex casts from the cones' deepest
-    lattice directions (cone.sextic_ray_directions).  Roots and
-    classification come from sextic.float_safe_triple's rescale of the
-    triple, and each slack is scaled back to the scene's own scale.
+    lattice directions (cone.sextic_ray_directions).
     """
     if direction is not None and not (all(map(math.isfinite, direction)) and any(direction)):
         raise click.BadParameter(f"must be finite and not zero, got {direction}",
                                  param_hint="'--direction'")
-    triple, shift = sextic.float_safe_triple(triple)
     config.update(direction=None if direction is None else list(direction),
                   directions=n_directions)
     if direction is not None:
@@ -404,8 +401,6 @@ def classify_boundary(config, triple, direction, n_directions):
     for u, cls in zip(U, cone_mod.classify_boundary_direction(triple, U)):
         if direction is not None and "error" in cls:
             raise SceneError(cls["error"])  # an explicit direction must be on the sextic
-        if cls.get("slack") is not None:
-            cls["slack"] = math.ldexp(cls["slack"], -shift)
         entry = {"direction": u.tolist(), **cls}  # the unit row that was classified
         if cls.get("on_boundary") is not None and cls["crosses_triangle"] is not None:
             entry["agree"] = cls["on_boundary"] == cls["crosses_triangle"]

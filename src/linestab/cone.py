@@ -33,8 +33,8 @@ import numpy as np
 
 from .geom import (Scene, SceneError, SolverError, _frames, _unit_rows,
                    orthonormal_basis_of_complement)
-from .sextic import (TRACE_TOL, Triple, _tangent_feet, companion_roots, float_safe_triple,
-                     sigma_roots_on_rays)
+from .sextic import (TRACE_TOL, Triple, companion_roots, float_safe_triple, sigma_roots_on_rays,
+                     tangent_lines_for_direction)
 
 # roundoff margin of the disk-minimax kernel relative to the scene's
 # diameter: a row is solved once no disk is violated by more than this at its
@@ -1069,10 +1069,14 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     triangle of centers; the two must agree on disjoint balls.  When no
     tangent line decides ``crosses_triangle``, ``tag`` says why, and
     collinear centers decide none of them.  A row off the sextic gets only
-    ``error``, the message of tangent_lines_for_direction's SceneError.
-    One batch (sextic._tangent_feet) recovers every row's tangent lines.
+    ``error``, the reason tangent_lines_for_direction gives for it, whose
+    one batch recovers every row's tangent lines.  The work runs at
+    sextic.float_safe_triple's scale, where the plane of centers' normal and
+    Gram matrix neither overflow nor underflow, and each slack is scaled
+    back exactly, so every 2^k copy of a triple gets the same answers.
     """
     U = _unit_rows(np.reshape(U, (-1, 3)))
+    triple, shift = float_safe_triple(triple)
     if triple.collinear_centers:
         return [{"on_boundary": None, "crosses_triangle": None, "slack": None,
                  "tag": "collinear centers: no triangle"} for _ in U]
@@ -1080,7 +1084,7 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
     edges = triple.centers[1:] - c0
     normal = np.cross(edges[0], edges[1])
     normal /= np.linalg.norm(normal)
-    feet, errors = _tangent_feet(triple, U)
+    feet, errors = tangent_lines_for_direction(triple, U)
     found = ~np.isnan(feet[:, :, 0])
     count = found.sum(axis=1)
     denom = np.einsum("md,d->m", U, normal)
@@ -1107,5 +1111,6 @@ def classify_boundary_direction(triple: Triple, U) -> list[dict]:
         elif count[i]:
             crosses, tag = bool(np.any(inside[i])), None
         results.append({"on_boundary": bool(abs(slack) <= 2.0 * scene.band),
-                        "crosses_triangle": crosses, "slack": slack, "tag": tag})
+                        "crosses_triangle": crosses, "slack": math.ldexp(slack, -shift),
+                        "tag": tag})
     return results

@@ -14,9 +14,8 @@ samples: a configuration built from floats holds float64 arrays, and one
 built from exact rationals holds object arrays of ``fractions.Fraction`` or
 of the exact suite's ``_Ratio``, an unreduced pair that takes no gcd per
 operation (the configuration reduces its normalised weights, once).  A
-batch of m samples carries a leading sample axis, so ``a``, ``b`` and ``c``
-have shape (m,) and the weights, lifts and q values (m, 3); a single
-configuration has none.
+configuration is a batch of m samples with a leading sample axis, so ``a``,
+``b`` and ``c`` have shape (m,) and the weights, lifts and q values (m, 3).
 Forms read vertex k of a per-vertex array ``v`` as ``v.T[k]`` and reduce over
 ``axis=-1``, and a float batch gives each sample the bits it gets alone.  The
 exact identity suite (``linestab.polyid``) evaluates these same forms in
@@ -197,16 +196,15 @@ class LiftedConfig:
     Triangle vertices are (0,0), (a,0), (b,c) in the plane; the interior point
     has barycentric weights p (normalized to sum 1 on construction); lifting
     the vertices by x_k along a third axis produces ball centers whose radii
-    are the distances from the interior point to the vertices.  One sample
-    has scalar ``a``, ``b``, ``c`` and weights and lifts of shape (3,); a
-    batch of m has shape (m,) and (m, 3).  A form reads vertex k of a
-    per-vertex array ``v`` as ``v.T[k]``: a scalar for one sample, the (m,)
-    column for a batch.
+    are the distances from the interior point to the vertices.  A batch of
+    m samples has ``a``, ``b`` and ``c`` of shape (m,) and weights and lifts
+    of shape (m, 3).  A form reads vertex k of a per-vertex array ``v`` as
+    ``v.T[k]``, its (m,) column.
     """
 
-    a: float
-    b: float
-    c: float
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     weights: np.ndarray
     lifts: np.ndarray
 
@@ -214,14 +212,13 @@ class LiftedConfig:
         w, x = np.asarray(self.weights), np.asarray(self.lifts)
         dtype = _scalar_dtype(self.a, self.b, self.c, w, x)
         w, x = w.astype(dtype), x.astype(dtype)
-        if w.shape[-1:] != (3,) or w.ndim > 2 or x.shape != w.shape:
+        if w.ndim != 2 or w.shape[1] != 3 or x.shape != w.shape:
             raise SceneError("weights and lifts must have length 3 per sample")
-        if w.ndim == 2:  # a batch; one sample keeps its scalars as given
-            for name in "abc":
-                v = np.asarray(getattr(self, name), dtype=dtype)
-                if v.shape != w.shape[:-1]:
-                    raise SceneError("a, b and c need one value per sample")
-                object.__setattr__(self, name, v)
+        for name in "abc":
+            v = np.asarray(getattr(self, name), dtype=dtype)
+            if v.shape != w.shape[:-1]:
+                raise SceneError("a, b and c need one value per sample")
+            object.__setattr__(self, name, v)
         if not np.logical_and(self.a > 0, self.c > 0).all():
             raise SceneError("triangle must be nondegenerate: a > 0 and c > 0")
         if not (w > 0).all():
@@ -283,20 +280,15 @@ class LiftedConfig:
 
         The input frame is canonicalized: vertex 0 moves to the origin,
         vertex 1 onto the positive first axis, and the triangle is reflected
-        if needed so the third vertex has positive second coordinate.  One
-        sample (vertices (3, 2), point (2,), lifts (3,)) gives its
-        configuration or raises SceneError with the reason it is unusable.
-        With a leading sample axis of m, returns the batch of the usable
-        samples, in order, and each sample's reason (None when usable): a
-        degenerate edge, then collinear vertices, then a point that is not
-        interior, the first test a sample fails.
+        if needed so the third vertex has positive second coordinate.  The
+        vertices (m, 3, 2), points (m, 2) and lifts (m, 3) of m samples give
+        the batch of the usable samples, in order, and each sample's reason
+        (None when usable): a degenerate edge, then collinear vertices, then
+        a point that is not interior, the first test a sample fails.
         """
         P = np.asarray(vertices2, dtype=float)
         pt = np.asarray(point2, dtype=float)
         x = np.asarray(lifts, dtype=float)
-        single = P.ndim == 2
-        if single:
-            P, pt, x = P[None], pt[None], x[None]
         if P.shape[1:] != (3, 2) or pt.shape != (len(P), 2):
             raise SceneError("need three 2-d vertices and one 2-d point")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,13 +310,9 @@ class LiftedConfig:
             w = np.stack([1.0 - w1 - w2, w1, w2], axis=1)
         # a NaN fails its test, so it is skipped, never built
         code = np.select([~(a > 0), ~(c > 0), ~np.all(w > 0, axis=1)], [1, 2, 3], 0)
-        reasons = [_PLANE_SKIPS[k] for k in code]
-        if single:
-            if reasons[0] is not None:
-                raise SceneError(reasons[0])
-            return cls(a=float(a[0]), b=float(b[0]), c=float(c[0]), weights=w[0], lifts=x[0])
         ok = code == 0
-        return cls(a=a[ok], b=b[ok], c=c[ok], weights=w[ok], lifts=x[ok]), reasons
+        return (cls(a=a[ok], b=b[ok], c=c[ok], weights=w[ok], lifts=x[ok]),
+                [_PLANE_SKIPS[k] for k in code])
 
 
 def gram_from_barycentrics(cfg: LiftedConfig) -> np.ndarray:
@@ -391,11 +379,11 @@ class HessianSplit:
         return self.H2 + self.H4
 
     @property
-    def normalized_margin(self) -> float:
+    def normalized_margin(self) -> np.ndarray:
         """(H2 + H4) / (|H2| + |H4|) per sample, 0 where both parts vanish."""
         scale = abs(self.H2) + abs(self.H4)
         zero = scale == 0
-        return np.where(zero, 0.0, (self.H4 + self.H2) / np.where(zero, 1.0, scale))[()]
+        return np.where(zero, 0.0, (self.H4 + self.H2) / np.where(zero, 1.0, scale))
 
 
 def lifted_hessian_decomposition(cfg: LiftedConfig) -> HessianSplit:
@@ -496,8 +484,8 @@ def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
 
     Equivalent to the z-threshold inequalities but evaluated directly from
     ball coordinates, which stays well conditioned at edge configurations.
-    Component k is the gap of the pair (i, j) opposite to k: shape (3,) for
-    one sample, (m, 3) for a batch.
+    Component k is the gap of the pair (i, j) opposite to k, per sample:
+    shape (m, 3).
     """
     tri = cfg.triangle
     x = cfg.lifts.T

@@ -68,12 +68,10 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
     entries of the Cayley-Menger form by L^2, sigma by L^6 and det H by
     L^18.  Each sample keeps its own L; the jets of all samples come from
     one 3 x 3 determinant over (m,) integer arrays, -det of the form
-    (``sigma_pole_jet``).  A single configuration gives one Fraction, a
-    batch an object array of them.
+    (``sigma_pole_jet``).  Returns an (m,) object array of Fractions.
     """
-    shape = np.shape(cfg.a)
-    centers = [[_reduced(v) for v in c.ravel()] for c in cfg.centers.reshape(-1, 9)]
-    s = [[_reduced(v) for v in r] for r in cfg.squared_radii.reshape(-1, 3)]
+    centers = [[_reduced(v) for v in c] for c in cfg.centers.reshape(-1, 9)]
+    s = [[_reduced(v) for v in r] for r in cfg.squared_radii]
     Ls = [math.lcm(*(v.denominator for v in (*c, *r))) for c, r in zip(centers, s)]
     int_c = np.array([[v.numerator * (L // v.denominator) for v in c]
                       for c, L in zip(centers, Ls)], dtype=object).reshape(-1, 3, 3)
@@ -81,8 +79,7 @@ def exact_hessian_at_pole(cfg: LiftedConfig):
                       for r, L in zip(s, Ls)], dtype=object)
     c00, c10, c01, c20, c11, c02 = sigma_pole_jet(int_c.transpose(1, 2, 0), int_s.T).c
     H = ((2 * c20, c11, 5 * c10), (c11, 2 * c02, 5 * c01), (5 * c10, 5 * c01, 30 * c00))
-    out = np.array([Fraction(d, L ** 18) for d, L in zip(poly_det(H), Ls)], dtype=object)
-    return out.reshape(shape)[()]
+    return np.array([Fraction(d, L ** 18) for d, L in zip(poly_det(H), Ls)], dtype=object)
 
 
 # ---------------------------------------------------------------------------

@@ -431,20 +431,24 @@ def sigma_roots_on_rays(triple: Triple, squared_radii: np.ndarray, anchor: np.nd
     return np.mod(theta, math.pi)
 
 
-def _direction(u) -> np.ndarray:
-    """u as a float array; SceneError at a non-finite or zero vector, where
-    the sextic defines no direction."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise SceneError(f"sigma is undefined at the non-finite vector {u.tolist()}")
-    if not np.any(u):
+def _direction_rows(U) -> np.ndarray:
+    """The direction rows of U (m, 3) as floats; SceneError at the first
+    non-finite or zero row, where the sextic defines no direction."""
+    U = np.reshape(np.asarray(U, dtype=float), (-1, 3))
+    finite = np.all(np.isfinite(U), axis=1)
+    bad = ~finite | ~np.any(U, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise SceneError(f"sigma is undefined at the non-finite vector {U[i].tolist()}")
         raise SceneError("sigma is undefined at the zero vector")
-    return u
+    return U
 
 
-def eval_sigma(triple: Triple, u) -> float:
-    """Value of the direction sextic at u (any nonzero scale of u)."""
-    return float(_sigma_at_rows(triple, _direction(u)[None, :], triple.squared_radii)[0])
+def eval_sigma(triple: Triple, U) -> np.ndarray:
+    """Values (m,) of the direction sextic at the rows of U (m, 3), each row
+    as given: any nonzero length, since sigma is homogeneous of degree 6."""
+    return _sigma_at_rows(triple, _direction_rows(U), triple.squared_radii)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +456,15 @@ def eval_sigma(triple: Triple, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
+def tangent_lines_for_direction(triple: Triple, U) -> tuple[np.ndarray, list]:
     """Foot points (m, 2, 3), NaN-padded, of the affine common tangent lines
-    with the directions of the rows of U (m, 3), and per row None or the
-    message of tangent_lines_for_direction's SceneError.
+    with the directions of the rows of U (m, 3), and per row None or why it
+    has none: each line is {foot + t u}, its foot orthogonal to u.
 
-    The rows are taken to unit length (geom._unit_rows: SolverError on a
-    zero or non-finite row) and must be on the sextic: |sigma| at most
-    SIGMA_TOL times the largest coefficient.  The work runs at
+    A zero or non-finite row raises SceneError, as in eval_sigma.  The rows
+    are taken to unit length (geom._unit_rows) and must be on the sextic:
+    |sigma| at most SIGMA_TOL times the largest coefficient; a row off it
+    gets its normalized sigma value as its error.  The work runs at
     float_safe_triple's scale and the feet are scaled back exactly, so every
     2^k copy of a triple gets the same answers.  With the first center at
     the origin and the scene at unit diameter, where the rank cut and the
@@ -470,7 +475,7 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
     batched SVD), so a unit row's feet do not depend on the rows beside it.
     """
     triple, shift = float_safe_triple(triple)
-    N = _unit_rows(np.reshape(U, (-1, 3)))
+    N = _unit_rows(_direction_rows(U))
     val = _sigma_at_rows(triple, N, triple.squared_radii) / triple.sigma_scale
     on = np.abs(val) <= SIGMA_TOL  # a NaN is off the curve too
     errors = [None if ok else f"direction is not on the sextic: normalized sigma value {v:.3e}"
@@ -508,17 +513,6 @@ def _tangent_feet(triple: Triple, U) -> tuple[np.ndarray, list]:
     feet = np.full((len(N), 2, 3), np.nan)
     feet[on] = base - np.einsum("kfd,kd->kf", base, n)[:, :, None] * n[:, None, :]
     return np.ldexp(feet, -shift), errors
-
-
-def tangent_lines_for_direction(triple: Triple, u) -> np.ndarray:
-    """Foot points (k, 3), k <= 2, of the affine common tangent lines with
-    direction u, a nonzero row (3,) of any length: each line is {foot + t u},
-    its foot orthogonal to u.  The one-row case of _tangent_feet: a zero or
-    non-finite u, or a direction off the sextic, raises SceneError."""
-    feet, errors = _tangent_feet(triple, np.reshape(_direction(u), (1, 3)))
-    if errors[0] is not None:
-        raise SceneError(errors[0])
-    return feet[0][~np.isnan(feet[0, :, 0])]
 
 
 # ---------------------------------------------------------------------------

@@ -335,9 +335,9 @@ def eval_hessian_sigma(triple, u) -> float:
 
 
 def lifted_triple(cfg) -> Triple:
-    """The ball triple a LiftedConfig parametrizes: vertex k raised to its
-    lift, with radius |v_k|."""
-    c, r = cfg.centers, cfg.radii
+    """The ball triple a LiftedConfig of one sample parametrizes: vertex k
+    raised to its lift, with radius |v_k|."""
+    [c], [r] = cfg.centers, cfg.radii
     return Triple(Scene(3, tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True))
 
 
@@ -352,7 +352,8 @@ def frame_of_complement(u) -> np.ndarray:
 
 def plane_config(vertices2, point2, lifts) -> LiftedConfig:
     """Oracle for LiftedConfig.from_plane_data on one sample: the frame
-    canonicalised with one-sample numpy calls and Python floats."""
+    canonicalised with one-sample numpy calls and Python floats, and the
+    configuration built as a batch of one."""
     P = np.asarray(vertices2, dtype=float)
     pt = np.asarray(point2, dtype=float)
     d1 = P[1] - P[0]
@@ -376,8 +377,8 @@ def plane_config(vertices2, point2, lifts) -> LiftedConfig:
     w0 = 1.0 - w1 - w2
     if min(w0, w1, w2) <= 0:
         raise SceneError("point is not interior to the triangle")
-    return LiftedConfig(a=a, b=b, c=c, weights=np.array([w0, w1, w2]),
-                        lifts=np.asarray(lifts, dtype=float))
+    return LiftedConfig(a=[a], b=[b], c=[c], weights=np.array([[w0, w1, w2]]),
+                        lifts=np.asarray([lifts], dtype=float))
 
 
 def lifted_configs_one_by_one(triple, U) -> list:
@@ -398,8 +399,8 @@ def lifted_configs_one_by_one(triple, U) -> list:
 
 
 def pair_gaps_one(cfg) -> np.ndarray:
-    """Oracle for flexprobe.rebuilt_pair_gaps on one sample."""
-    tri, x, r = cfg.triangle, cfg.lifts, cfg.radii
+    """Oracle for flexprobe.rebuilt_pair_gaps on a batch of one sample."""
+    [tri], [x], [r] = cfg.triangle, cfg.lifts, cfg.radii
     out = []
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
@@ -423,10 +424,11 @@ def flex_report_one_by_one(triple, boundary_samples) -> dict:
                          "normalized_margin": None, "skipped": str(cfg), "disjointness_ok": None})
             continue
         split = lifted_hessian_decomposition(cfg)
-        scale = abs(split.H2) + abs(split.H4)
-        nm = 0.0 if scale == 0.0 else float((split.H4 + split.H2) / scale)
+        [H2], [H4] = split.H2, split.H4
+        scale = abs(H2) + abs(H4)
+        nm = 0.0 if scale == 0.0 else float((H4 + H2) / scale)
         ok = bool(np.all(pair_gaps_one(cfg) >= gap_floor))
-        margin = math.ldexp(float(split.margin), -6 * shift)
+        margin = math.ldexp(float(split.margin[0]), -6 * shift)
         rows.append({"direction": [float(x) for x in u], "margin": margin,
                      "normalized_margin": nm, "skipped": None, "disjointness_ok": ok})
         margins.append(margin)
@@ -506,8 +508,9 @@ def conic_matrix(conic) -> np.ndarray:
 
 
 def z_gaps(cfg) -> np.ndarray:
-    """Squared lift gaps z_k = (x_i - x_j)^2 of a LiftedConfig, cyclically."""
-    x = cfg.lifts
+    """Squared lift gaps z_k = (x_i - x_j)^2 of a LiftedConfig of one
+    sample, cyclically."""
+    [x] = cfg.lifts
     return np.array([(x[1] - x[2]) ** 2, (x[2] - x[0]) ** 2, (x[0] - x[1]) ** 2])
 
 

@@ -63,16 +63,17 @@ def test_criterion_2_cross_oracle_hessian():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
+        # one sample, a batch of one, drawn in the same order as ever
         cfg = LiftedConfig(
-            a=rng.uniform(0.4, 2.5),
-            b=rng.uniform(-1.5, 1.5),
-            c=rng.uniform(0.3, 2.5),
-            weights=rng.uniform(0.15, 1.0, size=3),
-            lifts=rng.uniform(-2.5, 2.5, size=3),
+            a=rng.uniform(0.4, 2.5, size=1),
+            b=rng.uniform(-1.5, 1.5, size=1),
+            c=rng.uniform(0.3, 2.5, size=1),
+            weights=rng.uniform(0.15, 1.0, size=(1, 3)),
+            lifts=rng.uniform(-2.5, 2.5, size=(1, 3)),
         )
-        split = lifted_hessian_decomposition(cfg)
+        [H_total] = lifted_hessian_decomposition(cfg).H_total
         H = eval_hessian_sigma(lifted_triple(cfg), np.array([0.0, 0.0, 1.0]))
-        rel = abs(H - split.H_total) / max(abs(H), abs(split.H_total), 1e-300)
+        rel = abs(H - H_total) / max(abs(H), abs(H_total), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-8, (cfg, rel)
     _ok(f"2 cross-oracle-hessian (100 configs, worst rel {worst:.2e})")
@@ -237,7 +238,9 @@ def test_criterion_8_tangent_recovery():
                         break
                     u = chart_point_to_direction(chart, x, y)
                     u = u / np.linalg.norm(u)
-                    for foot in tangent_lines_for_direction(tri, u):
+                    feet, errors = tangent_lines_for_direction(tri, [u])
+                    assert errors == [None], errors
+                    for foot in feet[0][~np.isnan(feet[0, :, 0])]:
                         for b in tri.scene.balls:
                             err = abs(line_distance(foot, u, b.center) - b.radius)
                             assert err <= 1e-8, err

@@ -34,34 +34,36 @@ from conftest import (
 
 
 def w_from_lifts(cfg):
-    """Map lift gaps into hyperboloid coordinates: p_i p_j z_k = q_k^2 w_k."""
-    p = cfg.weights
+    """Map the lift gaps of a configuration of one sample into hyperboloid
+    coordinates: p_i p_j z_k = q_k^2 w_k."""
+    [p] = cfg.weights
     z = z_gaps(cfg)
-    q2 = cfg.q_edges ** 2
+    q2 = cfg.q_edges[0] ** 2
     return np.array(
         [p[(k + 1) % 3] * p[(k + 2) % 3] * z[k] / q2[k] for k in range(3)]
     )
 
 
 def random_config(seed):
+    """One random float configuration, a batch of one."""
     r = np.random.default_rng(seed)
     return LiftedConfig(
-        a=r.uniform(0.5, 2.0),
-        b=r.uniform(-1.0, 1.0),
-        c=r.uniform(0.3, 2.0),
-        weights=r.uniform(0.2, 1.0, size=3),
-        lifts=r.uniform(-2.0, 2.0, size=3),
+        a=r.uniform(0.5, 2.0, size=1),
+        b=r.uniform(-1.0, 1.0, size=1),
+        c=r.uniform(0.3, 2.0, size=1),
+        weights=r.uniform(0.2, 1.0, size=(1, 3)),
+        lifts=r.uniform(-2.0, 2.0, size=(1, 3)),
     )
 
 
 def random_batch(seed, m):
-    """m random float configurations as one batch and one by one."""
+    """m random float configurations as one batch and as m batches of one."""
     r = np.random.default_rng(seed)
     a, b, c = r.uniform(0.5, 2.0, m), r.uniform(-1.0, 1.0, m), r.uniform(0.3, 2.0, m)
     w, x = r.uniform(0.2, 1.0, (m, 3)), r.uniform(-2.0, 2.0, (m, 3))
     batch = LiftedConfig(a=a, b=b, c=c, weights=w, lifts=x)
-    singles = [LiftedConfig(a=float(a[k]), b=float(b[k]), c=float(c[k]), weights=w[k], lifts=x[k])
-               for k in range(m)]
+    singles = [LiftedConfig(a=a[k:k + 1], b=b[k:k + 1], c=c[k:k + 1], weights=w[k:k + 1],
+                            lifts=x[k:k + 1]) for k in range(m)]
     return batch, singles
 
 
@@ -73,15 +75,20 @@ def test_float_batch_matches_singles_bitwise(m):
     split = lifted_hessian_decomposition(batch)
     parts = [lifted_hessian_decomposition(s) for s in singles]
     for name in ("H2", "H4", "prefactor"):
-        assert np.array_equal(getattr(split, name), [getattr(p, name) for p in parts]), name
+        assert np.array_equal(getattr(split, name),
+                              np.concatenate([getattr(p, name) for p in parts])), name
     inv = q_invariant(batch)
     for name in ("Q", "Delta", "degenerate"):
-        assert np.array_equal(getattr(inv, name), [getattr(q_invariant(s), name) for s in singles])
+        assert np.array_equal(getattr(inv, name),
+                              np.concatenate([getattr(q_invariant(s), name) for s in singles]))
     assert np.array_equal(gram_from_barycentrics(batch),
-                          [gram_from_barycentrics(s) for s in singles])
+                          np.concatenate([gram_from_barycentrics(s) for s in singles]))
 
 
 def test_batch_shapes_checked():
+    # a configuration is a batch: one sample without its sample axis is refused
+    with pytest.raises(SceneError, match="per sample"):
+        LiftedConfig(a=1.0, b=0.0, c=1.0, weights=np.ones(3), lifts=np.zeros(3))
     with pytest.raises(SceneError, match="per sample"):
         LiftedConfig(a=np.ones(2), b=np.zeros(2), c=np.ones(2), weights=np.ones((2, 2)),
                      lifts=np.zeros((2, 2)))
@@ -95,38 +102,39 @@ def test_batch_shapes_checked():
 
 class TestLiftedConfig:
     def test_weights_normalized(self):
-        cfg = LiftedConfig(a=1, b=0, c=1, weights=[2, 3, 5], lifts=[0, 0, 0])
-        assert np.isclose(cfg.weights.sum(), 1.0)
-        np.testing.assert_allclose(cfg.weights, [0.2, 0.3, 0.5])
+        cfg = LiftedConfig(a=[1], b=[0], c=[1], weights=[[2, 3, 5]], lifts=[[0, 0, 0]])
+        assert np.isclose(cfg.weights[0].sum(), 1.0)
+        np.testing.assert_allclose(cfg.weights, [[0.2, 0.3, 0.5]])
 
     def test_invalid_inputs(self):
         with pytest.raises(SceneError):
-            LiftedConfig(a=-1, b=0, c=1, weights=[1, 1, 1], lifts=[0, 0, 0])
+            LiftedConfig(a=[-1], b=[0], c=[1], weights=[[1, 1, 1]], lifts=[[0, 0, 0]])
         with pytest.raises(SceneError):
-            LiftedConfig(a=1, b=0, c=0, weights=[1, 1, 1], lifts=[0, 0, 0])
+            LiftedConfig(a=[1], b=[0], c=[0], weights=[[1, 1, 1]], lifts=[[0, 0, 0]])
         with pytest.raises(SceneError):
-            LiftedConfig(a=1, b=0, c=1, weights=[1, -1, 1], lifts=[0, 0, 0])
+            LiftedConfig(a=[1], b=[0], c=[1], weights=[[1, -1, 1]], lifts=[[0, 0, 0]])
 
     def test_q_edges_form_a_triangle(self):
         # the weighted vectors close a polygon, so their lengths always obey
         # the strict triangle inequality for interior points
         for seed in range(10):
-            q = np.sort(random_config(seed).q_edges)
+            q = np.sort(random_config(seed).q_edges[0])
             assert q[0] + q[1] > q[2]
 
     def test_from_plane_data_canonical_frame(self):
         verts = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 0.0]])
         pt = verts.mean(axis=0)
-        cfg = LiftedConfig.from_plane_data(verts, pt, [0.1, 0.2, 0.3])
-        assert cfg.a > 0 and cfg.c > 0
+        cfg, reasons = LiftedConfig.from_plane_data(verts[None], pt[None], [[0.1, 0.2, 0.3]])
+        assert reasons == [None] and cfg.a[0] > 0 and cfg.c[0] > 0
         # reconstructed interior point has the same vertex distances
         d_orig = np.linalg.norm(verts - pt, axis=1)
-        np.testing.assert_allclose(np.sort(cfg.radii), np.sort(d_orig), atol=1e-12)
+        np.testing.assert_allclose(np.sort(cfg.radii[0]), np.sort(d_orig), atol=1e-12)
 
     def test_from_plane_data_rejects_exterior_point(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(SceneError, match="interior"):
-            LiftedConfig.from_plane_data(verts, np.array([2.0, 2.0]), [0, 0, 0])
+        cfg, [reason] = LiftedConfig.from_plane_data(verts[None], np.array([[2.0, 2.0]]),
+                                                     [[0, 0, 0]])
+        assert "interior" in reason and len(cfg.a) == 0
 
 
 class TestGram:
@@ -134,9 +142,9 @@ class TestGram:
         # unit-side equilateral triangle, centroid: all off-diagonals equal
         # r^2 cos(120 deg) = -1/6
         cfg = LiftedConfig(
-            a=1.0, b=0.5, c=math.sqrt(3) / 2, weights=[1, 1, 1], lifts=[0, 0, 0]
+            a=[1.0], b=[0.5], c=[math.sqrt(3) / 2], weights=[[1, 1, 1]], lifts=[[0, 0, 0]]
         )
-        G = gram_from_barycentrics(cfg)
+        [G] = gram_from_barycentrics(cfg)
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
             assert np.isclose(G[i, j], -1.0 / 6.0, atol=1e-12)
@@ -144,18 +152,18 @@ class TestGram:
     def test_matches_coordinate_oracle(self):
         for seed in range(8):
             cfg = random_config(seed)
-            v = cfg.v_vectors
-            np.testing.assert_allclose(gram_from_barycentrics(cfg), v @ v.T, atol=1e-12)
+            [v] = cfg.v_vectors
+            np.testing.assert_allclose(gram_from_barycentrics(cfg)[0], v @ v.T, atol=1e-12)
 
     def test_annihilates_weights(self):
         for seed in range(8):
             cfg = random_config(seed)
-            G = gram_from_barycentrics(cfg)
-            np.testing.assert_allclose(G @ cfg.weights, 0.0, atol=1e-10)
+            [G] = gram_from_barycentrics(cfg)
+            np.testing.assert_allclose(G @ cfg.weights[0], 0.0, atol=1e-10)
 
     def test_rank_at_most_two(self):
         cfg = random_config(3)
-        ev = np.linalg.eigvalsh(gram_from_barycentrics(cfg))
+        ev = np.linalg.eigvalsh(gram_from_barycentrics(cfg)[0])
         assert ev[0] >= -1e-10  # positive semidefinite
         assert np.sum(ev > 1e-10 * ev[-1]) <= 2
 
@@ -169,8 +177,9 @@ class TestQInvariant:
         for seed in range(8):
             cfg = random_config(seed)
             qi = q_invariant(cfg)
-            assert not qi.degenerate
-            assert abs(qi.Delta - cfg.a ** 2 * cfg.c ** 2) <= 1e-10 * qi.Delta
+            [degenerate], [Delta] = qi.degenerate, qi.Delta
+            assert not degenerate
+            assert abs(Delta - cfg.a[0] ** 2 * cfg.c[0] ** 2) <= 1e-10 * Delta
 
     def test_degenerate_q_flagged(self):
         # bypassing the closed-polygon invariant: a q violating the triangle
@@ -181,22 +190,22 @@ class TestQInvariant:
 
 class TestHessianSplit:
     def test_equal_lifts_vanish(self):
-        cfg = LiftedConfig(a=1.3, b=0.2, c=0.8, weights=[1, 2, 3], lifts=[0.7, 0.7, 0.7])
+        cfg = LiftedConfig(a=[1.3], b=[0.2], c=[0.8], weights=[[1, 2, 3]], lifts=[[0.7, 0.7, 0.7]])
         split = lifted_hessian_decomposition(cfg)
-        assert split.H2 == 0.0 and split.H4 == 0.0 and split.H_total == 0.0
+        assert split.H2[0] == 0.0 and split.H4[0] == 0.0 and split.H_total[0] == 0.0
 
     def test_sign_split(self):
         for seed in range(12):
             split = lifted_hessian_decomposition(random_config(seed))
-            assert split.H2 <= 0.0
-            assert split.H4 >= 0.0
+            assert split.H2[0] <= 0.0
+            assert split.H4[0] >= 0.0
 
     def test_master_identity_against_sextic(self):
         for seed in range(10):
             cfg = random_config(seed)
-            split = lifted_hessian_decomposition(cfg)
+            [H_total] = lifted_hessian_decomposition(cfg).H_total
             H = eval_hessian_sigma(lifted_triple(cfg), np.array([0.0, 0.0, 1.0]))
-            assert abs(H - split.H_total) <= 1e-8 * max(abs(H), abs(split.H_total))
+            assert abs(H - H_total) <= 1e-8 * max(abs(H), abs(H_total))
 
 
 class TestStarH:
@@ -216,8 +225,8 @@ class TestStarH:
         for seed in range(10):
             cfg = random_config(seed)
             split = lifted_hessian_decomposition(cfg)
-            out = star_h_canonical(CanonicalCoords(cfg.q_edges), w_from_lifts(cfg))
-            assert np.sign(out) == np.sign(split.margin)
+            out = star_h_canonical(CanonicalCoords(cfg.q_edges[0]), w_from_lifts(cfg))
+            assert np.sign(out) == np.sign(split.margin[0])
 
     def test_translated_form_consistent(self):
         cc = CanonicalCoords(np.array([0.9, 1.3, 1.0]))
@@ -292,13 +301,13 @@ class TestDisjointnessChain:
                     break
             assert np.all(rebuilt_pair_gaps(cfg) > 0)
             # z_k > (q_k^2 - (q_i - q_j)^2) / (p_i p_j), (i, j) opposite to k
-            p, q = cfg.weights, cfg.q_edges
+            [p], [q] = cfg.weights, cfg.q_edges
             pi, pj = np.roll(p, -1), np.roll(p, -2)
             qi, qj = np.roll(q, -1), np.roll(q, -2)
             assert np.all(z_gaps(cfg) > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
             # and the w-form of the conditions
             w = w_from_lifts(cfg)
-            V = CanonicalCoords(cfg.q_edges).octant_vertex()
+            V = CanonicalCoords(q).octant_vertex()
             assert np.all(w > V)
 
 
@@ -436,8 +445,8 @@ class TestBatchMatchesOneRow:
                         "point is not interior to the triangle"}
 
     def test_plane_data_batch_and_one_sample(self):
-        # each skip reason in the order a sample meets them, and one sample
-        # raising the reason its row gets in a batch
+        # each skip reason in the order a sample meets them, and one sample,
+        # a batch of one, getting the reason its row gets in a batch
         P = np.array([
             [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],    # degenerate edge
             [[0.0, 0.0], [2.0, 0.0], [5.0, 0.0]],    # collinear
@@ -453,9 +462,10 @@ class TestBatchMatchesOneRow:
         for k in range(5):
             if reasons[k] is None:
                 continue
-            with pytest.raises(SceneError, match=reasons[k]):
-                LiftedConfig.from_plane_data(P[k], pts[k], x[k])
-        one = [LiftedConfig.from_plane_data(P[k], pts[k], x[k]) for k in (3, 4)]
+            single, [reason] = LiftedConfig.from_plane_data(P[k:k + 1], pts[k:k + 1], x[k:k + 1])
+            assert reason == reasons[k] and len(single.a) == 0
+        one = [LiftedConfig.from_plane_data(P[k:k + 1], pts[k:k + 1], x[k:k + 1])[0]
+               for k in (3, 4)]
         for name in ("a", "b", "c", "weights", "lifts"):
             assert _same(getattr(cfg, name), [getattr(s, name) for s in one]), name
 
@@ -484,12 +494,12 @@ def test_normalized_margin_elementwise(m):
     assert got.shape == (m,)
     expected = []
     for k in range(m):
-        split = lifted_hessian_decomposition(
-            LiftedConfig(a=float(a[k]), b=float(b[k]), c=float(c[k]), weights=w[k], lifts=x[k]))
-        scale = abs(split.H2) + abs(split.H4)
-        expected.append(0.0 if scale == 0.0 else (split.H4 + split.H2) / scale)
-        assert split.normalized_margin == expected[-1]
-        assert np.ndim(split.normalized_margin) == 0
+        split = lifted_hessian_decomposition(LiftedConfig(
+            a=a[k:k + 1], b=b[k:k + 1], c=c[k:k + 1], weights=w[k:k + 1], lifts=x[k:k + 1]))
+        [H2], [H4] = split.H2, split.H4
+        scale = abs(H2) + abs(H4)
+        expected.append(0.0 if scale == 0.0 else (H4 + H2) / scale)
+        assert split.normalized_margin.tolist() == [expected[-1]]
     assert _same(got, expected)
     assert got[m // 2] == 0.0 and not np.signbit(got[m // 2])
 

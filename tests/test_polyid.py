@@ -33,14 +33,15 @@ def spec_by_id(identifier):
 
 
 def exact_config(a, b, c, p, x) -> LiftedConfig:
-    return LiftedConfig(a=as_exact(a), b=as_exact(b), c=as_exact(c),
-                        weights=[as_exact(v) for v in p], lifts=[as_exact(v) for v in x])
+    """The exact configuration of one sample, a batch of one."""
+    return LiftedConfig(a=[as_exact(a)], b=[as_exact(b)], c=[as_exact(c)],
+                        weights=[[as_exact(v) for v in p]], lifts=[[as_exact(v) for v in x]])
 
 
 def _lifted_geometry(a, b, c, p, x):
     """Centres (0, 0, x0), (a, 0, x1), (b, c, x2), then the squared radii, exact."""
     cfg = exact_config(a, b, c, p, x)
-    return (*cfg.centers, *cfg.squared_radii)
+    return (*cfg.centers[0], *cfg.squared_radii[0])
 
 
 def exact_lifted_sigma(a, b, c, p, x) -> DirectionPoly:
@@ -431,11 +432,11 @@ class TestCrossModuleConsistency:
             u = (Fraction(1, 3), Fraction(-2, 5), Fraction(1))
             exact_val = poly_value(sig, *u)
             cfg = LiftedConfig(
-                a=float(a), b=float(b), c=float(c),
-                weights=np.array([float(v) for v in p]),
-                lifts=np.array([float(v) for v in x]),
+                a=[float(a)], b=[float(b)], c=[float(c)],
+                weights=np.array([[float(v) for v in p]]),
+                lifts=np.array([[float(v) for v in x]]),
             )
-            approx = eval_sigma(lifted_triple(cfg), np.array([float(v) for v in u]))
+            approx = eval_sigma(lifted_triple(cfg), np.array([[float(v) for v in u]]))[0]
             assert abs(approx - float(exact_val)) <= 1e-12 * max(abs(float(exact_val)), 1.0)
 
     @pytest.mark.parametrize("height", [10, 1000, 10**6])
@@ -452,15 +453,15 @@ class TestCrossModuleConsistency:
         args = [(asg["a"], asg["b"], asg["c"], asg["p"], asg["x"]) for asg in asgs]
         sigmas = [exact_lifted_sigma(*arg) for arg in args]
         cfgs = [exact_config(*arg) for arg in args]
-        jet = sigma_pole_jet(np.array([c.centers for c in cfgs]).transpose(1, 2, 0),
-                             np.array([c.squared_radii for c in cfgs]).T)
+        jet = sigma_pole_jet(np.array([c.centers[0] for c in cfgs]).transpose(1, 2, 0),
+                             np.array([c.squared_radii[0] for c in cfgs]).T)
         batched = exact_hessian_at_pole(spec.prepare(asgs))
         ij = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
         for t, (arg, sig) in enumerate(zip(args, sigmas)):
             assert tuple(v[t] for v in jet.c) == tuple(
                 sig.coeffs.get((i, j, 6 - i - j), 0) for i, j in ij)
             H = oracle_hessian_at_pole(sig)
-            assert exact_hessian_at_pole(exact_config(*arg)) == H
+            assert exact_hessian_at_pole(exact_config(*arg)).tolist() == [H]
             assert batched[t] == H
 
     def test_exact_hessian_matches_prefactored_split(self):
@@ -468,6 +469,6 @@ class TestCrossModuleConsistency:
         p = (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
         x = (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))
         cfg = exact_config(a, b, c, p, x)
-        H = exact_hessian_at_pole(cfg)
+        [H] = exact_hessian_at_pole(cfg)
         split = lifted_hessian_decomposition(cfg)
-        assert H == Fraction(102400) * a ** 6 * c ** 6 * (split.H2 + split.H4)
+        assert H == Fraction(102400) * a ** 6 * c ** 6 * (split.H2[0] + split.H4[0])

@@ -70,7 +70,7 @@ class TestSigma:
         # lines with direction x at distance 1 from the axis touch all three
         # unit spheres, so the axis direction lies on the sextic
         tri = collinear_triple()
-        val = eval_sigma(tri, np.array([1.0, 0.0, 0.0]))
+        val = eval_sigma(tri, np.array([[1.0, 0.0, 0.0]]))[0]
         assert abs(val) <= 1e-9 * tri.sigma_scale
         line_point = np.array([0.0, 1.0, 0.0])
         for b in tri.scene.balls:
@@ -83,17 +83,17 @@ class TestSigma:
         for _ in range(5):
             u = rng.normal(size=3)
             lam = rng.uniform(0.5, 2.0)
-            a = eval_sigma(tri, lam * u)
-            b = lam ** 6 * eval_sigma(tri, u)
+            a = eval_sigma(tri, [lam * u])[0]
+            b = lam ** 6 * eval_sigma(tri, [u])[0]
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
     def test_relabeling_invariance(self, rng):
         tri = random_triple(3)
         u = rng.normal(size=3)
-        ref = eval_sigma(tri, u)
+        ref = eval_sigma(tri, [u])[0]
         for perm in itertools.permutations(range(3)):
             tri_p = Triple(Scene(3, tuple(tri.scene.balls[i] for i in perm)))
-            val = eval_sigma(tri_p, u)
+            val = eval_sigma(tri_p, [u])[0]
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_translation_invariance(self, rng):
@@ -101,7 +101,7 @@ class TestSigma:
         shift = rng.normal(size=3) * 10
         moved = Triple(Scene(3, tuple(Ball(b.center + shift, b.radius) for b in tri.scene.balls)))
         u = rng.normal(size=3)
-        assert np.isclose(eval_sigma(tri, u), eval_sigma(moved, u), rtol=1e-12)
+        assert np.isclose(eval_sigma(tri, [u])[0], eval_sigma(moved, [u])[0], rtol=1e-12)
 
     def test_rotation_equivariance(self, rng):
         tri = random_triple(5)
@@ -109,15 +109,15 @@ class TestSigma:
         rotated = Triple(Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in tri.scene.balls)))
         for _ in range(4):
             u = rng.normal(size=3)
-            a = eval_sigma(tri, u)
-            b = eval_sigma(rotated, Q @ u)
+            a = eval_sigma(tri, [u])[0]
+            b = eval_sigma(rotated, [Q @ u])[0]
             assert abrel(a, b) <= 1e-9
 
     def test_determinant_vs_expansion(self, rng):
         tri = random_triple(6)
         for _ in range(8):
             u = rng.normal(size=3)
-            a = eval_sigma(tri, u)
+            a = eval_sigma(tri, [u])[0]
             b = poly_value(tri.sigma, *u)
             assert abrel(a, b) <= 1e-10
 
@@ -215,9 +215,32 @@ class TestSigma:
         want = np.ldexp(sextic_mod._sigma_at_rows(tri, U, tri.squared_radii), 6 * k)
         assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.one_of(st.sampled_from(PRESET_NAMES), st.integers(0, 10_000)),
+           exponents=st.lists(st.integers(-400, 400), min_size=1, max_size=6),
+           k=st.integers(-60, 60), seed=st.integers(0, 2**32 - 1))
+    def test_eval_sigma_takes_rows_as_given(self, source, exponents, k, seed):
+        # a unit row, a row of normal length and rows scaled by 2^e, huge and
+        # tiny among them: N rows give N one-row calls bit for bit, overflow
+        # and underflow included, and rows scaled by 2^k give values scaled
+        # by exactly 2^(6k) wherever both lengths stay within 2^+-100, where
+        # no product of the form's entries leaves the normal float range
+        tri = Triple(preset_scene(source)) if isinstance(source, str) else random_triple(source)
+        U = np.random.default_rng(seed).normal(size=(len(exponents) + 2, 3))
+        U[0] /= np.linalg.norm(U[0])
+        e = np.array([0, 0, *exponents])
+        U = np.ldexp(U, e[:, None])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            values = eval_sigma(tri, U)
+            one_by_one = [eval_sigma(tri, U[i:i + 1])[0] for i in range(len(U))]
+        assert np.array_equal(values, one_by_one, equal_nan=True)
+        ok = (np.abs(e) <= 100) & (np.abs(e + k) <= 100)
+        scaled = eval_sigma(tri, np.ldexp(U[ok], k))
+        assert np.array_equal(scaled, np.ldexp(values[ok], 6 * k))
+
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError):
-            eval_sigma(collinear_triple(), np.zeros(3))
+            eval_sigma(collinear_triple(), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("u", [[math.nan, 0, 0], [math.inf, 0, 0], [1, -math.inf, 0]])
     def test_non_finite_direction_rejected(self, u):
@@ -225,7 +248,17 @@ class TestSigma:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SceneError, match="non-finite"):
-                eval_sigma(collinear_triple(), np.array(u))
+                eval_sigma(collinear_triple(), np.array([u]))
+
+    @pytest.mark.parametrize("fn", [eval_sigma, tangent_lines_for_direction])
+    @pytest.mark.parametrize("bad, match", [([0.0, 0.0, 0.0], "zero vector"),
+                                            ([1.0, math.nan, 0.0], r"non-finite vector \[1.0, nan")],
+                             ids=["zero", "non-finite"])
+    def test_one_bad_row_rejects_the_batch(self, fn, bad, match):
+        # the same SceneError from the sextic's value and its tangent lines,
+        # for a bad row among good ones
+        with pytest.raises(SceneError, match=match):
+            fn(collinear_triple(), np.array([[1.0, 0.0, 0.0], bad, [0.0, 1.0, 0.0]]))
 
 
 def _pole_jets(centers, squared_radii):
@@ -336,9 +369,9 @@ class TestTriple:
         monkeypatch.setattr(sextic_mod, "sigma_from_geometry",
                             lambda *a: expansions.append(1) or expand(*a))
         tri = Triple(preset_scene("two-permutations"))
-        feet = [tangent_lines_for_direction(tri, u) for _ in range(3)]
-        assert len(expansions) == 1 and len(feet[0])
-        assert all(np.array_equal(f, feet[0]) for f in feet)
+        feet = [tangent_lines_for_direction(tri, [u])[0][0] for _ in range(3)]
+        assert len(expansions) == 1 and not np.isnan(feet[0][0, 0])
+        assert all(np.array_equal(f, feet[0], equal_nan=True) for f in feet)
         assert sextic_mod.float_safe_triple(tri)[0] is sextic_mod.float_safe_triple(tri)[0]
 
     @pytest.mark.parametrize(
@@ -373,10 +406,10 @@ def finite_difference_hessian_det(tri, u, h=1e-4):
                 e_i = np.zeros(3); e_i[i] = step
                 e_j = np.zeros(3); e_j[j] = step
                 H[i, j] = (
-                    eval_sigma(tri, u + e_i + e_j)
-                    - eval_sigma(tri, u + e_i - e_j)
-                    - eval_sigma(tri, u - e_i + e_j)
-                    + eval_sigma(tri, u - e_i - e_j)
+                    eval_sigma(tri, [u + e_i + e_j])[0]
+                    - eval_sigma(tri, [u + e_i - e_j])[0]
+                    - eval_sigma(tri, [u - e_i + e_j])[0]
+                    + eval_sigma(tri, [u - e_i - e_j])[0]
                 ) / (4 * step * step)
         return H
 
@@ -414,32 +447,32 @@ class TestHessian:
         for seed in range(5):
             r2 = np.random.default_rng(seed)
             cfg = LiftedConfig(
-                a=r2.uniform(0.5, 2.0),
-                b=r2.uniform(-1.0, 1.0),
-                c=r2.uniform(0.3, 2.0),
-                weights=r2.uniform(0.2, 1.0, size=3),
-                lifts=r2.uniform(-2.0, 2.0, size=3),
+                a=r2.uniform(0.5, 2.0, size=1),
+                b=r2.uniform(-1.0, 1.0, size=1),
+                c=r2.uniform(0.3, 2.0, size=1),
+                weights=r2.uniform(0.2, 1.0, size=(1, 3)),
+                lifts=r2.uniform(-2.0, 2.0, size=(1, 3)),
             )
-            split = lifted_hessian_decomposition(cfg)
+            [H_total] = lifted_hessian_decomposition(cfg).H_total
             H = eval_hessian_sigma(lifted_triple(cfg), np.array([0.0, 0.0, 1.0]))
-            assert abrel(H, split.H_total) <= 1e-8
+            assert abrel(H, H_total) <= 1e-8
 
 
 class TestTangentRecovery:
     def test_collinear_axis_gives_circle_family(self):
         # the tangents along the axis form a circle family, which no finite
         # set of foot points represents
-        feet = tangent_lines_for_direction(collinear_triple(), [1.0, 0.0, 0.0])
-        assert feet.shape == (0, 3)
+        feet, errors = tangent_lines_for_direction(collinear_triple(), [[1.0, 0.0, 0.0]])
+        assert errors == [None] and np.isnan(feet).all()
 
     def test_off_curve_direction_rejected(self):
         tri = random_triple(11)
         # a random direction is almost surely off the sextic
         u = np.array([0.12, 0.93, -0.41])
         u /= np.linalg.norm(u)
-        if not abs(eval_sigma(tri, u)) <= 1e-8 * tri.sigma_scale:
-            with pytest.raises(SceneError, match="not on the sextic"):
-                tangent_lines_for_direction(tri, u)
+        if not abs(eval_sigma(tri, [u])[0]) <= 1e-8 * tri.sigma_scale:
+            [error] = tangent_lines_for_direction(tri, [u])[1]
+            assert "not on the sextic" in error
 
     def test_recovered_lines_are_tritangent(self):
         # distance from each recovered line to each center equals the radius
@@ -451,7 +484,9 @@ class TestTangentRecovery:
             for x, y in pts[:12]:
                 u = chart_point_to_direction("u1", x, y)
                 u = u / np.linalg.norm(u)
-                for foot in tangent_lines_for_direction(tri, u):
+                feet, errors = tangent_lines_for_direction(tri, [u])
+                assert errors == [None]
+                for foot in feet[0][~np.isnan(feet[0, :, 0])]:
                     for b in tri.scene.balls:
                         assert abs(line_distance(foot, u, b.center) - b.radius) <= 1e-8
                     checked += 1
@@ -464,11 +499,13 @@ class TestTangentRecovery:
 
         tri, _ = sextic_mod.float_safe_triple(Triple(preset_scene("two-permutations")))
         u = sextic_ray_directions(tri, 8)[0][0]
-        want = tangent_lines_for_direction(tri, u)
-        assert len(want) > 0
+        want = tangent_lines_for_direction(tri, [u])[0][0]
+        assert not np.isnan(want[0, 0])
         for scale in (2.0, 1e-3):
-            feet = tangent_lines_for_direction(tri, scale * u)
-            assert np.allclose(feet, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            feet = tangent_lines_for_direction(tri, [scale * u])[0][0]
+            assert np.allclose(feet, want, rtol=1e-12, atol=1e-12 * np.nanmax(np.abs(want)),
+                               equal_nan=True)
+            feet = feet[~np.isnan(feet[:, 0])]
             assert np.all(np.abs(feet @ u) <= 1e-12 * np.linalg.norm(feet, axis=1))
 
 
@@ -542,13 +579,13 @@ def test_sigma_scaling_and_translation_property(seed, lam, shift):
     tri = random_triple(seed % 8)
     rng2 = np.random.default_rng(seed)
     u = rng2.normal(size=3)
-    base = eval_sigma(tri, u)
-    scaled = eval_sigma(tri, lam * u)
+    base = eval_sigma(tri, [u])[0]
+    scaled = eval_sigma(tri, [lam * u])[0]
     assert abs(scaled - lam ** 6 * base) <= 1e-9 * max(abs(scaled), abs(lam ** 6 * base))
     moved = Triple(Scene(
         3, tuple(Ball(b.center + shift * np.array([1.0, -0.5, 0.25]), b.radius) for b in tri.scene.balls)
     ))
-    assert abs(eval_sigma(moved, u) - base) <= 1e-9 * max(abs(base), 1e-300)
+    assert abs(eval_sigma(moved, [u])[0] - base) <= 1e-9 * max(abs(base), 1e-300)
 
 
 def _polyline_crossings(polys_a, polys_b):
@@ -608,7 +645,7 @@ class TestTraceCurves:
         tri = random_triple(17)
         traces = trace_curves(tri, chart=chart, grid=120, extent=2.0)
         if curve == "sigma":
-            oracle = lambda u: eval_sigma(tri, u)
+            oracle = lambda u: eval_sigma(tri, [u])[0]
         elif curve == "hessian":
             oracle = lambda u: eval_hessian_sigma(tri, u)
         else:
