@@ -15,14 +15,18 @@ identity's other side, the sextic's Hessian at the pole, is expanded
 independently from the sextic's Cayley-Menger form over integer jets, from
 the reduced centres and squared radii: one 3 x 3 jet determinant for the
 batch.
-Each run of unsigned draws of a sampler is one rng call, in the stream
-order of one call per value.  Since all
+The suite draws one batch per sampler: identities that read the same draws
+(area-q-lemma and gram-solution, beta-product-sum and vertex-factorization)
+are checked against one prepared batch, so its cached forms are computed
+once for all of them.  Each run of unsigned draws of a sampler is one rng
+call, in the stream order of one call per value.  Since all
 identities are polynomial of bounded degree, repeated agreement at random
 points certifies them with a quantifiable failure probability
 (Schwartz-Zippel style) without implementing symbolic normal forms.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,10 +142,13 @@ def _sample_full(rng, height) -> dict:
 
 
 def _sample_q_triangle(rng, height) -> dict:
-    while True:  # one draw of the three fractions per attempt
-        asg = {"q": tuple(_rand_fractions(rng, height, 3))}
-        if _q_domain(asg):
-            return asg
+    # one draw of the six numerators and denominators per attempt, tested as
+    # integers; only an accepted draw becomes Fractions (about one attempt
+    # in four at height 1000)
+    while True:
+        n0, d0, n1, d1, n2, d2 = rng.integers(1, height + 1, size=6).tolist()
+        if _q_triangle(n0, d0, n1, d1, n2, d2):
+            return {"q": (Fraction(n0, d0), Fraction(n1, d1), Fraction(n2, d2))}
 
 
 def _sample_single_q(rng, height) -> dict:
@@ -153,10 +160,15 @@ def _triangle_domain(asg: dict) -> bool:
     return all(v.numerator > 0 for v in (asg["a"], asg["c"], *asg["p"]))
 
 
-def _q_domain(asg: dict) -> bool:
-    (n0, d0), (n1, d1), (n2, d2) = ((v.numerator, v.denominator) for v in asg["q"])
+def _q_triangle(n0, d0, n1, d1, n2, d2) -> bool:
+    """Whether q_k = n_k / d_k (d_k > 0, in lowest terms or not) are positive
+    and obey the strict triangle inequality: the q_k times d0 d1 d2, sorted."""
     x, y, z = sorted((n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1))
-    return n0 > 0 and n1 > 0 and n2 > 0 and x + y > z
+    return x > 0 and x + y > z
+
+
+def _q_domain(asg: dict) -> bool:
+    return _q_triangle(*(n for v in asg["q"] for n in (v.numerator, v.denominator)))
 
 
 def _column(asgs: list[dict], key: str, default=None) -> np.ndarray:
@@ -318,22 +330,32 @@ class IdentityVerdict:
         }
 
 
-def check_identities(spec: IdentitySpec, assignments: list[dict]) -> list[IdentityVerdict]:
+def check_identities(spec: IdentitySpec, assignments: list[dict],
+                     prepared=None) -> list[IdentityVerdict]:
     """Exact comparison of both evaluators at each assignment, each side
     evaluated once over all of them; domain violations are rejected.
 
-    A side holding a float means a form left exact arithmetic, which would
-    make the comparison meaningless, so it raises TypeError.
+    ``prepared`` is the batch ``spec.prepare`` built from these assignments,
+    already domain-checked, when the caller shares it among identities; when
+    it is None, the assignments are checked and prepared here.  A side
+    holding a float means a form left exact arithmetic, which would make the
+    comparison meaningless, so it raises TypeError.
     """
-    for asg in assignments:
-        if not spec.domain_ok(asg):
-            raise ValueError(f"assignment violates the domain of {spec.identifier}")
-    prepared = spec.prepare(assignments)
+    if prepared is None:
+        prepared = _prepare(spec, assignments)
     m = len(assignments)
     lhs = _per_sample(spec, spec.lhs(prepared), m)
     rhs = _per_sample(spec, spec.rhs(prepared), m)
     return [IdentityVerdict(spec.identifier, u == v, u, v, asg)
             for u, v, asg in zip(lhs, rhs, assignments)]
+
+
+def _prepare(spec: IdentitySpec, assignments: list[dict]):
+    """The batch both sides of ``spec`` read, from domain-checked assignments."""
+    for asg in assignments:
+        if not spec.domain_ok(asg):
+            raise ValueError(f"assignment violates the domain of {spec.identifier}")
+    return spec.prepare(assignments)
 
 
 def _per_sample(spec: IdentitySpec, side, m: int) -> list:
@@ -350,8 +372,11 @@ def _per_sample(spec: IdentitySpec, side, m: int) -> list:
 def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42) -> dict:
     """Run every catalog identity at random rational points, exactly.
 
-    All trials of an identity are drawn first, from a generator seeded
-    afresh per identity, and checked as one batch.  Any single inequality is
+    The trials are drawn first, from a generator seeded afresh per sampler,
+    and checked as one batch.  Catalog entries next to each other that read
+    the same draws (the same sampler, domain and ``prepare``) share one drawn,
+    domain-checked and prepared batch, which is what seeding each identity
+    afresh would give each of them.  Any single inequality is
     a hard failure and carries the first failing trial as witness.
     ``failure_bound`` is the standard degree-over-sample-space estimate
     (deg/height)^trials for a nonzero polynomial surviving all trials under
@@ -367,9 +392,24 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
     if trials < 1:
         raise ValueError("need at least one trial")
     identities = []
-    for spec in identity_catalog():
-        rng = np.random.default_rng(seed)
-        verdicts = check_identities(spec, [spec.sampler(rng, height) for _ in range(trials)])
+    runs = itertools.groupby(identity_catalog(),
+                             key=lambda s: (s.sampler, s.domain_ok, s.prepare))
+    for _, run in runs:
+        identities += _check_run(list(run), trials, height, seed)
+    return {"trials": trials, "height": height, "seed": seed,
+            "pass": all(r["pass"] for r in identities), "identities": identities}
+
+
+def _check_run(specs: list[IdentitySpec], trials: int, height: int, seed: int) -> list[dict]:
+    """The reports of identities that read the same draws, from one batch;
+    the batch is freed on return, so one is alive at a time."""
+    first = specs[0]
+    rng = np.random.default_rng(seed)
+    assignments = [first.sampler(rng, height) for _ in range(trials)]
+    prepared = _prepare(first, assignments)
+    reports = []
+    for spec in specs:
+        verdicts = check_identities(spec, assignments, prepared)
         witness = next((v for v in verdicts if not v.equal), None)
         bound = 1.0
         if height > spec.degree_bound:
@@ -377,7 +417,7 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
             bound = (spec.degree_bound / height) ** trials
             while Fraction(bound) < exact:  # the float power may round below it
                 bound = math.nextafter(bound, 1.0)
-        identities.append({
+        reports.append({
             "identifier": spec.identifier,
             "trials": trials,
             "passes": sum(v.equal for v in verdicts),
@@ -386,5 +426,4 @@ def schwartz_zippel_suite(trials: int = 100, height: int = 1000, seed: int = 42)
             "pass": witness is None,
             "witness": witness.to_json_dict() if witness else None,
         })
-    return {"trials": trials, "height": height, "seed": seed,
-            "pass": all(r["pass"] for r in identities), "identities": identities}
+    return reports

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linestab.flexprobe import (
@@ -203,6 +203,25 @@ class TestCatalog:
         assert _q_domain({"q": q}) == (all(v > 0 for v in q) and qs[0] + qs[1] > qs[2])
 
 
+def _six_draws(h):
+    return st.tuples(*[st.integers(1, h)] * 6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(1, 12), st.integers(1, 2**63 - 1)).flatmap(_six_draws))
+@example((1, 1, 1, 1, 2, 1))  # 1 + 1 = 2: degenerate
+@example((2, 4, 3, 6, 2, 2))  # 1/2 + 1/2 = 1, unreduced: degenerate
+@example((2**63 - 1, 1, 2**63 - 1, 1, 2**63 - 2, 1))
+def test_raw_q_triangle_test_decides_as_q_domain(draws):
+    # the q-triangle sampler tests its six raw draws as integers; that
+    # decides as the domain check does on the reduced Fractions, and as the
+    # Fraction comparison
+    n0, d0, n1, d1, n2, d2 = draws
+    q = (Fraction(n0, d0), Fraction(n1, d1), Fraction(n2, d2))
+    qs = sorted(q)
+    assert polyid._q_triangle(*draws) == _q_domain({"q": q}) == (qs[0] + qs[1] > qs[2])
+
+
 class TestMutationSensitivity:
     def test_each_identity_catches_a_mutated_rhs(self):
         r = np.random.default_rng(11)
@@ -259,9 +278,18 @@ def _scaled_member(cls, name):
     return lambda self: _perturb(orig(self))
 
 
+# a cached form of a batch that two identities share is computed once for
+# both, so mutating it must still fail every identity whose sides read it
 FORM_MUTANTS = [
     (HessianSplit, "H_total", {"master-hessian-decomposition"}),
     (LiftedConfig, "q_squared", {"area-q-lemma", "gram-solution"}),
+    (LiftedConfig, "v_vectors",
+     {"master-hessian-decomposition", "area-q-lemma", "gram-solution"}),
+    (LiftedConfig, "squared_radii",
+     {"master-hessian-decomposition", "area-q-lemma", "gram-solution"}),
+    (CanonicalCoords, "Q",
+     {"beta-product-sum", "vertex-factorization", "symmetric-plane-value"}),
+    (CanonicalCoords, "linear_coeffs", {"beta-product-sum", "vertex-factorization"}),
     (CanonicalCoords, "hyperboloid_constant", {"beta-product-sum"}),
     (CanonicalCoords, "octant_vertex", {"vertex-factorization", "symmetric-plane-value"}),
     (CanonicalCoords, "vertex_value", {"vertex-factorization"}),
@@ -326,9 +354,9 @@ def test_sampler_draws_pinned(seed, height, monkeypatch):
     # failing trial, so this test, not the golden reports, pins the stream
     checked = {}
 
-    def record(spec, assignments):
+    def record(spec, assignments, prepared=None):
         checked[spec.identifier] = assignments
-        return check_identities(spec, assignments)
+        return check_identities(spec, assignments, prepared)
 
     monkeypatch.setattr(polyid, "check_identities", record)
     schwartz_zippel_suite(trials=25, height=height, seed=seed)
@@ -412,6 +440,48 @@ def test_suite_witness_is_first_failing_trial(monkeypatch):
     batched = schwartz_zippel_suite(trials=6, height=60, seed=3)
     assert not batched["pass"]
     assert batched == _per_trial_suite(6, 60, 3)
+
+
+def test_suite_witness_is_first_failing_trial_shared_batch(monkeypatch):
+    # a mutated cached form of the batch beta-product-sum and
+    # vertex-factorization share: both fail, with the per-trial loop's
+    # witnesses, and so does every other report
+    monkeypatch.setattr(CanonicalCoords, "linear_coeffs",
+                        _scaled_member(CanonicalCoords, "linear_coeffs"))
+    batched = schwartz_zippel_suite(trials=6, height=60, seed=3)
+    assert {r["identifier"] for r in batched["identities"] if not r["pass"]} == {
+        "beta-product-sum", "vertex-factorization"}
+    assert batched == _per_trial_suite(6, 60, 3)
+
+
+def test_suite_prepares_each_batch_once(monkeypatch):
+    # one drawn and prepared batch per run of identities that read the same
+    # draws: area-q-lemma and gram-solution, and beta-product-sum and
+    # vertex-factorization, are checked against one assignment list and one
+    # batch, whose cached forms serve both
+    prepares = []
+    for name in ("_config", "_coords", "_symmetric_coords"):
+        def counted(asgs, prepare=getattr(polyid, name), name=name):
+            prepares.append(name)
+            return prepare(asgs)
+        monkeypatch.setattr(polyid, name, counted)
+    checked = {}
+
+    def record(spec, assignments, prepared=None):
+        checked[spec.identifier] = assignments, prepared
+        return check_identities(spec, assignments, prepared)
+
+    monkeypatch.setattr(polyid, "check_identities", record)
+    assert schwartz_zippel_suite(trials=25, height=1000, seed=0)["pass"]
+    assert prepares == ["_config", "_config", "_coords", "_symmetric_coords"]
+    for first, second, forms in [
+        ("area-q-lemma", "gram-solution", ("v_vectors", "squared_radii")),
+        ("beta-product-sum", "vertex-factorization", ("Q", "linear_coeffs")),
+    ]:
+        (asgs, batch), (asgs2, batch2) = checked[first], checked[second]
+        assert asgs is asgs2 and batch is batch2 and len(asgs) == 25
+        assert all(form in vars(batch) for form in forms)
+    assert checked["master-hessian-decomposition"][0] is not checked["area-q-lemma"][0]
 
 
 class TestCrossModuleConsistency:
