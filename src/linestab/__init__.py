@@ -6,7 +6,6 @@ verification of the underlying algebraic identities.
 """
 
 from .geom import (
-    Ball,
     Scene,
     SceneError,
     SolverError,

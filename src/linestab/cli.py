@@ -47,7 +47,6 @@ import numpy as np
 from . import cone as cone_mod
 from . import flexprobe, polyid, sextic
 from .geom import (
-    Ball,
     Scene,
     SceneError,
     SolverError,
@@ -101,8 +100,8 @@ def preset_scene(name: str) -> Scene:
     """Built-in demonstration scenes used by tests and figure reproduction."""
     if name not in _PRESETS:
         raise SceneError(f"unknown preset {name!r}")
-    return Scene(3, tuple(Ball(c, r) for c, r in _PRESETS[name]),
-                 allow_overlap=name.endswith(("-tangent", "-overlapping")))
+    centers, radii = zip(*_PRESETS[name])
+    return Scene(centers, radii, allow_overlap=name.endswith(("-tangent", "-overlapping")))
 
 
 def _load_scene(path: str) -> Scene:

@@ -391,24 +391,14 @@ def evaluate_directions(scene: Scene, U) -> ConeSampleSet:
     return _evaluate(scene, U, prefilter=False)
 
 
-def sample_scene(
-    scene: Scene,
-    samples: int,
-    seed: int = 0,
-    extra_directions: Optional[np.ndarray] = None,
-) -> ConeSampleSet:
+def sample_scene(scene: Scene, samples: int, seed: int = 0) -> ConeSampleSet:
     """Sample the direction sphere and record slack/order for each direction.
 
-    The lattice rows are unit by construction; ``extra_directions`` are
-    scaled to unit length before they join them, so the lattice rows keep
-    their bits.  Only rows whose pair-cone bound does not already exceed the
-    scene's band go through the exact kernel; the others keep the bound (see
+    Only rows whose pair-cone bound does not already exceed the scene's band
+    go through the exact kernel; the others keep the bound (see
     ConeSampleSet and _evaluate).
     """
-    U = sample_directions(scene.dimension, samples, seed)
-    if extra_directions is not None and len(extra_directions):
-        U = np.vstack([U, _unit_rows(extra_directions)])
-    return _evaluate(scene, U, prefilter=True)
+    return _evaluate(scene, sample_directions(scene.dimension, samples, seed), prefilter=True)
 
 
 def _check_order(scene: Scene, order, order_semantics: str):

@@ -20,7 +20,7 @@ Forms read vertex k of a per-vertex array ``v`` as ``v.T[k]`` and reduce over
 ``axis=-1``, and a float batch gives each sample the bits it gets alone.  The
 exact identity suite (``linestab.polyid``) evaluates these same forms in
 rational arithmetic, once over all trials of an identity.  Only construction
-chooses the type; forms that need a square root (``radii``, ``q_edges``,
+chooses the type; forms that need a square root (``radii``,
 ``rebuilt_pair_gaps``) are float-only, and the exact side works with their
 squares.
 
@@ -265,13 +265,9 @@ class LiftedConfig:
         return np.sqrt(self.squared_radii)
 
     @property
-    def q_edges(self) -> np.ndarray:
-        """q_k = p_k r_k; the three form a triangle since sum p_k v_k = 0."""
-        return self.weights * self.radii
-
-    @property
     def q_squared(self) -> np.ndarray:
-        """q_k^2 = p_k^2 s_k, free of square roots."""
+        """q_k^2 = p_k^2 s_k, free of square roots: the squares of the edges
+        q_k = p_k r_k of a triangle, since sum p_k v_k = 0."""
         return self.weights ** 2 * self.squared_radii
 
     @classmethod

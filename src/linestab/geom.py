@@ -1,12 +1,12 @@
 """Euclidean primitives for ball scenes in R^d.
 
-Balls, ordered scenes, an orthonormal basis of a direction's complement,
-and the scene generators used throughout the library.  A direction is a
-plain row of d floats, as every kernel takes it.
+Ordered scenes, an orthonormal basis of a direction's complement, and the
+scene generators used throughout the library.  A scene is its rows: the
+centres (n, d) and the radii (n,) of its balls, as every kernel reads them;
+a direction is a plain row of d floats, as every kernel takes it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,64 +39,61 @@ def _as_vector(x, name="vector"):
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class Ball:
-    """Closed ball given by its center and (positive) radius; compared and
-    hashed by identity."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_vector(self.center, "center"))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise SceneError(f"radius must be positive and finite, got {self.radius}")
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
+def _float_array(x, name: str) -> np.ndarray:
+    """x as a C-ordered float array; SceneError on ragged, boolean or string
+    entries."""
+    try:
+        raw = np.asarray(x)
+        if raw.dtype.kind in "bSUV":
+            raise TypeError(f"entries must be numbers, not {raw.dtype}")
+        return np.array(raw, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SceneError(f"malformed {name}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Ordered family of balls; the list order is the prescribed meeting order.
+    """Ordered family of balls: row i of ``centers`` (n, d) and entry i of
+    ``radii`` (n,) are ball i, and the row order is the prescribed meeting
+    order.  Both are copied into read-only float arrays, and ``dimension``
+    is d.
 
-    Pairwise strict disjointness is enforced unless ``allow_overlap`` is set,
-    which exists only for tangent/overlapping demonstration scenes.
-
-    Construction takes every pair's centre distance once, and from them the
+    Construction checks that there is at least one ball in R^d, d >= 2,
+    that every centre is finite and every radius positive and finite, and
+    that the balls are pairwise strictly disjoint unless ``allow_overlap``
+    is set, which exists only for tangent/overlapping demonstration scenes.
+    It takes every pair's centre distance once, and from them the
     ``diameter`` of the union of the balls, the overlapping pairs and
     ``band``: REL_TOL times the diameter, the one tolerance every length
     decision reads, so that verdicts do not change when the scene is
     scaled.  A pair's reach sums as |c_i - c_j| + (r_i + r_j), the same under
-    either label, so relabelling the balls moves neither.  ``centers``
-    (n, d) and ``radii`` (n,) are read-only.  Scenes are compared and hashed
-    by identity.
+    either label, so relabelling the balls moves neither.  Scenes are
+    compared and hashed by identity.
     """
 
-    dimension: int
-    balls: tuple[Ball, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     allow_overlap: bool = False
-    centers: np.ndarray = field(init=False, repr=False)
-    radii: np.ndarray = field(init=False, repr=False)
     diameter: float = field(init=False, repr=False)
     band: float = field(init=False, repr=False)
     _overlapping: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "balls", tuple(self.balls))
-        if self.dimension < 2:
-            raise SceneError("dimension must be at least 2")
-        if not self.balls:
+        centers, radii = _float_array(self.centers, "centers"), _float_array(self.radii, "radii")
+        if centers.shape[:1] == (0,):
             raise SceneError("scene needs at least one ball")
-        for b in self.balls:
-            if b.dimension != self.dimension:
-                raise SceneError(
-                    f"ball of dimension {b.dimension} in scene of dimension {self.dimension}"
-                )
-        centers = np.array([b.center for b in self.balls])
-        radii = np.array([b.radius for b in self.balls])
+        if centers.ndim != 2:
+            raise SceneError(f"centers must be n rows of d entries, got shape {centers.shape}")
+        if centers.shape[1] < 2:
+            raise SceneError("dimension must be at least 2")
+        if radii.shape != centers.shape[:1]:
+            raise SceneError(f"radii must be {len(centers)} numbers, one per center, "
+                             f"got shape {radii.shape}")
+        if not np.all(np.isfinite(centers)):
+            raise SceneError("center has non-finite entries")
+        bad = ~((radii > 0) & np.isfinite(radii))
+        if np.any(bad):
+            raise SceneError(f"radius must be positive and finite, got {radii[bad][0]}")
         centers.flags.writeable = radii.flags.writeable = False
         i, j = np.triu_indices(len(radii), 1)
         with np.errstate(over="ignore"):
@@ -113,21 +110,23 @@ class Scene:
         if self._overlapping and not self.allow_overlap:
             raise SceneError(f"balls are not pairwise disjoint: pairs {self.overlapping_pairs()}")
 
+    @property
+    def dimension(self) -> int:
+        return self.centers.shape[1]
+
     def overlapping_pairs(self) -> list[tuple[int, int]]:
         """The pairs i < j of balls that overlap or touch, in index order."""
         return list(self._overlapping)
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.radii)
 
     def to_json_dict(self) -> dict:
         out = {
             "dimension": self.dimension,
             "order_is_significant": True,
-            "balls": [
-                {"center": [float(x) for x in b.center], "radius": float(b.radius)}
-                for b in self.balls
-            ],
+            "balls": [{"center": c, "radius": r}
+                      for c, r in zip(self.centers.tolist(), self.radii.tolist())],
         }
         if self.allow_overlap:
             out["allow_overlap"] = True
@@ -136,24 +135,29 @@ class Scene:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scene":
         """The scene of a JSON document: ``dimension`` an integer,
-        ``allow_overlap`` (optional) a boolean, and each ball's ``center``
-        entries and ``radius`` numbers; a boolean is none of these numbers."""
+        ``allow_overlap`` (optional) a boolean, and each ball's ``center``,
+        of ``dimension`` entries, and ``radius`` numbers; a boolean is none of
+        these numbers."""
         try:
             dim, overlap = data["dimension"], data.get("allow_overlap", False)
             if isinstance(dim, bool) or not isinstance(dim, int):
                 raise TypeError(f"dimension must be an integer, got {dim!r}")
             if not isinstance(overlap, bool):
                 raise TypeError(f"allow_overlap must be true or false, got {overlap!r}")
-            balls = []
+            centers, radii = [], []
             for b in data["balls"]:
                 center, radius = list(b["center"]), b["radius"]
                 if any(isinstance(x, bool) or not isinstance(x, (int, float))
                        for x in (*center, radius)):
                     raise TypeError(f"center entries and radius must be numbers, got {b!r}")
-                balls.append(Ball(np.array(center, dtype=float), float(radius)))
+                centers.append([float(x) for x in center])
+                radii.append(float(radius))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
-        return cls(dim, tuple(balls), allow_overlap=overlap)
+        for center in centers:
+            if len(center) != dim:
+                raise SceneError(f"ball of dimension {len(center)} in scene of dimension {dim}")
+        return cls(centers, radii, allow_overlap=overlap)
 
 
 def _unit_rows(U) -> np.ndarray:
@@ -252,13 +256,10 @@ def random_disjoint_scene(
     for _ in range(MAX_REJECTS):
         radii = rng.uniform(r_min, r_max, size=n)
         centers = rng.uniform(-box / 2, box / 2, size=(n, d))
-        ok = True
-        for i, j in itertools.combinations(range(n), 2):
-            if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j] + DISJOINTNESS_MARGIN:
-                ok = False
-                break
-        if ok:
-            return Scene(d, tuple(Ball(centers[i], radii[i]) for i in range(n)))
+        i, j = np.triu_indices(n, 1)
+        if np.all(np.linalg.norm(centers[i] - centers[j], axis=1)
+                  > radii[i] + radii[j] + DISJOINTNESS_MARGIN):
+            return Scene(centers, radii)
     raise SolverError(
         f"could not place {n} disjoint balls in {MAX_REJECTS} attempts "
         f"(box {box:.3g}, radii in {radius_range})"
@@ -285,7 +286,7 @@ def random_scene_with_transversal(
     axis = _random_unit(rng, d)
     basis = orthonormal_basis_of_complement(axis)
     radii = rng.uniform(r_min, r_max, size=n)
-    balls = []
+    centers = []
     t = 0.0
     prev_r = None
     for i in range(n):
@@ -295,7 +296,6 @@ def random_scene_with_transversal(
         perp = rng.normal(size=d - 1)
         pn = np.linalg.norm(perp)
         perp = perp / pn if pn > 1e-12 else np.zeros(d - 1)
-        center = t * axis + off * (perp @ basis)
-        balls.append(Ball(center, radii[i]))
+        centers.append(t * axis + off * (perp @ basis))
         prev_r = radii[i]
-    return Scene(d, tuple(balls)), axis
+    return Scene(centers, radii), axis

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Ball, Scene, SceneError, SolverError, _unit_rows
+from .geom import Scene, SceneError, SolverError, _unit_rows
 
 SIGMA_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -308,8 +308,8 @@ class Triple:
         shift = 1 - math.frexp(scene.diameter)[1]
         if not shift:
             return self, 0
-        return Triple(Scene(3, tuple(Ball(np.ldexp(b.center, shift), math.ldexp(b.radius, shift))
-                                     for b in scene.balls), allow_overlap=scene.allow_overlap)), shift
+        return Triple(Scene(np.ldexp(scene.centers, shift), np.ldexp(scene.radii, shift),
+                            allow_overlap=scene.allow_overlap)), shift
 
 
 def float_safe_triple(triple: Triple) -> tuple[Triple, int]:

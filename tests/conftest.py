@@ -6,16 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linestab import cone
 from linestab.cone import (
     boundary_directions_for_triple,
     evaluate_directions,
     minimax_weights_batch,
     realized_orders_batch,
+    sample_directions,
     sample_scene,
 )
 from linestab.flexprobe import LiftedConfig, lifted_hessian_decomposition
 from linestab.geom import (
-    Ball,
     Scene,
     SceneError,
     _unit_rows,
@@ -26,7 +27,28 @@ from linestab.sextic import Triple, float_safe_triple
 
 
 def collinear_scene() -> Scene:
-    return Scene(3, (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([8, 0, 0], 1.0)))
+    return Scene([[0, 0, 0], [4, 0, 0], [8, 0, 0]], [1.0, 1.0, 1.0])
+
+
+def moved_scene(scene: Scene, perm=None, rotation=None, scale=1.0, shift=0.0) -> Scene:
+    """A motion of the scene, as row expressions: ball k of the result is
+    ball perm[k] (a relabelling, with the meeting order permuted to match),
+    with centre scale * (rotation @ c) + shift and radius scale * r.  A scale
+    of 2^k makes the exact 2^k copy; without a rotation the centres are not
+    multiplied by one, and each rotated row is a per-row product, not BLAS."""
+    perm = np.arange(len(scene)) if perm is None else np.asarray(perm)
+    centers = scene.centers[perm]
+    if rotation is not None:
+        centers = np.einsum("ij,nj->ni", rotation, centers)
+    return Scene(scale * centers + shift, scale * scene.radii[perm],
+                 allow_overlap=scene.allow_overlap)
+
+
+def sample_with_directions(scene: Scene, samples: int, extra, seed: int = 0):
+    """sample_scene's lattice rows followed by the rows of ``extra`` at unit
+    length, through the same prefiltered evaluation."""
+    U = np.vstack([sample_directions(scene.dimension, samples, seed), _unit_rows(extra)])
+    return cone._evaluate(scene, U, prefilter=True)
 
 
 def random_triple(seed: int, radius_range=(0.8, 1.6)) -> Triple:
@@ -57,14 +79,14 @@ def line_entry_parameters(point, direction, scene, band=0.0):
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     out = []
-    for b in scene.balls:
-        w = b.center - p
+    for center, radius in zip(scene.centers, scene.radii.tolist()):
+        w = center - p
         tm = float(np.dot(w, d))
         dist2 = float(np.dot(w, w)) - tm * tm
-        if dist2 > (b.radius + band) ** 2:
+        if dist2 > (radius + band) ** 2:
             out.append(None)
         else:
-            out.append(tm - np.sqrt(max(b.radius * b.radius - dist2, 0.0)))
+            out.append(tm - np.sqrt(max(radius * radius - dist2, 0.0)))
     return out
 
 
@@ -76,15 +98,15 @@ def random_overlapping_scene(n: int, seed: int) -> Scene:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     radii = rng.uniform(0.8, 1.6, size=n)
-    balls, t = [], 0.0
+    centers, t = [], 0.0
     for i in range(n):
         if i:
             t += rng.uniform(0.5, 1.0) * (radii[i - 1] + radii[i])
         off = rng.normal(size=3)
         off -= (off @ axis) * axis
         off *= rng.uniform(0.0, 0.4) * radii[i] / np.linalg.norm(off)
-        balls.append(Ball(t * axis + off, radii[i]))
-    return Scene(3, tuple(balls), allow_overlap=True)
+        centers.append(t * axis + off)
+    return Scene(centers, radii, allow_overlap=True)
 
 
 def entry_order_margin(scene, U, order, grid=400):
@@ -338,7 +360,7 @@ def lifted_triple(cfg) -> Triple:
     """The ball triple a LiftedConfig of one sample parametrizes: vertex k
     raised to its lift, with radius |v_k|."""
     [c], [r] = cfg.centers, cfg.radii
-    return Triple(Scene(3, tuple(Ball(c[k], r[k]) for k in range(3)), allow_overlap=True))
+    return Triple(Scene(c, r, allow_overlap=True))
 
 
 def frame_of_complement(u) -> np.ndarray:
@@ -488,12 +510,12 @@ def bordered_cayley_menger(centers, squared_radii, one, q, lin) -> list[list]:
     return M
 
 
-def pair_matrix(ball_i, ball_j) -> np.ndarray:
-    """Oracle for a pair conic: the symmetric 3x3 matrix
-    (|e|^2 - (r_i + r_j)^2) I - e e^T, e = c_j - c_i, whose form u^T M u is
-    negative exactly on the directions of the pair's transversals."""
-    e = ball_j.center - ball_i.center
-    rr = (ball_i.radius + ball_j.radius) ** 2
+def pair_matrix(scene, i, j) -> np.ndarray:
+    """Oracle for the conic of balls i and j of a scene: the symmetric 3x3
+    matrix (|e|^2 - (r_i + r_j)^2) I - e e^T, e = c_j - c_i, whose form
+    u^T M u is negative exactly on the directions of the pair's transversals."""
+    e = scene.centers[j] - scene.centers[i]
+    rr = float(scene.radii[i] + scene.radii[j]) ** 2
     return (float(np.dot(e, e)) - rr) * np.eye(3) - np.outer(e, e)
 
 
@@ -566,16 +588,15 @@ def scene_classification(scene: Scene, rank_tol: float = 1e-9) -> SceneFlags:
     """
     thin = True
     inflatable = True
-    for i, j in itertools.combinations(range(len(scene.balls)), 2):
-        bi, bj = scene.balls[i], scene.balls[j]
-        d2 = float(np.dot(bi.center - bj.center, bi.center - bj.center))
-        if math.sqrt(d2) < 2.0 * (bi.radius + bj.radius):
+    centers, radii = scene.centers, scene.radii.tolist()
+    for i, j in itertools.combinations(range(len(scene)), 2):
+        d2 = float(np.dot(centers[i] - centers[j], centers[i] - centers[j]))
+        if math.sqrt(d2) < 2.0 * (radii[i] + radii[j]):
             thin = False
-        if d2 < 2.0 * (bi.radius ** 2 + bj.radius ** 2):
+        if d2 < 2.0 * (radii[i] ** 2 + radii[j] ** 2):
             inflatable = False
-    centers = scene.centers
     rel = centers - centers[0]
-    if len(scene.balls) <= 2:
+    if len(scene) <= 2:
         collinear = True
     else:
         sv = np.linalg.svd(rel, compute_uv=False)

@@ -23,7 +23,6 @@ from linestab.cone import (
 )
 from linestab.flexprobe import LiftedConfig, certify_flex_free, lifted_hessian_decomposition
 from linestab.geom import (
-    Ball,
     Scene,
     random_scene_with_transversal,
 )
@@ -33,7 +32,9 @@ from linestab.sextic import (
     tangent_lines_for_direction,
     trace_curves,
 )
-from conftest import center_order, eval_hessian_sigma, lifted_triple, line_distance
+from conftest import (
+    center_order, eval_hessian_sigma, lifted_triple, line_distance, sample_with_directions,
+)
 
 
 def _ok(name):
@@ -155,14 +156,7 @@ def test_criterion_5_flex_free_boundary():
     gaps = (0.2, 0.1, 0.05, 0.02, 0.008)
     margins = []
     for g in gaps:
-        tri = Triple(Scene(
-            3,
-            (
-                Ball([0, 0, 0], 1.0),
-                Ball([2.0 + g, 0, 0], 1.0),
-                Ball([1.1, 2.2, 0], 1.0),
-            ),
-        ))
+        tri = Triple(Scene([[0, 0, 0], [2.0 + g, 0, 0], [1.1, 2.2, 0]], [1.0, 1.0, 1.0]))
         rep = certify_flex_free(tri, boundary_samples=200)
         assert rep.probed > 0 and rep.min_margin > 0
         margins.append(rep.min_margin)
@@ -241,8 +235,8 @@ def test_criterion_8_tangent_recovery():
                     feet, errors = tangent_lines_for_direction(tri, [u])
                     assert errors == [None], errors
                     for foot in feet[0][~np.isnan(feet[0, :, 0])]:
-                        for b in tri.scene.balls:
-                            err = abs(line_distance(foot, u, b.center) - b.radius)
+                        for center, radius in zip(tri.centers, tri.scene.radii):
+                            err = abs(line_distance(foot, u, center) - radius)
                             assert err <= 1e-8, err
                         total_lines += 1
                         collected += 1
@@ -256,7 +250,7 @@ def test_criterion_9_pinning_point_cone():
     """The pinned configuration admits exactly one feasible direction."""
     scene = preset_scene("pinned")
     axis = np.array([1.0, 0.0, 0.0])
-    sset = sample_scene(scene, 1_000_000, seed=0, extra_directions=axis[None, :])
+    sset = sample_with_directions(scene, 1_000_000, axis[None, :])
     feasible = sset.directions[sset.slacks <= 1e-9]
     assert len(feasible) == 1, f"{len(feasible)} feasible directions found"
     # the library's own predicate (slack <= band, no tie) finds the same one

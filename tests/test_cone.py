@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from linestab import cone
 from linestab.cli import PRESET_NAMES, preset_scene
 from linestab.geom import (
-    Ball,
     Scene,
     SceneError,
     SolverError,
@@ -41,8 +40,9 @@ from linestab.cone import (
 )
 from conftest import (
     bisected_boundary_directions, canonical_permutation, center_order, close_pairs,
-    collinear_scene, entry_order_margin, is_pinned_planar, line_entry_parameters,
-    random_overlapping_scene, random_triple, scene_classification, simplex_minimax,
+    collinear_scene, entry_order_margin, is_pinned_planar, line_entry_parameters, moved_scene,
+    random_overlapping_scene, random_triple, sample_with_directions, scene_classification,
+    simplex_minimax,
 )
 
 
@@ -96,7 +96,8 @@ class TestPairPrefilter:
         from linestab.cli import preset_scene
 
         scene = preset_scene("pinned")
-        sset = sample_scene(scene, 100, extra_directions=length * X_AXIS)
+        U = np.vstack([sample_directions(3, 100), length * X_AXIS])
+        sset = cone._evaluate(scene, U, prefilter=True)
         np.testing.assert_array_equal(sset.directions[-1], X_AXIS[0])
         assert sset.feasible_for_order((0, 1, 2))[-1]
 
@@ -160,8 +161,8 @@ def test_pair_bound_below_exact_slack(seed, n, d, kind):
     elif kind == "disjoint":
         scene = random_disjoint_scene(n, d, (0.5, 2.0), seed=seed)
     else:
-        balls = zip(rng.uniform(-3.0, 3.0, size=(n, d)), rng.uniform(0.5, 2.0, size=n))
-        scene = Scene(d, tuple(Ball(c, r) for c, r in balls), allow_overlap=True)
+        scene = Scene(rng.uniform(-3.0, 3.0, size=(n, d)), rng.uniform(0.5, 2.0, size=n),
+                      allow_overlap=True)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     bound = _pair_bound(scene.centers, scene.radii, U)
     exact = minimax_slack_batch(scene.centers, scene.radii, U)
@@ -190,11 +191,7 @@ class TestDirectionFeasible:
         # balls 0 and 1 overlap, so every projected disk shares a point and
         # only the tie decides; their center projections along u differ by
         # factor times the tie tolerance
-        scene = Scene(
-            3,
-            (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
-            allow_overlap=True,
-        )
+        scene = Scene([[0, 0, 0], [1, 0, 0], [0, 0, 5]], [1.0, 1.0, 1.0], allow_overlap=True)
         a = factor * 1e-9 * scene.diameter
         u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
         orders, ties = realized_orders_batch(scene, u)
@@ -204,7 +201,7 @@ class TestDirectionFeasible:
         mask, slacks = uset.feasible_for_order((0, 1, 2)), uset.slacks
         assert slacks[0] < 0
         assert mask[0] == (not ties[0])
-        sset = sample_scene(scene, 64, extra_directions=u)
+        sset = sample_with_directions(scene, 64, u)
         assert sset.ties[-1] == ties[0]
         assert sset.feasible_for_order((0, 1, 2))[-1] == mask[0]
 
@@ -213,11 +210,7 @@ class TestDirectionFeasible:
         # test_single_tie_rule's scene at factor 2: no tie at any row length,
         # and the entry-order decision and its witness do not read the
         # length either
-        scene = Scene(
-            3,
-            (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 5], 1.0)),
-            allow_overlap=True,
-        )
+        scene = Scene([[0, 0, 0], [1, 0, 0], [0, 0, 5]], [1.0, 1.0, 1.0], allow_overlap=True)
         a = 2e-9 * scene.diameter
         u = np.array([[a, 0.0, math.sqrt(1.0 - a * a)]])
         orders, ties = realized_orders_batch(scene, length * u)
@@ -341,7 +334,7 @@ def test_evaluated_rows_share_the_sample_set_decision(key):
     else:
         scene, u = random_scene_with_transversal(key[0], key[1], (1.0, 2.0), seed=key[2])
         extra = u[None, :]
-    sset = sample_scene(scene, 2048, seed=0, extra_directions=extra)
+    sset = sample_with_directions(scene, 2048, extra)
     orders = {tuple(o) for o in sset.orders[sset.feasible].tolist()}
     semantics = ("center", "entry") if scene.dimension == 3 else ("center",)
     checked = 0
@@ -463,14 +456,7 @@ class TestConvexity:
     def test_inconclusive_without_transversals(self):
         # far-apart small balls at a fat triangle admit no common transversal
         s = 100.0
-        scene = Scene(
-            3,
-            (
-                Ball([0, 0, 0], 1.0),
-                Ball([s, 0, 0], 1.0),
-                Ball([s / 2, s, 0], 1.0),
-            ),
-        )
+        scene = Scene([[0, 0, 0], [s, 0, 0], [s / 2, s, 0]], [1.0, 1.0, 1.0])
         rep = cone_convexity_check(scene, (0, 1, 2), pairs=50, lattice=512)
         assert rep["inconclusive"]
 
@@ -552,7 +538,7 @@ def _entry_split_scene(name):
     each with an order it realizes, one ball, and four disjoint balls with a
     transversal."""
     if name == "one-ball":
-        return Scene(3, (Ball([0, 0, 0], 1.0),)), (0,)
+        return Scene([[0, 0, 0]], [1.0]), (0,)
     if name == "four-balls":
         scene, axis = random_scene_with_transversal(4, 3, (0.8, 1.5), seed=2)
         return scene, center_order(scene, axis)[0]
@@ -677,15 +663,15 @@ class TestPermutations:
         # tiny balls spaced along a line: genuinely thinly distributed
         # (every center distance at least twice the sum of the two radii)
         rng = np.random.default_rng(9)
-        balls = []
+        centers, radii = [], []
         t = 0.0
         axis = np.array([1.0, 0.2, -0.1])
         axis /= np.linalg.norm(axis)
         for k in range(4):
-            r = rng.uniform(0.2, 0.35)
-            balls.append(Ball(t * axis + 0.05 * rng.normal(size=3), r))
+            radii.append(rng.uniform(0.2, 0.35))
+            centers.append(t * axis + 0.05 * rng.normal(size=3))
             t += 3.0
-        scene = Scene(3, tuple(balls))
+        scene = Scene(centers, radii)
         assert scene_classification(scene).thinly_distributed
         sset = sample_scene(scene, 20000, seed=0)
         cat = enumerate_geometric_permutations(sset)
@@ -742,7 +728,7 @@ class TestComponents:
     def test_plane_scenes_form_one_component(self):
         # in R^2 the sample is evenly spaced angles: seeded Gaussian rows left
         # gaps wider than the clustering radius and split one cone into many
-        pair = Scene(2, (Ball([0, 0], 1.0), Ball([5, 0], 1.0)))
+        pair = Scene([[0, 0], [5, 0]], [1.0, 1.0])
         five, _ = random_scene_with_transversal(5, 2, (1.0, 2.0), seed=3)
         for scene in (pair, five):
             for samples in (500, 2000, 20000):
@@ -753,10 +739,7 @@ class TestComponents:
 
     def test_empty_scene_reports_zero(self):
         s = 100.0
-        scene = Scene(
-            3,
-            (Ball([0, 0, 0], 1.0), Ball([s, 0, 0], 1.0), Ball([s / 2, s, 0], 1.0)),
-        )
+        scene = Scene([[0, 0, 0], [s, 0, 0], [s / 2, s, 0]], [1.0, 1.0, 1.0])
         rep = count_components(sample_scene(scene, 2000))
         assert rep["count"] == 0
         assert rep["feasible_samples"] == rep["neighbour_pairs"] == 0
@@ -767,7 +750,7 @@ class TestComponents:
         # form one cluster of lines however the balls are numbered
         scene = preset_scene(name)
         for perm in itertools.permutations(range(3)):
-            rep = count_components(sample_scene(_moved_scene(scene, np.eye(3), 0.0, perm), 20000))
+            rep = count_components(sample_scene(moved_scene(scene, perm), 20000))
             assert rep["count"] == 1, perm
 
     def test_two_permutations_at_acceptance_budget(self):
@@ -797,7 +780,7 @@ def test_components_match_the_line_graph(seed, d, caps):
     centres[: caps // 2, rng.integers(0, d)] = 0.0  # on the equator of an axis
     centres /= np.linalg.norm(centres, axis=1, keepdims=True)
     feasible = np.any(np.abs(U @ centres.T) >= np.cos(rng.uniform(0.05, 0.4, size=caps)), axis=1)
-    scene = Scene(d, tuple(Ball(np.eye(d)[0] * 3.0 * k, 1.0) for k in range(3)))
+    scene = Scene(np.outer([0.0, 3.0, 6.0], np.eye(d)[0]), np.ones(3))
     sset = cone.ConeSampleSet(scene, U, np.where(feasible, -1.0, 1.0),
                               np.tile(np.arange(3), (samples, 1)), np.zeros(samples, dtype=bool))
     rep = count_components(sset)
@@ -846,7 +829,7 @@ def test_component_count_does_not_depend_on_labels(source, labels):
     perm = [p for p in labels if p < len(scene)]
     base = sample_scene(scene, samples)
     d = scene.dimension
-    moved = sample_scene(_moved_scene(scene, np.eye(d), 0.0, perm), samples)
+    moved = sample_scene(moved_scene(scene, perm), samples)
     rep, moved_rep = count_components(base), count_components(moved)
     assert moved_rep["count"] == rep["count"]
     if np.array_equal(moved.feasible, base.feasible):
@@ -918,7 +901,7 @@ def test_keyed_catalog_matches_the_loop(seed, n, rows):
     # groups them as the loop does for every n, also where a base-n key
     # overflows int64 (n >= 16)
     rng = np.random.default_rng(seed)
-    scene = Scene(3, tuple(Ball([3.0 * i, 0.0, 0.0], 1.0) for i in range(n)))
+    scene = Scene(np.outer(3.0 * np.arange(n), [1.0, 0.0, 0.0]), np.ones(n))
     base = np.array([rng.permutation(n) for _ in range(rng.integers(1, 6))])
     base = np.vstack([base, base[:1], base[:1]])
     base[-2, :2] = base[-2, :2][::-1]
@@ -1001,8 +984,7 @@ def _criterion_5_triples():
     for seed in range(300, 320):
         yield random_triple(seed, (0.7, 1.5))
     for g in (0.2, 0.1, 0.05, 0.02, 0.008):
-        yield Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([2.0 + g, 0, 0], 1.0),
-                               Ball([1.1, 2.2, 0], 1.0))))
+        yield Triple(Scene([[0, 0, 0], [2.0 + g, 0, 0], [1.1, 2.2, 0]], [1.0, 1.0, 1.0]))
 
 
 def _per_cone_exits(triple, count):
@@ -1063,7 +1045,7 @@ class TestBoundaryExits:
         # infeasible, so the exits and their curves keep every bit
         checked = 0
         presets = [preset_scene(name) for name in PRESET_NAMES]
-        copies = [_moved_scene(s, np.eye(3), 0.0, scale=2.0 ** k) for s in presets for k in (-200, 200)]
+        copies = [moved_scene(s, scale=2.0 ** k) for s in presets for k in (-200, 200)]
         for tri in [*(Triple(s) for s in presets + copies), *_criterion_5_triples()]:
             dirs, curves = cone._boundary_exits(tri, 200)
             want_dirs, want_curves = _per_cone_exits(tri, 200)
@@ -1189,7 +1171,8 @@ def test_exits_match_bisection_under_similarity(seed, shift, angles, log_scale):
     Rx = np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
     scale = 10.0 ** log_scale
     scene, _ = random_scene_with_transversal(3, 3, (0.7, 1.5), seed=seed)
-    moved = _moved_scene(scene, Rz @ Rx, scale * shift * np.array([1.0, -0.7, 0.3]), scale=scale)
+    moved = moved_scene(scene, rotation=Rz @ Rx, scale=scale,
+                        shift=scale * shift * np.array([1.0, -0.7, 0.3]))
     _assert_exits_match_bisection(Triple(moved), 24)
 
 
@@ -1250,7 +1233,7 @@ class TestBoundaryClassification:
         Q = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
         Q = Q @ np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
         moved = Triple(
-            _moved_scene(tri.scene, Q, scale * np.array([30.0, -21.0, 9.0]), (2, 0, 1), scale)
+            moved_scene(tri.scene, (2, 0, 1), Q, scale, scale * np.array([30.0, -21.0, 9.0]))
         )
         U = _ray_root_directions(tri)
         assert len(U) > 0
@@ -1302,8 +1285,7 @@ class TestBoundaryClassification:
         u = [0.4472135954999579, 0.8944271909999159, z]
         verdicts = set()
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
-            balls = tuple(Ball(scale * b.center, scale * b.radius) for b in scene.balls)
-            tri = Triple(Scene(3, balls, allow_overlap=True))
+            tri = Triple(moved_scene(scene, scale=scale))
             [cls] = classify_boundary_direction(tri, [u])
             verdicts.add((cls["crosses_triangle"], cls["tag"]))
         assert len(verdicts) == 1, verdicts
@@ -1330,9 +1312,7 @@ class TestBoundaryClassification:
 
 class TestPinning:
     def pinned_triple(self):
-        return Triple(Scene(
-            3, (Ball([0, 1, 0], 1.0), Ball([3, -1, 0], 1.0), Ball([6, 1.5, 0], 1.5))
-        ))
+        return Triple(Scene([[0, 1, 0], [3, -1, 0], [6, 1.5, 0]], [1.0, 1.0, 1.5]))
 
     def test_pinned_configuration_detected(self):
         assert is_pinned_planar(self.pinned_triple())
@@ -1341,7 +1321,7 @@ class TestPinning:
         tri = self.pinned_triple()
         scene = tri.scene
         axis = np.array([1.0, 0.0, 0.0])
-        sset = sample_scene(scene, 20000, seed=0, extra_directions=axis[None, :])
+        sset = sample_with_directions(scene, 20000, axis[None, :])
         feas_dirs = sset.directions[sset.slacks <= 1e-9]
         assert len(feas_dirs) >= 1
         cos = np.abs(feas_dirs @ axis)
@@ -1367,7 +1347,7 @@ class TestInvariance:
         mask0, slack0 = sset0.feasible_for_order(order), sset0.slacks
         assert np.sum(mask0) > 0
         for s in (1e3, 1e4, 1e5, 1e6):
-            moved = _moved_scene(scene, np.eye(3), s * np.array([1.0, -0.7, 0.3]))
+            moved = moved_scene(scene, shift=s * np.array([1.0, -0.7, 0.3]))
             sset = evaluate_directions(moved, U)
             mask, slack = sset.feasible_for_order(order), sset.slacks
             assert np.max(np.abs(slack - slack0)) <= 1e-9 * scene.diameter
@@ -1387,7 +1367,7 @@ class TestInvariance:
         mask0 = evaluate_directions(scene, U).feasible_for_order(order)
         assert 0 < np.sum(mask0) < len(U)
         for s in (1e-9, 1e-6, 1e6, 1e9, 2.0 ** -30, 2.0 ** 30):
-            scaled = _moved_scene(scene, np.eye(3), 0.0, scale=s)
+            scaled = moved_scene(scene, scale=s)
             mask = evaluate_directions(scaled, U).feasible_for_order(order)
             assert np.array_equal(mask, mask0), (s, int(np.sum(mask != mask0)))
             assert scaled.band == pytest.approx(s * scene.band, rel=1e-15)
@@ -1401,7 +1381,7 @@ def test_collinear_centers_at_any_scale(name):
     want = Triple(scene).collinear_centers
     assert want == (name == "collinear")
     for k in (-300, -200, 0, 200, 300):
-        assert Triple(_moved_scene(scene, np.eye(3), 0.0, scale=2.0 ** k)).collinear_centers == want
+        assert Triple(moved_scene(scene, scale=2.0 ** k)).collinear_centers == want
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -1414,7 +1394,7 @@ def test_triple_directions_do_not_read_the_scale(name):
     roots, rays = cone.sextic_ray_directions(tri, 8)
     assert len(exits) == (60 if rays else 0)  # pinned has no cone to cast rays from
     for k in (-200, 200):
-        scaled = Triple(_moved_scene(tri.scene, np.eye(3), 0.0, scale=2.0 ** k))
+        scaled = Triple(moved_scene(tri.scene, scale=2.0 ** k))
         exits_k, curves_k = cone._boundary_exits(scaled, 60)
         roots_k, rays_k = cone.sextic_ray_directions(scaled, 8)
         assert np.array_equal(exits_k, exits) and np.array_equal(curves_k, curves), k
@@ -1434,7 +1414,7 @@ def test_tangent_lines_do_not_read_the_scale(name):
     assert sum("error" not in cls for cls in want) >= (len(U) - 2 if name != "pinned" else 0)
     feet, errors = tangent_lines_for_direction(tri, U)
     for k in (-330, -200, -100, 100, 200, 300):
-        scaled = Triple(_moved_scene(tri.scene, np.eye(3), 0.0, scale=2.0 ** k))
+        scaled = Triple(moved_scene(tri.scene, scale=2.0 ** k))
         for u, cls, got in zip(U, want, classify_boundary_direction(scaled, U)):
             if cls.get("slack") is not None:
                 cls = dict(cls, slack=math.ldexp(cls["slack"], k))
@@ -1442,16 +1422,6 @@ def test_tangent_lines_do_not_read_the_scale(name):
         feet_k, errors_k = tangent_lines_for_direction(scaled, U)
         assert errors_k == errors, k
         assert np.array_equal(feet_k, np.ldexp(feet, k), equal_nan=True), k
-
-
-def _moved_scene(scene, Q, offset, perm=None, scale=1.0):
-    perm = range(len(scene)) if perm is None else perm
-    return Scene(
-        scene.dimension,
-        tuple(Ball(scale * (Q @ scene.balls[p].center) + offset, scale * scene.balls[p].radius)
-              for p in perm),
-        allow_overlap=scene.allow_overlap,
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -1475,7 +1445,7 @@ def test_verdicts_invariant_under_motion_and_relabelling(seed, shift, angles, pe
     Rx = np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
     Ry = np.array([[math.cos(c), 0, math.sin(c)], [0, 1, 0], [-math.sin(c), 0, math.cos(c)]])
     Q = Rz @ Rx @ Ry
-    moved = _moved_scene(scene, Q, shift * np.array([1.0, -0.7, 0.3]), perm)
+    moved = moved_scene(scene, perm, Q, shift=shift * np.array([1.0, -0.7, 0.3]))
     label = {old: new for new, old in enumerate(perm)}
     moved_order = tuple(label[i] for i in order)
     sset = evaluate_directions(moved, U @ Q.T)
@@ -1502,11 +1472,11 @@ def test_sample_scene_is_scale_free(seed, shape, exponent, decimal):
     scene, _ = random_scene_with_transversal(n, d, (0.5, 2.0), seed=seed)
     base = sample_scene(scene, 2000, seed=seed)
     factor = 2.0 ** exponent
-    sset = sample_scene(_moved_scene(scene, np.eye(d), 0.0, scale=factor), 2000, seed=seed)
+    sset = sample_scene(moved_scene(scene, scale=factor), 2000, seed=seed)
     feas = base.feasible
     assert np.array_equal(sset.feasible, feas)
     assert np.array_equal(sset.ties, base.ties)
     assert np.array_equal(sset.orders, base.orders)
     assert np.array_equal(sset.slacks[feas], factor * base.slacks[feas])
-    sset = sample_scene(_moved_scene(scene, np.eye(d), 0.0, scale=10.0 ** decimal), 2000, seed=seed)
+    sset = sample_scene(moved_scene(scene, scale=10.0 ** decimal), 2000, seed=seed)
     assert np.array_equal(sset.feasible, feas)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linestab.geom import Ball, SceneError
+from linestab.geom import SceneError
 from linestab.sextic import Triple, float_safe_triple
 from linestab.flexprobe import (
     CanonicalCoords,
@@ -38,7 +38,7 @@ def w_from_lifts(cfg):
     coordinates: p_i p_j z_k = q_k^2 w_k."""
     [p] = cfg.weights
     z = z_gaps(cfg)
-    q2 = cfg.q_edges[0] ** 2
+    [q2] = cfg.q_squared
     return np.array(
         [p[(k + 1) % 3] * p[(k + 2) % 3] * z[k] / q2[k] for k in range(3)]
     )
@@ -118,7 +118,7 @@ class TestLiftedConfig:
         # the weighted vectors close a polygon, so their lengths always obey
         # the strict triangle inequality for interior points
         for seed in range(10):
-            q = np.sort(random_config(seed).q_edges[0])
+            q = np.sort(np.sqrt(random_config(seed).q_squared[0]))
             assert q[0] + q[1] > q[2]
 
     def test_from_plane_data_canonical_frame(self):
@@ -225,7 +225,7 @@ class TestStarH:
         for seed in range(10):
             cfg = random_config(seed)
             split = lifted_hessian_decomposition(cfg)
-            out = star_h_canonical(CanonicalCoords(cfg.q_edges[0]), w_from_lifts(cfg))
+            out = star_h_canonical(CanonicalCoords(cfg.weights[0] * cfg.radii[0]), w_from_lifts(cfg))
             assert np.sign(out) == np.sign(split.margin[0])
 
     def test_translated_form_consistent(self):
@@ -301,7 +301,7 @@ class TestDisjointnessChain:
                     break
             assert np.all(rebuilt_pair_gaps(cfg) > 0)
             # z_k > (q_k^2 - (q_i - q_j)^2) / (p_i p_j), (i, j) opposite to k
-            [p], [q] = cfg.weights, cfg.q_edges
+            [p], [q] = cfg.weights, cfg.weights * cfg.radii
             pi, pj = np.roll(p, -1), np.roll(p, -2)
             qi, qj = np.roll(q, -1), np.roll(q, -2)
             assert np.all(z_gaps(cfg) > (q ** 2 - (qi - qj) ** 2) / (pi * pj))
@@ -359,7 +359,7 @@ class TestLiftedConfigForDirection:
         dirs = boundary_directions_for_triple(tri, 40)
         cfg, _ = lifted_config_for_direction(tri, dirs)
         derived = np.sort(cfg.radii, axis=1)
-        original = np.sort([b.radius for b in tri.scene.balls])
+        original = np.sort(tri.scene.radii)
         hits = int(np.sum(np.all(np.isclose(derived, original, rtol=0, atol=1e-6), axis=1)))
         assert hits >= 4  # the sextic arcs of the boundary produce exact matches
 

@@ -1,16 +1,18 @@
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linestab.cli import PRESET_NAMES, preset_scene
+from linestab.cli import PRESET_NAMES, main, preset_scene
 from linestab.cone import minimax_slack_batch, minimax_weights_batch
 from linestab.geom import (
-    Ball,
     Scene,
     SceneError,
     SolverError,
@@ -21,7 +23,8 @@ from linestab.geom import (
 )
 from linestab.sextic import Triple
 from conftest import (
-    center_order, collinear_scene, line_entry_parameters, scene_classification, simplex_minimax,
+    center_order, collinear_scene, line_entry_parameters, moved_scene, scene_classification,
+    simplex_minimax,
 )
 
 
@@ -48,22 +51,62 @@ def scene_slack(scene, u):
 
 class TestValidation:
     def test_radius_must_be_positive(self):
-        with pytest.raises(SceneError):
-            Ball([0, 0, 0], 0.0)
-        with pytest.raises(SceneError):
-            Ball([0, 0, 0], -1.0)
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(SceneError, match=f"must be positive and finite, got {radius}"):
+                Scene([[0, 0, 0], [5, 0, 0]], [1.0, radius])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_center_must_be_finite(self, entry):
+        with pytest.raises(SceneError, match="center has non-finite entries"):
+            Scene([[0, 0, 0], [5, entry, 0]], [1.0, 1.0])
 
     def test_overlap_rejected_without_flag(self):
         with pytest.raises(SceneError, match="disjoint"):
-            Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0)))
+            Scene([[0, 0, 0], [1, 0, 0]], [1.0, 1.0])
 
     def test_overlap_allowed_with_flag(self):
-        sc = Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0)), allow_overlap=True)
+        sc = Scene([[0, 0, 0], [1, 0, 0]], [1.0, 1.0], allow_overlap=True)
         assert sc.overlapping_pairs() == [(0, 1)]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(SceneError):
-            Scene(3, (Ball([0, 0], 1.0),))
+        # rows of two lengths are no scene; in a document, a centre whose
+        # length is not the stated dimension names both
+        with pytest.raises(SceneError, match="malformed centers"):
+            Scene([[0, 0, 0], [5, 0]], [1.0, 1.0])
+        doc = {"dimension": 3, "balls": [{"center": [0, 0], "radius": 1.0}]}
+        with pytest.raises(SceneError, match="ball of dimension 2 in scene of dimension 3"):
+            Scene.from_json_dict(doc)
+
+    @pytest.mark.parametrize("centers, match", [
+        (np.zeros((0, 3)), "scene needs at least one ball"),
+        ([], "scene needs at least one ball"),
+        ([[0.0], [5.0]], "dimension must be at least 2"),
+        ([0.0, 0.0, 0.0], "centers must be n rows of d entries"),
+    ])
+    def test_rows_must_hold_balls_in_the_plane_or_above(self, centers, match):
+        with pytest.raises(SceneError, match=match):
+            Scene(centers, [1.0] * len(centers))
+
+    @pytest.mark.parametrize("radii", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0])
+    def test_one_radius_per_center(self, radii):
+        with pytest.raises(SceneError, match="radii must be 2 numbers, one per center"):
+            Scene([[0, 0, 0], [5, 0, 0]], radii)
+
+    def test_overflowing_diameter_rejected(self):
+        with pytest.raises(SceneError, match="squared diameter overflows"):
+            Scene([[0, 0, 0], [1e200, 0, 0]], [1.0, 1.0])
+
+    def test_dimension_is_read_off_the_rows(self):
+        rows, radii = np.array([[0.0, 0, 0, 0], [5, 0, 0, 0]]), [1.0, 1.0]
+        scene = Scene(rows, radii)
+        assert scene.dimension == 4 and len(scene) == 2
+        with pytest.raises(AttributeError):
+            scene.dimension = 3
+        # the rows are read-only copies: the caller's array does not move them
+        rows[0, 0] = 100.0
+        assert scene.centers[0, 0] == 0.0
+        assert not scene.centers.flags.writeable and not scene.radii.flags.writeable
+        assert scene.centers.flags.c_contiguous and scene.centers.dtype == np.float64
 
     def test_zero_direction_rejected(self):
         with pytest.raises(SceneError, match="zero vector"):
@@ -86,8 +129,7 @@ def test_scene_objects_compare_and_hash_by_identity():
     # the generated __eq__ compared numpy centres with ==, which raised
     # "truth value of an array ... is ambiguous"; a set needed a hash
     def make():
-        a, b, c = (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([8, 0, 0], 1.0))
-        return [a, b, Scene(3, (a, b, c)), Triple(Scene(3, (a, b, c)))]
+        return [collinear_scene(), Triple(collinear_scene())]
 
     first, second = make(), make()
     for x, y in zip(first, second):
@@ -111,6 +153,92 @@ class TestSceneJson:
         assert set(doc["balls"][0]) == {"center", "radius"}
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(1, 5), overlap=st.booleans(), data=st.data())
+def test_json_round_trip_is_bit_exact(d, n, overlap, data):
+    # any finite rows (subnormals and -0.0 among them) with allow_overlap, or
+    # a generated disjoint scene without: the document gives back every bit,
+    # and writes the same text again
+    if overlap:
+        coords = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+        centers = [[data.draw(coords) for _ in range(d)] for _ in range(n)]
+        radii = [data.draw(st.floats(5e-324, 1e100)) for _ in range(n)]
+        scene = Scene(centers, radii, allow_overlap=True)
+    else:
+        scene = random_disjoint_scene(n, d, (0.5, 2.0), seed=data.draw(st.integers(0, 10**6)))
+    text = json.dumps(scene.to_json_dict())
+    back = Scene.from_json_dict(json.loads(text))
+    assert back.centers.tobytes() == scene.centers.tobytes()
+    assert back.radii.tobytes() == scene.radii.tobytes()
+    assert (back.dimension, len(back), back.allow_overlap) == (d, n, overlap)
+    assert json.dumps(back.to_json_dict()) == text
+
+
+MALFORMED = ("ragged", "radii-length", "no-balls", "dimension", "non-finite-center",
+             "bad-radius", "bool-or-string", "json-dimension")
+
+
+def _malformed(kind, draw):
+    """A valid scene's rows, with one defect of the given kind: (centers,
+    radii) for Scene, or None where the defect has no row form, and the
+    scene document with that defect."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    offsets = st.floats(-1.0, 1.0, allow_nan=False)
+    centers = [[10.0 * i] + [draw(offsets) for _ in range(d - 1)] for i in range(n)]
+    radii = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
+    Scene(centers, radii)  # the rows before the defect are a scene
+    k, j, dim, rows = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1)), d, True
+    doc_radii = radii
+    if kind == "ragged":
+        centers.append([10.0 * n] * draw(st.sampled_from([1, d - 1, d + 1])))
+        radii.append(1.0)
+    elif kind == "radii-length":
+        # a document gives each ball one radius: its defect is a list there
+        doc_radii = radii[:k] + [[1.0, 1.0]] + radii[k + 1:]
+        radii = radii + [1.0] if draw(st.booleans()) else radii[:-1]
+    elif kind == "no-balls":
+        centers, radii = [], []
+    elif kind == "dimension":
+        dim = draw(st.sampled_from([0, 1]))
+        centers = [c[:dim] for c in centers]
+    elif kind == "non-finite-center":
+        centers[k][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "bad-radius":
+        radii[k] = draw(st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]))
+    elif kind == "bool-or-string":
+        bad = draw(st.sampled_from([True, False, "1.0", "a"]))
+        rows = isinstance(bad, str)  # numpy reads a bool among floats as a number
+        if draw(st.booleans()):
+            centers[k][j] = bad
+        else:
+            radii[k] = bad
+    else:  # a document whose centres are not of its stated dimension
+        dim, rows = d + draw(st.sampled_from([-2, -1, 1])), False
+    balls = [{"center": c, "radius": r} for c, r in zip(centers, doc_radii)]
+    return (centers, radii) if rows else None, {"dimension": dim, "balls": balls}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_malformed_scenes_are_scene_errors_and_usage_errors(kind, data):
+    # a SceneError, never numpy's ValueError, from the rows and from the
+    # document; through the CLI, exit 2 with a message and no traceback
+    rows, doc = _malformed(kind, data.draw)
+    if rows is not None:
+        with pytest.raises(SceneError):
+            Scene(*rows)
+    with pytest.raises(SceneError):
+        Scene.from_json_dict(doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "scene.json")
+        path.write_text(json.dumps(doc))
+        r = CliRunner().invoke(main, ["check-convexity", "--scene", str(path)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "invalid scene" in r.output and "Traceback" not in r.output
+
+
 class TestProjection:
     def test_collinear_axis_projection(self):
         # projecting along the line of centers collapses all disks onto one
@@ -127,7 +255,7 @@ class TestProjection:
         scene = random_disjoint_scene(4, 3, (0.5, 1.5), seed=9)
         u = rng.normal(size=3)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in scene.balls))
+        rotated = moved_scene(scene, rotation=Q)
         c1 = project_centers(scene, u)
         c2 = project_centers(rotated, Q @ u)
         for i in range(len(c1)):
@@ -143,12 +271,12 @@ class TestProjection:
             c2 = project_centers(scene, u)
             for i in range(5):
                 for j in range(i + 1, 5):
-                    orig = np.linalg.norm(scene.balls[i].center - scene.balls[j].center)
+                    orig = np.linalg.norm(scene.centers[i] - scene.centers[j])
                     proj = np.linalg.norm(c2[i] - c2[j])
                     assert proj <= orig + 1e-12
 
     def test_perpendicular_edge_preserves_distance(self):
-        scene = Scene(3, (Ball([0, 0, 0], 1.0), Ball([0, 5, 0], 1.0)))
+        scene = Scene([[0, 0, 0], [0, 5, 0]], [1.0, 1.0])
         c2 = project_centers(scene, [1.0, 0.0, 0.0])
         d = np.linalg.norm(c2[0] - c2[1])
         assert np.isclose(d, 5.0, atol=1e-12)
@@ -277,20 +405,20 @@ class TestSceneClassification:
     def test_thinly_distributed(self):
         s = 5.0
         pts = [(0, 0, 0), (s, 0, 0), (s / 2, s * math.sqrt(3) / 2, 0)]
-        flags = scene_classification(Scene(3, tuple(Ball(p, 1.0) for p in pts)))
+        flags = scene_classification(Scene(pts, np.ones(3)))
         assert flags.thinly_distributed
         assert flags.pairwise_inflatable
 
     def test_inflatable_but_not_thin(self):
         s = math.sqrt(4.5)
         pts = [(0, 0, 0), (s, 0, 0), (s / 2, s * math.sqrt(3) / 2, 0)]
-        flags = scene_classification(Scene(3, tuple(Ball(p, 1.0) for p in pts)))
+        flags = scene_classification(Scene(pts, np.ones(3)))
         assert flags.pairwise_inflatable
         assert not flags.thinly_distributed
 
     def test_collinear_detection(self):
         assert scene_classification(collinear_scene()).collinear_centers
-        sc = Scene(3, (Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0), Ball([2, 5, 0], 1.0)))
+        sc = Scene([[0, 0, 0], [4, 0, 0], [2, 5, 0]], [1.0, 1.0, 1.0])
         assert not scene_classification(sc).collinear_centers
 
 
@@ -298,14 +426,27 @@ def _assert_relabelling_keeps_scene_data(scene, perm):
     """The scene's overlapping pairs are those of the pairwise loop, and
     relabelling the balls by perm (ball k of the new scene is ball perm[k])
     keeps band and diameter bit for bit and maps those pairs through perm."""
-    balls = scene.balls
+    c, r = scene.centers, scene.radii
     assert scene.overlapping_pairs() == [
-        (a, b) for a, b in itertools.combinations(range(len(balls)), 2)
-        if np.linalg.norm(balls[a].center - balls[b].center) <= balls[a].radius + balls[b].radius]
-    moved = Scene(scene.dimension, tuple(scene.balls[p] for p in perm), allow_overlap=True)
+        (a, b) for a, b in itertools.combinations(range(len(scene)), 2)
+        if np.linalg.norm(c[a] - c[b]) <= r[a] + r[b]]
+    moved = moved_scene(scene, perm)
     assert (moved.band, moved.diameter) == (scene.band, scene.diameter), perm
     mapped = {tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in moved.overlapping_pairs()}
     assert mapped == set(scene.overlapping_pairs()), perm
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_moved_scene_copies_are_exact(name):
+    # the tests that pin bits on 2^k copies and relabellings read these rows
+    scene = preset_scene(name)
+    for k in (-330, -200, 200, 300):
+        copy = moved_scene(scene, scale=2.0 ** k)
+        assert np.array_equal(copy.centers, np.ldexp(scene.centers, k))
+        assert np.array_equal(copy.radii, np.ldexp(scene.radii, k))
+    relabelled = moved_scene(scene, (2, 0, 1))
+    assert np.array_equal(relabelled.centers, scene.centers[[2, 0, 1]])
+    assert np.array_equal(relabelled.radii, scene.radii[[2, 0, 1]])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -320,8 +461,12 @@ def test_relabelled_presets_keep_band_diameter_and_overlaps(name):
 def test_relabelling_keeps_band_diameter_and_overlaps(seed, n, d):
     # centres a few radii apart, so that some pairs overlap
     rng = np.random.default_rng(seed)
-    balls = tuple(Ball(3.0 * rng.normal(size=d), rng.uniform(0.2, 2.0)) for _ in range(n))
-    _assert_relabelling_keeps_scene_data(Scene(d, balls, allow_overlap=True), rng.permutation(n))
+    centers, radii = [], []
+    for _ in range(n):
+        centers.append(3.0 * rng.normal(size=d))
+        radii.append(rng.uniform(0.2, 2.0))
+    _assert_relabelling_keeps_scene_data(Scene(centers, radii, allow_overlap=True),
+                                         rng.permutation(n))
 
 
 class TestGenerators:
@@ -374,9 +519,9 @@ def test_projection_isometry_property(seed, ux, uy, uz):
     for i in range(3):
         for j in range(i + 1, 3):
             proj = np.linalg.norm(c2[i] - c2[j])
-            orig = np.linalg.norm(scene.balls[i].center - scene.balls[j].center)
+            orig = np.linalg.norm(scene.centers[i] - scene.centers[j])
             assert proj <= orig + 1e-9
-            edge = scene.balls[j].center - scene.balls[i].center
+            edge = scene.centers[j] - scene.centers[i]
             cos = abs(np.dot(edge, u)) / np.linalg.norm(edge)
             if cos < 1e-9:  # edge perpendicular to the direction
                 assert np.isclose(proj, orig, atol=1e-9)

@@ -14,7 +14,6 @@ from linestab.cone import (
     sample_scene,
 )
 from linestab.geom import (
-    Ball,
     Scene,
     SolverError,
     orthonormal_basis_of_complement,
@@ -51,7 +50,7 @@ def collinear_scene(n, seed):
     rng = np.random.default_rng(seed)
     radii = rng.uniform(0.5, 2.0, size=n)
     x = 2.0 * np.cumsum(radii) - radii + np.cumsum(rng.uniform(0.1, 1.0, size=n))
-    return Scene(3, tuple(Ball([xi, 0.0, 0.0], r) for xi, r in zip(x, radii)))
+    return Scene(np.outer(x, [1.0, 0.0, 0.0]), radii)
 
 
 def assert_attained(centers, radii, U, slack, W):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from linestab import sextic as sextic_mod
 from linestab.cli import PRESET_NAMES, preset_scene
 from linestab.geom import (
-    Ball, Scene, SceneError, SolverError, orthonormal_basis_of_complement,
+    Scene, SceneError, SolverError, orthonormal_basis_of_complement,
 )
 from linestab.sextic import (
     CHART_AXES,
@@ -32,7 +32,7 @@ from linestab.sextic import (
 )
 from conftest import (
     bordered_cayley_menger, cayley_matrix_5x5, collinear_scene, conic_matrix, eval_hessian_sigma,
-    lifted_triple, line_distance, pair_matrix, poly_value, random_triple,
+    lifted_triple, line_distance, moved_scene, pair_matrix, poly_value, random_triple,
 )
 
 
@@ -42,9 +42,7 @@ def collinear_triple():
 
 def scaled_triple(tri, k):
     """The exact copy of a triple scaled by 2^k."""
-    scene = tri.scene
-    return Triple(Scene(3, tuple(Ball(np.ldexp(b.center, k), math.ldexp(b.radius, k))
-                                 for b in scene.balls), allow_overlap=scene.allow_overlap))
+    return Triple(moved_scene(tri.scene, scale=2.0 ** k))
 
 
 class TestDirectionPoly:
@@ -73,10 +71,10 @@ class TestSigma:
         val = eval_sigma(tri, np.array([[1.0, 0.0, 0.0]]))[0]
         assert abs(val) <= 1e-9 * tri.sigma_scale
         line_point = np.array([0.0, 1.0, 0.0])
-        for b in tri.scene.balls:
-            w = b.center - line_point
+        for center, radius in zip(tri.centers, tri.scene.radii):
+            w = center - line_point
             d = math.sqrt(float(w @ w) - float(w @ np.array([1.0, 0, 0])) ** 2)
-            assert np.isclose(d, b.radius, atol=1e-12)
+            assert np.isclose(d, radius, atol=1e-12)
 
     def test_degree_six_homogeneity(self, rng):
         tri = random_triple(2)
@@ -92,21 +90,21 @@ class TestSigma:
         u = rng.normal(size=3)
         ref = eval_sigma(tri, [u])[0]
         for perm in itertools.permutations(range(3)):
-            tri_p = Triple(Scene(3, tuple(tri.scene.balls[i] for i in perm)))
+            tri_p = Triple(moved_scene(tri.scene, perm))
             val = eval_sigma(tri_p, [u])[0]
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_translation_invariance(self, rng):
         tri = random_triple(4)
         shift = rng.normal(size=3) * 10
-        moved = Triple(Scene(3, tuple(Ball(b.center + shift, b.radius) for b in tri.scene.balls)))
+        moved = Triple(moved_scene(tri.scene, shift=shift))
         u = rng.normal(size=3)
         assert np.isclose(eval_sigma(tri, [u])[0], eval_sigma(moved, [u])[0], rtol=1e-12)
 
     def test_rotation_equivariance(self, rng):
         tri = random_triple(5)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = Triple(Scene(3, tuple(Ball(Q @ b.center, b.radius) for b in tri.scene.balls)))
+        rotated = Triple(moved_scene(tri.scene, rotation=Q))
         for _ in range(4):
             u = rng.normal(size=3)
             a = eval_sigma(tri, [u])[0]
@@ -128,8 +126,8 @@ class TestSigma:
         # plane normal to an edge, where sigma's e^{6i theta} harmonic is zero,
         # and the circles of the overlapping balls 0 and 1 meet
         if case == "edge-normal":
-            tri = Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0),
-                                   Ball([0.3, 0.4, 3], 1.0)), allow_overlap=True))
+            tri = Triple(Scene([[0, 0, 0], [1, 0, 0], [0.3, 0.4, 3]], [1.0, 1.0, 1.0],
+                               allow_overlap=True))
             anchor, t = orthonormal_basis_of_complement(tri.centers[1] - tri.centers[0])
             tangents = np.array([t, -t])
         else:
@@ -386,10 +384,8 @@ class TestTriple:
     )
     def test_direct_construction_gets_scene_checks(self, balls, match):
         # the Scene checks its balls, and the Triple that they are three in R^3
-        it = iter(balls)
-        balls = tuple(Ball(c, r) for c, r in zip(it, it))
         with pytest.raises(SceneError, match=match):
-            Triple(Scene(balls[0].dimension, balls))
+            Triple(Scene(balls[0::2], balls[1::2]))
 
 
 def abrel(a, b):
@@ -487,8 +483,8 @@ class TestTangentRecovery:
                 feet, errors = tangent_lines_for_direction(tri, [u])
                 assert errors == [None]
                 for foot in feet[0][~np.isnan(feet[0, :, 0])]:
-                    for b in tri.scene.balls:
-                        assert abs(line_distance(foot, u, b.center) - b.radius) <= 1e-8
+                    for center, radius in zip(tri.centers, tri.scene.radii):
+                        assert abs(line_distance(foot, u, center) - radius) <= 1e-8
                     checked += 1
         assert checked >= 8
 
@@ -509,9 +505,9 @@ class TestTangentRecovery:
             assert np.all(np.abs(feet @ u) <= 1e-12 * np.linalg.norm(feet, axis=1))
 
 
-def pair_conic(bi, bj):
-    """The builder's conic of two balls, read from a triple with a far third."""
-    return Triple(Scene(3, (bi, bj, Ball([0.0, 0.0, 50.0], 1.0)), allow_overlap=True)).pair_conic(0, 1)
+def pair_triple(ci, cj):
+    """Unit balls 0 and 1 at ci and cj, with a far third."""
+    return Triple(Scene([ci, cj, [0.0, 0.0, 50.0]], [1.0, 1.0, 1.0], allow_overlap=True))
 
 
 class TestPairCone:
@@ -519,16 +515,16 @@ class TestPairCone:
         for seed in range(4):
             tri = random_triple(seed)
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                bi, bj = tri.scene.balls[i], tri.scene.balls[j]
                 conic = tri.pair_conic(i, j)
-                np.testing.assert_allclose(conic_matrix(conic), pair_matrix(bi, bj), rtol=1e-12)
-                e = bj.center - bi.center
+                np.testing.assert_allclose(conic_matrix(conic), pair_matrix(tri.scene, i, j),
+                                           rtol=1e-12)
+                e = tri.centers[j] - tri.centers[i]
                 u = e / np.linalg.norm(e)
-                expected = -((bi.radius + bj.radius) ** 2)
+                expected = -((tri.scene.radii[i] + tri.scene.radii[j]) ** 2)
                 assert np.isclose(poly_value(conic, *u), expected, rtol=1e-12)
 
     def test_perpendicular_never_feasible(self):
-        conic = pair_conic(Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0))
+        conic = pair_triple([0, 0, 0], [4, 0, 0]).pair_conic(0, 1)
         assert poly_value(conic, 0.0, 1.0, 0.0) > 0
         assert np.isclose(poly_value(conic, 0.0, 1.0, 0.0), 16 - 4)
 
@@ -537,20 +533,17 @@ class TestPairCone:
         # with the center line; the oracle is the two-disk minimax kernel
         from linestab.cone import minimax_slack_batch
 
-        bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
-        conic = pair_conic(bi, bj)
+        tri = pair_triple([0, 0, 0], [4, 0, 0])
+        conic = tri.pair_conic(0, 1)
         for ux in (0.9, 0.88, math.sqrt(3) / 2 + 1e-3):
             u = np.array([ux, math.sqrt(1 - ux ** 2), 0.0])
             val = poly_value(conic, *u)
-            slack = minimax_slack_batch(
-                np.array([bi.center, bj.center]), np.ones(2), u[None, :]
-            )[0]
+            slack = minimax_slack_batch(tri.centers[:2], np.ones(2), u[None, :])[0]
             assert (val <= 0) == (slack <= 1e-12)
             assert (val <= 0) == (ux ** 2 >= 0.75 - 1e-9)
 
     def test_overlapping_pair_degenerate(self):
-        tri = Triple(Scene(3, (Ball([0, 0, 0], 1.0), Ball([1, 0, 0], 1.0), Ball([0, 0, 50], 1.0)),
-                           allow_overlap=True))
+        tri = pair_triple([0, 0, 0], [1, 0, 0])
         assert tri.scene.overlapping_pairs() == [(0, 1)]
         assert sextic_mod._curve(tri, "pair01") is None
         # feasibility covers every direction
@@ -558,9 +551,9 @@ class TestPairCone:
             assert poly_value(tri.pair_conic(0, 1), *np.asarray(u) / np.linalg.norm(u)) < 0
 
     def test_signature_recorded(self):
-        bi, bj = Ball([0, 0, 0], 1.0), Ball([4, 0, 0], 1.0)
-        M = conic_matrix(pair_conic(bi, bj))
-        assert np.array_equal(M, pair_matrix(bi, bj))
+        tri = pair_triple([0, 0, 0], [4, 0, 0])
+        M = conic_matrix(tri.pair_conic(0, 1))
+        assert np.array_equal(M, pair_matrix(tri.scene, 0, 1))
         # two positive eigenvalues and one negative: a real cone of directions
         assert np.array_equal(np.sign(np.linalg.eigvalsh(M)), [-1, 1, 1])
 
@@ -582,9 +575,7 @@ def test_sigma_scaling_and_translation_property(seed, lam, shift):
     base = eval_sigma(tri, [u])[0]
     scaled = eval_sigma(tri, [lam * u])[0]
     assert abs(scaled - lam ** 6 * base) <= 1e-9 * max(abs(scaled), abs(lam ** 6 * base))
-    moved = Triple(Scene(
-        3, tuple(Ball(b.center + shift * np.array([1.0, -0.5, 0.25]), b.radius) for b in tri.scene.balls)
-    ))
+    moved = Triple(moved_scene(tri.scene, shift=shift * np.array([1.0, -0.5, 0.25])))
     assert abs(eval_sigma(moved, [u])[0] - base) <= 1e-9 * max(abs(base), 1e-300)
 
 
@@ -649,7 +640,7 @@ class TestTraceCurves:
         elif curve == "hessian":
             oracle = lambda u: eval_hessian_sigma(tri, u)
         else:
-            M = pair_matrix(tri.scene.balls[int(curve[4])], tri.scene.balls[int(curve[5])])
+            M = pair_matrix(tri.scene, int(curve[4]), int(curve[5]))
             oracle = lambda u: u @ M @ u
 
         def f(x, y):

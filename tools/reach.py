@@ -1,6 +1,7 @@
-"""List the functions of the linestab package that no CLI command enters.
+"""List the functions, or the lines, of the linestab package that no CLI
+command runs.
 
-    python3 tools/reach.py [--src DIR]
+    python3 tools/reach.py [--src DIR] [--lines]
 
 Runs the commands of the ``linestab`` CLI in this process, with their scene
 files in a temporary directory, under a ``sys.settrace`` hook that records
@@ -23,8 +24,13 @@ in the package's source (methods, properties, nested functions and lambdas
 included; not comprehensions, class bodies, or the nested functions of a
 function it prints) that no run entered, one per line as ``file:line
 qualname``, and a count line last.  A function listed is reached only from the tests or
-from library use outside the CLI, or from nowhere.  ``--src`` is the source
-directory of the checkout to run (default: this checkout's ``src``).
+from library use outside the CLI, or from nowhere.  With ``--lines`` it
+prints instead each executable line of the package's source (a line that
+holds bytecode of the module or of a function in it) on which no run
+started, as ``file:line  source``, from the hook's ``line`` events (and a
+function's ``call`` event for its ``def`` line), and a count line last.
+``--src`` is the source directory of the checkout to run (default: this
+checkout's ``src``).
 """
 from __future__ import annotations
 
@@ -45,15 +51,27 @@ SAMPLE_COMMANDS = ("check-convexity", "enumerate-permutations", "count-component
 _INLINE = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 
 
-def _functions(path: Path):
-    """(line, qualname) of every function body compiled from ``path``."""
+def _code_objects(path: Path):
+    """Every code object compiled from ``path``: the module's and those
+    nested in it."""
     stack, out = [compile(path.read_text(), str(path), "exec")], []
     while stack:
         code = stack.pop()
         stack.extend(c for c in code.co_consts if inspect.iscode(c))
-        if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in _INLINE:
-            out.append((code.co_firstlineno, code.co_qualname))
+        out.append(code)
     return out
+
+
+def _functions(path: Path):
+    """(line, qualname) of every function body compiled from ``path``."""
+    return [(code.co_firstlineno, code.co_qualname) for code in _code_objects(path)
+            if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in _INLINE]
+
+
+def _executable_lines(path: Path) -> set[int]:
+    """The lines of ``path`` that hold bytecode."""
+    return {line for code in _code_objects(path) for _, _, line in code.co_lines()
+            if line is not None}
 
 
 def _runs(invoke):
@@ -91,19 +109,29 @@ def _runs(invoke):
 @click.command()
 @click.option("--src", type=click.Path(exists=True, file_okay=False), default=str(ROOT / "src"),
               show_default=True, help="source directory holding the linestab package")
-def main(src):
-    """Print the package's functions that no CLI command enters."""
+@click.option("--lines", "by_line", is_flag=True, default=False,
+              help="list the executable lines that no command runs, not the functions")
+def main(src, by_line):
+    """Print the package's functions (or lines) that no CLI command runs."""
     package = Path(src).resolve() / "linestab"
     sys.path.insert(0, str(package.parent))
     from click.testing import CliRunner
 
     files = {str(p): p for p in sorted(package.glob("*.py"))}
-    entered = set()
+    entered, ran = set(), set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
 
     def trace(frame, event, arg):
         code = frame.f_code
         if code.co_filename in files:
             entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+            if by_line:
+                ran.add((code.co_filename, frame.f_lineno))
+                return trace_lines
 
     def invoke(*args, usage_error=False):
         result = CliRunner().invoke(cli.main, list(args))
@@ -123,6 +151,18 @@ def main(src):
     finally:
         sys.settrace(None)
         os.chdir(here)
+    if by_line:
+        missed, total = [], 0
+        for filename, path in files.items():
+            source = path.read_text().splitlines()
+            lines = _executable_lines(path)
+            total += len(lines)
+            missed += [(path.name, line, source[line - 1].strip())
+                       for line in sorted(lines) if (filename, line) not in ran]
+        for name, line, text in missed:
+            click.echo(f"{name}:{line}  {text}")
+        click.echo(f"{len(missed)} of {total} executable lines not run by any command")
+        return
     missed, total = [], 0
     for filename, path in files.items():
         functions = sorted(_functions(path))

@@ -48,7 +48,8 @@ Last, per preset, those of ``boundary_directions_for_triple(triple, 200)``
 and ``sextic_ray_directions(triple, 8)`` on its 2^-200, 1 and 2^200 copies,
 with the exception's type name in place of a digest where a call raises;
 a line after each preset says whether its three copies' digests agree.
-``--src`` is as for ``presets``.
+``--src`` is as for ``presets``, but this mode calls the library itself, so
+the checkout must build a scene from its rows, ``Scene(centers, radii)``.
 
 ``presets``, ``identities`` and ``workdir`` print two digests per report:
 of its bytes, and of its float-free form, the report with every float
@@ -64,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 import re
 import subprocess
@@ -240,9 +240,8 @@ def kernel(src):
     for name in PRESETS:
         scene, seen = preset_scene(name), set()
         for k in SCALE_SHIFTS:
-            triple = sextic.Triple(geom.Scene(3, tuple(
-                geom.Ball(np.ldexp(b.center, k), math.ldexp(b.radius, k)) for b in scene.balls),
-                allow_overlap=scene.allow_overlap))
+            triple = sextic.Triple(geom.Scene(np.ldexp(scene.centers, k), np.ldexp(scene.radii, k),
+                                              allow_overlap=scene.allow_overlap))
             for label, call, count in calls:
                 try:
                     digest = _digest(np.ascontiguousarray(call(triple, count)).tobytes())
