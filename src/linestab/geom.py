@@ -40,11 +40,11 @@ def _as_vector(x, name="vector"):
 
 
 def _float_array(x, name: str) -> np.ndarray:
-    """x as a C-ordered float array; SceneError on ragged, boolean or string
-    entries."""
+    """x as a C-ordered float array; SceneError on ragged, boolean, complex
+    or string entries."""
     try:
         raw = np.asarray(x)
-        if raw.dtype.kind in "bSUV":
+        if raw.dtype.kind in "bcSUV":
             raise TypeError(f"entries must be numbers, not {raw.dtype}")
         return np.array(raw, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:

@@ -45,9 +45,9 @@ def moved_scene(scene: Scene, perm=None, rotation=None, scale=1.0, shift=0.0) ->
 
 
 def sample_with_directions(scene: Scene, samples: int, extra, seed: int = 0):
-    """sample_scene's lattice rows followed by the rows of ``extra`` at unit
-    length, through the same prefiltered evaluation."""
-    U = np.vstack([sample_directions(scene.dimension, samples, seed), _unit_rows(extra)])
+    """sample_scene's lattice rows followed by the rows of ``extra``, through
+    the same prefiltered evaluation, which scales each row to unit length."""
+    U = np.vstack([sample_directions(scene.dimension, samples, seed), extra])
     return cone._evaluate(scene, U, prefilter=True)
 
 

@@ -68,6 +68,16 @@ class TestValidation:
         sc = Scene([[0, 0, 0], [1, 0, 0]], [1.0, 1.0], allow_overlap=True)
         assert sc.overlapping_pairs() == [(0, 1)]
 
+    @pytest.mark.parametrize("centers, radii, name", [
+        ([[1j, 0, 0], [5, 0, 0]], [1.0, 1.0], "centers"),
+        (np.zeros((2, 3), dtype=complex) + [[0], [5]], [1.0, 1.0], "centers"),
+        ([[0, 0, 0], [5, 0, 0]], [1.0, 1.0 + 0j], "radii"),
+    ])
+    def test_complex_entries_are_rejected(self, centers, radii, name):
+        # numpy would drop the imaginary part with a warning
+        with pytest.raises(SceneError, match=f"malformed {name}"):
+            Scene(centers, radii)
+
     def test_dimension_mismatch(self):
         # rows of two lengths are no scene; in a document, a centre whose
         # length is not the stated dimension names both

@@ -1,11 +1,11 @@
-"""List the functions, or the lines, of the linestab package that no CLI
+"""List the functions and the lines of the linestab package that no CLI
 command runs.
 
-    python3 tools/reach.py [--src DIR] [--lines]
+    python3 tools/reach.py [--src DIR]
 
 Runs the commands of the ``linestab`` CLI in this process, with their scene
 files in a temporary directory, under a ``sys.settrace`` hook that records
-every function call into the package's source:
+every function call into, and every line run in, the package's source:
 
 - on each of the nine presets, every command at its defaults, trace-curves
   also in the charts u1 and u2 (the default is u3) and as SVG,
@@ -23,12 +23,12 @@ bodies, decorators) counts as entered.  Then it prints each function defined
 in the package's source (methods, properties, nested functions and lambdas
 included; not comprehensions, class bodies, or the nested functions of a
 function it prints) that no run entered, one per line as ``file:line
-qualname``, and a count line last.  A function listed is reached only from the tests or
-from library use outside the CLI, or from nowhere.  With ``--lines`` it
-prints instead each executable line of the package's source (a line that
-holds bytecode of the module or of a function in it) on which no run
-started, as ``file:line  source``, from the hook's ``line`` events (and a
-function's ``call`` event for its ``def`` line), and a count line last.
+qualname``, and a count line.  A function listed is reached only from the
+tests or from library use outside the CLI, or from nowhere.  After them it
+prints each executable line of the package's source (a line that holds
+bytecode of the module or of a function in it) on which no run started, as
+``file:line  source``, from the hook's ``line`` events (and a function's
+``call`` event for its ``def`` line), and a count line last.
 ``--src`` is the source directory of the checkout to run (default: this
 checkout's ``src``).
 """
@@ -109,10 +109,8 @@ def _runs(invoke):
 @click.command()
 @click.option("--src", type=click.Path(exists=True, file_okay=False), default=str(ROOT / "src"),
               show_default=True, help="source directory holding the linestab package")
-@click.option("--lines", "by_line", is_flag=True, default=False,
-              help="list the executable lines that no command runs, not the functions")
-def main(src, by_line):
-    """Print the package's functions (or lines) that no CLI command runs."""
+def main(src):
+    """Print the package's functions and lines that no CLI command runs."""
     package = Path(src).resolve() / "linestab"
     sys.path.insert(0, str(package.parent))
     from click.testing import CliRunner
@@ -129,9 +127,8 @@ def main(src, by_line):
         code = frame.f_code
         if code.co_filename in files:
             entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
-            if by_line:
-                ran.add((code.co_filename, frame.f_lineno))
-                return trace_lines
+            ran.add((code.co_filename, frame.f_lineno))
+            return trace_lines
 
     def invoke(*args, usage_error=False):
         result = CliRunner().invoke(cli.main, list(args))
@@ -151,29 +148,25 @@ def main(src, by_line):
     finally:
         sys.settrace(None)
         os.chdir(here)
-    if by_line:
-        missed, total = [], 0
-        for filename, path in files.items():
-            source = path.read_text().splitlines()
-            lines = _executable_lines(path)
-            total += len(lines)
-            missed += [(path.name, line, source[line - 1].strip())
-                       for line in sorted(lines) if (filename, line) not in ran]
-        for name, line, text in missed:
-            click.echo(f"{name}:{line}  {text}")
-        click.echo(f"{len(missed)} of {total} executable lines not run by any command")
-        return
-    missed, total = [], 0
+    functions, lines, n_functions, n_lines = [], [], 0, 0
     for filename, path in files.items():
-        functions = sorted(_functions(path))
-        total += len(functions)
-        for line, name in functions:
+        source = path.read_text().splitlines()
+        executable = sorted(_executable_lines(path))
+        n_lines += len(executable)
+        lines += [(path.name, line, source[line - 1].strip())
+                  for line in executable if (filename, line) not in ran]
+        defined = sorted(_functions(path))
+        n_functions += len(defined)
+        for line, name in defined:
             if (filename, line, name) not in entered and not any(
-                    name.startswith(f"{outer}.<locals>.") for _, _, outer in missed):
-                missed.append((path.name, line, name))
-    for name, line, qualname in missed:
+                    name.startswith(f"{outer}.<locals>.") for _, _, outer in functions):
+                functions.append((path.name, line, name))
+    for name, line, qualname in functions:
         click.echo(f"{name}:{line} {qualname}")
-    click.echo(f"{len(missed)} of {total} functions not entered by any command")
+    click.echo(f"{len(functions)} of {n_functions} functions not entered by any command")
+    for name, line, text in lines:
+        click.echo(f"{name}:{line}  {text}")
+    click.echo(f"{len(lines)} of {n_lines} executable lines not run by any command")
 
 
 if __name__ == "__main__":

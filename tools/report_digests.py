@@ -48,8 +48,10 @@ Last, per preset, those of ``boundary_directions_for_triple(triple, 200)``
 and ``sextic_ray_directions(triple, 8)`` on its 2^-200, 1 and 2^200 copies,
 with the exception's type name in place of a digest where a call raises;
 a line after each preset says whether its three copies' digests agree.
-``--src`` is as for ``presets``, but this mode calls the library itself, so
-the checkout must build a scene from its rows, ``Scene(centers, radii)``.
+``--src`` is as for ``presets``; this mode calls the library itself, and
+builds the scaled copies through the scene's JSON document
+(``to_json_dict`` and ``from_json_dict``), so it runs on checkouts from
+before and after ``Scene`` took its rows directly.
 
 ``presets``, ``identities`` and ``workdir`` print two digests per report:
 of its bytes, and of its float-free form, the report with every float
@@ -65,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -205,6 +208,16 @@ def workdir(work):
         click.echo(f"{_digests(data)}  op{op['id']} {op['command']} {out.name}")
 
 
+def _scaled_scene(Scene, scene, k):
+    """The 2^k copy of ``scene``, built through its JSON document, which
+    reads the same before and after ``Scene`` took its rows directly."""
+    data = scene.to_json_dict()
+    for ball in data["balls"]:
+        ball["center"] = [math.ldexp(x, k) for x in ball["center"]]
+        ball["radius"] = math.ldexp(ball["radius"], k)
+    return Scene.from_json_dict(data)
+
+
 @main.command()
 @click.option("--src", type=click.Path(exists=True, file_okay=False), default=str(ROOT / "src"),
               show_default=True, help="source directory holding the linestab package")
@@ -240,8 +253,7 @@ def kernel(src):
     for name in PRESETS:
         scene, seen = preset_scene(name), set()
         for k in SCALE_SHIFTS:
-            triple = sextic.Triple(geom.Scene(np.ldexp(scene.centers, k), np.ldexp(scene.radii, k),
-                                              allow_overlap=scene.allow_overlap))
+            triple = sextic.Triple(_scaled_scene(geom.Scene, scene, k))
             for label, call, count in calls:
                 try:
                     digest = _digest(np.ascontiguousarray(call(triple, count)).tobytes())
