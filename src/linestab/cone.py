@@ -14,7 +14,8 @@ directions are feasible: their projected disks share a point up to the band
 (slack <= band) and their order has no tie (two center projections closer
 than the band); the entry-order margin, the boundary curves (radii r + band)
 and the boundary classification read the same band, so no verdict changes
-when the scene is scaled.
+when the scene is scaled.  ConeSampleSet.cones alone groups the feasible
+rows by meeting order, for the permutation catalogue and the boundary rays.
 
 The bulk feasibility engine solves the projected-disk minimax problem for a
 batch of directions at once, with no per-direction Python work: each row
@@ -317,7 +318,7 @@ class ConeSampleSet:
     slack, which certifies it infeasible.  ``orders`` and ``ties`` are those
     of realized_orders_batch on the rows that meet; a row that does not
     meet holds the identity order and no tie.  Read them through the two
-    predicates or on feasible rows only.
+    predicates, on feasible rows only, or by meeting order through ``cones``.
     """
 
     scene: Scene
@@ -355,6 +356,17 @@ class ConeSampleSet:
         if order is not None:
             mask &= np.all(self.orders == np.asarray(order)[None, :], axis=1)
         return mask
+
+    def cones(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """The distinct meeting orders of the feasible rows, in lexicographic
+        order, each with its rows in increasing order: one stable sort over
+        the order columns, cut where a row's order differs from the last."""
+        rows = np.flatnonzero(self.feasible)
+        orders = self.orders[rows]
+        by = np.lexsort(orders.T[::-1])
+        cuts = np.flatnonzero(np.any(np.diff(orders[by], axis=0), axis=1)) + 1
+        return [(tuple(orders[group[0]].tolist()), rows[group])
+                for group in np.split(by, cuts) if len(group)]
 
 
 def _evaluate(scene: Scene, U, prefilter: bool) -> ConeSampleSet:
@@ -666,19 +678,6 @@ def cone_convexity_check(
 # ---------------------------------------------------------------------------
 
 
-def _reversed_is_canonical(orders: np.ndarray) -> np.ndarray:
-    """Per order row: is its reverse lexicographically smaller than the row?
-
-    An ordering is identified with its reversal, and the lexicographically
-    smaller of the two is canonical: the first position where a row and its
-    reverse differ decides.
-    """
-    rev = orders[:, ::-1]
-    rows = np.arange(len(orders))
-    first = np.argmax(orders != rev, axis=1)
-    return rev[rows, first] < orders[rows, first]
-
-
 def enumerate_geometric_permutations(sset: ConeSampleSet) -> dict:
     """Catalog of the geometric permutations of ``sset.scene`` discovered by
     its direction sample ``sset``.
@@ -690,38 +689,18 @@ def enumerate_geometric_permutations(sset: ConeSampleSet) -> dict:
     in order of discovery, each with its ``witness`` direction,
     ``witness_order``, ``witness_slack`` and ``sample_count``.
     """
-    idxs = np.flatnonzero(sset.feasible)
-    orders = sset.orders[idxs]
-    canon = np.where(_reversed_is_canonical(orders)[:, None], orders[:, ::-1], orders)
-    # one sort groups the permutations and puts each one's smallest slack
-    # first (stable: its first sample among equal slacks)
-    key = _row_keys(canon, len(sset.scene))
-    by = np.lexsort((sset.slacks[idxs], key))
-    starts = np.flatnonzero(np.diff(key[by], prepend=-1))  # keys are >= 0
-    counts = np.diff(starts, append=len(by))
-    found = np.argsort(np.minimum.reduceat(by, starts))  # by first sample
-    permutations = [
-        {"permutation": canon[by[s]].tolist(), "witness": sset.directions[m].tolist(),
-         "witness_order": sset.orders[m].tolist(), "witness_slack": float(sset.slacks[m]),
-         "sample_count": int(c)}
-        for s, m, c in zip(starts[found], idxs[by[starts[found]]], counts[found])
-    ]
+    merged = {}
+    for order, rows in sset.cones():
+        perm = min(order, order[::-1])
+        merged[perm] = np.sort(np.concatenate([merged.get(perm, rows[:0]), rows]))
+    permutations = []
+    for perm, rows in sorted(merged.items(), key=lambda item: item[1][0]):  # by first sample
+        m = rows[np.argmin(sset.slacks[rows])]  # the first deepest
+        permutations.append({
+            "permutation": list(perm), "witness": sset.directions[m].tolist(),
+            "witness_order": sset.orders[m].tolist(), "witness_slack": float(sset.slacks[m]),
+            "sample_count": len(rows)})
     return {"count": len(permutations), "permutations": permutations}
-
-
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """An int64 key per row of integers in [0, base), equal exactly where the
-    rows are equal: the rows' base-``base`` numbers, with the digits read so
-    far replaced by their dense rank whenever one more digit would leave
-    int64."""
-    key, span = np.zeros(len(rows), dtype=np.int64), 1
-    for column in rows.T:
-        if span * base > 2 ** 62:
-            uniq, key = np.unique(key, return_inverse=True)
-            span = len(uniq)
-        key = key * base + column
-        span *= base
-    return key
 
 
 # candidate pairs _close_pairs tests at a time (plus at most one row's run),
@@ -925,17 +904,17 @@ def _level_roots(phi: np.ndarray, level_sq, sine_sq) -> np.ndarray:
 def _cone_rays(triple: Triple, count: int):
     """The rays cos(theta) a + sin(theta) t of boundary_directions_for_triple,
     every cone's in one batch, so that a triple makes one sextic-root call
-    and one kernel call, prefiltered by the pair bound: the cones' orders,
-    each cone's anchor a (c, 3), and per ray its cone's index (m,) and unit
-    tangent t (m, 3), cone by cone.  Every cone has k > 0 of the ``count``
-    rays."""
+    and one kernel call, prefiltered by the pair bound: the lattice's cone
+    orders (ConeSampleSet.cones), each cone's anchor a (c, 3), its first
+    deepest row, and per ray its cone's index (m,) and unit tangent t (m, 3),
+    cone by cone.  Every cone has k > 0 of the ``count`` rays."""
     sset = sample_scene(triple.scene, BOUNDARY_LATTICE)
-    cones = sorted({tuple(sset.orders[m].tolist()) for m in np.nonzero(sset.feasible)[0]})[:count]
+    catalogue = sset.cones()[:count]
+    cones = [order for order, _ in catalogue]
     anchors, tangents = np.zeros((len(cones), 3)), [np.zeros((0, 3))]
     sizes = [count // len(cones) + (k < count % len(cones)) for k in range(len(cones))]
-    for k, (order, n_rays) in enumerate(zip(cones, sizes)):
-        idx = np.nonzero(sset.feasible_for_order(order))[0]
-        anchors[k] = sset.directions[idx[np.argmin(sset.slacks[idx])]]
+    for k, ((_, rows), n_rays) in enumerate(zip(catalogue, sizes)):
+        anchors[k] = sset.directions[rows[np.argmin(sset.slacks[rows])]]
         basis = orthonormal_basis_of_complement(anchors[k])
         phis = 2.0 * math.pi * (np.arange(n_rays) + 0.5) / n_rays
         tangents.append(np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1])

@@ -26,7 +26,7 @@ squares.
 
 ``certify_flex_free`` probes all boundary samples of a triple as one float
 batch, each with the bits it gets alone: per-row dot products go through
-stacked ``@`` (``_dot``) and powers through ``_pow``.
+stacked ``@`` (``_stacked_dot``) and powers through ``_pow``.
 """
 from __future__ import annotations
 
@@ -163,7 +163,7 @@ def _scalar_dtype(*values) -> type:
 _LIBM_POW = np.frompyfunc(pow, 2, 1)
 
 
-def _dot(x, y):
+def _stacked_dot(x, y):
     """Dot products over the last axis, rounded as ``np.dot`` rounds one row.
 
     A stacked (1, n) @ (n, 1) product takes the same dot kernel per row;
@@ -289,17 +289,17 @@ class LiftedConfig:
             raise SceneError("need three 2-d vertices and one 2-d point")
         with np.errstate(divide="ignore", invalid="ignore"):
             d1 = P[:, 1] - P[:, 0]
-            a = np.sqrt(_dot(d1, d1))
+            a = np.sqrt(_stacked_dot(d1, d1))
             e1 = d1 / a[:, None]
             e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
             d2 = P[:, 2] - P[:, 0]
-            b = _dot(d2, e1)
-            c = _dot(d2, e2)
+            b = _stacked_dot(d2, e1)
+            c = _stacked_dot(d2, e2)
             flip = c < 0
             c = np.where(flip, -c, c)
             e2 = np.where(flip[:, None], -e2, e2)
             rel = pt - P[:, 0]
-            px, py = _dot(rel, e1), _dot(rel, e2)
+            px, py = _stacked_dot(rel, e1), _stacked_dot(rel, e2)
             # barycentric weights of (px, py) w.r.t. (0,0), (a,0), (b,c)
             w2 = py / c
             w1 = (px - b * w2) / a
@@ -490,7 +490,7 @@ def rebuilt_pair_gaps(cfg: LiftedConfig) -> np.ndarray:
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         e = tri[..., i, :] - tri[..., j, :]
-        d2 = _dot(e, e) + _pow(x[i] - x[j], 2)
+        d2 = _stacked_dot(e, e) + _pow(x[i] - x[j], 2)
         out.append(np.sqrt(d2) - (r[i] + r[j]))
     return np.stack(out, axis=-1)
 

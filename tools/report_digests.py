@@ -43,7 +43,10 @@ cone-sweep shapes (``random_scene_with_transversal`` at seeds 300 to 304) and
 the presets, each once on a lattice of KERNEL_LATTICE directions and once on
 the KERNEL_NEAR lattice rows of smallest |slack|, which reach the violator
 rounds.  Then, per scene, those of ``sample_scene`` on SAMPLE_ROWS rows: its
-slacks, its orders on the rows that meet, its ties and its feasible mask.
+slacks, its orders on the rows that meet, its ties and its feasible mask;
+for the five random scenes also the JSON of
+``enumerate_geometric_permutations`` and ``count_components`` on that
+sample, which reach more than three balls and R^4 and R^5.
 Last, per preset, those of ``boundary_directions_for_triple(triple, 200)``
 and ``sextic_ray_directions(triple, 8)`` on its 2^-200, 1 and 2^200 copies,
 with the exception's type name in place of a digest where a call raises;
@@ -248,6 +251,11 @@ def kernel(src):
         echo("sample orders", name, sset.orders[sset.meets])
         echo("sample ties", name, sset.ties)
         echo("sample feasible", name, sset.feasible)
+        if not name.startswith("random-"):
+            continue  # the presets' catalogues are in ``presets``' reports
+        for label, report in (("permutations", cone.enumerate_geometric_permutations),
+                              ("components", cone.count_components)):
+            click.echo(f"{_digest(json.dumps(report(sset)).encode())}  sample {label} {name}")
     calls = (("boundary directions", cone.boundary_directions_for_triple, 200),
              ("sextic ray directions", lambda t, n: cone.sextic_ray_directions(t, n)[0], 8))
     for name in PRESETS:
