@@ -5,6 +5,15 @@ feasibility and convexity, geometric permutations, and exact rational
 verification of the underlying algebraic identities.
 """
 
+import os
+
+# LINESTAB_THREADS caps the BLAS threads.  OpenBLAS reads its thread count
+# once, when numpy is first imported, and every module here imports numpy:
+# the cap is set before the first of them.
+if os.environ.get("LINESTAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["LINESTAB_THREADS"])
+
 from .geom import (
     Scene,
     SceneError,

@@ -32,14 +32,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 import time
-
-# honor the thread-count override before any BLAS-backed import happens
-if os.environ.get("LINESTAB_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["LINESTAB_THREADS"])
 
 import click
 import numpy as np

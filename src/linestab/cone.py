@@ -25,6 +25,7 @@ first pass a pair-cone bound, which rules most directions out without it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,81 +100,137 @@ def lattice_spacing(d: int, count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), cached and read-only: one call of it costs as
+    much as a dozen small array operations, and every kernel call needs it."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _pair_distances(centers: np.ndarray, U: np.ndarray):
     """Index pairs i < j and |pi_u(c_i - c_j)| per direction row, (m, pairs),
     as |D|^2 - (u.D)^2 on the centre differences D."""
-    i, j = np.triu_indices(len(centers), 1)
+    i, j = _index_pairs(len(centers))
     D = centers[i] - centers[j]
     dist = U @ D.T
     dist *= -dist
     dist += np.einsum("pd,pd->p", D, D)
-    np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
     return i, j, dist
 
 
 def _lengths(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=-1) to the bit, without its slow reduction over
-    a short trailing axis: below 8 terms numpy adds them in order, and so
-    does the sum over coordinates."""
-    if X.shape[-1] >= 8:
-        return np.linalg.norm(X, axis=-1)
-    return np.sqrt(sum(X[..., c] * X[..., c] for c in range(X.shape[-1])))
+    """Lengths over the leading axis of X (d, ...), the coordinates, to the
+    bit of np.linalg.norm over a trailing axis: below 8 terms numpy adds the
+    squares in order, and so does this sum over whole coordinate planes,
+    which runs along the long axes.  From 8 terms on it is the norm itself.
+    X is scratch: below 8 terms it is squared in place."""
+    if len(X) >= 8:
+        return np.linalg.norm(np.moveaxis(X, 0, -1).copy(), axis=-1)
+    X *= X
+    total = X[0] + X[1] if len(X) > 1 else X[0]
+    for c in range(2, len(X)):
+        total += X[c]
+    return np.sqrt(total, out=total)
 
 
 def _best_point(P: np.ndarray, radii: np.ndarray, B: np.ndarray, over: np.ndarray):
-    """Per row, the smallest max over the columns ``over`` (g, k) of
-    |x - p_i| - r_i at a point x of the affine hull of its support B (g, b)
-    where these agree over B, and the affine weights of that x over B.  With
-    edges E = p_i - p_0 and x = p_0 + alpha E, they agree at t where
-    G alpha = b0 - t b1 (G = E E^T) and |x - p_0| = r_0 + t: two roots of a
-    quadratic.  A row whose G is singular or has no real root keeps inf.
-    Rows are independent, so callers stack many supports as rows of one
-    call; a two-disk support's 1x1 system is solved without LAPACK."""
+    """Per row of B (g, b) and over (g, k), which index disks with centres
+    the columns of P (d, N) and radii (N,): the smallest max over the disks
+    ``over`` of |x - p_i| - r_i at a point x of the affine hull of the
+    support B where these agree over B, and the affine weights (g, b) of
+    that x over B.  Rows are independent, so callers stack many supports as
+    rows of one call, and a row's bits do not depend on the rows beside it.
+
+    One disk's x is its centre.  Two disks are solved in closed form on
+    per-row columns (_pair_points), more through LAPACK's det and solve
+    (_support_points), each at both roots of a quadratic in t; a row whose
+    system is singular or has no real root keeps inf.  Every dot product
+    over the coordinates is an einsum over a C-contiguous (g, d) pair, whose
+    sum is not the left-to-right one; every other sum runs left to right.
+    Points and lengths are (d, c, g) coordinate planes, so each pass runs
+    along the rows."""
     g, b = B.shape
-    rows = np.arange(g)[:, None]
-    PB, rB = P[rows, B], radii[B]
     with np.errstate(divide="ignore", invalid="ignore"):
-        candidates = np.ones((1, g, 1))
-        if b > 1:
-            E = PB[:, 1:] - PB[:, :1]
-            G = np.einsum("gid,gjd->gij", E, E)
-            d2 = np.einsum("gii->gi", G)
-            r0, dr = rB[:, 0], rB[:, 1:] - rB[:, :1]
-            rhs = np.stack([0.5 * (d2 - dr * (rB[:, 1:] + rB[:, :1])), dr], axis=2)
-            if b == 2:
-                # a 1x1 system: LAPACK's solve is rhs * (1 / G) to the bit
-                ok, A = G[:, 0, 0] > 0.0, rhs * (1.0 / G)
-            else:
-                # det G <= prod diag G, with equality for orthogonal edges
-                ok = np.linalg.det(G) > 1e-15 * np.prod(d2, axis=1)
-                A = np.linalg.solve(np.where(ok[:, None, None], G, np.eye(b - 1)), rhs)
-            A[~ok] = np.nan
-            y0, y1 = np.einsum("gjd,gjc->cgd", E, A)
-            qa = np.einsum("gd,gd->g", y1, y1) - 1.0
-            hb = -np.einsum("gd,gd->g", y0, y1) - r0
-            qc = np.einsum("gd,gd->g", y0, y0) - r0 * r0
-            # both roots of qa t^2 + 2 hb t + qc without cancellation; NaN if not real
-            q = -(hb + np.copysign(np.sqrt(hb * hb - qa * qc), hb))
-            alpha = A[:, :, 0] - np.stack([q / qa, qc / q])[:, :, None] * A[:, :, 1]
-            candidates = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
-        x = np.einsum("cgb,gbd->cgd", candidates, PB)
-        # the max over ``over`` one column at a time: a max is exact, and no
-        # (2, g, k, d) array or reduction over the short k axis is made
-        val = np.full(x.shape[:2], -np.inf)
-        for o in over.T:
-            val = np.maximum(val, _lengths(x - P[rows[:, 0], o]) - radii[o])
+        if b == 1:
+            x, w = P.take(B[:, 0], axis=1)[:, None, :], np.ones((1, g, 1))
+        else:
+            x, w = (_pair_points if b == 2 else _support_points)(P, radii, B)
+        # the max over ``over`` one disk at a time, with no reduction over
+        # the short k axis: a max is exact
+        val = None
+        for p, r in zip(P.take(over.T, axis=1).transpose(1, 0, 2), radii.take(over.T)):
+            gap = _lengths(x - p[:, None, :])
+            gap -= r
+            val = gap if val is None else np.maximum(val, gap, out=val)
     val[np.isnan(val)] = np.inf
-    pick = np.argmin(val, axis=0)
-    return val[pick, rows[:, 0]], candidates[pick, rows[:, 0]]
+    pick, rows = val.argmin(axis=0), np.arange(g)
+    return val[pick, rows], w[pick, rows]
+
+
+def _roots(y: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Both roots (2, g) in t of |y0 - t y1| = r0 + t, y = (y0, y1) a
+    C-contiguous (2, g, d) array: qa t^2 + 2 hb t + qc = 0 solved without
+    cancellation; NaN where they are not real."""
+    qa = np.einsum("gd,gd->g", y[1], y[1]) - 1.0
+    hb = -np.einsum("gd,gd->g", y[0], y[1]) - r0
+    qc = np.einsum("gd,gd->g", y[0], y[0]) - r0 * r0
+    q = -(hb + np.copysign(np.sqrt(hb * hb - qa * qc), hb))
+    return np.stack([q / qa, qc / q])
+
+
+def _pair_points(P, radii, B):
+    """Candidate points (d, 2, g) and weights (2, g, 2) of two-disk supports:
+    x = p0 + alpha E on the line through the centres, E = p1 - p0, where
+    |E|^2 alpha = b0 - t b1 (a 1x1 system: alpha = a0 - t a1) and
+    |x - p0| = r0 + t.  Coincident centres (E = 0) give NaN, then inf."""
+    PB, (r0, r1) = P.take(B.T, axis=1), radii.take(B.T)
+    E = np.ascontiguousarray((PB[:, 1] - PB[:, 0]).T)
+    d2 = np.einsum("gd,gd->g", E, E)
+    dr = r1 - r0
+    a = np.stack([0.5 * (d2 - dr * (r1 + r0)), dr]) * np.where(d2 > 0.0, 1.0 / d2, np.nan)
+    alpha = a[0] - _roots(E * a[:, :, None], r0) * a[1]
+    w = np.stack([1.0 - alpha, alpha], axis=2)
+    return PB[:, :1] * w[:, :, 0] + PB[:, 1:] * alpha, w
+
+
+def _support_points(P, radii, B):
+    """Candidate points (d, 2, g) and weights (2, g, b) of supports of b >= 3
+    disks: x = p0 + alpha E with edges E_j = p_j - p0, where G alpha = b0 -
+    t b1 (G = E E^T, one (g, d) einsum per pair of edges) and |x - p0| =
+    r0 + t.  det(G) near zero for its diagonal (det G <= prod diag G, with
+    equality for orthogonal edges) makes the row singular."""
+    g, b = B.shape
+    PB, rB = P.take(B.T, axis=1), radii.take(B.T)
+    E = (PB[:, 1:] - PB[:, :1]).transpose(2, 1, 0).copy()
+    G = np.empty((g, b - 1, b - 1))
+    for i, j in itertools.combinations_with_replacement(range(b - 1), 2):
+        G[:, i, j] = G[:, j, i] = np.einsum("gd,gd->g", E[:, i], E[:, j])
+    d2, dr = np.einsum("gii->gi", G), (rB[1:] - rB[:1]).T
+    rhs = np.stack([0.5 * (d2 - dr * (rB[1:] + rB[:1]).T), dr], axis=2)
+    ok = np.linalg.det(G) > 1e-15 * d2.prod(axis=1)
+    A = np.linalg.solve(np.where(ok[:, None, None], G, np.eye(b - 1)), rhs)
+    A[~ok] = np.nan
+    y = A[:, 0].T[:, :, None] * E[:, 0]
+    for j in range(1, b - 1):  # y = sum_j a_j E_j, added left to right
+        y += A[:, j].T[:, :, None] * E[:, j]
+    alpha = A[:, :, 0] - _roots(y, rB[0])[:, :, None] * A[:, :, 1]
+    w = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
+    x = PB[:, :1] * w[:, :, 0]
+    for j in range(1, b):  # x = sum_j w_j p_j, added left to right
+        x += PB[:, j:j + 1] * w[:, :, j]
+    return x, w
 
 
 def _unit_scale(centers: np.ndarray, radii: np.ndarray):
     """Centres about their mean and radii at an exact power-of-two rescale
     to unit size, with the mean and the exponent: every product of lengths
     taken there stays inside the float range."""
-    mean = centers.mean(axis=0)
+    mean = centers.sum(axis=0) / len(centers)  # np.mean, to the bit
     centers = centers - mean
-    scale = math.frexp(max(np.max(np.abs(centers)), np.max(radii)))[1]
+    scale = math.frexp(max(np.abs(centers).max(), radii.max()))[1]
     return np.ldexp(centers, -scale), np.ldexp(radii, -scale), mean, scale
 
 
@@ -191,9 +248,15 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     _best_point call per candidate size for the open rows of each support
     size, with every candidate support of that size stacked as rows.  t
     rises strictly, so each basis is met at most once; a row still open
-    after that many rounds raises SolverError.  Points live in explicit
-    projected coordinates P = c - (c.u)u, and the slack is the max over all
-    disks at weights @ P: attained, never below the minimum."""
+    after that many rounds raises SolverError.
+
+    Points live in explicit projected coordinates P = c - (c.u)u, held as d
+    coordinate planes of (n, m), so that every elementwise pass runs along
+    the rows and not along a short axis of d or n; _best_point reads the
+    disks of all rows as one flat list of columns.  The pair start gathers
+    no rows, and round 0 reads them whole.  The slack is the max over all
+    disks at weights @ P: attained, never below the minimum.  A row's bits
+    are those of its own one-row call."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if not len(centers):
@@ -203,31 +266,46 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
     centers, radii, _, scale = _unit_scale(centers, radii)
     m, n, cap = len(U), len(centers), min(len(centers), U.shape[1])
     rows = np.arange(m)
-    P = centers[None, :, :] - (U @ centers.T)[:, :, None] * U[:, None, :]
+    # the planes Q (d, n, m); flat, disk i of row r is column i * m + r of
+    # ``disks``, and supports hold these columns
+    proj, UT = np.ascontiguousarray((U @ centers.T).T), np.ascontiguousarray(U.T)
+    Q = proj[None, :, :] * UT[:, None, :]
+    np.subtract(centers.T[:, :, None], Q, out=Q)
+    disks, disk_radii = Q.reshape(len(Q), n * m), np.repeat(radii, m)
     i, j, dist = _pair_distances(centers, U)
-    diameter = np.linalg.norm(centers[i] - centers[j], axis=1) + radii[i] + radii[j]
-    eps = KERNEL_REL_EPS * np.max(diameter, initial=2.0 * np.max(radii))
+    ri, rj = radii[i], radii[j]
+    diameter = _lengths((centers[i] - centers[j]).T) + ri + rj
+    eps = KERNEL_REL_EPS * diameter.max(initial=2.0 * radii.max())
 
-    support, weights = np.zeros((m, cap), dtype=np.int64), np.zeros((m, cap))
-    support[:, 0], weights[:, 0] = np.argmin(radii), 1.0
-    t, size = np.full(m, -np.min(radii)), np.ones(m, dtype=np.int64)
+    # a support's unused columns hold disk 0 of its row at weight 0
+    support, weights = np.repeat(rows[:, None], cap, axis=1), np.zeros((m, cap))
+    support[:, 0] += radii.argmin() * m
+    weights[:, 0] = 1.0
+    t, size = np.full(m, -radii.min()), np.ones(m, dtype=np.int64)
     if n > 1:
-        valid = (dist > 0.0) & (dist >= np.abs(radii[i] - radii[j]))
-        pair = np.argmax(np.where(valid, dist - radii[i] - radii[j], -np.inf), axis=1)
+        valid = (dist > 0.0) & (dist >= np.abs(ri - rj))
+        pair = np.where(valid, dist - ri - rj, -np.inf).argmax(axis=1)
         paired = valid[rows, pair]
-        B = np.column_stack([i[pair[paired]], j[pair[paired]]])
+        if paired.all():
+            paired = slice(None)  # the common case: no row is gathered
+        B = np.column_stack([i[pair], j[pair]])[paired] * m + rows[paired, None]
         support[paired, :2], size[paired] = B, 2
-        t[paired], weights[paired, :2] = _best_point(P[paired], radii, B, B)
+        t[paired], weights[paired, :2] = _best_point(disks, disk_radii, B, B)
 
-    worst, slack, open_ = np.zeros(m, dtype=np.int64), np.empty(m), rows
+    worst, slack, open_ = np.zeros(m, dtype=np.int64), np.empty(m), slice(None)
     for _ in range(sum(math.comb(n, k) for k in range(1, cap + 1)) + 1):
-        x = np.einsum("mk,mkd->md", weights[open_], P[open_[:, None], support[open_]])
-        g = _lengths(x[:, None, :] - P[open_]) - radii
-        worst[open_] = np.argmax(g, axis=1)
-        slack[open_] = g[np.arange(len(open_)), worst[open_]]
-        open_ = open_[slack[open_] - t[open_] > eps]
+        # round 0 reads every row whole; later rounds gather the open rows
+        S, wk = disks.take(support[open_].T, axis=1), weights[open_].T
+        x = S[:, 0] * wk[0]
+        for c in range(1, cap):  # x = sum_k w_k p_k, added left to right
+            x += S[:, c] * wk[c]
+        g = _lengths(x[:, None, :] - Q[:, :, open_]) - radii[:, None]
+        slack[open_] = g.max(axis=0)  # a max is exact: g[argmax], NaN too
+        violated = slack[open_] - t[open_] > eps
+        open_ = rows[open_][violated]
         if not len(open_):
             break
+        worst[open_] = g[:, violated].argmax(axis=0) * m + open_
         for k in set(size[open_].tolist()):  # np.unique would import numpy.ma
             r = open_[size[open_] == k]
             over = np.column_stack([worst[r], support[r, :k]])
@@ -237,20 +315,20 @@ def _minimax(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> tuple[np.
                 # per subset T; the first smallest in combinations order wins
                 Ts = list(itertools.combinations(range(1, k + 1), s))
                 B = np.concatenate([over[:, (0,) + T] for T in Ts])
-                val, w = _best_point(np.tile(P[r], (len(Ts), 1, 1)), radii, B,
-                                     np.tile(over, (len(Ts), 1)))
-                pick = np.argmin(val.reshape(len(Ts), len(r)), axis=0) * len(r) + np.arange(len(r))
-                better = val[pick] < t[r]
-                b, pick = r[better], pick[better]
-                t[b], size[b] = val[pick], s + 1
-                support[b], weights[b] = 0, 0.0
-                support[b, :s + 1], weights[b, :s + 1] = B[pick], w[pick]
+                val, w = _best_point(disks, disk_radii, B, np.concatenate([over] * len(Ts)))
+                pick = val.reshape(len(Ts), -1).argmin(axis=0) * len(r) + np.arange(len(r))
+                val, w, B = val[pick], w[pick], B[pick]
+                better = val < t[r]
+                b = r[better]
+                t[b], size[b] = val[better], s + 1
+                support[b], weights[b] = b[:, None], 0.0
+                support[b, :s + 1], weights[b, :s + 1] = B[better], w[better]
     else:
         raise SolverError(f"disk minimax did not converge on {len(open_)} direction rows")
-    W = np.zeros((m, n))
+    W = np.zeros((n, m))
     for c in range(cap):  # padding adds 0.0 to column 0
-        W[rows, support[:, c]] += weights[:, c]
-    return np.ldexp(slack, scale), W
+        W.reshape(-1)[support[:, c]] += weights[:, c]
+    return np.ldexp(slack, scale), np.ascontiguousarray(W.T)
 
 
 def minimax_slack_batch(centers: np.ndarray, radii: np.ndarray, U: np.ndarray) -> np.ndarray:

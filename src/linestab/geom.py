@@ -170,16 +170,16 @@ def _unit_rows(U) -> np.ndarray:
     answer does not depend on the rows beside it."""
     U = np.asarray(U, dtype=float)
     unit = np.abs(np.einsum("md,md->m", U, U) - 1.0) <= UNIT_SQ_TOL
-    if np.all(unit):
+    if unit.all():
         return U
     # both reductions run over the leading axis of a contiguous transposed
     # copy, several times faster than over the short trailing axis; the sum
     # adds the same terms in the same order for d < 8
-    big = np.max(np.ascontiguousarray(np.abs(U).T), axis=0, initial=0.0)[:, None]
-    if not np.all(np.isfinite(big) & (big > 0.0)):
+    big = np.ascontiguousarray(np.abs(U).T).max(axis=0, initial=0.0)[:, None]
+    if not (np.isfinite(big) & (big > 0.0)).all():
         raise SolverError("direction rows must be finite and non-zero")
     V = U / big
-    V /= np.sqrt(np.sum(np.ascontiguousarray((V * V).T), axis=0))[:, None]
+    V /= np.sqrt(np.ascontiguousarray((V * V).T).sum(axis=0))[:, None]
     return np.where(unit[:, None], U, V)
 
 

@@ -354,6 +354,33 @@ class TestEnvironment:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("args", [["-c", "import linestab"], ["-m", "linestab.cli", "--help"]],
+                             ids=["import", "cli-help"])
+    def test_thread_cap_is_set_before_numpy_loads(self, args, tmp_path):
+        # OpenBLAS reads its thread count when numpy is first imported, so
+        # LINESTAB_THREADS only takes effect if the cap is in the environment
+        # by then: a meta-path hook, installed at start-up through
+        # sitecustomize, records the environment at numpy's first import
+        import linestab
+
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os, sys\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            sys.meta_path.remove(self)\n"
+            "            caps = [os.environ.get(v) for v in\n"
+            "                    ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')]\n"
+            "            print('numpy loads with', caps, file=sys.stderr)\n"
+            "sys.meta_path.insert(0, Spy())\n")
+        src = str(Path(linestab.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(LINESTAB_THREADS="1", PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "numpy loads with ['1', '1', '1']" in out.stderr.splitlines()
+
     def test_no_option_sets_a_tolerance(self, runner):
         # the band is the scene's: no option reads the environment, and
         # --tol is gone from every command

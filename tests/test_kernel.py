@@ -235,20 +235,60 @@ def test_one_best_point_call_per_support_size(key, monkeypatch):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_lengths_are_the_norm_to_the_bit(d):
-    # the kernel's lengths add coordinates in order, as numpy's norm does
-    # below 8 terms; from 8 on they are the norm itself
+    # the kernel's lengths add whole coordinate planes in order, as numpy's
+    # norm adds a trailing axis below 8 terms; from 8 on they are the norm
     rng = np.random.default_rng(d)
     X = rng.normal(size=(2, 300, 5, d)) * np.exp(5.0 * rng.normal(size=(2, 300, 5, d)))
-    assert np.array_equal(cone._lengths(X), np.linalg.norm(X, axis=-1))
+    norm = np.linalg.norm(X, axis=-1)
+    assert np.array_equal(cone._lengths(np.moveaxis(X, -1, 0).copy()), norm)
+
+
+def _pair_call(p0, p1, r0, r1):
+    """_best_point on the two-disk supports (p0[k], p1[k]) over themselves:
+    the centres as the columns of one (d, 2N) array."""
+    N = len(p0)
+    B = np.column_stack([np.arange(N), N + np.arange(N)])
+    return cone._best_point(np.hstack([p0.T, p1.T]), np.concatenate([r0, r1]), B, B)
+
+
+def _as_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 5), N=st.integers(1, 40),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_two_disk_support_is_the_closed_form(seed, d, N, scale):
+    # two disks that are not nested agree at t = (|p0 - p1| - r0 - r1) / 2,
+    # on the segment between the centres; N rows give the bits of N calls
+    rng = np.random.default_rng(seed)
+    p0, p1 = scale * rng.normal(size=(2, N, d))
+    r0, r1 = scale * rng.uniform(0.05, 1.5, size=(2, N))
+    D = np.linalg.norm(p1 - p0, axis=1)
+    t, w = _pair_call(p0, p1, r0, r1)
+    sound = D > np.abs(r0 - r1) * (1 + 1e-9)
+    tol = 1e-12 * scale * (1.0 + D / scale)
+    assert np.all(np.abs(t - (D - r0 - r1) / 2)[sound] <= tol[sound])
+    assert np.all(np.abs(w.sum(axis=1) - 1.0)[sound] <= 1e-12)
+    assert np.all((w[sound] >= -1e-12) & (w[sound] <= 1 + 1e-12))
+    x = w[:, :1] * p0 + w[:, 1:] * p1
+    for p, r in ((p0, r0), (p1, r1)):
+        gap = np.linalg.norm(x - p, axis=1) - r
+        assert np.all(np.abs(gap - t)[sound] <= tol[sound])
+    for k in range(N):
+        tk, wk = _pair_call(p0[k:k + 1], p1[k:k + 1], r0[k:k + 1], r1[k:k + 1])
+        assert np.array_equal(_as_bits(tk), _as_bits(t[k:k + 1]))
+        assert np.array_equal(_as_bits(wk), _as_bits(w[k:k + 1]))
 
 
 def test_coincident_pair_support_keeps_inf():
-    # a two-disk support whose projected centres coincide has G = 0: the
-    # 1x1 system is singular and its row keeps inf
-    P = np.array([[[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [4.0, 0.0, 0.0]]])
-    B, over = np.array([[0, 1]]), np.array([[0, 1, 2]])
-    val, _ = cone._best_point(P, np.array([1.0, 0.5, 1.0]), B, over)
-    assert val.tolist() == [np.inf]
+    # a two-disk support whose projected centres coincide has |E|^2 = 0: the
+    # 1x1 system is singular and its row keeps inf, beside a sound row
+    for d in (2, 3, 5):
+        p0 = np.random.default_rng(d).normal(size=(2, d))
+        p1 = np.vstack([p0[0], p0[1] + 3.0])
+        t, _ = _pair_call(p0, p1, np.array([1.0, 0.5]), np.array([0.5, 0.5]))
+        assert t[0] == np.inf and np.isfinite(t[1])
 
 
 @pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.25])
